@@ -53,7 +53,7 @@ serve-smoke:
 
 # bench-scan reproduces the hot-path numbers recorded in BENCH_scan.json.
 bench-scan:
-	go test -run '^$$' -bench 'BenchmarkProbeThroughput|BenchmarkRunAll' -benchtime 3x ./internal/core/scan/
+	go test -run '^$$' -bench 'BenchmarkProbeThroughput' -benchtime 3x ./internal/core/scan/
 	go test -run '^$$' -bench 'BenchmarkLookupHost|BenchmarkEmitNoObserver' ./internal/netsim/
 
 # bench-telescope reproduces the leg-3 numbers recorded in BENCH_telescope.json.

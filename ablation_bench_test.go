@@ -101,8 +101,8 @@ func BenchmarkAblationScanWorkers(b *testing.B) {
 					Network: n, Source: 1, Prefix: prefix,
 					Seed: uint64(i + 1), Workers: workers,
 				})
-				st := s.Run(context.Background(), module, nil)
-				if st.Responded == 0 {
+				_, stats, _ := s.Run(context.Background(), []scan.ProbeModule{module}, nil, 0, nil)
+				if stats[iot.ProtoMQTT].Responded == 0 {
 					b.Fatal("no responses")
 				}
 			}

@@ -13,12 +13,17 @@
 //	              [-trace FILE] [-trace-sample N]
 //	              [-checkpoint DIR] [-resume] [-checkpoint-every N]
 //
-// -checkpoint commits the resumable scan state (permutation cursor, breaker
-// hits, per-shard stats, finished modules) into DIR at every segment of
-// -checkpoint-every targets; -resume continues a killed run from the last
-// commit, and the final artifacts are byte-identical to an uninterrupted
-// run. SIGINT/SIGTERM commits a final checkpoint, flushes the partial
-// artifacts with `interrupted: true` in the manifest, and exits 0.
+// Every run goes through the scanner's one driver, scan.Scanner.Run: the
+// modules are swept in sequence, each with the whole -workers budget.
+// -checkpoint only adds a commit hook to that call, which saves the resumable
+// scan state (permutation cursor, breaker hits, per-module stats and results)
+// into DIR at every segment of -checkpoint-every targets; without it each
+// module is one segment. -resume continues a killed run from the last commit,
+// and the final artifacts are byte-identical to an uninterrupted run.
+// -rate throttles every transmission on either path. SIGINT/SIGTERM stops a
+// checkpointed run at its next commit and cancels a plain one mid-sweep;
+// both flush the partial artifacts with `interrupted: true` in the manifest
+// and exit 0.
 //
 // The robustness knobs (-max-attempts, -probe-timeout, -target-budget,
 // -breaker-threshold) only engage on a faulted fabric: without -faults the
@@ -203,7 +208,8 @@ func main() {
 	}
 	if reg != nil {
 		// The hook rides the feed goroutine: one registry add and one
-		// throttled stderr line per 256-target batch, off the probe path.
+		// throttled stderr line per target batch (256 targets at most), off
+		// the probe path.
 		var ports uint64
 		for _, m := range modules {
 			ports += uint64(len(m.Ports()))
@@ -222,11 +228,11 @@ func main() {
 
 	outputDigests := make(map[string]string)
 
-	// First SIGINT/SIGTERM requests a graceful drain: the plain path cancels
-	// the scan context (feed stops, workers drain), the checkpointed path
-	// stops at the next segment commit with state already durable. Either
-	// way the binary flushes partial artifacts, records interrupted:true in
-	// the manifest, and exits 0.
+	// First SIGINT/SIGTERM requests a graceful drain: a plain run cancels
+	// the scan context (feed stops, workers drain), a checkpointed run stops
+	// at the next segment commit with state already durable. Either way the
+	// binary flushes partial artifacts, records interrupted:true in the
+	// manifest, and exits 0.
 	var interrupted atomic.Bool
 	ctx, cancelScan := context.WithCancel(context.Background())
 	if *ckptDir != "" {
@@ -260,45 +266,46 @@ func main() {
 		fmt.Printf("scanning %s (%s addresses, boost %.0fx, scale 1/%.0f)\n",
 			prefix, report.Comma(int(prefix.Size())), *boost, universe.ScaleFactor())
 		span := tracer.Start("scan")
-		var stats map[iot.Protocol]scan.Stats
-		if *ckptDir == "" {
-			results, stats = scanner.RunAllParallel(ctx, modules)
-		} else {
-			// Checkpointed path: segmented sequential execution, byte-identical
-			// to RunAllParallel (probes are pure per-target, breaker decisions
-			// ride the single-threaded collector, results sort by (IP, Port)).
-			var resumeState *scan.SegmentedState
-			if *resume {
-				recd, err := checkpoint.Load(*ckptDir, "scan", *seed, ckptState)
-				switch {
-				case errors.Is(err, os.ErrNotExist):
-					// No checkpoint yet: a fresh start.
-				case err != nil:
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				default:
-					recd.Name = fmt.Sprintf("seg%04d", len(ckptState.Checkpoints))
-					ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-					resumeState = ckptState.Scan
-					rec.RestoreEvents(ckptState.TraceEvents)
-					ckptState.TraceEvents = nil
-					// Seed only when the killed run actually fed targets:
-					// Progress never fires for empty segments, so an
-					// unconditional Add would mint a counter key the
-					// uninterrupted run does not have.
-					if reg != nil && resumeState != nil && resumeState.TargetsFed > 0 {
-						reg.Add("scan.targets_fed", resumeState.TargetsFed)
-						progress.Add(resumeState.TargetsFed)
-					}
-					fmt.Fprintf(os.Stderr, "resumed at module %d (%s targets done)\n",
-						resumeState.Module, report.Comma(int(resumeState.TargetsFed)))
+		// -resume requires -checkpoint, so a plain run never has a state.
+		var resumeState *scan.SegmentedState
+		if *resume {
+			recd, err := checkpoint.Load(*ckptDir, "scan", *seed, ckptState)
+			switch {
+			case errors.Is(err, os.ErrNotExist):
+				// No checkpoint yet: a fresh start.
+			case err != nil:
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			default:
+				recd.Name = fmt.Sprintf("seg%04d", len(ckptState.Checkpoints))
+				ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
+				resumeState = ckptState.Scan
+				rec.RestoreEvents(ckptState.TraceEvents)
+				ckptState.TraceEvents = nil
+				// Seed only when the killed run actually fed targets:
+				// Progress never fires for empty segments, so an
+				// unconditional Add would mint a counter key the
+				// uninterrupted run does not have.
+				if reg != nil && resumeState != nil && resumeState.TargetsFed > 0 {
+					reg.Add("scan.targets_fed", resumeState.TargetsFed)
+					progress.Add(resumeState.TargetsFed)
 				}
+				fmt.Fprintf(os.Stderr, "resumed at module %d (%s targets done)\n",
+					resumeState.Module, report.Comma(int(resumeState.TargetsFed)))
 			}
+		}
+		// One driver either way: without -checkpoint there is no commit hook
+		// and each module is swept as a single segment; with it the hook
+		// saves the state every -checkpoint-every targets. Results are
+		// byte-identical (probes are pure per-target, breaker decisions ride
+		// the single-threaded feed, results sort by (IP, Port)).
+		var onCommit func(*scan.SegmentedState) error
+		if *ckptDir != "" {
 			lastModule := 0
 			if resumeState != nil {
 				lastModule = resumeState.Module
 			}
-			onCommit := func(st *scan.SegmentedState) error {
+			onCommit = func(st *scan.SegmentedState) error {
 				ckptState.Scan = st
 				ckptState.TraceEvents = rec.DumpEvents()
 				name := fmt.Sprintf("seg%04d", len(ckptState.Checkpoints))
@@ -318,12 +325,15 @@ func main() {
 				}
 				return nil
 			}
-			var err error
-			results, stats, err = scanner.RunSegmented(ctx, modules, resumeState, *ckptEvery, onCommit)
-			if err != nil && !errors.Is(err, checkpoint.ErrInterrupted) {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		}
+		var stats map[iot.Protocol]scan.Stats
+		results, stats, err = scanner.Run(ctx, modules, resumeState, *ckptEvery, onCommit)
+		// A graceful interrupt is not a failure: the hook stops a
+		// checkpointed run at a commit, a canceled context stops a plain one,
+		// and both hand back what was gathered for the partial flush.
+		if err != nil && !errors.Is(err, checkpoint.ErrInterrupted) && !errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		span.End()
 		progress.Done()

@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"openhire/internal/core/classify"
@@ -38,7 +39,10 @@ func main() {
 		Workers: 128,
 	})
 	fmt.Println("scanning", prefix, "...")
-	results, _ := scanner.RunAll(context.Background(), scan.AllModules())
+	results, _, err := scanner.Run(context.Background(), scan.AllModules(), nil, 0, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Cross-check with the open datasets, Table 4 style.
 	sonar := datasets.ProjectSonar(8, universe)

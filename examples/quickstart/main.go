@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 
 	"openhire/internal/core/classify"
 	"openhire/internal/core/fingerprint"
@@ -35,7 +36,10 @@ func main() {
 		Seed:    42,
 		Workers: 64,
 	})
-	results, _ := scanner.RunAll(context.Background(), scan.AllModules())
+	results, _, err := scanner.Run(context.Background(), scan.AllModules(), nil, 0, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 3. Filter honeypots and classify misconfigurations.
 	for _, proto := range iot.ScannedProtocols {

@@ -26,7 +26,10 @@ func chaosPipeline(t *testing.T, profile faults.Profile) map[iot.Protocol]float6
 		Network: n, Source: netsim.MustParseIPv4("130.226.0.1"),
 		Prefix: prefix, Seed: 5, Workers: 32,
 	})
-	results, _ := s.RunAll(context.Background(), scan.AllModules())
+	results, _, err := s.Run(context.Background(), scan.AllModules(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fracs := make(map[iot.Protocol]float64)
 	for proto, rs := range results {

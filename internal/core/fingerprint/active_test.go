@@ -75,15 +75,12 @@ func TestProbeDeviationDarkAddress(t *testing.T) {
 func TestVerifyDetectionsEndToEnd(t *testing.T) {
 	n, _, prefix := activeWorld(t)
 	s := scan.NewScanner(scan.Config{Network: n, Source: 1, Prefix: prefix, Seed: 3, Workers: 128})
-	var results []*scan.Result
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
 	module, _ := scan.ModuleFor(iot.ProtoTelnet)
-	s.Run(context.Background(), module, func(r *scan.Result) {
-		<-gate
-		results = append(results, r)
-		gate <- struct{}{}
-	})
+	byProto, _, err := s.Run(context.Background(), []scan.ProbeModule{module}, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := byProto[iot.ProtoTelnet]
 	_, dets := Filter(results)
 	if len(dets) == 0 {
 		t.Skip("no detections in slice")

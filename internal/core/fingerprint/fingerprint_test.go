@@ -95,15 +95,12 @@ func TestEndToEndFingerprintOnUniverse(t *testing.T) {
 	n := netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart))
 	n.AddProvider(prefix, u)
 	s := scan.NewScanner(scan.Config{Network: n, Source: 1, Prefix: prefix, Seed: 3, Workers: 128})
-	var results []*scan.Result
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
 	module, _ := scan.ModuleFor(iot.ProtoTelnet)
-	s.Run(context.Background(), module, func(r *scan.Result) {
-		<-gate
-		results = append(results, r)
-		gate <- struct{}{}
-	})
+	byProto, _, err := s.Run(context.Background(), []scan.ProbeModule{module}, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := byProto[iot.ProtoTelnet]
 	_, honeypots := Filter(results)
 	// Allow a small deficit for probe deadline misses under heavy parallel
 	// load; false positives are never acceptable.

@@ -25,7 +25,7 @@ func TestBlockedCounted(t *testing.T) {
 		Workers:   8,
 		Blocklist: netsim.NewPrefixSet(blocked),
 	})
-	st := s.Run(context.Background(), TelnetModule{}, nil)
+	_, st := runModule(context.Background(), s, TelnetModule{})
 	if st.Blocked == 0 {
 		t.Fatal("scan over a blocklisted /24 reported Stats.Blocked == 0")
 	}
@@ -49,59 +49,8 @@ func TestBlockedZeroWhenDisjoint(t *testing.T) {
 		Network: n, Source: 1, Prefix: prefix, Seed: 5, Workers: 4,
 		Blocklist: netsim.NewPrefixSet(netsim.MustParsePrefix("10.0.0.0/8")),
 	})
-	if st := s.Run(context.Background(), TelnetModule{}, nil); st.Blocked != 0 {
+	if _, st := runModule(context.Background(), s, TelnetModule{}); st.Blocked != 0 {
 		t.Fatalf("disjoint blocklist counted %d blocked addresses", st.Blocked)
-	}
-}
-
-// TestSplitWorkersSpendsBudget is the regression test for the idle-worker
-// bug: RunAllParallel used to integer-divide the budget, so 128 workers over
-// 6 modules ran 126 and silently idled 2 (more with -extended's 8 modules).
-func TestSplitWorkersSpendsBudget(t *testing.T) {
-	cases := []struct {
-		total, modules int
-	}{
-		{128, 6}, // the default config: old code lost 128%6 == 2 workers
-		{128, 8}, // -extended: old code lost 0 but shares were uneven
-		{127, 8}, // old code lost 7
-		{64, 6},
-		{7, 6},
-		{6, 6},
-	}
-	for _, c := range cases {
-		counts := splitWorkers(c.total, c.modules)
-		if len(counts) != c.modules {
-			t.Fatalf("splitWorkers(%d, %d): %d shares", c.total, c.modules, len(counts))
-		}
-		sum := 0
-		for i, n := range counts {
-			if n < 1 {
-				t.Fatalf("splitWorkers(%d, %d): module %d got %d workers", c.total, c.modules, i, n)
-			}
-			sum += n
-			// Remainder spreads one-each: shares differ by at most 1.
-			if diff := counts[0] - n; diff < 0 || diff > 1 {
-				t.Fatalf("splitWorkers(%d, %d): uneven shares %v", c.total, c.modules, counts)
-			}
-		}
-		if sum != c.total {
-			t.Fatalf("splitWorkers(%d, %d) = %v sums to %d, budget dropped",
-				c.total, c.modules, counts, sum)
-		}
-	}
-	// Degenerate budgets: every module still gets one worker even when that
-	// overspends the budget, and zero modules yields no shares.
-	if counts := splitWorkers(2, 6); len(counts) != 6 {
-		t.Fatalf("splitWorkers(2, 6) = %v", counts)
-	} else {
-		for _, n := range counts {
-			if n != 1 {
-				t.Fatalf("splitWorkers(2, 6) = %v, want all ones", counts)
-			}
-		}
-	}
-	if counts := splitWorkers(10, 0); len(counts) != 0 {
-		t.Fatalf("splitWorkers(10, 0) = %v, want empty", counts)
 	}
 }
 
@@ -176,7 +125,7 @@ func TestStatsConservation(t *testing.T) {
 				Blocklist: blocklist,
 			})
 			for _, m := range AllModules() {
-				st := s.Run(context.Background(), m, nil)
+				_, st := runModule(context.Background(), s, m)
 				outcomes := st.Responded + st.Timeouts + st.Resets + st.Partials + st.Negatives
 				if st.Probed != outcomes {
 					t.Fatalf("%s/%s/%d workers: Probed %d != outcome sum %d (%+v)",

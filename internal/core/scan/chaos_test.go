@@ -45,7 +45,10 @@ func chaosScan(t testing.TB, cidr string, boost float64, profile faults.Profile,
 	if mut != nil {
 		mut(&cfg)
 	}
-	results, stats := NewScanner(cfg).RunAll(context.Background(), AllModules())
+	results, stats, err := NewScanner(cfg).Run(context.Background(), AllModules(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return digestResults(results), stats
 }
 
@@ -190,7 +193,7 @@ func TestChaosBreakerSkipsBlackholed(t *testing.T) {
 		Prefix: prefix, Seed: 5, Workers: 8,
 		Blocklist: netsim.NewPrefixSet(), // empty: all 256 addresses in play
 	})
-	st := s.Run(context.Background(), TelnetModule{}, nil)
+	_, st := runModule(context.Background(), s, TelnetModule{})
 
 	const threshold = 8                     // NewScanner default
 	wantProbed := uint64(threshold * 2 * 3) // 8 addrs x 2 ports x 3 attempts
@@ -250,7 +253,7 @@ func TestScanCancelAbortsThrottledSweep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	st := s.Run(ctx, TelnetModule{}, nil)
+	_, st := runModule(ctx, s, TelnetModule{})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("canceled throttled sweep still ran %v", elapsed)
 	}

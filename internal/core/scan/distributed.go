@@ -30,7 +30,8 @@ type DistributedConfig struct {
 
 // DistributedResult aggregates a distributed scan.
 type DistributedResult struct {
-	// Results is the merged, per-address-deduplicated result set.
+	// Results is the merged result set, sorted by (IP, Port). The shards
+	// partition one permutation, so no address appears twice.
 	Results []*Result
 	// PerVantage counts responsive hosts found by each vantage.
 	PerVantage []int
@@ -39,9 +40,11 @@ type DistributedResult struct {
 }
 
 // RunDistributed shards the permutation across the vantages (ZMap's shard
-// mechanism) and runs them concurrently, merging results. Every address is
-// probed by exactly one vantage, so the union equals a single-scanner sweep
-// while wall-clock divides by the vantage count.
+// mechanism): one Scanner.Run per vantage, each with its own source and
+// blocklist, run concurrently and merged. Every address is probed by exactly
+// one vantage, so the union equals a single-scanner sweep while wall-clock
+// divides by the vantage count. When ctx is canceled the result is the union
+// of what each vantage had gathered.
 func RunDistributed(ctx context.Context, cfg DistributedConfig, module ProbeModule) DistributedResult {
 	if len(cfg.Vantages) == 0 {
 		return DistributedResult{}
@@ -49,13 +52,10 @@ func RunDistributed(ctx context.Context, cfg DistributedConfig, module ProbeModu
 	if cfg.WorkersPerVantage == 0 {
 		cfg.WorkersPerVantage = 32
 	}
-	var (
-		mu     sync.Mutex
-		merged = make(map[addrKey]*Result)
-		per    = make([]int, len(cfg.Vantages))
-		stats  Stats
-		wg     sync.WaitGroup
-	)
+	proto := module.Protocol()
+	results := make([][]*Result, len(cfg.Vantages))
+	stats := make([]Stats, len(cfg.Vantages))
+	var wg sync.WaitGroup
 	for i, v := range cfg.Vantages {
 		i, v := i, v
 		wg.Add(1)
@@ -71,49 +71,25 @@ func RunDistributed(ctx context.Context, cfg DistributedConfig, module ProbeModu
 				Shard:     i,
 				Shards:    len(cfg.Vantages),
 			})
-			st := s.Run(ctx, module, func(r *Result) {
-				mu.Lock()
-				key := addrKey{ip: r.IP, port: r.Port}
-				if _, dup := merged[key]; !dup {
-					merged[key] = r
-				}
-				per[i]++
-				mu.Unlock()
-			})
-			mu.Lock()
-			stats.Probed += st.Probed
-			stats.Blocked += st.Blocked
-			stats.Responded += st.Responded
-			stats.Timeouts += st.Timeouts
-			stats.Resets += st.Resets
-			stats.Partials += st.Partials
-			stats.Negatives += st.Negatives
-			stats.Retransmits += st.Retransmits
-			stats.BreakerSkipped += st.BreakerSkipped
-			if st.Elapsed > stats.Elapsed {
-				stats.Elapsed = st.Elapsed // wall-clock = slowest vantage
-			}
-			mu.Unlock()
+			// Without a commit hook the only error is ctx's, and a canceled
+			// vantage still contributes its partial results.
+			rs, st, _ := s.Run(ctx, []ProbeModule{module}, nil, 0, nil)
+			results[i], stats[i] = rs[proto], st[proto]
 		}()
 	}
 	wg.Wait()
 
-	out := DistributedResult{PerVantage: per, Stats: stats}
-	for _, r := range merged {
-		out.Results = append(out.Results, r)
-	}
-	sort.Slice(out.Results, func(i, j int) bool {
-		if out.Results[i].IP != out.Results[j].IP {
-			return out.Results[i].IP < out.Results[j].IP
+	out := DistributedResult{PerVantage: make([]int, len(cfg.Vantages))}
+	for i, rs := range results {
+		out.PerVantage[i] = len(rs)
+		out.Results = append(out.Results, rs...)
+		out.Stats.add(stats[i])
+		if stats[i].Elapsed > out.Stats.Elapsed {
+			out.Stats.Elapsed = stats[i].Elapsed // wall-clock = slowest vantage
 		}
-		return out.Results[i].Port < out.Results[j].Port
-	})
+	}
+	sortResults(out.Results)
 	return out
-}
-
-type addrKey struct {
-	ip   netsim.IPv4
-	port uint16
 }
 
 // CoverageDelta compares two result sets and returns addresses only in a,

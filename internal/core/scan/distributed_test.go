@@ -14,13 +14,10 @@ func TestDistributedEqualsSingleScanner(t *testing.T) {
 	// Single-scanner baseline.
 	single := NewScanner(Config{Network: n, Source: 1, Prefix: prefix, Seed: 40, Workers: 64})
 	baseline := make(map[netsim.IPv4]bool)
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
-	single.Run(context.Background(), MQTTModule{}, func(r *Result) {
-		<-gate
+	results, _ := runModule(context.Background(), single, MQTTModule{})
+	for _, r := range results {
 		baseline[r.IP] = true
-		gate <- struct{}{}
-	})
+	}
 
 	// Three-vantage distributed scan of the same prefix and seed.
 	dist := RunDistributed(context.Background(), DistributedConfig{

@@ -22,14 +22,11 @@ func extWorld(boost float64) (*netsim.Network, *iot.Universe, netsim.Prefix) {
 func TestExtendedScanTR069(t *testing.T) {
 	n, u, prefix := extWorld(100)
 	s := scan.NewScanner(scan.Config{Network: n, Source: 1, Prefix: prefix, Seed: 30, Workers: 64})
-	var results []*scan.Result
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
-	s.Run(context.Background(), scan.TR069Module{}, func(r *scan.Result) {
-		<-gate
-		results = append(results, r)
-		gate <- struct{}{}
-	})
+	byProto, _, err := s.Run(context.Background(), []scan.ProbeModule{scan.TR069Module{}}, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := byProto[iot.ProtoTR069]
 	if len(results) == 0 {
 		t.Fatal("no TR-069 endpoints found")
 	}
@@ -61,14 +58,11 @@ func TestExtendedScanSMB(t *testing.T) {
 	_ = prefix
 	small := netsim.MustParsePrefix("50.0.0.0/17")
 	s := scan.NewScanner(scan.Config{Network: n, Source: 1, Prefix: small, Seed: 31, Workers: 64})
-	var results []*scan.Result
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
-	s.Run(context.Background(), scan.SMBModule{}, func(r *scan.Result) {
-		<-gate
-		results = append(results, r)
-		gate <- struct{}{}
-	})
+	byProto, _, err := s.Run(context.Background(), []scan.ProbeModule{scan.SMBModule{}}, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := byProto[iot.ProtoSMB]
 	_ = u
 	if len(results) == 0 {
 		t.Fatal("no SMB endpoints found")

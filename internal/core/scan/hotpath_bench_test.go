@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"openhire/internal/iot"
 	"openhire/internal/netsim"
 )
 
@@ -25,7 +24,7 @@ func BenchmarkProbeThroughput(b *testing.B) {
 	b.ResetTimer()
 	var probed uint64
 	for i := 0; i < b.N; i++ {
-		st := s.Run(context.Background(), TelnetModule{}, nil)
+		_, st := runModule(context.Background(), s, TelnetModule{})
 		probed += st.Probed
 	}
 	b.StopTimer()
@@ -50,7 +49,7 @@ func BenchmarkProbeThroughputUDP(b *testing.B) {
 	b.ResetTimer()
 	var probed uint64
 	for i := 0; i < b.N; i++ {
-		st := s.Run(context.Background(), CoAPModule{}, nil)
+		_, st := runModule(context.Background(), s, CoAPModule{})
 		probed += st.Probed
 	}
 	b.StopTimer()
@@ -59,41 +58,3 @@ func BenchmarkProbeThroughputUDP(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probed), "ns/probe")
 }
-
-// BenchmarkRunAllSequential is the six-protocol sweep of a /17 slice with
-// modules run one after another — the pre-parallel pipeline shape.
-func BenchmarkRunAllSequential(b *testing.B) {
-	n, _, _ := buildTestWorld(b, 50)
-	s := NewScanner(Config{
-		Network: n,
-		Source:  netsim.MustParseIPv4("130.226.0.1"),
-		Prefix:  netsim.MustParsePrefix("50.0.0.0/17"),
-		Seed:    5,
-		Workers: 96,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink, _ = s.RunAll(context.Background(), AllModules())
-	}
-}
-
-// BenchmarkRunAllParallel is the same sweep with all six modules scanning
-// concurrently under the same total worker budget.
-func BenchmarkRunAllParallel(b *testing.B) {
-	n, _, _ := buildTestWorld(b, 50)
-	s := NewScanner(Config{
-		Network: n,
-		Source:  netsim.MustParseIPv4("130.226.0.1"),
-		Prefix:  netsim.MustParsePrefix("50.0.0.0/17"),
-		Seed:    5,
-		Workers: 96,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink, _ = s.RunAllParallel(context.Background(), AllModules())
-	}
-}
-
-var benchSink map[iot.Protocol][]*Result

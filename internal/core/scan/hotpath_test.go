@@ -1,13 +1,19 @@
 package scan
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
 
+	"openhire/internal/iot"
 	"openhire/internal/netsim"
 )
+
+// addrKey identifies one probed endpoint.
+type addrKey struct {
+	ip   netsim.IPv4
+	port uint16
+}
 
 // TestShardUnionEqualsUnsharded asserts the ZMap sharding invariant on the
 // batched feed: the union of Shard=0..N-1 scans over a prefix equals the
@@ -22,7 +28,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 			Network: n, Source: 1, Prefix: prefix, Seed: 11, Workers: 16,
 			Shard: shard, Shards: shardCount,
 		})
-		rs, _ := s.runCollect(context.Background(), TelnetModule{})
+		rs, _ := runModule(context.Background(), s, TelnetModule{})
 		set := make(map[addrKey]bool, len(rs))
 		for _, r := range rs {
 			set[addrKey{ip: r.IP, port: r.Port}] = true
@@ -50,65 +56,6 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 	for key := range full {
 		if !union[key] {
 			t.Fatalf("(ip %v, port %d) missing from shard union", key.ip, key.port)
-		}
-	}
-}
-
-// TestRunAllParallelMatchesRunAll asserts determinism: for a fixed seed the
-// parallel six-protocol scan must produce byte-identical per-protocol
-// result sets to the sequential one.
-func TestRunAllParallelMatchesRunAll(t *testing.T) {
-	n, _, _ := buildTestWorld(t, 300)
-	prefix := netsim.MustParsePrefix("50.0.0.0/20")
-	cfg := Config{Network: n, Source: 1, Prefix: prefix, Seed: 12, Workers: 48}
-
-	seq, seqStats := NewScanner(cfg).RunAll(context.Background(), AllModules())
-	par, parStats := NewScanner(cfg).RunAllParallel(context.Background(), AllModules())
-
-	if len(seq) != len(par) {
-		t.Fatalf("protocol count: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for proto, srs := range seq {
-		prs := par[proto]
-		if len(srs) != len(prs) {
-			t.Fatalf("%s: sequential %d results, parallel %d", proto, len(srs), len(prs))
-		}
-		for i := range srs {
-			a, b := srs[i], prs[i]
-			if a.IP != b.IP || a.Port != b.Port || a.Transport != b.Transport ||
-				!bytes.Equal(a.Banner, b.Banner) || !bytes.Equal(a.Response, b.Response) {
-				t.Fatalf("%s result %d differs:\nseq %+v\npar %+v", proto, i, a, b)
-			}
-			if len(a.Meta) != len(b.Meta) {
-				t.Fatalf("%s result %d meta size differs", proto, i)
-			}
-			for k, v := range a.Meta {
-				if b.Meta[k] != v {
-					t.Fatalf("%s result %d meta[%q]: %q vs %q", proto, i, k, v, b.Meta[k])
-				}
-			}
-		}
-		if seqStats[proto].Probed != parStats[proto].Probed {
-			t.Fatalf("%s probed: sequential %d, parallel %d",
-				proto, seqStats[proto].Probed, parStats[proto].Probed)
-		}
-	}
-}
-
-// TestRunAllParallelWorkerBudget checks the total budget splits across
-// modules without dropping below one worker per module.
-func TestRunAllParallelWorkerBudget(t *testing.T) {
-	n, _, _ := buildTestWorld(t, 100)
-	prefix := netsim.MustParsePrefix("50.0.0.0/22")
-	// Fewer workers than modules: every module must still scan.
-	s := NewScanner(Config{Network: n, Source: 1, Prefix: prefix, Seed: 13, Workers: 2})
-	_, stats := s.RunAllParallel(context.Background(), AllModules())
-	if len(stats) != 6 {
-		t.Fatalf("stats for %d protocols, want 6", len(stats))
-	}
-	for proto, st := range stats {
-		if st.Probed == 0 {
-			t.Fatalf("%s probed 0 targets", proto)
 		}
 	}
 }
@@ -160,23 +107,37 @@ func TestRateLimiterBatchedGrant(t *testing.T) {
 }
 
 // TestScanThrottled asserts the batched limiter still enforces the rate
-// end to end: a throttled sweep cannot finish faster than tokens allow.
+// end to end: a throttled sweep cannot finish faster than tokens allow,
+// whether it runs as one segment per module or commits every 64 targets
+// (the checkpointed and served paths, which used to throttle retransmits
+// only).
 func TestScanThrottled(t *testing.T) {
-	n, _, _ := buildTestWorld(t, 1)
-	prefix := netsim.MustParsePrefix("50.0.0.0/26") // 64 addresses, 128 probes
-	s := NewScanner(Config{
-		Network: n, Source: 1, Prefix: prefix, Seed: 14,
-		Workers: 8, RatePerSec: 1000,
-	})
-	start := time.Now()
-	st := s.Run(context.Background(), TelnetModule{}, nil)
-	elapsed := time.Since(start)
-	if st.Probed != 128 {
-		t.Fatalf("probed %d, want 128", st.Probed)
-	}
-	// 128 probes at 1000/s need ≥ ~128ms minus the horizon's head start.
-	if minimum := 128*time.Millisecond - maxGrantHorizon; elapsed < minimum {
-		t.Fatalf("throttled scan finished in %v, want ≥ %v", elapsed, minimum)
+	for _, tc := range []struct {
+		name     string
+		onCommit func(*SegmentedState) error
+	}{
+		{"plain", nil},
+		{"commit every 64", func(*SegmentedState) error { return nil }},
+	} {
+		n, _, _ := buildTestWorld(t, 1)
+		prefix := netsim.MustParsePrefix("50.0.0.0/26") // 64 addresses, 128 probes
+		s := NewScanner(Config{
+			Network: n, Source: 1, Prefix: prefix, Seed: 14,
+			Workers: 8, RatePerSec: 1000,
+		})
+		start := time.Now()
+		_, stats, err := s.Run(context.Background(), []ProbeModule{TelnetModule{}}, nil, 64, tc.onCommit)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := stats[iot.ProtoTelnet]; st.Probed != 128 {
+			t.Fatalf("%s: probed %d, want 128", tc.name, st.Probed)
+		}
+		// 128 probes at 1000/s need ≥ ~128ms minus the horizon's head start.
+		if minimum := 128*time.Millisecond - maxGrantHorizon; elapsed < minimum {
+			t.Fatalf("%s: throttled scan finished in %v, want ≥ %v", tc.name, elapsed, minimum)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,13 @@ func buildTestWorld(t testing.TB, boost float64) (*netsim.Network, *iot.Universe
 	return n, u, prefix
 }
 
+// runModule sweeps one module with the plain driver (no commit hook) and
+// returns its sorted results and stats.
+func runModule(ctx context.Context, s *Scanner, m ProbeModule) ([]*Result, Stats) {
+	results, stats, _ := s.Run(ctx, []ProbeModule{m}, nil, 0, nil)
+	return results[m.Protocol()], stats[m.Protocol()]
+}
+
 func TestScanFindsTelnetPopulation(t *testing.T) {
 	n, u, prefix := buildTestWorld(t, 200)
 	s := NewScanner(Config{
@@ -164,14 +172,7 @@ func TestScanFindsTelnetPopulation(t *testing.T) {
 		Seed:    5,
 		Workers: 32,
 	})
-	var results []*Result
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	stats := s.Run(context.Background(), TelnetModule{}, func(r *Result) {
-		<-mu
-		results = append(results, r)
-		mu <- struct{}{}
-	})
+	results, stats := runModule(context.Background(), s, TelnetModule{})
 	if stats.Probed == 0 || stats.Responded == 0 {
 		t.Fatalf("stats %+v", stats)
 	}
@@ -197,16 +198,13 @@ func TestScanUDPCoAP(t *testing.T) {
 	})
 	count := 0
 	disclosing := 0
-	done := make(chan struct{}, 1)
-	done <- struct{}{}
-	s.Run(context.Background(), CoAPModule{}, func(r *Result) {
-		<-done
+	results, _ := runModule(context.Background(), s, CoAPModule{})
+	for _, r := range results {
 		count++
 		if r.Meta["coap.disclosed"] == "true" {
 			disclosing++
 		}
-		done <- struct{}{}
-	})
+	}
 	want := u.ExpectedExposed(iot.ProtoCoAP)
 	if float64(count) < want*0.7 {
 		t.Fatalf("CoAP responses %d, expected ~%.0f", count, want)
@@ -224,18 +222,24 @@ func TestScanRespectsContext(t *testing.T) {
 	s := NewScanner(Config{Network: n, Source: 1, Prefix: prefix, Seed: 7, Workers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats := s.Run(ctx, TelnetModule{}, nil)
-	if stats.Probed > uint64(prefix.Size()) {
-		t.Fatalf("probed %d", stats.Probed)
+	_, stats, err := s.Run(ctx, []ProbeModule{TelnetModule{}}, nil, 0, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled scan returned err = %v", err)
+	}
+	if st := stats[iot.ProtoTelnet]; st.Probed > uint64(prefix.Size()) {
+		t.Fatalf("probed %d", st.Probed)
 	}
 }
 
-func TestRunAllCollectsPerProtocol(t *testing.T) {
+func TestRunSweepsEveryProtocol(t *testing.T) {
 	n, _, _ := buildTestWorld(t, 300)
 	// Use a /20 slice for speed.
 	small := netsim.MustParsePrefix("50.0.0.0/20")
 	s := NewScanner(Config{Network: n, Source: 1, Prefix: small, Seed: 8, Workers: 32})
-	results, stats := s.RunAll(context.Background(), AllModules())
+	results, stats, err := s.Run(context.Background(), AllModules(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(stats) != 6 {
 		t.Fatalf("stats for %d protocols", len(stats))
 	}
@@ -255,13 +259,10 @@ func TestMQTTProbeRecordsCode(t *testing.T) {
 	n, u, prefix := buildTestWorld(t, 300)
 	s := NewScanner(Config{Network: n, Source: 1, Prefix: prefix, Seed: 9, Workers: 32})
 	codes := make(map[string]int)
-	done := make(chan struct{}, 1)
-	done <- struct{}{}
-	s.Run(context.Background(), MQTTModule{}, func(r *Result) {
-		<-done
+	results, _ := runModule(context.Background(), s, MQTTModule{})
+	for _, r := range results {
 		codes[r.Meta["mqtt.code"]]++
-		done <- struct{}{}
-	})
+	}
 	_ = u
 	if codes["0"] == 0 {
 		t.Fatal("no open brokers observed")
@@ -284,15 +285,12 @@ func TestUPnPProbeMeta(t *testing.T) {
 	small := netsim.MustParsePrefix("50.0.0.0/18")
 	s := NewScanner(Config{Network: n, Source: 1, Prefix: small, Seed: 10, Workers: 32})
 	var sawServer bool
-	done := make(chan struct{}, 1)
-	done <- struct{}{}
-	s.Run(context.Background(), UPnPModule{}, func(r *Result) {
-		<-done
+	results, _ := runModule(context.Background(), s, UPnPModule{})
+	for _, r := range results {
 		if strings.Contains(r.Meta["upnp.server"], "UPnP") {
 			sawServer = true
 		}
-		done <- struct{}{}
-	})
+	}
 	if !sawServer {
 		t.Fatal("no SERVER headers captured")
 	}

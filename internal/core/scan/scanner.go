@@ -3,7 +3,6 @@ package scan
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -145,10 +144,11 @@ type Config struct {
 	BreakerThreshold int
 
 	// Progress, when set, is called from the feed goroutine once per target
-	// batch with the number of (address, port) pairs just enqueued. It runs
-	// outside the probe hot path (one call per targetBatchSize targets) and
-	// must not block; leaving it nil — the default — keeps the feed loop
-	// exactly as fast and the scan byte-identical to an unobserved run.
+	// batch with the number of (address, port) pairs just enqueued, so live
+	// progress advances inside a module and inside a segment. It runs
+	// outside the probe hot path (one call per targetBatchSize targets at
+	// most) and must not block; leaving it nil — the default — keeps the feed
+	// loop exactly as fast and the scan byte-identical to an unobserved run.
 	Progress func(targets uint64)
 
 	// OnProbe, when set, receives one ProbeEvent per lifecycle moment of
@@ -162,10 +162,10 @@ type Config struct {
 	// nil (the default) keeps the loop exactly as before the hook existed.
 	OnProbe func(ProbeEvent)
 
-	// OnSegment, when set, is called by RunSegmented once per drained
-	// segment — on the single-threaded collector, before onCommit — with the
-	// module's protocol, the number of (address, port) targets the segment
-	// fed, and the segment's results sorted by (IP, Port). The slice is
+	// OnSegment, when set, is called by Run once per fully probed segment —
+	// on the calling goroutine, before onCommit — with the module's protocol,
+	// the number of (address, port) targets the segment fed, and the
+	// segment's results sorted by (IP, Port). The slice is
 	// freshly sorted and not retained by the scanner, but its *Result
 	// entries are shared with the accumulated state, so implementations
 	// must treat them as read-only. Scheduling order inside a segment is
@@ -270,6 +270,21 @@ func (st Stats) Counters() map[string]uint64 {
 	}
 }
 
+// add accumulates o's counters into st. Blocked is included, so callers
+// that track it from an iterator cursor assign it after adding; Elapsed is
+// wall-clock and left alone.
+func (st *Stats) add(o Stats) {
+	st.Probed += o.Probed
+	st.Blocked += o.Blocked
+	st.Responded += o.Responded
+	st.Timeouts += o.Timeouts
+	st.Resets += o.Resets
+	st.Partials += o.Partials
+	st.Negatives += o.Negatives
+	st.Retransmits += o.Retransmits
+	st.BreakerSkipped += o.BreakerSkipped
+}
+
 // Scanner runs probe modules over a prefix.
 type Scanner struct {
 	cfg  Config
@@ -308,162 +323,19 @@ func NewScanner(cfg Config) *Scanner {
 	return &Scanner{cfg: cfg, root: prng.New(cfg.Seed)}
 }
 
-// targetBatchSize is how many (ip, port) pairs ride one channel send. The
-// feed goroutine and the workers meet at the channel once per batch instead
-// of once per probe, so channel synchronization disappears from the
-// per-probe cost.
-const targetBatchSize = 256
-
 // target is one (address, port) probe assignment.
 type target struct {
 	ip   netsim.IPv4
 	port uint16
 }
 
-// workerStats is one worker's private counters, merged into the run total
-// after the feed closes. Padded to a cache line so adjacent shards never
-// false-share.
-type workerStats struct {
-	probed      uint64
-	responded   uint64
-	timeouts    uint64
-	resets      uint64
-	partials    uint64
-	negatives   uint64
-	retransmits uint64
-	_           [8]byte
-}
-
-// Run scans the prefix with one probe module, streaming results to emit.
-// It returns scan statistics.
-//
-// The hot path is contention-free: targets arrive in batches, each worker
-// counts into its own cache-line-padded shard, and the rate limiter (when
-// enabled) grants tokens in batches. The only cross-worker synchronization
-// left per batch is one channel receive.
-func (s *Scanner) Run(ctx context.Context, module ProbeModule, emit func(*Result)) Stats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-
-	batches := make(chan []target, 2*s.cfg.Workers)
-
-	var limiter *rateLimiter
-	if s.cfg.RatePerSec > 0 {
-		limiter = newRateLimiter(s.cfg.RatePerSec)
-	}
-
-	// Retransmission only engages on a faulted fabric. On a perfect one,
-	// maxAttempts is pinned to 1 so every target is probed exactly once and
-	// zero-fault runs stay byte-identical to the pre-fault scanner.
-	faultModel := s.cfg.Network.Faults()
-	maxAttempts := 1
-	if faultModel != nil {
-		maxAttempts = s.cfg.MaxAttempts
-	}
-
-	shards := make([]workerStats, s.cfg.Workers)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(shard *workerStats) {
-			defer wg.Done()
-			for batch := range batches {
-				select {
-				case <-done:
-					continue // canceled: drain the feed without probing
-				default:
-				}
-				for i := 0; i < len(batch); {
-					n := len(batch) - i
-					if limiter != nil {
-						if n = limiter.reserve(ctx, n); n == 0 {
-							break // canceled while throttled
-						}
-					}
-					for _, t := range batch[i : i+n] {
-						s.probeTarget(ctx, module, t, shard, maxAttempts, limiter, emit)
-					}
-					i += n
-				}
-			}
-		}(&shards[w])
-	}
-
-	// The circuit breaker lives here in the single-threaded feed, not in the
-	// workers: it consults the fault model's deterministic blackhole oracle
-	// in permutation order, so the set of skipped targets is a pure function
-	// of (seed, config) and independent of worker count.
-	var breaker *prefixBreaker
-	if faultModel != nil && s.cfg.BreakerThreshold > 0 {
-		breaker = newPrefixBreaker(faultModel, s.cfg.Source, s.cfg.BreakerThreshold)
-	}
-	var breakerSkipped uint64
-
-	it := NewAddressIterator(s.cfg.Prefix, s.cfg.Seed, s.cfg.Blocklist, s.cfg.Shard, s.cfg.Shards)
-	ports := module.Ports()
-	trace := s.cfg.OnProbe
-	var proto iot.Protocol
-	if trace != nil {
-		proto = module.Protocol()
-	}
-	batch := make([]target, 0, targetBatchSize)
-feed:
-	for {
-		ip, ok := it.Next()
-		if !ok {
-			break
-		}
-		if breaker != nil && breaker.skip(ip) {
-			breakerSkipped += uint64(len(ports))
-			if trace != nil {
-				trace(ProbeEvent{Kind: ProbeBreakerSkip, Protocol: proto, IP: ip})
-			}
-			continue
-		}
-		for _, port := range ports {
-			batch = append(batch, target{ip: ip, port: port})
-			if len(batch) == targetBatchSize {
-				select {
-				case batches <- batch:
-					if s.cfg.Progress != nil {
-						s.cfg.Progress(targetBatchSize)
-					}
-					batch = make([]target, 0, targetBatchSize)
-				case <-ctx.Done():
-					break feed
-				}
-			}
-		}
-	}
-	if len(batch) > 0 {
-		select {
-		case batches <- batch:
-			if s.cfg.Progress != nil {
-				s.cfg.Progress(uint64(len(batch)))
-			}
-		case <-ctx.Done():
-		}
-	}
-	close(batches)
-	wg.Wait()
-
-	var stats Stats
-	for i := range shards {
-		stats.Probed += shards[i].probed
-		stats.Responded += shards[i].responded
-		stats.Timeouts += shards[i].timeouts
-		stats.Resets += shards[i].resets
-		stats.Partials += shards[i].partials
-		stats.Negatives += shards[i].negatives
-		stats.Retransmits += shards[i].retransmits
-	}
-	stats.Blocked = it.Blocked()
-	stats.BreakerSkipped = breakerSkipped
-	stats.Elapsed = time.Since(start)
-	return stats
+// workerShard is one worker's private counters and results for the segment
+// in flight, folded into the segment after the barrier. Padded past a cache
+// line so adjacent shards never false-share.
+type workerShard struct {
+	stats   Stats
+	results []*Result
+	_       [64]byte
 }
 
 // probeTarget drives one target through the retransmit loop: probe, classify
@@ -472,7 +344,7 @@ feed:
 // is virtual — per-attempt timeouts and backoff delays are *counted*, never
 // slept — so a lossy fabric costs bookkeeping, not wall-clock.
 func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
-	shard *workerStats, maxAttempts int, limiter *rateLimiter, emit func(*Result)) {
+	shard *workerShard, maxAttempts int, limiter *rateLimiter) {
 	dst := netsim.Endpoint{IP: t.ip, Port: t.port}
 	spec := ProbeSpec{Timeout: s.cfg.ProbeTimeout}
 	var spent time.Duration
@@ -490,31 +362,29 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
 			event(ProbeSent, 0)
 		}
 		res, out := module.Probe(ctx, s.cfg.Network, s.cfg.Source, dst, spec)
-		shard.probed++
+		shard.stats.Probed++
 		switch out {
 		case OutcomeOK:
-			shard.responded++
-			if emit != nil {
-				emit(res)
-			}
+			shard.stats.Responded++
+			shard.results = append(shard.results, res)
 			if trace != nil {
 				event(ProbeAnswered, 0)
 			}
 			return
 		case OutcomeReset:
-			shard.resets++
+			shard.stats.Resets++
 			if trace != nil {
 				event(ProbeReset, 0)
 			}
 			return
 		case OutcomePartial:
-			shard.partials++
+			shard.stats.Partials++
 			if trace != nil {
 				event(ProbePartial, 0)
 			}
 			return
 		case OutcomeTimeout:
-			shard.timeouts++
+			shard.stats.Timeouts++
 			backoff := s.backoffDelay(t.ip, t.port, spec.Attempt)
 			spent += s.cfg.ProbeTimeout + backoff
 			if trace != nil {
@@ -526,7 +396,7 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
 				}
 				return
 			}
-			shard.retransmits++
+			shard.stats.Retransmits++
 			if trace != nil {
 				event(ProbeRetransmit, backoff)
 			}
@@ -535,7 +405,7 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
 			}
 			spec.Attempt++
 		default:
-			shard.negatives++
+			shard.stats.Negatives++
 			if trace != nil {
 				event(ProbeNegative, 0)
 			}
@@ -587,16 +457,14 @@ func (s *Scanner) backoffDelay(ip netsim.IPv4, port uint16, attempt uint32) time
 // so after BreakerThreshold addresses inside one /24 have hit the fault
 // model's blackhole oracle, the rest of that /24 is skipped — the paper's
 // graceful-degradation requirement without unbounded waiting. Only consulted
-// from the single-threaded feed loop; not safe for concurrent use.
+// from the single-threaded feed, in permutation order, so the set of skipped
+// targets is a pure function of (seed, config) and independent of worker
+// count; not safe for concurrent use.
 type prefixBreaker struct {
 	model     netsim.FaultModel
 	src       netsim.IPv4
 	threshold int
 	hits      map[uint32]int // /24 prefix -> blackholed addresses fed so far
-}
-
-func newPrefixBreaker(model netsim.FaultModel, src netsim.IPv4, threshold int) *prefixBreaker {
-	return &prefixBreaker{model: model, src: src, threshold: threshold, hits: make(map[uint32]int)}
 }
 
 // skip reports whether ip should be dropped from the feed. The first
@@ -613,105 +481,6 @@ func (b *prefixBreaker) skip(ip netsim.IPv4) bool {
 	}
 	b.hits[p24]++
 	return false
-}
-
-// runCollect runs one module and returns its results sorted by (IP, Port),
-// so result sets are deterministic for a fixed seed regardless of worker
-// interleaving.
-func (s *Scanner) runCollect(ctx context.Context, m ProbeModule) ([]*Result, Stats) {
-	var (
-		mu  sync.Mutex
-		out []*Result
-	)
-	st := s.Run(ctx, m, func(r *Result) {
-		mu.Lock()
-		out = append(out, r)
-		mu.Unlock()
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IP != out[j].IP {
-			return out[i].IP < out[j].IP
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out, st
-}
-
-// RunAll scans with every module sequentially, returning all results keyed
-// by protocol. Per-protocol result slices are sorted by (IP, Port), so the
-// output for a fixed seed is deterministic.
-func (s *Scanner) RunAll(ctx context.Context, modules []ProbeModule) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats) {
-	results := make(map[iot.Protocol][]*Result, len(modules))
-	stats := make(map[iot.Protocol]Stats, len(modules))
-	for _, m := range modules {
-		rs, st := s.runCollect(ctx, m)
-		results[m.Protocol()] = rs
-		stats[m.Protocol()] = st
-	}
-	return results, stats
-}
-
-// RunAllParallel scans with every module concurrently. Modules are
-// stateless, and each module walks its own address permutation, so running
-// them in parallel divides wall-clock by up to the module count while
-// producing the same per-protocol result sets as sequential RunAll
-// (slices sorted by (IP, Port), deterministic for a fixed seed).
-//
-// The scanner's Workers budget is the total across all modules, split by
-// splitWorkers: every module gets at least one worker and the whole budget
-// is spent — the old Workers/len(modules) integer division silently idled
-// the remainder (2 of 128 workers with the default six modules, more with
-// -extended's eight).
-func (s *Scanner) RunAllParallel(ctx context.Context, modules []ProbeModule) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats) {
-	if len(modules) == 0 {
-		return map[iot.Protocol][]*Result{}, map[iot.Protocol]Stats{}
-	}
-	perModule := splitWorkers(s.cfg.Workers, len(modules))
-
-	results := make(map[iot.Protocol][]*Result, len(modules))
-	stats := make(map[iot.Protocol]Stats, len(modules))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for i, m := range modules {
-		i, m := i, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			subCfg := s.cfg
-			subCfg.Workers = perModule[i]
-			rs, st := NewScanner(subCfg).runCollect(ctx, m)
-			mu.Lock()
-			results[m.Protocol()] = rs
-			stats[m.Protocol()] = st
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return results, stats
-}
-
-// splitWorkers divides a total worker budget across n modules: each gets the
-// integer share, the remainder is distributed one-each to the first
-// total%n modules, and no module drops below one worker. For total >= n the
-// per-module counts sum exactly to total.
-func splitWorkers(total, n int) []int {
-	counts := make([]int, n)
-	if n == 0 {
-		return counts
-	}
-	base, rem := total/n, total%n
-	for i := range counts {
-		counts[i] = base
-		if i < rem {
-			counts[i]++
-		}
-		if counts[i] < 1 {
-			counts[i] = 1
-		}
-	}
-	return counts
 }
 
 // rateLimiter is a token bucket over wall time. Tokens are granted in
@@ -786,10 +555,4 @@ func (r *rateLimiter) reserve(ctx context.Context, max int) int {
 		}
 	}
 	return n
-}
-
-// wait blocks until one token is available (reserve of exactly one), or ctx
-// is canceled (returns false).
-func (r *rateLimiter) wait(ctx context.Context) bool {
-	return r.reserve(ctx, 1) > 0
 }

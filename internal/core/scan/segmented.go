@@ -1,16 +1,19 @@
 package scan
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"openhire/internal/iot"
 )
 
-// DefaultSegmentTargets is the checkpoint cadence for segmented scans:
-// commit once per this many (address, port) targets probed.
+// DefaultSegmentTargets is the default commit cadence: one onCommit per this
+// many (address, port) targets probed.
 const DefaultSegmentTargets = 4096
 
 // SegmentedState is the scan leg's complete resumable state. Everything else
@@ -31,8 +34,7 @@ type SegmentedState struct {
 	// permutation is module-independent).
 	Iterator IteratorCursor `json:"iterator"`
 	// BreakerHits is the current module's circuit-breaker memory: blackholed
-	// addresses fed so far per /24. Reset at each module boundary, exactly
-	// as Run builds a fresh breaker per module.
+	// addresses fed so far per /24. Reset at each module boundary.
 	BreakerHits map[uint32]int `json:"breaker_hits,omitempty"`
 	// TargetsFed is the cumulative (address, port) pairs handed to workers,
 	// mirroring what Config.Progress reported — resumed runs seed their
@@ -46,33 +48,46 @@ type SegmentedState struct {
 // ModuleSnapshot is one module's accumulated output.
 type ModuleSnapshot struct {
 	Protocol iot.Protocol `json:"protocol"`
-	// Results are sorted by (IP, Port) — the same order runCollect returns —
-	// and each target yields at most one result, so the order is total.
+	// Results are sorted by (IP, Port); each target yields at most one
+	// result, so the order is total.
 	Results []*Result `json:"results,omitempty"`
 	// Stats accumulates across segments. Elapsed stays zero inside the
-	// state (it is wall-clock); RunSegmented fills it only in the stats it
-	// returns.
+	// state (it is wall-clock); Run fills it only in the stats it returns.
 	Stats Stats `json:"stats"`
 }
 
-// RunSegmented scans every module sequentially in address segments of
-// roughly segmentTargets (address, port) pairs, invoking onCommit after each
-// segment's workers have drained with the full accumulated state. The caller
-// persists the state (and may return checkpoint.ErrInterrupted to stop
-// cleanly); a non-nil error from onCommit aborts the run and is returned.
+// Run is the scanner's one driver: it walks every module's address
+// permutation in sequence, each with the whole worker budget, in segments of
+// roughly segmentTargets (address, port) pairs (0 = DefaultSegmentTargets;
+// a segment always ends on an address boundary). After each segment's workers
+// have drained, the segment is folded into the state and onCommit sees the
+// full accumulated state. The caller persists it (and may return
+// checkpoint.ErrInterrupted to stop cleanly); a non-nil error from onCommit
+// aborts the run and is returned with what accumulated so far. A nil onCommit
+// is the plain run: nothing observes segment boundaries, so each module is
+// one segment and segmentTargets is ignored.
 //
 // Passing a state a previous onCommit observed as resume continues the scan
-// from that segment boundary. The final results and stats are identical to
-// RunAllParallel's for the same config: probes are pure per-target, the
-// breaker is consulted in permutation order by the single-threaded segment
-// collector (worker-count independent, with its per-/24 memory carried
-// across segments), and per-module results are merged in sorted order.
-func (s *Scanner) RunSegmented(ctx context.Context, modules []ProbeModule, resume *SegmentedState,
+// from that segment boundary. Results and stats are a pure function of
+// (seed, config) whatever the worker count, cadence or kill history: probes
+// are pure per-target, the breaker is consulted in permutation order by the
+// single-threaded feed (with its per-/24 memory carried across segments),
+// and per-module results are kept sorted by (IP, Port).
+//
+// The state only ever moves at a fully probed segment boundary. When ctx is
+// canceled mid-segment Run returns ctx.Err() without calling OnSegment or
+// onCommit for that segment; the returned maps include the partial segment's
+// results so an interrupted caller can still flush them, but the last state a
+// hook saw stays resumable.
+func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *SegmentedState,
 	segmentTargets int, onCommit func(*SegmentedState) error) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if segmentTargets <= 0 {
+	switch {
+	case onCommit == nil:
+		segmentTargets = math.MaxInt
+	case segmentTargets <= 0:
 		segmentTargets = DefaultSegmentTargets
 	}
 
@@ -80,6 +95,9 @@ func (s *Scanner) RunSegmented(ctx context.Context, modules []ProbeModule, resum
 	if s.cfg.RatePerSec > 0 {
 		limiter = newRateLimiter(s.cfg.RatePerSec)
 	}
+	// Retransmission only engages on a faulted fabric. On a perfect one,
+	// maxAttempts is pinned to 1 so every target is probed exactly once and
+	// zero-fault runs stay byte-identical to the pre-fault scanner.
 	faultModel := s.cfg.Network.Faults()
 	maxAttempts := 1
 	if faultModel != nil {
@@ -98,34 +116,53 @@ func (s *Scanner) RunSegmented(ctx context.Context, modules []ProbeModule, resum
 	elapsed := make(map[int]time.Duration, len(modules))
 	for st.Module < len(modules) {
 		m := modules[st.Module]
-		for len(st.Modules) <= st.Module {
-			st.Modules = append(st.Modules, ModuleSnapshot{Protocol: modules[len(st.Modules)].Protocol()})
-		}
-		ms := &st.Modules[st.Module]
-
 		it := s.newIterator()
 		it.Seek(st.Iterator)
-		var breaker *prefixBreaker
-		if faultModel != nil && s.cfg.BreakerThreshold > 0 {
-			breaker = &prefixBreaker{model: faultModel, src: s.cfg.Source,
-				threshold: s.cfg.BreakerThreshold, hits: st.BreakerHits}
-		}
-
-		moduleStart := time.Now()
 		for {
-			targets, exhausted := s.collectSegment(it, m, breaker, ms, segmentTargets)
-			if len(targets) > 0 {
-				s.probeSegment(ctx, m, targets, ms, maxAttempts, limiter)
-				st.TargetsFed += uint64(len(targets))
-				if s.cfg.Progress != nil {
-					s.cfg.Progress(uint64(len(targets)))
-				}
+			segStart := time.Now()
+			// The breaker works on a copy of the committed hits, so a
+			// canceled segment leaves the state at its last boundary.
+			var breaker *prefixBreaker
+			if faultModel != nil {
+				breaker = &prefixBreaker{model: faultModel, src: s.cfg.Source,
+					threshold: s.cfg.BreakerThreshold, hits: maps.Clone(st.BreakerHits)}
 			}
+			seg := s.probeSegment(ctx, m, it, breaker, segmentTargets, maxAttempts, limiter)
+			if err := ctx.Err(); err != nil {
+				elapsed[st.Module] += time.Since(segStart)
+				results, stats := st.collect(elapsed)
+				proto := m.Protocol()
+				// collect's slices alias the state: merge into a fresh one.
+				partial := append(append([]*Result(nil), results[proto]...), seg.results...)
+				sortResults(partial)
+				results[proto] = partial
+				sum := stats[proto]
+				sum.add(seg.stats)
+				sum.Elapsed = elapsed[st.Module]
+				stats[proto] = sum
+				return results, stats, err
+			}
+
+			if len(st.Modules) == st.Module {
+				st.Modules = append(st.Modules, ModuleSnapshot{Protocol: m.Protocol()})
+			}
+			ms := &st.Modules[st.Module]
+			if seg.fed > 0 {
+				if s.cfg.OnSegment != nil {
+					s.cfg.OnSegment(m.Protocol(), seg.fed, seg.results)
+				}
+				ms.Results = append(ms.Results, seg.results...)
+				sortResults(ms.Results)
+				st.TargetsFed += uint64(seg.fed)
+			}
+			ms.Stats.add(seg.stats)
 			ms.Stats.Blocked = it.Blocked()
 			st.Iterator = it.Cursor()
-			elapsed[st.Module] += time.Since(moduleStart)
-			moduleStart = time.Now()
-			if exhausted {
+			if breaker != nil {
+				st.BreakerHits = breaker.hits
+			}
+			elapsed[st.Module] += time.Since(segStart)
+			if seg.exhausted {
 				// Module boundary: advance and reset the per-module walk
 				// state before committing, so a resume from this commit
 				// starts the next module exactly as a fresh loop entry would.
@@ -133,13 +170,15 @@ func (s *Scanner) RunSegmented(ctx context.Context, modules []ProbeModule, resum
 				st.Iterator = freshCursor
 				st.BreakerHits = make(map[uint32]int)
 			}
-			if err := onCommit(st); err != nil {
-				// The state is already durable; hand back what accumulated so
-				// far so an interrupting caller can flush partial artifacts.
-				results, stats := st.collect(elapsed)
-				return results, stats, err
+			if onCommit != nil {
+				if err := onCommit(st); err != nil {
+					// The state is already durable; hand back what accumulated so
+					// far so an interrupting caller can flush partial artifacts.
+					results, stats := st.collect(elapsed)
+					return results, stats, err
+				}
 			}
-			if exhausted {
+			if seg.exhausted {
 				break
 			}
 		}
@@ -149,7 +188,7 @@ func (s *Scanner) RunSegmented(ctx context.Context, modules []ProbeModule, resum
 	return results, stats, nil
 }
 
-// collect flattens the per-module snapshots into the maps Run* callers use.
+// collect flattens the per-module snapshots into the maps Run returns.
 func (st *SegmentedState) collect(elapsed map[int]time.Duration) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats) {
 	results := make(map[iot.Protocol][]*Result, len(st.Modules))
 	stats := make(map[iot.Protocol]Stats, len(st.Modules))
@@ -169,110 +208,139 @@ func (s *Scanner) newIterator() *AddressIterator {
 	return NewAddressIterator(s.cfg.Prefix, s.cfg.Seed, s.cfg.Blocklist, s.cfg.Shard, s.cfg.Shards)
 }
 
-// collectSegment pulls the next ~max (address, port) targets from the walk,
-// applying the breaker in permutation order (its skips and trace events
-// happen here, on the single-threaded collector, exactly like Run's feed).
-// It reports whether the walk is exhausted.
-func (s *Scanner) collectSegment(it *AddressIterator, m ProbeModule, breaker *prefixBreaker,
-	ms *ModuleSnapshot, max int) ([]target, bool) {
-	ports := m.Ports()
-	trace := s.cfg.OnProbe
-	var proto iot.Protocol
-	if trace != nil {
-		proto = m.Protocol()
+// targetBatchSize is the most (ip, port) pairs that ride one channel send.
+// The feed and the workers meet at the channel once per batch instead of
+// once per probe, so channel synchronization disappears from the per-probe
+// cost.
+const targetBatchSize = 256
+
+// segment is what one drained segment produced, before Run folds it into
+// the state.
+type segment struct {
+	// results are sorted by (IP, Port).
+	results []*Result
+	// stats holds this segment's transmissions, outcomes and breaker skips.
+	stats Stats
+	// fed counts the (address, port) targets drawn from the walk.
+	fed int
+	// exhausted reports that the walk ended inside this segment.
+	exhausted bool
+}
+
+// probeSegment is the one feed → probe → fold core: it draws the next ~max
+// targets from the walk on the calling goroutine, streams them in batches to
+// a pool of workers, waits for the barrier and returns the segment's sorted
+// results and summed stats. Nothing is sized by max, so any cadence costs
+// only the batches in flight.
+//
+// The hot path is contention-free: each worker counts and collects into its
+// own padded shard, and the rate limiter (when enabled) grants tokens a
+// batch at a time, so every first transmission is throttled just as every
+// retransmit is. The only cross-worker synchronization left per batch is one
+// channel receive.
+func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIterator,
+	breaker *prefixBreaker, max, maxAttempts int, limiter *rateLimiter) segment {
+	workers, batchSize := s.cfg.Workers, targetBatchSize
+	if max < workers*batchSize {
+		// A short segment: shrink the batches so it still spreads over the
+		// whole worker budget, and start no more workers than batches.
+		batchSize = (max + workers - 1) / workers
+		workers = (max + batchSize - 1) / batchSize
 	}
-	targets := make([]target, 0, max+len(ports))
-	for len(targets) < max {
+
+	// Two batches of headroom per worker keep the feed ahead of the probes.
+	batches := make(chan []target, 2*workers)
+	shards := make([]workerShard, workers)
+	done := ctx.Done()
+	var wg sync.WaitGroup
+	for w := range shards {
+		wg.Add(1)
+		go func(shard *workerShard) {
+			defer wg.Done()
+			for batch := range batches {
+				select {
+				case <-done:
+					continue // canceled: drain the feed without probing
+				default:
+				}
+				for i := 0; i < len(batch); {
+					n := len(batch) - i
+					if limiter != nil {
+						if n = limiter.reserve(ctx, n); n == 0 {
+							break // canceled while throttled
+						}
+					}
+					for _, t := range batch[i : i+n] {
+						s.probeTarget(ctx, m, t, shard, maxAttempts, limiter)
+					}
+					i += n
+				}
+			}
+		}(&shards[w])
+	}
+
+	var seg segment
+	ports := m.Ports()
+	trace, proto := s.cfg.OnProbe, m.Protocol()
+	batch := make([]target, 0, batchSize)
+	send := func() bool {
+		select {
+		case batches <- batch:
+		case <-done:
+			return false
+		}
+		if s.cfg.Progress != nil {
+			s.cfg.Progress(uint64(len(batch)))
+		}
+		batch = make([]target, 0, batchSize)
+		return true
+	}
+feed:
+	for seg.fed < max {
 		ip, ok := it.Next()
 		if !ok {
-			return targets, true
+			seg.exhausted = true
+			break
 		}
 		if breaker != nil && breaker.skip(ip) {
-			ms.Stats.BreakerSkipped += uint64(len(ports))
+			seg.stats.BreakerSkipped += uint64(len(ports))
 			if trace != nil {
 				trace(ProbeEvent{Kind: ProbeBreakerSkip, Protocol: proto, IP: ip})
 			}
 			continue
 		}
+		seg.fed += len(ports)
 		for _, port := range ports {
-			targets = append(targets, target{ip: ip, port: port})
-		}
-	}
-	return targets, false
-}
-
-// probeSegment fans one segment's targets across the worker budget, waits
-// for the barrier, and folds the segment's results and stats into ms.
-// Results stay sorted by (IP, Port) after every segment.
-func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, targets []target,
-	ms *ModuleSnapshot, maxAttempts int, limiter *rateLimiter) {
-	workers := s.cfg.Workers
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	shards := make([]workerStats, workers)
-	var (
-		mu      sync.Mutex
-		segment []*Result
-	)
-	emit := func(r *Result) {
-		mu.Lock()
-		segment = append(segment, r)
-		mu.Unlock()
-	}
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	chunk := (len(targets) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(targets) {
-			hi = len(targets)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(shard *workerStats, sub []target) {
-			defer wg.Done()
-			for _, t := range sub {
-				select {
-				case <-done:
-					return // canceled: stop probing, the commit never happens
-				default:
-				}
-				s.probeTarget(ctx, m, t, shard, maxAttempts, limiter, emit)
+			batch = append(batch, target{ip: ip, port: port})
+			if len(batch) == batchSize && !send() {
+				break feed
 			}
-		}(&shards[w], targets[lo:hi])
+		}
 	}
+	if len(batch) > 0 {
+		send()
+	}
+	close(batches)
 	wg.Wait()
 
+	// Workers collect in scheduling order, which varies with the worker
+	// count; sorting makes the segment a pure function of (seed, config,
+	// segment index) before any hook sees it.
 	for i := range shards {
-		ms.Stats.Probed += shards[i].probed
-		ms.Stats.Responded += shards[i].responded
-		ms.Stats.Timeouts += shards[i].timeouts
-		ms.Stats.Resets += shards[i].resets
-		ms.Stats.Partials += shards[i].partials
-		ms.Stats.Negatives += shards[i].negatives
-		ms.Stats.Retransmits += shards[i].retransmits
+		seg.stats.add(shards[i].stats)
+		seg.results = append(seg.results, shards[i].results...)
 	}
-	// Workers append to segment in scheduling order, which varies with the
-	// worker count; sort before the hook sees it so OnSegment observes a
-	// deterministic per-segment view.
-	sort.Slice(segment, func(i, j int) bool {
-		if segment[i].IP != segment[j].IP {
-			return segment[i].IP < segment[j].IP
+	sortResults(seg.results)
+	return seg
+}
+
+// sortResults orders one module's results by (IP, Port). A target yields at
+// most one result, so the order is total.
+func sortResults(rs []*Result) {
+	slices.SortFunc(rs, func(a, b *Result) int {
+		if c := cmp.Compare(a.IP, b.IP); c != 0 {
+			return c
 		}
-		return segment[i].Port < segment[j].Port
-	})
-	if s.cfg.OnSegment != nil {
-		s.cfg.OnSegment(m.Protocol(), len(targets), segment)
-	}
-	ms.Results = append(ms.Results, segment...)
-	sort.Slice(ms.Results, func(i, j int) bool {
-		if ms.Results[i].IP != ms.Results[j].IP {
-			return ms.Results[i].IP < ms.Results[j].IP
-		}
-		return ms.Results[i].Port < ms.Results[j].Port
+		return cmp.Compare(a.Port, b.Port)
 	})
 }

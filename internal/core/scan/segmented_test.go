@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"openhire/internal/iot"
@@ -11,8 +14,8 @@ import (
 	"openhire/internal/netsim/faults"
 )
 
-// segmentedScan runs all modules through RunSegmented on a fresh world and
-// returns the digest and stats, threading resume/commit through.
+// segmentedScan runs all modules through Run with a commit hook on a fresh
+// world and returns the digest and stats, threading resume/commit through.
 func segmentedScan(t testing.TB, workers, segment int, resume *SegmentedState,
 	onCommit func(*SegmentedState) error) (string, map[iot.Protocol]Stats, error) {
 	t.Helper()
@@ -28,39 +31,9 @@ func segmentedScan(t testing.TB, workers, segment int, resume *SegmentedState,
 	if onCommit == nil {
 		onCommit = func(*SegmentedState) error { return nil }
 	}
-	results, stats, err := NewScanner(cfg).RunSegmented(context.Background(),
+	results, stats, err := NewScanner(cfg).Run(context.Background(),
 		AllModules(), resume, segment, onCommit)
 	return digestResults(results), stats, err
-}
-
-// TestSegmentedMatchesRunAllParallel asserts the segmented walk is an exact
-// re-expression of the parallel scan: byte-identical results and identical
-// deterministic stats for several (workers, segment size) combinations,
-// including segments far smaller than a module and larger than the walk.
-func TestSegmentedMatchesRunAllParallel(t *testing.T) {
-	profile := faults.Calibrated()
-	n, prefix := chaosWorld(t, "50.0.0.0/20", 200, profile)
-	base, baseStats := NewScanner(Config{
-		Network: n, Source: netsim.MustParseIPv4("130.226.0.1"), Prefix: prefix,
-		Seed: 5, Workers: 16, BreakerThreshold: 3,
-	}).RunAllParallel(context.Background(), AllModules())
-	baseDigest := digestResults(base)
-
-	for _, tc := range []struct{ workers, segment int }{
-		{1, 64}, {16, 64}, {16, 999}, {7, 1 << 20},
-	} {
-		got, gotStats, err := segmentedScan(t, tc.workers, tc.segment, nil, nil)
-		if err != nil {
-			t.Fatalf("workers=%d segment=%d: %v", tc.workers, tc.segment, err)
-		}
-		if got != baseDigest {
-			t.Fatalf("workers=%d segment=%d: results differ from RunAllParallel",
-				tc.workers, tc.segment)
-		}
-		if diff := statsEqual(baseStats, gotStats); diff != "" {
-			t.Fatalf("workers=%d segment=%d: stats differ: %s", tc.workers, tc.segment, diff)
-		}
-	}
 }
 
 // TestSegmentedResumeFromEveryCommit kills the scan (by returning an error
@@ -117,6 +90,127 @@ func TestSegmentedResumeFromEveryCommit(t *testing.T) {
 		if diff := statsEqual(goldenStats, gotStats); diff != "" {
 			t.Fatalf("resume from commit %d: stats differ: %s", kill, diff)
 		}
+	}
+}
+
+// TestCancelMidSegmentResumes cancels the context from inside OnProbe, in the
+// middle of a segment. The driver must return ctx.Err() without handing the
+// half-probed segment to OnSegment or onCommit — a committed TargetsFed and
+// cursor that ran ahead of the probes would make a resume silently skip
+// targets — and must leave the last committed state untouched, breaker
+// memory included, so resuming from it reproduces the uninterrupted run.
+func TestCancelMidSegmentResumes(t *testing.T) {
+	profile := faults.Calibrated()
+	profile.BlackholeFrac = 0.25 // engage the breaker so its hits are part of the state
+	const cadence = 200
+	run := func(ctx context.Context, resume *SegmentedState, onProbe func(ProbeEvent),
+		onSegment func(), onCommit func(*SegmentedState) error) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats, error) {
+		cfg := goldenConfig(t, profile, 16)
+		cfg.OnProbe = onProbe
+		cfg.OnSegment = func(iot.Protocol, int, []*Result) { onSegment() }
+		return NewScanner(cfg).Run(ctx, AllModules(), resume, cadence, onCommit)
+	}
+	nop := func(*SegmentedState) error { return nil }
+	golden, goldenStats, err := run(context.Background(), nil, nil, func() {}, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sent atomic.Int64
+	onProbe := func(ev ProbeEvent) {
+		// 2500 transmissions is past a dozen commits and short of the next.
+		if ev.Kind == ProbeSent && sent.Add(1) == 2500 {
+			cancel()
+		}
+	}
+	var (
+		last     *SegmentedState
+		lastJSON []byte
+	)
+	partial, _, err := run(ctx, nil, onProbe,
+		func() {
+			if ctx.Err() != nil {
+				t.Error("OnSegment saw a segment after cancellation")
+			}
+		},
+		func(st *SegmentedState) error {
+			if ctx.Err() != nil {
+				t.Error("onCommit saw a state after cancellation")
+			}
+			last = st
+			var merr error
+			lastJSON, merr = json.Marshal(st)
+			return merr
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned err = %v, want context.Canceled", err)
+	}
+	if last == nil || last.Module >= len(AllModules()) {
+		t.Fatalf("cancel did not land mid-sweep (last state %+v)", last)
+	}
+	if after, _ := json.Marshal(last); string(after) != string(lastJSON) {
+		t.Fatal("the half-probed segment leaked into the last committed state")
+	}
+	committed, returned := 0, 0
+	for i := range last.Modules {
+		committed += len(last.Modules[i].Results)
+	}
+	for _, rs := range partial {
+		returned += len(rs)
+	}
+	if returned < committed {
+		t.Fatalf("canceled sweep returned %d results, fewer than the %d committed", returned, committed)
+	}
+
+	resume := &SegmentedState{}
+	if err := json.Unmarshal(lastJSON, resume); err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := run(context.Background(), resume, nil, func() {}, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digestResults(got) != digestResults(golden) {
+		t.Fatal("resume after a mid-segment cancel differs from the uninterrupted run")
+	}
+	if diff := statsEqual(goldenStats, gotStats); diff != "" {
+		t.Fatalf("resume after a mid-segment cancel: stats differ: %s", diff)
+	}
+}
+
+// TestHugeCadenceSizesNothing asserts the cadence — outside input from
+// -checkpoint-every / -segment-targets — is never an allocation size: a
+// math.MaxInt32 cadence on a /24 is one commit and a few batches of memory,
+// where a buffer with the cadence as its capacity would ask for 16 GiB.
+func TestHugeCadenceSizesNothing(t *testing.T) {
+	n, prefix := chaosWorld(t, "50.0.0.0/24", 50, faults.Zero())
+	s := NewScanner(Config{
+		Network: n, Source: netsim.MustParseIPv4("130.226.0.1"),
+		Prefix: prefix, Seed: 5, Workers: 8,
+		Blocklist: netsim.NewPrefixSet(),
+	})
+	commits := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, stats, err := s.Run(context.Background(), []ProbeModule{TelnetModule{}}, nil, math.MaxInt32,
+		func(*SegmentedState) error {
+			commits++
+			return nil
+		})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commits != 1 {
+		t.Fatalf("%d commits, want the whole /24 in one", commits)
+	}
+	if st := stats[iot.ProtoTelnet]; st.Probed != 512 {
+		t.Fatalf("probed %d, want 512", st.Probed)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Fatalf("a 512-target sweep allocated %d MiB", grown>>20)
 	}
 }
 
@@ -217,7 +311,7 @@ func TestOnSegmentDeterministicAcrossWorkers(t *testing.T) {
 				views = append(views, string(data))
 			},
 		}
-		results, stats, err := NewScanner(cfg).RunSegmented(context.Background(),
+		results, stats, err := NewScanner(cfg).Run(context.Background(),
 			AllModules(), nil, 200, func(*SegmentedState) error { return nil })
 		if err != nil {
 			t.Fatal(err)

@@ -179,7 +179,8 @@ func (w *World) RunScan() (map[iot.Protocol][]*scan.Result, map[iot.Protocol]sca
 			Workers: w.Cfg.Workers,
 			OnProbe: w.OnProbe,
 		})
-		w.scanResults, w.scanStats = s.RunAllParallel(context.Background(), scan.AllModules())
+		// No commit hook and a context that is never canceled: Run cannot fail.
+		w.scanResults, w.scanStats, _ = s.Run(context.Background(), scan.AllModules(), nil, 0, nil)
 	})
 	return w.scanResults, w.scanStats
 }

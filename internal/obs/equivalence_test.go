@@ -73,7 +73,10 @@ func runScanLeg(t *testing.T, instrument bool) (string, map[iot.Protocol]scan.St
 		cfg.Progress = func(targets uint64) { reg.Add("scan.targets_fed", targets) }
 	}
 	span := tracer.Start("scan")
-	results, stats := scan.NewScanner(cfg).RunAllParallel(context.Background(), scan.AllModules())
+	results, stats, err := scan.NewScanner(cfg).Run(context.Background(), scan.AllModules(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	span.End()
 	if instrument {
 		for proto, st := range stats {

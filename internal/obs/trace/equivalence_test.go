@@ -71,7 +71,10 @@ func runLeg(t *testing.T, record bool) (string, map[iot.Protocol]scan.Stats, *tr
 		rec = trace.NewRecorder("test", 5, 4)
 		cfg.OnProbe = trace.ScanProbeHook(rec, n, src)
 	}
-	results, stats := scan.NewScanner(cfg).RunAllParallel(context.Background(), scan.AllModules())
+	results, stats, err := scan.NewScanner(cfg).Run(context.Background(), scan.AllModules(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return digestResults(results), stats, rec
 }
 

@@ -41,7 +41,9 @@ func scanTrace(t *testing.T, workers int) []byte {
 		Workers: workers,
 		OnProbe: trace.ScanProbeHook(rec, n, src),
 	}
-	scan.NewScanner(cfg).RunAllParallel(context.Background(), scan.AllModules())
+	if _, _, err := scan.NewScanner(cfg).Run(context.Background(), scan.AllModules(), nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
 	if rec.Len() == 0 {
 		t.Fatal("recorder captured no events")
 	}

@@ -431,7 +431,7 @@ func (l *Loop) stepScan() error {
 		}
 		return nil
 	}
-	_, stats, err := l.scanner.RunSegmented(context.Background(), l.modules, l.scanState, l.cfg.SegmentTargets, onCommit)
+	_, stats, err := l.scanner.Run(context.Background(), l.modules, l.scanState, l.cfg.SegmentTargets, onCommit)
 	switch {
 	case err == nil:
 		l.agg.FoldSweepStats(stats)

@@ -41,6 +41,10 @@
 #      require empty manifest/trace self-diffs, byte-identical result
 #      artifacts with tracing on and off, and a working summarize/prom
 #   8. the tier-1 test suite (ROADMAP.md: `go build ./... && go test ./...`)
+#   9. the measurement spine's own tests (bench/ is a module of its own, so
+#      step 8 does not see it): every BENCHMARK.json workload at toy size,
+#      which is what notices a core API change that breaks the harness —
+#      runs in --fast mode too
 #
 # Usage: check.sh [--fast]
 #   --fast skips the fuzz smokes (step 5's second half) and instead runs a
@@ -150,5 +154,8 @@ fi
 
 echo "==> go test ./... (tier-1 gate)"
 go test ./...
+
+echo "==> bench module: go test ./... in bench/ (measurement spine compiles and runs at toy size)"
+(cd bench && go test ./...)
 
 echo "OK"
