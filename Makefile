@@ -23,7 +23,8 @@ race:
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
-# detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers.
+# detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers and
+# the stream servers' chunking invariance.
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -34,6 +35,7 @@ chaos:
 	for target in FuzzReadPacket FuzzTopicMatches; do \
 		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/protocols/mqtt/ || exit 1; \
 	done
+	go test -run '^FuzzStepperChunking$$' -fuzz '^FuzzStepperChunking$$' -fuzztime 10x ./internal/honeypot/
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint

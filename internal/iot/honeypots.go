@@ -1,8 +1,6 @@
 package iot
 
 import (
-	"context"
-
 	"openhire/internal/netsim"
 	"openhire/internal/prng"
 )
@@ -75,18 +73,47 @@ func (h wildHoneypotHost) StreamService(port uint16) netsim.StreamHandler {
 	if port != 23 {
 		return nil
 	}
-	return netsim.StreamHandlerFunc(func(_ context.Context, conn *netsim.ServiceConn) {
-		_, _ = conn.Write(h.family.Banner)
-		// Consume a handful of input lines, answering nothing useful —
-		// the "lack of simulation" trait fingerprinting exploits.
-		buf := make([]byte, 256)
-		for i := 0; i < 4; i++ {
-			if _, err := conn.Read(buf); err != nil {
-				return
+	return h
+}
+
+// NewStepper implements netsim.StreamHandler.
+func (h wildHoneypotHost) NewStepper() netsim.Stepper {
+	return &wildHoneypotStepper{banner: h.family.Banner}
+}
+
+// The wild honeypot takes input in reads of at most wildReadSize bytes and
+// hangs up after wildMaxReads of them.
+const (
+	wildReadSize = 256
+	wildMaxReads = 4
+)
+
+// wildHoneypotStepper volunteers the banner, then consumes a handful of
+// input reads, answering nothing useful — the "lack of simulation" trait
+// fingerprinting exploits.
+type wildHoneypotStepper struct {
+	banner []byte
+	reads  int
+}
+
+// Step implements netsim.Stepper.
+func (t *wildHoneypotStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		_, _ = c.Write(t.banner)
+		return netsim.StepMore
+	case netsim.EvData:
+		for len(c.Input()) > 0 {
+			c.Consume(min(len(c.Input()), wildReadSize))
+			_, _ = c.Write([]byte("\r\n"))
+			if t.reads++; t.reads == wildMaxReads {
+				return netsim.StepDone
 			}
-			_, _ = conn.Write([]byte("\r\n"))
 		}
-	})
+		return netsim.StepMore
+	default:
+		return netsim.StepDone
+	}
 }
 
 // DatagramService implements netsim.Host.

@@ -192,7 +192,7 @@ func TestDeviceHostServesExtensionProtocols(t *testing.T) {
 		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: ip, Port: 7547}, time.Now())
 	go func() {
 		defer server.Close()
-		handler.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
 	}()
 	defer client.Close()
 	pr, err := tr069.Probe(client, time.Second)
@@ -243,7 +243,7 @@ func TestSMBHostNegotiatesDialect(t *testing.T) {
 			netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: ip, Port: 445}, time.Now())
 		go func() {
 			defer server.Close()
-			handler.Serve(context.Background(), server)
+			netsim.ServeStepper(context.Background(), server, handler.NewStepper())
 		}()
 		dialect, err := smb.Probe(client, time.Second)
 		client.Close()

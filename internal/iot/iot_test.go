@@ -180,7 +180,7 @@ func TestDeviceHostServesTelnetBanner(t *testing.T) {
 		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: spec.IP, Port: 23}, time.Now())
 	go func() {
 		defer server.Close()
-		handler.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
 	}()
 	defer client.Close()
 	b, err := telnet.Grab(context.Background(), client, 200*time.Millisecond)
@@ -208,7 +208,7 @@ func TestDeviceHostMQTTAnonymous(t *testing.T) {
 		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: spec.IP, Port: 1883}, time.Now())
 	go func() {
 		defer server.Close()
-		handler.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
 	}()
 	c := mqtt.NewClient(client, time.Second)
 	code, err := c.Connect("probe", "", "")

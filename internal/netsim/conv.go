@@ -5,27 +5,26 @@ package netsim
 // A conversation is a client↔server dialogue over the simulated fabric. Both
 // parties are deterministic simulations, so nothing is gained by running them
 // concurrently: the engine executes the whole dialogue synchronously on the
-// dialing goroutine. The server side is a resumable party — either a native
-// state machine (Stepper) or a blocking StreamHandler multiplexed onto a
-// parked, reusable coroutine worker — that runs in bursts: after the dial and
-// after every client write or close, the server party runs until it either
-// needs more client input or finishes. Between bursts the client owns the
-// conversation exclusively.
+// dialing goroutine. The server side is a Stepper (stepper.go) — a state
+// machine fed one event at a time — driven in bursts: after the dial and
+// after every client write or close it runs until it has consumed what it
+// can of the pending input or finishes. Between bursts the client owns the
+// conversation exclusively. There is no other way for a server to execute.
 //
 // The payoff is twofold. First, time: when the client reads with an empty
-// buffer and the server is parked awaiting input, no data can ever arrive
-// within that read, so a read deadline is reported exceeded immediately
-// instead of being slept out on the wall clock — the waits that dominated
-// BenchmarkCampaignReplay vanish. Second, churn: conversation state (buffers,
-// mutex, party scratch) lives in slab-pooled conv objects that reset and
-// recycle, and blocking handlers reuse parked coroutine workers, so a dial
-// costs no goroutine spawn and no channel allocation.
+// buffer the server has already seen every byte sent, so no data can ever
+// arrive within that read, and a read deadline is reported exceeded
+// immediately instead of being slept out on the wall clock. Second, churn:
+// conversation state (buffers, mutex) lives in slab-pooled conv objects that
+// reset and recycle, so a dial costs no goroutine spawn and no channel
+// allocation.
 //
-// Byte-stream semantics replicate the retired goroutine-per-dial pipe pair
-// exactly: reads drain buffered data before reporting EOF or deadlines,
-// broken pipes beat buffered data, a close half-closes both directions, and
-// injected stream faults (tarpit truncation, mid-stream reset) trip on the
-// same server-write byte budgets with the same partial-write returns.
+// Byte-stream semantics replicate the pipe pair in bufconn.go (kept as the
+// reference lifecycle_test.go compares against): reads drain buffered data
+// before reporting EOF or deadlines, broken pipes beat buffered data, a close
+// half-closes both directions, and injected stream faults (tarpit truncation,
+// mid-stream reset) trip on the same server-write byte budgets with the same
+// partial-write returns.
 
 import (
 	"io"
@@ -86,17 +85,6 @@ func (b *convBuf) reset() {
 	b.broken = false
 }
 
-// serverParty is the resumable server side of a conversation.
-type serverParty interface {
-	// resume runs the server until it parks awaiting client input or
-	// finishes. It must be called only from the conversation's driving
-	// (client) goroutine, never with the conversation mutex held.
-	resume()
-	// finished reports whether the handler has returned and the framework
-	// close has run.
-	finished() bool
-}
-
 // conv is one pooled conversation: the two payload queues, the injected
 // stream fault, and the server party. The mutex guards the queues and
 // endpoint deadlines; it is held only inside individual I/O operations, so
@@ -114,7 +102,7 @@ type conv struct {
 	gen uint64
 
 	n     *Network
-	party serverParty
+	party *stepperParty
 	owner *convShard // arena that owns this object; nil = global pool
 
 	// clientSC receives the fault flags when the stream fault trips.
@@ -131,20 +119,19 @@ type conv struct {
 }
 
 // runServer resumes the server party after a client action. One resume
-// suffices: the party runs until it parks on an empty input queue (which only
-// the next client action can refill) or finishes.
+// suffices: the party runs until it has consumed what it can of the input
+// queue (which only the next client action can refill) or finishes.
 func (cv *conv) runServer() {
-	if p := cv.party; p != nil && !p.finished() {
+	if p := cv.party; p != nil && !p.done {
 		p.resume()
 	}
 }
 
 // maybeRelease recycles the conversation once both sides are done with it:
-// the client has closed and the server party has finished. A party parked
-// forever by a handler that ignores EOF keeps the conversation alive (and
-// Quiesce waiting) — the same leak the goroutine path had.
+// the client has closed and the server party has finished (a client close
+// always ends in EvEOF or EvBroken, which are final).
 func (cv *conv) maybeRelease() {
-	if cv.party == nil || !cv.party.finished() {
+	if cv.party == nil || !cv.party.done {
 		return
 	}
 	cv.mu.Lock()
@@ -217,57 +204,36 @@ func (c *convConn) writeBuf() *convBuf {
 	return &c.cv.s2c
 }
 
-// Read mirrors the retired pipeBuffer order exactly: broken pipe first, then
+// Read mirrors the pipeBuffer order exactly: broken pipe first, then
 // buffered data, then EOF, then the deadline. The difference is the final
-// arm: where the pipe would block, the engine knows the server is parked
-// awaiting input, so no data can arrive within this read — a set deadline is
-// reported exceeded immediately (the give-up the deadline models), and a
-// blocking read with no deadline is a guaranteed deadlock, reported loudly.
+// arm: where the pipe would block, the engine knows the peer has already run
+// to quiescence, so no data can arrive within this read — a set deadline is
+// reported exceeded immediately (the give-up the deadline models), without
+// consulting the wall clock, and a read with no deadline is a guaranteed
+// deadlock, reported loudly. The server endpoint is written, never read: its
+// input reaches the Stepper through ServerConv.Input.
 func (c *convConn) Read(p []byte) (int, error) {
 	cv := c.cv
 	cv.mu.Lock()
-	for {
-		if c.gen != cv.gen {
-			cv.mu.Unlock()
-			return 0, io.EOF
-		}
-		buf := c.readBuf()
-		if buf.broken {
-			cv.mu.Unlock()
-			return 0, io.ErrClosedPipe
-		}
-		if buf.size() > 0 {
-			n := buf.readInto(p)
-			cv.mu.Unlock()
-			return n, nil
-		}
-		if buf.closed {
-			cv.mu.Unlock()
-			return 0, io.EOF
-		}
-		if c.client {
-			if !c.readDL.IsZero() {
-				// The server is parked awaiting input, so no data can arrive
-				// within this read: whether the deadline has already passed
-				// or would be slept out, the outcome is the same — report it
-				// exceeded now, without consulting the wall clock.
-				cv.mu.Unlock()
-				return 0, os.ErrDeadlineExceeded
-			}
-			cv.mu.Unlock()
-			panic("netsim: conversation client read would block forever " +
-				"(no buffered data, server parked awaiting input, no read deadline set)")
-		}
-		if !c.readDL.IsZero() && !time.Now().Before(c.readDL) {
-			cv.mu.Unlock()
-			return 0, os.ErrDeadlineExceeded
-		}
-		// Server side (coroutine party): park until the client acts.
-		park := cv.party.(*coroParty).w
-		cv.mu.Unlock()
-		park.parkRead()
-		cv.mu.Lock()
+	defer cv.mu.Unlock()
+	if c.gen != cv.gen {
+		return 0, io.EOF
 	}
+	buf := c.readBuf()
+	if buf.broken {
+		return 0, io.ErrClosedPipe
+	}
+	if buf.size() > 0 {
+		return buf.readInto(p), nil
+	}
+	if buf.closed {
+		return 0, io.EOF
+	}
+	if !c.readDL.IsZero() {
+		return 0, os.ErrDeadlineExceeded
+	}
+	panic("netsim: conversation read would block forever " +
+		"(no buffered data, peer quiescent awaiting input, no read deadline set)")
 }
 
 func (c *convConn) Write(p []byte) (int, error) {

@@ -2,10 +2,7 @@ package netsim
 
 // engine_bench_test.go measures the conversation engine's per-dialogue cost
 // in isolation: one banner + ping/echo exchange per conversation, submitted
-// through the sharded run queues. The stepper variant runs the server as a
-// native state machine (zero per-dial goroutines); the coro variant runs the
-// same dialogue as a blocking handler multiplexed onto pooled coroutine
-// workers, which is the compatibility path for unconverted handlers.
+// through the sharded run queues, the server a stepper run inline.
 
 import (
 	"context"
@@ -13,8 +10,11 @@ import (
 	"time"
 )
 
-// echoStepper answers the opening banner and echoes every client batch.
+// echoStepper answers the opening banner and echoes every client batch. It
+// is stateless, so it serves as its own handler.
 type echoStepper struct{}
+
+func (s echoStepper) NewStepper() Stepper { return s }
 
 func (echoStepper) Step(c *ServerConv, ev ConvEvent) StepVerdict {
 	switch ev {
@@ -28,37 +28,6 @@ func (echoStepper) Step(c *ServerConv, ev ConvEvent) StepVerdict {
 		return StepMore
 	default:
 		return StepDone
-	}
-}
-
-// echoStepHandler is the StepProvider form: Dial runs the stepper natively.
-type echoStepHandler struct{}
-
-func (echoStepHandler) Serve(ctx context.Context, conn *ServiceConn) {
-	ServeStepper(ctx, conn, echoStepper{})
-}
-func (echoStepHandler) NewStepper() Stepper { return echoStepper{} }
-
-// echoBlockingHandler is the same dialogue as a plain blocking handler,
-// forcing the coroutine-worker compatibility path.
-type echoBlockingHandler struct{}
-
-func (echoBlockingHandler) Serve(_ context.Context, c *ServiceConn) {
-	if _, err := c.Write([]byte("hello\n")); err != nil {
-		return
-	}
-	buf := make([]byte, 256)
-	for {
-		_ = c.SetReadDeadline(time.Now().Add(time.Second))
-		n, err := c.Read(buf)
-		if n > 0 {
-			if _, werr := c.Write(buf[:n]); werr != nil {
-				return
-			}
-		}
-		if err != nil {
-			return
-		}
 	}
 }
 
@@ -95,15 +64,9 @@ func benchConversationEngine(b *testing.B, handler StreamHandler, shards int) {
 // dial, banner, one request/response round trip, close.
 func BenchmarkConversationEngine(b *testing.B) {
 	b.Run("stepper/shards=1", func(b *testing.B) {
-		benchConversationEngine(b, echoStepHandler{}, 1)
+		benchConversationEngine(b, echoStepper{}, 1)
 	})
 	b.Run("stepper/shards=8", func(b *testing.B) {
-		benchConversationEngine(b, echoStepHandler{}, 8)
-	})
-	b.Run("coro/shards=1", func(b *testing.B) {
-		benchConversationEngine(b, echoBlockingHandler{}, 1)
-	})
-	b.Run("coro/shards=8", func(b *testing.B) {
-		benchConversationEngine(b, echoBlockingHandler{}, 8)
+		benchConversationEngine(b, echoStepper{}, 8)
 	})
 }

@@ -34,25 +34,6 @@ func PutReader(br *bufio.Reader) {
 	readerPool.Put(br)
 }
 
-var writerPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(nil, 4096) },
-}
-
-// GetWriter returns a pooled 4 KiB buffered writer targeting w.
-func GetWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// PutWriter recycles a writer obtained from GetWriter, discarding anything
-// unflushed — the same loss the throwaway writers it replaces had when
-// abandoned. The caller must not use bw afterwards.
-func PutWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	writerPool.Put(bw)
-}
-
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 4096)

@@ -1,12 +1,13 @@
 package netsim
 
 // lifecycle_test.go pins the conversation engine's fault and teardown
-// lifecycles to the retired goroutine-per-dial implementation. The legacy
-// machinery (pipe connections, streamFault, a handler goroutine per dial) is
-// still in-package for NewConnPair fixtures, so each edge case runs the SAME
-// handler on both paths and asserts the client- and server-side observables
-// are identical: bytes delivered, error identities, fault classification
-// flags, and handler completion.
+// lifecycles to the reference byte-stream implementation: the pipe pair in
+// bufconn.go with a streamFault on the server endpoint and ServeStepper
+// reading it from its own goroutine. Each edge case runs the SAME stepper
+// on both drivers (stepperParty inline, ServeStepper over the pipe) and
+// asserts the client- and server-side observables are identical: bytes
+// delivered, error identities, fault classification flags, and session
+// completion.
 
 import (
 	"context"
@@ -18,8 +19,9 @@ import (
 	"time"
 )
 
-// bannerLineHandler writes a banner, then reads to EOF and answers with one
-// echo line, reporting the server-side observations for comparison.
+// bannerLineHandler writes a banner, then collects input to EOF and answers
+// with one echo line, reporting the server-side observations for
+// comparison. It is its own (single-session) stepper.
 type bannerLineHandler struct {
 	banner    []byte
 	bannerErr error
@@ -28,20 +30,25 @@ type bannerLineHandler struct {
 	served    atomic.Bool
 }
 
-func (h *bannerLineHandler) Serve(_ context.Context, c *ServiceConn) {
-	defer h.served.Store(true)
-	if _, err := c.Write(h.banner); err != nil {
-		h.bannerErr = err
-		return
+func (h *bannerLineHandler) NewStepper() Stepper { return h }
+
+func (h *bannerLineHandler) Step(c *ServerConv, ev ConvEvent) StepVerdict {
+	switch ev {
+	case EvOpen:
+		if _, err := c.Write(h.banner); err != nil {
+			h.bannerErr = err
+			break
+		}
+		return StepMore
+	case EvData:
+		h.got = append(h.got, c.Input()...)
+		c.Consume(len(c.Input()))
+		return StepMore
+	case EvEOF:
+		_, h.writeErr = c.Write([]byte("echo: OK\n"))
 	}
-	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := io.ReadAll(c)
-	if err != nil {
-		h.bannerErr = err
-		return
-	}
-	h.got = got
-	_, h.writeErr = c.Write([]byte("echo: OK\n"))
+	h.served.Store(true)
+	return StepDone
 }
 
 // singleHostNetwork serves handler on 10.0.0.1:7 with the given fault model.
@@ -78,11 +85,11 @@ func (f fixedPlanFaults) PlanProbe(IPv4, Endpoint, Transport, uint32, time.Time)
 
 func (fixedPlanFaults) Blackholed(IPv4, IPv4) bool { return false }
 
-// runLegacyDial reconstructs the retired dial: pipe pair, streamFault on the
-// server endpoint, handler on its own goroutine, framework close after
-// Serve. It returns the client conn and a channel closed when the handler
+// runPipeDial is the reference driver: pipe pair, streamFault on the server
+// endpoint, ServeStepper on its own goroutine, framework close after it
+// returns. It returns the client conn and a channel closed when the session
 // (and its framework close) has finished.
-func runLegacyDial(handler StreamHandler, truncateAfter, resetAfter int) (*ServiceConn, chan struct{}) {
+func runPipeDial(handler StreamHandler, truncateAfter, resetAfter int) (*ServiceConn, chan struct{}) {
 	cc, sc := NewConnPair(
 		Endpoint{IP: MustParseIPv4("192.0.2.1"), Port: 40000},
 		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7},
@@ -98,7 +105,7 @@ func runLegacyDial(handler StreamHandler, truncateAfter, resetAfter int) (*Servi
 	server := &ServiceConn{Conn: sc, DialTime: ExperimentStart}
 	done := make(chan struct{})
 	go func() {
-		handler.Serve(context.Background(), server)
+		ServeStepper(context.Background(), server, handler.NewStepper())
 		_ = server.Close()
 		close(done)
 	}()
@@ -114,13 +121,13 @@ func readAllWithDeadline(c *ServiceConn) ([]byte, error) {
 
 // TestLifecycleTarpitEquivalence: a tarpit cut after 8 banner bytes must
 // deliver the identical prefix, clean EOF, and FaultTruncated classification
-// on both the engine and the legacy goroutine path.
+// on both the engine and the reference pipe driver.
 func TestLifecycleTarpitEquivalence(t *testing.T) {
 	banner := []byte("220 welcome to the machine\r\n")
 	const cut = 8
 
 	legacyH := &bannerLineHandler{banner: banner}
-	legacyConn, done := runLegacyDial(legacyH, cut, 0)
+	legacyConn, done := runPipeDial(legacyH, cut, 0)
 	<-done // fault trips during the banner write; wait so the read is deterministic
 	legacyGot, legacyErr := readAllWithDeadline(legacyConn)
 	_ = legacyConn.Close()
@@ -166,7 +173,7 @@ func TestLifecycleMidStreamResetEquivalence(t *testing.T) {
 	const cut = 8
 
 	legacyH := &bannerLineHandler{banner: banner}
-	legacyConn, done := runLegacyDial(legacyH, 0, cut)
+	legacyConn, done := runPipeDial(legacyH, 0, cut)
 	<-done
 	_, legacyErr := readAllWithDeadline(legacyConn)
 	_ = legacyConn.Close()
@@ -204,7 +211,7 @@ func TestLifecycleClientCloseBeforeServerWriteEquivalence(t *testing.T) {
 	// Empty banner: the handler goes straight to reading until EOF, so the
 	// client's close deterministically precedes the server's echo write.
 	legacyH := &bannerLineHandler{}
-	legacyConn, done := runLegacyDial(legacyH, 0, 0)
+	legacyConn, done := runPipeDial(legacyH, 0, 0)
 	if _, err := legacyConn.Write([]byte("hi\n")); err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,12 @@ import (
 	"time"
 )
 
-// StreamHandler serves one TCP-like connection on a simulated host. Serve
-// must return when the conversation is over; the framework closes the conn.
+// StreamHandler is a TCP-like service on a simulated host. Every dial mints a
+// fresh Stepper — the per-conversation state machine the engine runs inline
+// on the dialing goroutine (see stepper.go).
 type StreamHandler interface {
-	Serve(ctx context.Context, conn *ServiceConn)
+	NewStepper() Stepper
 }
-
-// StreamHandlerFunc adapts a function to a StreamHandler.
-type StreamHandlerFunc func(ctx context.Context, conn *ServiceConn)
-
-// Serve calls f.
-func (f StreamHandlerFunc) Serve(ctx context.Context, conn *ServiceConn) { f(ctx, conn) }
 
 // DatagramHandler answers one UDP-like query on a simulated host.
 // A nil response means the datagram is dropped (no reply), matching a
@@ -458,12 +453,10 @@ func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
 }
 
 // Dial establishes a TCP-like connection from src to dst. The conversation
-// runs on the discrete-event engine: the destination host's handler executes
-// inline, resumed on this goroutine after the dial and after every client
-// write or close, with no per-dial goroutine or channel churn. Handlers that
-// implement StepProvider run as native state machines; others are
-// multiplexed onto pooled coroutine workers. Either way the blocking client
-// API is unchanged.
+// runs on the discrete-event engine: the destination service's Stepper
+// executes inline, resumed on this goroutine after the dial and after every
+// client write or close, so a dial starts no goroutine and allocates no
+// channel. The client side keeps the ordinary blocking net.Conn API.
 func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn, error) {
 	if n.quiescing.Load() {
 		panic(fmt.Sprintf("netsim: Dial(%v -> %v) raced Network.Quiesce: the caller must fence "+
@@ -535,11 +528,7 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	cv.clientSC = client
 
 	n.handlers.Add(1)
-	if sp, ok := handler.(StepProvider); ok {
-		cv.party = newStepperParty(n, sp.NewStepper(), cv, server)
-	} else {
-		cv.party = newCoroParty(ctx, n, handler, server)
-	}
+	cv.party = newStepperParty(n, handler.NewStepper(), cv, server)
 	// Run the server's opening burst (negotiation, banner, first prompt) so
 	// the client's first read finds it buffered.
 	cv.runServer()

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -11,16 +12,25 @@ import (
 	"time"
 )
 
-// echoHandler answers one line with "echo: <line>".
+// echoHandler answers one line with "echo: <line>". The partial line lives
+// in the ServerConv tail, so the stepper itself is stateless.
 type echoHandler struct{}
 
-func (echoHandler) Serve(_ context.Context, c *ServiceConn) {
-	r := bufio.NewReader(c)
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return
+func (h echoHandler) NewStepper() Stepper { return h }
+
+func (echoHandler) Step(c *ServerConv, ev ConvEvent) StepVerdict {
+	switch ev {
+	case EvOpen:
+		return StepMore
+	case EvData:
+		in := c.Input()
+		nl := bytes.IndexByte(in, '\n')
+		if nl < 0 {
+			return StepMore
+		}
+		_, _ = c.Write(append([]byte("echo: "), in[:nl+1]...))
 	}
-	_, _ = io.WriteString(c, "echo: "+line)
+	return StepDone
 }
 
 // testHost serves echo on TCP port 7 and ping on UDP port 9.

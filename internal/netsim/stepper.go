@@ -1,22 +1,44 @@
 package netsim
 
-// stepper.go defines the resumable step-function form of a conversation
-// server. A Stepper is the non-blocking dual of StreamHandler.Serve: instead
-// of looping over blocking reads, it is fed discrete events — the dial, each
-// batch of client bytes, the client's half-close, a torn pipe — and consumes
-// input incrementally from a ServerConv, carrying partial-parse state (half a
-// Telnet line, a truncated MQTT fixed header) across calls in its own fields.
+// stepper.go defines the one execution model a conversation server has: a
+// Stepper, a non-blocking state machine fed discrete events — the dial, each
+// batch of client bytes, the client's half-close, a torn pipe. Network.Dial
+// runs it inline on the dialing goroutine (stepperParty): a method call per
+// client action, no goroutine, no channel. ServeStepper drives the same
+// machine from blocking reads on a plain connection; protocol tests use it
+// over the bufconn.go pipe pair, and lifecycle_test.go uses it as the
+// reference the engine is compared against.
 //
-// Handlers that implement StepProvider run natively on the engine: no
-// coroutine worker, no parked goroutine, just a method call per client
-// action. ServeStepper adapts a Stepper back to a blocking loop so the same
-// state machine also serves the classic Serve path (protocol-level tests
-// drive handlers over plain pipe connections).
+// Writing a stepper:
+//
+//   - EvOpen: record DialTime/RemoteIP, write the banner if the protocol has
+//     one. EvEOF and EvBroken are final: emit the session record and return.
+//   - EvData: loop over ServerConv.Input — decode one frame/line from the
+//     head of the slice, Consume exactly its bytes, act on it, repeat — and
+//     return StepMore when the head is incomplete. The unconsumed tail is
+//     carried to the next event, so where the client's writes fall between
+//     frames must not change the output (the chunking-invariance test in
+//     internal/honeypot pins this for every server). Keep parse state that
+//     outlives a frame in the stepper's own fields.
+//   - Input aliases a buffer the engine reuses after Step returns: copy any
+//     bytes the session record keeps.
+//   - Bound the tail. The decoder must reject a frame or line longer than
+//     the protocol's cap as soon as the length is known, and end the
+//     session (StepDone); otherwise a peer that never completes a frame
+//     grows the conversation without limit.
+//   - Return StepDone at the points a blocking loop would return: protocol
+//     end, a parse error, a session cap, or a failed Write (a tripped stream
+//     fault). The framework closes the server side.
+//
+// A framed protocol writes its decoder once, over a byte slice: the stepper
+// pulls frames with NextFrame, blocking clients (probes, attack actors) with
+// ReadFramed, so each protocol has one parser.
 
 import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -59,14 +81,6 @@ type Stepper interface {
 	Step(c *ServerConv, ev ConvEvent) StepVerdict
 }
 
-// StepProvider is implemented by StreamHandlers that can also mint their
-// per-session state machine. Network.Dial prefers this path: a fresh Stepper
-// per conversation, executed inline with zero goroutines.
-type StepProvider interface {
-	StreamHandler
-	NewStepper() Stepper
-}
-
 // ServerConv is the server's view of one engine conversation: the pending
 // input bytes and the write/metadata surface of the underlying connection.
 type ServerConv struct {
@@ -90,8 +104,7 @@ func (c *ServerConv) Consume(n int) {
 func (c *ServerConv) avail() int { return len(c.in) - c.off }
 
 // Write sends bytes to the client, subject to the conversation's injected
-// stream fault — a tripped tarpit or reset surfaces here as io.ErrClosedPipe,
-// exactly as it did on the blocking path.
+// stream fault — a tripped tarpit or reset surfaces here as io.ErrClosedPipe.
 func (c *ServerConv) Write(p []byte) (int, error) { return c.sc.Write(p) }
 
 // Conn exposes the underlying connection for metadata (DialTime, RTT,
@@ -104,7 +117,7 @@ func (c *ServerConv) DialTime() time.Time { return c.sc.DialTime }
 // RemoteIP reports the client's simulated address.
 func (c *ServerConv) RemoteIP() (IPv4, bool) { return RemoteIPv4(c.sc) }
 
-// stepperParty drives a native Stepper as the server side of an engine
+// stepperParty drives a Stepper as the server side of an engine
 // conversation. All fields are touched only by the conversation's driving
 // goroutine.
 type stepperParty struct {
@@ -158,19 +171,17 @@ func (p *stepperParty) resume() {
 	}
 }
 
-// finish mirrors the blocking path's post-Serve framework close.
+// finish is the framework close: the server side shuts and Quiesce stops
+// waiting on this conversation.
 func (p *stepperParty) finish() {
 	p.done = true
 	_ = p.sc.sc.Close()
 	p.n.handlers.Done()
 }
 
-func (p *stepperParty) finished() bool { return p.done }
-
-// ServeStepper adapts a Stepper to the blocking StreamHandler contract: it
-// loops over conn reads and feeds the resulting events. Handlers implement
-// Serve as a one-liner over their NewStepper so protocol tests driving plain
-// pipe connections exercise the very same state machine the engine runs.
+// ServeStepper drives a Stepper from blocking reads on conn, delivering the
+// events the engine would. It returns when the session is over; the caller
+// closes conn.
 func ServeStepper(ctx context.Context, conn *ServiceConn, s Stepper) {
 	sc := &ServerConv{sc: conn}
 	if s.Step(sc, EvOpen) == StepDone {
@@ -194,4 +205,39 @@ func ServeStepper(ctx context.Context, conn *ServiceConn, s Stepper) {
 			return
 		}
 	}
+}
+
+// ReadFramed is the blocking reader over a slice decoder: it reads exactly
+// one frame from r and never a byte of the next. decode examines the bytes
+// read so far and returns the frame and its length n once raw holds all of
+// it (n <= len(raw)); otherwise n is how many bytes it needs before it can
+// say more (n > len(raw)). Steppers run the same decode through NextFrame,
+// so the framing rules live in one place.
+func ReadFramed[T any](r io.Reader, decode func(raw []byte) (T, int, error)) (T, error) {
+	var raw []byte
+	for {
+		v, n, err := decode(raw)
+		if err != nil || n <= len(raw) {
+			return v, err
+		}
+		have := len(raw)
+		raw = slices.Grow(raw, n-have)[:n]
+		if _, err := io.ReadFull(r, raw[have:]); err != nil {
+			return v, err
+		}
+	}
+}
+
+// NextFrame is ReadFramed's counterpart inside a stepper: it decodes the
+// frame at the head of c.Input with the same decode and consumes it. ok is
+// false, with nothing consumed, while the frame is still incomplete. The
+// frame may alias the input and is valid until Step returns.
+func NextFrame[T any](c *ServerConv, decode func(raw []byte) (T, int, error)) (v T, ok bool, err error) {
+	in := c.Input()
+	v, n, err := decode(in)
+	if err != nil || n > len(in) {
+		return v, false, err
+	}
+	c.Consume(n)
+	return v, true, nil
 }

@@ -75,27 +75,52 @@ func (f *Frame) Marshal() []byte {
 	return append(out, frameEnd)
 }
 
-// ParseFrame decodes one frame from raw, returning the remainder.
-func ParseFrame(raw []byte) (*Frame, []byte, error) {
+// decodeFrame is the one frame parser, in the shape netsim.ReadFramed and
+// the server stepper share: it decodes the frame at the head of raw and
+// returns its encoded length n, or — when raw is still short (n > len(raw))
+// — how many bytes it needs to get further. The payload aliases raw.
+func decodeFrame(raw []byte) (*Frame, int, error) {
 	if len(raw) < 7 {
-		return nil, raw, ErrMalformed
+		return nil, 7, nil
 	}
 	size := binary.BigEndian.Uint32(raw[3:7])
 	if size > maxFrameSize {
-		return nil, raw, ErrFrameTooBig
+		return nil, 0, ErrFrameTooBig
 	}
-	total := 7 + int(size) + 1
-	if len(raw) < total {
-		return nil, raw, ErrMalformed
+	n := 7 + int(size) + 1
+	if len(raw) < n {
+		return nil, n, nil
 	}
-	if raw[total-1] != frameEnd {
-		return nil, raw, ErrMalformed
+	if raw[n-1] != frameEnd {
+		return nil, 0, ErrMalformed
 	}
 	return &Frame{
 		Type:    raw[0],
 		Channel: binary.BigEndian.Uint16(raw[1:3]),
-		Payload: append([]byte(nil), raw[7:total-1]...),
-	}, raw[total:], nil
+		Payload: raw[7 : n-1],
+	}, n, nil
+}
+
+// ParseFrame decodes one frame from raw, returning the remainder. A
+// truncated frame is malformed; the payload is a copy.
+func ParseFrame(raw []byte) (*Frame, []byte, error) {
+	f, n, err := decodeFrame(raw)
+	if err == nil && f == nil {
+		err = ErrMalformed
+	}
+	if err != nil {
+		return nil, raw, err
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	return f, raw[n:], nil
+}
+
+// methodFrame renders a channel-0 method frame with the given arguments.
+func methodFrame(class, method uint16, args ...byte) *Frame {
+	var body []byte
+	body = binary.BigEndian.AppendUint16(body, class)
+	body = binary.BigEndian.AppendUint16(body, method)
+	return &Frame{Type: FrameMethod, Payload: append(body, args...)}
 }
 
 // ServerProperties is the identity table carried in connection.start.

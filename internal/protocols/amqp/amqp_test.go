@@ -103,7 +103,7 @@ func startBroker(t *testing.T, cfg ServerConfig) (*netsim.ServiceConn, func()) {
 	go func() {
 		defer close(done)
 		defer server.Close()
-		srv.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
 	}()
 	return client, func() { client.Close(); <-done }
 }

@@ -70,18 +70,10 @@ func Connect(conn net.Conn, mechanism, user, pass string, timeout time.Duration)
 		}
 		if class == ClassConnection && method == MethodTune {
 			// tune-ok then open
-			var tuneOK []byte
-			tuneOK = binary.BigEndian.AppendUint16(tuneOK, ClassConnection)
-			tuneOK = binary.BigEndian.AppendUint16(tuneOK, MethodTuneOK)
-			tuneOK = append(tuneOK, f.Payload[4:]...)
-			if _, err := conn.Write((&Frame{Type: FrameMethod, Payload: tuneOK}).Marshal()); err != nil {
+			if _, err := conn.Write(methodFrame(ClassConnection, MethodTuneOK, f.Payload[4:]...).Marshal()); err != nil {
 				return nil, false, err
 			}
-			var open []byte
-			open = binary.BigEndian.AppendUint16(open, ClassConnection)
-			open = binary.BigEndian.AppendUint16(open, MethodOpen)
-			open = append(open, 1, '/')
-			if _, err := conn.Write((&Frame{Type: FrameMethod, Payload: open}).Marshal()); err != nil {
+			if _, err := conn.Write(methodFrame(ClassConnection, MethodOpen, 1, '/').Marshal()); err != nil {
 				return nil, false, err
 			}
 			if _, err := readFrame(conn); err != nil { // open-ok
@@ -105,11 +97,7 @@ func (s *Session) Publish(exchange, routingKey string, body []byte) error {
 
 // Close sends connection.close and closes the transport.
 func (s *Session) Close() error {
-	var body []byte
-	body = binary.BigEndian.AppendUint16(body, ClassConnection)
-	body = binary.BigEndian.AppendUint16(body, MethodClose)
-	body = binary.BigEndian.AppendUint16(body, 200)
-	_, _ = s.conn.Write((&Frame{Type: FrameMethod, Payload: body}).Marshal())
+	_, _ = s.conn.Write(methodFrame(ClassConnection, MethodClose, 0, 200).Marshal())
 	return s.conn.Close()
 }
 

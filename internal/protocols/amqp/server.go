@@ -2,7 +2,6 @@ package amqp
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"time"
@@ -72,121 +71,132 @@ func (s *Server) emit(ev Event) {
 	}
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return
-	}
-	if !bytes.Equal(hdr, ProtocolHeader) {
-		// Spec: answer a bad greeting with the supported header and close.
-		_, _ = conn.Write(ProtocolHeader)
-		return
-	}
-	s.emit(Event{Time: conn.DialTime, Kind: EventHandshake, Remote: remote})
-	if _, err := conn.Write(StartFrame(s.cfg.Properties).Marshal()); err != nil {
-		return
-	}
+// serverStepper stages.
+const (
+	stHeader  uint8 = iota // awaiting the 8-byte protocol header
+	stStartOK              // connection.start sent, awaiting start-ok
+	stOpen                 // tune sent: consume whatever arrives
+)
 
-	// Read connection.start-ok with the client's mechanism and response.
-	f, err := readFrame(conn)
-	if err != nil {
-		return
-	}
-	mech, user, pass := parseStartOK(f)
-	s.emit(Event{Time: conn.DialTime, Kind: EventStartOK, Remote: remote,
-		Mechanism: mech, Username: user})
-	if s.cfg.RequireAuth {
-		want, ok := s.cfg.Credentials[user]
-		if mech == "ANONYMOUS" || !ok || want != pass {
-			// connection.close with 403.
-			var body []byte
-			body = binary.BigEndian.AppendUint16(body, ClassConnection)
-			body = binary.BigEndian.AppendUint16(body, MethodClose)
-			body = binary.BigEndian.AppendUint16(body, 403)
-			_, _ = conn.Write((&Frame{Type: FrameMethod, Payload: body}).Marshal())
-			return
-		}
-	}
+// serverStepper is one broker session: header exchange, start/start-ok,
+// then tune and open-ok sent proactively while publishes are accepted.
+type serverStepper struct {
+	s         *Server
+	remote    netsim.IPv4
+	state     uint8
+	publishes int
+}
 
-	// tune → (tune-ok) → open-ok handshake, heavily simplified: we send
-	// tune and open-ok proactively and then consume whatever arrives.
-	var tune []byte
-	tune = binary.BigEndian.AppendUint16(tune, ClassConnection)
-	tune = binary.BigEndian.AppendUint16(tune, MethodTune)
-	tune = binary.BigEndian.AppendUint16(tune, 2047)   // channel-max
-	tune = binary.BigEndian.AppendUint32(tune, 131072) // frame-max
-	tune = binary.BigEndian.AppendUint16(tune, 60)     // heartbeat
-	if _, err := conn.Write((&Frame{Type: FrameMethod, Payload: tune}).Marshal()); err != nil {
-		return
-	}
-
-	publishes := 0
-	for {
-		f, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		if f.Type == FrameHeartbeat {
-			_, _ = conn.Write((&Frame{Type: FrameHeartbeat}).Marshal())
-			continue
-		}
-		if f.Type != FrameMethod || len(f.Payload) < 4 {
-			continue
-		}
-		class := binary.BigEndian.Uint16(f.Payload[0:2])
-		method := binary.BigEndian.Uint16(f.Payload[2:4])
-		switch {
-		case class == ClassConnection && method == MethodTuneOK:
-			// nothing to send
-		case class == ClassConnection && method == MethodOpen:
-			var ok []byte
-			ok = binary.BigEndian.AppendUint16(ok, ClassConnection)
-			ok = binary.BigEndian.AppendUint16(ok, MethodOpenOK)
-			ok = append(ok, 0) // reserved shortstr
-			if _, err := conn.Write((&Frame{Type: FrameMethod, Payload: ok}).Marshal()); err != nil {
-				return
+// Step implements netsim.Stepper.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.remote, _ = c.RemoteIP()
+		return netsim.StepMore
+	case netsim.EvData:
+		if t.state == stHeader {
+			in := c.Input()
+			if len(in) < len(ProtocolHeader) {
+				return netsim.StepMore
 			}
-		case class == ClassConnection && method == MethodClose:
-			var ok []byte
-			ok = binary.BigEndian.AppendUint16(ok, ClassConnection)
-			ok = binary.BigEndian.AppendUint16(ok, MethodCloseOK)
-			_, _ = conn.Write((&Frame{Type: FrameMethod, Payload: ok}).Marshal())
-			return
-		case class == ClassBasic && method == MethodPublish:
-			publishes++
-			exchange, body := parsePublish(f)
-			s.emit(Event{Time: conn.DialTime, Kind: EventPublish, Remote: remote,
-				Exchange: exchange, Body: body})
-			if publishes >= s.cfg.MaxPublishes {
-				return
+			c.Consume(len(ProtocolHeader))
+			if !bytes.Equal(in[:len(ProtocolHeader)], ProtocolHeader) {
+				// Spec: answer a bad greeting with the supported header and close.
+				_, _ = c.Write(ProtocolHeader)
+				return netsim.StepDone
+			}
+			t.s.emit(Event{Time: c.DialTime(), Kind: EventHandshake, Remote: t.remote})
+			if !writeFrame(c, StartFrame(t.s.cfg.Properties)) {
+				return netsim.StepDone
+			}
+			t.state = stStartOK
+		}
+		for {
+			f, ok, err := netsim.NextFrame(c, decodeFrame)
+			if err != nil {
+				return netsim.StepDone
+			}
+			if !ok {
+				return netsim.StepMore
+			}
+			if t.handleFrame(c, f) == netsim.StepDone {
+				return netsim.StepDone
 			}
 		}
+	default:
+		return netsim.StepDone
 	}
+}
+
+func writeFrame(c *netsim.ServerConv, f *Frame) bool {
+	_, err := c.Write(f.Marshal())
+	return err == nil
+}
+
+// handleFrame advances the session by one decoded frame.
+func (t *serverStepper) handleFrame(c *netsim.ServerConv, f *Frame) netsim.StepVerdict {
+	s := t.s
+	if t.state == stStartOK {
+		// connection.start-ok carries the client's mechanism and response.
+		mech, user, pass := parseStartOK(f)
+		s.emit(Event{Time: c.DialTime(), Kind: EventStartOK, Remote: t.remote,
+			Mechanism: mech, Username: user})
+		if s.cfg.RequireAuth {
+			want, ok := s.cfg.Credentials[user]
+			if mech == "ANONYMOUS" || !ok || want != pass {
+				_ = writeFrame(c, methodFrame(ClassConnection, MethodClose, 403>>8, 403&0xFF))
+				return netsim.StepDone
+			}
+		}
+		// tune → (tune-ok) → open-ok handshake, heavily simplified: we send
+		// tune proactively and then consume whatever arrives.
+		var tune []byte
+		tune = binary.BigEndian.AppendUint16(tune, 2047)   // channel-max
+		tune = binary.BigEndian.AppendUint32(tune, 131072) // frame-max
+		tune = binary.BigEndian.AppendUint16(tune, 60)     // heartbeat
+		if !writeFrame(c, methodFrame(ClassConnection, MethodTune, tune...)) {
+			return netsim.StepDone
+		}
+		t.state = stOpen
+		return netsim.StepMore
+	}
+
+	if f.Type == FrameHeartbeat {
+		_ = writeFrame(c, &Frame{Type: FrameHeartbeat})
+		return netsim.StepMore
+	}
+	if f.Type != FrameMethod || len(f.Payload) < 4 {
+		return netsim.StepMore
+	}
+	class := binary.BigEndian.Uint16(f.Payload[0:2])
+	method := binary.BigEndian.Uint16(f.Payload[2:4])
+	switch {
+	case class == ClassConnection && method == MethodOpen:
+		if !writeFrame(c, methodFrame(ClassConnection, MethodOpenOK, 0)) { // reserved shortstr
+			return netsim.StepDone
+		}
+	case class == ClassConnection && method == MethodClose:
+		_ = writeFrame(c, methodFrame(ClassConnection, MethodCloseOK))
+		return netsim.StepDone
+	case class == ClassBasic && method == MethodPublish:
+		t.publishes++
+		exchange, body := parsePublish(f)
+		// The frame aliases the engine's input buffer; the event outlives it.
+		s.emit(Event{Time: c.DialTime(), Kind: EventPublish, Remote: t.remote,
+			Exchange: exchange, Body: append([]byte(nil), body...)})
+		if t.publishes >= s.cfg.MaxPublishes {
+			return netsim.StepDone
+		}
+	}
+	return netsim.StepMore
 }
 
 // readFrame reads one frame from the stream.
 func readFrame(conn io.Reader) (*Frame, error) {
-	hdr := make([]byte, 7)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[3:7])
-	if size > maxFrameSize {
-		return nil, ErrFrameTooBig
-	}
-	rest := make([]byte, size+1)
-	if _, err := io.ReadFull(conn, rest); err != nil {
-		return nil, err
-	}
-	if rest[size] != frameEnd {
-		return nil, ErrMalformed
-	}
-	return &Frame{Type: hdr[0], Channel: binary.BigEndian.Uint16(hdr[1:3]),
-		Payload: rest[:size]}, nil
+	return netsim.ReadFramed(conn, decodeFrame)
 }
 
 // parseStartOK extracts mechanism and PLAIN credentials from start-ok.

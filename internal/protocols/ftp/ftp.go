@@ -13,10 +13,10 @@ package ftp
 
 import (
 	"bufio"
-	"context"
-	"fmt"
+	"bytes"
 	"io"
 	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -79,122 +79,164 @@ func NewServer(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	ev := Event{Time: conn.DialTime, Remote: remote}
-	defer func() {
-		if s.cfg.OnEvent != nil {
-			s.cfg.OnEvent(ev)
-		}
-	}()
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	w := netsim.GetWriter(conn)
-	defer netsim.PutWriter(w)
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
-	reply := func(line string) bool {
-		_, _ = w.WriteString(line + "\r\n")
-		return w.Flush() == nil
-	}
-	if !reply(s.cfg.Banner) {
-		return
-	}
+// maxLine bounds one control-channel line, terminator included. The line is
+// outside input; a peer that never sends a newline is answered 500 and
+// dropped once it has sent this much.
+const maxLine = 8 << 10
 
-	authed := false
-	var pendingUser string
-	for len(ev.Commands) < 128 {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
+
+// serverStepper input states.
+const (
+	stCommand    uint8 = iota // awaiting a command line
+	stUploadSize              // after STOR's 150: awaiting the "<n>\n" length line
+	stUploadData              // awaiting the remaining upload bytes
+)
+
+// serverStepper is one FTP control session. Every reply is its own write,
+// so a tripped stream fault cuts the session at a reply boundary.
+type serverStepper struct {
+	s           *Server
+	ev          Event
+	state       uint8
+	authed      bool
+	pendingUser string
+	upload      Upload // the STOR in progress
+	need        int    // upload bytes still outstanding
+}
+
+// Step implements netsim.Stepper. Every path that falls out of the switch
+// ends the session: the record is emitted once, below.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.ev.Time = c.DialTime()
+		t.ev.Remote, _ = c.RemoteIP()
+		if reply(c, t.s.cfg.Banner) {
+			return netsim.StepMore
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		ev.Commands = append(ev.Commands, line)
-		verb, arg := splitCommand(line)
-		switch verb {
-		case "USER":
-			pendingUser = arg
-			if !reply("331 Please specify the password.") {
-				return
-			}
-		case "PASS":
-			ev.Username, ev.Password = pendingUser, arg
-			switch {
-			case strings.EqualFold(pendingUser, "anonymous") && s.cfg.AllowAnonymous:
-				authed = true
-			case s.cfg.Credentials[pendingUser] == arg && pendingUser != "":
-				if _, exists := s.cfg.Credentials[pendingUser]; exists {
-					authed = true
+	case netsim.EvData:
+		for t.state != stCommand || len(t.ev.Commands) < 128 {
+			if t.state == stUploadData {
+				in := c.Input()
+				in = in[:min(len(in), t.need)]
+				t.upload.Data = append(t.upload.Data, in...)
+				c.Consume(len(in))
+				if t.need -= len(in); t.need > 0 {
+					return netsim.StepMore
 				}
-			}
-			ev.LoginOK = authed
-			if authed {
-				if !reply("230 Login successful.") {
-					return
-				}
-			} else if !reply("530 Login incorrect.") {
-				return
-			}
-		case "SYST":
-			if !reply("215 UNIX Type: L8") {
-				return
-			}
-		case "PWD":
-			if !reply(`257 "/" is the current directory`) {
-				return
-			}
-		case "LIST", "NLST":
-			if !authed {
-				if !reply("530 Please login with USER and PASS.") {
-					return
+				t.ev.Uploads = append(t.ev.Uploads, t.upload)
+				t.state = stCommand
+				if !reply(c, "226 Transfer complete.") {
+					break
 				}
 				continue
 			}
-			var names []string
-			for name := range s.cfg.Files {
-				names = append(names, name)
+			in := c.Input()
+			in = in[:min(len(in), maxLine)]
+			nl := bytes.IndexByte(in, '\n')
+			if nl < 0 && len(in) < maxLine {
+				return netsim.StepMore
 			}
-			if !reply("150 Here comes the directory listing.") {
-				return
+			if nl < 0 {
+				_ = reply(c, "500 Line too long.")
+				break
 			}
-			for _, n := range names {
-				if !reply(n) {
-					return
-				}
-			}
-			if !reply("226 Directory send OK.") {
-				return
-			}
-		case "STOR":
-			if !authed || !s.cfg.AllowWrite {
-				if !reply("550 Permission denied.") {
-					return
-				}
-				continue
-			}
-			if !reply("150 Ok to send data.") {
-				return
-			}
-			data, err := readInlineUpload(r, s.cfg.MaxUploadBytes)
-			if err != nil {
-				_ = reply("426 Connection closed; transfer aborted.")
-				return
-			}
-			ev.Uploads = append(ev.Uploads, Upload{Name: arg, Data: data})
-			if !reply("226 Transfer complete.") {
-				return
-			}
-		case "QUIT":
-			_ = reply("221 Goodbye.")
-			return
-		default:
-			if !reply("502 Command not implemented.") {
-				return
+			c.Consume(nl + 1)
+			if !t.handleLine(c, strings.TrimSpace(string(in[:nl]))) {
+				break
 			}
 		}
+	default:
+		// EvEOF / EvBroken: the peer left; mid-upload that aborts the transfer.
+		if t.state != stCommand {
+			_ = reply(c, "426 Connection closed; transfer aborted.")
+		}
+	}
+	if t.s.cfg.OnEvent != nil {
+		t.s.cfg.OnEvent(t.ev)
+	}
+	return netsim.StepDone
+}
+
+func reply(c *netsim.ServerConv, line string) bool {
+	_, err := c.Write([]byte(line + "\r\n"))
+	return err == nil
+}
+
+// handleLine runs one complete line; false ends the session.
+func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) bool {
+	s := t.s
+	if t.state == stUploadSize {
+		n, err := strconv.Atoi(line)
+		if err != nil || n < 0 || n > s.cfg.MaxUploadBytes {
+			_ = reply(c, "426 Connection closed; transfer aborted.")
+			return false
+		}
+		t.upload.Data = make([]byte, 0, n)
+		t.need = n
+		t.state = stUploadData
+		return true
+	}
+	if line == "" {
+		return true
+	}
+	t.ev.Commands = append(t.ev.Commands, line)
+	verb, arg := splitCommand(line)
+	switch verb {
+	case "USER":
+		t.pendingUser = arg
+		return reply(c, "331 Please specify the password.")
+	case "PASS":
+		t.ev.Username, t.ev.Password = t.pendingUser, arg
+		switch {
+		case strings.EqualFold(t.pendingUser, "anonymous") && s.cfg.AllowAnonymous:
+			t.authed = true
+		case s.cfg.Credentials[t.pendingUser] == arg && t.pendingUser != "":
+			if _, exists := s.cfg.Credentials[t.pendingUser]; exists {
+				t.authed = true
+			}
+		}
+		t.ev.LoginOK = t.authed
+		if t.authed {
+			return reply(c, "230 Login successful.")
+		}
+		return reply(c, "530 Login incorrect.")
+	case "SYST":
+		return reply(c, "215 UNIX Type: L8")
+	case "PWD":
+		return reply(c, `257 "/" is the current directory`)
+	case "LIST", "NLST":
+		if !t.authed {
+			return reply(c, "530 Please login with USER and PASS.")
+		}
+		names := make([]string, 0, len(s.cfg.Files))
+		for name := range s.cfg.Files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		if !reply(c, "150 Here comes the directory listing.") {
+			return false
+		}
+		for _, n := range names {
+			if !reply(c, n) {
+				return false
+			}
+		}
+		return reply(c, "226 Directory send OK.")
+	case "STOR":
+		if !t.authed || !s.cfg.AllowWrite {
+			return reply(c, "550 Permission denied.")
+		}
+		t.upload = Upload{Name: arg}
+		t.state = stUploadSize
+		return reply(c, "150 Ok to send data.")
+	case "QUIT":
+		_ = reply(c, "221 Goodbye.")
+		return false
+	default:
+		return reply(c, "502 Command not implemented.")
 	}
 }
 
@@ -204,23 +246,6 @@ func splitCommand(line string) (verb, arg string) {
 		return strings.ToUpper(line), ""
 	}
 	return strings.ToUpper(line[:sp]), strings.TrimSpace(line[sp+1:])
-}
-
-// readInlineUpload reads "<n>\n" then n raw bytes.
-func readInlineUpload(r *bufio.Reader, max int) ([]byte, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(line))
-	if err != nil || n < 0 || n > max {
-		return nil, fmt.Errorf("ftp: bad inline upload size %q", strings.TrimSpace(line))
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Client drives an FTP session for scan probes and attack actors.

@@ -1,9 +1,13 @@
 package ftp
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"openhire/internal/netsim"
 )
 
 func TestSystPwdList(t *testing.T) {
@@ -101,5 +105,104 @@ func TestQuitEvent(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no event")
+	}
+}
+
+// TestListOrderIsSorted pins the wire order of a directory listing: the
+// reply bytes are part of the run's artifact, so they may not follow map
+// iteration order (which Go randomises per range statement).
+func TestListOrderIsSorted(t *testing.T) {
+	files := map[string][]byte{
+		"firmware.bin": nil, "config.txt": nil, "passwd": nil, "update.sh": nil, "boot.img": nil,
+	}
+	want := []string{"boot.img", "config.txt", "firmware.bin", "passwd", "update.sh"}
+	for session := 0; session < 64; session++ {
+		c, _ := startServer(t, Config{AllowAnonymous: true, Files: files})
+		if _, err := c.ReadReply(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+			t.Fatal("login failed")
+		}
+		if err := c.send("LIST", time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for {
+			reply, err := c.ReadReply(time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(reply, "226") {
+				break
+			}
+			if !strings.HasPrefix(reply, "150") {
+				got = append(got, reply)
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("session %d listed %v, want %v", session, got, want)
+		}
+	}
+}
+
+// tailProbe wraps a stepper and records the largest unconsumed input it
+// leaves behind when it asks for more.
+type tailProbe struct {
+	inner   netsim.Stepper
+	maxTail int
+}
+
+func (p *tailProbe) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	v := p.inner.Step(c, ev)
+	if v == netsim.StepMore && len(c.Input()) > p.maxTail {
+		p.maxTail = len(c.Input())
+	}
+	return v
+}
+
+// TestLineCapEndsSession: the command line is outside input. A peer that
+// sends 1 MiB without a newline is answered 500 and dropped, and the bytes
+// held while waiting for the newline never exceed the cap.
+func TestLineCapEndsSession(t *testing.T) {
+	var events []Event
+	srv := NewServer(Config{OnEvent: func(ev Event) { events = append(events, ev) }})
+	client, server := netsim.NewServiceConnPair(
+		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.92"), Port: 46000},
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.7"), Port: 21},
+		time.Now(),
+	)
+	probe := &tailProbe{inner: srv.NewStepper()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		netsim.ServeStepper(context.Background(), server, probe)
+	}()
+	defer client.Close()
+
+	c := NewClient(client)
+	if _, err := c.ReadReply(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_ = client.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		// The server hangs up partway through; the write error is expected.
+		_, _ = client.Write(bytes.Repeat([]byte{'A'}, 1<<20))
+	}()
+	reply, err := c.ReadReply(5 * time.Second)
+	if err != nil || !strings.HasPrefix(reply, "500") {
+		t.Fatalf("reply to an endless line = %q, %v; want 500", reply, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session did not end")
+	}
+	if len(events) != 1 || len(events[0].Commands) != 0 {
+		t.Fatalf("events %+v, want one session record with no commands", events)
+	}
+	if probe.maxTail > maxLine {
+		t.Fatalf("retained tail %d bytes, cap %d", probe.maxTail, maxLine)
 	}
 }

@@ -12,7 +12,6 @@ package http
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -180,14 +179,7 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{cfg: cfg}
 }
 
-// Serve implements netsim.StreamHandler by running the same state machine
-// NewStepper hands to the discrete-event engine over blocking reads.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	_ = conn.SetDeadline(time.Now().Add(15 * time.Second))
-	netsim.ServeStepper(ctx, conn, s.NewStepper())
-}
-
-// NewStepper implements netsim.StepProvider: a fresh per-session state
+// NewStepper implements netsim.StreamHandler: a fresh per-session state
 // machine for the conversation engine.
 func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 

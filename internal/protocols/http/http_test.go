@@ -87,7 +87,7 @@ func startServer(t *testing.T, cfg ServerConfig) *netsim.ServiceConn {
 	srv := NewServer(cfg)
 	go func() {
 		defer server.Close()
-		srv.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
 	}()
 	t.Cleanup(func() { client.Close() })
 	return client

@@ -6,11 +6,8 @@
 package modbus
 
 import (
-	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -39,7 +36,8 @@ const (
 // ErrMalformed reports an invalid ADU.
 var ErrMalformed = errors.New("modbus: malformed ADU")
 
-// Request is a decoded Modbus request.
+// Request is a decoded Modbus ADU (a request, or a response read back by
+// the client).
 type Request struct {
 	TransactionID uint16
 	UnitID        byte
@@ -106,26 +104,49 @@ func (s *Server) SetRegister(addr int, v uint16) {
 	}
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
-	for i := 0; i < 256; i++ {
-		req, err := ReadRequest(r)
-		if err != nil {
-			return
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
+
+// maxRequests closes a session after this many requests.
+const maxRequests = 256
+
+// serverStepper is one Modbus/TCP session: a request/response loop.
+type serverStepper struct {
+	s        *Server
+	remote   netsim.IPv4
+	requests int
+}
+
+// Step implements netsim.Stepper.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.remote, _ = c.RemoteIP()
+		return netsim.StepMore
+	case netsim.EvData:
+		for {
+			req, ok, err := netsim.NextFrame(c, decodeADU)
+			if err != nil {
+				return netsim.StepDone
+			}
+			if !ok {
+				return netsim.StepMore
+			}
+			resp, rev := t.s.handle(req)
+			rev.Time = c.DialTime()
+			rev.Remote = t.remote
+			if t.s.cfg.OnEvent != nil {
+				t.s.cfg.OnEvent(rev)
+			}
+			if _, err := c.Write(resp); err != nil {
+				return netsim.StepDone
+			}
+			if t.requests++; t.requests >= maxRequests {
+				return netsim.StepDone
+			}
 		}
-		resp, ev := s.handle(req)
-		ev.Time = conn.DialTime
-		ev.Remote = remote
-		if s.cfg.OnEvent != nil {
-			s.cfg.OnEvent(ev)
-		}
-		if _, err := conn.Write(resp); err != nil {
-			return
-		}
+	default:
+		return netsim.StepDone
 	}
 }
 
@@ -184,29 +205,31 @@ func (s *Server) handle(req *Request) ([]byte, Event) {
 	}
 }
 
-// ReadRequest reads one MBAP-framed request.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	hdr := make([]byte, 7)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+// decodeADU is the one MBAP framer, in the shape netsim.ReadFramed and the
+// server stepper share: it decodes the ADU at the head of raw and returns
+// its length n, or — when raw is still short (n > len(raw)) — how many bytes
+// it needs to get further. Data aliases raw.
+func decodeADU(raw []byte) (*Request, int, error) {
+	if len(raw) < 7 {
+		return nil, 7, nil
 	}
-	if binary.BigEndian.Uint16(hdr[2:4]) != 0 { // protocol id must be 0
-		return nil, ErrMalformed
+	if binary.BigEndian.Uint16(raw[2:4]) != 0 { // protocol id must be 0
+		return nil, 0, ErrMalformed
 	}
-	length := binary.BigEndian.Uint16(hdr[4:6])
+	length := int(binary.BigEndian.Uint16(raw[4:6]))
 	if length < 2 || length > 256 {
-		return nil, ErrMalformed
+		return nil, 0, ErrMalformed
 	}
-	body := make([]byte, length-1) // unit id already in hdr[6]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	n := 6 + length // the length field counts the unit id in raw[6]
+	if len(raw) < n {
+		return nil, n, nil
 	}
 	return &Request{
-		TransactionID: binary.BigEndian.Uint16(hdr[0:2]),
-		UnitID:        hdr[6],
-		Function:      body[0],
-		Data:          body[1:],
-	}, nil
+		TransactionID: binary.BigEndian.Uint16(raw[0:2]),
+		UnitID:        raw[6],
+		Function:      raw[7],
+		Data:          raw[8:n],
+	}, n, nil
 }
 
 func buildResponse(req *Request, data []byte) []byte {
@@ -270,25 +293,15 @@ func roundTrip(conn net.Conn, function byte, data []byte, timeout time.Duration)
 	if _, err := conn.Write(BuildRequest(1, 1, function, data)); err != nil {
 		return nil, err
 	}
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
-	hdr := make([]byte, 7)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	adu, err := netsim.ReadFramed(conn, decodeADU)
+	if err != nil {
 		return nil, err
 	}
-	length := binary.BigEndian.Uint16(hdr[4:6])
-	if length < 2 || length > 256 {
-		return nil, ErrMalformed
-	}
-	body := make([]byte, length-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	if body[0] == function|0x80 {
+	if adu.Function == function|0x80 {
 		return nil, ErrException
 	}
-	if body[0] != function {
+	if adu.Function != function {
 		return nil, ErrMalformed
 	}
-	return body[1:], nil
+	return adu.Data, nil
 }

@@ -27,7 +27,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, *[]Eve
 	)
 	go func() {
 		defer server.Close()
-		srv.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
 	}()
 	t.Cleanup(func() { client.Close() })
 	return srv, client, &events

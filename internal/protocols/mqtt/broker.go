@@ -1,7 +1,6 @@
 package mqtt
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -129,14 +128,7 @@ func (b *Broker) emit(ev Event) {
 	}
 }
 
-// Serve implements netsim.StreamHandler by running the same state machine
-// NewStepper hands to the discrete-event engine over blocking reads.
-func (b *Broker) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	netsim.ServeStepper(ctx, conn, b.NewStepper())
-}
-
-// NewStepper implements netsim.StepProvider: a fresh per-session state
+// NewStepper implements netsim.StreamHandler: a fresh per-session state
 // machine for the conversation engine.
 func (b *Broker) NewStepper() netsim.Stepper { return &brokerStepper{b: b} }
 

@@ -164,7 +164,7 @@ func startBroker(t *testing.T, cfg BrokerConfig) (*Broker, *Client, func()) {
 	go func() {
 		defer close(done)
 		defer server.Close()
-		b.Serve(context.Background(), server)
+		netsim.ServeStepper(context.Background(), server, b.NewStepper())
 	}()
 	return b, NewClient(client, time.Second), func() {
 		client.Close()
@@ -294,7 +294,7 @@ func TestBrokerFanOut(t *testing.T) {
 		)
 		go func() {
 			defer server.Close()
-			b.Serve(context.Background(), server)
+			netsim.ServeStepper(context.Background(), server, b.NewStepper())
 		}()
 		return NewClient(client, time.Second), func() { client.Close() }
 	}

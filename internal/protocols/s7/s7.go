@@ -7,8 +7,6 @@
 package s7
 
 import (
-	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -92,95 +90,132 @@ func tpkt(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// readTPKT reads one TPKT frame payload.
-func readTPKT(r *bufio.Reader) ([]byte, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+// maxTPKT bounds one TPKT frame, header included.
+const maxTPKT = 8192
+
+// decodeTPKT is the one TPKT framer, in the shape netsim.ReadFramed and the
+// server stepper share: it returns the payload of the frame at the head of
+// raw (aliasing it) and the frame length n, or — when raw is still short
+// (n > len(raw)) — how many bytes it needs to get further.
+func decodeTPKT(raw []byte) ([]byte, int, error) {
+	if len(raw) < 4 {
+		return nil, 4, nil
 	}
-	if hdr[0] != 3 {
-		return nil, ErrMalformed
+	if raw[0] != 3 {
+		return nil, 0, ErrMalformed
 	}
-	n := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if n < 4 || n > 8192 {
-		return nil, ErrMalformed
+	n := int(binary.BigEndian.Uint16(raw[2:4]))
+	if n < 4 || n > maxTPKT {
+		return nil, 0, ErrMalformed
 	}
-	payload := make([]byte, n-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if len(raw) < n {
+		return nil, n, nil
 	}
-	return payload, nil
+	return raw[4:n], n, nil
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
+// readTPKT reads one TPKT frame payload.
+func readTPKT(r io.Reader) ([]byte, error) {
+	return netsim.ReadFramed(r, decodeTPKT)
+}
 
-	// COTP connection setup.
-	payload, err := readTPKT(r)
-	if err != nil || len(payload) < 2 || payload[1] != cotpConnectRequest {
-		return
-	}
-	// Connect confirm echoes the class-0 option.
-	if _, err := conn.Write(tpkt([]byte{6, cotpConnectConfirm, 0, 0, 0, 0, 0})); err != nil {
-		return
-	}
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 
-	jobs := 0
-	for i := 0; i < 4096; i++ {
-		payload, err := readTPKT(r)
-		if err != nil {
-			return
-		}
-		if len(payload) < 3 || payload[1] != cotpData {
-			continue
-		}
-		s7pdu := payload[3:] // skip COTP data header (len, type, eot)
-		if len(s7pdu) < 8 || s7pdu[0] != 0x32 {
-			continue // not S7comm
-		}
-		pduType := s7pdu[1]
-		var function byte
-		if len(s7pdu) > 10 {
-			function = s7pdu[10]
-		}
-		ev := Event{Time: conn.DialTime, Remote: remote, PDUType: pduType, Function: function}
-		if pduType == PDUJob {
-			jobs++
-			if jobs > s.cfg.MaxJobs {
-				ev.JobFlood = true
-				if s.cfg.OnEvent != nil {
-					s.cfg.OnEvent(ev)
-				}
-				return // device wedged: ICSA-16-299-01
+// maxFrames closes a session after this many post-connect frames.
+const maxFrames = 4096
+
+// serverStepper is one S7 session: COTP connection setup, then S7 PDUs
+// against the job budget.
+type serverStepper struct {
+	s         *Server
+	remote    netsim.IPv4
+	connected bool // COTP connect confirmed
+	frames    int
+	jobs      int
+}
+
+// Step implements netsim.Stepper.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.remote, _ = c.RemoteIP()
+		return netsim.StepMore
+	case netsim.EvData:
+		for {
+			payload, ok, err := netsim.NextFrame(c, decodeTPKT)
+			if err != nil {
+				return netsim.StepDone
+			}
+			if !ok {
+				return netsim.StepMore
+			}
+			if !t.handleFrame(c, payload) {
+				return netsim.StepDone
 			}
 		}
-		if s.cfg.OnEvent != nil {
-			s.cfg.OnEvent(ev)
+	default:
+		return netsim.StepDone
+	}
+}
+
+// handleFrame advances the session by one TPKT payload; false ends it.
+func (t *serverStepper) handleFrame(c *netsim.ServerConv, payload []byte) bool {
+	s := t.s
+	if !t.connected {
+		// COTP connection setup.
+		if len(payload) < 2 || payload[1] != cotpConnectRequest {
+			return false
 		}
-		switch {
-		case pduType == PDUJob && function == FuncSetupComm:
-			if _, err := conn.Write(tpkt(buildAck(FuncSetupComm, nil))); err != nil {
-				return
-			}
-		case pduType == PDUJob && function == FuncRead:
-			if _, err := conn.Write(tpkt(buildAck(FuncRead, []byte(s.cfg.Module)))); err != nil {
-				return
-			}
-		case pduType == PDUJob:
-			if _, err := conn.Write(tpkt(buildAck(function, nil))); err != nil {
-				return
-			}
-		case pduType == PDUUserData:
-			// SZL identity read → module name.
-			if _, err := conn.Write(tpkt(buildAck(0, []byte(s.cfg.Module)))); err != nil {
-				return
-			}
+		t.connected = true
+		// Connect confirm echoes the class-0 option.
+		_, err := c.Write(tpkt([]byte{6, cotpConnectConfirm, 0, 0, 0, 0, 0}))
+		return err == nil
+	}
+	t.frames++
+	more := t.frames < maxFrames
+	if len(payload) < 3 || payload[1] != cotpData {
+		return more
+	}
+	s7pdu := payload[3:] // skip COTP data header (len, type, eot)
+	if len(s7pdu) < 8 || s7pdu[0] != 0x32 {
+		return more // not S7comm
+	}
+	pduType := s7pdu[1]
+	var function byte
+	if len(s7pdu) > 10 {
+		function = s7pdu[10]
+	}
+	ev := Event{Time: c.DialTime(), Remote: t.remote, PDUType: pduType, Function: function}
+	if pduType == PDUJob {
+		t.jobs++
+		if t.jobs > s.cfg.MaxJobs {
+			ev.JobFlood = true
+			more = false // device wedged: ICSA-16-299-01
 		}
 	}
+	if s.cfg.OnEvent != nil {
+		s.cfg.OnEvent(ev)
+	}
+	if ev.JobFlood {
+		return false
+	}
+	var ack []byte
+	switch {
+	case pduType == PDUJob && function == FuncRead:
+		ack = buildAck(FuncRead, []byte(s.cfg.Module))
+	case pduType == PDUJob:
+		ack = buildAck(function, nil)
+	case pduType == PDUUserData:
+		// SZL identity read → module name.
+		ack = buildAck(0, []byte(s.cfg.Module))
+	default:
+		return more
+	}
+	if _, err := c.Write(tpkt(ack)); err != nil {
+		return false
+	}
+	return more
 }
 
 // buildAck renders a COTP-data-wrapped S7 ack-data PDU with optional data.
@@ -210,9 +245,7 @@ func Connect(conn net.Conn, timeout time.Duration) error {
 	if _, err := conn.Write(BuildConnect()); err != nil {
 		return err
 	}
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
-	payload, err := readTPKT(r)
+	payload, err := readTPKT(conn)
 	if err != nil {
 		return err
 	}
@@ -222,10 +255,8 @@ func Connect(conn net.Conn, timeout time.Duration) error {
 	if _, err := conn.Write(BuildJob(FuncSetupComm)); err != nil {
 		return err
 	}
-	if _, err := readTPKT(r); err != nil {
-		return err
-	}
-	return nil
+	_, err = readTPKT(conn)
+	return err
 }
 
 // ReadModule issues a read job and returns the module identity string.
@@ -237,9 +268,7 @@ func ReadModule(conn net.Conn, timeout time.Duration) (string, error) {
 	if _, err := conn.Write(BuildJob(FuncRead)); err != nil {
 		return "", err
 	}
-	br := netsim.GetReader(conn)
-	defer netsim.PutReader(br)
-	payload, err := readTPKT(br)
+	payload, err := readTPKT(conn)
 	if err != nil {
 		return "", err
 	}

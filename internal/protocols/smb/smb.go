@@ -12,9 +12,7 @@
 package smb
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -110,81 +108,116 @@ func netbiosFrame(msg []byte) []byte {
 	return append(out, msg...)
 }
 
-// readNetbios reads one NetBIOS-framed message.
-func readNetbios(r *bufio.Reader, max int) ([]byte, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+// decodeNetbios is the one NetBIOS session-message framer, in the shape
+// netsim.ReadFramed and the server stepper share: it returns the message at
+// the head of raw (aliasing it) and its framed length n, or — when raw is
+// still short (n > len(raw)) — how many bytes it needs to get further.
+func decodeNetbios(raw []byte, max int) ([]byte, int, error) {
+	if len(raw) < 4 {
+		return nil, 4, nil
 	}
-	n := int(binary.BigEndian.Uint32(hdr) & 0x00FFFFFF)
-	if n > max {
-		return nil, io.ErrShortBuffer
+	size := int(binary.BigEndian.Uint32(raw) & 0x00FFFFFF)
+	if size > max {
+		return nil, 0, io.ErrShortBuffer
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, err
+	n := 4 + size
+	if len(raw) < n {
+		return nil, n, nil
 	}
-	return msg, nil
+	return raw[4:n], n, nil
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	ev := Event{Time: conn.DialTime, Remote: remote, Kind: KindProbe}
-	defer func() {
-		if s.cfg.OnEvent != nil {
-			s.cfg.OnEvent(ev)
-		}
-	}()
-	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
+// netbiosDecoder binds decodeNetbios to a message size limit.
+func netbiosDecoder(max int) func(raw []byte) ([]byte, int, error) {
+	return func(raw []byte) ([]byte, int, error) { return decodeNetbios(raw, max) }
+}
 
-	for i := 0; i < 16; i++ {
-		msg, err := readNetbios(r, s.cfg.MaxPayload)
-		if err != nil {
-			return
-		}
-		if len(msg) < 5 || !bytes.Equal(msg[:4], smb1Magic) {
-			// Anything after an exploit command that is not SMB is treated
-			// as the dropped payload.
-			if ev.Kind == KindEternalBlue || ev.Kind == KindEternalRomance {
-				ev.Payload = append(ev.Payload, msg...)
-				ev.Kind = KindPayloadDrop
+// readNetbios reads one NetBIOS-framed message.
+func readNetbios(r io.Reader, max int) ([]byte, error) {
+	return netsim.ReadFramed(r, netbiosDecoder(max))
+}
+
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
+
+// maxMessages closes a session after this many NetBIOS messages.
+const maxMessages = 16
+
+// serverStepper is one SMB session: it answers each SMB1 message and
+// classifies the interaction, capturing what follows an exploit command.
+type serverStepper struct {
+	s        *Server
+	ev       Event
+	messages int
+}
+
+// Step implements netsim.Stepper.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.ev = Event{Time: c.DialTime(), Kind: KindProbe}
+		t.ev.Remote, _ = c.RemoteIP()
+		return netsim.StepMore
+	case netsim.EvData:
+		for {
+			msg, ok, err := netsim.NextFrame(c, netbiosDecoder(t.s.cfg.MaxPayload))
+			if err != nil {
+				return t.finish()
 			}
-			continue
-		}
-		switch msg[4] {
-		case CmdNegotiate:
-			ev.Dialect = s.cfg.Dialect
-			resp := buildNegotiateResponse(s.cfg.Dialect)
-			if _, err := conn.Write(netbiosFrame(resp)); err != nil {
-				return
+			if !ok {
+				return netsim.StepMore
 			}
-		case CmdSessionSetup:
-			if ev.Kind == KindProbe {
-				ev.Kind = KindSessionSetup
-			}
-			if _, err := conn.Write(netbiosFrame(buildStatusResponse(msg[4], 0))); err != nil {
-				return
-			}
-		case CmdTransaction2:
-			ev.Kind = KindEternalBlue
-			// STATUS_NOT_IMPLEMENTED, like patched/low-interaction targets.
-			if _, err := conn.Write(netbiosFrame(buildStatusResponse(msg[4], 0xC0000002))); err != nil {
-				return
-			}
-		case CmdNTTransact:
-			ev.Kind = KindEternalRomance
-			if _, err := conn.Write(netbiosFrame(buildStatusResponse(msg[4], 0xC0000002))); err != nil {
-				return
-			}
-		default:
-			if _, err := conn.Write(netbiosFrame(buildStatusResponse(msg[4], 0xC0000002))); err != nil {
-				return
+			t.messages++
+			if !t.handleMessage(c, msg) || t.messages >= maxMessages {
+				return t.finish()
 			}
 		}
+	default:
+		return t.finish()
 	}
+}
+
+func (t *serverStepper) finish() netsim.StepVerdict {
+	if t.s.cfg.OnEvent != nil {
+		t.s.cfg.OnEvent(t.ev)
+	}
+	return netsim.StepDone
+}
+
+// handleMessage answers one message; false ends the session.
+func (t *serverStepper) handleMessage(c *netsim.ServerConv, msg []byte) bool {
+	ev := &t.ev
+	if len(msg) < 5 || !bytes.Equal(msg[:4], smb1Magic) {
+		// Anything after an exploit command that is not SMB is treated
+		// as the dropped payload.
+		if ev.Kind == KindEternalBlue || ev.Kind == KindEternalRomance {
+			ev.Payload = append(ev.Payload, msg...)
+			ev.Kind = KindPayloadDrop
+		}
+		return true
+	}
+	var resp []byte
+	switch msg[4] {
+	case CmdNegotiate:
+		ev.Dialect = t.s.cfg.Dialect
+		resp = buildNegotiateResponse(t.s.cfg.Dialect)
+	case CmdSessionSetup:
+		if ev.Kind == KindProbe {
+			ev.Kind = KindSessionSetup
+		}
+		resp = buildStatusResponse(msg[4], 0)
+	case CmdTransaction2:
+		ev.Kind = KindEternalBlue
+		// STATUS_NOT_IMPLEMENTED, like patched/low-interaction targets.
+		resp = buildStatusResponse(msg[4], 0xC0000002)
+	case CmdNTTransact:
+		ev.Kind = KindEternalRomance
+		resp = buildStatusResponse(msg[4], 0xC0000002)
+	default:
+		resp = buildStatusResponse(msg[4], 0xC0000002)
+	}
+	_, err := c.Write(netbiosFrame(resp))
+	return err == nil
 }
 
 // buildNegotiateResponse renders a minimal SMB1 negotiate response naming
@@ -243,9 +276,7 @@ func Probe(conn net.Conn, timeout time.Duration) (string, error) {
 	if _, err := conn.Write(BuildNegotiate("NT LM 0.12", "SMB 2.002")); err != nil {
 		return "", err
 	}
-	br := netsim.GetReader(conn)
-	defer netsim.PutReader(br)
-	msg, err := readNetbios(br, 1<<16)
+	msg, err := readNetbios(conn, 1<<16)
 	if err != nil {
 		return "", err
 	}

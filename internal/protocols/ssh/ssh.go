@@ -14,7 +14,6 @@
 package ssh
 
 import (
-	"context"
 	"net"
 	"strings"
 	"time"
@@ -75,14 +74,7 @@ func NewServer(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-// Serve implements netsim.StreamHandler by running the same state machine
-// NewStepper hands to the discrete-event engine over blocking reads.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	_ = conn.SetDeadline(time.Now().Add(15 * time.Second))
-	netsim.ServeStepper(ctx, conn, s.NewStepper())
-}
-
-// NewStepper implements netsim.StepProvider: a fresh per-session state
+// NewStepper implements netsim.StreamHandler: a fresh per-session state
 // machine for the conversation engine.
 func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 

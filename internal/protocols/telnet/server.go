@@ -1,7 +1,6 @@
 package telnet
 
 import (
-	"context"
 	"strings"
 	"time"
 
@@ -101,16 +100,7 @@ func (s *Server) expand(p string) string {
 	return strings.ReplaceAll(p, "%h", s.cfg.Hostname)
 }
 
-// Serve implements netsim.StreamHandler by driving the session state machine
-// over blocking reads — the same machine NewStepper hands to the discrete-
-// event engine, so both execution paths produce identical byte streams and
-// session events.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	netsim.ServeStepper(ctx, conn, s.NewStepper())
-}
-
-// NewStepper implements netsim.StepProvider: a fresh per-session state
+// NewStepper implements netsim.StreamHandler: a fresh per-session state
 // machine for the conversation engine.
 func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 

@@ -11,7 +11,6 @@
 package tr069
 
 import (
-	"context"
 	"net"
 	"time"
 
@@ -91,10 +90,9 @@ func NewServer(cfg Config) *Server {
 	return &Server{inner: inner}
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	s.inner.Serve(ctx, conn)
-}
+// NewStepper implements netsim.StreamHandler: the session is the inner HTTP
+// server's.
+func (s *Server) NewStepper() netsim.Stepper { return s.inner.NewStepper() }
 
 // ProbeResult is what a connection-request probe learns.
 type ProbeResult struct {

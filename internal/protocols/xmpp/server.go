@@ -2,7 +2,7 @@ package xmpp
 
 import (
 	"bufio"
-	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -68,37 +68,85 @@ func (s *Server) emit(ev Event) {
 	}
 }
 
-// Serve implements netsim.StreamHandler.
-func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
-	remote, _ := netsim.RemoteIPv4(conn)
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	r := netsim.GetReader(conn)
-	defer netsim.PutReader(r)
+// NewStepper implements netsim.StreamHandler.
+func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 
-	// Wait for the client's stream header.
-	if _, err := readElement(r, ">"); err != nil {
-		return
-	}
-	s.emit(Event{Time: conn.DialTime, Kind: EventStreamOpen, Remote: remote})
-	streamID := fmt.Sprintf("%s-%08x", s.cfg.Features.Software, uint32(remote))
-	if _, err := conn.Write([]byte(StreamResponse(s.cfg.Features, streamID))); err != nil {
-		return
-	}
+// serverStepper stages: the staged dialogue of an XMPP client session.
+const (
+	stStreamOpen uint8 = iota // awaiting the client's stream header
+	stSASL                    // features sent, awaiting <auth>
+	stStanzas                 // authenticated: IQ/message/presence stanzas
+)
 
-	// SASL exchange.
-	authed := false
-	for !authed {
-		el, err := readElement(r, "</auth>", "/>")
-		if err != nil {
-			return
+// Element terminators per stage. XMPP is a stream of XML fragments; exact
+// parsing is unnecessary for the study.
+var stageTerminators = [...][]string{
+	stStreamOpen: {">"},
+	stSASL:       {"</auth>", "/>"},
+	stStanzas:    {"/>", "</iq>", "</message>", "</presence>", "</stream:stream>"},
+}
+
+// maxStanzas closes a session after this many post-auth stanzas.
+const maxStanzas = 64
+
+// serverStepper is one XMPP session: stream open → SASL → stanzas.
+type serverStepper struct {
+	s       *Server
+	remote  netsim.IPv4
+	state   uint8
+	scanned int // input bytes already known not to end an element
+	stanzas int
+}
+
+// Step implements netsim.Stepper.
+func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		t.remote, _ = c.RemoteIP()
+		return netsim.StepMore
+	case netsim.EvData:
+		for {
+			in := c.Input()
+			n, err := scanElement(in, t.scanned, stageTerminators[t.state]...)
+			if err != nil {
+				return netsim.StepDone
+			}
+			if n == 0 {
+				t.scanned = len(in)
+				return netsim.StepMore
+			}
+			el := string(in[:n])
+			c.Consume(n)
+			t.scanned = 0
+			if t.handleElement(c, el) == netsim.StepDone {
+				return netsim.StepDone
+			}
 		}
+	default:
+		return netsim.StepDone
+	}
+}
+
+// handleElement advances the dialogue by one complete element.
+func (t *serverStepper) handleElement(c *netsim.ServerConv, el string) netsim.StepVerdict {
+	s := t.s
+	switch t.state {
+	case stStreamOpen:
+		s.emit(Event{Time: c.DialTime(), Kind: EventStreamOpen, Remote: t.remote})
+		streamID := fmt.Sprintf("%s-%08x", s.cfg.Features.Software, uint32(t.remote))
+		if _, err := c.Write([]byte(StreamResponse(s.cfg.Features, streamID))); err != nil {
+			return netsim.StepDone
+		}
+		t.state = stSASL
+
+	case stSASL:
 		if !strings.Contains(el, "<auth") {
-			continue
+			break
 		}
 		mech, user, pass, err := ParseAuth(el)
 		if err != nil {
-			_, _ = conn.Write([]byte(SASLFailure))
-			continue
+			_, _ = c.Write([]byte(SASLFailure))
+			break
 		}
 		ok := false
 		switch strings.ToUpper(mech) {
@@ -108,55 +156,73 @@ func (s *Server) Serve(ctx context.Context, conn *netsim.ServiceConn) {
 			want, exists := s.cfg.Credentials[user]
 			ok = exists && want == pass
 		}
-		s.emit(Event{Time: conn.DialTime, Kind: EventAuthAttempt, Remote: remote,
+		s.emit(Event{Time: c.DialTime(), Kind: EventAuthAttempt, Remote: t.remote,
 			Mechanism: mech, Username: user, Password: pass, Success: ok})
 		if ok {
-			_, _ = conn.Write([]byte(SASLSuccess))
-			authed = true
-		} else {
-			if _, err := conn.Write([]byte(SASLFailure)); err != nil {
-				return
-			}
+			_, _ = c.Write([]byte(SASLSuccess))
+			t.state = stStanzas
+		} else if _, err := c.Write([]byte(SASLFailure)); err != nil {
+			return netsim.StepDone
 		}
-	}
 
-	// Post-auth stanza loop.
-	for i := 0; i < 64; i++ {
-		el, err := readElement(r, "/>", "</iq>", "</message>", "</presence>", "</stream:stream>")
-		if err != nil {
-			return
-		}
+	case stStanzas:
 		if strings.Contains(el, "</stream:stream>") {
-			_, _ = conn.Write([]byte("</stream:stream>"))
-			return
+			_, _ = c.Write([]byte("</stream:stream>"))
+			return netsim.StepDone
 		}
-		s.emit(Event{Time: conn.DialTime, Kind: EventStanza, Remote: remote, Stanza: el})
+		s.emit(Event{Time: c.DialTime(), Kind: EventStanza, Remote: t.remote, Stanza: el})
 		if s.cfg.StanzaHandler != nil {
 			if resp := s.cfg.StanzaHandler(el); resp != "" {
-				if _, err := conn.Write([]byte(resp)); err != nil {
-					return
+				if _, err := c.Write([]byte(resp)); err != nil {
+					return netsim.StepDone
 				}
 			}
 		}
+		if t.stanzas++; t.stanzas >= maxStanzas {
+			return netsim.StepDone
+		}
 	}
+	return netsim.StepMore
 }
 
-// readElement accumulates bytes until any terminator appears. XMPP is a
-// stream of XML fragments; exact parsing is unnecessary for the study.
-func readElement(r *bufio.Reader, terminators ...string) (string, error) {
-	var sb strings.Builder
-	for sb.Len() < 64<<10 {
-		b, err := r.ReadByte()
-		if err != nil {
-			return sb.String(), err
-		}
-		sb.WriteByte(b)
-		s := sb.String()
+// maxElement bounds one accumulated element.
+const maxElement = 64 << 10
+
+// scanElement is the one element framer: it returns the length of the
+// shortest prefix of raw that ends in any terminator, or 0 when raw holds no
+// complete element yet. Prefixes no longer than from are known not to match
+// (the caller scanned them on an earlier call). An element that cannot end
+// within maxElement bytes is an error.
+func scanElement(raw []byte, from int, terminators ...string) (int, error) {
+	limit := len(raw)
+	if limit > maxElement {
+		limit = maxElement
+	}
+	for n := from + 1; n <= limit; n++ {
 		for _, term := range terminators {
-			if strings.HasSuffix(s, term) {
-				return s, nil
+			if n >= len(term) && string(raw[n-len(term):n]) == term {
+				return n, nil
 			}
 		}
 	}
-	return sb.String(), fmt.Errorf("xmpp: element too large")
+	if limit == maxElement {
+		return 0, errors.New("xmpp: element too large")
+	}
+	return 0, nil
+}
+
+// readElement is the blocking reader over scanElement: it accumulates bytes
+// until any terminator appears, never reading past it.
+func readElement(r *bufio.Reader, terminators ...string) (string, error) {
+	var buf []byte
+	for {
+		b, err := r.ReadByte()
+		if err != nil {
+			return string(buf), err
+		}
+		buf = append(buf, b)
+		if n, err := scanElement(buf, len(buf)-1, terminators...); n > 0 || err != nil {
+			return string(buf), err
+		}
+	}
 }

@@ -25,7 +25,8 @@
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers (seed corpus + 10 fresh inputs each) — skipped with --fast
+#      parsers and over the chunking invariance of all ten stream servers
+#      (seed corpus + 10 fresh inputs each) — skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests and
 #      the kill-and-resume sweep under the race detector — each leg binary
 #      killed at every registered crashpoint, resumed, and byte-compared
@@ -96,6 +97,7 @@ if [ "$FAST" = "0" ]; then
 	for target in FuzzReadPacket FuzzTopicMatches; do
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/protocols/mqtt/
 	done
+	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 	echo "==> bench smoke: campaign + conversation engine benchmarks, 1 iteration"
