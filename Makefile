@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the gate every PR must pass.
 
-.PHONY: check check-fast build test race chaos crash serve-smoke bench-scan bench-telescope bench-campaign bench-serve
+.PHONY: check check-fast build test race chaos crash serve-smoke bench bench-compare
 
 check:
 	./scripts/check.sh
@@ -39,11 +39,12 @@ chaos:
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint
-# sweep — each leg binary killed at every registered durable-state
+# sweep — each of the five binaries killed at every registered durable-state
 # transition, resumed, and byte-compared against an uninterrupted golden
-# run — all under the race detector.
+# run — plus the run harness's own tests (signal ladder, chain, manifest
+# epilogue), all under the race detector.
 crash:
-	go test -race -count=1 ./internal/checkpoint/...
+	go test -race -count=1 ./internal/checkpoint/... ./internal/cli/
 
 # serve-smoke drives openhire-serve end to end: golden run, kill/resume
 # byte-identity of the aggregates and time-series artifacts, the inspect
@@ -53,34 +54,14 @@ crash:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# bench-scan reproduces the hot-path numbers recorded in BENCH_scan.json.
-bench-scan:
-	go test -run '^$$' -bench 'BenchmarkProbeThroughput' -benchtime 3x ./internal/core/scan/
-	go test -run '^$$' -bench 'BenchmarkLookupHost|BenchmarkEmitNoObserver' ./internal/netsim/
+# bench runs the measurement spine (BENCHMARK.json): every workload, untraced
+# then traced, three runs each, into one record. bench-compare exits 1 when an
+# end-to-end metric of B is outside its bound relative to A:
+#   make bench OUT=before.json; ...; make bench OUT=after.json   (default .bench_build/bench.json)
+#   make bench-compare A=before.json B=after.json
+OUT ?= .bench_build/bench.json
+bench:
+	sh bench/run.sh -all -repeat 3 -out $(OUT)
 
-# bench-telescope reproduces the leg-3 numbers recorded in BENCH_telescope.json.
-bench-telescope:
-	go test -run '^$$' -bench 'BenchmarkDarknetDay|BenchmarkCampaignReplay' -benchtime 20x ./internal/attack/
-	go test -run '^$$' -bench 'BenchmarkTelescopeObserve|BenchmarkTelescopeRecord' ./internal/telescope/
-
-# bench-campaign reproduces the conversation-engine numbers recorded in
-# BENCH_campaign.json. Record the min over the repeated campaign runs — this
-# is a single-core host with wall-clock variance. `make bench-campaign
-# BENCHTIME=1x COUNT=1` is the one-iteration smoke scripts/check.sh --fast
-# runs to keep the benchmarks compiling and executing.
-BENCHTIME ?= 1s
-COUNT ?= 6
-bench-campaign:
-	go test -run '^$$' -bench 'BenchmarkCampaignReplay' -benchmem \
-		-benchtime $(BENCHTIME) -count $(COUNT) ./internal/attack/
-	go test -run '^$$' -bench 'BenchmarkConversationEngine' -benchmem \
-		-benchtime $(BENCHTIME) ./internal/netsim/
-
-# bench-serve reproduces the observatory numbers recorded in BENCH_serve.json:
-# the full daemon cycle (all three legs + tsdb sampling + checkpoint-free
-# commit) and the time-series store's append/publish/query hot path.
-bench-serve:
-	go test -run '^$$' -bench 'BenchmarkServeCycle' -benchmem \
-		-benchtime $(BENCHTIME) ./internal/serve/
-	go test -run '^$$' -bench 'BenchmarkTSDBAppendQuery|BenchmarkViewWalk' -benchmem \
-		-benchtime $(BENCHTIME) ./internal/obs/tsdb/
+bench-compare:
+	sh bench/run.sh -compare $(A) $(B)

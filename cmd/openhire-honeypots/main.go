@@ -4,45 +4,34 @@
 //
 // Usage:
 //
-//	openhire-honeypots [-seed N] [-intensity F] [-workers N] [-csv]
-//	                   [-checkpoint DIR] [-resume]
-//	                   [-debug-addr HOST:PORT] [-manifest FILE]
-//	                   [-trace FILE] [-trace-sample N]
-//	                   [-cpuprofile FILE] [-memprofile FILE]
+//	openhire-honeypots [-intensity F] [-workers N] [-csv] [-export DIR]
+//	                   [common, instrument and profile flags: see internal/cli]
 //
-// -trace writes the flight recorder's JSONL trace: campaign day boundaries
-// plus session open/command/close lifecycles derived per (source, honeypot,
-// protocol, day) from the canonical event log after the replay quiesces —
-// sources sampled by pure hash of seed and address (-trace-sample).
+// The commit point -checkpoint saves at and a signal drains to is the
+// campaign's OnDay barrier, once the day's jobs have drained and the fabric
+// quiesced: the state is the scheduler's position plus the canonical event
+// log.
 //
-// -checkpoint commits the campaign scheduler's position and the canonical
-// event log after every simulated day (at the OnDay barrier, once the day's
-// jobs have drained and the fabric quiesced); -resume continues a killed
-// replay from the last committed day. SIGINT/SIGTERM finish the in-flight
-// day, flush the reports accumulated so far, and exit 0 with the manifest
-// recording interrupted: true.
+// -trace records campaign day boundaries plus session open/command/close
+// lifecycles derived per (source, honeypot, protocol, day) from the canonical
+// event log after the replay quiesces, for hash-sampled sources.
 package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"openhire/internal/attack"
 	"openhire/internal/attack/malware"
 	"openhire/internal/checkpoint"
-	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
@@ -51,6 +40,14 @@ import (
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
 	"openhire/internal/obs/trace"
+)
+
+var (
+	run       = cli.New("openhire-honeypots", cli.Common|cli.Instruments|cli.Profiles)
+	intensity = flag.Float64("intensity", 1.0/16, "fraction of the paper's 200k events to replay")
+	workers   = flag.Int("workers", 128, "attack concurrency")
+	csvOut    = flag.Bool("csv", false, "emit the daily series as CSV")
+	export    = flag.String("export", "", "directory for daily JSONL event exports")
 )
 
 // honeypotCheckpoint is the attack leg's durable state, committed inside the
@@ -67,39 +64,11 @@ type honeypotCheckpoint struct {
 	// restoration is insensitive to append order for the same reason every
 	// log consumer is.
 	Events string `json:"events,omitempty"`
-	// TraceEvents is the flight recorder's dump at commit time.
-	TraceEvents []trace.SavedEvent `json:"trace_events,omitempty"`
-	// Checkpoints records every checkpoint committed before this one.
-	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
+	checkpoint.Chain
 }
 
 func main() {
-	var (
-		seed         = flag.Uint64("seed", 2021, "simulation seed")
-		intensity    = flag.Float64("intensity", 1.0/16, "fraction of the paper's 200k events to replay")
-		workers      = flag.Int("workers", 128, "attack concurrency")
-		csvOut       = flag.Bool("csv", false, "emit the daily series as CSV")
-		export       = flag.String("export", "", "directory for daily JSONL event exports")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the run is live")
-		manifestPath = flag.String("manifest", "", "write a JSON run manifest (seed, config, timings, counters, digests) to this file")
-		tracePath    = flag.String("trace", "", "write the flight recorder's JSONL lifecycle trace to this file")
-		traceSample  = flag.Uint64("trace-sample", 16, "trace one of every N source addresses (pure hash of seed+address; 1 = all)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the replay to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (post-GC live memory) to this file")
-		ckptDir      = flag.String("checkpoint", "", "checkpoint resumable replay state into this directory at every day boundary")
-		resume       = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint DIR (fresh start if none exists)")
-	)
-	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	run.Parse()
 
 	clock := netsim.NewSimClock(netsim.ExperimentStart)
 	network := netsim.NewNetwork(clock)
@@ -110,138 +79,79 @@ func main() {
 		fmt.Printf("  %-9s %-36s %s\n", hp.Name, hp.Profile, hp.IP)
 	}
 
-	// Observability stack: nil unless asked for; the campaign's OnDay hook
-	// and every registry call below are no-ops on the nil values, so a bare
-	// run is exactly the pre-obs binary.
-	var (
-		reg      *obs.Registry
-		tracer   *obs.Tracer
-		progress *obs.Progress
-	)
-	if *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(clock) // the campaign advances simulated time day by day
+	run.Start(clock, "honeypots", "day%02d") // the campaign advances simulated time day by day
+	reg, rec := run.Reg, run.Rec
+	var progress *obs.Progress
+	if reg != nil {
 		progress = obs.NewProgress(os.Stderr, "attack days", uint64(attack.ExperimentDays))
 	}
-	if *debugAddr != "" {
-		addr, _, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/\n", addr)
-	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder("openhire-honeypots", *seed, *traceSample)
-	}
 
-	// First SIGINT/SIGTERM stops the replay at a day boundary (checkpointed
-	// runs commit first), flushes the reports accumulated so far, and exits 0
-	// with interrupted:true in the manifest; a second one force-quits.
-	var interrupted atomic.Bool
-	ctx, cancelRun := context.WithCancel(context.Background())
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "interrupt: draining replay and flushing (^C again to force quit)")
-		interrupted.Store(true)
-		if *ckptDir == "" {
-			cancelRun() // checkpointed runs cancel inside OnDay, post-commit
-		}
-		<-sigCh
-		os.Exit(130)
-	}()
-
-	rdns := geo.NewRDNS(*seed)
-	gn := intel.NewGreyNoise(*seed, 0.81)
+	rdns := geo.NewRDNS(run.Seed)
+	gn := intel.NewGreyNoise(run.Seed, 0.81)
 	vt := intel.NewVirusTotal()
-	sources := attack.NewSources(*seed, nil, rdns, gn)
+	sources := attack.NewSources(run.Seed, nil, rdns, gn)
 
 	// Resume: reload the scheduler position, replay the committed days'
 	// events into the log (append order is free — every consumer works on
-	// time-major or canonical order), and restore the flight recorder and
-	// day gauges.
-	ckptState := &honeypotCheckpoint{}
+	// time-major or canonical order), and restore the day gauges.
+	st := &honeypotCheckpoint{}
 	var resumeState *attack.CampaignResume
-	if *resume {
-		recd, err := checkpoint.Load(*ckptDir, "honeypots", *seed, ckptState)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: a fresh start.
-		case err != nil:
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		default:
-			recd.Name = fmt.Sprintf("day%02d", len(ckptState.Checkpoints))
-			ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-			resumeState = &ckptState.Campaign
-			evs, err := honeypot.ImportJSONL(strings.NewReader(ckptState.Events))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "checkpoint events:", err)
-				os.Exit(1)
-			}
-			for _, ev := range evs {
-				log.Append(ev)
-			}
-			ckptState.Events = ""
-			rec.RestoreEvents(ckptState.TraceEvents)
-			ckptState.TraceEvents = nil
-			if d := resumeState.NextDay; d > 0 {
-				reg.SetGauge("campaign.day", float64(d-1))
-				reg.SetGauge("campaign.events_planned", float64(resumeState.EventsPlanned))
-				reg.SetGauge("campaign.events_run", float64(resumeState.EventsRun))
-				progress.Add(uint64(d))
-			}
-			fmt.Fprintf(os.Stderr, "resumed at day %02d with %s events\n",
-				resumeState.NextDay, report.Comma(log.Len()))
+	if run.Resume(st) {
+		resumeState = &st.Campaign
+		evs, err := honeypot.ImportJSONL(strings.NewReader(st.Events))
+		if err != nil {
+			cli.Check(fmt.Errorf("checkpoint events: %w", err))
 		}
+		for _, ev := range evs {
+			log.Append(ev)
+		}
+		st.Events = ""
+		if d := resumeState.NextDay; d > 0 {
+			reg.SetGauge("campaign.day", float64(d-1))
+			reg.SetGauge("campaign.events_planned", float64(resumeState.EventsPlanned))
+			reg.SetGauge("campaign.events_run", float64(resumeState.EventsRun))
+			progress.Add(uint64(d))
+		}
+		fmt.Fprintf(os.Stderr, "resumed at day %02d with %s events\n",
+			resumeState.NextDay, report.Comma(log.Len()))
 	}
 
-	baseHook := dayHook(reg, progress, rec)
+	// The day-boundary hook: live gauges, a progress tick and a trace record
+	// on an instrumented run, then the commit on a checkpointed one. A bare
+	// run passes nil and keeps the campaign on its documented no-hook path.
 	var campaign *attack.Campaign
-	onDay := baseHook
-	if *ckptDir != "" {
-		// Commit at the OnDay barrier: the scheduler is single-threaded here,
-		// the day's jobs have drained, and the fabric has quiesced, so the
-		// scheduler position plus the canonical log is the complete state.
-		onDay = func(day, planned, run int) {
-			if baseHook != nil {
-				baseHook(day, planned, run)
+	var onDay func(day, planned, done int)
+	if reg != nil || run.Checkpointing() {
+		onDay = func(day, planned, done int) {
+			reg.SetGauge("campaign.day", float64(day))
+			reg.SetGauge("campaign.events_planned", float64(planned))
+			reg.SetGauge("campaign.events_run", float64(done))
+			trace.CampaignDayEvent(rec, day, planned, done)
+			progress.Add(1)
+			if !run.Checkpointing() {
+				return
 			}
-			ckptState.Campaign = campaign.SchedulerState(day, planned, run)
+			// The scheduler is single-threaded here, the day's jobs have
+			// drained, and the fabric has quiesced, so the scheduler position
+			// plus the canonical log is the complete state.
+			st.Campaign = campaign.SchedulerState(day, planned, done)
 			canonical := log.Events()
 			honeypot.SortEventsCanonical(canonical)
 			var buf bytes.Buffer
-			if err := honeypot.ExportJSONL(&buf, canonical); err != nil {
-				fmt.Fprintln(os.Stderr, "checkpoint:", err)
-				os.Exit(1)
-			}
-			ckptState.Events = buf.String()
-			ckptState.TraceEvents = rec.DumpEvents()
-			name := fmt.Sprintf("day%02d", len(ckptState.Checkpoints))
-			recd, err := checkpoint.Save(*ckptDir, "honeypots", name, *seed, ckptState)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "checkpoint:", err)
-				os.Exit(1)
-			}
-			ckptState.Events = ""
-			ckptState.TraceEvents = nil
-			ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
+			cli.Check(honeypot.ExportJSONL(&buf, canonical))
+			st.Events = buf.String()
+			run.Stopped(run.Commit(st)) // an interrupted commit cancels the run context
+			st.Events = ""
 			crashpoint.Here(crashpoint.SiteCampaignDayCommit)
-			if interrupted.Load() {
-				cancelRun() // state is durable; stop before the next day
-			}
 		}
 	}
 
 	campaign = attack.NewCampaign(attack.CampaignConfig{
-		Seed:       *seed,
+		Seed:       run.Seed,
 		Network:    network,
 		Honeypots:  pots,
 		Sources:    sources,
-		Corpus:     malware.NewCorpus(*seed, nil),
+		Corpus:     malware.NewCorpus(run.Seed, nil),
 		Intensity:  *intensity,
 		Workers:    *workers,
 		Clock:      clock,
@@ -252,8 +162,8 @@ func main() {
 		Resume:     resumeState,
 	})
 	fmt.Printf("\nreplaying attack month at intensity %.4f ...\n", *intensity)
-	span := tracer.Start("attack_month")
-	stats := campaign.Run(ctx)
+	span := run.Tracer.Start("attack_month")
+	stats := campaign.Run(run.Context())
 	span.End()
 	progress.Done()
 	campaign.RegisterIntel()
@@ -262,10 +172,7 @@ func main() {
 		report.Comma(stats.EventsRun), stats.Elapsed.Round(1000000))
 	// Profiles cover exactly the replay: the CPU capture stops (and the live
 	// heap is written) before the reporting tail below.
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	run.StopProfiles()
 
 	events := log.Events()
 	// Sessions are derived from the quiesced log's canonical order — the
@@ -277,17 +184,9 @@ func main() {
 		// in the manifest alongside the counters.
 		reg.Observe("honeypot.event_time_of_day", ev.Time.Sub(netsim.ExperimentStart)%(24*time.Hour))
 	}
-	outputDigests := make(map[string]string)
 	if *export != "" {
-		var digests map[string]string
-		if *manifestPath != "" {
-			digests = outputDigests
-		}
-		if err := exportDaily(*export, events, digests); err != nil {
-			fmt.Fprintln(os.Stderr, "export:", err)
-			os.Exit(1)
-		}
-	} else if *manifestPath != "" {
+		cli.Check(exportDaily(*export, events))
+	} else if reg != nil {
 		// No files requested: digest the canonical JSONL stream anyway so
 		// two manifests can still be compared on event content. The stream
 		// must be digested in canonical (content) order, not the log's
@@ -296,12 +195,9 @@ func main() {
 		canonical := make([]honeypot.Event, len(events))
 		copy(canonical, events)
 		honeypot.SortEventsCanonical(canonical)
-		dw := obs.NewDigestWriter()
-		if err := honeypot.ExportJSONL(dw, canonical); err != nil {
-			fmt.Fprintln(os.Stderr, "digest:", err)
-			os.Exit(1)
-		}
-		outputDigests["events.jsonl"] = dw.Sum()
+		var buf bytes.Buffer
+		cli.Check(honeypot.ExportJSONL(&buf, canonical))
+		run.AddOutput("events.jsonl", obs.Digest(buf.Bytes()))
 	}
 	counts := honeypot.CountByHoneypotProtocol(events)
 	uniq := honeypot.UniqueSourcesByHoneypot(events)
@@ -367,51 +263,7 @@ func main() {
 	printStages(ms)
 	reg.Add("honeypot.multistage", uint64(len(ms)))
 
-	if rec != nil {
-		digest, err := rec.WriteFile(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		outputDigests[*tracePath] = digest
-		crashpoint.Here(crashpoint.SiteHoneypotTraceWritten)
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *tracePath, rec.Len())
-	}
-
-	if *manifestPath != "" {
-		m := obs.NewManifest("openhire-honeypots", *seed)
-		m.RecordFlags(flag.CommandLine)
-		m.FromTracer(tracer)
-		m.FromRegistry(reg)
-		m.Checkpoints = ckptState.Checkpoints
-		m.Interrupted = interrupted.Load()
-		for name, digest := range outputDigests {
-			m.AddOutput(name, digest)
-		}
-		if err := m.WriteFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		crashpoint.Here(crashpoint.SiteHoneypotManifestWritten)
-		fmt.Fprintf(os.Stderr, "manifest written to %s\n", *manifestPath)
-	}
-}
-
-// dayHook builds the campaign's day-boundary callback: live gauges, a
-// progress tick, and a trace record. Nil registry, reporter and recorder
-// make it a pure no-op, but a nil func keeps the campaign on its documented
-// no-hook path.
-func dayHook(reg *obs.Registry, progress *obs.Progress, rec *trace.Recorder) func(day, planned, run int) {
-	if reg == nil && progress == nil && rec == nil {
-		return nil
-	}
-	return func(day, planned, run int) {
-		reg.SetGauge("campaign.day", float64(day))
-		reg.SetGauge("campaign.events_planned", float64(planned))
-		reg.SetGauge("campaign.events_run", float64(run))
-		trace.CampaignDayEvent(rec, day, planned, run)
-		progress.Add(1)
-	}
+	run.Finish(crashpoint.SiteHoneypotTraceWritten, crashpoint.SiteHoneypotManifestWritten)
 }
 
 // exportDaily writes one JSONL file per simulated day, the paper's daily
@@ -419,9 +271,9 @@ func dayHook(reg *obs.Registry, progress *obs.Progress, rec *trace.Recorder) fun
 // canonical (content) order: the log's arrival order is scheduling noise,
 // and exporting it verbatim made the day files — and their manifest digests
 // — differ between two same-seed runs.
-func exportDaily(dir string, events []honeypot.Event, digests map[string]string) error {
+func exportDaily(dir string, events []honeypot.Event) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return fmt.Errorf("export: %w", err)
 	}
 	canonical := make([]honeypot.Event, len(events))
 	copy(canonical, events)
@@ -429,21 +281,11 @@ func exportDaily(dir string, events []honeypot.Event, digests map[string]string)
 	byDay, keys := honeypot.PartitionByDay(canonical)
 	for _, day := range keys {
 		path := filepath.Join(dir, "attacks-"+day+".jsonl")
-		var dw *obs.DigestWriter
-		if digests != nil {
-			dw = obs.NewDigestWriter()
-		}
-		err := atomicio.WriteFile(path, func(w io.Writer) error {
-			if dw != nil {
-				w = io.MultiWriter(w, dw)
-			}
+		_, err := run.WriteArtifact(path, func(w io.Writer) error {
 			return honeypot.ExportJSONL(w, byDay[day])
 		})
 		if err != nil {
-			return err
-		}
-		if dw != nil {
-			digests[path] = dw.Sum()
+			return fmt.Errorf("export: %w", err)
 		}
 		crashpoint.Here(crashpoint.SiteHoneypotExportWritten)
 	}

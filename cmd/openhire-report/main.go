@@ -4,32 +4,31 @@
 //
 // Usage:
 //
-//	openhire-report [-seed N] [-quick] [-only ID[,ID...]]
-//	                [-checkpoint DIR] [-resume]
-//	                [-debug-addr HOST:PORT] [-manifest FILE]
-//	                [-trace FILE] [-trace-sample N]
+//	openhire-report [-quick] [-only ID[,ID...]]
+//	                [common and instrument flags: see internal/cli]
 //
-// -trace writes the flight recorder's JSONL trace covering whichever phases
-// the selected experiments forced: probe lifecycles for the scan leg (live,
-// via the world's OnProbe hook), classification outcomes, honeypot sessions
-// and telescope flow ingests (derived from the quiesced logs) — targets
-// sampled by pure hash of seed and address (-trace-sample).
+// The commit point is the end of an experiment: -checkpoint saves the
+// finished artifacts, -resume reprints them verbatim and runs only the
+// remaining experiments, and a signal stops before the next one. An
+// instrumented resume also re-forces the world phases the cached experiments
+// had forced, in their original order, so the trace and manifest match an
+// uninterrupted run's.
 //
-// -checkpoint commits each experiment's finished artifact; -resume reprints
-// the committed artifacts verbatim and runs only the remaining experiments.
-// Resume guarantees artifact identity — the manifest's phase list covers
-// only the phases the resumed process itself forced (lazily re-forced where
-// the counters tail needs them).
+// -trace covers whichever phases the selected experiments forced: probe
+// lifecycles for the scan leg (live, via the world's OnProbe hook),
+// classification outcomes, honeypot sessions and telescope flow ingests
+// (derived from the quiesced logs), for hash-sampled addresses.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"openhire/internal/checkpoint"
+	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/expr"
 	"openhire/internal/honeypot"
@@ -37,70 +36,35 @@ import (
 	"openhire/internal/obs/trace"
 )
 
+var (
+	run   = cli.New("openhire-report", cli.Common|cli.Instruments)
+	quick = flag.Bool("quick", false, "use the small fast world")
+	only  = flag.String("only", "", "comma-separated experiment ids (default: all)")
+)
+
 // reportCheckpoint caches the experiments completed so far. The world's
-// phases are derivable (and lazily re-forced on demand), so the durable
-// state is just the rendered results plus the phase names that ran.
+// phases are derivable, so the durable state is just the rendered results
+// plus the names of the phases that ran.
 type reportCheckpoint struct {
 	// Done holds completed experiments' results in run order.
 	Done []expr.Result `json:"done,omitempty"`
-	// Phases are the tracer span names observed before the checkpoint, so a
-	// resumed run's counters tail still covers phases it never re-forced.
+	// Phases are the tracer span names observed before the checkpoint, in
+	// completion order — the order a resumed run re-forces them in.
 	Phases []string `json:"phases,omitempty"`
-	// Checkpoints records every checkpoint committed before this one.
-	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
+	checkpoint.Chain
+}
+
+// phases maps a tracer span name to the world method that forces it.
+var phases = map[string]func(*expr.World){
+	"scan":             func(w *expr.World) { w.RunScan() },
+	"filter_honeypots": func(w *expr.World) { w.FilterHoneypots() },
+	"classify":         func(w *expr.World) { w.Classify() },
+	"attack_month":     func(w *expr.World) { w.RunAttackMonth() },
+	"telescope":        func(w *expr.World) { w.RunTelescope() },
 }
 
 func main() {
-	var (
-		seed         = flag.Uint64("seed", 2021, "simulation seed")
-		quick        = flag.Bool("quick", false, "use the small fast world")
-		only         = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the run is live")
-		manifestPath = flag.String("manifest", "", "write a JSON run manifest (seed, config, timings, counters, digests) to this file")
-		tracePath    = flag.String("trace", "", "write the flight recorder's JSONL lifecycle trace to this file")
-		traceSample  = flag.Uint64("trace-sample", 16, "trace one of every N target addresses (pure hash of seed+address; 1 = all)")
-		ckptDir      = flag.String("checkpoint", "", "checkpoint completed experiments into this directory")
-		resume       = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint DIR (fresh start if none exists)")
-	)
-	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-
-	cfg := expr.DefaultConfig()
-	if *quick {
-		cfg = expr.QuickConfig()
-	}
-	cfg.Seed = *seed
-	world := expr.BuildWorld(cfg)
-
-	// Observability stack: nil unless asked for. The world's phase methods
-	// call only nil-safe tracer methods, so a bare run does the same work
-	// as before the instrumentation existed.
-	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
-	)
-	if *debugAddr != "" || *manifestPath != "" || *tracePath != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(world.Clock)
-		world.Trace = tracer
-	}
-	if *debugAddr != "" {
-		addr, _, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/\n", addr)
-	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder("openhire-report", *seed, *traceSample)
-		world.OnProbe = trace.ScanProbeHook(rec, world.Network, cfg.ScannerSource)
-	}
-
+	run.Parse()
 	var selected []expr.Experiment
 	if *only == "" {
 		selected = expr.All()
@@ -108,47 +72,62 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			e, ok := expr.Find(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", id)
+				known := make([]string, 0, len(expr.All()))
 				for _, e := range expr.All() {
-					fmt.Fprintf(os.Stderr, " %s", e.ID)
+					known = append(known, e.ID)
 				}
-				fmt.Fprintln(os.Stderr)
-				os.Exit(2)
+				cli.Usage(fmt.Errorf("unknown experiment %q; known: %s", id, strings.Join(known, " ")))
 			}
 			selected = append(selected, e)
 		}
 	}
 
+	cfg := expr.DefaultConfig()
+	if *quick {
+		cfg = expr.QuickConfig()
+	}
+	cfg.Seed = run.Seed
+	world := expr.BuildWorld(cfg)
+
+	// The world's phase methods call only nil-safe tracer methods and a nil
+	// recorder yields a nil probe hook, so a bare run does the same work as
+	// before the instrumentation existed.
+	run.Start(world.Clock, "report", "exp%02d")
+	world.Trace = run.Tracer
+	world.OnProbe = trace.ScanProbeHook(run.Rec, world.Network, cfg.ScannerSource)
+
 	fmt.Printf("world: universe %s boost %.0fx (scale 1/%.0f), attack intensity %.4f, telescope scale %.2g\n",
 		cfg.UniversePrefix, cfg.DensityBoost, world.ScaleFactor(),
 		cfg.AttackIntensity, cfg.TelescopeScale)
 
-	ckptState := &reportCheckpoint{}
-	if *resume {
-		recd, err := checkpoint.Load(*ckptDir, "report", *seed, ckptState)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: a fresh start.
-		case err != nil:
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		default:
-			recd.Name = fmt.Sprintf("exp%02d", len(ckptState.Checkpoints))
-			ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-			fmt.Fprintf(os.Stderr, "resumed with %d experiment(s) cached\n", len(ckptState.Done))
+	st := &reportCheckpoint{}
+	if run.Resume(st) {
+		fmt.Fprintf(os.Stderr, "resumed with %d experiment(s) cached\n", len(st.Done))
+		if run.Reg != nil {
+			// The restored recorder already holds the killed run's probe
+			// events (a scan completes inside one experiment), so a re-forced
+			// scan must not record them again.
+			hook := world.OnProbe
+			for _, name := range st.Phases {
+				if name == "scan" {
+					world.OnProbe = nil
+				}
+				if force := phases[name]; force != nil {
+					force(world)
+				}
+			}
+			world.OnProbe = hook
 		}
 	}
-	cached := make(map[string]*expr.Result, len(ckptState.Done))
-	for i := range ckptState.Done {
-		cached[ckptState.Done[i].ID] = &ckptState.Done[i]
-	}
-	phaseSet := make(map[string]bool, len(ckptState.Phases))
-	for _, name := range ckptState.Phases {
-		phaseSet[name] = true
+	cached := make(map[string]*expr.Result, len(st.Done))
+	for i := range st.Done {
+		cached[st.Done[i].ID] = &st.Done[i]
 	}
 
-	outputDigests := make(map[string]string)
 	for _, e := range selected {
+		if run.Interrupted() {
+			break
+		}
 		fmt.Printf("\n================ %s — %s ================\n\n", e.ID, e.Title)
 		var res expr.Result
 		if c, ok := cached[e.ID]; ok {
@@ -160,85 +139,44 @@ func main() {
 		if len(res.Comparisons) > 0 {
 			_ = report.RenderComparisons(os.Stdout, "paper vs measured", res.Comparisons)
 		}
-		if *manifestPath != "" {
-			outputDigests["artifact:"+e.ID] = obs.Digest([]byte(res.Artifact))
-		}
-		if *ckptDir != "" && cached[e.ID] == nil {
-			ckptState.Done = append(ckptState.Done, res)
-			for _, sp := range tracer.Spans() {
-				phaseSet[sp.Name] = true
+		run.AddOutput("artifact:"+e.ID, obs.Digest([]byte(res.Artifact)))
+		if run.Checkpointing() && cached[e.ID] == nil {
+			st.Done = append(st.Done, res)
+			st.Phases = st.Phases[:0]
+			for _, sp := range run.Tracer.Spans() {
+				st.Phases = append(st.Phases, sp.Name)
 			}
-			ckptState.Phases = report.SortedKeys(phaseSet)
-			name := fmt.Sprintf("exp%02d", len(ckptState.Checkpoints))
-			recd, err := checkpoint.Save(*ckptDir, "report", name, *seed, ckptState)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
+			run.Stopped(run.Commit(st)) // the loop head honours the interrupt
+			crashpoint.Here(crashpoint.SiteReportExperimentCommit)
 		}
 	}
 
 	// The world caches each phase and the tracer names the ones that actually
 	// ran, so counters and derived trace events cover exactly the phases the
 	// experiments forced — the reads below are free, and phases that never
-	// ran stay out of the artifacts. A resumed run unions in the phases the
-	// killed run had forced; reading their counters below lazily re-forces
-	// the corresponding world phase (deterministic, so the numbers match).
+	// ran stay out of the artifacts.
 	ran := make(map[string]bool)
-	for _, sp := range tracer.Spans() {
+	for _, sp := range run.Tracer.Spans() {
 		ran[sp.Name] = true
 	}
-	for name := range phaseSet {
-		ran[name] = true
+	if ran["scan"] {
+		_, stats := world.RunScan()
+		for proto, st := range stats {
+			run.Reg.AddAll("scan."+string(proto), st.Counters())
+		}
 	}
-	if rec != nil {
-		if ran["classify"] {
-			findings, _ := world.Classify()
-			trace.ClassifiedEvents(rec, findings)
-		}
-		if ran["attack_month"] {
-			trace.SessionEvents(rec, world.Log.Events())
-		}
-		if ran["telescope"] {
-			trace.FlowEvents(rec, world.Telescope.Flows())
-		}
-		digest, err := rec.WriteFile(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		outputDigests[*tracePath] = digest
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *tracePath, rec.Len())
+	if ran["classify"] {
+		findings, _ := world.Classify()
+		trace.ClassifiedEvents(run.Rec, findings)
 	}
-
-	if *manifestPath != "" {
-		if ran["scan"] {
-			_, stats := world.RunScan()
-			for proto, st := range stats {
-				reg.AddAll("scan."+string(proto), st.Counters())
-			}
-		}
-		if ran["attack_month"] {
-			reg.AddAll("campaign", world.RunAttackMonth().Counters())
-			reg.AddAll("honeypot", honeypot.EventCounters(world.Log.Events()))
-		}
-		if ran["telescope"] {
-			world.RunTelescope() // re-force on resume; cached otherwise
-			reg.AddAll("telescope", world.Telescope.Stats().Counters())
-		}
-		m := obs.NewManifest("openhire-report", *seed)
-		m.RecordFlags(flag.CommandLine)
-		m.FromTracer(tracer)
-		m.FromRegistry(reg)
-		m.Checkpoints = ckptState.Checkpoints
-		for name, digest := range outputDigests {
-			m.AddOutput(name, digest)
-		}
-		if err := m.WriteFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "manifest written to %s\n", *manifestPath)
+	if ran["attack_month"] {
+		trace.SessionEvents(run.Rec, world.Log.Events())
+		run.Reg.AddAll("campaign", world.RunAttackMonth().Counters())
+		run.Reg.AddAll("honeypot", honeypot.EventCounters(world.Log.Events()))
 	}
+	if ran["telescope"] {
+		trace.FlowEvents(run.Rec, world.Telescope.Flows())
+		run.Reg.AddAll("telescope", world.Telescope.Stats().Counters())
+	}
+	run.Finish(crashpoint.SiteReportTraceWritten, crashpoint.SiteReportManifestWritten)
 }

@@ -5,56 +5,40 @@
 //
 // Usage:
 //
-//	openhire-scan [-seed N] [-prefix CIDR] [-boost F] [-workers N]
-//	              [-protocol P] [-rate N] [-show-honeypots]
+//	openhire-scan [-prefix CIDR] [-boost F] [-workers N] [-protocol P]
+//	              [-rate N] [-extended] [-show-honeypots] [-verify-honeypots]
+//	              [-out FILE] [-in FILE] [-checkpoint-every N]
 //	              [-faults PROFILE] [-max-attempts N] [-probe-timeout D]
 //	              [-target-budget D] [-breaker-threshold N]
-//	              [-debug-addr HOST:PORT] [-manifest FILE]
-//	              [-trace FILE] [-trace-sample N]
-//	              [-checkpoint DIR] [-resume] [-checkpoint-every N]
+//	              [common and instrument flags: see internal/cli]
 //
 // Every run goes through the scanner's one driver, scan.Scanner.Run: the
 // modules are swept in sequence, each with the whole -workers budget.
 // -checkpoint only adds a commit hook to that call, which saves the resumable
 // scan state (permutation cursor, breaker hits, per-module stats and results)
-// into DIR at every segment of -checkpoint-every targets; without it each
-// module is one segment. -resume continues a killed run from the last commit,
-// and the final artifacts are byte-identical to an uninterrupted run.
-// -rate throttles every transmission on either path. SIGINT/SIGTERM stops a
-// checkpointed run at its next commit and cancels a plain one mid-sweep;
-// both flush the partial artifacts with `interrupted: true` in the manifest
-// and exit 0.
+// at every segment of -checkpoint-every targets; without it each module is
+// one segment, and the final artifacts are byte-identical either way. -rate
+// throttles every transmission on either path.
 //
 // The robustness knobs (-max-attempts, -probe-timeout, -target-budget,
 // -breaker-threshold) only engage on a faulted fabric: without -faults the
 // scanner probes every target exactly once and the knobs are inert, so
 // setting one without -faults prints a warning on stderr.
 //
-// -debug-addr serves /metrics, /debug/vars and /debug/pprof while the run
-// is live; -manifest writes a machine-readable run record (seed, resolved
-// flags, phase timings, counters, output digests) on exit; -trace writes
-// the flight recorder's JSONL lifecycle trace (sent/answered/timeout/
-// retransmit/abandoned/classified per sampled target, sampled by pure hash
-// of seed and address — see -trace-sample). All observe through the
-// existing per-worker stat shards and pure-function hooks, so instrumented
-// runs stay byte-identical to bare ones.
+// -trace records sent/answered/timeout/retransmit/abandoned/classified per
+// hash-sampled target address.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sort"
-	"sync/atomic"
-	"syscall"
 
 	"openhire/internal/checkpoint"
-	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/cli"
 	"openhire/internal/core/classify"
 	"openhire/internal/core/fingerprint"
 	"openhire/internal/core/report"
@@ -68,83 +52,56 @@ import (
 	"openhire/internal/obs/trace"
 )
 
-// scanCheckpoint is the scan leg's durable state: the segmented scanner's
-// position and outputs, the flight recorder's events so far, and the records
-// of every checkpoint committed before this one (a file cannot carry its own
-// digest; the runner reconstructs the current record from the file bytes).
-type scanCheckpoint struct {
-	Scan        *scan.SegmentedState   `json:"scan"`
-	TraceEvents []trace.SavedEvent     `json:"trace_events,omitempty"`
-	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
-}
+var (
+	run           = cli.New("openhire-scan", cli.Common|cli.Instruments)
+	prefixStr     = flag.String("prefix", "100.0.0.0/14", "universe prefix to scan")
+	boost         = flag.Float64("boost", 16, "population density boost")
+	workers       = flag.Int("workers", 128, "probe concurrency")
+	protocol      = flag.String("protocol", "", "scan a single protocol (telnet|mqtt|coap|amqp|xmpp|upnp)")
+	rate          = flag.Int("rate", 0, "probes per second (0 = unthrottled)")
+	showHoneypots = flag.Bool("show-honeypots", false, "list detected honeypot instances")
+	extended      = flag.Bool("extended", false, "also scan the future-work protocols (tr069, smb)")
+	verifyPots    = flag.Bool("verify-honeypots", false, "confirm banner detections with the active deviation probe")
+	out           = flag.String("out", "", "save raw scan results as JSON Lines")
+	in            = flag.String("in", "", "skip scanning; analyze a previously saved result file")
+	faultSpec     = flag.String("faults", "", "network fault profile: zero|calibrated|harsh plus key=value overrides (e.g. calibrated,synloss=0.05)")
+	maxAttempts   = flag.Int("max-attempts", 0, "probe transmissions per target (requires -faults; 0 = default 3)")
+	probeTimeout  = flag.Duration("probe-timeout", 0, "per-attempt simulated patience (requires -faults; 0 = default 500ms)")
+	targetBudget  = flag.Duration("target-budget", 0, "simulated spend cap per target across attempts (requires -faults; 0 = default 4s)")
+	breakerThresh = flag.Int("breaker-threshold", 0, "admin-prohibited hits per /24 before the breaker skips it (requires -faults; 0 = default 8)")
+	ckptEvery     = flag.Int("checkpoint-every", scan.DefaultSegmentTargets, "targets per segment between checkpoint commits (with -checkpoint)")
+)
 
-// watchSignals converts the first SIGINT/SIGTERM into a graceful-shutdown
-// request (flag set + optional context cancel) and force-exits on the
-// second, so a wedged drain can still be killed from the terminal.
-func watchSignals(interrupted *atomic.Bool, cancel context.CancelFunc) {
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		fmt.Fprintln(os.Stderr, "interrupt: draining workers and flushing (^C again to force quit)")
-		interrupted.Store(true)
-		if cancel != nil {
-			cancel()
-		}
-		<-ch
-		os.Exit(130)
-	}()
+// scanCheckpoint is the scan leg's durable state: the segmented scanner's
+// position and outputs, then the chain.
+type scanCheckpoint struct {
+	Scan *scan.SegmentedState `json:"scan"`
+	checkpoint.Chain
 }
 
 func main() {
-	var (
-		seed          = flag.Uint64("seed", 2021, "simulation seed")
-		prefixStr     = flag.String("prefix", "100.0.0.0/14", "universe prefix to scan")
-		boost         = flag.Float64("boost", 16, "population density boost")
-		workers       = flag.Int("workers", 128, "probe concurrency")
-		protocol      = flag.String("protocol", "", "scan a single protocol (telnet|mqtt|coap|amqp|xmpp|upnp)")
-		rate          = flag.Int("rate", 0, "probes per second (0 = unthrottled)")
-		showHoneypots = flag.Bool("show-honeypots", false, "list detected honeypot instances")
-		extended      = flag.Bool("extended", false, "also scan the future-work protocols (tr069, smb)")
-		verifyPots    = flag.Bool("verify-honeypots", false, "confirm banner detections with the active deviation probe")
-		out           = flag.String("out", "", "save raw scan results as JSON Lines")
-		in            = flag.String("in", "", "skip scanning; analyze a previously saved result file")
-		faultSpec     = flag.String("faults", "", "network fault profile: zero|calibrated|harsh plus key=value overrides (e.g. calibrated,synloss=0.05)")
-		maxAttempts   = flag.Int("max-attempts", 0, "probe transmissions per target (requires -faults; 0 = default 3)")
-		probeTimeout  = flag.Duration("probe-timeout", 0, "per-attempt simulated patience (requires -faults; 0 = default 500ms)")
-		targetBudget  = flag.Duration("target-budget", 0, "simulated spend cap per target across attempts (requires -faults; 0 = default 4s)")
-		breakerThresh = flag.Int("breaker-threshold", 0, "admin-prohibited hits per /24 before the breaker skips it (requires -faults; 0 = default 8)")
-		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the run is live")
-		manifestPath  = flag.String("manifest", "", "write a JSON run manifest (seed, config, timings, counters, digests) to this file")
-		tracePath     = flag.String("trace", "", "write the flight recorder's JSONL lifecycle trace to this file")
-		traceSample   = flag.Uint64("trace-sample", 16, "trace one of every N target addresses (pure hash of seed+address; 1 = all)")
-		ckptDir       = flag.String("checkpoint", "", "checkpoint resumable scan state into this directory at every segment commit")
-		resume        = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint DIR (fresh start if none exists)")
-		ckptEvery     = flag.Int("checkpoint-every", scan.DefaultSegmentTargets, "targets per segment between checkpoint commits (with -checkpoint)")
-	)
-	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-
+	run.Parse()
 	prefix, err := netsim.ParsePrefix(*prefixStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	cli.Usage(err)
+	profile, err := faults.Parse(*faultSpec)
+	cli.Usage(err)
+	modules := scan.AllModules()
+	if *extended {
+		modules = append(modules, scan.ExtendedModules()...)
+	}
+	if *protocol != "" {
+		m, ok := scan.ModuleFor(iot.Protocol(*protocol))
+		if !ok {
+			cli.Usage(fmt.Errorf("unknown protocol %q", *protocol))
+		}
+		modules = []scan.ProbeModule{m}
 	}
 
 	universe := iot.NewUniverse(iot.UniverseConfig{
-		Seed: *seed, Prefix: prefix, DensityBoost: *boost,
+		Seed: run.Seed, Prefix: prefix, DensityBoost: *boost,
 	})
 	network := netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart))
 	network.AddProvider(prefix, universe)
-
-	profile, err := faults.Parse(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	// New returns nil for a disabled profile; installing nothing keeps the
 	// no-fault fast path and its byte-identical output.
 	if model := faults.New(profile); model != nil {
@@ -156,49 +113,14 @@ func main() {
 			" on a perfect fabric every target is probed exactly once")
 	}
 
-	// Observability stack: nil unless asked for, and the nil values are
-	// no-ops everywhere they are threaded, so a bare run does exactly the
-	// same work as before the instrumentation existed.
-	var (
-		reg      *obs.Registry
-		tracer   *obs.Tracer
-		progress *obs.Progress
-	)
-	if *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(nil) // the scan does not advance simulated time
-	}
-	if *debugAddr != "" {
-		addr, _, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/\n", addr)
-	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder("openhire-scan", *seed, *traceSample)
-	}
-
-	modules := scan.AllModules()
-	if *extended {
-		modules = append(modules, scan.ExtendedModules()...)
-	}
-	if *protocol != "" {
-		m, ok := scan.ModuleFor(iot.Protocol(*protocol))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protocol)
-			os.Exit(2)
-		}
-		modules = []scan.ProbeModule{m}
-	}
+	run.Start(nil, "scan", "seg%04d") // the scan does not advance simulated time
+	reg := run.Reg
 
 	scanCfg := scan.Config{
 		Network:          network,
 		Source:           netsim.MustParseIPv4("130.226.0.1"),
 		Prefix:           prefix,
-		Seed:             *seed,
+		Seed:             run.Seed,
 		Workers:          *workers,
 		RatePerSec:       *rate,
 		MaxAttempts:      *maxAttempts,
@@ -206,6 +128,7 @@ func main() {
 		TargetBudget:     *targetBudget,
 		BreakerThreshold: *breakerThresh,
 	}
+	var progress *obs.Progress
 	if reg != nil {
 		// The hook rides the feed goroutine: one registry add and one
 		// throttled stderr line per target batch (256 targets at most), off
@@ -223,40 +146,16 @@ func main() {
 	// The probe hook records lifecycle events for hash-sampled targets into
 	// the recorder's shards; nil recorder means nil hook and the scanner's
 	// documented no-hook path.
-	scanCfg.OnProbe = trace.ScanProbeHook(rec, network, scanCfg.Source)
+	scanCfg.OnProbe = trace.ScanProbeHook(run.Rec, network, scanCfg.Source)
 	scanner := scan.NewScanner(scanCfg)
-
-	outputDigests := make(map[string]string)
-
-	// First SIGINT/SIGTERM requests a graceful drain: a plain run cancels
-	// the scan context (feed stops, workers drain), a checkpointed run stops
-	// at the next segment commit with state already durable. Either way the
-	// binary flushes partial artifacts, records interrupted:true in the
-	// manifest, and exits 0.
-	var interrupted atomic.Bool
-	ctx, cancelScan := context.WithCancel(context.Background())
-	if *ckptDir != "" {
-		watchSignals(&interrupted, nil)
-	} else {
-		watchSignals(&interrupted, cancelScan)
-	}
-	defer cancelScan()
-
-	ckptState := &scanCheckpoint{}
 
 	var results map[iot.Protocol][]*scan.Result
 	if *in != "" {
 		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.Check(err)
 		db, err := store.Load(f)
 		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.Check(err)
 		results = make(map[iot.Protocol][]*scan.Result)
 		for _, p := range db.Protocols() {
 			results[p] = db.ByProtocol(p)
@@ -265,34 +164,20 @@ func main() {
 	} else {
 		fmt.Printf("scanning %s (%s addresses, boost %.0fx, scale 1/%.0f)\n",
 			prefix, report.Comma(int(prefix.Size())), *boost, universe.ScaleFactor())
-		span := tracer.Start("scan")
-		// -resume requires -checkpoint, so a plain run never has a state.
+		span := run.Tracer.Start("scan")
+		ckptState := &scanCheckpoint{}
 		var resumeState *scan.SegmentedState
-		if *resume {
-			recd, err := checkpoint.Load(*ckptDir, "scan", *seed, ckptState)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				// No checkpoint yet: a fresh start.
-			case err != nil:
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			default:
-				recd.Name = fmt.Sprintf("seg%04d", len(ckptState.Checkpoints))
-				ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-				resumeState = ckptState.Scan
-				rec.RestoreEvents(ckptState.TraceEvents)
-				ckptState.TraceEvents = nil
-				// Seed only when the killed run actually fed targets:
-				// Progress never fires for empty segments, so an
-				// unconditional Add would mint a counter key the
-				// uninterrupted run does not have.
-				if reg != nil && resumeState != nil && resumeState.TargetsFed > 0 {
-					reg.Add("scan.targets_fed", resumeState.TargetsFed)
-					progress.Add(resumeState.TargetsFed)
-				}
-				fmt.Fprintf(os.Stderr, "resumed at module %d (%s targets done)\n",
-					resumeState.Module, report.Comma(int(resumeState.TargetsFed)))
+		if run.Resume(ckptState) {
+			resumeState = ckptState.Scan
+			// Seed only when the killed run actually fed targets: Progress
+			// never fires for empty segments, so an unconditional Add would
+			// mint a counter key the uninterrupted run does not have.
+			if reg != nil && resumeState.TargetsFed > 0 {
+				reg.Add("scan.targets_fed", resumeState.TargetsFed)
+				progress.Add(resumeState.TargetsFed)
 			}
+			fmt.Fprintf(os.Stderr, "resumed at module %d (%s targets done)\n",
+				resumeState.Module, report.Comma(int(resumeState.TargetsFed)))
 		}
 		// One driver either way: without -checkpoint there is no commit hook
 		// and each module is swept as a single segment; with it the hook
@@ -300,41 +185,31 @@ func main() {
 		// byte-identical (probes are pure per-target, breaker decisions ride
 		// the single-threaded feed, results sort by (IP, Port)).
 		var onCommit func(*scan.SegmentedState) error
-		if *ckptDir != "" {
+		if run.Checkpointing() {
 			lastModule := 0
 			if resumeState != nil {
 				lastModule = resumeState.Module
 			}
 			onCommit = func(st *scan.SegmentedState) error {
 				ckptState.Scan = st
-				ckptState.TraceEvents = rec.DumpEvents()
-				name := fmt.Sprintf("seg%04d", len(ckptState.Checkpoints))
-				recd, err := checkpoint.Save(*ckptDir, "scan", name, *seed, ckptState)
-				if err != nil {
-					return err
-				}
-				ckptState.TraceEvents = nil
-				ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
+				stop := run.Stopped(run.Commit(ckptState))
 				crashpoint.Here(crashpoint.SiteScanSegmentCommit)
 				if st.Module > lastModule {
 					lastModule = st.Module
 					crashpoint.Here(crashpoint.SiteScanModuleDone)
 				}
-				if interrupted.Load() {
+				if stop {
 					return checkpoint.ErrInterrupted
 				}
 				return nil
 			}
 		}
 		var stats map[iot.Protocol]scan.Stats
-		results, stats, err = scanner.Run(ctx, modules, resumeState, *ckptEvery, onCommit)
+		results, stats, err = scanner.Run(run.Context(), modules, resumeState, *ckptEvery, onCommit)
 		// A graceful interrupt is not a failure: the hook stops a
-		// checkpointed run at a commit, a canceled context stops a plain one,
-		// and both hand back what was gathered for the partial flush.
-		if err != nil && !errors.Is(err, checkpoint.ErrInterrupted) && !errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		// checkpointed run at a commit, the cancelled context stops a plain
+		// one, and both hand back what was gathered for the partial flush.
+		run.Stopped(err)
 		span.End()
 		progress.Done()
 		for _, m := range modules {
@@ -378,29 +253,14 @@ func main() {
 				db.Insert(r)
 			}
 		}
-		var dw *obs.DigestWriter
-		if *manifestPath != "" {
-			dw = obs.NewDigestWriter()
-		}
-		err = atomicio.WriteFile(*out, func(w io.Writer) error {
-			if dw != nil {
-				w = io.MultiWriter(w, dw)
-			}
-			return db.Save(w)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if dw != nil {
-			outputDigests[*out] = dw.Sum()
-		}
+		_, err = run.WriteArtifact(*out, func(w io.Writer) error { return db.Save(w) })
+		cli.Check(err)
 		crashpoint.Here(crashpoint.SiteScanResultsWritten)
 		fmt.Printf("saved %s records to %s\n", report.Comma(db.Len()), *out)
 	}
 
 	// Honeypot filtering (Table 6).
-	span := tracer.Start("analyze")
+	span := run.Tracer.Start("analyze")
 	var allFindings []classify.Finding
 	var detections []fingerprint.Detection
 	for _, m := range modules {
@@ -420,8 +280,8 @@ func main() {
 			}
 		}
 		if *verifyPots {
-			confirmed, disputed := fingerprint.VerifyDetections(context.Background(),
-				network, netsim.MustParseIPv4("130.226.0.1"), detections, 0)
+			confirmed, disputed := fingerprint.VerifyDetections(run.Context(),
+				network, scanCfg.Source, detections, 0)
 			fmt.Printf("active verification: %d confirmed, %d disputed\n",
 				len(confirmed), len(disputed))
 		}
@@ -457,7 +317,7 @@ func main() {
 	_ = mis.Render(os.Stdout)
 
 	// Country distribution (Table 10).
-	geodb := geo.NewDB(*seed, nil)
+	geodb := geo.NewDB(run.Seed, nil)
 	var misIPs []netsim.IPv4
 	for _, f := range allFindings {
 		if f.Misconfigured() {
@@ -476,38 +336,10 @@ func main() {
 	}
 	span.End()
 
-	// Classification closes the scan leg's lifecycle in the trace, then the
-	// artifact is flushed (canonical order, digest into the manifest).
-	trace.ClassifiedEvents(rec, allFindings)
-	if rec != nil {
-		digest, err := rec.WriteFile(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		outputDigests[*tracePath] = digest
-		crashpoint.Here(crashpoint.SiteScanTraceWritten)
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *tracePath, rec.Len())
-	}
-
-	if *manifestPath != "" {
-		reg.Add("classify.findings", uint64(len(allFindings)))
-		reg.Add("classify.misconfigured", uint64(summary.TotalMisconfigured))
-		reg.Add("fingerprint.honeypots", uint64(len(detections)))
-		m := obs.NewManifest("openhire-scan", *seed)
-		m.RecordFlags(flag.CommandLine)
-		m.FromTracer(tracer)
-		m.FromRegistry(reg)
-		m.Checkpoints = ckptState.Checkpoints
-		m.Interrupted = interrupted.Load()
-		for name, digest := range outputDigests {
-			m.AddOutput(name, digest)
-		}
-		if err := m.WriteFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		crashpoint.Here(crashpoint.SiteScanManifestWritten)
-		fmt.Fprintf(os.Stderr, "manifest written to %s\n", *manifestPath)
-	}
+	// Classification closes the scan leg's lifecycle in the trace.
+	trace.ClassifiedEvents(run.Rec, allFindings)
+	reg.Add("classify.findings", uint64(len(allFindings)))
+	reg.Add("classify.misconfigured", uint64(summary.TotalMisconfigured))
+	reg.Add("fingerprint.honeypots", uint64(len(detections)))
+	run.Finish(crashpoint.SiteScanTraceWritten, crashpoint.SiteScanManifestWritten)
 }

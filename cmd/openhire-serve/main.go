@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	openhire-serve [-seed N] [-prefix CIDR] [-boost F] [-workers N]
-//	               [-intensity F] [-scale F]
+//	openhire-serve [-prefix CIDR] [-boost F] [-workers N] [-intensity F] [-scale F]
 //	               [-cycles N] [-segments-per-cycle N] [-segment-targets N]
 //	               [-addr HOST:PORT]
-//	               [-checkpoint DIR] [-resume]
 //	               [-telescope-dir DIR] [-tsdb-retention N] [-no-tsdb]
-//	               [-out FILE] [-tsdb-out FILE] [-manifest FILE]
+//	               [-out FILE] [-tsdb-out FILE]
+//	               [common flags: see internal/cli]
 //
 // One cycle is one simulated day; every 30 cycles close an attack month and
 // reseed it. -cycles bounds the TOTAL completed-cycle count (0 = run until
@@ -21,71 +20,61 @@
 // /metrics and /debug/pprof while the daemon runs — handlers read immutable
 // published snapshots, so scrape load cannot perturb the measurement.
 //
-// -checkpoint commits the daemon's durable state after every cycle;
-// -resume continues a killed daemon from the last committed cycle.
+// The commit point is the cycle boundary: the Loop commits every cycle to
+// -checkpoint itself, and a signal stops at the next boundary.
 // -telescope-dir persists each cycle's telescope capture as rotated hourly
 // CSV files; -tsdb-out writes the observatory's sim-deterministic time-series
 // state on exit (readable by openhire-inspect timeline); -no-tsdb disables
-// the observatory entirely. SIGINT/SIGTERM stop at the next cycle boundary,
-// write -out/-tsdb-out/-manifest, and exit 0. For a given (seed, config,
-// watermark), API responses, the -out aggregates, the -tsdb-out state and
-// the hourly capture files are byte-identical across runs, worker counts and
-// kill/resume.
+// the observatory entirely. For a given (seed, config, watermark), API
+// responses, the -out aggregates, the -tsdb-out state and the hourly capture
+// files are byte-identical across runs, worker counts and kill/resume.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/cli"
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
 	"openhire/internal/serve"
 )
 
-func main() {
-	var (
-		seed      = flag.Uint64("seed", 2021, "simulation seed")
-		prefixStr = flag.String("prefix", "100.0.0.0/14", "prefix to scan and source attacks from")
-		boost     = flag.Float64("boost", 16, "universe density boost")
-		workers   = flag.Int("workers", 64, "per-leg concurrency")
-		intensity = flag.Float64("intensity", 1.0/16, "fraction of the paper's attack events per month")
-		scale     = flag.Float64("scale", 1.0/8192, "telescope volume scale")
-		cycles    = flag.Int("cycles", 0, "stop after this many total completed cycles (0 = run until signalled)")
-		segsPer   = flag.Int("segments-per-cycle", serve.DefaultSegmentsPerCycle, "scan segment commits drained per cycle")
-		segTgts   = flag.Int("segment-targets", 0, "scan targets per segment (0 = scanner default)")
-		addr      = flag.String("addr", "", "serve the query API on this address (\"\" = no listener)")
-		ckptDir   = flag.String("checkpoint", "", "checkpoint daemon state into this directory every cycle")
-		resume    = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint DIR (fresh start if none exists)")
-		telDir    = flag.String("telescope-dir", "", "persist each cycle's telescope capture as hourly CSV files under this directory")
-		tsdbKeep  = flag.Int("tsdb-retention", 0, "time-series raw retention window in cycles (0 = default)")
-		noTSDB    = flag.Bool("no-tsdb", false, "disable the time-series observatory")
-		outPath   = flag.String("out", "", "write the final aggregates JSON to this file on exit")
-		tsdbOut   = flag.String("tsdb-out", "", "write the sim time-series state JSON to this file on exit")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest to this file on exit")
-	)
-	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-	prefix, err := netsim.ParsePrefix(*prefixStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+var (
+	run       = cli.New("openhire-serve", cli.Common)
+	prefixStr = flag.String("prefix", "100.0.0.0/14", "prefix to scan and source attacks from")
+	boost     = flag.Float64("boost", 16, "universe density boost")
+	workers   = flag.Int("workers", 64, "per-leg concurrency")
+	intensity = flag.Float64("intensity", 1.0/16, "fraction of the paper's attack events per month")
+	scale     = flag.Float64("scale", 1.0/8192, "telescope volume scale")
+	cycles    = flag.Int("cycles", 0, "stop after this many total completed cycles (0 = run until signalled)")
+	segsPer   = flag.Int("segments-per-cycle", serve.DefaultSegmentsPerCycle, "scan segment commits drained per cycle")
+	segTgts   = flag.Int("segment-targets", 0, "scan targets per segment (0 = scanner default)")
+	addr      = flag.String("addr", "", "serve the query API on this address (\"\" = no listener)")
+	telDir    = flag.String("telescope-dir", "", "persist each cycle's telescope capture as hourly CSV files under this directory")
+	tsdbKeep  = flag.Int("tsdb-retention", 0, "time-series raw retention window in cycles (0 = default)")
+	noTSDB    = flag.Bool("no-tsdb", false, "disable the time-series observatory")
+	outPath   = flag.String("out", "", "write the final aggregates JSON to this file on exit")
+	tsdbOut   = flag.String("tsdb-out", "", "write the sim time-series state JSON to this file on exit")
+)
 
-	var reg *obs.Registry
-	if *addr != "" || *manifest != "" {
-		reg = obs.NewRegistry()
+func main() {
+	run.Parse()
+	prefix, err := netsim.ParsePrefix(*prefixStr)
+	cli.Usage(err)
+
+	// No leg: the Loop owns the serve checkpoint chain, so the first signal
+	// cancels the context and Run returns at the next cycle boundary (the
+	// in-flight cycle always commits, so checkpoint and API stay coherent).
+	run.Start(nil, "", "")
+	if *addr != "" && run.Reg == nil {
+		run.Reg = obs.NewRegistry()
 	}
 	loop := serve.New(serve.Config{
-		Seed:             *seed,
+		Seed:             run.Seed,
 		Prefix:           prefix,
 		Boost:            *boost,
 		Workers:          *workers,
@@ -93,12 +82,12 @@ func main() {
 		Scale:            *scale,
 		SegmentsPerCycle: *segsPer,
 		SegmentTargets:   *segTgts,
-		CheckpointDir:    *ckptDir,
-		Resume:           *resume,
+		CheckpointDir:    run.CheckpointDir,
+		Resume:           run.Resuming,
 		TelescopeDir:     *telDir,
 		TSDBDisabled:     *noTSDB,
 		TSDBRetention:    *tsdbKeep,
-		Registry:         reg,
+		Registry:         run.Reg,
 		OnPublish: func(s *serve.Published) {
 			fmt.Fprintf(os.Stderr, "cycle %d committed: sweep %d (%d complete), %d attack events, %d telescope flows\n",
 				s.Watermark.Cycle, s.Watermark.Sweep, s.Watermark.SweepsComplete,
@@ -106,99 +95,50 @@ func main() {
 		},
 	})
 
-	if *resume {
+	if run.Resuming {
 		found, err := loop.Restore()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.Check(err)
 		if found {
 			fmt.Fprintf(os.Stderr, "resumed at cycle %d\n", loop.Cycle())
 		}
 	}
 
 	if *addr != "" {
-		bound, closer, err := obs.StartServer(*addr, serve.NewMux(loop.Publisher(), reg, loop.Observatory()))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		bound, closer, err := obs.StartServer(*addr, serve.NewMux(loop.Publisher(), run.Reg, loop.Observatory()))
+		cli.Check(err)
 		defer func() { _ = closer() }()
 		fmt.Fprintf(os.Stderr, "query API on http://%s/\n", bound)
 	}
 
-	// First SIGINT/SIGTERM stops at the next cycle boundary (the in-flight
-	// cycle always commits, so checkpoint and API stay coherent); a second
-	// one force-quits.
-	ctx, cancel := context.WithCancel(context.Background())
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	interrupted := false
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-sigCh:
-		case <-done:
-			return
-		}
-		fmt.Fprintln(os.Stderr, "interrupt: finishing cycle and flushing (^C again to force quit)")
-		interrupted = true
-		cancel()
-		<-sigCh
-		os.Exit(130)
-	}()
+	cli.Check(loop.Run(run.Context(), *cycles))
 
-	if err := loop.Run(ctx, *cycles); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	close(done)
-
-	outputs := make(map[string]string)
 	if *outPath != "" {
 		data, err := loop.AggregatesJSON()
-		if err == nil {
-			err = atomicio.WriteFileBytes(*outPath, data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		outputs["aggregates.json"] = obs.Digest(data)
+		cli.Check(err)
+		cli.Check(writeBytes(*outPath, data))
 		crashpoint.Here(crashpoint.SiteServeAggregatesWritten)
 		fmt.Fprintf(os.Stderr, "aggregates written to %s\n", *outPath)
 	}
 	if *tsdbOut != "" && loop.Observatory() != nil {
 		data, err := loop.Observatory().Sim.MarshalState()
-		if err == nil {
-			err = atomicio.WriteFileBytes(*tsdbOut, data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		outputs["timeseries.json"] = obs.Digest(data)
+		cli.Check(err)
+		cli.Check(writeBytes(*tsdbOut, data))
 		crashpoint.Here(crashpoint.SiteServeTimeseriesWritten)
 		fmt.Fprintf(os.Stderr, "time series written to %s\n", *tsdbOut)
 	}
-	if *manifest != "" {
-		m := obs.NewManifest("openhire-serve", *seed)
-		m.RecordFlags(flag.CommandLine)
-		m.FromRegistry(reg)
-		m.Checkpoints = loop.Checkpoints()
-		m.Interrupted = interrupted
-		for name, digest := range outputs {
-			m.AddOutput(name, digest)
-		}
-		for name, digest := range loop.TelescopeFiles() {
-			m.AddOutput("telescope/"+name, digest)
-		}
-		if err := m.WriteFile(*manifest); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		crashpoint.Here(crashpoint.SiteServeManifestWritten)
-		fmt.Fprintf(os.Stderr, "manifest written to %s\n", *manifest)
+	run.Checkpoints = loop.Checkpoints()
+	for name, digest := range loop.TelescopeFiles() {
+		run.AddOutput("telescope/"+name, digest)
 	}
+	run.Finish("", crashpoint.SiteServeManifestWritten)
 	fmt.Printf("stopped after %d cycles\n", loop.Cycle())
+}
+
+// writeBytes writes one already-rendered artifact through the harness.
+func writeBytes(path string, data []byte) error {
+	_, err := run.WriteArtifact(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
 }

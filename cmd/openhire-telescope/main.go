@@ -4,11 +4,8 @@
 //
 // Usage:
 //
-//	openhire-telescope [-seed N] [-scale F] [-days N] [-workers N] [-out FILE] [-format csv|bin]
-//	                   [-checkpoint DIR] [-resume]
-//	                   [-debug-addr HOST:PORT] [-manifest FILE]
-//	                   [-trace FILE] [-trace-sample N]
-//	                   [-cpuprofile FILE] [-memprofile FILE]
+//	openhire-telescope [-scale F] [-days N] [-workers N] [-out FILE] [-format csv|bin]
+//	                   [common, instrument and profile flags: see internal/cli]
 //	openhire-telescope -rotate [-days N] [-out FILE]
 //	openhire-telescope -parse FILE
 //
@@ -18,33 +15,26 @@
 //
 // Generation proceeds day by day (each day's unit streams and ordinals are
 // identical to the all-at-once fan-out, so the capture is byte-identical);
-// -checkpoint commits the resumable state after every day, and -resume
-// continues a killed run from the last committed day. SIGINT/SIGTERM drain
-// the current day, flush partial artifacts, and exit 0 with the manifest
-// recording interrupted: true.
+// the day boundary is the commit point -checkpoint saves at and a signal
+// drains to.
 //
-// -trace writes the flight recorder's JSONL trace: one darknet.unit record
-// per finished (protocol, day) generation unit, one flow.rotate record per
-// -rotate day cut, and flow.ingest records for sources sampled by pure hash
-// of seed and address (-trace-sample), derived from the finished capture.
+// -trace records one darknet.unit event per finished (protocol, day)
+// generation unit, one flow.rotate per -rotate day cut, and flow.ingest for
+// hash-sampled sources, derived from the finished capture.
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"openhire/internal/attack"
 	"openhire/internal/checkpoint"
-	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/geo"
 	"openhire/internal/iot"
@@ -52,6 +42,17 @@ import (
 	"openhire/internal/obs"
 	"openhire/internal/obs/trace"
 	"openhire/internal/telescope"
+)
+
+var (
+	run     = cli.New("openhire-telescope", cli.Common|cli.Instruments|cli.Profiles)
+	scale   = flag.Float64("scale", 1.0/8192, "fraction of the paper's telescope volume")
+	days    = flag.Int("days", 1, "days of traffic to generate")
+	workers = flag.Int("workers", 0, "generation workers (0 = all CPUs)")
+	out     = flag.String("out", "", "write FlowTuple records to this file")
+	format  = flag.String("format", "csv", "output format: csv or bin")
+	parse   = flag.String("parse", "", "parse a FlowTuple CSV file instead of generating")
+	rotate  = flag.Bool("rotate", false, "cut the capture per day (drain + per-day files)")
 )
 
 // telescopeCheckpoint is the telescope leg's durable state, committed at
@@ -71,10 +72,7 @@ type telescopeCheckpoint struct {
 	Units []unitRecord `json:"units,omitempty"`
 	// DayDigests carries the already-written -rotate day files' digests.
 	DayDigests map[string]string `json:"day_digests,omitempty"`
-	// TraceEvents is the flight recorder's dump at commit time.
-	TraceEvents []trace.SavedEvent `json:"trace_events,omitempty"`
-	// Checkpoints records every checkpoint committed before this one.
-	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
+	checkpoint.Chain
 }
 
 // unitRecord is one completed (protocol, day) generation unit.
@@ -85,94 +83,31 @@ type unitRecord struct {
 }
 
 func main() {
-	var (
-		seed         = flag.Uint64("seed", 2021, "simulation seed")
-		scale        = flag.Float64("scale", 1.0/8192, "fraction of the paper's telescope volume")
-		days         = flag.Int("days", 1, "days of traffic to generate")
-		workers      = flag.Int("workers", 0, "generation workers (0 = all CPUs)")
-		out          = flag.String("out", "", "write FlowTuple records to this file")
-		format       = flag.String("format", "csv", "output format: csv or bin")
-		parse        = flag.String("parse", "", "parse a FlowTuple CSV file instead of generating")
-		rotate       = flag.Bool("rotate", false, "cut the capture per day (drain + per-day files)")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the run is live")
-		manifestPath = flag.String("manifest", "", "write a JSON run manifest (seed, config, timings, counters, digests) to this file")
-		tracePath    = flag.String("trace", "", "write the flight recorder's JSONL lifecycle trace to this file")
-		traceSample  = flag.Uint64("trace-sample", 16, "trace one of every N source addresses (pure hash of seed+address; 1 = all)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the generation to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (post-GC live memory) to this file")
-		ckptDir      = flag.String("checkpoint", "", "checkpoint resumable capture state into this directory at every day boundary")
-		resume       = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint DIR (fresh start if none exists)")
-	)
-	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-
+	run.Parse()
 	if *parse != "" {
 		parseFile(*parse)
 		return
 	}
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	// Observability stack: nil unless asked for; every hook below is a
-	// no-op on the nil values, so a bare run is exactly the pre-obs binary.
-	var (
-		reg      *obs.Registry
-		tracer   *obs.Tracer
-		progress *obs.Progress
-	)
-	if *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(nil) // flow timestamps are synthetic, no sim clock
+	run.Start(nil, "telescope", "day%02d") // flow timestamps are synthetic, no sim clock
+	reg, rec := run.Reg, run.Rec
+	var progress *obs.Progress
+	if reg != nil {
 		progress = obs.NewProgress(os.Stderr, "generation units", 0)
 	}
-	if *debugAddr != "" {
-		addr, _, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/\n", addr)
-	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder("openhire-telescope", *seed, *traceSample)
-	}
-	outputDigests := make(map[string]string)
-
-	// First SIGINT/SIGTERM finishes the in-flight day, flushes everything
-	// accumulated so far, and exits 0 with interrupted:true in the manifest;
-	// a second one force-quits.
-	var interrupted atomic.Bool
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "interrupt: draining current day and flushing (^C again to force quit)")
-		interrupted.Store(true)
-		<-sigCh
-		os.Exit(130)
-	}()
 
 	prefix := netsim.MustParsePrefix("44.0.0.0/8")
-	geodb := geo.NewDB(*seed, nil)
+	geodb := geo.NewDB(run.Seed, nil)
 	tel := telescope.New(prefix, geodb)
-	ckptState := &telescopeCheckpoint{}
+	st := &telescopeCheckpoint{}
 	cfg := attack.DarknetConfig{
-		Seed:      *seed,
+		Seed:      run.Seed,
 		Telescope: tel,
 		GeoDB:     geodb,
 		Scale:     *scale,
 		Days:      *days,
 		Workers:   *workers,
 	}
-	if reg != nil || rec != nil || *ckptDir != "" {
+	if reg != nil || run.Checkpointing() {
 		// Reported once per finished (protocol, day) unit after the worker
 		// pool joins — never from inside the generation hot path. Registry,
 		// reporter and recorder are all nil-safe.
@@ -181,159 +116,89 @@ func main() {
 			reg.Add("darknet.units", 1)
 			trace.DarknetUnitEvent(rec, proto, day, flows)
 			progress.Add(1)
-			if *ckptDir != "" {
-				ckptState.Units = append(ckptState.Units,
-					unitRecord{Proto: string(proto), Day: day, Flows: flows})
+			if run.Checkpointing() {
+				st.Units = append(st.Units, unitRecord{Proto: string(proto), Day: day, Flows: flows})
 			}
 		}
 	}
 	gen := attack.NewDarknetGenerator(cfg)
 	fmt.Printf("generating %d day(s) of telescope traffic at scale %.2g ...\n", *days, *scale)
 
-	// Resume: reload the capture, replay the completed units' registry and
-	// progress effects, and restore the flight recorder. The generator needs
-	// nothing — unit streams are derived per (protocol, day).
-	startDay := 0
-	if *resume {
-		recd, err := checkpoint.Load(*ckptDir, "telescope", *seed, ckptState)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: a fresh start.
-		case err != nil:
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		default:
-			recd.Name = fmt.Sprintf("day%02d", len(ckptState.Checkpoints))
-			ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-			startDay = ckptState.NextDay
-			if ckptState.Table != nil {
-				tel.Restore(*ckptState.Table)
-				ckptState.Table = nil
-			}
-			for _, u := range ckptState.Units {
-				reg.Add("darknet."+u.Proto+".flows", uint64(u.Flows))
-				reg.Add("darknet.units", 1)
-				progress.Add(1)
-			}
-			rec.RestoreEvents(ckptState.TraceEvents)
-			ckptState.TraceEvents = nil
-			for path, digest := range ckptState.DayDigests {
-				outputDigests[path] = digest
-			}
-			fmt.Fprintf(os.Stderr, "resumed at day %02d\n", startDay)
+	// Resume: reload the capture and replay the completed units' registry
+	// and progress effects. The generator needs nothing — unit streams are
+	// derived per (protocol, day).
+	if run.Resume(st) {
+		if st.Table != nil {
+			tel.Restore(*st.Table)
+			st.Table = nil
 		}
+		for _, u := range st.Units {
+			reg.Add("darknet."+u.Proto+".flows", uint64(u.Flows))
+			reg.Add("darknet.units", 1)
+			progress.Add(1)
+		}
+		for path, digest := range st.DayDigests {
+			run.AddOutput(path, digest)
+		}
+		fmt.Fprintf(os.Stderr, "resumed at day %02d\n", st.NextDay)
 	}
 
-	// commitDay persists the state after a day boundary and honours a
-	// pending interrupt once the state is durable.
-	commitDay := func(nextDay int) error {
-		if *ckptDir == "" {
-			if interrupted.Load() {
-				return checkpoint.ErrInterrupted
-			}
-			return nil
-		}
-		ckptState.NextDay = nextDay
-		if !*rotate {
+	// commitDay is the day boundary: the state is saved (with -checkpoint)
+	// and a pending interrupt honoured once it is durable.
+	commitDay := func(nextDay int) (stop bool) {
+		st.NextDay = nextDay
+		if run.Checkpointing() && !*rotate {
 			dump := tel.Dump()
-			ckptState.Table = &dump
+			st.Table = &dump
 		}
-		ckptState.TraceEvents = rec.DumpEvents()
-		name := fmt.Sprintf("day%02d", len(ckptState.Checkpoints))
-		recd, err := checkpoint.Save(*ckptDir, "telescope", name, *seed, ckptState)
-		if err != nil {
-			return err
+		stop = run.Stopped(run.Commit(st))
+		st.Table = nil
+		if run.Checkpointing() {
+			crashpoint.Here(crashpoint.SiteTelescopeDayCommit)
 		}
-		ckptState.Table = nil
-		ckptState.TraceEvents = nil
-		ckptState.Checkpoints = append(ckptState.Checkpoints, recd)
-		crashpoint.Here(crashpoint.SiteTelescopeDayCommit)
-		if interrupted.Load() {
-			return checkpoint.ErrInterrupted
-		}
-		return nil
+		return stop
 	}
 
-	wasInterrupted := false
+	var all []*telescope.FlowTuple
 	if *rotate {
-		wasInterrupted = runRotated(gen, tel, startDay, *days, *out, *format,
-			ckptState, commitDay, reg, tracer, rec, outputDigests)
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		all = runRotated(gen, tel, st, commitDay)
 	} else {
 		// Day-by-day generation inside one span: RunDay(0..Days-1) emits
 		// exactly Run's flow set (same unit streams and ordinals), and unit
 		// completion order per protocol is ascending days either way, so the
 		// capture, registry and trace are byte-identical to the all-at-once
 		// fan-out — with a drain point per day for checkpoints and signals.
-		span := tracer.Start("generate")
-		flows := 0
-		for _, u := range ckptState.Units {
-			flows += u.Flows
-		}
-		for day := startDay; day < *days; day++ {
-			flows += gen.RunDay(day)
-			if err := commitDay(day + 1); err != nil {
-				if errors.Is(err, checkpoint.ErrInterrupted) {
-					wasInterrupted = true
-					break
-				}
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		span := run.Tracer.Start("generate")
+		for day := st.NextDay; day < *days; day++ {
+			gen.RunDay(day)
+			if commitDay(day + 1) {
+				break
 			}
 		}
 		span.End()
-		// Profiles cover exactly the generation: the CPU capture stops (and
-		// the live heap is written) before the aggregation and dump tail.
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("captured %s aggregated flows\n", report.Comma(tel.Len()))
-
-		all := tel.Flows()
-		observeFlows(reg, all)
-		trace.FlowEvents(rec, all)
-		t8 := report.NewTable("\nTelescope traffic by protocol", "Protocol", "Packets", "Flows", "Unique IPs")
-		for _, s := range telescope.AggregateByProtocol(all) {
-			t8.AddRow(string(s.Protocol), s.Packets, s.Flows, s.UniqueIPs)
-		}
-		_ = t8.Render(os.Stdout)
-
-		if *out != "" {
-			digest, err := writeFlowFile(*out, *format, all, *manifestPath != "")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if digest != "" {
-				outputDigests[*out] = digest
-			}
-			crashpoint.Here(crashpoint.SiteTelescopeFileWritten)
-			fmt.Printf("\nwrote %s records to %s (%s)\n", report.Comma(len(all)), *out, *format)
-		}
+		all = tel.Flows()
 	}
-	writeTrace(rec, *tracePath, outputDigests)
-	writeManifest(*manifestPath, *seed, reg, tracer, outputDigests,
-		ckptState.Checkpoints, wasInterrupted || interrupted.Load())
+	// Profiles cover exactly the generation: the CPU capture stops (and the
+	// live heap is written) before the aggregation and dump tail.
+	run.StopProfiles()
+
+	observeFlows(reg, all)
+	trace.FlowEvents(rec, all)
+	t8 := report.NewTable("\nTelescope traffic by protocol", "Protocol", "Packets", "Flows", "Unique IPs")
+	for _, s := range telescope.AggregateByProtocol(all) {
+		t8.AddRow(string(s.Protocol), s.Packets, s.Flows, s.UniqueIPs)
+	}
+	_ = t8.Render(os.Stdout)
+
+	if *out != "" && !*rotate {
+		_, err := writeFlowFile(*out, all)
+		cli.Check(err)
+		crashpoint.Here(crashpoint.SiteTelescopeFileWritten)
+		fmt.Printf("\nwrote %s records to %s (%s)\n", report.Comma(len(all)), *out, *format)
+	}
+	run.Finish(crashpoint.SiteTelescopeTraceWritten, crashpoint.SiteTelescopeManifestWritten)
 	progress.Done()
-}
-
-// writeTrace flushes the flight recorder artifact and records its digest.
-func writeTrace(rec *trace.Recorder, path string, digests map[string]string) {
-	if rec == nil {
-		return
-	}
-	digest, err := rec.WriteFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	digests[path] = digest
-	crashpoint.Here(crashpoint.SiteTelescopeTraceWritten)
-	fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", path, rec.Len())
 }
 
 // observeFlows folds the finished capture into the registry: flow/packet
@@ -354,108 +219,58 @@ func observeFlows(reg *obs.Registry, flows []*telescope.FlowTuple) {
 	reg.AddAll("telescope", st.Counters())
 }
 
-// writeManifest emits the run manifest when a path was requested.
-func writeManifest(path string, seed uint64, reg *obs.Registry, tracer *obs.Tracer,
-	outputs map[string]string, ckpts []obs.CheckpointRecord, interrupted bool) {
-	if path == "" {
-		return
-	}
-	m := obs.NewManifest("openhire-telescope", seed)
-	m.RecordFlags(flag.CommandLine)
-	m.FromTracer(tracer)
-	m.FromRegistry(reg)
-	m.Checkpoints = ckpts
-	m.Interrupted = interrupted
-	for name, digest := range outputs {
-		m.AddOutput(name, digest)
-	}
-	if err := m.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	crashpoint.Here(crashpoint.SiteTelescopeManifestWritten)
-	fmt.Fprintf(os.Stderr, "manifest written to %s\n", path)
-}
-
 // runRotated generates one day at a time, draining the telescope between
 // days so each capture file holds exactly one day and the flow table never
 // grows past a single day's footprint. Drain hands over the live records —
 // the rotation contract — so nothing is copied on the way to disk. Resumed
 // runs replay the completed days' spans (zero simulated duration, like every
 // span under the nil clock) and re-aggregate from the checkpointed drains.
-// Returns whether the run stopped early on an interrupt.
-func runRotated(gen *attack.DarknetGenerator, tel *telescope.Telescope, startDay, days int, out, format string,
-	ckptState *telescopeCheckpoint, commitDay func(int) error,
-	reg *obs.Registry, tracer *obs.Tracer, rec *trace.Recorder, digests map[string]string) bool {
-	for day := 0; day < startDay; day++ {
-		tracer.Start(fmt.Sprintf("generate.day%02d", day)).End()
+// Returns every day's flows in order.
+func runRotated(gen *attack.DarknetGenerator, tel *telescope.Telescope,
+	st *telescopeCheckpoint, commitDay func(int) bool) []*telescope.FlowTuple {
+	for day := 0; day < st.NextDay; day++ {
+		run.Tracer.Start(fmt.Sprintf("generate.day%02d", day)).End()
 	}
-	interrupted := false
-	endDay := startDay
-	for day := startDay; day < days; day++ {
-		span := tracer.Start(fmt.Sprintf("generate.day%02d", day))
+	endDay := st.NextDay
+	for day := st.NextDay; day < *days; day++ {
+		span := run.Tracer.Start(fmt.Sprintf("generate.day%02d", day))
 		gen.RunDay(day)
 		span.End()
 		flows := tel.Drain()
-		trace.RotateEvent(rec, day, len(flows))
+		trace.RotateEvent(run.Rec, day, len(flows))
 		fmt.Printf("day %02d: %s aggregated flows\n", day, report.Comma(len(flows)))
-		if out != "" {
-			path := fmt.Sprintf("%s.day%02d", out, day)
-			digest, err := writeFlowFile(path, format, flows, digests != nil && reg != nil)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		if *out != "" {
+			path := fmt.Sprintf("%s.day%02d", *out, day)
+			digest, err := writeFlowFile(path, flows)
+			cli.Check(err)
+			if st.DayDigests == nil {
+				st.DayDigests = make(map[string]string)
 			}
-			if digest != "" {
-				digests[path] = digest
-				if ckptState.DayDigests == nil {
-					ckptState.DayDigests = make(map[string]string)
-				}
-				ckptState.DayDigests[path] = digest
-			}
+			st.DayDigests[path] = digest
 			crashpoint.Here(crashpoint.SiteTelescopeFileWritten)
-			fmt.Printf("  wrote %s records to %s (%s)\n", report.Comma(len(flows)), path, format)
+			fmt.Printf("  wrote %s records to %s (%s)\n", report.Comma(len(flows)), path, *format)
 		}
 		for _, ft := range flows {
-			ckptState.Drained = append(ckptState.Drained, *ft)
+			st.Drained = append(st.Drained, *ft)
 		}
 		endDay = day + 1
-		if err := commitDay(day + 1); err != nil {
-			if errors.Is(err, checkpoint.ErrInterrupted) {
-				interrupted = true
-				break
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if commitDay(day + 1) {
+			break
 		}
 	}
-	allStats := make([]*telescope.FlowTuple, len(ckptState.Drained))
-	for i := range ckptState.Drained {
-		allStats[i] = &ckptState.Drained[i]
+	all := make([]*telescope.FlowTuple, len(st.Drained))
+	for i := range st.Drained {
+		all[i] = &st.Drained[i]
 	}
-	observeFlows(reg, allStats)
-	trace.FlowEvents(rec, allStats)
-	fmt.Printf("captured %s aggregated flows across %d day(s)\n", report.Comma(len(allStats)), endDay)
-	t8 := report.NewTable("\nTelescope traffic by protocol", "Protocol", "Packets", "Flows", "Unique IPs")
-	for _, s := range telescope.AggregateByProtocol(allStats) {
-		t8.AddRow(string(s.Protocol), s.Packets, s.Flows, s.UniqueIPs)
-	}
-	_ = t8.Render(os.Stdout)
-	return interrupted
+	fmt.Printf("captured %s aggregated flows across %d day(s)\n", report.Comma(len(all)), endDay)
+	return all
 }
 
-// writeFlowFile atomically writes one FlowTuple artifact and returns its
-// content digest when asked for one.
-func writeFlowFile(path, format string, flows []*telescope.FlowTuple, digest bool) (string, error) {
-	var dw *obs.DigestWriter
-	if digest {
-		dw = obs.NewDigestWriter()
-	}
-	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		if dw != nil {
-			w = io.MultiWriter(w, dw)
-		}
-		switch format {
+// writeFlowFile writes one FlowTuple artifact in -format and returns its
+// content digest.
+func writeFlowFile(path string, flows []*telescope.FlowTuple) (string, error) {
+	return run.WriteArtifact(path, func(w io.Writer) error {
+		switch *format {
 		case "csv":
 			if err := telescope.WriteCSVHeader(w); err != nil {
 				return err
@@ -472,25 +287,15 @@ func writeFlowFile(path, format string, flows []*telescope.FlowTuple, digest boo
 				}
 			}
 		default:
-			return fmt.Errorf("unknown format %q", format)
+			return fmt.Errorf("unknown format %q", *format)
 		}
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	if dw == nil {
-		return "", nil
-	}
-	return dw.Sum(), nil
 }
 
 func parseFile(path string) {
 	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Check(err)
 	defer f.Close()
 
 	// Auto-detect: binary records start with the FT04 magic.
@@ -503,18 +308,12 @@ func parseFile(path string) {
 			if err == io.EOF {
 				break
 			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			cli.Check(err)
 			flows = append(flows, ft)
 		}
 	} else {
 		flows, err = telescope.ReadCSV(br)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.Check(err)
 	}
 	fmt.Printf("parsed %s records from %s\n", report.Comma(len(flows)), path)
 	t := report.NewTable("", "Protocol", "Packets", "Flows", "Unique IPs")

@@ -12,7 +12,7 @@ import (
 
 // BenchmarkDarknetDay measures one day of Table 8-calibrated darknet
 // generation at the default CLI scale (1/8192), including telescope ingest
-// and geo annotation. The before/after numbers live in BENCH_telescope.json.
+// and geo annotation.
 func BenchmarkDarknetDay(b *testing.B) {
 	prefix := netsim.MustParsePrefix("44.0.0.0/8")
 	geodb := geo.NewDB(1, nil)

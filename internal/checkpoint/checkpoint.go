@@ -30,6 +30,7 @@ import (
 
 	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/obs"
+	"openhire/internal/obs/trace"
 )
 
 // Version is the current container format version. Loaders reject any other
@@ -144,3 +145,52 @@ func Decode(data []byte) (leg string, seed uint64, payload []byte, err error) {
 // the binary writes final artifacts for the work completed so far, records
 // interrupted:true in the manifest, and exits 0.
 var ErrInterrupted = errors.New("interrupted: state checkpointed")
+
+// Chain is the history every leg's checkpoint state carries: the flight
+// recorder's events at commit time and the records of every checkpoint
+// committed before this one (a file cannot carry its own digest; Resume
+// reconstructs the newest record from the file bytes). Legs embed it last in
+// their state struct, so the payload's field order is the leg's own fields
+// followed by these two.
+type Chain struct {
+	TraceEvents []trace.SavedEvent     `json:"trace_events,omitempty"`
+	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
+}
+
+// History returns the chain itself; embedding Chain is what makes a struct a
+// State.
+func (c *Chain) History() *Chain { return c }
+
+// State is a leg's checkpoint payload: a pointer to a struct that embeds Chain.
+type State interface{ History() *Chain }
+
+// Resume loads the leg's checkpoint into state and appends the loaded file's
+// own record to the chain. The record's position name is re-derived from the
+// restored history (nameFmt takes the record's index, e.g. "seg%04d"), so
+// chains are independent of kill history. A missing file is a fresh start:
+// found is false and state is untouched.
+func Resume(dir, leg, nameFmt string, seed uint64, state State) (found bool, err error) {
+	loaded, err := Load(dir, leg, seed, state)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	h := state.History()
+	loaded.Name = fmt.Sprintf(nameFmt, len(h.Checkpoints))
+	h.Checkpoints = append(h.Checkpoints, loaded)
+	return true, nil
+}
+
+// Commit saves state as the leg's next checkpoint and appends its record to
+// the chain once the file is durable.
+func Commit(dir, leg, nameFmt string, seed uint64, state State) error {
+	h := state.History()
+	recd, err := Save(dir, leg, fmt.Sprintf(nameFmt, len(h.Checkpoints)), seed, state)
+	if err != nil {
+		return err
+	}
+	h.Checkpoints = append(h.Checkpoints, recd)
+	return nil
+}

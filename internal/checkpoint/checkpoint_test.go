@@ -164,3 +164,73 @@ func FuzzCheckpointLoad(f *testing.F) {
 		}
 	})
 }
+
+// chainedState is a leg state the way the binaries declare one: the leg's own
+// fields, then the chain.
+type chainedState struct {
+	Cursor int `json:"cursor"`
+	Chain
+}
+
+// TestChainNamesAndResume drives each leg's chain the way its binary does —
+// commit, commit, kill, resume, commit — and asserts the record names count
+// up from zero in the leg's format, the resumed chain is the uninterrupted
+// one (the loaded file's own record re-derived and appended), an empty
+// directory is a fresh start, and a foreign seed or leg is rejected.
+func TestChainNamesAndResume(t *testing.T) {
+	for _, tc := range []struct {
+		leg, nameFmt string
+		want         []string
+	}{
+		{"scan", "seg%04d", []string{"seg0000", "seg0001", "seg0002"}},
+		{"telescope", "day%02d", []string{"day00", "day01", "day02"}},
+		{"honeypots", "day%02d", []string{"day00", "day01", "day02"}},
+		{"report", "exp%02d", []string{"exp00", "exp01", "exp02"}},
+		{"serve", "cycle%04d", []string{"cycle0000", "cycle0001", "cycle0002"}},
+	} {
+		t.Run(tc.leg, func(t *testing.T) {
+			dir := t.TempDir()
+			fresh := &chainedState{}
+			if found, err := Resume(dir, tc.leg, tc.nameFmt, 7, fresh); found || err != nil {
+				t.Fatalf("Resume on an empty directory = %v, %v; want a fresh start", found, err)
+			}
+			live := &chainedState{}
+			for i := 0; i < 2; i++ {
+				live.Cursor = i
+				if err := Commit(dir, tc.leg, tc.nameFmt, 7, live); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resumed := &chainedState{}
+			found, err := Resume(dir, tc.leg, tc.nameFmt, 7, resumed)
+			if !found || err != nil {
+				t.Fatalf("Resume = %v, %v", found, err)
+			}
+			if resumed.Cursor != 1 || len(resumed.Checkpoints) != 2 {
+				t.Fatalf("resumed cursor %d with %d records, want 1 with 2", resumed.Cursor, len(resumed.Checkpoints))
+			}
+			for i, rec := range resumed.Checkpoints {
+				if rec != live.Checkpoints[i] {
+					t.Errorf("record %d: resumed %+v, live %+v", i, rec, live.Checkpoints[i])
+				}
+			}
+			if err := Commit(dir, tc.leg, tc.nameFmt, 7, resumed); err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range tc.want {
+				if got := resumed.Checkpoints[i].Name; got != name {
+					t.Errorf("record %d named %q, want %q", i, got, name)
+				}
+			}
+			if _, err := Resume(dir, tc.leg, tc.nameFmt, 8, &chainedState{}); err == nil {
+				t.Error("Resume accepted a checkpoint written under another seed")
+			}
+			if err := os.Rename(FileName(dir, tc.leg), FileName(dir, "other")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Resume(dir, "other", tc.nameFmt, 7, &chainedState{}); err == nil {
+				t.Error("Resume accepted a checkpoint written by another leg")
+			}
+		})
+	}
+}

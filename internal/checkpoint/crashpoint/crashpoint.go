@@ -74,7 +74,7 @@ func Here(name string) {
 	}
 }
 
-// Registered site names. Every durable-state transition in the three legs
+// Registered site names. Every durable-state transition in the five binaries
 // has a site here; the crash harness sweeps these lists, so adding a site
 // without extending the matching list means it is never exercised.
 const (
@@ -98,6 +98,10 @@ const (
 	SiteHoneypotExportWritten   = "honeypot.export.written"
 	SiteHoneypotTraceWritten    = "honeypot.trace.written"
 	SiteHoneypotManifestWritten = "honeypot.manifest.written"
+
+	SiteReportExperimentCommit = "report.experiment.commit"
+	SiteReportTraceWritten     = "report.trace.written"
+	SiteReportManifestWritten  = "report.manifest.written"
 
 	SiteServeCycleCommit       = "serve.cycle.commit"
 	SiteServeHourFileWritten   = "serve.telescope.hour.written"
@@ -134,6 +138,14 @@ var HoneypotSites = []string{
 	SiteHoneypotExportWritten,
 	SiteHoneypotTraceWritten,
 	SiteHoneypotManifestWritten,
+}
+
+// ReportSites are the experiment-suite binary's kill sites.
+var ReportSites = []string{
+	SiteAtomicStaged,
+	SiteReportExperimentCommit,
+	SiteReportTraceWritten,
+	SiteReportManifestWritten,
 }
 
 // ServeSites are the continuous-measurement daemon's kill sites.

@@ -5,7 +5,7 @@
 // run. It also proves the zero-perturbation property — a checkpointing run
 // that is never killed emits the same bytes as a run without -checkpoint.
 //
-// `go test -short` sweeps only the three mid-leg commit sites; the full run
+// `go test -short` sweeps only each binary's mid-run commit site; the full run
 // covers every site plus the @3 (third hit) variants of the commit sites.
 package crashtest
 
@@ -37,7 +37,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	for _, name := range []string{"openhire-scan", "openhire-telescope", "openhire-honeypots", "openhire-serve"} {
+	for _, name := range []string{"openhire-scan", "openhire-telescope", "openhire-honeypots", "openhire-report", "openhire-serve"} {
 		args := []string{"build"}
 		if raceEnabled {
 			args = append(args, "-race")
@@ -112,6 +112,24 @@ func honeypotLeg() leg {
 		sites:     crashpoint.HoneypotSites,
 		shortSite: crashpoint.SiteCampaignDayCommit,
 		atN:       crashpoint.SiteCampaignDayCommit,
+	}
+}
+
+// reportLeg runs one scan, one attack and one telescope experiment on the
+// quick world, so every world phase the trace and manifest tails read is
+// forced by some experiment and re-forced on resume.
+func reportLeg() leg {
+	return leg{
+		binary: "openhire-report",
+		args: []string{
+			"-seed", "13", "-quick", "-only", "table4,table7,table8",
+			"-trace", "run.trace", "-trace-sample", "4",
+			"-manifest", "manifest.json",
+		},
+		ckptArgs:  []string{"-checkpoint", "ck"},
+		sites:     crashpoint.ReportSites,
+		shortSite: crashpoint.SiteReportExperimentCommit,
+		atN:       crashpoint.SiteReportExperimentCommit,
 	}
 }
 
@@ -327,4 +345,38 @@ func sweep(t *testing.T, l leg) {
 func TestCrashResumeScan(t *testing.T)      { sweep(t, scanLeg()) }
 func TestCrashResumeTelescope(t *testing.T) { sweep(t, telescopeLeg()) }
 func TestCrashResumeHoneypots(t *testing.T) { sweep(t, honeypotLeg()) }
+func TestCrashResumeReport(t *testing.T)    { sweep(t, reportLeg()) }
 func TestCrashResumeServe(t *testing.T)     { sweep(t, serveLeg()) }
+
+// TestCheckpointIgnoresObservation pins that durable state does not depend on
+// what was observing the run: the telescope leg's -rotate checkpoint carries
+// the day files' digests, and it used to compute them only when a registry
+// existed — so asking for a debug listener changed the checkpoint bytes.
+func TestCheckpointIgnoresObservation(t *testing.T) {
+	t.Parallel()
+	l := leg{
+		binary: "openhire-telescope",
+		args: []string{
+			"-seed", "5", "-days", "2", "-scale", "0.0002", "-workers", "4",
+			"-rotate", "-out", "flows.csv", "-checkpoint", "ck",
+		},
+	}
+	bare, observed := t.TempDir(), t.TempDir()
+	if code := run(t, bare, l, ""); code != 0 {
+		t.Fatalf("bare run exited %d", code)
+	}
+	if code := run(t, observed, l, "", "-debug-addr", "127.0.0.1:0"); code != 0 {
+		t.Fatalf("observed run exited %d", code)
+	}
+	want, err := os.ReadFile(filepath.Join(bare, "ck", "telescope.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(observed, "ck", "telescope.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("telescope.ckpt differs with -debug-addr (%d vs %d bytes)", len(want), len(got))
+	}
+}

@@ -62,6 +62,7 @@ func benchConversationEngine(b *testing.B, handler StreamHandler, shards int) {
 
 // BenchmarkConversationEngine is the engine's per-conversation cost floor:
 // dial, banner, one request/response round trip, close.
+// Spine row it breaks down: report_default attack.conversation_us.
 func BenchmarkConversationEngine(b *testing.B) {
 	b.Run("stepper/shards=1", func(b *testing.B) {
 		benchConversationEngine(b, echoStepper{}, 1)

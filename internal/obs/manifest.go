@@ -16,8 +16,7 @@ import (
 // configuration, per-phase simulated/wall timings, the full counter sets,
 // and content digests of the outputs. Everything except wall timings is a
 // pure function of (seed, config, build), so diffing two manifests isolates
-// exactly what changed between runs or PRs — the BENCH_*.json trajectory's
-// missing half.
+// exactly what changed between runs or PRs.
 //
 // encoding/json sorts map keys, so marshaled manifests are deterministic.
 type Manifest struct {

@@ -29,8 +29,6 @@ import (
 	"sort"
 	"sync"
 
-	"openhire/internal/checkpoint/atomicio"
-	"openhire/internal/obs"
 	"openhire/internal/prng"
 )
 
@@ -238,19 +236,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteFile writes the trace artifact to path atomically and returns its
-// "sha256:..." content digest for the run manifest.
-func (r *Recorder) WriteFile(path string) (string, error) {
-	dw := obs.NewDigestWriter()
-	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		return r.WriteJSONL(io.MultiWriter(w, dw))
-	})
-	if err != nil {
-		return "", err
-	}
-	return dw.Sum(), nil
 }
 
 // SavedEvent is one recorded event plus the shard key Record was called

@@ -32,6 +32,7 @@ func BenchmarkTSDBAppendQuery(b *testing.B) {
 }
 
 // BenchmarkViewWalk measures the allocation-free read path over a full ring.
+// Spine row it breaks down: serve_scrape api.ts_range.p50_ms.
 func BenchmarkViewWalk(b *testing.B) {
 	db := New(Options{RawCapacity: 1024})
 	for c := int64(0); c < 2048; c++ {

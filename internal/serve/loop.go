@@ -135,9 +135,11 @@ type serveCheckpoint struct {
 	// TelescopeFiles maps persisted hourly capture file names to content
 	// digests, for the run manifest.
 	TelescopeFiles map[string]string `json:"telescope_files,omitempty"`
-	// Checkpoints records every checkpoint committed before this one.
-	Checkpoints []obs.CheckpointRecord `json:"checkpoints,omitempty"`
+	checkpoint.Chain
 }
+
+// cycleName formats the serve chain's record names by chain index.
+const cycleName = "cycle%04d"
 
 // Loop is the cycle driver. All fields are owned by the single goroutine
 // calling Run; concurrent readers only ever see the Publisher's snapshots.
@@ -243,17 +245,10 @@ func (l *Loop) buildMonth(m int) *monthState {
 // rebuilds the live worlds around it. Returns whether a checkpoint was found.
 func (l *Loop) Restore() (bool, error) {
 	st := &serveCheckpoint{Agg: l.agg}
-	recd, err := checkpoint.Load(l.cfg.CheckpointDir, "serve", l.cfg.Seed, st)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
+	found, err := checkpoint.Resume(l.cfg.CheckpointDir, "serve", cycleName, l.cfg.Seed, st)
+	if err != nil || !found {
 		return false, err
 	}
-	// Re-derive the record's position name from the restored history, so
-	// checkpoint chains are kill-history independent.
-	recd.Name = fmt.Sprintf("cycle%04d", len(st.Checkpoints))
-	st.Checkpoints = append(st.Checkpoints, recd)
 	l.cycle = st.Cycle
 	l.agg = st.Agg
 	l.campaignResume = st.Campaign
@@ -271,7 +266,7 @@ func (l *Loop) Restore() (bool, error) {
 		}
 		data, err := os.ReadFile(checkpoint.FileName(l.cfg.CheckpointDir, "serve-tsdb"))
 		if err != nil || obs.Digest(data) != st.TSDBDigest {
-			if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", recd.Name, l.cfg.Seed, st.TSDB); err != nil {
+			if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", "", l.cfg.Seed, st.TSDB); err != nil {
 				return false, err
 			}
 		}
@@ -454,7 +449,6 @@ func (l *Loop) stepScan() error {
 func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 	cyc := int64(l.cycle - 1)
 	l.obsv.appendSim(cyc, l.agg, inflightScanStats(l.scanState))
-	name := fmt.Sprintf("cycle%04d", len(l.ckpts))
 	if l.cfg.CheckpointDir != "" {
 		st := serveCheckpoint{
 			Cycle:          l.cycle,
@@ -462,7 +456,7 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 			Scan:           l.scanState,
 			Agg:            l.agg,
 			TelescopeFiles: l.telFiles,
-			Checkpoints:    l.ckpts,
+			Chain:          checkpoint.Chain{Checkpoints: l.ckpts},
 		}
 		if l.month != nil {
 			var buf bytes.Buffer
@@ -473,7 +467,7 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 		}
 		if l.obsv != nil {
 			simState := l.obsv.Sim.State()
-			tsRec, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", name, l.cfg.Seed, simState)
+			tsRec, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", "", l.cfg.Seed, simState)
 			if err != nil {
 				return err
 			}
@@ -481,11 +475,10 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 			st.TSDB = simState
 			st.TSDBDigest = tsRec.Digest
 		}
-		recd, err := checkpoint.Save(l.cfg.CheckpointDir, "serve", name, l.cfg.Seed, &st)
-		if err != nil {
+		if err := checkpoint.Commit(l.cfg.CheckpointDir, "serve", cycleName, l.cfg.Seed, &st); err != nil {
 			return err
 		}
-		l.ckpts = append(l.ckpts, recd)
+		l.ckpts = st.Checkpoints
 		l.lastCkptCycle = l.cycle
 		crashpoint.Here(crashpoint.SiteServeCycleCommit)
 	}
@@ -496,7 +489,7 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 	if l.cfg.CheckpointDir != "" && l.obsv != nil {
 		// The wall file is profiling history only: no crashpoint, no digest,
 		// no determinism claim — Restore loads it leniently.
-		if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb-wall", name, l.cfg.Seed, l.obsv.Wall.State()); err != nil {
+		if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb-wall", "", l.cfg.Seed, l.obsv.Wall.State()); err != nil {
 			return err
 		}
 	}

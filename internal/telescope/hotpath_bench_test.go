@@ -10,8 +10,7 @@ import (
 
 // BenchmarkTelescopeObserve measures concurrent flow ingest through the
 // netsim.Observer path — the contention-sensitive hot path when attack
-// modules probe the dark prefix from many goroutines at once. The
-// before/after numbers live in BENCH_telescope.json.
+// modules probe the dark prefix from many goroutines at once.
 func BenchmarkTelescopeObserve(b *testing.B) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), geo.NewDB(1, nil))
 	var ctr atomic.Uint64

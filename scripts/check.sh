@@ -27,11 +27,13 @@
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
 #      parsers and over the chunking invariance of all ten stream servers
 #      (seed corpus + 10 fresh inputs each) — skipped with --fast
-#   6. the crash gate: checkpoint container round-trip/corruption tests and
-#      the kill-and-resume sweep under the race detector — each leg binary
-#      killed at every registered crashpoint, resumed, and byte-compared
-#      against an uninterrupted golden run; --fast sweeps only the three
-#      mid-leg commit sites (go test -short)
+#   6. the crash gate: checkpoint container round-trip/corruption tests, the
+#      run harness's own tests (signal ladder, chain, manifest epilogue), and
+#      the kill-and-resume sweep under the race detector — each of the five
+#      binaries (scan, telescope, honeypots, report, serve) killed at every
+#      registered crashpoint, resumed, and byte-compared against an
+#      uninterrupted golden run; --fast sweeps only each binary's mid-run
+#      commit site (go test -short)
 #   7. the serve smoke (scripts/serve_smoke.sh): openhire-serve end to end —
 #      kill/resume byte-identity of the aggregates and time-series
 #      artifacts, the live query API (including /api/timeseries) answering
@@ -48,10 +50,8 @@
 #      runs in --fast mode too
 #
 # Usage: check.sh [--fast]
-#   --fast skips the fuzz smokes (step 5's second half) and instead runs a
-#   one-iteration campaign/conversation-engine benchmark smoke, so the
-#   bench-campaign harness stays compiling and executable in the inner loop;
-#   it also shrinks the crash sweep to the -short site subset.
+#   --fast skips the fuzz smokes (step 5's second half) and shrinks the crash
+#   sweep to the -short site subset.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,16 +100,14 @@ if [ "$FAST" = "0" ]; then
 	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
-	echo "==> bench smoke: campaign + conversation engine benchmarks, 1 iteration"
-	make --no-print-directory bench-campaign BENCHTIME=1x COUNT=1 >/dev/null
 fi
 
 if [ "$FAST" = "0" ]; then
 	echo "==> crash gate: kill-and-resume sweep over every crashpoint under -race"
-	go test -race -count=1 ./internal/checkpoint/...
+	go test -race -count=1 ./internal/checkpoint/... ./internal/cli/
 else
 	echo "==> crash gate: kill-and-resume sweep, commit sites only (--fast)"
-	go test -race -count=1 -short ./internal/checkpoint/...
+	go test -race -count=1 -short ./internal/checkpoint/... ./internal/cli/
 fi
 
 echo "==> serve smoke: daemon kill/resume byte-identity + live API + graceful SIGINT"
