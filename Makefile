@@ -23,8 +23,8 @@ race:
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
-# detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers and
-# the stream servers' chunking invariance.
+# detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
+# stream servers' chunking invariance and the scanner's eight grab modules.
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -36,6 +36,7 @@ chaos:
 		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/protocols/mqtt/ || exit 1; \
 	done
 	go test -run '^FuzzStepperChunking$$' -fuzz '^FuzzStepperChunking$$' -fuzztime 10x ./internal/honeypot/
+	go test -run '^FuzzGrab$$' -fuzz '^FuzzGrab$$' -fuzztime 10x ./internal/core/scan/
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint

@@ -116,11 +116,20 @@ func BenchmarkAblationScanWorkers(b *testing.B) {
 func BenchmarkAblationHostDerivation(b *testing.B) {
 	// Lazily derived hosts vs a hypothetical precomputed table: derivation
 	// is the design choice letting a /14 universe cost zero memory. This
-	// measures the per-lookup price.
+	// measures the per-lookup price, of a whole host (what a conversation
+	// pays) and of one port (what a sweep pays).
 	prefix := netsim.MustParsePrefix("60.0.0.0/14")
 	u := iot.NewUniverse(iot.UniverseConfig{Seed: 51, Prefix: prefix, DensityBoost: 16})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = u.Host(prefix.Nth(uint64(i) % prefix.Size()))
-	}
+	b.Run("host", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = u.Host(prefix.Nth(uint64(i) % prefix.Size()))
+		}
+	})
+	b.Run("port", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = u.PortOpen(prefix.Nth(uint64(i)%prefix.Size()), netsim.TCP, 23)
+		}
+	})
 }

@@ -26,6 +26,9 @@ func (TR069Module) Protocol() iot.Protocol { return iot.ProtoTR069 }
 // Ports implements ProbeModule.
 func (TR069Module) Ports() []uint16 { return []uint16{7547} }
 
+// SweepSize implements ProbeModule.
+func (TR069Module) SweepSize() int { return 0 }
+
 // Probe implements ProbeModule.
 func (TR069Module) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
 	conn, err := n.Dial(ctx, src, dst, spec.Options())
@@ -60,6 +63,9 @@ func (SMBModule) Protocol() iot.Protocol { return iot.ProtoSMB }
 
 // Ports implements ProbeModule.
 func (SMBModule) Ports() []uint16 { return []uint16{445} }
+
+// SweepSize implements ProbeModule.
+func (SMBModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (SMBModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {

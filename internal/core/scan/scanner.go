@@ -88,15 +88,22 @@ func ConnOutcome(conn *netsim.ServiceConn) (Outcome, bool) {
 	}
 }
 
-// ProbeModule probes one protocol. Implementations are stateless and safe
-// for concurrent use.
+// ProbeModule is one protocol's grab — the ZGrab half of the scan. The
+// scanner sweeps every target statelessly itself (netsim.Network.Sweep, over
+// the transport of Protocol()) and hands a module only the endpoints that
+// answered. Implementations are stateless and safe for concurrent use.
 type ProbeModule interface {
 	// Protocol identifies the module.
 	Protocol() iot.Protocol
 	// Ports lists the ports to probe, in order.
 	Ports() []uint16
-	// Probe checks one endpoint once and classifies the attempt. A non-nil
-	// Result is returned only with OutcomeOK. Retransmission is the
+	// SweepSize is the payload length of the sweep's probe as a telescope
+	// records it: 0 for a TCP SYN; for a UDP module the length of the
+	// datagram Probe sends (a UDP sweep carries the real request, as ZMap's
+	// does).
+	SweepSize() int
+	// Probe grabs one responsive endpoint once and classifies the attempt. A
+	// non-nil Result is returned only with OutcomeOK. Retransmission is the
 	// scanner's job: modules must not loop internally.
 	Probe(ctx context.Context, net *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome)
 }
@@ -338,13 +345,21 @@ type workerShard struct {
 	_       [64]byte
 }
 
-// probeTarget drives one target through the retransmit loop: probe, classify
-// the outcome, and on a timeout back off (in simulated time) and try again
-// until the attempt cap or the target's time budget is exhausted. The budget
-// is virtual — per-attempt timeouts and backoff delays are *counted*, never
-// slept — so a lossy fabric costs bookkeeping, not wall-clock.
-func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
-	shard *workerShard, maxAttempts int, limiter *rateLimiter) {
+// probeTarget drives one target through the paper's two phases and the
+// retransmit loop around them. Every transmission is a stateless sweep; only
+// an open verdict reaches the module's grab, a silent one is a negative that
+// cost a couple of hashes, and a lost one — like a grab that timed out —
+// backs off (in simulated time) and transmits again until the attempt cap or
+// the target's time budget is exhausted. The budget is virtual — per-attempt
+// timeouts and backoff delays are *counted*, never slept — so a lossy fabric
+// costs bookkeeping, not wall-clock.
+//
+// Probed counts sweeps, as ZMap's sent counter does: the grab of a responder
+// is not a second transmission. The fault plan is a pure function of (target,
+// attempt), so the grab's dial re-draws the plan its sweep saw and resets and
+// tarpits land in the grab.
+func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport netsim.Transport, size int,
+	t target, shard *workerShard, maxAttempts int, limiter *rateLimiter) {
 	dst := netsim.Endpoint{IP: t.ip, Port: t.port}
 	spec := ProbeSpec{Timeout: s.cfg.ProbeTimeout}
 	var spent time.Duration
@@ -361,7 +376,14 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, t target,
 		if trace != nil {
 			event(ProbeSent, 0)
 		}
-		res, out := module.Probe(ctx, s.cfg.Network, s.cfg.Source, dst, spec)
+		var res *Result
+		out := OutcomeNone
+		switch s.cfg.Network.Sweep(s.cfg.Source, dst, transport, size, spec.Options()) {
+		case netsim.Open:
+			res, out = module.Probe(ctx, s.cfg.Network, s.cfg.Source, dst, spec)
+		case netsim.Lost:
+			out = OutcomeTimeout
+		}
 		shard.stats.Probed++
 		switch out {
 		case OutcomeOK:

@@ -248,6 +248,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 		workers = (max + batchSize - 1) / batchSize
 	}
 
+	transport, size := m.Protocol().Transport(), m.SweepSize()
 	// Two batches of headroom per worker keep the feed ahead of the probes.
 	batches := make(chan []target, 2*workers)
 	shards := make([]workerShard, workers)
@@ -271,7 +272,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 						}
 					}
 					for _, t := range batch[i : i+n] {
-						s.probeTarget(ctx, m, t, shard, maxAttempts, limiter)
+						s.probeTarget(ctx, m, transport, size, t, shard, maxAttempts, limiter)
 					}
 					i += n
 				}

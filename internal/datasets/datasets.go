@@ -60,7 +60,9 @@ func (d *Dataset) Total() int {
 }
 
 // crawl walks the universe and keeps hosts per protocol subject to a keep
-// predicate, modelling provider-specific coverage.
+// predicate, modelling provider-specific coverage. A crawl only needs to
+// know whether a pair is exposed, so it asks the universe's exposure-only
+// predicate and derives no spec.
 func crawl(name string, u *iot.Universe, protocols []iot.Protocol,
 	keep func(ip netsim.IPv4, p iot.Protocol) bool) *Dataset {
 	d := &Dataset{Name: name, records: make(map[iot.Protocol][]Record)}
@@ -70,12 +72,12 @@ func crawl(name string, u *iot.Universe, protocols []iot.Protocol,
 	}
 	for i := uint64(0); i < prefix.Size(); i++ {
 		ip := prefix.Nth(i)
+		if _, isPot := u.WildHoneypot(ip); isPot {
+			continue // honeypots shadow devices at their address
+		}
 		for _, p := range protocols {
-			if _, ok := u.Spec(ip, p); !ok {
+			if !u.Exposes(ip, p) {
 				continue
-			}
-			if _, isPot := u.WildHoneypot(ip); isPot {
-				continue // honeypots shadow devices at their address
 			}
 			if keep != nil && !keep(ip, p) {
 				continue
@@ -94,6 +96,13 @@ func crawl(name string, u *iot.Universe, protocols []iot.Protocol,
 // from scan-frequency skew. Table 4 ratios (Sonar/ZMap): CoAP 0.708,
 // UPnP 0.286, MQTT 0.810, Telnet 0.846.
 func ProjectSonar(seed uint64, u *iot.Universe) *Dataset {
+	return crawl("Project Sonar", u, sonarProtocols, sonarKeep(seed, u))
+}
+
+var sonarProtocols = []iot.Protocol{iot.ProtoCoAP, iot.ProtoUPnP, iot.ProtoMQTT, iot.ProtoTelnet}
+
+// sonarKeep is Sonar's coverage of the exposed (address, protocol) pairs.
+func sonarKeep(seed uint64, u *iot.Universe) func(netsim.IPv4, iot.Protocol) bool {
 	src := prng.New(seed)
 	coverage := map[iot.Protocol]float64{
 		iot.ProtoCoAP:   438098.0 / 618650.0,
@@ -101,8 +110,7 @@ func ProjectSonar(seed uint64, u *iot.Universe) *Dataset {
 		iot.ProtoMQTT:   3921585.0 / 4842465.0,
 		iot.ProtoTelnet: 6004956.0 / 7096465.0,
 	}
-	protocols := []iot.Protocol{iot.ProtoCoAP, iot.ProtoUPnP, iot.ProtoMQTT, iot.ProtoTelnet}
-	return crawl("Project Sonar", u, protocols, func(ip netsim.IPv4, p iot.Protocol) bool {
+	return func(ip netsim.IPv4, p iot.Protocol) bool {
 		// Primary port only: Telnet devices on 2323 are invisible to Sonar.
 		if p == iot.ProtoTelnet && u.TelnetPort(ip) != 23 {
 			return false
@@ -117,7 +125,7 @@ func ProjectSonar(seed uint64, u *iot.Universe) *Dataset {
 		}
 		return src.Hash64(prng.HashString("sonar"), uint64(ip), prng.HashString(string(p)))%1000 <
 			uint64(c*1000)
-	})
+	}
 }
 
 // Shodan crawls the way Shodan indexes: all six protocols, but many
@@ -125,6 +133,11 @@ func ProjectSonar(seed uint64, u *iot.Universe) *Dataset {
 // the high-volume protocols. Table 4 ratios (Shodan/ZMap): AMQP 0.541,
 // XMPP 0.745, CoAP 0.955, UPnP 0.314, MQTT 0.034, Telnet 0.027.
 func Shodan(seed uint64, u *iot.Universe) *Dataset {
+	return crawl("Shodan", u, iot.ScannedProtocols, shodanKeep(seed))
+}
+
+// shodanKeep is Shodan's coverage of the exposed (address, protocol) pairs.
+func shodanKeep(seed uint64) func(netsim.IPv4, iot.Protocol) bool {
 	src := prng.New(seed)
 	coverage := map[iot.Protocol]float64{
 		iot.ProtoAMQP:   18701.0 / 34542.0,
@@ -134,10 +147,10 @@ func Shodan(seed uint64, u *iot.Universe) *Dataset {
 		iot.ProtoMQTT:   162216.0 / 4842465.0,
 		iot.ProtoTelnet: 188291.0 / 7096465.0,
 	}
-	return crawl("Shodan", u, iot.ScannedProtocols, func(ip netsim.IPv4, p iot.Protocol) bool {
+	return func(ip netsim.IPv4, p iot.Protocol) bool {
 		return src.Hash64(prng.HashString("shodan"), uint64(ip), prng.HashString(string(p)))%100000 <
 			uint64(coverage[p]*100000)
-	})
+	}
 }
 
 // PopulateCensys fills the Censys IoT-tag store (Section 5.3) from the

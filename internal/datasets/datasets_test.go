@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 
 	"openhire/internal/intel"
@@ -127,5 +128,67 @@ func TestPopulateCensys(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no tags found in prefix walk")
+	}
+}
+
+// specCrawl is the crawl as it was written before the universe had an
+// exposure-only predicate: derive the full spec of every (address, protocol)
+// pair for its ok, then drop wild honeypots. It is the reference the
+// exposure-table crawl must equal.
+func specCrawl(u *iot.Universe, protocols []iot.Protocol, keep func(netsim.IPv4, iot.Protocol) bool) map[iot.Protocol][]Record {
+	records := make(map[iot.Protocol][]Record)
+	prefix := u.Config().Prefix
+	for i := uint64(0); i < prefix.Size(); i++ {
+		ip := prefix.Nth(i)
+		for _, p := range protocols {
+			if _, ok := u.Spec(ip, p); !ok {
+				continue
+			}
+			if _, isPot := u.WildHoneypot(ip); isPot {
+				continue
+			}
+			if keep(ip, p) {
+				records[p] = append(records[p], Record{IP: ip, Port: p.DefaultPort(), Protocol: p})
+			}
+		}
+	}
+	return records
+}
+
+// TestCrawlEqualsSpecReference runs the three crawls on expr.QuickConfig's
+// universe with the seeds expr.World gives them and requires the Sonar and
+// Shodan record sets to equal the Spec-based reference, and their totals and
+// the Censys tag count to be the ones recorded from the commit before the
+// crawl (and Spec's own exposure lookup) moved onto the exposure table.
+func TestCrawlEqualsSpecReference(t *testing.T) {
+	const seed = 2021
+	u := iot.NewUniverse(iot.UniverseConfig{
+		Seed: seed, Prefix: netsim.MustParsePrefix("100.0.0.0/16"), DensityBoost: 32,
+	})
+	for _, c := range []struct {
+		got       *Dataset
+		protocols []iot.Protocol
+		keep      func(netsim.IPv4, iot.Protocol) bool
+		total     int
+	}{
+		{ProjectSonar(seed+1, u), sonarProtocols, sonarKeep(seed+1, u), 5293},
+		{Shodan(seed+2, u), iot.ScannedProtocols, shodanKeep(seed + 2), 856},
+	} {
+		want := specCrawl(u, c.protocols, c.keep)
+		for _, p := range iot.ScannedProtocols {
+			if !slices.Equal(c.got.Records(p), want[p]) {
+				t.Errorf("%s/%s: %d records, the Spec-based crawl finds %d (or other ones)",
+					c.got.Name, p, c.got.Count(p), len(want[p]))
+			}
+		}
+		if c.got.Total() != c.total {
+			t.Errorf("%s: %d records, recorded %d", c.got.Name, c.got.Total(), c.total)
+		}
+	}
+
+	store := intel.NewCensys()
+	tags := PopulateCensys(seed+3, u, store)
+	if tags != 4038 || store.Len() != tags {
+		t.Errorf("Censys: %d tags (%d stored), recorded 4038", tags, store.Len())
 	}
 }

@@ -144,15 +144,9 @@ func Table5(w *World) Result {
 // universe with oversampled honeypots so the nine-family distribution is
 // statistically visible, then scales back.
 func Table6(w *World) Result {
-	// Honeypot-only oversampled world: device densities as configured,
-	// honeypot density ×64.
-	cfg := w.Cfg
-	cfg.HoneypotBoost = cfg.DensityBoost * 64
-	over := BuildWorld(cfg)
-	_, dets := over.FilterHoneypots()
-	counts := fingerprint.CountByFamily(dets)
+	counts := fingerprint.CountByFamily(w.oversampledHoneypots())
 	paper := fingerprint.PaperCounts()
-	scale := over.ScaleFactor() / 64
+	scale := w.ScaleFactor() / table6Oversample
 
 	t := report.NewTable("Detected honeypots by Telnet banner signature",
 		"Honeypot", "#Detected", "Scaled", "Paper")

@@ -1,6 +1,10 @@
 package expr
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +110,34 @@ func TestTable6HoneypotFamilies(t *testing.T) {
 	}
 	if (ang+cow)/total < 0.6 {
 		t.Fatalf("Anglerfish+Cowrie %v of %v: Table 6 dominance broken", ang+cow, total)
+	}
+}
+
+// TestTable6TelnetSweepEqualsSixModuleFilter proves the Table 6 shortcut
+// instead of assuming it: on the oversampled quick world, sweeping the
+// Telnet module alone over a bare fabric detects exactly what a full
+// BuildWorld + six-module scan + FilterHoneypots detects, in the same order,
+// and the experiment's artifact and comparisons hash to the value recorded
+// from the commit that still took the long way.
+func TestTable6TelnetSweepEqualsSixModuleFilter(t *testing.T) {
+	w := testWorld(t)
+	cfg := w.Cfg
+	cfg.HoneypotBoost = cfg.DensityBoost * table6Oversample
+	_, want := BuildWorld(cfg).FilterHoneypots()
+	got := w.oversampledHoneypots()
+	if len(want) < 100 {
+		t.Fatalf("only %d detections on the oversampled world", len(want))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Telnet-only sweep found %d detections, six-module filter %d (or other ones, or another order)",
+			len(got), len(want))
+	}
+
+	const recorded = "7f308a28eb2611f92799d73b4a6e24e48760ee7d59a6067037c8cf5ddec98983"
+	res := Table6(w)
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\n%v", res.Artifact, res.Comparisons)))
+	if hex.EncodeToString(sum[:]) != recorded {
+		t.Fatalf("Table 6 hashes to %x, recorded %s\n%s", sum, recorded, res.Artifact)
 	}
 }
 

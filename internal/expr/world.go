@@ -166,23 +166,52 @@ func BuildWorld(cfg WorldConfig) *World {
 // ScaleFactor converts simulated counts to paper-scale.
 func (w *World) ScaleFactor() float64 { return w.Universe.ScaleFactor() }
 
+// runScanner scans the universe prefix of network n with the given modules,
+// from the world's scanner source with its seed and worker budget.
+func (w *World) runScanner(n *netsim.Network, onProbe func(scan.ProbeEvent), modules ...scan.ProbeModule) (map[iot.Protocol][]*scan.Result, map[iot.Protocol]scan.Stats) {
+	s := scan.NewScanner(scan.Config{
+		Network: n,
+		Source:  w.Cfg.ScannerSource,
+		Prefix:  w.Cfg.UniversePrefix,
+		Seed:    w.Cfg.Seed,
+		Workers: w.Cfg.Workers,
+		OnProbe: onProbe,
+	})
+	// No commit hook and a context that is never canceled: Run cannot fail.
+	results, stats, _ := s.Run(context.Background(), modules, nil, 0, nil)
+	return results, stats
+}
+
 // RunScan executes the six-protocol Internet-wide scan once.
 func (w *World) RunScan() (map[iot.Protocol][]*scan.Result, map[iot.Protocol]scan.Stats) {
 	w.scanOnce.Do(func() {
 		span := w.Trace.Start("scan")
 		defer span.End()
-		s := scan.NewScanner(scan.Config{
-			Network: w.Network,
-			Source:  w.Cfg.ScannerSource,
-			Prefix:  w.Cfg.UniversePrefix,
-			Seed:    w.Cfg.Seed,
-			Workers: w.Cfg.Workers,
-			OnProbe: w.OnProbe,
-		})
-		// No commit hook and a context that is never canceled: Run cannot fail.
-		w.scanResults, w.scanStats, _ = s.Run(context.Background(), scan.AllModules(), nil, 0, nil)
+		w.scanResults, w.scanStats = w.runScanner(w.Network, w.OnProbe, scan.AllModules()...)
 	})
 	return w.scanResults, w.scanStats
+}
+
+// table6Oversample is how much denser than devices Table 6 plants wild
+// honeypots: the paper's 8,192 instances are ~8 in a 1/1024 world, too few
+// to show nine families.
+const table6Oversample = 64
+
+// oversampledHoneypots fingerprints the wild honeypots of a copy of the
+// world's universe with honeypots planted table6Oversample times denser,
+// device densities as configured. The signatures are Telnet banners
+// (fingerprint.MatchResult looks at no other protocol), so the copy is swept
+// with the Telnet module alone, on a fabric that holds nothing else: the
+// world's deployed honeypots, telescope and intel stores sit outside the
+// universe prefix and never saw this sweep.
+func (w *World) oversampledHoneypots() []fingerprint.Detection {
+	ucfg := w.Universe.Config()
+	ucfg.HoneypotBoost = ucfg.DensityBoost * table6Oversample
+	n := netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart))
+	n.AddProvider(ucfg.Prefix, iot.NewUniverse(ucfg))
+	results, _ := w.runScanner(n, nil, scan.TelnetModule{})
+	_, dets := fingerprint.Filter(results[iot.ProtoTelnet])
+	return dets
 }
 
 // FilterHoneypots splits scan results into genuine hosts and detections.

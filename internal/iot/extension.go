@@ -1,9 +1,6 @@
 package iot
 
-import (
-	"openhire/internal/netsim"
-	"openhire/internal/prng"
-)
+import "openhire/internal/netsim"
 
 // Extension protocols: the paper's stated future work (Section 6) extends
 // the scan scope to TR-069 and SMB. They live outside ScannedProtocols so
@@ -68,36 +65,7 @@ var extensionShares = map[Protocol][]classShare{
 // ExtensionSpec derives the device spec for an extension protocol, the
 // analogue of Spec for the future-work scan.
 func (u *Universe) ExtensionSpec(ip netsim.IPv4, p Protocol) (DeviceSpec, bool) {
-	if !u.cfg.Prefix.Contains(ip) {
-		return DeviceSpec{}, false
-	}
-	density, known := extensionDensity[p]
-	if !known {
-		return DeviceSpec{}, false
-	}
-	return u.extSpecFrom(ip, p, prng.HashString("ext-"+string(p)), clampDensity(density*u.cfg.DensityBoost))
-}
-
-// extSpecFrom is ExtensionSpec with the protocol hash and boost-applied
-// density already known (the Host fast path reads them from the exposure
-// table).
-func (u *Universe) extSpecFrom(ip netsim.IPv4, p Protocol, ph uint64, density float64) (DeviceSpec, bool) {
-	h := u.src.Hash64(labelExposed, uint64(ip), ph)
-	if float64(h>>11)/(1<<53) >= density {
-		return DeviceSpec{}, false
-	}
-	spec := DeviceSpec{IP: ip, Protocol: p}
-	cls := prng.New(u.src.Hash64(labelClass, uint64(ip), ph))
-	roll := cls.Float64()
-	spec.Misconfig = MisconfigNone
-	for _, cs := range extensionShares[p] {
-		if roll < cs.share {
-			spec.Misconfig = cs.class
-			break
-		}
-		roll -= cs.share
-	}
-	return spec, true
+	return u.specAt(ip, p, true)
 }
 
 // ExpectedExtensionExposed mirrors ExpectedExposed for extension protocols.

@@ -38,28 +38,31 @@ const honeypotDensity = float64(PaperHoneypotTotal) / (1 << 32)
 
 var labelHoneypot = prng.HashString("iot-honeypot")
 
-// WildHoneypot reports whether ip hosts a wild (Internet-deployed) honeypot
-// in this universe, and which family. Wild honeypots take precedence over
-// devices: an address is either a honeypot or a device, never both.
-func (u *Universe) WildHoneypot(ip netsim.IPv4) (HoneypotFamily, bool) {
-	if !u.cfg.Prefix.Contains(ip) {
-		return HoneypotFamily{}, false
-	}
-	boost := u.cfg.DensityBoost
-	if u.cfg.HoneypotBoost > 0 {
-		boost = u.cfg.HoneypotBoost
-	}
-	h := u.src.Hash64(labelHoneypot, uint64(ip))
-	if float64(h>>11)/(1<<53) >= honeypotDensity*boost {
-		return HoneypotFamily{}, false
-	}
-	// Family choice weighted by Table 6 counts.
-	pick := prng.New(u.src.Hash64(labelHoneypot, uint64(ip), 7))
+// honeypotWeights weights the family choice by the Table 6 counts.
+var honeypotWeights = func() []float64 {
 	weights := make([]float64, len(HoneypotFamilies))
 	for i, f := range HoneypotFamilies {
 		weights[i] = float64(f.PaperCount)
 	}
-	return HoneypotFamilies[pick.WeightedChoice(weights)], true
+	return weights
+}()
+
+// wildHoneypotAt is the planting roll: whether ip (inside the prefix) hosts
+// a wild honeypot.
+func (u *Universe) wildHoneypotAt(ip netsim.IPv4) bool {
+	h := u.src.Hash64(labelHoneypot, uint64(ip))
+	return float64(h>>11)/(1<<53) < u.honeypotDensity
+}
+
+// WildHoneypot reports whether ip hosts a wild (Internet-deployed) honeypot
+// in this universe, and which family. Wild honeypots take precedence over
+// devices: an address is either a honeypot or a device, never both.
+func (u *Universe) WildHoneypot(ip netsim.IPv4) (HoneypotFamily, bool) {
+	if !u.cfg.Prefix.Contains(ip) || !u.wildHoneypotAt(ip) {
+		return HoneypotFamily{}, false
+	}
+	pick := prng.New(u.src.Hash64(labelHoneypot, uint64(ip), 7))
+	return HoneypotFamilies[pick.WeightedChoice(honeypotWeights)], true
 }
 
 // wildHoneypotHost serves the family's static banner on Telnet and accepts
@@ -68,9 +71,15 @@ type wildHoneypotHost struct {
 	family HoneypotFamily
 }
 
+// wildHoneypotListens reports whether wild honeypots serve the port: Telnet
+// on 23 and nothing else.
+func wildHoneypotListens(transport netsim.Transport, port uint16) bool {
+	return transport == netsim.TCP && port == 23
+}
+
 // StreamService implements netsim.Host.
 func (h wildHoneypotHost) StreamService(port uint16) netsim.StreamHandler {
-	if port != 23 {
+	if !wildHoneypotListens(netsim.TCP, port) {
 		return nil
 	}
 	return h

@@ -14,41 +14,23 @@ import (
 	"openhire/internal/protocols/xmpp"
 )
 
-// deviceHost assembles protocol servers for the specs an address exposes.
-// It implements netsim.Host.
+// deviceHost is the device at one exposed address. It holds nothing but the
+// address: a conversation asks for one port, so the spec of the protocol
+// listening there is derived then, and the other protocols the device may
+// speak are never touched. It implements netsim.Host.
 type deviceHost struct {
-	u     *Universe
-	ip    netsim.IPv4
-	specs map[Protocol]DeviceSpec
-	ports map[uint16]Protocol
-}
-
-func newDeviceHost(u *Universe, ip netsim.IPv4, specs []DeviceSpec) *deviceHost {
-	h := &deviceHost{
-		u:     u,
-		ip:    ip,
-		specs: make(map[Protocol]DeviceSpec, len(specs)),
-		ports: make(map[uint16]Protocol, len(specs)),
-	}
-	for _, s := range specs {
-		h.specs[s.Protocol] = s
-		port := s.Protocol.DefaultPort()
-		if s.Protocol == ProtoTelnet {
-			port = u.TelnetPort(ip)
-		}
-		h.ports[port] = s.Protocol
-	}
-	return h
+	u  *Universe
+	ip netsim.IPv4
 }
 
 // StreamService implements netsim.Host.
-func (h *deviceHost) StreamService(port uint16) netsim.StreamHandler {
-	p, ok := h.ports[port]
-	if !ok || p.Transport() != netsim.TCP {
+func (h deviceHost) StreamService(port uint16) netsim.StreamHandler {
+	e := h.u.listener(h.ip, netsim.TCP, port)
+	if e == nil {
 		return nil
 	}
-	spec := h.specs[p]
-	switch p {
+	spec := h.u.deriveSpec(h.ip, e)
+	switch e.proto {
 	case ProtoTelnet:
 		return telnet.NewServer(TelnetConfig(spec))
 	case ProtoMQTT:
@@ -67,13 +49,13 @@ func (h *deviceHost) StreamService(port uint16) netsim.StreamHandler {
 }
 
 // DatagramService implements netsim.Host.
-func (h *deviceHost) DatagramService(port uint16) netsim.DatagramHandler {
-	p, ok := h.ports[port]
-	if !ok || p.Transport() != netsim.UDP {
+func (h deviceHost) DatagramService(port uint16) netsim.DatagramHandler {
+	e := h.u.listener(h.ip, netsim.UDP, port)
+	if e == nil {
 		return nil
 	}
-	spec := h.specs[p]
-	switch p {
+	spec := h.u.deriveSpec(h.ip, e)
+	switch e.proto {
 	case ProtoCoAP:
 		return coap.NewServer(CoAPConfig(spec))
 	case ProtoUPnP:

@@ -65,7 +65,7 @@ type UniverseConfig struct {
 }
 
 // Universe is the lazily derived IoT population. It implements
-// netsim.HostProvider.
+// netsim.HostProvider and netsim.PortProber.
 //
 // Note on state: population hosts are rebuilt on every lookup, so protocol
 // state (e.g. a poisoned MQTT topic) does not persist across connections.
@@ -75,25 +75,29 @@ type Universe struct {
 	cfg UniverseConfig
 	src *prng.Source
 
-	// weights per protocol for model choice, precomputed.
-	modelWeights map[Protocol][]float64
-	models       map[Protocol][]DeviceModel
+	// honeypotDensity is the boost-applied wild-honeypot planting density.
+	honeypotDensity float64
 
-	// exposure caches, per probe-able protocol, the label hash and the
-	// boost-applied density. Host consults this table instead of hashing
-	// protocol name strings and probing density maps on every lookup —
-	// the scanner resolves Host for every probed address, almost all of
-	// which are dark.
+	// exposure holds, per probe-able protocol, everything a derivation about
+	// it needs, precomputed: the sweep resolves a port, the crawls an
+	// exposure and the grab a spec for millions of (address, protocol) pairs,
+	// almost all of them dark, so none of them hashes a protocol name or
+	// probes a density map per lookup.
 	exposure []exposureEntry
 }
 
-// exposureEntry is one protocol's precomputed exposure-decision inputs.
+// exposureEntry is one protocol's precomputed derivation inputs.
 type exposureEntry struct {
-	proto   Protocol
-	ph      uint64  // prng.HashString of the protocol's label
-	density float64 // exposureDensity × DensityBoost, clamped to 1
-	ext     bool    // extension (future-work) protocol
-	shares  []classShare
+	proto     Protocol
+	ph        uint64  // prng.HashString of the protocol's label
+	density   float64 // exposure density × DensityBoost, clamped to 1
+	ext       bool    // extension (future-work) protocol
+	transport netsim.Transport
+	port      uint16 // DefaultPort; Telnet devices listen here or on telnetAltPort
+	shares    []classShare
+	// models and weights drive the model choice (scanned protocols only).
+	models  []DeviceModel
+	weights []float64
 }
 
 // NewUniverse builds a Universe.
@@ -104,11 +108,10 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 	if cfg.WeakCredentialShare == 0 {
 		cfg.WeakCredentialShare = 0.15
 	}
-	u := &Universe{
-		cfg:          cfg,
-		src:          prng.New(cfg.Seed),
-		modelWeights: make(map[Protocol][]float64),
-		models:       make(map[Protocol][]DeviceModel),
+	u := &Universe{cfg: cfg, src: prng.New(cfg.Seed)}
+	u.honeypotDensity = honeypotDensity * cfg.DensityBoost
+	if cfg.HoneypotBoost > 0 {
+		u.honeypotDensity = honeypotDensity * cfg.HoneypotBoost
 	}
 	for _, p := range ScannedProtocols {
 		models := ModelsFor(p)
@@ -116,21 +119,20 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 		for i, m := range models {
 			weights[i] = m.Weight
 		}
-		u.models[p] = models
-		u.modelWeights[p] = weights
-	}
-	for _, p := range ScannedProtocols {
 		u.exposure = append(u.exposure, exposureEntry{
 			proto: p, ph: prng.HashString(string(p)),
-			density: clampDensity(exposureDensity[p] * cfg.DensityBoost),
-			shares:  misconfigShares[p],
+			density:   clampDensity(exposureDensity[p] * cfg.DensityBoost),
+			transport: p.Transport(), port: p.DefaultPort(),
+			shares: misconfigShares[p], models: models, weights: weights,
 		})
 	}
 	for _, p := range ExtensionProtocols {
 		u.exposure = append(u.exposure, exposureEntry{
 			proto: p, ph: prng.HashString("ext-" + string(p)),
-			density: clampDensity(extensionDensity[p] * cfg.DensityBoost),
-			ext:     true,
+			density:   clampDensity(extensionDensity[p] * cfg.DensityBoost),
+			ext:       true,
+			transport: p.Transport(), port: p.DefaultPort(),
+			shares: extensionShares[p],
 		})
 	}
 	return u
@@ -161,17 +163,50 @@ var (
 	labelAltPort = prng.HashString("iot-altport")
 )
 
+// entry returns p's row of the exposure table — the scanned-protocol row or
+// the extension row, as asked — or nil when the universe has none.
+func (u *Universe) entry(p Protocol, ext bool) *exposureEntry {
+	for i := range u.exposure {
+		if e := &u.exposure[i]; e.proto == p && e.ext == ext {
+			return e
+		}
+	}
+	return nil
+}
+
+// exposed is the exposure roll: whether the device at ip speaks e's protocol.
+// Every other derivation about (ip, protocol) is conditional on it.
+func (u *Universe) exposed(ip netsim.IPv4, e *exposureEntry) bool {
+	h := u.src.Hash64(labelExposed, uint64(ip), e.ph)
+	return float64(h>>11)/(1<<53) < e.density
+}
+
+// Exposes reports whether ip exposes scanned protocol p: Spec's ok, without
+// deriving the spec.
+func (u *Universe) Exposes(ip netsim.IPv4, p Protocol) bool {
+	if !u.cfg.Prefix.Contains(ip) {
+		return false
+	}
+	e := u.entry(p, false)
+	return e != nil && u.exposed(ip, e)
+}
+
 // Spec derives the device spec for (ip, protocol). ok is false when the
 // address does not expose that protocol.
 func (u *Universe) Spec(ip netsim.IPv4, p Protocol) (DeviceSpec, bool) {
+	return u.specAt(ip, p, false)
+}
+
+// specAt is Spec (ext false) and ExtensionSpec (ext true).
+func (u *Universe) specAt(ip netsim.IPv4, p Protocol, ext bool) (DeviceSpec, bool) {
 	if !u.cfg.Prefix.Contains(ip) {
 		return DeviceSpec{}, false
 	}
-	density, known := exposureDensity[p]
-	if !known {
+	e := u.entry(p, ext)
+	if e == nil || !u.exposed(ip, e) {
 		return DeviceSpec{}, false
 	}
-	return u.specFrom(ip, p, prng.HashString(string(p)), clampDensity(density*u.cfg.DensityBoost))
+	return u.deriveSpec(ip, e), true
 }
 
 // ExposureAny reports whether ip exposes at least one scanned protocol and
@@ -211,37 +246,34 @@ func (u *Universe) ExposureAny(ip netsim.IPv4) (exposed, misconfigured bool) {
 	return exposed, misconfigured
 }
 
-// specFrom is Spec with the protocol hash and boost-applied density already
-// known (the Host fast path reads them from the exposure table).
-func (u *Universe) specFrom(ip netsim.IPv4, p Protocol, ph uint64, density float64) (DeviceSpec, bool) {
-	// Exposure decision.
-	h := u.src.Hash64(labelExposed, uint64(ip), ph)
-	if float64(h>>11)/(1<<53) >= density {
-		return DeviceSpec{}, false
-	}
-	spec := DeviceSpec{IP: ip, Protocol: p}
-
-	// Model choice.
-	pick := prng.New(u.src.Hash64(labelModel, uint64(ip), ph))
-	models := u.models[p]
-	if len(models) > 0 {
-		spec.Model = models[pick.WeightedChoice(u.modelWeights[p])]
-	}
+// deriveSpec derives the spec of an (ip, protocol) pair the exposure roll has
+// already admitted. Extension protocols carry a misconfiguration class only.
+func (u *Universe) deriveSpec(ip netsim.IPv4, e *exposureEntry) DeviceSpec {
+	spec := DeviceSpec{IP: ip, Protocol: e.proto}
 
 	// Misconfiguration class.
-	cls := prng.New(u.src.Hash64(labelClass, uint64(ip), ph))
+	cls := prng.New(u.src.Hash64(labelClass, uint64(ip), e.ph))
 	roll := cls.Float64()
 	spec.Misconfig = MisconfigNone
-	for _, cs := range misconfigShares[p] {
+	for _, cs := range e.shares {
 		if roll < cs.share {
 			spec.Misconfig = cs.class
 			break
 		}
 		roll -= cs.share
 	}
+	if e.ext {
+		return spec
+	}
+
+	// Model choice.
+	pick := prng.New(u.src.Hash64(labelModel, uint64(ip), e.ph))
+	if len(e.models) > 0 {
+		spec.Model = e.models[pick.WeightedChoice(e.weights)]
+	}
 
 	// Credentials for auth-gated endpoints.
-	cred := prng.New(u.src.Hash64(labelCred, uint64(ip), ph))
+	cred := prng.New(u.src.Hash64(labelCred, uint64(ip), e.ph))
 	if cred.Float64() < u.cfg.WeakCredentialShare {
 		spec.WeakCredentials = true
 		pair := DefaultCredentials[cred.Zipf(len(DefaultCredentials), 1.2)]
@@ -250,7 +282,7 @@ func (u *Universe) specFrom(ip netsim.IPv4, p Protocol, ph uint64, density float
 		spec.Username = "admin"
 		spec.Password = strongPassword(cred)
 	}
-	return spec, true
+	return spec
 }
 
 func strongPassword(src *prng.Source) string {
@@ -262,18 +294,56 @@ func strongPassword(src *prng.Source) string {
 	return string(b)
 }
 
+// telnetAltPort is the second port the Telnet scan covers.
+const telnetAltPort = 2323
+
 // TelnetPort returns which Telnet port the device listens on: most use 23,
 // a minority 2323 (which is why the paper scans both, Section 4.1.1).
 func (u *Universe) TelnetPort(ip netsim.IPv4) uint16 {
 	if u.src.Hash64(labelAltPort, uint64(ip))%100 < 7 {
-		return 2323
+		return telnetAltPort
 	}
 	return 23
 }
 
-// Host implements netsim.HostProvider: it assembles a live host from the
-// specs of every protocol the address exposes. Returns nil for dark
-// addresses. Wild honeypots shadow devices at their address.
+// listener resolves one port of the device at ip to the exposure entry of
+// the protocol listening there, or nil when the port is closed. It is the
+// one place a (transport, port) pair is mapped to a protocol: the sweep asks
+// it whether a port is open and the device host which server to build, so
+// the two cannot disagree. The cost is the exposure roll of the one protocol
+// that owns the port, plus the alt-port roll for an exposed Telnet device.
+func (u *Universe) listener(ip netsim.IPv4, transport netsim.Transport, port uint16) *exposureEntry {
+	for i := range u.exposure {
+		e := &u.exposure[i]
+		telnet := e.proto == ProtoTelnet
+		if e.transport != transport || (e.port != port && !(telnet && port == telnetAltPort)) {
+			continue
+		}
+		if !u.exposed(ip, e) || (telnet && u.TelnetPort(ip) != port) {
+			return nil
+		}
+		return e
+	}
+	return nil
+}
+
+// PortOpen implements netsim.PortProber: the answer Host(ip) and its
+// StreamService/DatagramService(port) would give, from the wild-honeypot
+// roll and listener's one or two, with no allocation.
+func (u *Universe) PortOpen(ip netsim.IPv4, transport netsim.Transport, port uint16) bool {
+	if !u.cfg.Prefix.Contains(ip) {
+		return false
+	}
+	if u.wildHoneypotAt(ip) {
+		return wildHoneypotListens(transport, port)
+	}
+	return u.listener(ip, transport, port) != nil
+}
+
+// Host implements netsim.HostProvider. Returns nil for dark addresses. Wild
+// honeypots shadow devices at their address. A device host is only the
+// address: which services it runs, and their specs, are derived per port
+// when a conversation asks (see deviceHost).
 func (u *Universe) Host(ip netsim.IPv4) netsim.Host {
 	if !u.cfg.Prefix.Contains(ip) {
 		return nil
@@ -281,39 +351,19 @@ func (u *Universe) Host(ip netsim.IPv4) netsim.Host {
 	if family, ok := u.WildHoneypot(ip); ok {
 		return wildHoneypotHost{family: family}
 	}
-	// Fast path for the overwhelmingly common dark address: one cheap
-	// integer hash per protocol against the precomputed exposure table;
-	// full spec derivation only runs for exposed (ip, protocol) pairs.
-	var specs []DeviceSpec
-	for _, e := range u.exposure {
-		h := u.src.Hash64(labelExposed, uint64(ip), e.ph)
-		if float64(h>>11)/(1<<53) >= e.density {
-			continue
-		}
-		var (
-			spec DeviceSpec
-			ok   bool
-		)
-		if e.ext {
-			spec, ok = u.extSpecFrom(ip, e.proto, e.ph, e.density)
-		} else {
-			spec, ok = u.specFrom(ip, e.proto, e.ph, e.density)
-		}
-		if ok {
-			specs = append(specs, spec)
+	for i := range u.exposure {
+		if u.exposed(ip, &u.exposure[i]) {
+			return deviceHost{u: u, ip: ip}
 		}
 	}
-	if len(specs) == 0 {
-		return nil
-	}
-	return newDeviceHost(u, ip, specs)
+	return nil
 }
 
 // ExposedProtocols lists the protocols an address exposes, in scan order.
 func (u *Universe) ExposedProtocols(ip netsim.IPv4) []Protocol {
 	var out []Protocol
 	for _, p := range ScannedProtocols {
-		if _, ok := u.Spec(ip, p); ok {
+		if u.Exposes(ip, p) {
 			out = append(out, p)
 		}
 	}

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,32 +15,41 @@ type Clock interface {
 }
 
 // SimClock is a manually advanced Clock. It is safe for concurrent use.
+//
+// Every probe reads it and only the experiment driver moves it, so the
+// current instant sits behind an atomic pointer to an immutable time.Time:
+// Now is one atomic load and readers on different cores never write a
+// shared cache line; Advance and Set publish a fresh value by
+// compare-and-swap.
 type SimClock struct {
-	mu  sync.RWMutex
-	now time.Time
+	now atomic.Pointer[time.Time]
 }
 
 // NewSimClock returns a clock starting at the given instant.
 func NewSimClock(start time.Time) *SimClock {
-	return &SimClock{now: start}
+	c := &SimClock{}
+	c.now.Store(&start)
+	return c
 }
 
 // Now returns the current simulated time.
 func (c *SimClock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
+	return *c.now.Load()
 }
 
 // Advance moves the clock forward by d and returns the new time.
 // Negative durations are ignored: simulated time never goes backwards.
 func (c *SimClock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.now = c.now.Add(d)
+	for {
+		cur := c.now.Load()
+		if d <= 0 {
+			return *cur
+		}
+		next := cur.Add(d)
+		if c.now.CompareAndSwap(cur, &next) {
+			return next
+		}
 	}
-	return c.now
 }
 
 // ErrClockBackwards is returned by Set when the requested instant is before
@@ -53,13 +62,15 @@ var ErrClockBackwards = errors.New("netsim: SimClock.Set would move time backwar
 // setting an earlier time fails with ErrClockBackwards and does not move
 // the clock.
 func (c *SimClock) Set(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.Before(c.now) {
-		return ErrClockBackwards
+	for {
+		cur := c.now.Load()
+		if t.Before(*cur) {
+			return ErrClockBackwards
+		}
+		if c.now.CompareAndSwap(cur, &t) {
+			return nil
+		}
 	}
-	c.now = t
-	return nil
 }
 
 // WallClock is a Clock backed by the real time.Now, used by the runnable

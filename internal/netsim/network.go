@@ -111,6 +111,18 @@ type HostProviderFunc func(ip IPv4) Host
 // Host calls f.
 func (f HostProviderFunc) Host(ip IPv4) Host { return f(ip) }
 
+// PortProber is the port-level fast path a HostProvider may add. A sweep asks
+// about one port of millions of mostly dark addresses; a provider that
+// derives its hosts (the IoT universe) answers that without assembling the
+// host. Providers that hold their hosts ready (static honeypots, test
+// fixtures) don't implement it and are asked for Host(ip) instead.
+type PortProber interface {
+	// PortOpen reports whether the provider has a host at ip that listens on
+	// the port: exactly Host(ip) != nil && its StreamService(port) (TCP) or
+	// DatagramService(port) (UDP) != nil.
+	PortOpen(ip IPv4, transport Transport, port uint16) bool
+}
+
 // ProbeKind classifies a traffic event seen by observers.
 type ProbeKind uint8
 
@@ -288,9 +300,7 @@ type netState struct {
 	providers []providerEntry
 	observers []observerEntry
 	// obsOctets marks, per destination top octet, whether any observer
-	// prefix can cover an address with that octet. One load + mask decides
-	// "no observer covers dst" without touching the observer list — the
-	// overwhelming case when scanning outside the telescope range.
+	// prefix can cover an address with that octet (see observed).
 	obsOctets [4]uint64
 }
 
@@ -298,6 +308,7 @@ type providerEntry struct {
 	prefix   Prefix
 	seq      int // registration order, for the equal-length tie-break
 	provider HostProvider
+	ports    PortProber // provider's port-level fast path, nil if it has none
 }
 
 type observerEntry struct {
@@ -335,7 +346,8 @@ func (n *Network) AddProvider(prefix Prefix, p HostProvider) {
 		obsOctets: cur.obsOctets,
 	}
 	copy(next.providers, cur.providers)
-	next.providers = append(next.providers, providerEntry{prefix: prefix, seq: len(cur.providers), provider: p})
+	ports, _ := p.(PortProber)
+	next.providers = append(next.providers, providerEntry{prefix: prefix, seq: len(cur.providers), provider: p, ports: ports})
 	sort.SliceStable(next.providers, func(i, j int) bool {
 		a, b := next.providers[i], next.providers[j]
 		if a.prefix.Bits != b.prefix.Bits {
@@ -387,20 +399,70 @@ func (n *Network) lookupHost(ip IPv4) Host {
 	return nil
 }
 
-// emit delivers an event to every observer covering the destination.
-func (n *Network) emit(ev ProbeEvent) {
+// portOpen resolves one port of ip through the registered providers, with
+// lookupHost's precedence: the first provider that has a host at ip decides,
+// whether or not the port is open on it.
+func (n *Network) portOpen(ip IPv4, transport Transport, port uint16) bool {
 	st := n.state.Load()
 	if st == nil {
-		return
+		return false
 	}
-	o := uint32(ev.Dst.IP) >> 24
-	if st.obsOctets[o>>6]&(1<<(o&63)) == 0 {
-		return // no observer can cover dst: free on a dark Internet
+	for i, e := range st.providers {
+		if !e.prefix.Contains(ip) {
+			continue
+		}
+		if e.ports != nil {
+			if e.ports.PortOpen(ip, transport, port) {
+				return true
+			}
+			// Not open here. A less specific provider only gets a say when
+			// this one has no host at ip at all, so unless one covers ip
+			// the answer is final and the host is never built.
+			if !covered(st.providers[i+1:], ip) {
+				return false
+			}
+		}
+		if h := e.provider.Host(ip); h != nil {
+			if transport == UDP {
+				return h.DatagramService(port) != nil
+			}
+			return h.StreamService(port) != nil
+		}
 	}
+	return false
+}
+
+// covered reports whether any of the providers' prefixes contains ip.
+func covered(providers []providerEntry, ip IPv4) bool {
+	for _, e := range providers {
+		if e.prefix.Contains(ip) {
+			return true
+		}
+	}
+	return false
+}
+
+// observed reports whether any observer prefix can cover ip. One load and a
+// mask, without touching the observer list: false is the overwhelming case
+// when scanning outside the telescope range, and then no event is built.
+func (st *netState) observed(ip IPv4) bool {
+	o := uint32(ip) >> 24
+	return st.obsOctets[o>>6]&(1<<(o&63)) != 0
+}
+
+// deliver hands an event to every observer covering the destination.
+func (st *netState) deliver(ev ProbeEvent) {
 	for _, e := range st.observers {
 		if e.prefix.Contains(ev.Dst.IP) {
 			e.observer.Observe(ev)
 		}
+	}
+}
+
+// emit delivers an event to every observer covering the destination.
+func (n *Network) emit(ev ProbeEvent) {
+	if st := n.state.Load(); st != nil && st.observed(ev.Dst.IP) {
+		st.deliver(ev)
 	}
 }
 
@@ -426,30 +488,83 @@ func (o ProbeOptions) timedOut(plan FaultPlan, drop bool) bool {
 	return drop || (o.Timeout > 0 && plan.Latency > o.Timeout)
 }
 
-// SynProbe performs a stateless TCP SYN probe: it reports whether a host at
-// dst accepts connections on the port, without establishing one. This is the
-// ZMap fast path — no connection state is created for the millions of
-// unresponsive addresses.
-func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
+// transmit puts a flow's first packet on the wire — a SYN, or a datagram of
+// size bytes — where the observers covering dst see it, and returns the TTL
+// it carried. Sweep, Dial and QueryX all send through here, so a telescope
+// cannot tell a liveness probe from the opening packet of a grab.
+func (n *Network) transmit(now time.Time, src, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
 	ttl := opts.TTL
 	if ttl == 0 {
 		ttl = n.DefaultTTL
 	}
-	n.emit(ProbeEvent{
-		Time: n.clock.Now(), Src: src, Dst: dst, Transport: TCP, Kind: ProbeSYN,
-		Size: 0, TTL: ttl, Spoofed: opts.Spoofed, Masscan: opts.Masscan,
+	st := n.state.Load()
+	if st == nil || !st.observed(dst.IP) {
+		return ttl
+	}
+	kind := ProbeSYN
+	if transport == UDP {
+		kind = ProbeUDP
+	}
+	st.deliver(ProbeEvent{
+		Time: now, Src: src, Dst: dst, Transport: transport, Kind: kind,
+		Size: size, TTL: ttl, Spoofed: opts.Spoofed, Masscan: opts.Masscan,
 	})
+	return ttl
+}
+
+// Verdict is what a stateless liveness probe learns about one port.
+type Verdict uint8
+
+// Sweep verdicts.
+const (
+	// Silent means nothing answered and nothing will: a dark address, a
+	// closed port, or a host flapped off the network. A true negative.
+	Silent Verdict = iota
+	// Open means something listens on the port: a Dial or Query for the same
+	// (dst, attempt) reaches it.
+	Open
+	// Lost means the fault model dropped the probe or its reply, or delayed
+	// it past the sender's patience. A retransmission draws again.
+	Lost
+)
+
+// Sweep is the stateless liveness probe, ZMap's half of a scan: one SYN (or
+// one datagram of size bytes) from src to dst, and a verdict. No connection
+// state is created, no host is assembled for the millions of addresses that
+// do not answer, and nothing is sent to the service. The wire event, the
+// fault plan — a pure function of (dst, transport, attempt), so the grab that
+// follows an Open verdict meets the same pathologies — and provider
+// precedence are those of Dial (TCP) and QueryX (UDP).
+func (n *Network) Sweep(src IPv4, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
+	return n.sweep(Endpoint{IP: src, Port: ephemeralPort(src, dst)}, dst, transport, size, opts)
+}
+
+func (n *Network) sweep(src, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
+	now := n.clock.Now()
+	n.transmit(now, src, dst, transport, size, opts)
 	if fm := n.Faults(); fm != nil {
-		plan := fm.PlanProbe(src.IP, dst, TCP, opts.Attempt, n.clock.Now())
-		if plan.HostDown || opts.timedOut(plan, plan.DropSYN) {
-			return false
+		plan := fm.PlanProbe(src.IP, dst, transport, opts.Attempt, now)
+		if plan.HostDown {
+			return Silent
+		}
+		drop := plan.DropSYN
+		if transport == UDP {
+			drop = plan.DropDatagram
+		}
+		if opts.timedOut(plan, drop) {
+			return Lost
 		}
 	}
-	h := n.lookupHost(dst.IP)
-	if h == nil {
-		return false
+	if n.portOpen(dst.IP, transport, dst.Port) {
+		return Open
 	}
-	return h.StreamService(dst.Port) != nil
+	return Silent
+}
+
+// SynProbe is the TCP sweep from a source port of the caller's choosing: it
+// reports whether a host at dst accepts connections on the port.
+func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
+	return n.sweep(src, dst, TCP, 0, opts) == Open
 }
 
 // Dial establishes a TCP-like connection from src to dst. The conversation
@@ -465,15 +580,8 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	}
 	n.stats.Dials.Add(1)
 	now := n.clock.Now()
-	ttl := opts.TTL
-	if ttl == 0 {
-		ttl = n.DefaultTTL
-	}
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	n.emit(ProbeEvent{
-		Time: now, Src: srcEP, Dst: dst, Transport: TCP, Kind: ProbeSYN,
-		TTL: ttl, Spoofed: opts.Spoofed, Masscan: opts.Masscan,
-	})
+	ttl := n.transmit(now, srcEP, dst, TCP, 0, opts)
 	var plan FaultPlan
 	if fm := n.Faults(); fm != nil {
 		plan = fm.PlanProbe(src, dst, TCP, opts.Attempt, now)
@@ -578,15 +686,8 @@ func (n *Network) Query(src IPv4, dst Endpoint, payload []byte, opts ProbeOption
 func (n *Network) QueryX(src IPv4, dst Endpoint, payload []byte, opts ProbeOptions) ([]byte, QueryOutcome) {
 	n.stats.Datagrams.Add(1)
 	now := n.clock.Now()
-	ttl := opts.TTL
-	if ttl == 0 {
-		ttl = n.DefaultTTL
-	}
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	n.emit(ProbeEvent{
-		Time: now, Src: srcEP, Dst: dst, Transport: UDP, Kind: ProbeUDP,
-		Size: len(payload), TTL: ttl, Spoofed: opts.Spoofed, Masscan: opts.Masscan,
-	})
+	n.transmit(now, srcEP, dst, UDP, len(payload), opts)
 	if fm := n.Faults(); fm != nil {
 		plan := fm.PlanProbe(src, dst, UDP, opts.Attempt, now)
 		if plan.HostDown {

@@ -25,7 +25,8 @@
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers and over the chunking invariance of all ten stream servers
+#      parsers, over the chunking invariance of all ten stream servers and
+#      over the scanner's eight grab modules fed hostile conversations
 #      (seed corpus + 10 fresh inputs each) — skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests, the
 #      run harness's own tests (signal ladder, chain, manifest epilogue), and
@@ -98,6 +99,7 @@ if [ "$FAST" = "0" ]; then
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/protocols/mqtt/
 	done
 	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
+	go test -run '^FuzzGrab$' -fuzz '^FuzzGrab$' -fuzztime 10x ./internal/core/scan/
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 fi
