@@ -48,7 +48,8 @@ crash:
 	go test -race -count=1 ./internal/checkpoint/... ./internal/cli/
 
 # serve-smoke drives openhire-serve end to end: golden run, kill/resume
-# byte-identity of the aggregates and time-series artifacts, the inspect
+# byte-identity of the aggregates and time-series artifacts, a resumed
+# checkpoint that carries no honeypot log, the inspect
 # timeline renderer in file and live-URL modes, and a live daemon answering
 # the query API (including /api/timeseries) mid-run before a graceful
 # SIGINT shutdown.

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -301,15 +300,6 @@ func (s *Sources) exposureOf(ip netsim.IPv4) (misconfigured, exposed bool) {
 	return misconfigured, exposed
 }
 
-func (s *Sources) isMisconfigured(ip netsim.IPv4) bool {
-	for _, p := range iot.ScannedProtocols {
-		if spec, ok := s.universe.Spec(ip, p); ok && spec.Misconfig != iot.MisconfigNone {
-			return true
-		}
-	}
-	return false
-}
-
 // InfectedTargetsFor returns where an infected source attacks.
 func (s *Sources) InfectedTargetsFor(ip netsim.IPv4) (InfectedTargets, bool) {
 	t, ok := s.infectedAt[ip]
@@ -354,14 +344,4 @@ func (s *Sources) ScanningServiceAddrs() []netsim.IPv4 {
 // TorExits returns the provisioned Tor exit addresses.
 func (s *Sources) TorExits() []netsim.IPv4 {
 	return append([]netsim.IPv4(nil), s.torExits...)
-}
-
-// Describe renders a short summary for logs.
-func (s *Sources) Describe() string {
-	counts := map[SourceClass]int{}
-	for _, c := range s.classes {
-		counts[c]++
-	}
-	return fmt.Sprintf("sources: %d scanning-service, %d malicious, %d unknown, %d infected",
-		counts[ClassScanningService], counts[ClassMalicious], counts[ClassUnknown], len(s.infected))
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"openhire/internal/iot"
 	"openhire/internal/netsim"
 )
 
@@ -118,7 +117,3 @@ func CoverageDelta(a, b []*Result) (onlyA, onlyB []netsim.IPv4) {
 	sort.Slice(onlyB, func(i, j int) bool { return onlyB[i] < onlyB[j] })
 	return onlyA, onlyB
 }
-
-// ProtocolOf returns the module's protocol; tiny helper for distributed
-// reports.
-func ProtocolOf(m ProbeModule) iot.Protocol { return m.Protocol() }

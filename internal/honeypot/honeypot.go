@@ -91,11 +91,28 @@ func (l *Log) Append(ev Event) {
 // the contract the pre-sharding log kept; concurrent appenders get a stable
 // chronological linearization.
 func (l *Log) Events() []Event {
+	return l.snapshot(false)
+}
+
+// Drain returns the events appended since the last drain, in Events order,
+// and empties the log — the mirror of telescope.Drain. Every event is
+// returned by exactly one drain, however appends interleave with it; an
+// append that lands after its shard was visited waits for the next one.
+func (l *Log) Drain() []Event {
+	return l.snapshot(true)
+}
+
+// snapshot gathers the shards in (Time, arrival sequence) order, emptying
+// each under its own lock when drain is set.
+func (l *Log) snapshot(drain bool) []Event {
 	all := make([]seqEvent, 0, l.Len())
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		all = append(all, sh.events...)
+		if drain {
+			sh.events = nil
+		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -111,9 +128,17 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Len returns the event count.
+// Len returns the number of events currently held: appended and not yet
+// drained.
 func (l *Log) Len() int {
-	return int(l.seq.Load())
+	n := 0
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		n += len(sh.events)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // SortEventsCanonical orders events by content alone — every field, ties
@@ -221,21 +246,6 @@ func (h *Honeypot) floodUpgrade(ev *Event) {
 			ev.Detail = "rate threshold exceeded"
 		}
 	}
-}
-
-// ExemptPrefixes collects the deployed honeypots' /32s into a PrefixSet for
-// a fault profile's exemption list. The paper's honeypots ran uninterrupted
-// for the whole measurement month, so campaign replays on a faulted fabric
-// exempt them: injected pathologies shape the scan and attack paths, not the
-// vantage points themselves.
-func ExemptPrefixes(pots ...*Honeypot) *netsim.PrefixSet {
-	set := netsim.NewPrefixSet()
-	for _, h := range pots {
-		if h != nil {
-			set.Add(netsim.NewPrefix(h.IP, 32))
-		}
-	}
-	return set
 }
 
 // New builds an empty honeypot bound to the shared log. clock stamps

@@ -79,6 +79,75 @@ func TestLogConcurrentAppendKeepsAll(t *testing.T) {
 	}
 }
 
+// TestLogDrain hammers the striped log from 32 appenders while the test
+// goroutine drains it in a loop: every event must come back from exactly one
+// drain, each drain in time order, and the log must read empty afterwards —
+// Len counts what is held, not what was ever appended.
+func TestLogDrain(t *testing.T) {
+	log := &Log{}
+	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+	const workers, per = 32, 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				log.Append(Event{
+					Time: base.Add(time.Duration(i) * time.Second),
+					Src:  netsim.IPv4(w*per + i),
+				})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	seen := make(map[netsim.IPv4]int, workers*per)
+	for appending := true; appending; {
+		select {
+		case <-done:
+			appending = false // this iteration's drain runs after the last append
+		default:
+		}
+		evs := log.Drain()
+		for i, ev := range evs {
+			if i > 0 && ev.Time.Before(evs[i-1].Time) {
+				t.Fatalf("drained event %d out of time order", i)
+			}
+			seen[ev.Src]++
+		}
+	}
+	if len(seen) != workers*per {
+		t.Fatalf("drains returned %d distinct events, want %d", len(seen), workers*per)
+	}
+	for src, n := range seen {
+		if n != 1 {
+			t.Fatalf("event for src %d returned %d times", src, n)
+		}
+	}
+	if n, evs := log.Len(), log.Events(); n != 0 || len(evs) != 0 {
+		t.Fatalf("after the last drain: len %d, events %d, want both 0", n, len(evs))
+	}
+
+	// Appends after a drain start a fresh window: Len, Events and the next
+	// drain all see exactly those, in append order.
+	for i := 0; i < 3; i++ {
+		log.Append(Event{Time: base, Src: netsim.IPv4(i)})
+	}
+	if n, evs := log.Len(), log.Events(); n != 3 || len(evs) != 3 {
+		t.Fatalf("after 3 more appends: len %d, events %d, want both 3", n, len(evs))
+	}
+	for i, ev := range log.Drain() {
+		if ev.Src != netsim.IPv4(i) {
+			t.Fatalf("drained event %d out of append order: src %d", i, ev.Src)
+		}
+	}
+	if log.Len() != 0 {
+		t.Fatalf("len %d after draining, want 0", log.Len())
+	}
+}
+
 // TestSortEventsCanonical verifies the canonical order is a pure function of
 // content: shuffling the input does not change the sorted result.
 func TestSortEventsCanonical(t *testing.T) {

@@ -359,17 +359,6 @@ func (u *Universe) Host(ip netsim.IPv4) netsim.Host {
 	return nil
 }
 
-// ExposedProtocols lists the protocols an address exposes, in scan order.
-func (u *Universe) ExposedProtocols(ip netsim.IPv4) []Protocol {
-	var out []Protocol
-	for _, p := range ScannedProtocols {
-		if u.Exposes(ip, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ExpectedExposed returns the expected number of exposed hosts for a
 // protocol in this universe (density × size × boost), for calibration tests.
 func (u *Universe) ExpectedExposed(p Protocol) float64 {

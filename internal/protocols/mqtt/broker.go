@@ -96,18 +96,6 @@ func (b *Broker) RetainedValue(topic string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Topics lists retained topic names, sorted.
-func (b *Broker) Topics() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.retained))
-	for t := range b.retained {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // session is one connected client.
 type session struct {
 	conn   *netsim.ServiceConn

@@ -10,7 +10,6 @@ package upnp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -159,14 +158,4 @@ func ResponseHeaders(raw []byte) (map[string]string, bool) {
 		h[strings.ToUpper(strings.TrimSpace(line[:colon]))] = strings.TrimSpace(line[colon+1:])
 	}
 	return h, true
-}
-
-// HeaderNames returns the sorted header keys, for stable test output.
-func HeaderNames(h map[string]string) []string {
-	out := make([]string, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -5,11 +5,12 @@
 // cycle boundaries and publishing copy-on-write snapshots to an HTTP/JSON
 // query API.
 //
-// One cycle is one simulated day. Aggregate state is a pure function of
-// (seed, config, cycle): every fold happens on the single-threaded cycle
-// driver from canonical (order-normalized) leg outputs, so the published
-// snapshots — and the checkpoints that make the daemon kill-safe — are
-// byte-identical across runs, worker counts and kill/resume cycles.
+// One cycle is one simulated day, and every leg folds that day's delta and
+// nothing older. Aggregate state is a pure function of (seed, config, cycle):
+// every fold happens on the single-threaded cycle driver, from leg outputs
+// that are order-normalized or into counts and sets that ignore order, so the
+// published snapshots — and the checkpoints that make the daemon kill-safe —
+// are byte-identical across runs, worker counts and kill/resume cycles.
 package serve
 
 import (
@@ -314,39 +315,25 @@ func (a *Aggregates) FinishSweep() {
 	a.Exposure.Sweep++
 }
 
-// FoldMonthEvents re-derives the current month's trend rows from the month's
-// canonical event log, through day throughDay (inclusive, month-relative).
-// Re-deriving the whole month window — instead of appending one day's delta —
-// makes the fold idempotent: a cycle replayed after a kill lands on exactly
-// the rows the killed run had, because the log it folds from is itself
-// restored canonically.
-func (a *Aggregates) FoldMonthEvents(month, throughDay int, events []honeypot.Event) {
-	days := throughDay + 1
-	counts := honeypot.DailyCounts(events, netsim.ExperimentStart, days)
-	byType := make([]map[string]int, days)
-	sources := make([]IPSet, days)
+// FoldAttackDay folds one drained campaign day into the trend row for the
+// absolute day cycle: event volume by attack type, the day's distinct
+// sources, and the honeypot-source correlation set. The campaign stamps a
+// day's events inside that day and quiesces the fabric before the clock
+// moves, so the drained slice is exactly the row; counts and sets do not
+// depend on its order.
+func (a *Aggregates) FoldAttackDay(cycle int, events []honeypot.Event) {
+	row := a.Trends.day(cycle)
+	row.AttackEvents = len(events)
+	var sources IPSet
 	for _, ev := range events {
-		if ev.Time.Before(netsim.ExperimentStart) {
-			continue
+		if row.AttacksByType == nil {
+			row.AttacksByType = make(map[string]int)
 		}
-		d := int(ev.Time.Sub(netsim.ExperimentStart) / (24 * time.Hour))
-		if d < 0 || d >= days {
-			continue
-		}
-		if byType[d] == nil {
-			byType[d] = make(map[string]int)
-		}
-		byType[d][string(ev.Type)]++
-		sources[d].Add(ev.Src)
+		row.AttacksByType[string(ev.Type)]++
+		sources.Add(ev.Src)
 		a.Correlate.HoneypotSources.Add(ev.Src)
 	}
-	base := month * monthDays
-	for d := 0; d < days; d++ {
-		row := a.Trends.day(base + d)
-		row.AttackEvents = counts[d]
-		row.AttacksByType = byType[d]
-		row.AttackSources = len(sources[d])
-	}
+	row.AttackSources = len(sources)
 }
 
 // FoldTelescopeDay folds one drained darknet day into the trend row for the
@@ -358,17 +345,11 @@ func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*te
 	row := a.Trends.day(cycle)
 	row.TelescopeFlows = len(flows)
 	row.TelescopePackets = 0
-	hourly := make([]uint64, 24)
-	for h, part := range telescope.PartitionByHour(flows, dayStart, 24) {
-		for _, ft := range part {
-			hourly[h] += uint64(ft.PacketCnt)
-		}
-	}
 	for _, ft := range flows {
 		row.TelescopePackets += uint64(ft.PacketCnt)
 		a.Correlate.TelescopeSources.Add(ft.SrcIP)
 	}
-	row.HourlyPackets = hourly
+	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
 // Correlation renders the correlation join counts.

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"openhire/internal/attack"
 	"openhire/internal/attack/malware"
@@ -100,7 +98,7 @@ func (c Config) withDefaults() Config {
 
 // monthState is the attack month's live world: honeypot fabric, telescope
 // and darknet generator, all seeded for the current month and discarded at
-// the month boundary. Rebuilt on restore by replaying construction.
+// the month boundary. Rebuilt after a restore by replaying construction.
 type monthState struct {
 	clock   *netsim.SimClock
 	network *netsim.Network
@@ -121,9 +119,6 @@ type serveCheckpoint struct {
 	Campaign *attack.CampaignResume `json:"campaign,omitempty"`
 	// Scan is the segmented scanner's position (nil between sweeps).
 	Scan *scan.SegmentedState `json:"scan,omitempty"`
-	// Events is the current month's honeypot log in canonical JSONL form
-	// ("" at a month boundary).
-	Events string `json:"events,omitempty"`
 	// Agg is the complete derived state.
 	Agg *Aggregates `json:"agg"`
 	// TSDB is the sim-deterministic time-series state at this cycle, the
@@ -241,8 +236,10 @@ func (l *Loop) buildMonth(m int) *monthState {
 	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen}
 }
 
-// Restore loads the checkpoint from cfg.CheckpointDir, if one exists, and
-// rebuilds the live worlds around it. Returns whether a checkpoint was found.
+// Restore loads the checkpoint from cfg.CheckpointDir, if one exists: leg
+// positions and aggregates only. The next cycle rebuilds the month world, whose
+// log starts empty — every committed day was drained and folded into Agg
+// before its commit. Returns whether a checkpoint was found.
 func (l *Loop) Restore() (bool, error) {
 	st := &serveCheckpoint{Agg: l.agg}
 	found, err := checkpoint.Resume(l.cfg.CheckpointDir, "serve", cycleName, l.cfg.Seed, st)
@@ -279,18 +276,6 @@ func (l *Loop) Restore() (bool, error) {
 			if err := l.obsv.Wall.LoadState(wallSt); err != nil {
 				l.obsv.Wall = tsdb.New(l.obsv.Sim.Options())
 			}
-		}
-	}
-	if l.cycle%monthDays != 0 {
-		// Mid-month: rebuild the month world and replay the committed days'
-		// events into the log (append order is free — every consumer sorts).
-		l.month = l.buildMonth(l.cycle / monthDays)
-		evs, err := honeypot.ImportJSONL(strings.NewReader(st.Events))
-		if err != nil {
-			return false, fmt.Errorf("checkpoint events: %w", err)
-		}
-		for _, ev := range evs {
-			l.month.log.Append(ev)
 		}
 	}
 	// Publish the restored position immediately: the API answers from the
@@ -381,10 +366,9 @@ func (l *Loop) runCycle() error {
 	}
 	span.Mark("telescope")
 
-	// Honeypot trends: re-derive the month's rows from the canonical log.
-	events := l.month.log.Events()
-	honeypot.SortEventsCanonical(events)
-	l.agg.FoldMonthEvents(m, d, events)
+	// Honeypot trends: drain the events the campaign day logged and fold
+	// them into the day's row, like the telescope day above.
+	l.agg.FoldAttackDay(l.cycle, l.month.log.Drain())
 	span.Mark("honeypots")
 
 	// Scan leg: drain this cycle's segment allowance.
@@ -399,7 +383,7 @@ func (l *Loop) runCycle() error {
 		l.campaignResume = nil
 	}
 	l.cycle++
-	return l.commit(events, span)
+	return l.commit(span)
 }
 
 // stepScan advances the in-flight sweep by up to SegmentsPerCycle segment
@@ -446,7 +430,7 @@ func (l *Loop) stepScan() error {
 // a checkpoint at least as new. The observatory samples happen at the same
 // barrier: the sim stream before the checkpoint (its state rides inside it),
 // the wall stream after (it is excluded from every durability guarantee).
-func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
+func (l *Loop) commit(span *obs.CycleSpan) error {
 	cyc := int64(l.cycle - 1)
 	l.obsv.appendSim(cyc, l.agg, inflightScanStats(l.scanState))
 	if l.cfg.CheckpointDir != "" {
@@ -457,13 +441,6 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 			Agg:            l.agg,
 			TelescopeFiles: l.telFiles,
 			Chain:          checkpoint.Chain{Checkpoints: l.ckpts},
-		}
-		if l.month != nil {
-			var buf bytes.Buffer
-			if err := honeypot.ExportJSONL(&buf, events); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-			st.Events = buf.String()
 		}
 		if l.obsv != nil {
 			simState := l.obsv.Sim.State()

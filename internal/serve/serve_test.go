@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"openhire/internal/checkpoint"
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
 )
@@ -136,17 +137,55 @@ func TestSweepCompletionFolds(t *testing.T) {
 // TestKillResumeSnapshots asserts a checkpointed daemon killed between cycles
 // and restored by a fresh Loop publishes byte-identical snapshots: the
 // restored position's immediate re-publish matches the killed run's last
-// commit, and the continued cycles match an uninterrupted golden run.
+// commit, and the continued cycles match an uninterrupted golden run. Each
+// kill also pins what the checkpoint holds — leg positions and aggregates, no
+// honeypot log — and the one twelve days into a month resumes onto the
+// golden digest.
 func TestKillResumeSnapshots(t *testing.T) {
-	const total = 3
-	golden := collect(t, testConfig(9), total)
+	for _, tc := range []struct{ kill, total int }{{2, 3}, {12, 29}} {
+		t.Run(fmt.Sprintf("kill@%d", tc.kill), func(t *testing.T) {
+			testKillResume(t, tc.kill, tc.total)
+		})
+	}
+}
+
+func testKillResume(t *testing.T, kill, total int) {
+	golden := make(map[int]*Published)
+	ucfg := testConfig(9)
+	ucfg.OnPublish = func(s *Published) { golden[s.Watermark.Cycle] = s }
+	uninterrupted := New(ucfg)
+	if err := uninterrupted.Run(context.Background(), total); err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	cfg := testConfig(9)
 	cfg.CheckpointDir = dir
 	first := New(cfg)
-	if err := first.Run(context.Background(), 2); err != nil {
+	if err := first.Run(context.Background(), kill); err != nil {
 		t.Fatal(err)
+	}
+
+	// What the checkpoint holds: the members that grow with the run are
+	// named; the rest is scheduler position and bookkeeping, so a log riding
+	// along under any name trips the bound.
+	var members map[string]json.RawMessage
+	if _, err := checkpoint.Load(dir, "serve", cfg.Seed, &members); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := members["events"]; ok {
+		t.Error("serve.ckpt carries an events member: the honeypot log is back in the checkpoint")
+	}
+	rest := 0
+	for name, raw := range members {
+		switch name {
+		case "scan", "agg", "tsdb", "checkpoints":
+		default:
+			rest += len(name) + len(raw)
+		}
+	}
+	if rest >= 1024 {
+		t.Errorf("serve.ckpt outside scan/agg/tsdb/checkpoints is %d bytes, want < 1024", rest)
 	}
 
 	// A different worker count after the "kill" — resume must not care.
@@ -162,21 +201,19 @@ func TestKillResumeSnapshots(t *testing.T) {
 	if !found {
 		t.Fatal("Restore found no checkpoint")
 	}
-	if second.Cycle() != 2 {
-		t.Fatalf("restored at cycle %d, want 2", second.Cycle())
+	if second.Cycle() != kill {
+		t.Fatalf("restored at cycle %d, want %d", second.Cycle(), kill)
 	}
-	sameSnapshot(t, "restored re-publish", golden[2], snaps[2])
+	sameSnapshot(t, "restored re-publish", golden[kill], snaps[kill])
 	if err := second.Run(context.Background(), total); err != nil {
 		t.Fatal(err)
 	}
-	sameSnapshot(t, "resumed cycle 3", golden[3], snaps[3])
+	for c := kill + 1; c <= total; c++ {
+		sameSnapshot(t, fmt.Sprintf("resumed cycle %d", c), golden[c], snaps[c])
+	}
 
 	aggJSON, err := second.AggregatesJSON()
 	if err != nil {
-		t.Fatal(err)
-	}
-	uninterrupted := New(testConfig(9))
-	if err := uninterrupted.Run(context.Background(), total); err != nil {
 		t.Fatal(err)
 	}
 	wantJSON, err := uninterrupted.AggregatesJSON()
@@ -185,6 +222,11 @@ func TestKillResumeSnapshots(t *testing.T) {
 	}
 	if !bytes.Equal(aggJSON, wantJSON) {
 		t.Errorf("resumed AggregatesJSON differs from uninterrupted run")
+	}
+	if want, ok := goldenAggregates[total]; ok {
+		if got := aggregatesDigest(t, second); got != want {
+			t.Errorf("resumed run at cycle %d diverged from golden:\n got %s\nwant %s", total, got, want)
+		}
 	}
 
 	// The sim time-series state is part of the determinism contract too: the

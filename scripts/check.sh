@@ -16,6 +16,9 @@
 #      prom byte-parity test, and the tsdb rollup-reconciliation and COW
 #      concurrency tests; then the service gate — the serve daemon's
 #      snapshot determinism across worker counts and kill/resume, the
+#      aggregates pinned to golden digests across two month reseeds
+#      (TestServeGoldenDigest), a mid-month kill whose checkpoint must hold
+#      leg positions and aggregates only (no honeypot log), the
 #      concurrent-scrape zero-perturbation test, and the time-series
 #      observatory gates (sim-stream byte-identity across worker counts,
 #      tsdb-on vs tsdb-off zero perturbation, checkpointed history matching
@@ -37,7 +40,8 @@
 #      commit site (go test -short)
 #   7. the serve smoke (scripts/serve_smoke.sh): openhire-serve end to end —
 #      kill/resume byte-identity of the aggregates and time-series
-#      artifacts, the live query API (including /api/timeseries) answering
+#      artifacts, no "events" member in the serve.ckpt the resumed run
+#      leaves, the live query API (including /api/timeseries) answering
 #      mid-run, openhire-inspect timeline in both file and live-URL modes,
 #      and a graceful SIGINT shutdown; then the
 #      inspect smoke: build openhire-scan + openhire-inspect, run the
@@ -82,7 +86,7 @@ go test -race ./internal/netsim/... ./internal/core/scan/... \
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
 
-echo "==> service gate: serve aggregation determinism + concurrent scrape under -race"
+echo "==> service gate: serve aggregation determinism, golden digests + concurrent scrape under -race"
 go test -race ./internal/serve/
 
 echo "==> chaos gate: fault-model equivalence under -race"
@@ -112,7 +116,7 @@ else
 	go test -race -count=1 -short ./internal/checkpoint/... ./internal/cli/
 fi
 
-echo "==> serve smoke: daemon kill/resume byte-identity + live API + graceful SIGINT"
+echo "==> serve smoke: daemon kill/resume byte-identity, log-free checkpoint + live API + graceful SIGINT"
 ./scripts/serve_smoke.sh
 
 echo "==> inspect smoke: fixed-seed run self-diffs clean, tracing is zero-perturbation"

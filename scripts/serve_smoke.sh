@@ -8,7 +8,9 @@
 #      serve.cycle.commit crashpoint (second hit, exit 87), then a resumed
 #      run (different worker count) continuing to the same 3-cycle target —
 #      the final aggregates AND the sim time-series history must be
-#      byte-identical to golden
+#      byte-identical to golden, and the mid-month serve.ckpt it leaves must
+#      hold no "events" member (leg positions and aggregates only: the
+#      honeypot log is drained and folded each cycle, never checkpointed)
 #   3. timeline (file mode): openhire-inspect timeline must render the
 #      resumed run's serve-tsdb.ckpt with per-cycle leg attribution
 #   4. live API: a -cycles 0 daemon with a listener; once a cycle commits,
@@ -46,6 +48,10 @@ fi
 (cd "$SMOKE/resume" && "$SMOKE/openhire-serve" $FLAGS -workers 4 -checkpoint ck -resume -out aggregates.json -tsdb-out timeseries.json >/dev/null 2>&1)
 cmp "$SMOKE/golden/aggregates.json" "$SMOKE/resume/aggregates.json"
 cmp "$SMOKE/golden/timeseries.json" "$SMOKE/resume/timeseries.json"
+if grep -aq '"events":' "$SMOKE/resume/ck/serve.ckpt"; then
+	echo "serve smoke: ck/serve.ckpt carries an events member — the honeypot log is back in the checkpoint" >&2
+	exit 1
+fi
 
 echo "  inspect timeline from the resumed run's tsdb checkpoint"
 "$SMOKE/openhire-inspect" timeline "$SMOKE/resume/ck/serve-tsdb.ckpt" >"$SMOKE/timeline-file.txt"
