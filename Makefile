@@ -24,7 +24,8 @@ race:
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
 # detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
-# stream servers' chunking invariance and the scanner's eight grab modules.
+# stream servers' chunking invariance, the scanner's eight grab modules and
+# the FlowTuple codec.
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -37,6 +38,9 @@ chaos:
 	done
 	go test -run '^FuzzStepperChunking$$' -fuzz '^FuzzStepperChunking$$' -fuzztime 10x ./internal/honeypot/
 	go test -run '^FuzzGrab$$' -fuzz '^FuzzGrab$$' -fuzztime 10x ./internal/core/scan/
+	for target in FuzzReadBinary FuzzFlowCSV; do \
+		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/telescope/ || exit 1; \
+	done
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint
@@ -48,8 +52,9 @@ crash:
 	go test -race -count=1 ./internal/checkpoint/... ./internal/cli/
 
 # serve-smoke drives openhire-serve end to end: golden run, kill/resume
-# byte-identity of the aggregates and time-series artifacts, a resumed
-# checkpoint that carries no honeypot log, the inspect
+# byte-identity of the aggregates, time-series artifacts and hourly capture
+# files (one kill inside the hour-file group, no staging file left), a
+# resumed checkpoint that carries no honeypot log, the inspect
 # timeline renderer in file and live-URL modes, and a live daemon answering
 # the query API (including /api/timeseries) mid-run before a graceful
 # SIGINT shutdown.

@@ -272,24 +272,11 @@ func writeFlowFile(path string, flows []*telescope.FlowTuple) (string, error) {
 	return run.WriteArtifact(path, func(w io.Writer) error {
 		switch *format {
 		case "csv":
-			if err := telescope.WriteCSVHeader(w); err != nil {
-				return err
-			}
-			for _, ft := range flows {
-				if err := ft.WriteCSV(w); err != nil {
-					return err
-				}
-			}
+			return telescope.WriteFlowsCSV(w, flows)
 		case "bin":
-			for _, ft := range flows {
-				if err := ft.WriteBinary(w); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("unknown format %q", *format)
+			return telescope.WriteFlowsBinary(w, flows)
 		}
-		return nil
+		return fmt.Errorf("unknown format %q", *format)
 	})
 }
 

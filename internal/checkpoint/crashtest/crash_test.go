@@ -11,6 +11,8 @@ package crashtest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -191,11 +193,6 @@ func artifacts(t *testing.T, dir string) []string {
 		if rel == "manifest.json" {
 			return nil
 		}
-		// A kill inside the atomic-write staging window orphans a hidden
-		// ".NAME.tmp*" file; staging files are not durable artifacts.
-		if name := filepath.Base(rel); len(name) > 0 && name[0] == '.' {
-			return nil
-		}
 		out = append(out, rel)
 		return nil
 	})
@@ -204,6 +201,29 @@ func artifacts(t *testing.T, dir string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// checkNoStagingFiles asserts nothing under dir — the checkpoint directory
+// included — is a hidden ".NAME.tmp" staging file. A kill inside the
+// atomic-write staging window orphans one (up to 24 when it lands in a
+// cycle's hour-file group), but staging names are deterministic and a resumed
+// run writes every file the killed run was writing, so it stages over each
+// orphan and renames it away.
+func checkNoStagingFiles(t *testing.T, label, dir string) {
+	t.Helper()
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if path != dir && info.Name()[0] == '.' {
+			rel, _ := filepath.Rel(dir, path)
+			t.Errorf("%s: staging file %s left behind", label, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // compareArtifacts asserts every durable output in got is byte-identical to
@@ -333,6 +353,7 @@ func sweep(t *testing.T, l leg) {
 				t.Fatalf("resume exited %d", code)
 			}
 			compareArtifacts(t, "kill at "+spec, golden, dir)
+			checkNoStagingFiles(t, "kill at "+spec, dir)
 			// The resumed manifest's checkpoint records must match the
 			// never-killed run's exactly: checkpoint bytes are independent
 			// of kill history.
@@ -378,5 +399,62 @@ func TestCheckpointIgnoresObservation(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("telescope.ckpt differs with -debug-addr (%d vs %d bytes)", len(want), len(got))
+	}
+}
+
+// goldenDayFiles are the sha256 digests of openhire-telescope's rotated day
+// files in both formats, recorded from the binary at the last commit whose
+// encoder was fmt.Fprintf per record and whose drain was sort.Slice. The
+// sweeps above only compare a binary with itself; these constants are what
+// notices a codec or drain-order change that moves the bytes on both sides.
+var goldenDayFiles = map[string][3]string{
+	"csv": {
+		"d227f0ff9a655fb64558db1b550b20f7bab98f3432f79608109a32b356114069",
+		"ed2a5bc564960536a4e0ae021c04571a9fbed26e163881fef31f5cea6100a008",
+		"56d75bfeab45357410eedc5ee278c8b8e0d7ab52bb8ec726496abb5265ff7b14",
+	},
+	"bin": {
+		"2c8e3bb79903f37a3c4036794d04af6bf27fa1e750bc99746d4f40965e36a6bd",
+		"74107dabcf33f34b3ee77897389af20e86d6e385e2852c9472d7b7c895790d7e",
+		"30f9f1a55a1a32dcb7f45b309dfd1afcbcf0c6277d2b58d63d9aafea07697569",
+	},
+}
+
+// TestTelescopeDayFilesGolden pins the day files' bytes across binaries, and
+// that -parse reads each format back to the same table.
+func TestTelescopeDayFilesGolden(t *testing.T) {
+	t.Parallel()
+	tables := make(map[string]string)
+	for format, want := range goldenDayFiles {
+		dir := t.TempDir()
+		l := leg{binary: "openhire-telescope", args: []string{
+			"-seed", "5", "-days", "3", "-scale", "0.0002", "-workers", "4",
+			"-rotate", "-out", "flows", "-format", format,
+		}}
+		if code := run(t, dir, l, ""); code != 0 {
+			t.Fatalf("-format %s run exited %d", format, code)
+		}
+		for day, wantSum := range want {
+			name := fmt.Sprintf("flows.day%02d", day)
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != wantSum {
+				t.Errorf("-format %s %s diverged from golden:\n got %s\nwant %s", format, name, got, wantSum)
+			}
+			cmd := exec.Command(filepath.Join(binDir, l.binary), "-parse", name)
+			cmd.Dir = dir
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("-parse %s (%s): %v", name, format, err)
+			}
+			// The first line names the file and is the same in both formats too.
+			tables[format] += string(out)
+		}
+	}
+	if tables["csv"] != tables["bin"] || tables["csv"] == "" {
+		t.Errorf("-parse tables differ between formats:\ncsv:\n%s\nbin:\n%s", tables["csv"], tables["bin"])
 	}
 }

@@ -55,14 +55,18 @@ func MustParseIPv4(s string) IPv4 {
 // String renders the address in dotted-quad notation.
 func (ip IPv4) String() string {
 	var b [15]byte
-	buf := strconv.AppendUint(b[:0], uint64(ip>>24), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>16&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>8&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip&0xff), 10)
-	return string(buf)
+	return string(ip.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad notation of the address to dst.
+func (ip IPv4) AppendTo(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(ip>>24), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(ip>>16&0xff), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(ip>>8&0xff), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(ip&0xff), 10)
 }
 
 // Octets returns the four address bytes, most significant first.

@@ -15,7 +15,8 @@ package serve
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"openhire/internal/core/classify"
@@ -49,14 +50,23 @@ func (s IPSet) Contains(ip netsim.IPv4) bool {
 	return ok
 }
 
-// MarshalJSON renders the sorted address array.
+// MarshalJSON renders the sorted address array, as json.Marshal renders a
+// []uint32. It runs over all three correlation sets at every commit.
 func (s IPSet) MarshalJSON() ([]byte, error) {
 	ips := make([]uint32, 0, len(s))
 	for ip := range s {
 		ips = append(ips, uint32(ip))
 	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	return json.Marshal(ips)
+	slices.Sort(ips)
+	out := make([]byte, 0, 2+11*len(ips)) // ten digits and a comma at most
+	out = append(out, '[')
+	for i, ip := range ips {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendUint(out, uint64(ip), 10)
+	}
+	return append(out, ']'), nil
 }
 
 // UnmarshalJSON restores from the address array.

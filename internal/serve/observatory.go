@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -244,35 +243,37 @@ func sortedStatKeys(ms ...map[string]uint64) []string {
 }
 
 // writeHourFiles persists the just-drained day's telescope capture, rotated
-// hourly, under dir: dayNNNN-hourHH.csv, one file per rotation bucket, each
-// written atomically and content-digested for the manifest. Flow order
-// inside a file is the telescope's canonical drain order restricted to the
-// hour, so the bytes are worker-count and kill-history independent.
+// hourly, under dir: dayNNNN-hourHH.csv, one file per rotation bucket,
+// content-digested for the manifest. The day's files are one durable group
+// (atomicio.WriteGroup): encoded, digested, staged and fsynced concurrently,
+// then renamed, with one directory sync before this returns — so a digest
+// reaches digests, and through it the checkpoint, only once every file and
+// every rename of the day is durable. Flow order inside a file is the
+// telescope's canonical drain order restricted to the hour, so the bytes are
+// worker-count and kill-history independent.
 func writeHourFiles(dir string, cyc int, dayStart time.Time, flows []*telescope.FlowTuple, digests map[string]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	parts := telescope.PartitionByHour(flows, dayStart, 24)
-	for h, part := range parts {
-		name := fmt.Sprintf("day%04d-hour%02d.csv", cyc, h)
-		path := filepath.Join(dir, name)
+	names := make([]string, len(parts))
+	for h := range parts {
+		names[h] = fmt.Sprintf("day%04d-hour%02d.csv", cyc, h)
+	}
+	sums := make([]string, len(parts))
+	err := atomicio.WriteGroup(dir, names, func(h int, w io.Writer) error {
 		dw := obs.NewDigestWriter()
-		err := atomicio.WriteFile(path, func(w io.Writer) error {
-			mw := io.MultiWriter(w, dw)
-			if err := telescope.WriteCSVHeader(mw); err != nil {
-				return err
-			}
-			for _, ft := range part {
-				if err := ft.WriteCSV(mw); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := telescope.WriteFlowsCSV(io.MultiWriter(w, dw), parts[h]); err != nil {
 			return err
 		}
-		digests[name] = dw.Sum()
+		sums[h] = dw.Sum()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for h, name := range names {
+		digests[name] = sums[h]
 		crashpoint.Here(crashpoint.SiteServeHourFileWritten)
 	}
 	return nil

@@ -1,7 +1,8 @@
 package telescope
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,13 +329,17 @@ func (t *Telescope) RecordBatch(base uint64, fts []FlowTuple) {
 	}
 }
 
-// snapshot gathers all entries across shards in ascending ordinal order.
-func (t *Telescope) snapshot(clear bool) []*FlowTuple {
-	type seqFlow struct {
-		seq uint64
-		ft  *FlowTuple
-	}
-	var all []seqFlow
+// seqFlow is one gathered table entry: its merge ordinal and its record.
+type seqFlow struct {
+	seq uint64
+	ft  *FlowTuple
+}
+
+// gather collects every entry across the shards in ascending ordinal order,
+// emptying each shard as it is read when clear is set. Flows, Drain and Dump
+// all order their output here.
+func (t *Telescope) gather(clear bool) []seqFlow {
+	all := make([]seqFlow, 0, t.Len())
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
@@ -347,7 +352,58 @@ func (t *Telescope) snapshot(clear bool) []*FlowTuple {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	return sortBySeq(all)
+}
+
+// radixMin is the entry count below which a comparison sort beats setting up
+// the radix passes.
+const radixMin = 256
+
+// sortBySeq orders all by ascending ordinal and returns the ordered slice
+// (all itself or a buffer of the same length). The sort is stable: entries
+// sharing an ordinal keep their gather order.
+//
+// Large inputs take an LSD radix sort over the ordinal's bytes, skipping
+// every byte position on which all ordinals agree. Ordinals are structured —
+// the darknet generator's are (unit+1)<<40 + i, fabric traffic counts up from
+// 1<<62 — so a day differs in three or four of the eight positions, and each
+// remaining pass is two linear sweeps with no comparisons.
+func sortBySeq(all []seqFlow) []seqFlow {
+	if len(all) < radixMin {
+		slices.SortStableFunc(all, func(a, b seqFlow) int { return cmp.Compare(a.seq, b.seq) })
+		return all
+	}
+	var differ uint64
+	for i := range all {
+		differ |= all[i].seq ^ all[0].seq
+	}
+	src, dst := all, make([]seqFlow, len(all))
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for i := range src {
+			next[src[i].seq>>shift&0xff]++
+		}
+		pos := 0
+		for d, n := range next {
+			next[d] = pos
+			pos += n
+		}
+		for i := range src {
+			d := src[i].seq >> shift & 0xff
+			dst[next[d]] = src[i]
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// snapshot returns the gathered records in ascending ordinal order.
+func (t *Telescope) snapshot(clear bool) []*FlowTuple {
+	all := t.gather(clear)
 	out := make([]*FlowTuple, len(all))
 	for i := range all {
 		out[i] = all[i].ft
@@ -397,20 +453,7 @@ type SavedFlow struct {
 // Dump captures the full table state for checkpointing. Call it only once
 // writers have quiesced.
 func (t *Telescope) Dump() TableState {
-	type seqFlow struct {
-		seq uint64
-		ft  *FlowTuple
-	}
-	var all []seqFlow
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for j := range s.entries {
-			all = append(all, seqFlow{seq: s.entries[j].seq, ft: s.entries[j].ft})
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	all := t.gather(false)
 	st := TableState{Seq: t.seq.Load(), Flows: make([]SavedFlow, len(all))}
 	for i := range all {
 		st.Flows[i] = SavedFlow{Seq: all[i].seq, Flow: *all[i].ft}
@@ -534,11 +577,11 @@ func AggregateByProtocol(flows []*FlowTuple) []ProtocolStats {
 		out = append(out, ProtocolStats{Protocol: p, Packets: a.packets,
 			Flows: a.flows, UniqueIPs: len(a.ips)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Packets != out[j].Packets {
-			return out[i].Packets > out[j].Packets
+	slices.SortFunc(out, func(a, b ProtocolStats) int {
+		if c := cmp.Compare(b.Packets, a.Packets); c != 0 {
+			return c
 		}
-		return out[i].Protocol < out[j].Protocol
+		return cmp.Compare(a.Protocol, b.Protocol)
 	})
 	return out
 }

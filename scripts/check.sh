@@ -28,9 +28,10 @@
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers, over the chunking invariance of all ten stream servers and
-#      over the scanner's eight grab modules fed hostile conversations
-#      (seed corpus + 10 fresh inputs each) — skipped with --fast
+#      parsers, over the chunking invariance of all ten stream servers,
+#      over the scanner's eight grab modules fed hostile conversations and
+#      over the FlowTuple codec (binary decoder on both reader paths, CSV
+#      round trip) (seed corpus + 10 fresh inputs each) — skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests, the
 #      run harness's own tests (signal ladder, chain, manifest epilogue), and
 #      the kill-and-resume sweep under the race detector — each of the five
@@ -40,8 +41,9 @@
 #      commit site (go test -short)
 #   7. the serve smoke (scripts/serve_smoke.sh): openhire-serve end to end —
 #      kill/resume byte-identity of the aggregates and time-series
-#      artifacts, no "events" member in the serve.ckpt the resumed run
-#      leaves, the live query API (including /api/timeseries) answering
+#      artifacts and of the hourly capture files across a kill inside the
+#      hour-file group, no staging file left in telescope/, no "events"
+#      member in the serve.ckpt the resumed run leaves, the live query API (including /api/timeseries) answering
 #      mid-run, openhire-inspect timeline in both file and live-URL modes,
 #      and a graceful SIGINT shutdown; then the
 #      inspect smoke: build openhire-scan + openhire-inspect, run the
@@ -104,6 +106,9 @@ if [ "$FAST" = "0" ]; then
 	done
 	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
 	go test -run '^FuzzGrab$' -fuzz '^FuzzGrab$' -fuzztime 10x ./internal/core/scan/
+	for target in FuzzReadBinary FuzzFlowCSV; do
+		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/telescope/
+	done
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 fi

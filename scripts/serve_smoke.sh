@@ -5,12 +5,16 @@
 #   1. golden: an uninterrupted 3-cycle run writes its aggregates and
 #      time-series artifacts
 #   2. kill/resume: a checkpointed run hard-killed at the registered
-#      serve.cycle.commit crashpoint (second hit, exit 87), then a resumed
-#      run (different worker count) continuing to the same 3-cycle target —
-#      the final aggregates AND the sim time-series history must be
-#      byte-identical to golden, and the mid-month serve.ckpt it leaves must
-#      hold no "events" member (leg positions and aggregates only: the
-#      honeypot log is drained and folded each cycle, never checkpointed)
+#      serve.cycle.commit crashpoint (second hit, exit 87), a resumed run
+#      killed again inside cycle 3's hour-file group (atomic.staged, fifth
+#      hit: four files renamed, twenty staged), then a resumed run (different
+#      worker count) continuing to the same 3-cycle target — the final
+#      aggregates, the sim time-series history AND every hourly capture file
+#      must be byte-identical to golden, telescope/ must hold no hidden
+#      staging file (the last run stages over the killed run's orphans), and
+#      the mid-month serve.ckpt it leaves must hold no "events" member (leg
+#      positions and aggregates only: the honeypot log is drained and folded
+#      each cycle, never checkpointed)
 #   3. timeline (file mode): openhire-inspect timeline must render the
 #      resumed run's serve-tsdb.ckpt with per-cycle leg attribution
 #   4. live API: a -cycles 0 daemon with a listener; once a cycle commits,
@@ -35,19 +39,34 @@ FLAGS="-seed 11 -prefix 100.0.0.0/24 -boost 16 -cycles 3 -segments-per-cycle 2 -
 mkdir "$SMOKE/golden" "$SMOKE/resume" "$SMOKE/live"
 
 echo "  golden 3-cycle run"
-(cd "$SMOKE/golden" && "$SMOKE/openhire-serve" $FLAGS -workers 9 -out aggregates.json -tsdb-out timeseries.json >/dev/null 2>&1)
+(cd "$SMOKE/golden" && "$SMOKE/openhire-serve" $FLAGS -workers 9 -telescope-dir telescope -out aggregates.json -tsdb-out timeseries.json >/dev/null 2>&1)
 
-echo "  kill/resume byte-identity (crashpoint kill at cycle-2 commit, resumed with a different worker count)"
-KILL_RC=0
-(cd "$SMOKE/resume" && OPENHIRE_CRASHPOINT=serve.cycle.commit@2 \
-	"$SMOKE/openhire-serve" $FLAGS -workers 9 -checkpoint ck >/dev/null 2>&1) || KILL_RC=$?
-if [ "$KILL_RC" != "87" ]; then
-	echo "serve smoke: armed crashpoint run exited $KILL_RC, want 87" >&2
+echo "  kill/resume byte-identity (crashpoint kills at cycle-2 commit and inside cycle 3's hour-file group, resumed with a different worker count)"
+# killed_run SPEC [FLAG...]: one checkpointed run armed with SPEC; it must die there.
+killed_run() {
+	local spec=$1 rc=0
+	shift
+	(cd "$SMOKE/resume" && OPENHIRE_CRASHPOINT=$spec \
+		"$SMOKE/openhire-serve" $FLAGS -workers 9 -checkpoint ck -telescope-dir telescope "$@" >/dev/null 2>&1) || rc=$?
+	if [ "$rc" != "87" ]; then
+		echo "serve smoke: run armed with $spec exited $rc, want 87" >&2
+		exit 1
+	fi
+}
+killed_run serve.cycle.commit@2
+killed_run atomic.staged@5 -resume
+if ! ls -A "$SMOKE/resume/telescope" | grep -q '^\.'; then
+	echo "serve smoke: the kill inside the hour-file group left no staging file — the check below would prove nothing" >&2
 	exit 1
 fi
-(cd "$SMOKE/resume" && "$SMOKE/openhire-serve" $FLAGS -workers 4 -checkpoint ck -resume -out aggregates.json -tsdb-out timeseries.json >/dev/null 2>&1)
+(cd "$SMOKE/resume" && "$SMOKE/openhire-serve" $FLAGS -workers 4 -checkpoint ck -telescope-dir telescope -resume -out aggregates.json -tsdb-out timeseries.json >/dev/null 2>&1)
 cmp "$SMOKE/golden/aggregates.json" "$SMOKE/resume/aggregates.json"
 cmp "$SMOKE/golden/timeseries.json" "$SMOKE/resume/timeseries.json"
+diff -r "$SMOKE/golden/telescope" "$SMOKE/resume/telescope"
+if ls -A "$SMOKE/resume/telescope" | grep '^\.' >&2; then
+	echo "serve smoke: telescope/ holds staging files after kill + resume — orphans are accumulating" >&2
+	exit 1
+fi
 if grep -aq '"events":' "$SMOKE/resume/ck/serve.ckpt"; then
 	echo "serve smoke: ck/serve.ckpt carries an events member — the honeypot log is back in the checkpoint" >&2
 	exit 1
