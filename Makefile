@@ -19,13 +19,15 @@ test:
 race:
 	go test -race ./internal/netsim/... ./internal/core/scan/... \
 		./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
+		./internal/iot/ ./internal/datasets/ ./internal/core/classify/ \
 		./internal/obs/... ./internal/expr/ ./internal/serve/
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
 # detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
-# stream servers' chunking invariance, the scanner's eight grab modules and
-# the FlowTuple codec.
+# stream servers' chunking invariance, the scanner's eight grab modules, the
+# FlowTuple codec, and the two analyses that read attacker-controlled banners
+# (the classifier and the honeypot fingerprint filter).
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -41,6 +43,8 @@ chaos:
 	for target in FuzzReadBinary FuzzFlowCSV; do \
 		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/telescope/ || exit 1; \
 	done
+	go test -run '^FuzzClassify$$' -fuzz '^FuzzClassify$$' -fuzztime 10x ./internal/core/classify/
+	go test -run '^FuzzMatchResult$$' -fuzz '^FuzzMatchResult$$' -fuzztime 10x ./internal/core/fingerprint/
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint

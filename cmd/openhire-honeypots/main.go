@@ -166,7 +166,8 @@ func main() {
 	stats := campaign.Run(run.Context())
 	span.End()
 	progress.Done()
-	campaign.RegisterIntel()
+	events := log.Events()
+	campaign.RegisterIntel(events)
 	reg.AddAll("campaign", stats.Counters())
 	fmt.Printf("replayed %s attack conversations in %s\n",
 		report.Comma(stats.EventsRun), stats.Elapsed.Round(1000000))
@@ -174,7 +175,6 @@ func main() {
 	// heap is written) before the reporting tail below.
 	run.StopProfiles()
 
-	events := log.Events()
 	// Sessions are derived from the quiesced log's canonical order — the
 	// replay's own hot path never sees the recorder.
 	trace.SessionEvents(rec, events)

@@ -12,7 +12,8 @@
 // remaining experiments, and a signal stops before the next one. An
 // instrumented resume also re-forces the world phases the cached experiments
 // had forced, in their original order, so the trace and manifest match an
-// uninterrupted run's.
+// uninterrupted run's — whether or not the killed run was instrumented: the
+// checkpoint's phase list comes from the world, not from the tracer.
 //
 // -trace covers whichever phases the selected experiments forced: probe
 // lifecycles for the scan leg (live, via the world's OnProbe hook),
@@ -24,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"openhire/internal/checkpoint"
@@ -48,19 +50,35 @@ var (
 type reportCheckpoint struct {
 	// Done holds completed experiments' results in run order.
 	Done []expr.Result `json:"done,omitempty"`
-	// Phases are the tracer span names observed before the checkpoint, in
-	// completion order — the order a resumed run re-forces them in.
+	// Phases are the world phases that ran before the checkpoint (in this
+	// process or the ones it resumed from), in completion order — the order
+	// a resumed run re-forces them in.
 	Phases []string `json:"phases,omitempty"`
 	checkpoint.Chain
 }
 
-// phases maps a tracer span name to the world method that forces it.
+// phases maps a world phase name to the method that forces it.
 var phases = map[string]func(*expr.World){
 	"scan":             func(w *expr.World) { w.RunScan() },
 	"filter_honeypots": func(w *expr.World) { w.FilterHoneypots() },
 	"classify":         func(w *expr.World) { w.Classify() },
 	"attack_month":     func(w *expr.World) { w.RunAttackMonth() },
 	"telescope":        func(w *expr.World) { w.RunTelescope() },
+}
+
+// mergePhases returns the restored checkpoint's phase list followed by the
+// phases this process was the first to run. An instrumented resume re-forces
+// the restored ones first, so there the result is just the world's list; a
+// bare resume forces only what its remaining experiments need, and the
+// restored names must survive into the next checkpoint all the same.
+func mergePhases(restored, ran []string) []string {
+	out := append([]string(nil), restored...)
+	for _, name := range ran {
+		if !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 func main() {
@@ -104,12 +122,14 @@ func main() {
 	if run.Resume(st) {
 		fmt.Fprintf(os.Stderr, "resumed with %d experiment(s) cached\n", len(st.Done))
 		if run.Reg != nil {
-			// The restored recorder already holds the killed run's probe
-			// events (a scan completes inside one experiment), so a re-forced
-			// scan must not record them again.
+			// A killed run that traced left its probe events in the restored
+			// recorder (a scan completes inside one experiment), so a
+			// re-forced scan must not record them again; one that did not
+			// trace left none, and the re-forced scan records them now.
 			hook := world.OnProbe
+			restoredProbes := run.Rec.Len() > 0
 			for _, name := range st.Phases {
-				if name == "scan" {
+				if name == "scan" && restoredProbes {
 					world.OnProbe = nil
 				}
 				if force := phases[name]; force != nil {
@@ -119,6 +139,7 @@ func main() {
 			world.OnProbe = hook
 		}
 	}
+	restored := st.Phases
 	cached := make(map[string]*expr.Result, len(st.Done))
 	for i := range st.Done {
 		cached[st.Done[i].ID] = &st.Done[i]
@@ -142,40 +163,35 @@ func main() {
 		run.AddOutput("artifact:"+e.ID, obs.Digest([]byte(res.Artifact)))
 		if run.Checkpointing() && cached[e.ID] == nil {
 			st.Done = append(st.Done, res)
-			st.Phases = st.Phases[:0]
-			for _, sp := range run.Tracer.Spans() {
-				st.Phases = append(st.Phases, sp.Name)
-			}
+			st.Phases = mergePhases(restored, world.Phases())
 			run.Stopped(run.Commit(st)) // the loop head honours the interrupt
 			crashpoint.Here(crashpoint.SiteReportExperimentCommit)
 		}
 	}
 
-	// The world caches each phase and the tracer names the ones that actually
-	// ran, so counters and derived trace events cover exactly the phases the
-	// experiments forced — the reads below are free, and phases that never
-	// ran stay out of the artifacts.
-	ran := make(map[string]bool)
-	for _, sp := range run.Tracer.Spans() {
-		ran[sp.Name] = true
-	}
-	if ran["scan"] {
+	// The world caches each phase and names the ones that actually ran in
+	// this process — on an instrumented resume that includes the re-forced
+	// ones — so counters and derived trace events cover exactly the phases
+	// the experiments forced: the reads below are free, and phases that
+	// never ran stay out of the artifacts.
+	ran := world.Phases()
+	if slices.Contains(ran, "scan") {
 		_, stats := world.RunScan()
 		for proto, st := range stats {
 			run.Reg.AddAll("scan."+string(proto), st.Counters())
 		}
 	}
-	if ran["classify"] {
+	if slices.Contains(ran, "classify") {
 		findings, _ := world.Classify()
 		trace.ClassifiedEvents(run.Rec, findings)
 	}
-	if ran["attack_month"] {
-		trace.SessionEvents(run.Rec, world.Log.Events())
+	if slices.Contains(ran, "attack_month") {
+		trace.SessionEvents(run.Rec, world.Events())
 		run.Reg.AddAll("campaign", world.RunAttackMonth().Counters())
-		run.Reg.AddAll("honeypot", honeypot.EventCounters(world.Log.Events()))
+		run.Reg.AddAll("honeypot", honeypot.EventCounters(world.Events()))
 	}
-	if ran["telescope"] {
-		trace.FlowEvents(run.Rec, world.Telescope.Flows())
+	if slices.Contains(ran, "telescope") {
+		trace.FlowEvents(run.Rec, world.Flows())
 		run.Reg.AddAll("telescope", world.Telescope.Stats().Counters())
 	}
 	run.Finish(crashpoint.SiteReportTraceWritten, crashpoint.SiteReportManifestWritten)

@@ -235,7 +235,7 @@ func TestCampaignReplaySmall(t *testing.T) {
 	}
 
 	// Intel registration populates VT with malicious flags.
-	c.RegisterIntel()
+	c.RegisterIntel(events)
 	flagged := 0
 	for _, ev := range events {
 		if vt.IsMalicious(ev.Src) {

@@ -480,11 +480,12 @@ func (c *Campaign) planMultistage() []multistagePlan {
 	return plans
 }
 
-// RegisterIntel populates GreyNoise/VirusTotal from the replayed events:
-// vendor flag probability follows the worst behaviour a source exhibited,
-// so exploit/malware actors (SMB's EternalBlue droppers) are flagged most
+// RegisterIntel populates GreyNoise/VirusTotal from the replayed events —
+// the honeypot log's, which the caller has gathered anyway: vendor flag
+// probability follows the worst behaviour a source exhibited, so
+// exploit/malware actors (SMB's EternalBlue droppers) are flagged most
 // often — the Figure 6 shape where SMB sources lead the malicious share.
-func (c *Campaign) RegisterIntel() {
+func (c *Campaign) RegisterIntel(events []honeypot.Event) {
 	if c.cfg.VirusTotal == nil {
 		return
 	}
@@ -502,19 +503,12 @@ func (c *Campaign) RegisterIntel() {
 	}
 	// Worst observed behaviour per source.
 	worst := make(map[netsim.IPv4]float64)
-	var log *honeypot.Log
-	for _, hp := range c.cfg.Honeypots {
-		log = hp.Log()
-		break
-	}
-	if log != nil {
-		for _, ev := range log.Events() {
-			if cls, ok := c.cfg.Sources.Class(ev.Src); ok && cls == ClassScanningService {
-				continue // benign infrastructure is not VT-flagged
-			}
-			if p := flagProb[ev.Type]; p > worst[ev.Src] {
-				worst[ev.Src] = p
-			}
+	for _, ev := range events {
+		if cls, ok := c.cfg.Sources.Class(ev.Src); ok && cls == ClassScanningService {
+			continue // benign infrastructure is not VT-flagged
+		}
+		if p := flagProb[ev.Type]; p > worst[ev.Src] {
+			worst[ev.Src] = p
 		}
 	}
 	// Iterate in address order: map range order is randomized, and the

@@ -369,6 +369,40 @@ func TestCrashResumeHoneypots(t *testing.T) { sweep(t, honeypotLeg()) }
 func TestCrashResumeReport(t *testing.T)    { sweep(t, reportLeg()) }
 func TestCrashResumeServe(t *testing.T)     { sweep(t, serveLeg()) }
 
+// TestReportResumeInstrumentedAfterBareKill pins that what the report's
+// checkpoint says about the world's phases does not depend on what was
+// observing the killed run. The phase list used to be read off the tracer, so
+// a run killed without instruments checkpointed none, and a resume with
+// -manifest recorded only the phases its remaining experiments forced. Kill a
+// bare run after its second experiment, resume it with -trace and -manifest:
+// the trace file and the whole manifest — phases, counters, output digests —
+// must be those of an uninterrupted instrumented run, except for the chain
+// records: a bare checkpoint carries no trace events, so its bytes
+// legitimately differ from an instrumented one's.
+func TestReportResumeInstrumentedAfterBareKill(t *testing.T) {
+	t.Parallel()
+	l := reportLeg()
+	golden := t.TempDir()
+	if code := run(t, golden, l, "", l.ckptArgs...); code != 0 {
+		t.Fatalf("golden run exited %d", code)
+	}
+
+	bare := l
+	bare.args = []string{"-seed", "13", "-quick", "-only", "table4,table7,table8"}
+	dir := t.TempDir()
+	spec := crashpoint.SiteReportExperimentCommit + "@2"
+	if code := run(t, dir, bare, spec, l.ckptArgs...); code != crashpoint.ExitCode {
+		t.Fatalf("bare run armed with %s exited %d, want %d", spec, code, crashpoint.ExitCode)
+	}
+	if code := run(t, dir, l, "", append(append([]string{}, l.ckptArgs...), "-resume")...); code != 0 {
+		t.Fatalf("instrumented resume exited %d", code)
+	}
+
+	compareArtifacts(t, "bare kill, instrumented resume", golden, dir)
+	compareManifests(t, "bare kill, instrumented resume",
+		filepath.Join(golden, "manifest.json"), filepath.Join(dir, "manifest.json"), true)
+}
+
 // TestCheckpointIgnoresObservation pins that durable state does not depend on
 // what was observing the run: the telescope leg's -rotate checkpoint carries
 // the day files' digests, and it used to compute them only when a registry

@@ -5,7 +5,6 @@ import (
 
 	"openhire/internal/core/scan"
 	"openhire/internal/iot"
-	"openhire/internal/netsim"
 )
 
 // TestCatalogIdentifiersRoundTrip asserts the invariant that keeps the
@@ -18,26 +17,7 @@ func TestCatalogIdentifiersRoundTrip(t *testing.T) {
 		if m.Identifier == "" || m.Protocol == iot.ProtoXMPP || m.Protocol == iot.ProtoAMQP {
 			continue // XMPP/AMQP responses cannot identify devices (§4.1.2)
 		}
-		r := &scan.Result{
-			IP: netsim.MustParseIPv4("100.0.0.50"), Protocol: m.Protocol,
-			Meta: map[string]string{},
-		}
-		switch m.Protocol {
-		case iot.ProtoTelnet:
-			r.Meta["telnet.text"] = m.TelnetBanner
-			r.Banner = []byte(m.TelnetBanner)
-		case iot.ProtoUPnP:
-			r.Meta["upnp.server"] = m.UPnPServer
-			r.Response = []byte("SERVER: " + m.UPnPServer + "\r\n" +
-				"FRIENDLY NAME: " + m.UPnPFriendly + "\r\n" +
-				"MODEL NAME: " + m.UPnPModel + "\r\n" +
-				"MANUFACTURER: " + m.UPnPManuf + "\r\n")
-		case iot.ProtoMQTT:
-			r.Meta["mqtt.topics"] = m.MQTTTopic
-		case iot.ProtoCoAP:
-			r.Meta["coap.body"] = "</x>;rt=\"x\",<" + m.CoAPResource + ">;rt=\"oic.wk.d\""
-		}
-		typ, model := TagDevice(r)
+		typ, model := TagDevice(personaResult(m))
 		if model == "" {
 			t.Errorf("%s (%s): persona not tagged", m.Name, m.Protocol)
 			continue

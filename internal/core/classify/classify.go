@@ -5,7 +5,9 @@
 package classify
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 
 	"openhire/internal/core/scan"
 	"openhire/internal/iot"
@@ -70,12 +72,31 @@ func classifySMB(r *scan.Result) (iot.Misconfig, string) {
 	return iot.MisconfigNone, ""
 }
 
-// ClassifyAll classifies every result.
+// ClassifyAll classifies every result: out[i] is Classify(results[i]).
+// Classification is a pure function of one result, so contiguous chunks of
+// the slice go to one goroutine per processor.
 func ClassifyAll(results []*scan.Result) []Finding {
-	out := make([]Finding, 0, len(results))
-	for _, r := range results {
-		out = append(out, Classify(r))
+	out := make([]Finding, len(results))
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Classify(results[i])
+		}
 	}
+	workers := min(runtime.GOMAXPROCS(0), len(results))
+	if workers <= 1 {
+		fill(0, len(results))
+		return out
+	}
+	chunk := (len(results) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(results); lo += chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(lo, min(lo+chunk, len(results)))
+		}()
+	}
+	wg.Wait()
 	return out
 }
 
@@ -180,6 +201,35 @@ func firstLineFrom(s string, i int) string {
 	return tail
 }
 
+// needle is one Table 11 identifier as TagDevice searches for it: the
+// distinctive substring, and the catalog entry it names.
+type needle struct {
+	text  string
+	typ   iot.DeviceType
+	model string
+}
+
+// needles returns, per protocol, the needles of iot.Catalog's entries in
+// catalog order. The table is built on the first call — no package gains
+// init-time work — and is read-only afterwards.
+var needles = sync.OnceValue(func() map[iot.Protocol][]needle {
+	table := make(map[iot.Protocol][]needle)
+	for _, m := range iot.Catalog {
+		if m.Identifier == "" {
+			continue
+		}
+		text := m.Identifier
+		// Table 11 identifiers are written with prefixes like
+		// "Friendly Name:"/"Model Name:"; match on the value part.
+		if i := strings.LastIndex(text, ": "); i >= 0 && m.Protocol == iot.ProtoUPnP {
+			text = text[i+2:]
+		}
+		table[m.Protocol] = append(table[m.Protocol],
+			needle{text: firstMeaningfulToken(text), typ: m.Type, model: m.Name})
+	}
+	return table
+})
+
 // TagDevice annotates a result with a device type and model by matching the
 // Table 11 identifier catalog against banner/response text — the ZTag step
 // from Section 4.1.2. XMPP and AMQP responses carry no device identity, so
@@ -188,22 +238,17 @@ func TagDevice(r *scan.Result) (iot.DeviceType, string) {
 	if r.Protocol == iot.ProtoXMPP || r.Protocol == iot.ProtoAMQP {
 		return "", ""
 	}
+	candidates := needles()[r.Protocol]
+	if len(candidates) == 0 {
+		return "", ""
+	}
 	hay := tagText(r)
 	if hay == "" {
 		return "", ""
 	}
-	for _, m := range iot.ModelsFor(r.Protocol) {
-		if m.Identifier == "" {
-			continue
-		}
-		needle := m.Identifier
-		// Table 11 identifiers are written with prefixes like
-		// "Friendly Name:"/"Model Name:"; match on the value part.
-		if i := strings.LastIndex(needle, ": "); i >= 0 && r.Protocol == iot.ProtoUPnP {
-			needle = needle[i+2:]
-		}
-		if strings.Contains(hay, firstMeaningfulToken(needle)) {
-			return m.Type, m.Name
+	for _, n := range candidates {
+		if strings.Contains(hay, n.text) {
+			return n.typ, n.model
 		}
 	}
 	return "", ""

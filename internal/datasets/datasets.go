@@ -13,8 +13,6 @@
 package datasets
 
 import (
-	"sort"
-
 	"openhire/internal/intel"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -59,34 +57,25 @@ func (d *Dataset) Total() int {
 	return n
 }
 
-// crawl walks the universe and keeps hosts per protocol subject to a keep
-// predicate, modelling provider-specific coverage. A crawl only needs to
-// know whether a pair is exposed, so it asks the universe's exposure-only
-// predicate and derives no spec.
+// crawl filters the universe's exposure index down to one provider's view:
+// per protocol, the exposed addresses the keep predicate admits, in address
+// order (the index's own). Wild honeypots shadow the devices at their address,
+// so a crawl lists none of them.
 func crawl(name string, u *iot.Universe, protocols []iot.Protocol,
 	keep func(ip netsim.IPv4, p iot.Protocol) bool) *Dataset {
 	d := &Dataset{Name: name, records: make(map[iot.Protocol][]Record)}
-	prefix := u.Config().Prefix
 	for _, p := range protocols {
 		d.records[p] = []Record{}
 	}
-	for i := uint64(0); i < prefix.Size(); i++ {
-		ip := prefix.Nth(i)
-		if _, isPot := u.WildHoneypot(ip); isPot {
-			continue // honeypots shadow devices at their address
+	for _, x := range u.ExposedIndex() {
+		if x.Honeypot {
+			continue
 		}
 		for _, p := range protocols {
-			if !u.Exposes(ip, p) {
-				continue
+			if x.Exposes(p) && keep(x.IP, p) {
+				d.records[p] = append(d.records[p], Record{IP: x.IP, Port: p.DefaultPort(), Protocol: p})
 			}
-			if keep != nil && !keep(ip, p) {
-				continue
-			}
-			d.records[p] = append(d.records[p], Record{IP: ip, Port: p.DefaultPort(), Protocol: p})
 		}
-	}
-	for p := range d.records {
-		sort.Slice(d.records[p], func(i, j int) bool { return d.records[p][i].IP < d.records[p][j].IP })
 	}
 	return d
 }
@@ -155,23 +144,29 @@ func shodanKeep(seed uint64) func(netsim.IPv4, iot.Protocol) bool {
 
 // PopulateCensys fills the Censys IoT-tag store (Section 5.3) from the
 // universe: devices whose protocol responses allow typing get an "iot" tag
-// with the device type. Coverage models Censys's periodic scans.
+// with the device type. Coverage models Censys's periodic scans. It is a
+// filter over the exposure index like the crawls, with one asymmetry the
+// report's digest pins: it does not skip the addresses a wild honeypot
+// shadows, so the device rolled underneath one is tagged all the same.
 func PopulateCensys(seed uint64, u *iot.Universe, store *intel.Censys) int {
 	src := prng.New(seed)
-	prefix := u.Config().Prefix
+	label := prng.HashString("censys")
 	count := 0
-	for i := uint64(0); i < prefix.Size(); i++ {
-		ip := prefix.Nth(i)
+	for _, x := range u.ExposedIndex() {
 		for _, p := range []iot.Protocol{iot.ProtoTelnet, iot.ProtoUPnP, iot.ProtoMQTT, iot.ProtoCoAP} {
-			spec, ok := u.Spec(ip, p)
-			if !ok || spec.Model.Type == iot.TypeGenericServer || spec.Model.Type == "" {
+			if !x.Exposes(p) {
+				continue
+			}
+			spec, _ := u.Spec(x.IP, p)
+			typ := spec.Model.Type
+			if typ == iot.TypeGenericServer || typ == "" {
 				continue
 			}
 			// ~70% tag coverage.
-			if src.Hash64(prng.HashString("censys"), uint64(ip))%10 >= 7 {
+			if src.Hash64(label, uint64(x.IP))%10 >= 7 {
 				continue
 			}
-			store.Tag(ip, string(spec.Model.Type))
+			store.Tag(x.IP, string(typ))
 			count++
 			break
 		}

@@ -1,6 +1,9 @@
 package datasets
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -190,5 +193,61 @@ func TestCrawlEqualsSpecReference(t *testing.T) {
 	tags := PopulateCensys(seed+3, u, store)
 	if tags != 4038 || store.Len() != tags {
 		t.Errorf("Censys: %d tags (%d stored), recorded 4038", tags, store.Len())
+	}
+}
+
+// TestCrawlGoldenDigests pins every row of the three crawls, at the seeds
+// expr.World gives them, on expr.QuickConfig's universe and on seed 2021's
+// default /14: a sha256 over each protocol's Covers, Count and Records in
+// Table 4 order, and over the Censys tags in address order. The constants
+// were recorded from the commit before the crawls became filters over
+// iot.Universe.ExposedIndex, when each walked the whole prefix itself.
+func TestCrawlGoldenDigests(t *testing.T) {
+	const seed = 2021
+	for _, c := range []struct {
+		prefix                string
+		boost                 float64
+		sonar, shodan, censys string
+	}{
+		{"100.0.0.0/16", 32,
+			"6de863f5d8ccbd622ce03935dbc6358fa00f5943c50e11bbd16be92baf338134",
+			"b3a0e0938a59e9a4c55d26979cc79d1f862afacd09053ef871fa8e6f9d48a60d",
+			"d589e3ee39e6c75510f5f76241eeb7cb7009b2680e475eb144c2d2d3b86c847d"},
+		{"100.0.0.0/14", 16,
+			"ac07330e6f88c475e13a0931a0695dc967ef812d693822e61334e24084bf37c3",
+			"f40c58278ca14e4bbf3504fc37ca2c3dbd6d77326efe6f62a1302e169c603002",
+			"839ec993b8c918178c52dcc5de614cf98f4795cb96848fbb2e1e778fd0390be5"},
+	} {
+		u := iot.NewUniverse(iot.UniverseConfig{
+			Seed: seed, Prefix: netsim.MustParsePrefix(c.prefix), DensityBoost: c.boost,
+		})
+		for _, d := range []struct {
+			got  *Dataset
+			want string
+		}{{ProjectSonar(seed+1, u), c.sonar}, {Shodan(seed+2, u), c.shodan}} {
+			h := sha256.New()
+			for _, p := range iot.ScannedProtocols {
+				fmt.Fprintf(h, "%s %v %d\n", p, d.got.Covers(p), d.got.Count(p))
+				for _, r := range d.got.Records(p) {
+					fmt.Fprintf(h, "%d %d %s\n", uint32(r.IP), r.Port, r.Protocol)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != d.want {
+				t.Errorf("%s %s: digest %s, recorded %s", c.prefix, d.got.Name, got, d.want)
+			}
+		}
+
+		store := intel.NewCensys()
+		PopulateCensys(seed+3, u, store)
+		h := sha256.New()
+		prefix := u.Config().Prefix
+		for i := uint64(0); i < prefix.Size(); i++ {
+			if tag, ok := store.IoTTag(prefix.Nth(i)); ok {
+				fmt.Fprintf(h, "%d %s\n", uint32(prefix.Nth(i)), tag)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.censys {
+			t.Errorf("%s Censys: digest %s, recorded %s", c.prefix, got, c.censys)
+		}
 	}
 }

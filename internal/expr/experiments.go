@@ -170,8 +170,7 @@ func Table6(w *World) Result {
 
 // Table7 reports attack events per honeypot and protocol.
 func Table7(w *World) Result {
-	w.RunAttackMonth()
-	events := w.Log.Events()
+	events := w.Events()
 	counts := honeypot.CountByHoneypotProtocol(events)
 	scale := 1.0 / w.Cfg.AttackIntensity
 
@@ -200,9 +199,7 @@ func Table7(w *World) Result {
 
 // Table8 reports telescope traffic per protocol.
 func Table8(w *World) Result {
-	w.RunTelescope()
-	flows := w.Telescope.Flows()
-	stats := telescope.AggregateByProtocol(flows)
+	stats := telescope.AggregateByProtocol(w.Flows())
 	scale := 1.0 / w.Cfg.TelescopeScale
 
 	paperDaily := make(map[iot.Protocol]uint64)
@@ -265,7 +262,7 @@ func Table10(w *World) Result {
 
 // Table11 verifies device-type identifiers resolve against live banners.
 func Table11(w *World) Result {
-	findings, summary := w.Classify()
+	findings, _ := w.Classify()
 	tagged := 0
 	byModel := make(map[string]int)
 	for _, f := range findings {
@@ -288,14 +285,12 @@ func Table11(w *World) Result {
 		Metric: "devicetags.tagged", Paper: 0, Measured: float64(tagged),
 		Note: "tagged results (paper gives no total)",
 	}}
-	_ = summary
 	return Result{ID: "table11", Title: "Table 11", Artifact: t.String(), Comparisons: comps}
 }
 
 // Table12 extracts the top credentials from honeypot logs.
 func Table12(w *World) Result {
-	w.RunAttackMonth()
-	events := w.Log.Events()
+	events := w.Events()
 	t := report.NewTable("Top credentials used by adversaries",
 		"Protocol", "Username", "Password", "Count")
 	var comps []report.Comparison
@@ -325,9 +320,8 @@ func boolToFloat(b bool) float64 {
 // Table13 regenerates the malware corpus table and verifies captured
 // payloads resolve to corpus samples.
 func Table13(w *World) Result {
-	w.RunAttackMonth()
 	identified := make(map[string]int)
-	for _, ev := range w.Log.Events() {
+	for _, ev := range w.Events() {
 		if ev.Type != honeypot.AttackMalware || len(ev.Payload) == 0 {
 			continue
 		}
@@ -408,8 +402,7 @@ func Figure2(w *World) Result {
 
 // Figure3 reports scanning-service traffic distribution per honeypot.
 func Figure3(w *World) Result {
-	w.RunAttackMonth()
-	events := w.Log.Events()
+	events := w.Events()
 	services := w.Sources.ScanningServiceIPs()
 
 	perPot := make(map[string]map[string]int)
@@ -449,8 +442,7 @@ func Figure3(w *World) Result {
 
 // Figure4 reports attack-type shares per honeypot.
 func Figure4(w *World) Result {
-	w.RunAttackMonth()
-	shares := honeypot.TypeShares(w.Log.Events())
+	shares := honeypot.TypeShares(w.Events())
 	t := report.NewTable("Attack types in different honeypots (%)",
 		"Honeypot", "Type", "Share", "")
 	for _, pot := range report.SortedKeys(shares) {
@@ -469,8 +461,7 @@ func Figure4(w *World) Result {
 
 // Figure5 compares our scanning-service classification with GreyNoise.
 func Figure5(w *World) Result {
-	w.RunAttackMonth()
-	sources := correlate.HoneypotSources(w.Log.Events()).Sorted()
+	sources := correlate.HoneypotSources(w.Events()).Sorted()
 	cmp := correlate.CompareScanningServices(sources, w.RDNS, w.GreyNoise)
 	t := report.NewTable("Scanning-service classification",
 		"Method", "Identified")
@@ -492,9 +483,7 @@ func Figure5(w *World) Result {
 
 // Figure6 reports VirusTotal malicious shares per protocol and origin.
 func Figure6(w *World) Result {
-	w.RunAttackMonth()
-	w.RunTelescope()
-	shares := correlate.VirusTotalShares(w.Log.Events(), w.Telescope.Flows(), w.VirusTotal)
+	shares := correlate.VirusTotalShares(w.Events(), w.Flows(), w.VirusTotal)
 	t := report.NewTable("Malicious sources by VirusTotal (%)",
 		"Protocol", "Origin", "Sources", "Flagged", "Share")
 	var smbShare, otherSum float64
@@ -527,8 +516,7 @@ func Figure6(w *World) Result {
 
 // Figure7 reports attack-type shares per protocol.
 func Figure7(w *World) Result {
-	w.RunAttackMonth()
-	shares := honeypot.TypeSharesByProtocol(w.Log.Events())
+	shares := honeypot.TypeSharesByProtocol(w.Events())
 	t := report.NewTable("Attack trends by type and protocol (%)",
 		"Protocol", "Type", "Share", "")
 	for _, proto := range report.SortedKeys(shares) {
@@ -555,8 +543,7 @@ func Figure7(w *World) Result {
 
 // Figure8 reports the daily attack series with listing markers.
 func Figure8(w *World) Result {
-	w.RunAttackMonth()
-	daily := honeypot.DailyCounts(w.Log.Events(), netsim.ExperimentStart, attack.ExperimentDays)
+	daily := honeypot.DailyCounts(w.Events(), netsim.ExperimentStart, attack.ExperimentDays)
 	var b strings.Builder
 	b.WriteString("Total attacks by day (# = attacks; listings and DoS spikes marked)\n")
 	maxN := 1
@@ -601,8 +588,7 @@ func Figure8(w *World) Result {
 
 // Figure9 reports multistage attack flows.
 func Figure9(w *World) Result {
-	w.RunAttackMonth()
-	events := w.Log.Events()
+	events := w.Events()
 	exclude := make(map[netsim.IPv4]bool)
 	for ip := range w.Sources.ScanningServiceIPs() {
 		exclude[ip] = true
@@ -667,8 +653,7 @@ func stageToStrings(m map[iot.Protocol]int) map[string]int {
 // extension and the reverse-lookup findings.
 func Headline(w *World) Result {
 	findings, _ := w.Classify()
-	w.RunAttackMonth()
-	w.RunTelescope()
+	events, flows := w.Events(), w.Flows()
 
 	mis := make(correlate.IPSet)
 	for _, f := range findings {
@@ -676,22 +661,14 @@ func Headline(w *World) Result {
 			mis[f.Result.IP] = struct{}{}
 		}
 	}
-	hpSources := correlate.HoneypotSources(w.Log.Events())
-	telSources := correlate.TelescopeSources(w.Telescope.Flows())
+	hpSources := correlate.HoneypotSources(events)
+	telSources := correlate.TelescopeSources(flows)
 	x := correlate.Intersect(mis, hpSources, telSources)
 
 	censys := w.PopulateCensys()
 	ext := correlate.ExtendWithCensys(censys, correlate.NewIPSet(x.All()), hpSources, telSources)
 
-	var allSources []netsim.IPv4
-	seen := make(map[netsim.IPv4]bool)
-	for ip := range hpSources {
-		if !seen[ip] {
-			seen[ip] = true
-			allSources = append(allSources, ip)
-		}
-	}
-	domains := correlate.ReverseLookupStudy(allSources, w.RDNS)
+	domains := correlate.ReverseLookupStudy(hpSources.Sorted(), w.RDNS)
 
 	scale := w.ScaleFactor()
 	t := report.NewTable("Misconfigured devices observed attacking (Section 5.3)",

@@ -120,9 +120,14 @@ type World struct {
 
 	attackOnce  sync.Once
 	attackStats attack.Stats
+	events      []honeypot.Event
 
 	darknetOnce sync.Once
 	darknetLen  int
+	flows       []*telescope.FlowTuple
+
+	phaseMu sync.Mutex
+	phases  []string
 
 	sonarOnce  sync.Once
 	sonar      *datasets.Dataset
@@ -166,6 +171,29 @@ func BuildWorld(cfg WorldConfig) *World {
 // ScaleFactor converts simulated counts to paper-scale.
 func (w *World) ScaleFactor() float64 { return w.Universe.ScaleFactor() }
 
+// phase opens one lazily executed measurement phase: a tracer span of its
+// name, closed — and the name recorded for Phases — by the returned func,
+// which the phase defers.
+func (w *World) phase(name string) (done func()) {
+	span := w.Trace.Start(name)
+	return func() {
+		span.End()
+		w.phaseMu.Lock()
+		w.phases = append(w.phases, name)
+		w.phaseMu.Unlock()
+	}
+}
+
+// Phases returns the names of the phases that have run, in completion order
+// — what the tracer's spans would list, but known to an untraced world too,
+// so what a run's checkpoint says about its phases does not depend on
+// whether anything was observing it.
+func (w *World) Phases() []string {
+	w.phaseMu.Lock()
+	defer w.phaseMu.Unlock()
+	return append([]string(nil), w.phases...)
+}
+
 // runScanner scans the universe prefix of network n with the given modules,
 // from the world's scanner source with its seed and worker budget.
 func (w *World) runScanner(n *netsim.Network, onProbe func(scan.ProbeEvent), modules ...scan.ProbeModule) (map[iot.Protocol][]*scan.Result, map[iot.Protocol]scan.Stats) {
@@ -185,8 +213,7 @@ func (w *World) runScanner(n *netsim.Network, onProbe func(scan.ProbeEvent), mod
 // RunScan executes the six-protocol Internet-wide scan once.
 func (w *World) RunScan() (map[iot.Protocol][]*scan.Result, map[iot.Protocol]scan.Stats) {
 	w.scanOnce.Do(func() {
-		span := w.Trace.Start("scan")
-		defer span.End()
+		defer w.phase("scan")()
 		w.scanResults, w.scanStats = w.runScanner(w.Network, w.OnProbe, scan.AllModules()...)
 	})
 	return w.scanResults, w.scanStats
@@ -217,8 +244,7 @@ func (w *World) oversampledHoneypots() []fingerprint.Detection {
 // FilterHoneypots splits scan results into genuine hosts and detections.
 func (w *World) FilterHoneypots() (map[iot.Protocol][]*scan.Result, []fingerprint.Detection) {
 	w.filterOnce.Do(func() {
-		span := w.Trace.Start("filter_honeypots")
-		defer span.End()
+		defer w.phase("filter_honeypots")()
 		results, _ := w.RunScan()
 		w.genuine = make(map[iot.Protocol][]*scan.Result, len(results))
 		// Filter in sorted protocol order so the detections slice (and
@@ -242,12 +268,13 @@ func (w *World) FilterHoneypots() (map[iot.Protocol][]*scan.Result, []fingerprin
 // results.
 func (w *World) Classify() ([]classify.Finding, classify.Summary) {
 	w.classifyOnce.Do(func() {
-		span := w.Trace.Start("classify")
-		defer span.End()
+		defer w.phase("classify")()
 		genuine, _ := w.FilterHoneypots()
+		var all []*scan.Result
 		for _, proto := range iot.ScannedProtocols {
-			w.findings = append(w.findings, classify.ClassifyAll(genuine[proto])...)
+			all = append(all, genuine[proto]...)
 		}
+		w.findings = classify.ClassifyAll(all)
 		w.summary = classify.Summarize(w.findings)
 	})
 	return w.findings, w.summary
@@ -256,8 +283,7 @@ func (w *World) Classify() ([]classify.Finding, classify.Summary) {
 // RunAttackMonth replays the calibrated attack month once.
 func (w *World) RunAttackMonth() attack.Stats {
 	w.attackOnce.Do(func() {
-		span := w.Trace.Start("attack_month")
-		defer span.End()
+		defer w.phase("attack_month")()
 		campaign := attack.NewCampaign(attack.CampaignConfig{
 			Seed:       w.Cfg.Seed,
 			Network:    w.Network,
@@ -273,16 +299,26 @@ func (w *World) RunAttackMonth() attack.Stats {
 			RDNS:       w.RDNS,
 		})
 		w.attackStats = campaign.Run(context.Background())
-		campaign.RegisterIntel()
+		w.events = w.Log.Drain()
+		campaign.RegisterIntel(w.events)
 	})
 	return w.attackStats
+}
+
+// Events forces the attack month and returns its honeypot events in log
+// order. The month's events are taken over from the log once, when the
+// month ends (Log.Drain: the world holds the only copy and w.Log is left
+// empty), and every experiment reads this one slice, so it is read-only by
+// contract: an analysis that needs another order sorts a copy.
+func (w *World) Events() []honeypot.Event {
+	w.RunAttackMonth()
+	return w.events
 }
 
 // RunTelescope generates the calibrated darknet traffic once.
 func (w *World) RunTelescope() int {
 	w.darknetOnce.Do(func() {
-		span := w.Trace.Start("telescope")
-		defer span.End()
+		defer w.phase("telescope")()
 		gen := attack.NewDarknetGenerator(attack.DarknetConfig{
 			Seed:      w.Cfg.Seed,
 			Telescope: w.Telescope,
@@ -293,8 +329,19 @@ func (w *World) RunTelescope() int {
 			Workers:   w.Cfg.Workers,
 		})
 		w.darknetLen = gen.Run()
+		w.flows = w.Telescope.Flows()
 	})
 	return w.darknetLen
+}
+
+// Flows forces the telescope phase and returns its flows in capture order:
+// one copy of the table, made when the phase ends and shared by every
+// experiment, read-only by the same contract as Events. The telescope keeps
+// its table — Telescope.Stats() feeds the manifest's counters after the
+// experiments ran — which is why this is a copy where Events is a hand-over.
+func (w *World) Flows() []*telescope.FlowTuple {
+	w.RunTelescope()
+	return w.flows
 }
 
 // Sonar returns the simulated Project Sonar dataset.
@@ -319,21 +366,4 @@ func (w *World) PopulateCensys() *intel.Censys {
 		datasets.PopulateCensys(w.Cfg.Seed+3, w.Universe, w.Censys)
 	})
 	return w.Censys
-}
-
-// shared is the process-wide default world, built on first use so the
-// benchmark suite amortizes setup across targets.
-var (
-	sharedMu sync.Mutex
-	sharedW  *World
-)
-
-// Shared returns the process-wide default world.
-func Shared() *World {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	if sharedW == nil {
-		sharedW = BuildWorld(DefaultConfig())
-	}
-	return sharedW
 }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"openhire/internal/obs"
@@ -46,10 +47,20 @@ func TestWorldTraceZeroPerturbation(t *testing.T) {
 		}
 	}
 
+	// The world names the same phases in the same order, traced or not.
+	for _, w := range []*World{bare, traced} {
+		if got := w.Phases(); !slices.Equal(got, []string{"scan", "telescope"}) {
+			t.Fatalf("Phases() = %v, want [scan telescope]", got)
+		}
+	}
+
 	// Phase results are cached: re-running a traced phase must not record a
 	// second span.
 	traced.RunScan()
 	if got := len(traced.Trace.Spans()); got != 2 {
 		t.Fatalf("cached phase re-run grew the span list to %d", got)
+	}
+	if got := len(traced.Phases()); got != 2 {
+		t.Fatalf("cached phase re-run grew the phase list to %d", got)
 	}
 }

@@ -1,6 +1,8 @@
 package iot
 
 import (
+	"sync"
+
 	"openhire/internal/netsim"
 	"openhire/internal/prng"
 )
@@ -84,6 +86,10 @@ type Universe struct {
 	// almost all of them dark, so none of them hashes a protocol name or
 	// probes a density map per lookup.
 	exposure []exposureEntry
+
+	// index is ExposedIndex's result, built on its first call.
+	indexOnce sync.Once
+	index     []Exposed
 }
 
 // exposureEntry is one protocol's precomputed derivation inputs.

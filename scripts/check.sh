@@ -4,9 +4,11 @@
 #   1. gofmt (no unformatted files) and go vet over everything
 #   2. full build
 #   3. race detector over the hot-path packages: the scan leg (lock-free
-#      snapshot lookup, sharded stats, batched rate limiter) and the attack
+#      snapshot lookup, sharded stats, batched rate limiter), the attack
 #      month / telescope leg (sharded flow tables, striped event log,
-#      parallel darknet generation) — the parallel-vs-sequential equivalence
+#      parallel darknet generation) and the report pass's two parallel
+#      layers (the universe's exposure index with the crawls that filter it,
+#      the chunked ClassifyAll) — the parallel-vs-sequential equivalence
 #      tests run under the detector here
 #   4. the observability gate: the zero-perturbation equivalence tests
 #      (instrumented runs — registry, tracer, progress, day/unit hooks and
@@ -29,9 +31,11 @@
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
 #      parsers, over the chunking invariance of all ten stream servers,
-#      over the scanner's eight grab modules fed hostile conversations and
+#      over the scanner's eight grab modules fed hostile conversations,
 #      over the FlowTuple codec (binary decoder on both reader paths, CSV
-#      round trip) (seed corpus + 10 fresh inputs each) — skipped with --fast
+#      round trip), and over the classifier and the honeypot fingerprint
+#      filter fed hostile banners (seed corpus + 10 fresh inputs each) —
+#      skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests, the
 #      run harness's own tests (signal ladder, chain, manifest epilogue), and
 #      the kill-and-resume sweep under the race detector — each of the five
@@ -83,7 +87,8 @@ go build ./...
 
 echo "==> go test -race (hot-path packages)"
 go test -race ./internal/netsim/... ./internal/core/scan/... \
-	./internal/telescope/... ./internal/attack/... ./internal/honeypot/...
+	./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
+	./internal/iot/ ./internal/datasets/ ./internal/core/classify/
 
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
@@ -109,6 +114,8 @@ if [ "$FAST" = "0" ]; then
 	for target in FuzzReadBinary FuzzFlowCSV; do
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/telescope/
 	done
+	go test -run '^FuzzClassify$' -fuzz '^FuzzClassify$' -fuzztime 10x ./internal/core/classify/
+	go test -run '^FuzzMatchResult$' -fuzz '^FuzzMatchResult$' -fuzztime 10x ./internal/core/fingerprint/
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 fi
