@@ -20,14 +20,15 @@ race:
 	go test -race ./internal/netsim/... ./internal/core/scan/... \
 		./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
 		./internal/iot/ ./internal/datasets/ ./internal/core/classify/ \
-		./internal/obs/... ./internal/expr/ ./internal/serve/
+		./internal/protocols/... ./internal/obs/... ./internal/expr/ ./internal/serve/
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
 # detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
-# stream servers' chunking invariance, the scanner's eight grab modules, the
-# FlowTuple codec, and the two analyses that read attacker-controlled banners
-# (the classifier and the honeypot fingerprint filter).
+# CoAP server and the SSDP M-SEARCH parser, the stream servers' chunking
+# invariance, the scanner's eight grab modules, the FlowTuple codec, and the
+# two analyses that read attacker-controlled banners (the classifier and the
+# honeypot fingerprint filter).
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -38,6 +39,8 @@ chaos:
 	for target in FuzzReadPacket FuzzTopicMatches; do \
 		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/protocols/mqtt/ || exit 1; \
 	done
+	go test -run '^FuzzHandleDatagram$$' -fuzz '^FuzzHandleDatagram$$' -fuzztime 10x ./internal/protocols/coap/
+	go test -run '^FuzzParseMSearch$$' -fuzz '^FuzzParseMSearch$$' -fuzztime 10x ./internal/protocols/upnp/
 	go test -run '^FuzzStepperChunking$$' -fuzz '^FuzzStepperChunking$$' -fuzztime 10x ./internal/honeypot/
 	go test -run '^FuzzGrab$$' -fuzz '^FuzzGrab$$' -fuzztime 10x ./internal/core/scan/
 	for target in FuzzReadBinary FuzzFlowCSV; do \

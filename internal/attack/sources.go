@@ -82,7 +82,6 @@ type Sources struct {
 	services   map[netsim.IPv4]string // scanning-service IP → service name
 	infected   []netsim.IPv4          // infected misconfigured devices
 	infectedAt map[netsim.IPv4]InfectedTargets
-	torExits   []netsim.IPv4
 }
 
 // InfectedTargets says where an infected device sends attacks (Section 5.3)
@@ -181,23 +180,6 @@ func (s *Sources) BuildUnknownPool(n int) []netsim.IPv4 {
 	for i := 0; i < n; i++ {
 		ip := s.randomPublicIP(gen)
 		s.classes[ip] = ClassUnknown
-		out = append(out, ip)
-	}
-	return out
-}
-
-// BuildTorPool provisions n Tor exit addresses (HTTP scrapers,
-// Section 5.1.6) and registers them with the ExoneraTor-style relay list.
-func (s *Sources) BuildTorPool(n int) []netsim.IPv4 {
-	gen := s.src.Derive(prng.HashString("tor-pool"))
-	out := make([]netsim.IPv4, 0, n)
-	for i := 0; i < n; i++ {
-		ip := s.randomPublicIP(gen)
-		s.classes[ip] = ClassMalicious
-		if s.rdns != nil {
-			s.rdns.RegisterTorRelay(ip)
-		}
-		s.torExits = append(s.torExits, ip)
 		out = append(out, ip)
 	}
 	return out
@@ -339,9 +321,4 @@ func (s *Sources) ScanningServiceAddrs() []netsim.IPv4 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// TorExits returns the provisioned Tor exit addresses.
-func (s *Sources) TorExits() []netsim.IPv4 {
-	return append([]netsim.IPv4(nil), s.torExits...)
 }

@@ -47,8 +47,10 @@ type streamCase struct {
 }
 
 var streamCases = []streamCase{
-	// Telnet, SSH and HTTP move input into their own line buffers and MQTT
-	// waits for a whole packet, so 1 MiB (the MQTT packet cap) covers all four.
+	// Telnet moves input into its own IAC-filtered line buffer and MQTT waits
+	// for a whole packet, so 1 MiB (the MQTT packet cap) covers both. SSH
+	// holds at most one line and HTTP one request head, both capped at
+	// netsim.MaxLine; the transcript's request bodies are shorter than that.
 	{iot.ProtoTelnet, "Cowrie", 23, 1 << 20, func(conn net.Conn) {
 		ctx := context.Background()
 		if ok, _ := telnet.Login(ctx, conn, "root", "xc3511", clientTimeout); ok {
@@ -56,7 +58,7 @@ var streamCases = []streamCase{
 			_, _ = telnet.Exec(conn, "exit", clientTimeout)
 		}
 	}},
-	{iot.ProtoSSH, "Cowrie", 22, 1 << 20, func(conn net.Conn) {
+	{iot.ProtoSSH, "Cowrie", 22, netsim.MaxLine, func(conn net.Conn) {
 		_, _ = ssh.GrabBanner(conn, clientTimeout)
 		if ok, _ := ssh.Login(conn, "SSH-2.0-libssh", "root", "admin", clientTimeout); ok {
 			_, _ = conn.Write([]byte("uname -a\nexit\n"))
@@ -71,7 +73,7 @@ var streamCases = []streamCase{
 		_ = c.Publish("arduino/sensors/smoke", []byte("0xdeadbeef"), true)
 		_ = c.Disconnect()
 	}},
-	{iot.ProtoHTTP, "HosTaGe", 80, 1 << 20, func(conn net.Conn) {
+	{iot.ProtoHTTP, "HosTaGe", 80, netsim.MaxLine, func(conn net.Conn) {
 		_, _ = httpx.Get(conn, "/", clientTimeout)
 		_, _ = httpx.Post(conn, "/doLogin", map[string]string{"username": "admin", "password": "admin"}, clientTimeout)
 		_, _ = httpx.Do(conn, "POST", "/upload.php", bytes.Repeat([]byte("MZ"), 300), clientTimeout)
@@ -345,6 +347,34 @@ func FuzzStepperChunking(f *testing.F) {
 		got.requireSame(t, c, "split", whole)
 		got.requireBoundedTail(t, c, "split")
 	})
+}
+
+// TestEndlessLineEndsSession: a peer that sends 2 MiB without a newline to
+// a line-oriented server (SSH) or as an HTTP request head is dropped once it
+// has sent more than netsim.MaxLine, and the server never holds more than
+// that while it waits.
+func TestEndlessLineEndsSession(t *testing.T) {
+	for _, c := range streamCases {
+		if c.proto != iot.ProtoSSH && c.proto != iot.ProtoHTTP {
+			continue
+		}
+		s := openSession(t, c)
+		chunk := bytes.Repeat([]byte{'A'}, 4<<10)
+		sent := 0
+		for ; sent < 2<<20; sent += len(chunk) {
+			if _, err := s.conn.Write(chunk); err != nil {
+				break // the server ended the session
+			}
+		}
+		_ = s.conn.Close()
+		s.n.Quiesce()
+		if sent >= 2<<20 {
+			t.Errorf("%s: session still open after 2 MiB without a newline", c.proto)
+		}
+		if s.probe.maxTail > netsim.MaxLine {
+			t.Errorf("%s: held %d bytes waiting for a newline, cap %d", c.proto, s.probe.maxTail, netsim.MaxLine)
+		}
+	}
 }
 
 // TestNoGoroutinePerConversation: a hundred conversations held open at once

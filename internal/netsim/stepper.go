@@ -13,28 +13,31 @@ package netsim
 //
 //   - EvOpen: record DialTime/RemoteIP, write the banner if the protocol has
 //     one. EvEOF and EvBroken are final: emit the session record and return.
-//   - EvData: loop over ServerConv.Input — decode one frame/line from the
-//     head of the slice, Consume exactly its bytes, act on it, repeat — and
-//     return StepMore when the head is incomplete. The unconsumed tail is
-//     carried to the next event, so where the client's writes fall between
-//     frames must not change the output (the chunking-invariance test in
-//     internal/honeypot pins this for every server). Keep parse state that
-//     outlives a frame in the stepper's own fields.
-//   - Input aliases a buffer the engine reuses after Step returns: copy any
-//     bytes the session record keeps.
-//   - Bound the tail. The decoder must reject a frame or line longer than
-//     the protocol's cap as soon as the length is known, and end the
-//     session (StepDone); otherwise a peer that never completes a frame
-//     grows the conversation without limit.
-//   - Return StepDone at the points a blocking loop would return: protocol
-//     end, a parse error, a session cap, or a failed Write (a tripped stream
+//   - Write the protocol's decoder once, over a byte slice: it returns the
+//     frame at the head of raw and its length n, or — while raw is still
+//     short (n > len(raw)) — how many bytes it needs to say more, without
+//     allocating. Line-oriented protocols use Line.
+//   - EvData is one call: Frames(c, decode, handle). It pulls each complete
+//     frame off ServerConv.Input, consumes exactly its bytes and hands it to
+//     handle, and leaves an incomplete head in Input for the next event, so
+//     where the client's writes fall must not change the output (the
+//     chunking-invariance test in internal/honeypot pins this for every
+//     server). Blocking clients (probes, attack actors) read the same
+//     decoder with ReadFramed, so no protocol has a second parser. State
+//     that outlives a frame lives in the stepper's fields; a decoder may
+//     read it (which stage of the dialogue the next frame belongs to).
+//   - A frame aliases Input, a buffer the engine reuses after Step returns:
+//     copy any bytes the session record keeps.
+//   - Bound the tail. The decoder must reject a frame longer than the
+//     protocol's cap as soon as the length is known (Line: MaxLine), which
+//     ends the session; otherwise a peer that never completes a frame grows
+//     the conversation without limit.
+//   - handle returns StepDone at the points a blocking loop would return:
+//     protocol end, a session cap, or a failed Write (a tripped stream
 //     fault). The framework closes the server side.
-//
-// A framed protocol writes its decoder once, over a byte slice: the stepper
-// pulls frames with NextFrame, blocking clients (probes, attack actors) with
-// ReadFramed, so each protocol has one parser.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -211,8 +214,8 @@ func ServeStepper(ctx context.Context, conn *ServiceConn, s Stepper) {
 // one frame from r and never a byte of the next. decode examines the bytes
 // read so far and returns the frame and its length n once raw holds all of
 // it (n <= len(raw)); otherwise n is how many bytes it needs before it can
-// say more (n > len(raw)). Steppers run the same decode through NextFrame,
-// so the framing rules live in one place.
+// say more (n > len(raw)). Steppers run the same decode through Frames, so
+// the framing rules live in one place.
 func ReadFramed[T any](r io.Reader, decode func(raw []byte) (T, int, error)) (T, error) {
 	var raw []byte
 	for {
@@ -228,16 +231,46 @@ func ReadFramed[T any](r io.Reader, decode func(raw []byte) (T, int, error)) (T,
 	}
 }
 
-// NextFrame is ReadFramed's counterpart inside a stepper: it decodes the
-// frame at the head of c.Input with the same decode and consumes it. ok is
-// false, with nothing consumed, while the frame is still incomplete. The
+// Frames is ReadFramed's counterpart inside a stepper, and a framed
+// stepper's EvData: it decodes each frame at the head of c.Input, consumes
+// exactly its bytes and hands it to handle, and returns StepMore once the
+// input ends mid-frame. It returns StepDone as soon as handle does, or with
+// the error when decode rejects the head, which ends the session too. A
 // frame may alias the input and is valid until Step returns.
-func NextFrame[T any](c *ServerConv, decode func(raw []byte) (T, int, error)) (v T, ok bool, err error) {
-	in := c.Input()
-	v, n, err := decode(in)
-	if err != nil || n > len(in) {
-		return v, false, err
+func Frames[T any](c *ServerConv, decode func(raw []byte) (T, int, error),
+	handle func(c *ServerConv, v T) StepVerdict) (StepVerdict, error) {
+	for {
+		in := c.Input()
+		v, n, err := decode(in)
+		if err != nil {
+			return StepDone, err
+		}
+		if n > len(in) {
+			return StepMore, nil
+		}
+		c.Consume(n)
+		if handle(c, v) == StepDone {
+			return StepDone, nil
+		}
 	}
-	c.Consume(n)
-	return v, true, nil
+}
+
+// MaxLine caps one line of a line-oriented protocol, terminator included.
+const MaxLine = 8 << 10
+
+// ErrLineTooLong is Line's verdict on MaxLine bytes with no '\n' among them.
+var ErrLineTooLong = errors.New("netsim: line exceeds MaxLine")
+
+// Line is the decoder of a line-oriented protocol: the '\n'-terminated line
+// at the head of raw, without its '\n' (and aliasing raw). While raw holds no
+// '\n' it asks for one more byte; a line that cannot end within MaxLine
+// bytes is ErrLineTooLong.
+func Line(raw []byte) ([]byte, int, error) {
+	if i := bytes.IndexByte(raw[:min(len(raw), MaxLine)], '\n'); i >= 0 {
+		return raw[:i], i + 1, nil
+	}
+	if len(raw) >= MaxLine {
+		return nil, 0, ErrLineTooLong
+	}
+	return nil, len(raw) + 1, nil
 }

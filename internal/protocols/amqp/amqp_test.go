@@ -143,11 +143,11 @@ func TestProbeBadGreetingAnswered(t *testing.T) {
 }
 
 func TestConnectAnonymousAccepted(t *testing.T) {
-	var events []Event
+	events := make(chan Event, 16) // room for every event the session logs: the server never blocks
 	client, closeFn := startBroker(t, ServerConfig{
 		Properties: ServerProperties{Product: "RabbitMQ", Version: "3.8.9",
 			Mechanisms: []string{"PLAIN", "ANONYMOUS"}},
-		OnEvent: func(ev Event) { events = append(events, ev) },
+		OnEvent: func(ev Event) { events <- ev },
 	})
 	defer closeFn()
 	sess, ok, err := Connect(client, "ANONYMOUS", "", "", time.Second)
@@ -158,16 +158,18 @@ func TestConnectAnonymousAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the publish event.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		for _, ev := range events {
+	var seen []Event
+	for {
+		select {
+		case ev := <-events:
 			if ev.Kind == EventPublish && string(ev.Body) == "open" && ev.Exchange == "amq.topic" {
 				return
 			}
+			seen = append(seen, ev)
+		case <-time.After(time.Second):
+			t.Fatalf("publish not observed; events: %+v", seen)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("publish not observed; events: %+v", events)
 }
 
 func TestConnectAuthRejected(t *testing.T) {

@@ -3,6 +3,7 @@ package amqp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"time"
 
@@ -97,38 +98,30 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.remote, _ = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
-		if t.state == stHeader {
-			in := c.Input()
-			if len(in) < len(ProtocolHeader) {
-				return netsim.StepMore
-			}
-			c.Consume(len(ProtocolHeader))
-			if !bytes.Equal(in[:len(ProtocolHeader)], ProtocolHeader) {
-				// Spec: answer a bad greeting with the supported header and close.
-				_, _ = c.Write(ProtocolHeader)
-				return netsim.StepDone
-			}
-			t.s.emit(Event{Time: c.DialTime(), Kind: EventHandshake, Remote: t.remote})
-			if !writeFrame(c, StartFrame(t.s.cfg.Properties)) {
-				return netsim.StepDone
-			}
-			t.state = stStartOK
+		v, err := netsim.Frames(c, t.decode, t.handleFrame)
+		if errors.Is(err, ErrBadHeader) {
+			// Spec: answer a bad greeting with the supported header and close.
+			_, _ = c.Write(ProtocolHeader)
 		}
-		for {
-			f, ok, err := netsim.NextFrame(c, decodeFrame)
-			if err != nil {
-				return netsim.StepDone
-			}
-			if !ok {
-				return netsim.StepMore
-			}
-			if t.handleFrame(c, f) == netsim.StepDone {
-				return netsim.StepDone
-			}
-		}
+		return v
 	default:
 		return netsim.StepDone
 	}
+}
+
+// decode frames the session: the 8-byte protocol header first, as a nil
+// frame, then decodeFrame.
+func (t *serverStepper) decode(raw []byte) (*Frame, int, error) {
+	n := len(ProtocolHeader)
+	switch {
+	case t.state != stHeader:
+		return decodeFrame(raw)
+	case len(raw) < n:
+		return nil, n, nil
+	case !bytes.Equal(raw[:n], ProtocolHeader):
+		return nil, 0, ErrBadHeader
+	}
+	return nil, n, nil
 }
 
 func writeFrame(c *netsim.ServerConv, f *Frame) bool {
@@ -139,6 +132,14 @@ func writeFrame(c *netsim.ServerConv, f *Frame) bool {
 // handleFrame advances the session by one decoded frame.
 func (t *serverStepper) handleFrame(c *netsim.ServerConv, f *Frame) netsim.StepVerdict {
 	s := t.s
+	if t.state == stHeader {
+		s.emit(Event{Time: c.DialTime(), Kind: EventHandshake, Remote: t.remote})
+		if !writeFrame(c, StartFrame(s.cfg.Properties)) {
+			return netsim.StepDone
+		}
+		t.state = stStartOK
+		return netsim.StepMore
+	}
 	if t.state == stStartOK {
 		// connection.start-ok carries the client's mechanism and response.
 		mech, user, pass := parseStartOK(f)

@@ -13,7 +13,6 @@ package ftp
 
 import (
 	"bufio"
-	"bytes"
 	"io"
 	"net"
 	"sort"
@@ -79,11 +78,6 @@ func NewServer(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-// maxLine bounds one control-channel line, terminator included. The line is
-// outside input; a peer that never sends a newline is answered 500 and
-// dropped once it has sent this much.
-const maxLine = 8 << 10
-
 // NewStepper implements netsim.StreamHandler.
 func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 
@@ -117,36 +111,12 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 			return netsim.StepMore
 		}
 	case netsim.EvData:
-		for t.state != stCommand || len(t.ev.Commands) < 128 {
-			if t.state == stUploadData {
-				in := c.Input()
-				in = in[:min(len(in), t.need)]
-				t.upload.Data = append(t.upload.Data, in...)
-				c.Consume(len(in))
-				if t.need -= len(in); t.need > 0 {
-					return netsim.StepMore
-				}
-				t.ev.Uploads = append(t.ev.Uploads, t.upload)
-				t.state = stCommand
-				if !reply(c, "226 Transfer complete.") {
-					break
-				}
-				continue
-			}
-			in := c.Input()
-			in = in[:min(len(in), maxLine)]
-			nl := bytes.IndexByte(in, '\n')
-			if nl < 0 && len(in) < maxLine {
-				return netsim.StepMore
-			}
-			if nl < 0 {
-				_ = reply(c, "500 Line too long.")
-				break
-			}
-			c.Consume(nl + 1)
-			if !t.handleLine(c, strings.TrimSpace(string(in[:nl]))) {
-				break
-			}
+		v, err := netsim.Frames(c, t.decode, t.handle)
+		if v == netsim.StepMore {
+			return v
+		}
+		if err != nil { // no newline within netsim.MaxLine bytes
+			_ = reply(c, "500 Line too long.")
 		}
 	default:
 		// EvEOF / EvBroken: the peer left; mid-upload that aborts the transfer.
@@ -160,9 +130,47 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 	return netsim.StepDone
 }
 
+// decode frames the control channel: a line, or during an upload whatever
+// part of the outstanding bytes has arrived.
+func (t *serverStepper) decode(raw []byte) ([]byte, int, error) {
+	if t.state != stUploadData {
+		return netsim.Line(raw)
+	}
+	if len(raw) == 0 {
+		return nil, 1, nil
+	}
+	n := min(len(raw), t.need)
+	return raw[:n], n, nil
+}
+
+// handle runs one frame. The session ends after 128 commands, once no
+// upload is in progress.
+func (t *serverStepper) handle(c *netsim.ServerConv, frame []byte) netsim.StepVerdict {
+	more := true
+	if t.state == stUploadData {
+		t.upload.Data = append(t.upload.Data, frame...)
+		if t.need -= len(frame); t.need == 0 {
+			more = t.uploaded(c)
+		}
+	} else {
+		more = t.handleLine(c, strings.TrimSpace(string(frame)))
+	}
+	if !more || (t.state == stCommand && len(t.ev.Commands) >= 128) {
+		return netsim.StepDone
+	}
+	return netsim.StepMore
+}
+
 func reply(c *netsim.ServerConv, line string) bool {
 	_, err := c.Write([]byte(line + "\r\n"))
 	return err == nil
+}
+
+// uploaded files the completed STOR and confirms it.
+func (t *serverStepper) uploaded(c *netsim.ServerConv) bool {
+	t.ev.Uploads = append(t.ev.Uploads, t.upload)
+	t.state = stCommand
+	return reply(c, "226 Transfer complete.")
 }
 
 // handleLine runs one complete line; false ends the session.
@@ -175,7 +183,9 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) bool {
 			return false
 		}
 		t.upload.Data = make([]byte, 0, n)
-		t.need = n
+		if t.need = n; n == 0 {
+			return t.uploaded(c)
+		}
 		t.state = stUploadData
 		return true
 	}

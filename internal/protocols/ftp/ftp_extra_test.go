@@ -161,9 +161,9 @@ func (p *tailProbe) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepV
 	return v
 }
 
-// TestLineCapEndsSession: the command line is outside input. A peer that
-// sends 1 MiB without a newline is answered 500 and dropped, and the bytes
-// held while waiting for the newline never exceed the cap.
+// TestLineCapEndsSession: a peer that sends 1 MiB without a newline is
+// answered 500 and dropped, and the bytes held while waiting for the newline
+// never exceed the cap.
 func TestLineCapEndsSession(t *testing.T) {
 	var events []Event
 	srv := NewServer(Config{OnEvent: func(ev Event) { events = append(events, ev) }})
@@ -202,7 +202,7 @@ func TestLineCapEndsSession(t *testing.T) {
 	if len(events) != 1 || len(events[0].Commands) != 0 {
 		t.Fatalf("events %+v, want one session record with no commands", events)
 	}
-	if probe.maxTail > maxLine {
-		t.Fatalf("retained tail %d bytes, cap %d", probe.maxTail, maxLine)
+	if probe.maxTail > netsim.MaxLine {
+		t.Fatalf("retained tail %d bytes, cap %d", probe.maxTail, netsim.MaxLine)
 	}
 }

@@ -19,6 +19,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"openhire/internal/netsim"
 )
@@ -45,44 +47,81 @@ type Response struct {
 // maxBodySize bounds request bodies.
 const maxBodySize = 1 << 20
 
-// ReadRequest parses one request from r.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 3 {
-		return nil, fmt.Errorf("http: malformed request line %q", strings.TrimSpace(line))
-	}
-	req := &Request{Method: fields[0], Path: fields[1], Proto: fields[2],
-		Headers: make(map[string]string)}
-	for {
-		h, err := r.ReadString('\n')
+// decodeRequest is the one request parser, in the shape netsim.ReadFramed
+// and the server stepper share: it returns the request at the head of raw
+// and its length n, or — while raw is still short (n > len(raw)) — how many
+// bytes it needs to get further. The head (request line and headers, blank
+// line included) must fit in netsim.MaxLine bytes and the body in
+// maxBodySize. A malformed request line fails as soon as it ends; nothing is
+// allocated before the whole request is in raw. Body aliases raw.
+func decodeRequest(raw []byte) (*Request, int, error) {
+	head := raw[:min(len(raw), netsim.MaxLine)]
+	var cl []byte // the last Content-Length value, as the Headers map keeps it
+	off := 0
+	for i := 0; ; i++ {
+		line, n, err := netsim.Line(head[off:])
+		if err == nil && off+n > len(head) {
+			if len(head) < netsim.MaxLine {
+				return nil, off + n, nil
+			}
+			err = netsim.ErrLineTooLong
+		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		h = strings.TrimRight(h, "\r\n")
-		if h == "" {
-			break
-		}
-		colon := strings.IndexByte(h, ':')
-		if colon < 0 {
+		off += n
+		if i == 0 {
+			if fieldCount(line) != 3 {
+				return nil, 0, fmt.Errorf("http: malformed request line %q", bytes.TrimSpace(line))
+			}
 			continue
 		}
-		req.Headers[strings.ToLower(strings.TrimSpace(h[:colon]))] = strings.TrimSpace(h[colon+1:])
-	}
-	if cl := req.Headers["content-length"]; cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 || n > maxBodySize {
-			return nil, fmt.Errorf("http: bad content-length %q", cl)
+		h := bytes.TrimRight(line, "\r")
+		if len(h) == 0 {
+			break
 		}
-		req.Body = make([]byte, n)
-		if _, err := io.ReadFull(r, req.Body); err != nil {
-			return nil, err
+		// No rune outside ASCII folds onto a letter of "content-length", so
+		// EqualFold here is ToLower-then-compare, as the map key is built.
+		if k, v, ok := bytes.Cut(h, []byte(":")); ok && bytes.EqualFold(bytes.TrimSpace(k), []byte("content-length")) {
+			cl = bytes.TrimSpace(v)
 		}
 	}
-	return req, nil
+	n := off
+	if len(cl) > 0 {
+		size, err := strconv.Atoi(string(cl))
+		if err != nil || size < 0 || size > maxBodySize {
+			return nil, 0, fmt.Errorf("http: bad content-length %q", cl)
+		}
+		n += size
+	}
+	if len(raw) < n {
+		return nil, n, nil
+	}
+	lines := strings.Split(string(raw[:off]), "\n")
+	fields := strings.Fields(lines[0])
+	req := &Request{Method: fields[0], Path: fields[1], Proto: fields[2],
+		Headers: make(map[string]string), Body: raw[off:n]}
+	for _, h := range lines[1:] {
+		if k, v, ok := strings.Cut(strings.TrimRight(h, "\r"), ":"); ok {
+			req.Headers[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
+		}
+	}
+	return req, n, nil
+}
+
+// fieldCount is len(strings.Fields(string(b))), without allocating.
+func fieldCount(b []byte) int {
+	n, inField := 0, false
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		b = b[size:]
+		if unicode.IsSpace(r) {
+			inField = false
+		} else if !inField {
+			inField, n = true, n+1
+		}
+	}
+	return n
 }
 
 // statusText maps the codes the honeypots emit.
@@ -183,27 +222,17 @@ func NewServer(cfg ServerConfig) *Server {
 // machine for the conversation engine.
 func (s *Server) NewStepper() netsim.Stepper { return &serverStepper{s: s} }
 
-// serverStepper request-parse states.
-const (
-	rqLine   uint8 = iota // awaiting the request line
-	rqHeader              // awaiting a header line (empty line ends headers)
-	rqBody                // awaiting Content-Length body bytes
-)
-
-// serverStepper is one keep-alive HTTP session as a resumable state machine:
-// an incremental ReadRequest whose parse errors and response writes land at
-// exactly the points the classic blocking loop returned.
+// serverStepper is one keep-alive HTTP session: decodeRequest framing, and a
+// dispatch whose response writes land at exactly the points the classic
+// blocking loop wrote.
 type serverStepper struct {
 	s      *Server
 	remote netsim.IPv4
-	line   []byte // partial input line
-	req    *Request
-	need   int // body bytes still outstanding
-	state  uint8
 	served int
 }
 
-// Step implements netsim.Stepper.
+// Step implements netsim.Stepper. A malformed request, EvEOF and EvBroken
+// end the session where a blocking read loop would have errored out.
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
@@ -213,79 +242,16 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		}
 		return netsim.StepMore
 	case netsim.EvData:
-		return t.feed(c)
+		v, _ := netsim.Frames(c, decodeRequest, t.dispatch)
+		return v
 	default:
-		// EvEOF / EvBroken: ReadRequest would have errored out of the loop.
 		return netsim.StepDone
 	}
 }
 
-// feed advances the incremental request parser as far as the buffered input
-// allows, dispatching each completed request.
-func (t *serverStepper) feed(c *netsim.ServerConv) netsim.StepVerdict {
-	for {
-		switch t.state {
-		case rqLine:
-			line, ok := t.feedLine(c)
-			if !ok {
-				return netsim.StepMore
-			}
-			fields := strings.Fields(strings.TrimSpace(line))
-			if len(fields) != 3 {
-				return netsim.StepDone // malformed request line
-			}
-			t.req = &Request{Method: fields[0], Path: fields[1], Proto: fields[2],
-				Headers: make(map[string]string)}
-			t.state = rqHeader
-
-		case rqHeader:
-			line, ok := t.feedLine(c)
-			if !ok {
-				return netsim.StepMore
-			}
-			h := strings.TrimRight(line, "\r\n")
-			if h != "" {
-				if colon := strings.IndexByte(h, ':'); colon >= 0 {
-					t.req.Headers[strings.ToLower(strings.TrimSpace(h[:colon]))] = strings.TrimSpace(h[colon+1:])
-				}
-				continue
-			}
-			// Blank line: headers done, read the body if one is declared.
-			t.need = 0
-			if cl := t.req.Headers["content-length"]; cl != "" {
-				n, err := strconv.Atoi(cl)
-				if err != nil || n < 0 || n > maxBodySize {
-					return netsim.StepDone // bad content-length
-				}
-				t.req.Body = make([]byte, 0, n)
-				t.need = n
-			}
-			t.state = rqBody
-
-		case rqBody:
-			if t.need > 0 {
-				in := c.Input()
-				if len(in) > t.need {
-					in = in[:t.need]
-				}
-				t.req.Body = append(t.req.Body, in...)
-				c.Consume(len(in))
-				t.need -= len(in)
-				if t.need > 0 {
-					return netsim.StepMore
-				}
-			}
-			if t.dispatch(c) == netsim.StepDone {
-				return netsim.StepDone
-			}
-		}
-	}
-}
-
 // dispatch handles one fully parsed request: event, route, response write.
-func (t *serverStepper) dispatch(c *netsim.ServerConv) netsim.StepVerdict {
+func (t *serverStepper) dispatch(c *netsim.ServerConv, req *Request) netsim.StepVerdict {
 	s := t.s
-	req := t.req
 	ev := Event{Time: c.DialTime(), Remote: t.remote, Method: req.Method,
 		Path: req.Path, BodySize: len(req.Body)}
 	if s.cfg.LoginPath != "" && req.Path == s.cfg.LoginPath && req.Method == "POST" {
@@ -307,26 +273,7 @@ func (t *serverStepper) dispatch(c *netsim.ServerConv) netsim.StepVerdict {
 	if t.served >= s.cfg.MaxRequestsPerConn {
 		return netsim.StepDone
 	}
-	t.req = nil
-	t.state = rqLine
 	return netsim.StepMore
-}
-
-// feedLine consumes input toward one '\n'-terminated line, carrying partial
-// lines across batches. ok is false when input ran out mid-line.
-func (t *serverStepper) feedLine(c *netsim.ServerConv) (string, bool) {
-	in := c.Input()
-	for i, b := range in {
-		if b == '\n' {
-			c.Consume(i + 1)
-			line := string(t.line)
-			t.line = t.line[:0]
-			return line, true
-		}
-		t.line = append(t.line, b)
-	}
-	c.Consume(len(in))
-	return "", false
 }
 
 func (s *Server) route(req *Request) *Response {

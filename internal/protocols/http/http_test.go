@@ -34,14 +34,21 @@ func TestParseFormFuzzNoPanic(t *testing.T) {
 	}
 }
 
+func readRequest(raw string) (*Request, error) {
+	return netsim.ReadFramed(strings.NewReader(raw), decodeRequest)
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	raw := "POST /login HTTP/1.1\r\nHost: cam\r\nContent-Length: 9\r\n\r\nuser=a&b=c"
-	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	raw := "POST /login HTTP/1.1\r\nHost: cam\r\ncontent-LENGTH : 9\r\n\r\nuser=a&b=c"
+	req, err := readRequest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "POST" || req.Path != "/login" || string(req.Body) != "user=a&b=" {
 		t.Fatalf("req %+v body=%q", req, req.Body)
+	}
+	if req.Headers["host"] != "cam" || req.Headers["content-length"] != "9" {
+		t.Fatalf("headers %v", req.Headers)
 	}
 }
 
@@ -51,10 +58,62 @@ func TestReadRequestErrors(t *testing.T) {
 		"GET /\r\n\r\n", // missing proto
 		"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
 		"GET / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+		"GET / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: x\r\n\r\nbody", // the last one counts
+		"GET / HTTP/1.1\r\nX: " + strings.Repeat("a", netsim.MaxLine) + "\r\n\r\n",
+		"GET / HTTP/1.1\r\n" + strings.Repeat("X: a\r\n", netsim.MaxLine/6) + "\r\n", // head over the cap
 	} {
-		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
-			t.Errorf("parsed %q", raw)
+		if _, err := readRequest(raw); err == nil {
+			t.Errorf("parsed %.40q", raw)
 		}
+	}
+}
+
+// TestDecodeRequestFraming: a malformed request line fails as soon as it
+// ends, the head is the first blank line (bare LF too), and a body is
+// exactly Content-Length bytes, the last such header winning.
+func TestDecodeRequestFraming(t *testing.T) {
+	for _, c := range []struct {
+		raw  string
+		n    int
+		body string
+		bad  bool
+	}{
+		{raw: "", n: 1},
+		{raw: "GET / HTTP/1.1", n: 15},
+		{raw: "GET /\r\n", bad: true},
+		{raw: "GET / HTTP/1.1\r\nHost: x\r\n", n: 26},
+		{raw: "GET / HTTP/1.1\r\n\r\nGET", n: 18},
+		{raw: "GET / HTTP/1.1\n\n", n: 16},
+		{raw: "POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", n: 43},
+		{raw: "POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcdefg", n: 43, body: "abcde"},
+		{raw: "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length:\r\n\r\nabc", n: 55},
+	} {
+		req, n, err := decodeRequest([]byte(c.raw))
+		if (err != nil) != c.bad || n != c.n && !c.bad {
+			t.Errorf("%q: n=%d err=%v, want n=%d bad=%v", c.raw, n, err, c.n, c.bad)
+		}
+		if req != nil && string(req.Body) != c.body {
+			t.Errorf("%q: body %q, want %q", c.raw, req.Body, c.body)
+		}
+		if req == nil && n <= len(c.raw) && err == nil {
+			t.Errorf("%q: n=%d within raw but no request", c.raw, n)
+		}
+	}
+}
+
+// TestDecodeRequestAllocatesNothingWhileIncomplete: a client that drips a
+// request, or a flood of partial heads, costs the server no garbage.
+func TestDecodeRequestAllocatesNothingWhileIncomplete(t *testing.T) {
+	raw := []byte("POST /doLogin HTTP/1.1\r\nHost: target\r\nContent-Length: 29\r\n\r\nusername=admin&password=admin")
+	allocs := testing.AllocsPerRun(20, func() {
+		for k := range len(raw) {
+			if req, _, err := decodeRequest(raw[:k]); req != nil || err != nil {
+				t.Fatalf("prefix %d: %v, %v", k, req, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per pass over the prefixes, want 0", allocs)
 	}
 }
 

@@ -124,30 +124,28 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.remote, _ = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			req, ok, err := netsim.NextFrame(c, decodeADU)
-			if err != nil {
-				return netsim.StepDone
-			}
-			if !ok {
-				return netsim.StepMore
-			}
-			resp, rev := t.s.handle(req)
-			rev.Time = c.DialTime()
-			rev.Remote = t.remote
-			if t.s.cfg.OnEvent != nil {
-				t.s.cfg.OnEvent(rev)
-			}
-			if _, err := c.Write(resp); err != nil {
-				return netsim.StepDone
-			}
-			if t.requests++; t.requests >= maxRequests {
-				return netsim.StepDone
-			}
-		}
+		v, _ := netsim.Frames(c, decodeADU, t.handle)
+		return v
 	default:
 		return netsim.StepDone
 	}
+}
+
+// handle answers one request and logs it.
+func (t *serverStepper) handle(c *netsim.ServerConv, req *Request) netsim.StepVerdict {
+	resp, rev := t.s.handle(req)
+	rev.Time = c.DialTime()
+	rev.Remote = t.remote
+	if t.s.cfg.OnEvent != nil {
+		t.s.cfg.OnEvent(rev)
+	}
+	if _, err := c.Write(resp); err != nil {
+		return netsim.StepDone
+	}
+	if t.requests++; t.requests >= maxRequests {
+		return netsim.StepDone
+	}
+	return netsim.StepMore
 }
 
 func (s *Server) handle(req *Request) ([]byte, Event) {

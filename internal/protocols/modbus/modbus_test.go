@@ -2,22 +2,31 @@ package modbus
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"openhire/internal/netsim"
 )
 
-func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, *[]Event) {
+// startServer serves one session over an in-memory pair; events returns a
+// copy of what the server has logged so far.
+func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	var events []Event
+	var (
+		mu     sync.Mutex
+		events []Event
+	)
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
+		mu.Lock()
 		events = append(events, ev)
+		mu.Unlock()
 	}
 	srv := NewServer(cfg)
 	client, server := netsim.NewServiceConnPair(
@@ -30,7 +39,11 @@ func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, *[]Eve
 		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
 	}()
 	t.Cleanup(func() { client.Close() })
-	return srv, client, &events
+	return srv, client, func() []Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(events)
+	}
 }
 
 func TestReadHoldingRegisters(t *testing.T) {
@@ -55,13 +68,13 @@ func TestWriteSinglePoisonsRegister(t *testing.T) {
 		t.Fatalf("register = %d, %v", v, ok)
 	}
 	found := false
-	for _, ev := range *events {
+	for _, ev := range events() {
 		if ev.Write && ev.Address == 10 && ev.Value == 666 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("write event missing: %+v", *events)
+		t.Fatalf("write event missing: %+v", events())
 	}
 }
 
@@ -84,14 +97,14 @@ func TestInvalidFunctionCodeLogged(t *testing.T) {
 	}
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		for _, ev := range *events {
+		for _, ev := range events() {
 			if ev.Function == 0x63 && !ev.Valid {
 				return
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("invalid function not logged: %+v", *events)
+	t.Fatalf("invalid function not logged: %+v", events())
 }
 
 func TestReportServerID(t *testing.T) {

@@ -120,9 +120,8 @@ func (b *Broker) emit(ev Event) {
 // machine for the conversation engine.
 func (b *Broker) NewStepper() netsim.Stepper { return &brokerStepper{b: b} }
 
-// brokerStepper is one MQTT session as a resumable state machine: an
-// incremental packet framer (fixed header byte, remaining-length varint,
-// body) plus the broker's packet dispatch. Session registration and
+// brokerStepper is one MQTT session as a resumable state machine: the
+// broker's packet dispatch over decodePacket. Session registration and
 // deregistration happen at the same points the classic blocking loop hit
 // them, so cross-session fanout sees an identical subscriber set.
 type brokerStepper struct {
@@ -130,16 +129,11 @@ type brokerStepper struct {
 	s         *session
 	connected bool // CONNECT accepted and session registered in b.subs
 	publishes int
-	// Packet framer state, carried across input batches.
-	hdr    byte
-	hdrOk  bool
-	length int
-	shift  uint
-	lenCnt int
-	lenOk  bool
 }
 
-// Step implements netsim.Stepper.
+// Step implements netsim.Stepper. A framing or decode error, a packet that
+// ends the session and EvEOF / EvBroken all land in finish, where a
+// blocking ReadPacket loop would have returned.
 func (t *brokerStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
@@ -147,74 +141,11 @@ func (t *brokerStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.s = &session{conn: c.Conn(), remote: remote}
 		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			pkt, ready, fatal := t.nextPacket(c)
-			if fatal { // framing or decode error: ReadPacket would have failed
-				return t.finish()
-			}
-			if !ready {
-				return netsim.StepMore
-			}
-			if t.handlePacket(c, pkt) == netsim.StepDone {
-				return t.finish()
-			}
+		if v, _ := netsim.Frames(c, decodePacket, t.handlePacket); v == netsim.StepMore {
+			return v
 		}
-	default:
-		// EvEOF / EvBroken: a blocking ReadPacket would have errored out.
-		return t.finish()
 	}
-}
-
-// nextPacket advances the framer over the buffered input. ready reports a
-// complete, decoded packet; fatal reports a framing or decode error that
-// ends the session.
-func (t *brokerStepper) nextPacket(c *netsim.ServerConv) (pkt *Packet, ready, fatal bool) {
-	in := c.Input()
-	i := 0
-	if !t.hdrOk {
-		if i >= len(in) {
-			c.Consume(i)
-			return nil, false, false
-		}
-		t.hdr, t.hdrOk = in[i], true
-		i++
-	}
-	for !t.lenOk {
-		if i >= len(in) {
-			c.Consume(i)
-			return nil, false, false
-		}
-		bb := in[i]
-		i++
-		t.length |= int(bb&0x7f) << t.shift
-		t.lenCnt++
-		if bb&0x80 == 0 {
-			t.lenOk = true
-			break
-		}
-		if t.lenCnt == 4 { // continuation bit on the 4th byte: ErrMalformed
-			c.Consume(i)
-			return nil, false, true
-		}
-		t.shift += 7
-	}
-	if t.length > maxRemainingLength {
-		c.Consume(i)
-		return nil, false, true
-	}
-	if len(in)-i < t.length {
-		c.Consume(i)
-		return nil, false, false
-	}
-	body := in[i : i+t.length]
-	hdr := t.hdr
-	c.Consume(i + t.length)
-	t.hdrOk, t.lenOk, t.length, t.shift, t.lenCnt = false, false, 0, 0, 0
-	p, err := decode(hdr, body)
-	if err != nil {
-		return nil, false, true
-	}
-	return p, true, false
+	return t.finish()
 }
 
 // handlePacket dispatches one decoded packet exactly as the blocking session

@@ -2,13 +2,22 @@ package mqtt
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
+	"reflect"
 	"testing"
+	"time"
+
+	"openhire/internal/netsim"
 )
 
 // FuzzReadPacket drives arbitrary bytes — including truncated packet
 // prefixes, the shape a tarpitted broker conversation delivers — through the
 // wire decoder. The decoder must never panic, must return a nil packet with
-// every error, and anything it accepts must survive re-encoding and
+// every error, must decode the same packet or fail with the same error on
+// the broker's path (the bytes arriving one at a time at a stepper) as
+// through ReadPacket, and anything it accepts must survive re-encoding and
 // re-decoding to the same packet type.
 func FuzzReadPacket(f *testing.F) {
 	// Well-formed packets of each family, so the fuzzer starts from inputs
@@ -41,6 +50,17 @@ func FuzzReadPacket(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := ReadPacket(bytes.NewReader(raw))
+		// The broker's path: the same bytes arriving one at a time at a
+		// stepper that pulls packets with netsim.Frames.
+		sp, serr := firstPacketByteByByte(t, raw)
+		switch {
+		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+			if sp != nil || serr != nil {
+				t.Fatalf("ReadPacket ran out of bytes, the stepper path got %+v, %v", sp, serr)
+			}
+		case serr != err || !reflect.DeepEqual(sp, p):
+			t.Fatalf("stepper path %+v, %v; ReadPacket %+v, %v", sp, serr, p, err)
+		}
 		if err != nil {
 			if p != nil {
 				t.Fatalf("error %v returned alongside packet %+v", err, p)
@@ -60,6 +80,63 @@ func FuzzReadPacket(f *testing.F) {
 			t.Fatalf("type changed across re-encode: %s -> %s", p.Type, p2.Type)
 		}
 	})
+}
+
+// packetProbe is a stepper that pulls packets off its input the way the
+// broker does and keeps a copy of the first, or the error that ended the
+// session.
+type packetProbe struct {
+	pkt *Packet
+	err error
+}
+
+func (p *packetProbe) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		return netsim.StepMore
+	case netsim.EvData:
+		v, err := netsim.Frames(c, decodePacket, p.keep)
+		p.err = err
+		return v
+	}
+	return netsim.StepDone
+}
+
+// keep copies the packet, which aliases the input, and ends the session.
+func (p *packetProbe) keep(_ *netsim.ServerConv, pkt *Packet) netsim.StepVerdict {
+	cp := *pkt
+	cp.Payload, cp.GrantedQoS = bytes.Clone(pkt.Payload), bytes.Clone(pkt.GrantedQoS)
+	p.pkt = &cp
+	return netsim.StepDone
+}
+
+// firstPacketByteByByte writes raw to a packetProbe one byte per write and
+// reports what it decoded; both are nil when raw ends mid-packet.
+func firstPacketByteByByte(t *testing.T, raw []byte) (*Packet, error) {
+	client, server := netsim.NewServiceConnPair(
+		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.9"), Port: 50000},
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883},
+		time.Now(),
+	)
+	probe := &packetProbe{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		netsim.ServeStepper(context.Background(), server, probe)
+	}()
+	for i := range raw {
+		if _, err := client.Write(raw[i : i+1]); err != nil {
+			break // the probe has its packet
+		}
+	}
+	_ = client.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stepper path did not finish")
+	}
+	return probe.pkt, probe.err
 }
 
 // FuzzTopicMatches asserts the subscription matcher is total: any

@@ -10,32 +10,86 @@ import (
 	"openhire/internal/netsim"
 )
 
+// pingWithLength is a PINGREQ fixed header declaring a remaining length of
+// lenBytes: decodePacket must read the length and, the body being absent,
+// ask for exactly the whole packet.
+func pingWithLength(lenBytes ...byte) []byte {
+	return append([]byte{byte(PINGREQ) << 4}, lenBytes...)
+}
+
 func TestRemainingLengthRoundTrip(t *testing.T) {
 	if err := quick.Check(func(n uint32) bool {
-		v := int(n % maxRemainingLength)
+		v := 1 + int(n%maxRemainingLength) // 0 would decode the empty PINGREQ
 		enc := encodeRemainingLength(nil, v)
-		got, err := decodeRemainingLength(bytes.NewReader(enc))
-		return err == nil && got == v
+		p, need, err := decodePacket(pingWithLength(enc...))
+		return p == nil && err == nil && need == 1+len(enc)+v
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRemainingLengthBoundaries(t *testing.T) {
-	for _, v := range []int{0, 127, 128, 16383, 16384, 2097151} {
-		enc := encodeRemainingLength(nil, v)
-		got, err := decodeRemainingLength(bytes.NewReader(enc))
-		if err != nil || got != v {
-			t.Fatalf("round trip %d: got %d, %v", v, got, err)
+// framingCase is one fixed header fed to decodePacket: the length it must
+// report (the whole packet, or the next byte it needs) or the error.
+type framingCase struct {
+	name string
+	raw  []byte
+	n    int
+	err  error
+}
+
+func checkFraming(t *testing.T, cases []framingCase) {
+	t.Helper()
+	for _, c := range cases {
+		_, n, err := decodePacket(c.raw)
+		if n != c.n || err != c.err {
+			t.Errorf("%s: n=%d err=%v, want n=%d err=%v", c.name, n, err, c.n, c.err)
 		}
 	}
 }
 
+// TestRemainingLengthBoundaries: the remaining-length varint takes one to
+// four bytes, up to maxRemainingLength, and a short head asks for exactly
+// the next byte it needs.
+func TestRemainingLengthBoundaries(t *testing.T) {
+	checkFraming(t, []framingCase{
+		{"empty", nil, 2, nil},
+		{"header only", pingWithLength(), 2, nil},
+		{"varint cut after one byte", pingWithLength(0x80), 3, nil},
+		{"varint cut after three bytes", pingWithLength(0x80, 0x80, 0x80), 5, nil},
+		{"zero", pingWithLength(0), 2, nil},
+		{"one byte: 127", pingWithLength(0x7f), 2 + 127, nil},
+		{"two bytes: 128", pingWithLength(0x80, 0x01), 3 + 128, nil},
+		{"two bytes: 16383", pingWithLength(0xff, 0x7f), 3 + 16383, nil},
+		{"three bytes: 16384", pingWithLength(0x80, 0x80, 0x01), 4 + 16384, nil},
+		{"at the cap", pingWithLength(encodeRemainingLength(nil, maxRemainingLength)...), 4 + maxRemainingLength, nil},
+		{"four bytes, non-minimal zero", pingWithLength(0x80, 0x80, 0x80, 0x00), 5, nil},
+	})
+}
+
+// TestRemainingLengthMalformed: a continuation bit on the fourth byte is
+// malformed whatever follows, and a length over the cap — the four-byte
+// maximum among them — is refused before any body is read.
 func TestRemainingLengthMalformed(t *testing.T) {
-	// Five continuation bytes violate the spec.
-	_, err := decodeRemainingLength(bytes.NewReader([]byte{0x80, 0x80, 0x80, 0x80, 0x01}))
-	if err == nil {
-		t.Fatal("expected error")
+	checkFraming(t, []framingCase{
+		{"continuation on the fourth byte", pingWithLength(0x80, 0x80, 0x80, 0x80, 0x01), 0, ErrMalformed},
+		{"one over the cap", pingWithLength(encodeRemainingLength(nil, maxRemainingLength+1)...), 0, ErrPacketTooLong},
+		{"four-byte maximum", pingWithLength(0xff, 0xff, 0xff, 0x7f), 0, ErrPacketTooLong},
+	})
+}
+
+// TestDecodePacketAllocatesNothingWhileIncomplete: a flood of partial
+// packets costs the broker no garbage.
+func TestDecodePacketAllocatesNothingWhileIncomplete(t *testing.T) {
+	raw := (&Packet{Type: PUBLISH, Topic: "sensors/temp", Payload: []byte("21.5")}).Encode()
+	allocs := testing.AllocsPerRun(100, func() {
+		for k := range len(raw) {
+			if p, _, _ := decodePacket(raw[:k]); p != nil {
+				t.Fatal("decoded a packet from a strict prefix")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per pass over the prefixes, want 0", allocs)
 	}
 }
 

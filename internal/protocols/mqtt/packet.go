@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"openhire/internal/netsim"
 )
 
 // PacketType identifies an MQTT control packet.
@@ -130,26 +132,6 @@ func encodeRemainingLength(dst []byte, n int) []byte {
 	}
 }
 
-// decodeRemainingLength reads the variable-length remaining-length field.
-func decodeRemainingLength(r io.Reader) (int, error) {
-	var (
-		n     int
-		shift uint
-		buf   [1]byte
-	)
-	for i := 0; i < 4; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
-		}
-		n |= int(buf[0]&0x7f) << shift
-		if buf[0]&0x80 == 0 {
-			return n, nil
-		}
-		shift += 7
-	}
-	return 0, ErrMalformed
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, byte(len(s)>>8), byte(len(s)))
 	return append(dst, s...)
@@ -237,22 +219,36 @@ func (p *Packet) Encode() []byte {
 
 // ReadPacket reads and decodes one packet from r.
 func ReadPacket(r io.Reader) (*Packet, error) {
-	var hdr [1]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	return netsim.ReadFramed(r, decodePacket)
+}
+
+// decodePacket is the one MQTT framer, in the shape netsim.ReadFramed and the
+// broker's stepper share: it decodes the packet at the head of raw (fixed
+// header byte, remaining-length varint of at most four bytes, body) and
+// returns its length n, or — while raw is still short (n > len(raw)) — how
+// many bytes it needs to get further. Payload and GrantedQoS alias raw.
+func decodePacket(raw []byte) (*Packet, int, error) {
+	length, shift := 0, uint(0)
+	for i := 1; i <= 4; i++ {
+		if len(raw) <= i {
+			return nil, i + 1, nil
+		}
+		length |= int(raw[i]&0x7f) << shift
+		if raw[i]&0x80 != 0 {
+			shift += 7
+			continue
+		}
+		if length > maxRemainingLength {
+			return nil, 0, ErrPacketTooLong
+		}
+		n := i + 1 + length
+		if len(raw) < n {
+			return nil, n, nil
+		}
+		p, err := decode(raw[0], raw[i+1:n])
+		return p, n, err
 	}
-	length, err := decodeRemainingLength(r)
-	if err != nil {
-		return nil, err
-	}
-	if length > maxRemainingLength {
-		return nil, ErrPacketTooLong
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return decode(hdr[0], body)
+	return nil, 0, ErrMalformed // continuation bit set on the fourth length byte
 }
 
 func decode(hdr byte, body []byte) (*Packet, error) {

@@ -142,38 +142,33 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.remote, _ = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			payload, ok, err := netsim.NextFrame(c, decodeTPKT)
-			if err != nil {
-				return netsim.StepDone
-			}
-			if !ok {
-				return netsim.StepMore
-			}
-			if !t.handleFrame(c, payload) {
-				return netsim.StepDone
-			}
-		}
+		v, _ := netsim.Frames(c, decodeTPKT, t.handleFrame)
+		return v
 	default:
 		return netsim.StepDone
 	}
 }
 
-// handleFrame advances the session by one TPKT payload; false ends it.
-func (t *serverStepper) handleFrame(c *netsim.ServerConv, payload []byte) bool {
+// handleFrame advances the session by one TPKT payload.
+func (t *serverStepper) handleFrame(c *netsim.ServerConv, payload []byte) netsim.StepVerdict {
 	s := t.s
 	if !t.connected {
 		// COTP connection setup.
 		if len(payload) < 2 || payload[1] != cotpConnectRequest {
-			return false
+			return netsim.StepDone
 		}
 		t.connected = true
 		// Connect confirm echoes the class-0 option.
-		_, err := c.Write(tpkt([]byte{6, cotpConnectConfirm, 0, 0, 0, 0, 0}))
-		return err == nil
+		if _, err := c.Write(tpkt([]byte{6, cotpConnectConfirm, 0, 0, 0, 0, 0})); err != nil {
+			return netsim.StepDone
+		}
+		return netsim.StepMore
 	}
 	t.frames++
-	more := t.frames < maxFrames
+	more := netsim.StepMore
+	if t.frames >= maxFrames {
+		more = netsim.StepDone
+	}
 	if len(payload) < 3 || payload[1] != cotpData {
 		return more
 	}
@@ -189,16 +184,13 @@ func (t *serverStepper) handleFrame(c *netsim.ServerConv, payload []byte) bool {
 	ev := Event{Time: c.DialTime(), Remote: t.remote, PDUType: pduType, Function: function}
 	if pduType == PDUJob {
 		t.jobs++
-		if t.jobs > s.cfg.MaxJobs {
-			ev.JobFlood = true
-			more = false // device wedged: ICSA-16-299-01
-		}
+		ev.JobFlood = t.jobs > s.cfg.MaxJobs // device wedged: ICSA-16-299-01
 	}
 	if s.cfg.OnEvent != nil {
 		s.cfg.OnEvent(ev)
 	}
 	if ev.JobFlood {
-		return false
+		return netsim.StepDone
 	}
 	var ack []byte
 	switch {
@@ -213,7 +205,7 @@ func (t *serverStepper) handleFrame(c *netsim.ServerConv, payload []byte) bool {
 		return more
 	}
 	if _, err := c.Write(tpkt(ack)); err != nil {
-		return false
+		return netsim.StepDone
 	}
 	return more
 }

@@ -20,13 +20,13 @@ func TestWriteJobClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, ev := range *events {
+	for _, ev := range events() {
 		if ev.PDUType == PDUJob && ev.Function == FuncWrite {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("write job not logged: %+v", *events)
+		t.Fatalf("write job not logged: %+v", events())
 	}
 }
 

@@ -2,22 +2,31 @@ package s7
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"openhire/internal/netsim"
 )
 
-func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, *[]Event) {
+// startServer serves one session over an in-memory pair; events returns a
+// copy of what the server has logged so far.
+func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	var events []Event
+	var (
+		mu     sync.Mutex
+		events []Event
+	)
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
+		mu.Lock()
 		events = append(events, ev)
+		mu.Unlock()
 	}
 	srv := NewServer(cfg)
 	client, server := netsim.NewServiceConnPair(
@@ -30,7 +39,11 @@ func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, *[]Event) {
 		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
 	}()
 	t.Cleanup(func() { client.Close() })
-	return client, &events
+	return client, func() []Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(events)
+	}
 }
 
 func TestConnectAndReadModule(t *testing.T) {
@@ -46,13 +59,13 @@ func TestConnectAndReadModule(t *testing.T) {
 		t.Fatalf("module %q", module)
 	}
 	found := false
-	for _, ev := range *events {
+	for _, ev := range events() {
 		if ev.PDUType == PDUJob && ev.Function == FuncSetupComm {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("setup job not logged: %+v", *events)
+		t.Fatalf("setup job not logged: %+v", events())
 	}
 }
 
@@ -69,14 +82,14 @@ func TestJobFloodWedgesDevice(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, ev := range *events {
+		for _, ev := range events() {
 			if ev.JobFlood {
 				return
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("flood not detected: %d events", len(*events))
+	t.Fatalf("flood not detected: %d events", len(events()))
 }
 
 func TestNonS7TrafficIgnored(t *testing.T) {

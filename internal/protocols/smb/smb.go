@@ -151,7 +151,8 @@ type serverStepper struct {
 	messages int
 }
 
-// Step implements netsim.Stepper.
+// Step implements netsim.Stepper. Every path that falls out of the switch
+// ends the session: the record is emitted once, below.
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
@@ -159,33 +160,24 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.ev.Remote, _ = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			msg, ok, err := netsim.NextFrame(c, netbiosDecoder(t.s.cfg.MaxPayload))
-			if err != nil {
-				return t.finish()
-			}
-			if !ok {
-				return netsim.StepMore
-			}
-			t.messages++
-			if !t.handleMessage(c, msg) || t.messages >= maxMessages {
-				return t.finish()
-			}
+		if v, _ := netsim.Frames(c, netbiosDecoder(t.s.cfg.MaxPayload), t.handleMessage); v == netsim.StepMore {
+			return v
 		}
-	default:
-		return t.finish()
 	}
-}
-
-func (t *serverStepper) finish() netsim.StepVerdict {
 	if t.s.cfg.OnEvent != nil {
 		t.s.cfg.OnEvent(t.ev)
 	}
 	return netsim.StepDone
 }
 
-// handleMessage answers one message; false ends the session.
-func (t *serverStepper) handleMessage(c *netsim.ServerConv, msg []byte) bool {
+// handleMessage answers one message; the session ends on a failed write or
+// at maxMessages.
+func (t *serverStepper) handleMessage(c *netsim.ServerConv, msg []byte) netsim.StepVerdict {
+	t.messages++
+	more := netsim.StepMore
+	if t.messages >= maxMessages {
+		more = netsim.StepDone
+	}
 	ev := &t.ev
 	if len(msg) < 5 || !bytes.Equal(msg[:4], smb1Magic) {
 		// Anything after an exploit command that is not SMB is treated
@@ -194,7 +186,7 @@ func (t *serverStepper) handleMessage(c *netsim.ServerConv, msg []byte) bool {
 			ev.Payload = append(ev.Payload, msg...)
 			ev.Kind = KindPayloadDrop
 		}
-		return true
+		return more
 	}
 	var resp []byte
 	switch msg[4] {
@@ -216,8 +208,10 @@ func (t *serverStepper) handleMessage(c *netsim.ServerConv, msg []byte) bool {
 	default:
 		resp = buildStatusResponse(msg[4], 0xC0000002)
 	}
-	_, err := c.Write(netbiosFrame(resp))
-	return err == nil
+	if _, err := c.Write(netbiosFrame(resp)); err != nil {
+		return netsim.StepDone
+	}
+	return more
 }
 
 // buildNegotiateResponse renders a minimal SMB1 negotiate response naming

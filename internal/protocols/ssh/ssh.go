@@ -90,14 +90,15 @@ const (
 // "granted\n", "$ \n"), so faulted transports cut sessions at identical
 // byte offsets.
 type serverStepper struct {
-	s       *Server
-	ev      Event
-	line    []byte // partial input line
-	state   uint8
-	emitted bool
+	s     *Server
+	ev    Event
+	state uint8
 }
 
-// Step implements netsim.Stepper.
+// Step implements netsim.Stepper. Every path that falls out of the switch
+// ends the session — handleLine's StepDone, an overlong line
+// (netsim.MaxLine), EvEOF, EvBroken, where a blocking read would have
+// errored out — and the record is emitted once, below.
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
@@ -105,37 +106,32 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		if ip, ok := c.RemoteIP(); ok {
 			t.ev.Remote = ip
 		}
-		if _, err := c.Write([]byte(t.s.cfg.Version + "\r\n")); err != nil {
-			return t.finish()
+		if _, err := c.Write([]byte(t.s.cfg.Version + "\r\n")); err == nil {
+			return netsim.StepMore
 		}
-		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			line, ok := t.feedLine(c)
-			if !ok {
-				return netsim.StepMore
-			}
-			if t.handleLine(c, line) == netsim.StepDone {
-				return netsim.StepDone
-			}
+		if v, _ := netsim.Frames(c, netsim.Line, t.handleLine); v == netsim.StepMore {
+			return v
 		}
-	default:
-		// EvEOF / EvBroken: a blocking read would have errored out here.
-		return t.finish()
 	}
+	if t.s.cfg.OnEvent != nil {
+		t.s.cfg.OnEvent(t.ev)
+	}
+	return netsim.StepDone
 }
 
 // handleLine advances the session by one completed input line.
-func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) netsim.StepVerdict {
+func (t *serverStepper) handleLine(c *netsim.ServerConv, raw []byte) netsim.StepVerdict {
 	s := t.s
+	line := string(raw)
 	switch t.state {
 	case stVersion:
 		t.ev.ClientVersion = strings.TrimSpace(line)
 		if !strings.HasPrefix(t.ev.ClientVersion, "SSH-") {
-			return t.finish() // not an SSH client; banner grab ends here
+			return netsim.StepDone // not an SSH client; banner grab ends here
 		}
 		if len(t.ev.Attempts) >= s.cfg.MaxAttempts {
-			return t.finish()
+			return netsim.StepDone
 		}
 		t.state = stAuth
 
@@ -152,16 +148,16 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) netsim.Ste
 		}
 		if !ok {
 			if _, err := c.Write([]byte("denied\n")); err != nil {
-				return t.finish()
+				return netsim.StepDone
 			}
 			if len(t.ev.Attempts) >= s.cfg.MaxAttempts {
-				return t.finish()
+				return netsim.StepDone
 			}
 			break
 		}
 		t.ev.Success = true
 		if _, err := c.Write([]byte("granted\n")); err != nil {
-			return t.finish()
+			return netsim.StepDone
 		}
 		t.state = stShell
 
@@ -173,44 +169,16 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) netsim.Ste
 		}
 		t.ev.Commands = append(t.ev.Commands, cmd)
 		if cmd == "exit" {
-			return t.finish()
+			return netsim.StepDone
 		}
 		if _, err := c.Write([]byte("$ \n")); err != nil {
-			return t.finish()
+			return netsim.StepDone
 		}
 		if len(t.ev.Commands) >= 64 {
-			return t.finish()
+			return netsim.StepDone
 		}
 	}
 	return netsim.StepMore
-}
-
-// feedLine consumes input toward one '\n'-terminated line, carrying partial
-// lines across batches. ok is false when input ran out mid-line.
-func (t *serverStepper) feedLine(c *netsim.ServerConv) (string, bool) {
-	in := c.Input()
-	for i, b := range in {
-		if b == '\n' {
-			c.Consume(i + 1)
-			line := string(t.line)
-			t.line = t.line[:0]
-			return line, true
-		}
-		t.line = append(t.line, b)
-	}
-	c.Consume(len(in))
-	return "", false
-}
-
-// finish emits the session event exactly once and ends the conversation.
-func (t *serverStepper) finish() netsim.StepVerdict {
-	if !t.emitted {
-		t.emitted = true
-		if t.s.cfg.OnEvent != nil {
-			t.s.cfg.OnEvent(t.ev)
-		}
-	}
-	return netsim.StepDone
 }
 
 // GrabBanner reads the server identification string — the scan probe.

@@ -140,15 +140,8 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 	case netsim.EvOpen:
 		return t.open(c)
 	case netsim.EvData:
-		for {
-			line, ok := t.feedLine(c)
-			if !ok {
-				return netsim.StepMore
-			}
-			if t.handleLine(c, line) == netsim.StepDone {
-				return netsim.StepDone
-			}
-		}
+		v, _ := netsim.Frames(c, t.readLine, t.handleLine)
+		return v
 	default:
 		// EvEOF / EvBroken: a blocking readLine would have errored out of
 		// the session loop here.
@@ -191,8 +184,12 @@ func (t *serverStepper) open(c *netsim.ServerConv) netsim.StepVerdict {
 }
 
 // handleLine advances the session by one completed input line.
-func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) netsim.StepVerdict {
+func (t *serverStepper) handleLine(c *netsim.ServerConv, in inputLine) netsim.StepVerdict {
+	if !in.ok {
+		return netsim.StepMore
+	}
 	s := t.s
+	line := in.text
 	switch t.state {
 	case stLogin:
 		t.user = line
@@ -268,15 +265,25 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, line string) netsim.Ste
 	return netsim.StepMore
 }
 
-// feedLine consumes input toward one CR/LF-terminated line, filtering IAC
-// negotiation and accounting raw bytes, carrying partial-line and partial-
-// IAC state across batches. ok is false when input ran out mid-line.
-func (t *serverStepper) feedLine(c *netsim.ServerConv) (string, bool) {
-	in := c.Input()
-	n := 0
-	for _, b := range in {
-		n++
+// inputLine is one frame of readLine: a completed line, or — ok false —
+// input taken into the partial line.
+type inputLine struct {
+	text string
+	ok   bool
+}
+
+// readLine is Telnet's IAC-filtering line reader, in netsim.Frames' decoder
+// shape. It keeps state across calls — the partial line, the IAC state, the
+// raw byte count — so it takes every byte it scans: a line ends at '\n' or
+// once it outgrows 512 filtered bytes (handed over without consuming a
+// terminator), and input that runs out mid-line is taken whole.
+func (t *serverStepper) readLine(raw []byte) (inputLine, int, error) {
+	if len(raw) == 0 {
+		return inputLine{}, 1, nil
+	}
+	for i, b := range raw {
 		t.ev.RawBytes++
+		ended := false
 		switch {
 		case t.iacState == iacVerb:
 			switch b {
@@ -293,25 +300,20 @@ func (t *serverStepper) feedLine(c *netsim.ServerConv) (string, bool) {
 		case b == IAC:
 			t.iacState = iacVerb
 		case b == '\n':
-			c.Consume(n)
-			line := string(t.line)
-			t.line = t.line[:0]
-			return line, true
+			ended = true
 		default:
 			if b != '\r' {
 				t.line = append(t.line, b)
 			}
-			if len(t.line) > 512 {
-				// Overlong line: hand it over without consuming a terminator.
-				c.Consume(n)
-				line := string(t.line)
-				t.line = t.line[:0]
-				return line, true
-			}
+			ended = len(t.line) > 512
+		}
+		if ended {
+			line := inputLine{text: string(t.line), ok: true}
+			t.line = t.line[:0]
+			return line, i + 1, nil
 		}
 	}
-	c.Consume(n)
-	return "", false
+	return inputLine{}, len(raw), nil
 }
 
 // flush delivers the pending output in one write, reporting false on a dead

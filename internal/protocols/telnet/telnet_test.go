@@ -145,12 +145,12 @@ func TestGrabRawNegotiationProfile(t *testing.T) {
 }
 
 func TestLoginSuccess(t *testing.T) {
-	var got Event
+	events := make(chan Event, 1)
 	client := startServer(t, Config{
 		Auth:        AuthLogin,
 		Credentials: map[string]string{"admin": "admin"},
 		ShellPrompt: "$ ",
-		OnEvent:     func(ev Event) { got = ev },
+		OnEvent:     func(ev Event) { events <- ev },
 	})
 	ok, err := Login(context.Background(), client, "admin", "admin", time.Second)
 	if err != nil || !ok {
@@ -164,8 +164,13 @@ func TestLoginSuccess(t *testing.T) {
 		t.Fatalf("unknown command output %q", out)
 	}
 	client.Close()
-	waitFor(t, func() bool { return got.LoginOK })
-	if got.Username != "admin" || got.Password != "admin" {
+	var got Event
+	select {
+	case got = <-events:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no session record after the client closed")
+	}
+	if !got.LoginOK || got.Username != "admin" || got.Password != "admin" {
 		t.Fatalf("event = %+v", got)
 	}
 	if len(got.Commands) != 1 || got.Commands[0] != "cat /proc/cpuinfo" {
@@ -262,16 +267,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("condition not reached")
 }

@@ -105,31 +105,32 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 		t.remote, _ = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
-		for {
-			in := c.Input()
-			n, err := scanElement(in, t.scanned, stageTerminators[t.state]...)
-			if err != nil {
-				return netsim.StepDone
-			}
-			if n == 0 {
-				t.scanned = len(in)
-				return netsim.StepMore
-			}
-			el := string(in[:n])
-			c.Consume(n)
-			t.scanned = 0
-			if t.handleElement(c, el) == netsim.StepDone {
-				return netsim.StepDone
-			}
-		}
+		v, _ := netsim.Frames(c, t.decode, t.handleElement)
+		return v
 	default:
 		return netsim.StepDone
 	}
 }
 
+// decode frames the current stage's next element, remembering how much of
+// an incomplete head it has already scanned.
+func (t *serverStepper) decode(raw []byte) ([]byte, int, error) {
+	n, err := scanElement(raw, t.scanned, stageTerminators[t.state]...)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n == 0 {
+		t.scanned = len(raw)
+		return nil, len(raw) + 1, nil
+	}
+	t.scanned = 0
+	return raw[:n], n, nil
+}
+
 // handleElement advances the dialogue by one complete element.
-func (t *serverStepper) handleElement(c *netsim.ServerConv, el string) netsim.StepVerdict {
+func (t *serverStepper) handleElement(c *netsim.ServerConv, raw []byte) netsim.StepVerdict {
 	s := t.s
+	el := string(raw)
 	switch t.state {
 	case stStreamOpen:
 		s.emit(Event{Time: c.DialTime(), Kind: EventStreamOpen, Remote: t.remote})

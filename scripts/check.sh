@@ -6,10 +6,11 @@
 #   3. race detector over the hot-path packages: the scan leg (lock-free
 #      snapshot lookup, sharded stats, batched rate limiter), the attack
 #      month / telescope leg (sharded flow tables, striped event log,
-#      parallel darknet generation) and the report pass's two parallel
+#      parallel darknet generation), the report pass's two parallel
 #      layers (the universe's exposure index with the crawls that filter it,
-#      the chunked ClassifyAll) — the parallel-vs-sequential equivalence
-#      tests run under the detector here
+#      the chunked ClassifyAll) and the protocol servers (the MQTT broker
+#      fans publishes out across sessions under one mutex) — the
+#      parallel-vs-sequential equivalence tests run under the detector here
 #   4. the observability gate: the zero-perturbation equivalence tests
 #      (instrumented runs — registry, tracer, progress, day/unit hooks and
 #      the flight recorder — byte-identical to bare runs) under the race
@@ -30,7 +31,9 @@
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers, over the chunking invariance of all ten stream servers,
+#      parsers (MQTT's on both the blocking and the stepper path), over the
+#      CoAP server and the SSDP M-SEARCH parser fed hostile datagrams,
+#      over the chunking invariance of all ten stream servers,
 #      over the scanner's eight grab modules fed hostile conversations,
 #      over the FlowTuple codec (binary decoder on both reader paths, CSV
 #      round trip), and over the classifier and the honeypot fingerprint
@@ -88,7 +91,8 @@ go build ./...
 echo "==> go test -race (hot-path packages)"
 go test -race ./internal/netsim/... ./internal/core/scan/... \
 	./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
-	./internal/iot/ ./internal/datasets/ ./internal/core/classify/
+	./internal/iot/ ./internal/datasets/ ./internal/core/classify/ \
+	./internal/protocols/...
 
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
@@ -109,6 +113,8 @@ if [ "$FAST" = "0" ]; then
 	for target in FuzzReadPacket FuzzTopicMatches; do
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/protocols/mqtt/
 	done
+	go test -run '^FuzzHandleDatagram$' -fuzz '^FuzzHandleDatagram$' -fuzztime 10x ./internal/protocols/coap/
+	go test -run '^FuzzParseMSearch$' -fuzz '^FuzzParseMSearch$' -fuzztime 10x ./internal/protocols/upnp/
 	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
 	go test -run '^FuzzGrab$' -fuzz '^FuzzGrab$' -fuzztime 10x ./internal/core/scan/
 	for target in FuzzReadBinary FuzzFlowCSV; do
