@@ -26,9 +26,10 @@ race:
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
 # detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
 # CoAP server and the SSDP M-SEARCH parser, the stream servers' chunking
-# invariance, the scanner's eight grab modules, the FlowTuple codec, and the
+# invariance, the scanner's eight grab modules, the FlowTuple codec, the
 # two analyses that read attacker-controlled banners (the classifier and the
-# honeypot fingerprint filter).
+# honeypot fingerprint filter), and the -faults spec and /api/timeseries
+# query parsers.
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
@@ -48,6 +49,8 @@ chaos:
 	done
 	go test -run '^FuzzClassify$$' -fuzz '^FuzzClassify$$' -fuzztime 10x ./internal/core/classify/
 	go test -run '^FuzzMatchResult$$' -fuzz '^FuzzMatchResult$$' -fuzztime 10x ./internal/core/fingerprint/
+	go test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime 10x ./internal/netsim/faults/
+	go test -run '^FuzzParseQuery$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10x ./internal/obs/tsdb/
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint

@@ -43,7 +43,6 @@ import (
 	"openhire/internal/core/fingerprint"
 	"openhire/internal/core/report"
 	"openhire/internal/core/scan"
-	"openhire/internal/core/store"
 	"openhire/internal/geo"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -153,14 +152,11 @@ func main() {
 	if *in != "" {
 		f, err := os.Open(*in)
 		cli.Check(err)
-		db, err := store.Load(f)
+		var n int
+		results, n, err = readResults(f)
 		f.Close()
 		cli.Check(err)
-		results = make(map[iot.Protocol][]*scan.Result)
-		for _, p := range db.Protocols() {
-			results[p] = db.ByProtocol(p)
-		}
-		fmt.Printf("loaded %s records from %s\n", report.Comma(db.Len()), *in)
+		fmt.Printf("loaded %s records from %s\n", report.Comma(n), *in)
 	} else {
 		fmt.Printf("scanning %s (%s addresses, boost %.0fx, scale 1/%.0f)\n",
 			prefix, report.Comma(int(prefix.Size())), *boost, universe.ScaleFactor())
@@ -240,23 +236,14 @@ func main() {
 	}
 
 	if *out != "" {
-		db := store.New()
-		// Insert in sorted protocol order: the store saves insertion order,
-		// and map iteration would make the output file order vary run to run.
-		protos := make([]iot.Protocol, 0, len(results))
-		for p := range results {
-			protos = append(protos, p)
-		}
-		sort.Slice(protos, func(i, j int) bool { return protos[i] < protos[j] })
-		for _, p := range protos {
-			for _, r := range results[p] {
-				db.Insert(r)
-			}
-		}
-		_, err = run.WriteArtifact(*out, func(w io.Writer) error { return db.Save(w) })
+		var n int
+		_, err = run.WriteArtifact(*out, func(w io.Writer) (err error) {
+			n, err = writeResults(w, results)
+			return err
+		})
 		cli.Check(err)
 		crashpoint.Here(crashpoint.SiteScanResultsWritten)
-		fmt.Printf("saved %s records to %s\n", report.Comma(db.Len()), *out)
+		fmt.Printf("saved %s records to %s\n", report.Comma(n), *out)
 	}
 
 	// Honeypot filtering (Table 6).

@@ -242,8 +242,5 @@ const (
 	ConfiguredTelescopeOnly = 564.0 / 1671.0
 )
 
-// Tor calibration: 151 unique Tor exit relays scraped HTTP (Section 5.1.6).
-const PaperTorExitCount = 151
-
 // Multistage calibration: 267 multistage attacks (Section 5.4).
 const PaperMultistageCount = 267

@@ -6,7 +6,10 @@
 package correlate
 
 import (
+	"encoding/json"
+	"slices"
 	"sort"
+	"strconv"
 
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
@@ -16,7 +19,10 @@ import (
 	"openhire/internal/telescope"
 )
 
-// IPSet is a set of addresses.
+// IPSet is a set of addresses that marshals deterministically: JSON form is
+// the sorted address array, so checkpoint and snapshot bytes are independent
+// of insertion order. The zero value is empty; use Add (through a pointer
+// field) to insert.
 type IPSet map[netsim.IPv4]struct{}
 
 // NewIPSet builds a set from a slice.
@@ -26,6 +32,16 @@ func NewIPSet(ips []netsim.IPv4) IPSet {
 		s[ip] = struct{}{}
 	}
 	return s
+}
+
+// Add inserts ip, allocating the map on first use. Allocation on demand keeps
+// the empty set nil, which omitempty elides — a freshly-started and a
+// restored-empty daemon checkpoint identically.
+func (s *IPSet) Add(ip netsim.IPv4) {
+	if *s == nil {
+		*s = make(IPSet)
+	}
+	(*s)[ip] = struct{}{}
 }
 
 // Contains reports membership.
@@ -40,8 +56,37 @@ func (s IPSet) Sorted() []netsim.IPv4 {
 	for ip := range s {
 		out = append(out, ip)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// MarshalJSON renders the sorted address array, as json.Marshal renders a
+// []uint32. The daemon runs it over all three correlation sets at every
+// commit.
+func (s IPSet) MarshalJSON() ([]byte, error) {
+	out := make([]byte, 0, 2+11*len(s)) // ten digits and a comma at most
+	out = append(out, '[')
+	for i, ip := range s.Sorted() {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendUint(out, uint64(ip), 10)
+	}
+	return append(out, ']'), nil
+}
+
+// UnmarshalJSON restores from the address array; an empty array restores
+// the nil set.
+func (s *IPSet) UnmarshalJSON(data []byte) error {
+	var ips []netsim.IPv4
+	if err := json.Unmarshal(data, &ips); err != nil {
+		return err
+	}
+	*s = nil
+	if len(ips) > 0 {
+		*s = NewIPSet(ips)
+	}
+	return nil
 }
 
 // Intersection is the Section 5.3 headline result: misconfigured devices
@@ -62,37 +107,67 @@ func (x Intersection) Total() int {
 
 // All returns every intersecting address.
 func (x Intersection) All() []netsim.IPv4 {
-	out := make([]netsim.IPv4, 0, x.Total())
-	out = append(out, x.HoneypotOnly...)
-	out = append(out, x.TelescopeOnly...)
-	out = append(out, x.Both...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Concat(x.HoneypotOnly, x.TelescopeOnly, x.Both)
+	slices.Sort(out)
 	return out
+}
+
+// The join's subsets, in Intersection's field order.
+const (
+	honeypotOnly = iota
+	telescopeOnly
+	both
+)
+
+// join walks the misconfigured set once and hands every member seen
+// attacking to add, with the subset it falls in. Intersect lists the subsets
+// and Count sizes them, so the report and the daemon join in one place.
+func join(misconfigured, honeypotSources, telescopeSources IPSet, add func(subset int, ip netsim.IPv4)) {
+	for ip := range misconfigured {
+		switch hp, tel := honeypotSources.Contains(ip), telescopeSources.Contains(ip); {
+		case hp && tel:
+			add(both, ip)
+		case hp:
+			add(honeypotOnly, ip)
+		case tel:
+			add(telescopeOnly, ip)
+		}
+	}
 }
 
 // Intersect computes which misconfigured devices appear as attack sources.
 func Intersect(misconfigured IPSet, honeypotSources IPSet, telescopeSources IPSet) Intersection {
 	var x Intersection
-	for ip := range misconfigured {
-		hp := honeypotSources.Contains(ip)
-		tel := telescopeSources.Contains(ip)
-		switch {
-		case hp && tel:
-			x.Both = append(x.Both, ip)
-		case hp:
-			x.HoneypotOnly = append(x.HoneypotOnly, ip)
-		case tel:
-			x.TelescopeOnly = append(x.TelescopeOnly, ip)
-		}
+	subsets := [...]*[]netsim.IPv4{honeypotOnly: &x.HoneypotOnly, telescopeOnly: &x.TelescopeOnly, both: &x.Both}
+	join(misconfigured, honeypotSources, telescopeSources, func(subset int, ip netsim.IPv4) {
+		*subsets[subset] = append(*subsets[subset], ip)
+	})
+	for _, s := range subsets {
+		slices.Sort(*s)
 	}
-	sortIPs(x.HoneypotOnly)
-	sortIPs(x.TelescopeOnly)
-	sortIPs(x.Both)
 	return x
 }
 
-func sortIPs(ips []netsim.IPv4) {
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
+// Counts sizes the join without listing it: Intersect's three subsets, plus
+// the attack sources both datasets saw, misconfigured or not.
+type Counts struct{ HoneypotOnly, TelescopeOnly, Both, SharedSources int }
+
+// Count computes the join's sizes without allocating, for the daemon's
+// every cycle.
+func Count(misconfigured, honeypotSources, telescopeSources IPSet) Counts {
+	var n [3]int
+	join(misconfigured, honeypotSources, telescopeSources, func(subset int, _ netsim.IPv4) { n[subset]++ })
+	small, large := honeypotSources, telescopeSources
+	if len(large) < len(small) {
+		small, large = large, small
+	}
+	shared := 0
+	for ip := range small {
+		if large.Contains(ip) {
+			shared++
+		}
+	}
+	return Counts{n[honeypotOnly], n[telescopeOnly], n[both], shared}
 }
 
 // HoneypotSources extracts unique attack sources from honeypot events.
@@ -160,9 +235,9 @@ func ExtendWithCensys(store *intel.Censys, alreadyFound IPSet,
 			consider(ip, false, true)
 		}
 	}
-	sortIPs(ext.HoneypotOnly)
-	sortIPs(ext.TelescopeOnly)
-	sortIPs(ext.Both)
+	slices.Sort(ext.HoneypotOnly)
+	slices.Sort(ext.TelescopeOnly)
+	slices.Sort(ext.Both)
 	return ext
 }
 
@@ -262,22 +337,17 @@ func VirusTotalShares(events []honeypot.Event, flows []*telescope.FlowTuple,
 type DomainFindings struct {
 	RegisteredDomains int // paper: 797
 	WithWebpage       int // paper: 427
-	TorExits          int // paper: 151 (Section 5.1.6)
 }
 
 // ReverseLookupStudy resolves every source and tallies domain findings.
 func ReverseLookupStudy(sources []netsim.IPv4, rdns *geo.RDNS) DomainFindings {
 	var f DomainFindings
 	for _, ip := range sources {
-		_, kind := rdns.Lookup(ip)
-		switch kind {
-		case geo.RDNSDomain:
+		if _, kind := rdns.Lookup(ip); kind == geo.RDNSDomain {
 			f.RegisteredDomains++
 			if rdns.HasWebpage(ip) {
 				f.WithWebpage++
 			}
-		case geo.RDNSTorRelay:
-			f.TorExits++
 		}
 	}
 	return f

@@ -1,6 +1,10 @@
 package correlate
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
 	"testing"
 
 	"openhire/internal/geo"
@@ -153,16 +157,10 @@ func TestMaliciousShareZeroSources(t *testing.T) {
 func TestReverseLookupStudy(t *testing.T) {
 	rdns := geo.NewRDNS(2)
 	var sources []netsim.IPv4
-	tor := netsim.MustParseIPv4("171.25.193.9")
-	rdns.RegisterTorRelay(tor)
-	sources = append(sources, tor)
 	for i := uint32(0); i < 5000; i++ {
 		sources = append(sources, netsim.IPv4(0x70000000+i*13))
 	}
 	f := ReverseLookupStudy(sources, rdns)
-	if f.TorExits != 1 {
-		t.Fatalf("tor %d", f.TorExits)
-	}
 	if f.RegisteredDomains == 0 {
 		t.Fatal("no domains found")
 	}
@@ -176,5 +174,104 @@ func TestIPSetSorted(t *testing.T) {
 	got := s.Sorted()
 	if len(got) != 3 || got[0] != 1 || got[2] != 5 {
 		t.Fatalf("sorted %v", got)
+	}
+}
+
+// TestIPSetMarshalMatchesReference pins IPSet's hand-appended JSON to the
+// rendering it replaced — sort.Slice plus json.Marshal of the []uint32 — on
+// its own and as the omitempty member of a checkpointed struct, where a nil
+// and an emptied set must both vanish.
+func TestIPSetMarshalMatchesReference(t *testing.T) {
+	reference := func(s IPSet) []byte {
+		ips := make([]uint32, 0, len(s))
+		for ip := range s {
+			ips = append(ips, uint32(ip))
+		}
+		sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
+		data, err := json.Marshal(ips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	type holder struct {
+		Before int   `json:"before"`
+		Set    IPSet `json:"set,omitempty"`
+	}
+	sets := map[string]IPSet{
+		"nil":     nil,
+		"emptied": {},
+		"one":     {0: {}},
+		"edges":   {0: {}, 1: {}, 9: {}, 10: {}, 4294967295: {}, 4294967294: {}, 1000000000: {}, 999999999: {}},
+		"many":    {},
+	}
+	for i := uint32(0); i < 5000; i++ {
+		sets["many"][netsim.IPv4(i*2654435761)] = struct{}{}
+	}
+	for name, s := range sets {
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(s); !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalJSON = %.80s, reference rendering %.80s", name, got, want)
+		}
+		held, err := json.Marshal(holder{Before: 1, Set: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`{"before":1,"set":%s}`, reference(s))
+		if len(s) == 0 {
+			want = `{"before":1}`
+		}
+		if string(held) != want {
+			t.Errorf("%s: as a struct member = %.80s, want %.80s", name, held, want)
+		}
+		var back IPSet
+		if err := json.Unmarshal(got, &back); err != nil || len(back) != len(s) {
+			t.Errorf("%s: round trip holds %d addresses of %d, err %v", name, len(back), len(s), err)
+		}
+	}
+}
+
+// TestCountMatchesIntersect asserts the daemon's counts size the report's
+// lists, and SharedSources is the plain two-set overlap, on sets that
+// overlap every which way.
+func TestCountMatchesIntersect(t *testing.T) {
+	var mis, hp, tel IPSet
+	for i := uint32(0); i < 3000; i++ {
+		ip := netsim.IPv4(i * 2654435761)
+		switch {
+		case i%3 == 0:
+			mis.Add(ip)
+		case i%5 == 0:
+			hp.Add(ip)
+		}
+		if i%2 == 0 {
+			tel.Add(ip)
+		}
+		if i%7 == 0 {
+			hp.Add(ip)
+		}
+	}
+	x := Intersect(mis, hp, tel)
+	c := Count(mis, hp, tel)
+	if c.HoneypotOnly != len(x.HoneypotOnly) || c.TelescopeOnly != len(x.TelescopeOnly) || c.Both != len(x.Both) {
+		t.Errorf("Count = %+v, Intersect lists %d/%d/%d", c, len(x.HoneypotOnly), len(x.TelescopeOnly), len(x.Both))
+	}
+	if c.HoneypotOnly == 0 || c.TelescopeOnly == 0 || c.Both == 0 {
+		t.Fatalf("degenerate fixture: %+v", c)
+	}
+	shared := 0
+	for ip := range hp {
+		if tel.Contains(ip) {
+			shared++
+		}
+	}
+	if c.SharedSources != shared || Count(mis, tel, hp).SharedSources != shared {
+		t.Errorf("SharedSources = %d, want %d", c.SharedSources, shared)
+	}
+	if (Count(nil, nil, nil) != Counts{}) {
+		t.Error("empty sets count something")
 	}
 }

@@ -108,16 +108,6 @@ func TestRDNSRegisteredService(t *testing.T) {
 	}
 }
 
-func TestRDNSTorRelay(t *testing.T) {
-	r := NewRDNS(7)
-	ip := netsim.MustParseIPv4("171.25.193.9")
-	r.RegisterTorRelay(ip)
-	_, kind := r.Lookup(ip)
-	if kind != RDNSTorRelay {
-		t.Fatalf("kind = %v", kind)
-	}
-}
-
 func TestRDNSKindMix(t *testing.T) {
 	r := NewRDNS(8)
 	kinds := make(map[RDNSKind]int)
@@ -163,8 +153,8 @@ func TestHasWebpageOnlyForDomains(t *testing.T) {
 func TestRDNSKindString(t *testing.T) {
 	want := map[RDNSKind]string{
 		RDNSNone: "none", RDNSGeneric: "generic", RDNSDomain: "domain",
-		RDNSScanerService: "scanning-service", RDNSTorRelay: "tor-relay",
-		RDNSKind(99): "unknown",
+		RDNSScanerService: "scanning-service",
+		RDNSKind(99):      "unknown",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -18,7 +18,6 @@ const (
 	RDNSGeneric                       // ISP-style generic pool name
 	RDNSDomain                        // registered domain
 	RDNSScanerService                 // scanning-service infrastructure name
-	RDNSTorRelay                      // Tor exit relay
 )
 
 // String names the reverse-lookup kind.
@@ -32,20 +31,17 @@ func (k RDNSKind) String() string {
 		return "domain"
 	case RDNSScanerService:
 		return "scanning-service"
-	case RDNSTorRelay:
-		return "tor-relay"
 	default:
 		return "unknown"
 	}
 }
 
 // RDNS is the simulated reverse-DNS view of the universe. Scanning-service
-// and Tor ranges are registered explicitly by the actors that own them; all
-// other addresses resolve deterministically from the seed.
+// ranges are registered explicitly by the actors that own them; all other
+// addresses resolve deterministically from the seed.
 type RDNS struct {
 	src      *prng.Source
 	services map[netsim.IPv4]string // scanning-service names by address
-	tor      map[netsim.IPv4]bool
 }
 
 // NewRDNS builds a reverse-DNS database.
@@ -53,7 +49,6 @@ func NewRDNS(seed uint64) *RDNS {
 	return &RDNS{
 		src:      prng.New(seed),
 		services: make(map[netsim.IPv4]string),
-		tor:      make(map[netsim.IPv4]bool),
 	}
 }
 
@@ -62,19 +57,10 @@ func (r *RDNS) RegisterService(ip netsim.IPv4, service string) {
 	r.services[ip] = service
 }
 
-// RegisterTorRelay records that ip is a Tor exit relay (the ExoneraTor
-// check in Section 5.1.6).
-func (r *RDNS) RegisterTorRelay(ip netsim.IPv4) {
-	r.tor[ip] = true
-}
-
 // Lookup resolves ip to a PTR-style name and its kind.
 func (r *RDNS) Lookup(ip netsim.IPv4) (string, RDNSKind) {
 	if svc, ok := r.services[ip]; ok {
 		return fmt.Sprintf("scan-%08x.%s", uint32(ip), svc), RDNSScanerService
-	}
-	if r.tor[ip] {
-		return fmt.Sprintf("tor-exit-%08x.example.net", uint32(ip)), RDNSTorRelay
 	}
 	h := r.src.Hash64(prng.HashString("rdns"), uint64(ip))
 	switch {

@@ -303,7 +303,7 @@ func Parse(spec string) (Profile, error) {
 func (p *Profile) set(key, val string) error {
 	prob := func(dst *float64) error {
 		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 || v > 1 {
+		if err != nil || !(v >= 0 && v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faults: %s=%q is not a probability in [0, 1]", key, val)
 		}
 		*dst = v
@@ -356,7 +356,13 @@ func (p *Profile) set(key, val string) error {
 	case "flap":
 		return prob(&p.FlapProb)
 	case "flapperiod":
-		return dur(&p.FlapPeriod)
+		if err := dur(&p.FlapPeriod); err != nil {
+			return err
+		}
+		if p.FlapPeriod > 0 && p.FlapPeriod < time.Second {
+			return fmt.Errorf("faults: flapperiod=%q is shorter than the one-second churn epoch", val)
+		}
+		return nil
 	case "ratelimited":
 		return prob(&p.RateLimitedFrac)
 	case "rldrop":

@@ -222,3 +222,79 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsNaN: strconv.ParseFloat accepts "NaN", and NaN fails both
+// sides of a range check, so a NaN knob must be rejected explicitly rather
+// than silently reading as "never".
+func TestParseRejectsNaN(t *testing.T) {
+	for _, spec := range []string{
+		"calibrated,synloss=NaN",
+		"zero,blackhole=nan",
+		"harsh,flap=+NaN",
+		"calibrated,rldrop=-nan",
+		"calibrated,udploss=Inf",
+	} {
+		if p, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted: %+v", spec, p)
+		}
+	}
+}
+
+// TestParseRejectsSubSecondFlapPeriod: churn epochs are whole seconds, so a
+// shorter period would divide by zero on the first probe.
+func TestParseRejectsSubSecondFlapPeriod(t *testing.T) {
+	if _, err := Parse("calibrated,flapperiod=500ms"); err == nil {
+		t.Fatal("sub-second flap period accepted")
+	}
+	if p, err := Parse("calibrated,flapperiod=0"); err != nil || New(p).Profile().FlapPeriod != time.Hour {
+		t.Fatalf("flapperiod=0 should keep the hourly default: %v", err)
+	}
+}
+
+// FuzzParse feeds arbitrary -faults specs to Parse. It must never panic, and
+// every profile it accepts must be in range — probabilities in [0, 1],
+// durations and counts non-negative — and drive the model without panicking.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "off", "calibrated", "harsh,seed=0x7",
+		"calibrated,synloss=0.05,flapperiod=30m,tarpitbytes=48",
+		"zero,blackhole=1,latjitter=1ns", "calibrated,synloss=NaN",
+		"calibrated,flapperiod=1s,flap=1", "harsh,,reset=0.5,resetbytes=0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for name, v := range map[string]float64{
+			"synloss": p.SYNLoss, "udploss": p.DatagramLoss, "slowprob": p.SlowHostProb,
+			"tarpit": p.TarpitProb, "reset": p.ResetProb, "flap": p.FlapProb,
+			"ratelimited": p.RateLimitedFrac, "rldrop": p.RateLimitDrop, "blackhole": p.BlackholeFrac,
+		} {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("%q: %s = %v, not a probability", spec, name, v)
+			}
+		}
+		for name, d := range map[string]time.Duration{
+			"latbase": p.LatencyBase, "latjitter": p.LatencyJitter,
+			"slowlat": p.SlowHostLatency, "flapperiod": p.FlapPeriod,
+		} {
+			if d < 0 {
+				t.Fatalf("%q: %s = %v is negative", spec, name, d)
+			}
+		}
+		if p.TarpitBytes < 0 || p.ResetBytes < 0 {
+			t.Fatalf("%q: negative byte count in %+v", spec, p)
+		}
+		if m := New(p); m != nil {
+			dst := netsim.Endpoint{IP: netsim.MustParseIPv4("100.0.0.1"), Port: 23}
+			for attempt := uint32(0); attempt < 4; attempt++ {
+				m.PlanProbe(netsim.MustParseIPv4("130.226.0.1"), dst, netsim.TCP, attempt, netsim.ExperimentStart)
+				m.PlanProbe(netsim.MustParseIPv4("130.226.0.1"), dst, netsim.UDP, attempt, netsim.ExperimentStart)
+			}
+			m.Blackholed(0, dst.IP)
+		}
+	})
+}

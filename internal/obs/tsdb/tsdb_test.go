@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/url"
 	"sync"
 	"testing"
@@ -285,4 +286,54 @@ func TestNilSafety(t *testing.T) {
 	if c := v.Catalog("sim"); len(c.Series) != 0 {
 		t.Error("nil view returned catalog series")
 	}
+}
+
+// FuzzParseQuery feeds arbitrary /api/timeseries query strings through
+// ParseQuery and, when accepted, through a query on a small fixed view: no
+// input may panic either, an accepted query names a real tier and a
+// non-negative step, and every raw point answered lies inside the resolved
+// [From, To] window.
+func FuzzParseQuery(f *testing.F) {
+	db := New(Options{RawCapacity: 40, RollupEvery: 7, RollupCapacity: 4})
+	for c := int64(0); c < 150; c++ {
+		db.Append(c, "m", nil, float64(c))
+		db.Append(c, "m", Labels{{Key: "proto", Value: fmt.Sprint(c % 3)}}, float64(-c))
+		if c%5 == 0 {
+			db.Append(c, "sparse", nil, 1)
+		}
+	}
+	db.Publish()
+	view := db.View()
+	for _, seed := range []string{
+		"", "metric=m", "metric=m&from=100&to=120", "metric=m&step=4&tier=raw",
+		"metric=m&tier=rollup&from=0&to=-1", "metric=m&label=proto:1&from=-5",
+		"metric=sparse&step=9223372036854775807", "metric=m&to=-9223372036854775808",
+		"metric=m&label=nocolon", "metric=m&tier=hourly", "from=x", "step=0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		values, _ := url.ParseQuery(raw) // what (*url.URL).Query hands the handler
+		q, err := ParseQuery(values)
+		if err != nil {
+			return
+		}
+		if q.Tier != TierRaw && q.Tier != TierRollup {
+			t.Fatalf("%q: accepted tier %q", raw, q.Tier)
+		}
+		if q.Step < 0 {
+			t.Fatalf("%q: accepted step %d", raw, q.Step)
+		}
+		res := view.Query(q)
+		for _, s := range res.Series {
+			for _, p := range s.Points {
+				if p.Cycle < res.From || p.Cycle > res.To {
+					t.Fatalf("%q: point at cycle %d outside [%d, %d]", raw, p.Cycle, res.From, res.To)
+				}
+			}
+		}
+		if err := res.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -14,103 +14,16 @@
 package serve
 
 import (
-	"encoding/json"
-	"slices"
-	"strconv"
 	"time"
 
 	"openhire/internal/core/classify"
+	"openhire/internal/core/correlate"
 	"openhire/internal/core/fingerprint"
 	"openhire/internal/core/scan"
 	"openhire/internal/honeypot"
 	"openhire/internal/iot"
-	"openhire/internal/netsim"
 	"openhire/internal/telescope"
 )
-
-// IPSet is a set of addresses that marshals deterministically: JSON form is
-// the sorted address array, so checkpoint and snapshot bytes are independent
-// of insertion order. The zero value is empty; use Add (through a pointer
-// field) to insert.
-type IPSet map[netsim.IPv4]struct{}
-
-// Add inserts ip, allocating the map on first use. Allocation on demand keeps
-// the empty set nil, which omitempty elides — a freshly-started and a
-// restored-empty daemon checkpoint identically.
-func (s *IPSet) Add(ip netsim.IPv4) {
-	if *s == nil {
-		*s = make(IPSet)
-	}
-	(*s)[ip] = struct{}{}
-}
-
-// Contains reports membership.
-func (s IPSet) Contains(ip netsim.IPv4) bool {
-	_, ok := s[ip]
-	return ok
-}
-
-// MarshalJSON renders the sorted address array, as json.Marshal renders a
-// []uint32. It runs over all three correlation sets at every commit.
-func (s IPSet) MarshalJSON() ([]byte, error) {
-	ips := make([]uint32, 0, len(s))
-	for ip := range s {
-		ips = append(ips, uint32(ip))
-	}
-	slices.Sort(ips)
-	out := make([]byte, 0, 2+11*len(ips)) // ten digits and a comma at most
-	out = append(out, '[')
-	for i, ip := range ips {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendUint(out, uint64(ip), 10)
-	}
-	return append(out, ']'), nil
-}
-
-// UnmarshalJSON restores from the address array.
-func (s *IPSet) UnmarshalJSON(data []byte) error {
-	var ips []uint32
-	if err := json.Unmarshal(data, &ips); err != nil {
-		return err
-	}
-	if len(ips) == 0 {
-		*s = nil
-		return nil
-	}
-	set := make(IPSet, len(ips))
-	for _, ip := range ips {
-		set[netsim.IPv4(ip)] = struct{}{}
-	}
-	*s = set
-	return nil
-}
-
-// intersect2 counts the addresses present in both sets.
-func intersect2(a, b IPSet) int {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	n := 0
-	for ip := range a {
-		if b.Contains(ip) {
-			n++
-		}
-	}
-	return n
-}
-
-// intersect3 counts the addresses present in all three sets.
-func intersect3(a, b, c IPSet) int {
-	n := 0
-	for ip := range a {
-		if b.Contains(ip) && c.Contains(ip) {
-			n++
-		}
-	}
-	return n
-}
 
 // ProtocolExposure is one protocol's accumulated scan-side exposure: the
 // Table 4/5 columns, maintained incrementally as segments drain instead of
@@ -196,11 +109,11 @@ func (t *TrendState) day(d int) *DayTrend {
 // telescope.
 type CorrelateState struct {
 	// Misconfigured is every misconfigured device the sweeps classified.
-	Misconfigured IPSet `json:"misconfigured,omitempty"`
+	Misconfigured correlate.IPSet `json:"misconfigured,omitempty"`
 	// HoneypotSources is every address that attacked a honeypot.
-	HoneypotSources IPSet `json:"honeypot_sources,omitempty"`
+	HoneypotSources correlate.IPSet `json:"honeypot_sources,omitempty"`
 	// TelescopeSources is every address the telescope captured.
-	TelescopeSources IPSet `json:"telescope_sources,omitempty"`
+	TelescopeSources correlate.IPSet `json:"telescope_sources,omitempty"`
 }
 
 // Correlation is the rendered /api/correlate body.
@@ -334,7 +247,7 @@ func (a *Aggregates) FinishSweep() {
 func (a *Aggregates) FoldAttackDay(cycle int, events []honeypot.Event) {
 	row := a.Trends.day(cycle)
 	row.AttackEvents = len(events)
-	var sources IPSet
+	var sources correlate.IPSet
 	for _, ev := range events {
 		if row.AttacksByType == nil {
 			row.AttacksByType = make(map[string]int)
@@ -362,17 +275,19 @@ func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*te
 	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
-// Correlation renders the correlation join counts.
+// Correlation renders the correlation join counts, sized by the same join
+// the batch report's headline lists.
 func (a *Aggregates) Correlation() Correlation {
 	c := a.Correlate
+	j := correlate.Count(c.Misconfigured, c.HoneypotSources, c.TelescopeSources)
 	return Correlation{
 		Misconfigured:          len(c.Misconfigured),
 		HoneypotSources:        len(c.HoneypotSources),
 		TelescopeSources:       len(c.TelescopeSources),
-		MisconfiguredAttacking: intersect2(c.Misconfigured, c.HoneypotSources),
-		MisconfiguredScanning:  intersect2(c.Misconfigured, c.TelescopeSources),
-		AttackingScanning:      intersect2(c.HoneypotSources, c.TelescopeSources),
-		AllThree:               intersect3(c.Misconfigured, c.HoneypotSources, c.TelescopeSources),
+		MisconfiguredAttacking: j.HoneypotOnly + j.Both,
+		MisconfiguredScanning:  j.TelescopeOnly + j.Both,
+		AttackingScanning:      j.SharedSources,
+		AllThree:               j.Both,
 	}
 }
 

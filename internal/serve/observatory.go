@@ -121,17 +121,14 @@ func (o *Observatory) appendSim(cyc int64, a *Aggregates, scanInFlight map[strin
 	}
 	// Exposure: cumulative per-protocol counts across finished sweeps plus
 	// the in-flight one, keyed like Table 4/5.
-	for _, proto := range sortedProtoKeys(a.Exposure.Total, a.Exposure.Current) {
+	for _, proto := range sortedKeys(a.Exposure.Total, a.Exposure.Current) {
 		var targets, responded, misconfigured uint64
-		if e := a.Exposure.Total[proto]; e != nil {
-			targets += e.Targets
-			responded += e.Responded
-			misconfigured += e.Misconfigured
-		}
-		if e := a.Exposure.Current[proto]; e != nil {
-			targets += e.Targets
-			responded += e.Responded
-			misconfigured += e.Misconfigured
+		for _, e := range [...]*ProtocolExposure{a.Exposure.Total[proto], a.Exposure.Current[proto]} {
+			if e != nil {
+				targets += e.Targets
+				responded += e.Responded
+				misconfigured += e.Misconfigured
+			}
 		}
 		lbl := tsdb.Labels{{Key: "protocol", Value: proto}}
 		o.Sim.Append(cyc, "serve.exposure.targets", lbl, float64(targets))
@@ -140,7 +137,7 @@ func (o *Observatory) appendSim(cyc int64, a *Aggregates, scanInFlight map[strin
 	}
 	// Scan/breaker counters: finished sweeps' fold plus the in-flight
 	// segmented state's deterministic stat shards.
-	for _, name := range sortedStatKeys(a.ScanStats, scanInFlight) {
+	for _, name := range sortedKeys(a.ScanStats, scanInFlight) {
 		o.Sim.Append(cyc, "serve.scan."+name, nil, float64(a.ScanStats[name]+scanInFlight[name]))
 	}
 	o.Sim.Append(cyc, "serve.watermark.targets_fed", nil, float64(a.TargetsFed))
@@ -210,24 +207,9 @@ func inflightScanStats(st *scan.SegmentedState) map[string]uint64 {
 	return out
 }
 
-// sortedProtoKeys merges and sorts the protocol keys of two exposure maps.
-func sortedProtoKeys(ms ...map[string]*ProtocolExposure) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range ms {
-		for k := range m {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortedStatKeys merges and sorts the stat names of two counter maps.
-func sortedStatKeys(ms ...map[string]uint64) []string {
+// sortedKeys merges and sorts the keys of maps (protocols of exposure
+// tables, names of stat counters).
+func sortedKeys[V any](ms ...map[string]V) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, m := range ms {

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"openhire/internal/checkpoint"
+	"openhire/internal/core/correlate"
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
 )
@@ -357,11 +357,11 @@ func TestConcurrentScrapeZeroPerturbation(t *testing.T) {
 	}
 }
 
-// TestIPSetRoundTrip asserts the deterministic marshal form and that an
-// empty set survives a JSON round trip as nil (checkpoint byte-identity for
-// fresh vs restored-empty state).
+// TestIPSetRoundTrip asserts the correlation sets' deterministic marshal form
+// and that an empty set survives a JSON round trip as nil (checkpoint
+// byte-identity for fresh vs restored-empty state).
 func TestIPSetRoundTrip(t *testing.T) {
-	var s IPSet
+	var s correlate.IPSet
 	s.Add(netsim.MustParseIPv4("10.0.0.2"))
 	s.Add(netsim.MustParseIPv4("10.0.0.1"))
 	data, err := s.MarshalJSON()
@@ -372,68 +372,11 @@ func TestIPSetRoundTrip(t *testing.T) {
 	if string(data) != want {
 		t.Fatalf("marshal = %s, want %s", data, want)
 	}
-	var back IPSet
+	var back correlate.IPSet
 	if err := back.UnmarshalJSON([]byte("[]")); err != nil {
 		t.Fatal(err)
 	}
 	if back != nil {
 		t.Fatal("empty set did not round-trip to nil")
-	}
-}
-
-// TestIPSetMarshalMatchesReference pins IPSet's hand-appended JSON to the
-// rendering it replaced — sort.Slice plus json.Marshal of the []uint32 — on
-// its own and as the omitempty member of a checkpointed struct, where a nil
-// and an emptied set must both vanish.
-func TestIPSetMarshalMatchesReference(t *testing.T) {
-	reference := func(s IPSet) []byte {
-		ips := make([]uint32, 0, len(s))
-		for ip := range s {
-			ips = append(ips, uint32(ip))
-		}
-		sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-		data, err := json.Marshal(ips)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	type holder struct {
-		Before int   `json:"before"`
-		Set    IPSet `json:"set,omitempty"`
-	}
-	sets := map[string]IPSet{
-		"nil":     nil,
-		"emptied": {},
-		"one":     {0: {}},
-		"edges":   {0: {}, 1: {}, 9: {}, 10: {}, 4294967295: {}, 4294967294: {}, 1000000000: {}, 999999999: {}},
-		"many":    {},
-	}
-	for i := uint32(0); i < 5000; i++ {
-		sets["many"][netsim.IPv4(i*2654435761)] = struct{}{}
-	}
-	for name, s := range sets {
-		got, err := s.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := reference(s); !bytes.Equal(got, want) {
-			t.Errorf("%s: MarshalJSON = %.80s, reference rendering %.80s", name, got, want)
-		}
-		held, err := json.Marshal(holder{Before: 1, Set: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf(`{"before":1,"set":%s}`, reference(s))
-		if len(s) == 0 {
-			want = `{"before":1}`
-		}
-		if string(held) != want {
-			t.Errorf("%s: as a struct member = %.80s, want %.80s", name, held, want)
-		}
-		var back IPSet
-		if err := json.Unmarshal(got, &back); err != nil || len(back) != len(s) {
-			t.Errorf("%s: round trip holds %d addresses of %d, err %v", name, len(back), len(s), err)
-		}
 	}
 }

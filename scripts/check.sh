@@ -22,7 +22,11 @@
 #      aggregates pinned to golden digests across two month reseeds
 #      (TestServeGoldenDigest), a mid-month kill whose checkpoint must hold
 #      leg positions and aggregates only (no honeypot log), the
-#      concurrent-scrape zero-perturbation test, and the time-series
+#      concurrent-scrape zero-perturbation test, the differential test
+#      between the daemon's folds and the batch report
+#      (TestFoldsMatchReport: a quick world's scan, month and darknet day
+#      folded into Aggregates must reproduce Table 4/5, Figure 8, the
+#      telescope volume and the Section 5.3 join), and the time-series
 #      observatory gates (sim-stream byte-identity across worker counts,
 #      tsdb-on vs tsdb-off zero perturbation, checkpointed history matching
 #      the embedded state), under the race detector — these run in --fast
@@ -36,8 +40,10 @@
 #      over the chunking invariance of all ten stream servers,
 #      over the scanner's eight grab modules fed hostile conversations,
 #      over the FlowTuple codec (binary decoder on both reader paths, CSV
-#      round trip), and over the classifier and the honeypot fingerprint
-#      filter fed hostile banners (seed corpus + 10 fresh inputs each) —
+#      round trip), over the classifier and the honeypot fingerprint
+#      filter fed hostile banners, and over the two parsers of operator
+#      input: the -faults spec (FuzzParse) and the /api/timeseries query
+#      string (FuzzParseQuery) (seed corpus + 10 fresh inputs each) —
 #      skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests, the
 #      run harness's own tests (signal ladder, chain, manifest epilogue), and
@@ -56,7 +62,9 @@
 #      inspect smoke: build openhire-scan + openhire-inspect, run the
 #      scan leg twice with the same seed (traced) plus once bare, and
 #      require empty manifest/trace self-diffs, byte-identical result
-#      artifacts with tracing on and off, and a working summarize/prom
+#      artifacts with tracing on and off, a working summarize/prom, and
+#      a re-analysis of the saved results.jsonl with -in whose honeypot,
+#      misconfiguration and country tables equal the scanning run's
 #   8. the tier-1 test suite (ROADMAP.md: `go build ./... && go test ./...`)
 #   9. the measurement spine's own tests (bench/ is a module of its own, so
 #      step 8 does not see it): every BENCHMARK.json workload at toy size,
@@ -122,6 +130,8 @@ if [ "$FAST" = "0" ]; then
 	done
 	go test -run '^FuzzClassify$' -fuzz '^FuzzClassify$' -fuzztime 10x ./internal/core/classify/
 	go test -run '^FuzzMatchResult$' -fuzz '^FuzzMatchResult$' -fuzztime 10x ./internal/core/fingerprint/
+	go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10x ./internal/netsim/faults/
+	go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime 10x ./internal/obs/tsdb/
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 fi
@@ -169,6 +179,17 @@ fi
 "$SMOKE/openhire-inspect" summarize "$SMOKE/a/t.jsonl" >/dev/null
 "$SMOKE/openhire-inspect" summarize "$SMOKE/a/m.json" >/dev/null
 "$SMOKE/openhire-inspect" prom "$SMOKE/a/m.json" >/dev/null
+# The saved results re-analysed with -in must print the scanning run's
+# honeypot, misconfiguration and country tables.
+(cd "$SMOKE/bare" && "$SMOKE/openhire-scan" -seed 7 -in results.jsonl >reloaded.txt 2>/dev/null)
+analysis() {
+	sed -n '/^Detected honeypots\|^Misconfigured devices/,$p' "$1"
+}
+if [ -z "$(analysis "$SMOKE/bare/stdout.txt")" ] ||
+	! diff <(analysis "$SMOKE/bare/stdout.txt") <(analysis "$SMOKE/bare/reloaded.txt") >&2; then
+	echo "inspect smoke: -in re-analysis of results.jsonl differs from the scanning run" >&2
+	exit 1
+fi
 # And a seeded difference must be caught (exit 1).
 (cd "$SMOKE/b" && "$SMOKE/openhire-scan" -seed 8 -prefix 100.0.0.0/20 -boost 8 -workers 19 -faults calibrated -out results.jsonl -trace t2.jsonl -trace-sample 4 -manifest m2.json >/dev/null 2>&1)
 if "$SMOKE/openhire-inspect" diff "$SMOKE/a/m.json" "$SMOKE/b/m2.json" >/dev/null; then
