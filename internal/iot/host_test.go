@@ -1,7 +1,6 @@
 package iot
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -188,12 +187,7 @@ func TestDeviceHostServesExtensionProtocols(t *testing.T) {
 	if handler == nil {
 		t.Fatal("tr069 port closed")
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: ip, Port: 7547}, time.Now())
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
-	}()
+	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: ip, Port: 7547}, time.Now())
 	defer client.Close()
 	pr, err := tr069.Probe(client, time.Second)
 	if err != nil {
@@ -239,12 +233,7 @@ func TestSMBHostNegotiatesDialect(t *testing.T) {
 		if handler == nil {
 			t.Fatal("smb port closed")
 		}
-		client, server := netsim.NewServiceConnPair(
-			netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: ip, Port: 445}, time.Now())
-		go func() {
-			defer server.Close()
-			netsim.ServeStepper(context.Background(), server, handler.NewStepper())
-		}()
+		client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: ip, Port: 445}, time.Now())
 		dialect, err := smb.Probe(client, time.Second)
 		client.Close()
 		if err != nil {

@@ -176,12 +176,7 @@ func TestDeviceHostServesTelnetBanner(t *testing.T) {
 	if handler == nil {
 		t.Fatal("telnet port closed")
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: spec.IP, Port: 23}, time.Now())
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
-	}()
+	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: spec.IP, Port: 23}, time.Now())
 	defer client.Close()
 	b, err := telnet.Grab(context.Background(), client, 200*time.Millisecond)
 	if err != nil {
@@ -204,12 +199,7 @@ func TestDeviceHostMQTTAnonymous(t *testing.T) {
 	if handler == nil {
 		t.Fatal("mqtt port closed")
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: 1, Port: 1}, netsim.Endpoint{IP: spec.IP, Port: 1883}, time.Now())
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, handler.NewStepper())
-	}()
+	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: spec.IP, Port: 1883}, time.Now())
 	c := mqtt.NewClient(client, time.Second)
 	code, err := c.Connect("probe", "", "")
 	if err != nil || code != mqtt.ConnAccepted {

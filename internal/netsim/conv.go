@@ -19,12 +19,11 @@ package netsim
 // reset and recycle, so a dial costs no goroutine spawn and no channel
 // allocation.
 //
-// Byte-stream semantics replicate the pipe pair in bufconn.go (kept as the
-// reference lifecycle_test.go compares against): reads drain buffered data
-// before reporting EOF or deadlines, broken pipes beat buffered data, a close
-// half-closes both directions, and injected stream faults (tarpit truncation,
-// mid-stream reset) trip on the same server-write byte budgets with the same
-// partial-write returns.
+// Byte-stream semantics are those of a TCP socket pair: reads drain buffered
+// data before reporting EOF or deadlines, broken pipes beat buffered data, a
+// close half-closes both directions, and injected stream faults (tarpit
+// truncation, mid-stream reset) trip on a server-write byte budget with a
+// partial-write return. lifecycle_test.go pins each of these cases.
 
 import (
 	"io"
@@ -40,9 +39,9 @@ import (
 const convBufRetain = 64 << 10
 
 // convBuf is one direction of an engine conversation: an unbounded byte
-// queue guarded by the owning conversation's mutex. Unlike the retired
-// pipeBuffer it never blocks a writer — the reader always runs to quiescence
-// before the writer resumes, so backpressure has no one to wake.
+// queue guarded by the owning conversation's mutex. It never blocks a writer
+// — the reader always runs to quiescence before the writer resumes, so
+// backpressure has no one to wake.
 type convBuf struct {
 	data   []byte
 	off    int
@@ -108,8 +107,8 @@ type conv struct {
 	// clientSC receives the fault flags when the stream fault trips.
 	clientSC *ServiceConn
 
-	// fault is the stream pathology applied to server writes, mirroring the
-	// retired streamFault byte-budget semantics.
+	// fault is the stream pathology applied to server writes: a byte budget
+	// after which the stream is cut (tarpit) or torn down (reset).
 	fault struct {
 		active    bool
 		reset     bool
@@ -204,14 +203,13 @@ func (c *convConn) writeBuf() *convBuf {
 	return &c.cv.s2c
 }
 
-// Read mirrors the pipeBuffer order exactly: broken pipe first, then
-// buffered data, then EOF, then the deadline. The difference is the final
-// arm: where the pipe would block, the engine knows the peer has already run
-// to quiescence, so no data can arrive within this read — a set deadline is
-// reported exceeded immediately (the give-up the deadline models), without
-// consulting the wall clock, and a read with no deadline is a guaranteed
-// deadlock, reported loudly. The server endpoint is written, never read: its
-// input reaches the Stepper through ServerConv.Input.
+// Read reports, in order: a broken pipe, then buffered data, then EOF, then
+// the deadline. Where a socket would block, the engine knows the peer has
+// already run to quiescence, so no data can arrive within this read — a set
+// deadline is reported exceeded immediately (the give-up the deadline
+// models), without consulting the wall clock, and a read with no deadline
+// is a guaranteed deadlock, reported loudly. The server endpoint is written,
+// never read: its input reaches the Stepper through ServerConv.Input.
 func (c *convConn) Read(p []byte) (int, error) {
 	cv := c.cv
 	cv.mu.Lock()
@@ -254,8 +252,8 @@ func (c *convConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeLocked appends to the outgoing queue with the retired pipe's error
-// order: torn-down or half-closed pipe first, then the write deadline.
+// writeLocked appends to the outgoing queue. A torn-down or half-closed
+// pipe fails first, then the write deadline.
 func (c *convConn) writeLocked(p []byte) (int, error) {
 	buf := c.writeBuf()
 	if buf.broken || buf.closed {
@@ -268,9 +266,9 @@ func (c *convConn) writeLocked(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// faultWriteLocked is the engine translation of streamFault.write: pass
-// server-written bytes through until the budget is spent, then trip the
-// pathology. Called with cv.mu held; unlocks before returning.
+// faultWriteLocked passes server-written bytes through until the fault's
+// budget is spent, then trips the pathology. Called with cv.mu held; unlocks
+// before returning.
 func (c *convConn) faultWriteLocked(p []byte) (int, error) {
 	cv := c.cv
 	if cv.fault.tripped {
@@ -314,11 +312,11 @@ func (c *convConn) faultWriteLocked(p []byte) (int, error) {
 	return n, io.ErrClosedPipe
 }
 
-// Close half-closes both directions, exactly as the retired conn did: the
-// peer's pending data stays readable (FIN semantics) and its writes start
-// failing. Closing the client side additionally runs the server party to
-// completion — the conversation is fully processed and logged by the time
-// Close returns — and recycles the conversation object.
+// Close half-closes both directions: the peer's pending data stays readable
+// (FIN semantics) and its writes start failing. Closing the client side
+// additionally runs the server party to completion — the conversation is
+// fully processed and logged by the time Close returns — and recycles the
+// conversation object.
 func (c *convConn) Close() error {
 	cv := c.cv
 	cv.mu.Lock()
@@ -372,4 +370,23 @@ func (c *convConn) SetWriteDeadline(t time.Time) error {
 	c.writeDL = t
 	c.cv.mu.Unlock()
 	return nil
+}
+
+// simAddr is the net.Addr implementation for simulated endpoints.
+type simAddr struct {
+	transport Transport
+	ep        Endpoint
+}
+
+func (a simAddr) Network() string { return a.transport.String() }
+func (a simAddr) String() string  { return a.ep.String() }
+
+// RemoteIPv4 extracts the simulated source address from a connection handed
+// to a service handler. It returns false for non-simulated connections
+// (e.g. a real TCP conn in integration tests).
+func RemoteIPv4(c net.Conn) (IPv4, bool) {
+	if a, ok := c.RemoteAddr().(simAddr); ok {
+		return a.ep.IP, true
+	}
+	return 0, false
 }

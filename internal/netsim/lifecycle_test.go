@@ -1,17 +1,14 @@
 package netsim
 
 // lifecycle_test.go pins the conversation engine's fault and teardown
-// lifecycles to the reference byte-stream implementation: the pipe pair in
-// bufconn.go with a streamFault on the server endpoint and ServeStepper
-// reading it from its own goroutine. Each edge case runs the SAME stepper
-// on both drivers (stepperParty inline, ServeStepper over the pipe) and
-// asserts the client- and server-side observables are identical: bytes
-// delivered, error identities, fault classification flags, and session
-// completion.
+// lifecycles. Each case's expected observables — bytes delivered, error
+// identities, fault classification flags, and session completion — were
+// recorded from a goroutine-driven pipe pair with the fault's byte budget on
+// the server endpoint, the socket-like reference the engine was built to
+// match. The engine must keep reproducing them.
 
 import (
 	"context"
-	"errors"
 	"io"
 	"runtime"
 	"sync/atomic"
@@ -21,9 +18,11 @@ import (
 
 // bannerLineHandler writes a banner, then collects input to EOF and answers
 // with one echo line, reporting the server-side observations for
-// comparison. It is its own (single-session) stepper.
+// comparison. With hangUp it answers the first input with "bye" and ends the
+// session itself. It is its own (single-session) stepper.
 type bannerLineHandler struct {
 	banner    []byte
+	hangUp    bool
 	bannerErr error
 	got       []byte
 	writeErr  error
@@ -43,6 +42,10 @@ func (h *bannerLineHandler) Step(c *ServerConv, ev ConvEvent) StepVerdict {
 	case EvData:
 		h.got = append(h.got, c.Input()...)
 		c.Consume(len(c.Input()))
+		if h.hangUp {
+			_, h.writeErr = c.Write([]byte("bye\n"))
+			break
+		}
 		return StepMore
 	case EvEOF:
 		_, h.writeErr = c.Write([]byte("echo: OK\n"))
@@ -85,167 +88,112 @@ func (f fixedPlanFaults) PlanProbe(IPv4, Endpoint, Transport, uint32, time.Time)
 
 func (fixedPlanFaults) Blackholed(IPv4, IPv4) bool { return false }
 
-// runPipeDial is the reference driver: pipe pair, streamFault on the server
-// endpoint, ServeStepper on its own goroutine, framework close after it
-// returns. It returns the client conn and a channel closed when the session
-// (and its framework close) has finished.
-func runPipeDial(handler StreamHandler, truncateAfter, resetAfter int) (*ServiceConn, chan struct{}) {
-	cc, sc := NewConnPair(
-		Endpoint{IP: MustParseIPv4("192.0.2.1"), Port: 40000},
-		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7},
-	)
-	if truncateAfter > 0 || resetAfter > 0 {
-		budget, reset := truncateAfter, false
-		if resetAfter > 0 {
-			budget, reset = resetAfter, true
-		}
-		sc.(*conn).sf = &streamFault{remaining: budget, reset: reset, peer: cc.(*conn)}
+const lifecycleBanner = "220 welcome to the machine\r\n"
+
+// lifecycleCase is one conversation: the server's banner and whether it
+// hangs up after the first input, the fault plan of the dial, and the
+// client's script — send a line (if any), close first (if set), read
+// everything, then try one more write.
+type lifecycleCase struct {
+	banner     string
+	hangUp     bool
+	plan       FaultPlan
+	send       string
+	closeFirst bool
+}
+
+// lifecycleObs is what one conversation leaves behind on both sides.
+type lifecycleObs struct {
+	read      string // every byte the client read
+	readErr   error  // io.ReadAll's verdict
+	writeErr  error  // the client's write after the read
+	truncated bool   // FaultTruncated
+	reset     bool   // FaultReset
+	serverGot string
+	bannerErr error
+	echoErr   error // the server's answer write
+	served    bool
+}
+
+// checkLifecycle runs c on the engine and requires the pinned observables.
+func checkLifecycle(t *testing.T, c lifecycleCase, want lifecycleObs) {
+	t.Helper()
+	h := &bannerLineHandler{banner: []byte(c.banner), hangUp: c.hangUp}
+	n := singleHostNetwork(h, fixedPlanFaults{plan: c.plan}) // a zero plan is a perfect path
+	conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
+		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	client := &ServiceConn{Conn: cc, DialTime: ExperimentStart}
-	server := &ServiceConn{Conn: sc, DialTime: ExperimentStart}
-	done := make(chan struct{})
-	go func() {
-		ServeStepper(context.Background(), server, handler.NewStepper())
-		_ = server.Close()
-		close(done)
-	}()
-	return client, done
+	if c.send != "" {
+		if _, err := conn.Write([]byte(c.send)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.closeFirst {
+		_ = conn.Close()
+	}
+	// Any deadline will do: with nothing left to read, the engine reports it
+	// at once instead of panicking.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	read, readErr := io.ReadAll(conn)
+	_, writeErr := conn.Write([]byte("x"))
+	_ = conn.Close()
+	n.Quiesce()
+	got := lifecycleObs{
+		read: string(read), readErr: readErr, writeErr: writeErr,
+		truncated: conn.FaultTruncated(), reset: conn.FaultReset(),
+		serverGot: string(h.got), bannerErr: h.bannerErr, echoErr: h.writeErr,
+		served: h.served.Load(),
+	}
+	if got != want {
+		t.Fatalf("conversation left\n %+v\nwant\n %+v", got, want)
+	}
 }
 
-// readAllWithDeadline drains the client side with a generous deadline so a
-// blocked read can never hang the test.
-func readAllWithDeadline(c *ServiceConn) ([]byte, error) {
-	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	return io.ReadAll(c)
-}
-
-// TestLifecycleTarpitEquivalence: a tarpit cut after 8 banner bytes must
-// deliver the identical prefix, clean EOF, and FaultTruncated classification
-// on both the engine and the reference pipe driver.
+// TestLifecycleTarpitEquivalence: a tarpit cut after 8 banner bytes
+// delivers exactly that prefix and a clean EOF, classifies the conversation
+// as truncated, and fails the server's banner write.
 func TestLifecycleTarpitEquivalence(t *testing.T) {
-	banner := []byte("220 welcome to the machine\r\n")
-	const cut = 8
-
-	legacyH := &bannerLineHandler{banner: banner}
-	legacyConn, done := runPipeDial(legacyH, cut, 0)
-	<-done // fault trips during the banner write; wait so the read is deterministic
-	legacyGot, legacyErr := readAllWithDeadline(legacyConn)
-	_ = legacyConn.Close()
-
-	engineH := &bannerLineHandler{banner: banner}
-	n := singleHostNetwork(engineH, fixedPlanFaults{plan: FaultPlan{TruncateAfter: cut}})
-	engineConn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
-		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineGot, engineErr := readAllWithDeadline(engineConn)
-	_ = engineConn.Close()
-	n.Quiesce()
-
-	if string(engineGot) != string(legacyGot) || string(engineGot) != string(banner[:cut]) {
-		t.Fatalf("delivered prefix differs: engine %q, legacy %q, want %q",
-			engineGot, legacyGot, banner[:cut])
-	}
-	if legacyErr != nil || engineErr != nil {
-		t.Fatalf("tarpit cut must end in clean EOF: engine err %v, legacy err %v", engineErr, legacyErr)
-	}
-	for _, tc := range []struct {
-		name string
-		conn *ServiceConn
-	}{{"engine", engineConn}, {"legacy", legacyConn}} {
-		if !tc.conn.FaultTruncated() || tc.conn.FaultReset() {
-			t.Fatalf("%s flags: truncated=%v reset=%v, want true/false",
-				tc.name, tc.conn.FaultTruncated(), tc.conn.FaultReset())
-		}
-	}
-	if !errors.Is(legacyH.bannerErr, io.ErrClosedPipe) || !errors.Is(engineH.bannerErr, io.ErrClosedPipe) {
-		t.Fatalf("server write past the cut: engine err %v, legacy err %v, want ErrClosedPipe",
-			engineH.bannerErr, legacyH.bannerErr)
-	}
+	checkLifecycle(t, lifecycleCase{banner: lifecycleBanner, plan: FaultPlan{TruncateAfter: 8}},
+		lifecycleObs{
+			read: lifecycleBanner[:8], writeErr: io.ErrClosedPipe, truncated: true,
+			bannerErr: io.ErrClosedPipe, served: true,
+		})
 }
 
-// TestLifecycleMidStreamResetEquivalence: an injected RST mid-banner must
-// discard in-flight data, surface io.ErrClosedPipe to the client read, and
-// set FaultReset on both paths.
+// TestLifecycleMidStreamResetEquivalence: an injected RST mid-banner
+// discards the bytes in flight, surfaces io.ErrClosedPipe to the client's
+// read, and classifies the conversation as reset.
 func TestLifecycleMidStreamResetEquivalence(t *testing.T) {
-	banner := []byte("220 welcome to the machine\r\n")
-	const cut = 8
-
-	legacyH := &bannerLineHandler{banner: banner}
-	legacyConn, done := runPipeDial(legacyH, 0, cut)
-	<-done
-	_, legacyErr := readAllWithDeadline(legacyConn)
-	_ = legacyConn.Close()
-
-	engineH := &bannerLineHandler{banner: banner}
-	n := singleHostNetwork(engineH, fixedPlanFaults{plan: FaultPlan{ResetAfter: cut}})
-	engineConn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
-		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, engineErr := readAllWithDeadline(engineConn)
-	_ = engineConn.Close()
-	n.Quiesce()
-
-	if !errors.Is(legacyErr, io.ErrClosedPipe) || !errors.Is(engineErr, io.ErrClosedPipe) {
-		t.Fatalf("reset read error: engine %v, legacy %v, want ErrClosedPipe", engineErr, legacyErr)
-	}
-	for _, tc := range []struct {
-		name string
-		conn *ServiceConn
-	}{{"engine", engineConn}, {"legacy", legacyConn}} {
-		if !tc.conn.FaultReset() || tc.conn.FaultTruncated() {
-			t.Fatalf("%s flags: reset=%v truncated=%v, want true/false",
-				tc.name, tc.conn.FaultReset(), tc.conn.FaultTruncated())
-		}
-	}
+	checkLifecycle(t, lifecycleCase{banner: lifecycleBanner, plan: FaultPlan{ResetAfter: 8}},
+		lifecycleObs{
+			readErr: io.ErrClosedPipe, writeErr: io.ErrClosedPipe, reset: true,
+			bannerErr: io.ErrClosedPipe, served: true,
+		})
 }
 
 // TestLifecycleClientCloseBeforeServerWriteEquivalence: the client sends a
-// line and closes before the server answers. Both paths must deliver the
-// full line to the server (FIN semantics: buffered data survives the close)
-// and fail the server's late write with io.ErrClosedPipe.
+// line and closes before the server answers (empty banner: the handler goes
+// straight to reading until EOF). The full line still reaches the server
+// (FIN semantics: buffered data survives the close) and the server's late
+// answer fails with io.ErrClosedPipe.
 func TestLifecycleClientCloseBeforeServerWriteEquivalence(t *testing.T) {
-	// Empty banner: the handler goes straight to reading until EOF, so the
-	// client's close deterministically precedes the server's echo write.
-	legacyH := &bannerLineHandler{}
-	legacyConn, done := runPipeDial(legacyH, 0, 0)
-	if _, err := legacyConn.Write([]byte("hi\n")); err != nil {
-		t.Fatal(err)
-	}
-	_ = legacyConn.Close()
-	<-done
+	checkLifecycle(t, lifecycleCase{send: "hi\n", closeFirst: true},
+		lifecycleObs{
+			writeErr: io.ErrClosedPipe, serverGot: "hi\n", echoErr: io.ErrClosedPipe, served: true,
+		})
+}
 
-	engineH := &bannerLineHandler{}
-	n := singleHostNetwork(engineH, nil)
-	engineConn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
-		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engineConn.Write([]byte("hi\n")); err != nil {
-		t.Fatal(err)
-	}
-	_ = engineConn.Close()
-	n.Quiesce()
-
-	for _, tc := range []struct {
-		name string
-		h    *bannerLineHandler
-	}{{"engine", engineH}, {"legacy", legacyH}} {
-		if !tc.h.served.Load() {
-			t.Fatalf("%s handler did not complete", tc.name)
-		}
-		if string(tc.h.got) != "hi\n" {
-			t.Fatalf("%s server received %q, want %q", tc.name, tc.h.got, "hi\n")
-		}
-		if !errors.Is(tc.h.writeErr, io.ErrClosedPipe) {
-			t.Fatalf("%s server write after client close: err %v, want ErrClosedPipe",
-				tc.name, tc.h.writeErr)
-		}
-	}
+// TestLifecycleHalfCloseEquivalence: the server answers the client's line
+// and hangs up. The client still reads the banner and the answer, then a
+// clean EOF, and its next write fails with io.ErrClosedPipe.
+func TestLifecycleHalfCloseEquivalence(t *testing.T) {
+	checkLifecycle(t, lifecycleCase{banner: lifecycleBanner, hangUp: true, send: "hi\n"},
+		lifecycleObs{
+			read: lifecycleBanner + "bye\n", writeErr: io.ErrClosedPipe,
+			serverGot: "hi\n", served: true,
+		})
 }
 
 // TestQuiesceRacingDialPanics pins the Quiesce misuse diagnostic: a Dial

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -33,8 +34,7 @@ func (f DatagramHandlerFunc) HandleDatagram(from Endpoint, payload []byte) []byt
 }
 
 // ServiceConn is the connection type handed to stream handlers and returned
-// by Dial. It wraps the transport endpoint (an engine conversation endpoint,
-// or a pipe conn for NewServiceConnPair test fixtures) and carries the
+// by Dial. It wraps one endpoint of an engine conversation and carries the
 // simulated timestamp of the dial, letting services log events in simulation
 // time. ServiceConns are allocated per dial and never pooled, so the fault
 // flags below remain readable after Close even though the conversation
@@ -53,39 +53,20 @@ type ServiceConn struct {
 // FaultTruncated reports whether the peer's stream was cut by a tarpit
 // pathology: the bytes read so far are a genuine prefix of the banner, but
 // the rest never arrived inside any read window.
-func (c *ServiceConn) FaultTruncated() bool {
-	if c.faultTruncated.Load() {
-		return true
-	}
-	if lc, ok := c.Conn.(*conn); ok {
-		return lc.faultTruncated.Load()
-	}
-	return false
-}
+func (c *ServiceConn) FaultTruncated() bool { return c.faultTruncated.Load() }
 
 // FaultReset reports whether the conversation was torn down mid-stream by an
 // injected TCP RST.
-func (c *ServiceConn) FaultReset() bool {
-	if c.faultReset.Load() {
-		return true
-	}
-	if lc, ok := c.Conn.(*conn); ok {
-		return lc.faultReset.Load()
-	}
-	return false
-}
+func (c *ServiceConn) FaultReset() bool { return c.faultReset.Load() }
 
 // Abort tears the connection down in both directions, discarding buffers.
 // It models a RST.
 func (c *ServiceConn) Abort() {
-	switch t := c.Conn.(type) {
-	case *conn:
-		t.Abort()
-	case *convConn:
+	if t, ok := c.Conn.(*convConn); ok {
 		t.abort()
-	default:
-		_ = c.Conn.Close()
+		return
 	}
+	_ = c.Conn.Close()
 }
 
 // Host describes a simulated machine: which ports answer, and how.
@@ -567,6 +548,21 @@ func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
 	return n.sweep(src, dst, TCP, 0, opts) == Open
 }
 
+// ErrConnRefused is returned by Dial when the destination host exists but
+// does not listen on the requested port (the TCP RST case).
+var ErrConnRefused = errors.New("netsim: connection refused")
+
+// ErrHostUnreachable is returned by Dial and Query when no host exists at the
+// destination address (darknet space).
+var ErrHostUnreachable = errors.New("netsim: host unreachable")
+
+// ErrProbeTimeout is returned by Dial when the network's fault model drops
+// the SYN, the host is rate-limiting the source, or the simulated round-trip
+// exceeds the sender's ProbeOptions.Timeout. Unlike ErrConnRefused and
+// ErrHostUnreachable it is a *transient* verdict: retransmitting with a
+// higher ProbeOptions.Attempt draws fresh loss and jitter and may succeed.
+var ErrProbeTimeout = errors.New("netsim: probe timed out")
+
 // Dial establishes a TCP-like connection from src to dst. The conversation
 // runs on the discrete-event engine: the destination service's Stepper
 // executes inline, resumed on this goroutine after the dial and after every
@@ -642,6 +638,39 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	cv.runServer()
 	return client, nil
 }
+
+// Converse dials one conversation with s as its server, on a fabric that
+// holds nothing but server: the dial is Network.Dial, so s runs on the
+// engine exactly as a deployed service does. It is the fixture for tests
+// that drive one protocol session through a real client; closing the
+// returned connection runs s to completion.
+func Converse(s Stepper, client IPv4, server Endpoint, dialTime time.Time) *ServiceConn {
+	n := NewNetwork(NewSimClock(dialTime))
+	n.AddProvider(NewPrefix(server.IP, 32), HostProviderFunc(func(IPv4) Host {
+		return stepperHost{port: server.Port, s: s}
+	}))
+	conn, err := n.Dial(context.Background(), client, server, ProbeOptions{})
+	if err != nil {
+		panic(err) // unreachable: the one host is there and listens
+	}
+	return conn
+}
+
+// stepperHost listens on one TCP port and serves its one Stepper there.
+type stepperHost struct {
+	port uint16
+	s    Stepper
+}
+
+func (h stepperHost) StreamService(port uint16) StreamHandler {
+	if port != h.port {
+		return nil
+	}
+	return h
+}
+
+func (h stepperHost) NewStepper() Stepper                  { return h.s }
+func (stepperHost) DatagramService(uint16) DatagramHandler { return nil }
 
 // Quiesce blocks until every in-flight connection handler has returned.
 // Closing the client side of a conversation does not mean the server has

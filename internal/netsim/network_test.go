@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -221,81 +222,125 @@ func TestEphemeralPortStableAndInRange(t *testing.T) {
 	}
 }
 
-func TestConnDeadline(t *testing.T) {
-	c1, c2 := NewConnPair(Endpoint{IP: 1, Port: 1}, Endpoint{IP: 2, Port: 2})
-	defer c1.Close()
-	defer c2.Close()
-	if err := c1.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	_, err := c1.Read(buf)
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Read err = %v, want deadline exceeded", err)
-	}
-	// Clearing the deadline allows reads again.
-	if err := c1.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		_, _ = c2.Write([]byte("z"))
-	}()
-	if _, err := c1.Read(buf); err != nil {
-		t.Fatalf("read after deadline clear: %v", err)
-	}
+// stepFunc adapts a function to a Stepper.
+type stepFunc func(c *ServerConv, ev ConvEvent) StepVerdict
+
+func (f stepFunc) Step(c *ServerConv, ev ConvEvent) StepVerdict { return f(c, ev) }
+
+// serverSaw is what the server side of a Converse conversation observed.
+type serverSaw struct {
+	events   []ConvEvent
+	remote   IPv4
+	remoteOK bool
 }
 
-func TestConnEOFAfterClose(t *testing.T) {
-	c1, c2 := NewConnPair(Endpoint{IP: 1, Port: 1}, Endpoint{IP: 2, Port: 2})
-	if _, err := c2.Write([]byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	c2.Close()
-	got, err := io.ReadAll(c1)
-	if err != nil || string(got) != "data" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
-	}
-	if _, err := c1.Write([]byte("x")); err == nil {
-		t.Fatal("write to closed peer succeeded")
-	}
-}
-
-func TestConnLargeTransfer(t *testing.T) {
-	// Transfers larger than the internal buffer exercise flow control.
-	c1, c2 := NewConnPair(Endpoint{IP: 1, Port: 1}, Endpoint{IP: 2, Port: 2})
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	go func() {
-		defer c2.Close()
-		_, _ = c2.Write(payload)
-	}()
-	got, err := io.ReadAll(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(payload) {
-		t.Fatalf("transferred %d bytes, want %d", len(got), len(payload))
-	}
-	for i := range got {
-		if got[i] != payload[i] {
-			t.Fatalf("corruption at byte %d", i)
+// TestConvConnContract pins the connection a client holds on the engine:
+// the order in which Read reports what it finds, a deadline reported at
+// once, the loud read that could never return, writes after the server is
+// done, the addresses on both sides, and an abort as the server sees it.
+func TestConvConnContract(t *testing.T) {
+	client := MustParseIPv4("1.1.1.1")
+	server := Endpoint{IP: MustParseIPv4("2.2.2.2"), Port: 6}
+	// sayData writes "data" on open, then ends the session or waits for input.
+	sayData := func(then StepVerdict) func(*ServerConv, ConvEvent) StepVerdict {
+		return func(c *ServerConv, ev ConvEvent) StepVerdict {
+			if ev != EvOpen {
+				return StepDone
+			}
+			_, _ = c.Write([]byte("data"))
+			return then
 		}
 	}
-}
-
-func TestConnAddrs(t *testing.T) {
-	c1, _ := NewConnPair(Endpoint{IP: MustParseIPv4("1.1.1.1"), Port: 5}, Endpoint{IP: MustParseIPv4("2.2.2.2"), Port: 6})
-	if c1.LocalAddr().String() != "1.1.1.1:5" || c1.RemoteAddr().String() != "2.2.2.2:6" {
-		t.Fatalf("addrs %v %v", c1.LocalAddr(), c1.RemoteAddr())
+	readData := func(t *testing.T, conn *ServiceConn) {
+		t.Helper()
+		buf := make([]byte, 16)
+		if n, err := conn.Read(buf); err != nil || string(buf[:n]) != "data" {
+			t.Fatalf("Read = %q, %v; want the buffered %q", buf[:n], err, "data")
+		}
 	}
-	if c1.LocalAddr().Network() != "tcp" {
-		t.Fatal("network name wrong")
-	}
-	ip, ok := RemoteIPv4(c1)
-	if !ok || ip != MustParseIPv4("2.2.2.2") {
-		t.Fatalf("RemoteIPv4 = %v, %v", ip, ok)
+	for _, c := range []struct {
+		name   string
+		server func(*ServerConv, ConvEvent) StepVerdict
+		check  func(t *testing.T, conn *ServiceConn, saw *serverSaw)
+	}{
+		{"broken_before_buffered_data", sayData(StepMore), func(t *testing.T, conn *ServiceConn, _ *serverSaw) {
+			cv := conn.Conn.(*convConn).cv
+			cv.mu.Lock()
+			cv.s2c.broken = true // torn down with "data" still queued
+			cv.mu.Unlock()
+			if n, err := conn.Read(make([]byte, 16)); n != 0 || !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("Read = %d, %v; want 0, io.ErrClosedPipe", n, err)
+			}
+		}},
+		{"buffered_data_then_EOF_then_deadline", sayData(StepDone), func(t *testing.T, conn *ServiceConn, _ *serverSaw) {
+			// The deadline has already passed: data and EOF still come first.
+			_ = conn.SetReadDeadline(time.Now().Add(-time.Second))
+			readData(t, conn)
+			if n, err := conn.Read(make([]byte, 16)); n != 0 || err != io.EOF {
+				t.Fatalf("Read after the data = %d, %v; want 0, io.EOF", n, err)
+			}
+		}},
+		{"deadline_at_once_when_peer_quiescent", sayData(StepMore), func(t *testing.T, conn *ServiceConn, _ *serverSaw) {
+			readData(t, conn)
+			_ = conn.SetReadDeadline(time.Now().Add(time.Hour))
+			start := time.Now()
+			if _, err := conn.Read(make([]byte, 16)); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("Read err = %v, want deadline exceeded", err)
+			}
+			if waited := time.Since(start); waited > time.Second {
+				t.Fatalf("Read slept %v toward a deadline no data could beat", waited)
+			}
+		}},
+		{"read_that_cannot_return_panics", sayData(StepMore), func(t *testing.T, conn *ServiceConn, _ *serverSaw) {
+			readData(t, conn)
+			_ = conn.SetReadDeadline(time.Time{})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Read with no data, no EOF and no deadline returned")
+				}
+			}()
+			_, _ = conn.Read(make([]byte, 16))
+		}},
+		{"write_after_server_done", sayData(StepDone), func(t *testing.T, conn *ServiceConn, _ *serverSaw) {
+			if _, err := conn.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("Write after the server's StepDone = %v, want io.ErrClosedPipe", err)
+			}
+		}},
+		{"addresses", sayData(StepMore), func(t *testing.T, conn *ServiceConn, saw *serverSaw) {
+			local := Endpoint{IP: client, Port: ephemeralPort(client, server)}
+			if conn.LocalAddr().String() != local.String() || conn.RemoteAddr().String() != "2.2.2.2:6" {
+				t.Fatalf("addrs %v %v, want %v 2.2.2.2:6", conn.LocalAddr(), conn.RemoteAddr(), local)
+			}
+			if conn.LocalAddr().Network() != "tcp" {
+				t.Fatalf("network name %q", conn.LocalAddr().Network())
+			}
+			if ip, ok := RemoteIPv4(conn); !ok || ip != server.IP {
+				t.Fatalf("RemoteIPv4 = %v, %v", ip, ok)
+			}
+			if !saw.remoteOK || saw.remote != client {
+				t.Fatalf("ServerConv.RemoteIP = %v, %v; want %v", saw.remote, saw.remoteOK, client)
+			}
+		}},
+		{"abort_is_EvBroken_at_the_server", sayData(StepMore), func(t *testing.T, conn *ServiceConn, saw *serverSaw) {
+			conn.Abort()
+			if want := []ConvEvent{EvOpen, EvBroken}; !slices.Equal(saw.events, want) {
+				t.Fatalf("server saw %v, want %v", saw.events, want)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			saw := &serverSaw{}
+			s := stepFunc(func(sc *ServerConv, ev ConvEvent) StepVerdict {
+				saw.events = append(saw.events, ev)
+				if ev == EvOpen {
+					saw.remote, saw.remoteOK = sc.RemoteIP()
+				}
+				return c.server(sc, ev)
+			})
+			conn := Converse(s, client, server, ExperimentStart)
+			defer conn.Close()
+			c.check(t, conn, saw)
+		})
 	}
 }
 

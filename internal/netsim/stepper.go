@@ -4,10 +4,9 @@ package netsim
 // Stepper, a non-blocking state machine fed discrete events — the dial, each
 // batch of client bytes, the client's half-close, a torn pipe. Network.Dial
 // runs it inline on the dialing goroutine (stepperParty): a method call per
-// client action, no goroutine, no channel. ServeStepper drives the same
-// machine from blocking reads on a plain connection; protocol tests use it
-// over the bufconn.go pipe pair, and lifecycle_test.go uses it as the
-// reference the engine is compared against.
+// client action, no goroutine, no channel. Nothing else runs one: tests
+// run a stepper through Converse, which is that same dial on a one-host
+// network.
 //
 // Writing a stepper:
 //
@@ -38,7 +37,6 @@ package netsim
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"slices"
@@ -180,34 +178,6 @@ func (p *stepperParty) finish() {
 	p.done = true
 	_ = p.sc.sc.Close()
 	p.n.handlers.Done()
-}
-
-// ServeStepper drives a Stepper from blocking reads on conn, delivering the
-// events the engine would. It returns when the session is over; the caller
-// closes conn.
-func ServeStepper(ctx context.Context, conn *ServiceConn, s Stepper) {
-	sc := &ServerConv{sc: conn}
-	if s.Step(sc, EvOpen) == StepDone {
-		return
-	}
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			sc.in = append(sc.in, buf[:n]...)
-			if s.Step(sc, EvData) == StepDone {
-				return
-			}
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				s.Step(sc, EvEOF)
-			} else {
-				s.Step(sc, EvBroken)
-			}
-			return
-		}
-	}
 }
 
 // ReadFramed is the blocking reader over a slice decoder: it reads exactly

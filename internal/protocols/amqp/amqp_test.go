@@ -1,7 +1,6 @@
 package amqp
 
 import (
-	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -91,31 +90,21 @@ func TestKnownVulnerableVersions(t *testing.T) {
 	}
 }
 
-func startBroker(t *testing.T, cfg ServerConfig) (*netsim.ServiceConn, func()) {
+func startBroker(t *testing.T, cfg ServerConfig) *netsim.ServiceConn {
 	t.Helper()
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.70"), Port: 42000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.3"), Port: 5672},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
-	return client, func() { client.Close(); <-done }
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.70"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.3"), Port: 5672}, time.Now())
+	t.Cleanup(func() { client.Close() })
+	return client
 }
 
 func TestProbeReadsServerProperties(t *testing.T) {
-	client, closeFn := startBroker(t, ServerConfig{
+	client := startBroker(t, ServerConfig{
 		Properties: ServerProperties{
 			Product: "RabbitMQ", Version: "2.8.4",
 			Mechanisms: []string{"PLAIN", "ANONYMOUS"},
 		},
 	})
-	defer closeFn()
 	props, err := Probe(client, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +118,7 @@ func TestProbeReadsServerProperties(t *testing.T) {
 }
 
 func TestProbeBadGreetingAnswered(t *testing.T) {
-	client, closeFn := startBroker(t, ServerConfig{})
-	defer closeFn()
+	client := startBroker(t, ServerConfig{})
 	if _, err := client.Write([]byte("GET / HT")); err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +131,12 @@ func TestProbeBadGreetingAnswered(t *testing.T) {
 }
 
 func TestConnectAnonymousAccepted(t *testing.T) {
-	events := make(chan Event, 16) // room for every event the session logs: the server never blocks
-	client, closeFn := startBroker(t, ServerConfig{
+	var events []Event
+	client := startBroker(t, ServerConfig{
 		Properties: ServerProperties{Product: "RabbitMQ", Version: "3.8.9",
 			Mechanisms: []string{"PLAIN", "ANONYMOUS"}},
-		OnEvent: func(ev Event) { events <- ev },
+		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
-	defer closeFn()
 	sess, ok, err := Connect(client, "ANONYMOUS", "", "", time.Second)
 	if err != nil || !ok {
 		t.Fatalf("Connect = %v, %v", ok, err)
@@ -158,26 +145,19 @@ func TestConnectAnonymousAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the publish event.
-	var seen []Event
-	for {
-		select {
-		case ev := <-events:
-			if ev.Kind == EventPublish && string(ev.Body) == "open" && ev.Exchange == "amq.topic" {
-				return
-			}
-			seen = append(seen, ev)
-		case <-time.After(time.Second):
-			t.Fatalf("publish not observed; events: %+v", seen)
+	for _, ev := range events {
+		if ev.Kind == EventPublish && string(ev.Body) == "open" && ev.Exchange == "amq.topic" {
+			return
 		}
 	}
+	t.Fatalf("publish not observed; events: %+v", events)
 }
 
 func TestConnectAuthRejected(t *testing.T) {
-	client, closeFn := startBroker(t, ServerConfig{
+	client := startBroker(t, ServerConfig{
 		RequireAuth: true,
 		Credentials: map[string]string{"svc": "hunter2"},
 	})
-	defer closeFn()
 	_, ok, err := Connect(client, "PLAIN", "svc", "wrong", time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +168,10 @@ func TestConnectAuthRejected(t *testing.T) {
 }
 
 func TestConnectAuthAccepted(t *testing.T) {
-	client, closeFn := startBroker(t, ServerConfig{
+	client := startBroker(t, ServerConfig{
 		RequireAuth: true,
 		Credentials: map[string]string{"svc": "hunter2"},
 	})
-	defer closeFn()
 	_, ok, err := Connect(client, "PLAIN", "svc", "hunter2", time.Second)
 	if err != nil || !ok {
 		t.Fatalf("Connect = %v, %v", ok, err)
@@ -200,8 +179,7 @@ func TestConnectAuthAccepted(t *testing.T) {
 }
 
 func TestFloodGuardClosesSession(t *testing.T) {
-	client, closeFn := startBroker(t, ServerConfig{MaxPublishes: 3})
-	defer closeFn()
+	client := startBroker(t, ServerConfig{MaxPublishes: 3})
 	sess, ok, err := Connect(client, "PLAIN", "", "", time.Second)
 	if err != nil || !ok {
 		t.Fatal(err)
@@ -212,7 +190,6 @@ func TestFloodGuardClosesSession(t *testing.T) {
 			failed = true
 			break
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if !failed {
 		t.Fatal("flood never failed: broker did not close the session")

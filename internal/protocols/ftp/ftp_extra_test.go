@@ -2,7 +2,6 @@ package ftp
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -82,13 +81,12 @@ func TestUploadSizeLimit(t *testing.T) {
 	if err == nil && ok {
 		t.Fatal("oversized upload accepted")
 	}
-	select {
-	case ev := <-events:
-		if len(ev.Uploads) != 0 {
-			t.Fatal("oversized upload recorded")
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("session did not end")
+	}
+	if len(evs[0].Uploads) != 0 {
+		t.Fatal("oversized upload recorded")
 	}
 }
 
@@ -98,13 +96,12 @@ func TestQuitEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Quit(time.Second)
-	select {
-	case ev := <-events:
-		if len(ev.Commands) != 1 || ev.Commands[0] != "QUIT" {
-			t.Fatalf("commands %v", ev.Commands)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	if ev := evs[0]; len(ev.Commands) != 1 || ev.Commands[0] != "QUIT" {
+		t.Fatalf("commands %v", ev.Commands)
 	}
 }
 
@@ -167,36 +164,29 @@ func (p *tailProbe) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepV
 func TestLineCapEndsSession(t *testing.T) {
 	var events []Event
 	srv := NewServer(Config{OnEvent: func(ev Event) { events = append(events, ev) }})
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.92"), Port: 46000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.7"), Port: 21},
-		time.Now(),
-	)
 	probe := &tailProbe{inner: srv.NewStepper()}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, probe)
-	}()
+	client := netsim.Converse(probe, netsim.MustParseIPv4("192.0.2.92"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.7"), Port: 21}, time.Now())
 	defer client.Close()
 
 	c := NewClient(client)
 	if _, err := c.ReadReply(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		_ = client.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		// The server hangs up partway through; the write error is expected.
-		_, _ = client.Write(bytes.Repeat([]byte{'A'}, 1<<20))
-	}()
+	// 1 MiB in 4 KiB writes, so the server sees the line grow event by event
+	// and has a tail to hold. The server hangs up partway through; the write
+	// error is expected.
+	chunk := bytes.Repeat([]byte{'A'}, 4<<10)
+	for sent := 0; sent < 1<<20; sent += len(chunk) {
+		if _, err := client.Write(chunk); err != nil {
+			break
+		}
+	}
 	reply, err := c.ReadReply(5 * time.Second)
 	if err != nil || !strings.HasPrefix(reply, "500") {
 		t.Fatalf("reply to an endless line = %q, %v; want 500", reply, err)
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	if len(events) == 0 {
 		t.Fatal("session did not end")
 	}
 	if len(events) != 1 || len(events[0].Commands) != 0 {

@@ -1,7 +1,6 @@
 package ftp
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,28 +8,22 @@ import (
 	"openhire/internal/netsim"
 )
 
-func startServer(t *testing.T, cfg Config) (*Client, <-chan Event) {
+// startServer dials one session; events returns what the server has logged
+// so far.
+func startServer(t *testing.T, cfg Config) (*Client, func() []Event) {
 	t.Helper()
-	events := make(chan Event, 1)
+	var events []Event
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
-		events <- ev
+		events = append(events, ev)
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.92"), Port: 46000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.7"), Port: 21},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.92"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.7"), Port: 21}, time.Now())
 	t.Cleanup(func() { client.Close() })
-	return NewClient(client), events
+	return NewClient(client), func() []Event { return events }
 }
 
 func TestBannerAndAnonymousLogin(t *testing.T) {
@@ -89,17 +82,17 @@ func TestMalwareUploadCaptured(t *testing.T) {
 		t.Fatalf("Store = %v, %v", ok, err)
 	}
 	c.Quit(time.Second)
-	select {
-	case ev := <-events:
-		if len(ev.Uploads) != 1 || ev.Uploads[0].Name != "mozi.arm7" ||
-			string(ev.Uploads[0].Data) != string(payload) {
-			t.Fatalf("uploads %+v", ev.Uploads)
-		}
-		if !ev.LoginOK {
-			t.Fatal("LoginOK false")
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if len(ev.Uploads) != 1 || ev.Uploads[0].Name != "mozi.arm7" ||
+		string(ev.Uploads[0].Data) != string(payload) {
+		t.Fatalf("uploads %+v", ev.Uploads)
+	}
+	if !ev.LoginOK {
+		t.Fatal("LoginOK false")
 	}
 }
 
@@ -136,12 +129,11 @@ func TestCommandsLoggedAndUnknownCommand(t *testing.T) {
 		t.Fatalf("reply %q", reply)
 	}
 	c.Quit(time.Second)
-	select {
-	case ev := <-events:
-		if len(ev.Commands) == 0 || !strings.HasPrefix(ev.Commands[0], "HACK") {
-			t.Fatalf("commands %v", ev.Commands)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	if ev := evs[0]; len(ev.Commands) == 0 || !strings.HasPrefix(ev.Commands[0], "HACK") {
+		t.Fatalf("commands %v", ev.Commands)
 	}
 }

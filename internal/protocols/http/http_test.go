@@ -3,7 +3,6 @@ package http
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,16 +137,8 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func startServer(t *testing.T, cfg ServerConfig) *netsim.ServiceConn {
 	t.Helper()
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.91"), Port: 45000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.6"), Port: 80},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.91"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.6"), Port: 80}, time.Now())
 	t.Cleanup(func() { client.Close() })
 	return client
 }

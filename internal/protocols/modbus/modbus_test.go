@@ -1,49 +1,30 @@
 package modbus
 
 import (
-	"context"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"openhire/internal/netsim"
 )
 
-// startServer serves one session over an in-memory pair; events returns a
-// copy of what the server has logged so far.
+// startServer dials one session; events returns what the server has logged
+// so far.
 func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	var (
-		mu     sync.Mutex
-		events []Event
-	)
+	var events []Event
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
-		mu.Lock()
 		events = append(events, ev)
-		mu.Unlock()
 	}
 	srv := NewServer(cfg)
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.94"), Port: 48000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.9"), Port: 502},
-		time.Now(),
-	)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(srv.NewStepper(), netsim.MustParseIPv4("192.0.2.94"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.9"), Port: 502}, time.Now())
 	t.Cleanup(func() { client.Close() })
-	return srv, client, func() []Event {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.Clone(events)
-	}
+	return srv, client, func() []Event { return events }
 }
 
 func TestReadHoldingRegisters(t *testing.T) {
@@ -95,14 +76,10 @@ func TestInvalidFunctionCodeLogged(t *testing.T) {
 	if _, err := client.Write(BuildRequest(9, 1, 0x63, []byte{0, 0})); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		for _, ev := range events() {
-			if ev.Function == 0x63 && !ev.Valid {
-				return
-			}
+	for _, ev := range events() {
+		if ev.Function == 0x63 && !ev.Valid {
+			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("invalid function not logged: %+v", events())
 }

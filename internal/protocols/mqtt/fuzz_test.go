@@ -2,12 +2,10 @@ package mqtt
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
-	"time"
 
 	"openhire/internal/netsim"
 )
@@ -52,7 +50,7 @@ func FuzzReadPacket(f *testing.F) {
 		p, err := ReadPacket(bytes.NewReader(raw))
 		// The broker's path: the same bytes arriving one at a time at a
 		// stepper that pulls packets with netsim.Frames.
-		sp, serr := firstPacketByteByByte(t, raw)
+		sp, serr := firstPacketByteByByte(raw)
 		switch {
 		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 			if sp != nil || serr != nil {
@@ -112,30 +110,16 @@ func (p *packetProbe) keep(_ *netsim.ServerConv, pkt *Packet) netsim.StepVerdict
 
 // firstPacketByteByByte writes raw to a packetProbe one byte per write and
 // reports what it decoded; both are nil when raw ends mid-packet.
-func firstPacketByteByByte(t *testing.T, raw []byte) (*Packet, error) {
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.9"), Port: 50000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883},
-		time.Now(),
-	)
+func firstPacketByteByByte(raw []byte) (*Packet, error) {
 	probe := &packetProbe{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, probe)
-	}()
+	client := netsim.Converse(probe, netsim.MustParseIPv4("192.0.2.9"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883}, netsim.ExperimentStart)
 	for i := range raw {
 		if _, err := client.Write(raw[i : i+1]); err != nil {
 			break // the probe has its packet
 		}
 	}
 	_ = client.Close()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stepper path did not finish")
-	}
 	return probe.pkt, probe.err
 }
 

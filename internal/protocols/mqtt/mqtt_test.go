@@ -2,7 +2,6 @@ package mqtt
 
 import (
 	"bytes"
-	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -205,33 +204,21 @@ func TestTopicMatches(t *testing.T) {
 	}
 }
 
-// startBroker runs a broker session over an in-memory pair.
-func startBroker(t *testing.T, cfg BrokerConfig) (*Broker, *Client, func()) {
+// startBroker dials one broker session.
+func startBroker(t *testing.T, cfg BrokerConfig) (*Broker, *Client) {
 	t.Helper()
 	b := NewBroker(cfg)
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.9"), Port: 50000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883},
-		time.Now(),
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, b.NewStepper())
-	}()
-	return b, NewClient(client, time.Second), func() {
-		client.Close()
-		<-done
-	}
+	client := netsim.Converse(b.NewStepper(), netsim.MustParseIPv4("192.0.2.9"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883}, time.Now())
+	t.Cleanup(func() { client.Close() })
+	return b, NewClient(client, time.Second)
 }
 
 func TestBrokerAnonymousAccepted(t *testing.T) {
 	var events []Event
-	_, c, closeFn := startBroker(t, BrokerConfig{
+	_, c := startBroker(t, BrokerConfig{
 		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
-	defer closeFn()
 	code, err := c.Connect("zmap-probe", "", "")
 	if err != nil || code != ConnAccepted {
 		t.Fatalf("Connect = %v, %v", code, err)
@@ -242,11 +229,10 @@ func TestBrokerAnonymousAccepted(t *testing.T) {
 }
 
 func TestBrokerAuthRequired(t *testing.T) {
-	_, c, closeFn := startBroker(t, BrokerConfig{
+	_, c := startBroker(t, BrokerConfig{
 		RequireAuth: true,
 		Credentials: map[string]string{"iot": "s3cret"},
 	})
-	defer closeFn()
 	code, err := c.Connect("probe", "", "")
 	if err != ErrRejected || code != ConnNotAuthorized {
 		t.Fatalf("anonymous: %v, %v", code, err)
@@ -254,11 +240,10 @@ func TestBrokerAuthRequired(t *testing.T) {
 }
 
 func TestBrokerAuthWrongPassword(t *testing.T) {
-	_, c, closeFn := startBroker(t, BrokerConfig{
+	_, c := startBroker(t, BrokerConfig{
 		RequireAuth: true,
 		Credentials: map[string]string{"iot": "s3cret"},
 	})
-	defer closeFn()
 	code, err := c.Connect("probe", "iot", "wrong")
 	if err != ErrRejected || code != ConnBadCredentials {
 		t.Fatalf("wrong pass: %v, %v", code, err)
@@ -266,11 +251,10 @@ func TestBrokerAuthWrongPassword(t *testing.T) {
 }
 
 func TestBrokerAuthSuccess(t *testing.T) {
-	_, c, closeFn := startBroker(t, BrokerConfig{
+	_, c := startBroker(t, BrokerConfig{
 		RequireAuth: true,
 		Credentials: map[string]string{"iot": "s3cret"},
 	})
-	defer closeFn()
 	code, err := c.Connect("probe", "iot", "s3cret")
 	if err != nil || code != ConnAccepted {
 		t.Fatalf("auth: %v, %v", code, err)
@@ -278,8 +262,7 @@ func TestBrokerAuthSuccess(t *testing.T) {
 }
 
 func TestBrokerRetainedDelivery(t *testing.T) {
-	b, c, closeFn := startBroker(t, BrokerConfig{})
-	defer closeFn()
+	b, c := startBroker(t, BrokerConfig{})
 	b.Retain("homeassistant/light/kitchen", []byte("on"))
 	if _, err := c.Connect("probe", "", ""); err != nil {
 		t.Fatal(err)
@@ -298,10 +281,9 @@ func TestBrokerRetainedDelivery(t *testing.T) {
 
 func TestBrokerSysAccessEvent(t *testing.T) {
 	var events []Event
-	_, c, closeFn := startBroker(t, BrokerConfig{
+	_, c := startBroker(t, BrokerConfig{
 		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
-	defer closeFn()
 	if _, err := c.Connect("probe", "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +302,7 @@ func TestBrokerSysAccessEvent(t *testing.T) {
 }
 
 func TestBrokerPoisoningChangesRetained(t *testing.T) {
-	b, c, closeFn := startBroker(t, BrokerConfig{})
-	defer closeFn()
+	b, c := startBroker(t, BrokerConfig{})
 	b.Retain("plant/valve", []byte("closed"))
 	if _, err := c.Connect("attacker", "", ""); err != nil {
 		t.Fatal(err)
@@ -340,22 +321,13 @@ func TestBrokerPoisoningChangesRetained(t *testing.T) {
 
 func TestBrokerFanOut(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
-	mk := func(name string) (*Client, func()) {
-		client, server := netsim.NewServiceConnPair(
-			netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.9"), Port: 50001},
-			netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883},
-			time.Now(),
-		)
-		go func() {
-			defer server.Close()
-			netsim.ServeStepper(context.Background(), server, b.NewStepper())
-		}()
-		return NewClient(client, time.Second), func() { client.Close() }
+	mk := func() *Client {
+		client := netsim.Converse(b.NewStepper(), netsim.MustParseIPv4("192.0.2.9"),
+			netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: 1883}, time.Now())
+		t.Cleanup(func() { client.Close() })
+		return NewClient(client, time.Second)
 	}
-	sub, closeSub := mk("sub")
-	defer closeSub()
-	pub, closePub := mk("pub")
-	defer closePub()
+	sub, pub := mk(), mk()
 
 	if _, err := sub.Connect("sub", "", ""); err != nil {
 		t.Fatal(err)
@@ -378,8 +350,7 @@ func TestBrokerFanOut(t *testing.T) {
 }
 
 func TestBrokerPublishFloodGuard(t *testing.T) {
-	_, c, closeFn := startBroker(t, BrokerConfig{MaxPublishesPerConn: 5})
-	defer closeFn()
+	_, c := startBroker(t, BrokerConfig{MaxPublishesPerConn: 5})
 	if _, err := c.Connect("flood", "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +364,7 @@ func TestBrokerPublishFloodGuard(t *testing.T) {
 }
 
 func TestBrokerRejectsNonConnectFirst(t *testing.T) {
-	_, c, closeFn := startBroker(t, BrokerConfig{})
-	defer closeFn()
+	_, c := startBroker(t, BrokerConfig{})
 	if err := c.Ping(); err == nil {
 		t.Fatal("broker answered PINGREQ before CONNECT")
 	}

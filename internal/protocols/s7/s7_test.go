@@ -1,49 +1,29 @@
 package s7
 
 import (
-	"context"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"openhire/internal/netsim"
 )
 
-// startServer serves one session over an in-memory pair; events returns a
-// copy of what the server has logged so far.
+// startServer dials one session; events returns what the server has logged
+// so far.
 func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	var (
-		mu     sync.Mutex
-		events []Event
-	)
+	var events []Event
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
-		mu.Lock()
 		events = append(events, ev)
-		mu.Unlock()
 	}
-	srv := NewServer(cfg)
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.95"), Port: 49000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.10"), Port: 102},
-		time.Now(),
-	)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.95"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.10"), Port: 102}, time.Now())
 	t.Cleanup(func() { client.Close() })
-	return client, func() []Event {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.Clone(events)
-	}
+	return client, func() []Event { return events }
 }
 
 func TestConnectAndReadModule(t *testing.T) {
@@ -80,14 +60,10 @@ func TestJobFloodWedgesDevice(t *testing.T) {
 			break
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, ev := range events() {
-			if ev.JobFlood {
-				return
-			}
+	for _, ev := range events() {
+		if ev.JobFlood {
+			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("flood not detected: %d events", len(events()))
 }

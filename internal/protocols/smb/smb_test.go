@@ -1,7 +1,6 @@
 package smb
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,28 +8,22 @@ import (
 	"openhire/internal/netsim"
 )
 
-func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, <-chan Event) {
+// startServer dials one session; events returns what the server has logged
+// so far.
+func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	events := make(chan Event, 1)
+	var events []Event
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
-		events <- ev
+		events = append(events, ev)
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.93"), Port: 47000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.8"), Port: 445},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.93"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.8"), Port: 445}, time.Now())
 	t.Cleanup(func() { client.Close() })
-	return client, events
+	return client, func() []Event { return events }
 }
 
 func TestProbeNegotiate(t *testing.T) {
@@ -43,13 +36,13 @@ func TestProbeNegotiate(t *testing.T) {
 		t.Fatalf("dialect %q", dialect)
 	}
 	client.Close()
-	select {
-	case ev := <-events:
-		if ev.Kind != KindProbe || ev.Dialect != "NT LM 0.12" {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if ev.Kind != KindProbe || ev.Dialect != "NT LM 0.12" {
+		t.Fatalf("event %+v", ev)
 	}
 }
 
@@ -67,16 +60,16 @@ func TestEternalBlueDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.Close()
-	select {
-	case ev := <-events:
-		if ev.Kind != KindPayloadDrop {
-			t.Fatalf("kind %v", ev.Kind)
-		}
-		if string(ev.Payload) != string(payload) {
-			t.Fatalf("payload %q", ev.Payload)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if ev.Kind != KindPayloadDrop {
+		t.Fatalf("kind %v", ev.Kind)
+	}
+	if string(ev.Payload) != string(payload) {
+		t.Fatalf("payload %q", ev.Payload)
 	}
 }
 
@@ -88,13 +81,13 @@ func TestEternalRomanceDetected(t *testing.T) {
 	}
 	// Send the full first frame properly.
 	client.Close()
-	select {
-	case ev := <-events:
-		if ev.Kind != KindEternalRomance && ev.Kind != KindProbe {
-			t.Fatalf("kind %v", ev.Kind)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if ev.Kind != KindEternalRomance && ev.Kind != KindProbe {
+		t.Fatalf("kind %v", ev.Kind)
 	}
 }
 
@@ -105,13 +98,13 @@ func TestGarbageIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.Close()
-	select {
-	case ev := <-events:
-		if ev.Kind != KindProbe || len(ev.Payload) != 0 {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if ev.Kind != KindProbe || len(ev.Payload) != 0 {
+		t.Fatalf("event %+v", ev)
 	}
 }
 

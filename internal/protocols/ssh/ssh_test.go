@@ -1,7 +1,6 @@
 package ssh
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,28 +8,22 @@ import (
 	"openhire/internal/netsim"
 )
 
-func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, <-chan Event) {
+// startServer dials one session; events returns what the server has logged
+// so far.
+func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event) {
 	t.Helper()
-	events := make(chan Event, 1)
+	var events []Event
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
 		if prev != nil {
 			prev(ev)
 		}
-		events <- ev
+		events = append(events, ev)
 	}
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.90"), Port: 44000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.5"), Port: 22},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.90"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.5"), Port: 22}, time.Now())
 	t.Cleanup(func() { client.Close() })
-	return client, events
+	return client, func() []Event { return events }
 }
 
 func TestGrabBanner(t *testing.T) {
@@ -54,16 +47,16 @@ func TestLoginAcceptAll(t *testing.T) {
 		t.Fatalf("Login = %v, %v", ok, err)
 	}
 	client.Close()
-	select {
-	case ev := <-events:
-		if !ev.Success || len(ev.Attempts) != 1 || ev.Attempts[0] != (Credential{"root", "xc3511"}) {
-			t.Fatalf("event %+v", ev)
-		}
-		if ev.ClientVersion != "SSH-2.0-Go" {
-			t.Fatalf("client version %q", ev.ClientVersion)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if !ev.Success || len(ev.Attempts) != 1 || ev.Attempts[0] != (Credential{"root", "xc3511"}) {
+		t.Fatalf("event %+v", ev)
+	}
+	if ev.ClientVersion != "SSH-2.0-Go" {
+		t.Fatalf("client version %q", ev.ClientVersion)
 	}
 }
 
@@ -81,13 +74,13 @@ func TestLoginRejectedAttemptsLogged(t *testing.T) {
 			t.Fatal("attempt accepted")
 		}
 	}
-	select {
-	case ev := <-events:
-		if ev.Success || len(ev.Attempts) != 3 {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("server did not close after max attempts")
+	}
+	ev := evs[0]
+	if ev.Success || len(ev.Attempts) != 3 {
+		t.Fatalf("event %+v", ev)
 	}
 }
 
@@ -117,13 +110,13 @@ func TestCommandsLogged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case ev := <-events:
-		if len(ev.Commands) != 3 || !strings.HasPrefix(ev.Commands[0], "wget ") {
-			t.Fatalf("commands %v", ev.Commands)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("no event")
+	}
+	ev := evs[0]
+	if len(ev.Commands) != 3 || !strings.HasPrefix(ev.Commands[0], "wget ") {
+		t.Fatalf("commands %v", ev.Commands)
 	}
 }
 
@@ -132,12 +125,12 @@ func TestNonSSHClientGetsBannerOnly(t *testing.T) {
 	if _, err := client.Write([]byte("GET / HTTP/1.1\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-events:
-		if ev.Success || len(ev.Attempts) != 0 {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
+	evs := events()
+	if len(evs) == 0 {
 		t.Fatal("session did not end")
+	}
+	ev := evs[0]
+	if ev.Success || len(ev.Attempts) != 0 {
+		t.Fatalf("event %+v", ev)
 	}
 }

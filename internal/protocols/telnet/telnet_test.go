@@ -73,21 +73,11 @@ func TestRefuseAll(t *testing.T) {
 	}
 }
 
-// startServer starts a telnet server on an in-memory conn pair and returns
-// the client side.
+// startServer dials a telnet server and returns the client side.
 func startServer(t *testing.T, cfg Config) *netsim.ServiceConn {
 	t.Helper()
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.1"), Port: 40000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.1"), Port: 23},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
-	return client
+	return netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.1"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.1"), Port: 23}, time.Now())
 }
 
 func TestGrabUnauthedBanner(t *testing.T) {
@@ -145,12 +135,12 @@ func TestGrabRawNegotiationProfile(t *testing.T) {
 }
 
 func TestLoginSuccess(t *testing.T) {
-	events := make(chan Event, 1)
+	var events []Event
 	client := startServer(t, Config{
 		Auth:        AuthLogin,
 		Credentials: map[string]string{"admin": "admin"},
 		ShellPrompt: "$ ",
-		OnEvent:     func(ev Event) { events <- ev },
+		OnEvent:     func(ev Event) { events = append(events, ev) },
 	})
 	ok, err := Login(context.Background(), client, "admin", "admin", time.Second)
 	if err != nil || !ok {
@@ -164,12 +154,10 @@ func TestLoginSuccess(t *testing.T) {
 		t.Fatalf("unknown command output %q", out)
 	}
 	client.Close()
-	var got Event
-	select {
-	case got = <-events:
-	case <-time.After(2 * time.Second):
+	if len(events) == 0 {
 		t.Fatal("no session record after the client closed")
 	}
+	got := events[0]
 	if !got.LoginOK || got.Username != "admin" || got.Password != "admin" {
 		t.Fatalf("event = %+v", got)
 	}
@@ -194,12 +182,12 @@ func TestLoginFailure(t *testing.T) {
 }
 
 func TestLoginAttemptsBounded(t *testing.T) {
-	events := make(chan Event, 1)
+	var events []Event
 	client := startServer(t, Config{
 		Auth:             AuthLogin,
 		Credentials:      map[string]string{},
 		MaxLoginAttempts: 2,
-		OnEvent:          func(ev Event) { events <- ev },
+		OnEvent:          func(ev Event) { events = append(events, ev) },
 	})
 	defer client.Close()
 	// Two failed attempts, written proactively: the server consumes
@@ -207,13 +195,11 @@ func TestLoginAttemptsBounded(t *testing.T) {
 	if _, err := client.Write([]byte("a\r\nb\r\na\r\nb\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-events:
-		if ev.LoginOK {
-			t.Fatal("empty credential map accepted a login")
-		}
-	case <-time.After(2 * time.Second):
+	if len(events) == 0 {
 		t.Fatal("server did not close after max attempts")
+	}
+	if events[0].LoginOK {
+		t.Fatal("empty credential map accepted a login")
 	}
 }
 

@@ -1,7 +1,6 @@
 package tr069
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -10,16 +9,8 @@ import (
 
 func startServer(t *testing.T, cfg Config) *netsim.ServiceConn {
 	t.Helper()
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.99"), Port: 51000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.11"), Port: Port},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	go func() {
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.99"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.11"), Port: Port}, time.Now())
 	t.Cleanup(func() { client.Close() })
 	return client
 }
@@ -57,17 +48,12 @@ func TestEventsSurfaced(t *testing.T) {
 	if _, err := Probe(client, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if len(events) > 0 {
-			if events[0].Path != "/" {
-				t.Fatalf("event %+v", events[0])
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if len(events) == 0 {
+		t.Fatal("no events")
 	}
-	t.Fatal("no events")
+	if events[0].Path != "/" {
+		t.Fatalf("event %+v", events[0])
+	}
 }
 
 func TestDefaultBanner(t *testing.T) {

@@ -1,7 +1,6 @@
 package xmpp
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,28 +80,18 @@ func TestParseAuthErrors(t *testing.T) {
 	}
 }
 
-func startServer(t *testing.T, cfg ServerConfig) (*netsim.ServiceConn, func()) {
+func startServer(t *testing.T, cfg ServerConfig) *netsim.ServiceConn {
 	t.Helper()
-	client, server := netsim.NewServiceConnPair(
-		netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.80"), Port: 43000},
-		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.4"), Port: 5222},
-		time.Now(),
-	)
-	srv := NewServer(cfg)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		netsim.ServeStepper(context.Background(), server, srv.NewStepper())
-	}()
-	return client, func() { client.Close(); <-done }
+	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.80"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.4"), Port: 5222}, time.Now())
+	t.Cleanup(func() { client.Close() })
+	return client
 }
 
 func TestProbeBannerAgainstServer(t *testing.T) {
-	client, closeFn := startServer(t, ServerConfig{
+	client := startServer(t, ServerConfig{
 		Features: Features{Mechanisms: []string{"PLAIN", "ANONYMOUS"}, Domain: "philips-hue"},
 	})
-	defer closeFn()
 	banner, feats, err := ProbeBanner(client, "philips-hue", time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -117,12 +106,11 @@ func TestProbeBannerAgainstServer(t *testing.T) {
 
 func TestAnonymousLoginWhenAllowed(t *testing.T) {
 	var events []Event
-	client, closeFn := startServer(t, ServerConfig{
+	client := startServer(t, ServerConfig{
 		Features:       Features{Mechanisms: []string{"PLAIN", "ANONYMOUS"}, Domain: "d"},
 		AllowAnonymous: true,
 		OnEvent:        func(ev Event) { events = append(events, ev) },
 	})
-	defer closeFn()
 	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +130,9 @@ func TestAnonymousLoginWhenAllowed(t *testing.T) {
 }
 
 func TestAnonymousRejectedWhenDisallowed(t *testing.T) {
-	client, closeFn := startServer(t, ServerConfig{
+	client := startServer(t, ServerConfig{
 		Features: Features{Mechanisms: []string{"PLAIN"}, Domain: "d"},
 	})
-	defer closeFn()
 	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +146,10 @@ func TestAnonymousRejectedWhenDisallowed(t *testing.T) {
 }
 
 func TestPlainCredentials(t *testing.T) {
-	client, closeFn := startServer(t, ServerConfig{
+	client := startServer(t, ServerConfig{
 		Features:    Features{Mechanisms: []string{"PLAIN"}, Domain: "d"},
 		Credentials: map[string]string{"hue": "bridge"},
 	})
-	defer closeFn()
 	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +162,7 @@ func TestPlainCredentials(t *testing.T) {
 }
 
 func TestStanzaHandler(t *testing.T) {
-	client, closeFn := startServer(t, ServerConfig{
+	client := startServer(t, ServerConfig{
 		Features:       Features{Mechanisms: []string{"ANONYMOUS"}, Domain: "hue"},
 		AllowAnonymous: true,
 		StanzaHandler: func(stanza string) string {
@@ -186,7 +172,6 @@ func TestStanzaHandler(t *testing.T) {
 			return ""
 		},
 	})
-	defer closeFn()
 	if _, _, err := ProbeBanner(client, "hue", time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
 #      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers (MQTT's on both the blocking and the stepper path), over the
+#      parsers (MQTT's through ReadPacket and through the broker's stepper
+#      on the conversation engine), over the
 #      CoAP server and the SSDP M-SEARCH parser fed hostile datagrams,
 #      over the chunking invariance of all ten stream servers,
 #      over the scanner's eight grab modules fed hostile conversations,
