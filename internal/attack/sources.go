@@ -1,9 +1,11 @@
 package attack
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"openhire/internal/geo"
 	"openhire/internal/intel"
@@ -78,10 +80,12 @@ type Sources struct {
 	rdns     *geo.RDNS
 	gn       *intel.GreyNoise
 
-	classes    map[netsim.IPv4]SourceClass
-	services   map[netsim.IPv4]string // scanning-service IP → service name
-	infected   []netsim.IPv4          // infected misconfigured devices
-	infectedAt map[netsim.IPv4]InfectedTargets
+	seed     uint64
+	classes  map[netsim.IPv4]SourceClass
+	services map[netsim.IPv4]string // scanning-service IP → service name
+
+	infectedOnce sync.Once
+	infected     *Infected
 }
 
 // InfectedTargets says where an infected device sends attacks (Section 5.3)
@@ -97,13 +101,13 @@ type InfectedTargets struct {
 // correlation is needed.
 func NewSources(seed uint64, universe *iot.Universe, rdns *geo.RDNS, gn *intel.GreyNoise) *Sources {
 	return &Sources{
-		src:        prng.New(seed),
-		universe:   universe,
-		rdns:       rdns,
-		gn:         gn,
-		classes:    make(map[netsim.IPv4]SourceClass),
-		services:   make(map[netsim.IPv4]string),
-		infectedAt: make(map[netsim.IPv4]InfectedTargets),
+		src:      prng.New(seed),
+		universe: universe,
+		rdns:     rdns,
+		gn:       gn,
+		seed:     seed,
+		classes:  make(map[netsim.IPv4]SourceClass),
+		services: make(map[netsim.IPv4]string),
 	}
 }
 
@@ -185,107 +189,167 @@ func (s *Sources) BuildUnknownPool(n int) []netsim.IPv4 {
 	return out
 }
 
+// Infected is the infected-device set of one (seed, universe): the devices
+// the Section 5.3 calibration turns into attack sources, in address order,
+// with each one's target mix. It is a value — read-only once DeriveInfected
+// returns — so one derivation serves every Sources of the same seed and
+// universe: the daemon derives it once per month and hands it to each
+// cycle's campaign and to the month's darknet generator.
+type Infected struct {
+	seed     uint64
+	universe *iot.Universe
+	ips      []netsim.IPv4
+	targets  []InfectedTargets // targets[i] belongs to ips[i]
+}
+
+// infectedWalks counts DeriveInfected calls that walked a universe. It exists
+// for the tests that pin how often the daemon derives the set.
+var infectedWalks atomic.Int64
+
 // DeriveInfected walks the universe and selects the infected devices per
 // the Section 5.3 calibration, assigning each its target mix. Misconfigured
 // devices are infected at InfectedShare (the 11,118); exposed-but-configured
 // devices at ConfiguredInfectedShare (the Censys-extension population of
-// 1,671 additional IoT attackers). The scan is linear over the prefix; cost
-// is a few hashes per (address, protocol).
-func (s *Sources) DeriveInfected() []netsim.IPv4 {
-	if s.universe != nil && s.infected == nil {
-		prefix := s.universe.Config().Prefix
-		label := prng.HashString("infected")
+// 1,671 additional IoT attackers). The walk is linear over the prefix and
+// rolls infection first: one hash per address, and the exposure rolls only
+// for the ~0.6 % of addresses whose infection roll could still pass. A nil
+// universe has no infected devices. The walk reads no ExposedIndex.
+func DeriveInfected(seed uint64, universe *iot.Universe) *Infected {
+	in := &Infected{seed: seed, universe: universe}
+	if universe == nil {
+		return in
+	}
+	infectedWalks.Add(1)
+	src := prng.New(seed)
+	prefix := universe.Config().Prefix
+	label := prng.HashString("infected")
+	// No outcome admits an infection roll at or above both shares.
+	maxShare := math.Max(InfectedShare, ConfiguredInfectedShare)
 
-		// Every per-address decision is a pure function of (seed, ip), so the
-		// walk parallelizes with bit-identical output: chunks are merged in
-		// address order, exactly the sequence the serial loop produced.
-		type pick struct {
-			ip netsim.IPv4
-			t  InfectedTargets
-		}
-		decide := func(ip netsim.IPv4) (InfectedTargets, bool) {
-			misconfigured, exposed := s.exposureOf(ip)
-			if !exposed {
-				return InfectedTargets{}, false
-			}
-			h := s.src.Hash64(label, uint64(ip))
-			roll2 := prng.New(s.src.Hash64(label, uint64(ip), 2)).Float64()
-			u := float64(h>>11) / (1 << 53)
-			switch {
-			case misconfigured && u < InfectedShare:
-				t := InfectedTargets{Honeypots: true, Telescope: true}
-				switch {
-				case roll2 < InfectedHoneypotOnly:
-					t = InfectedTargets{Honeypots: true}
-				case roll2 < InfectedHoneypotOnly+InfectedTelescopeOnly:
-					t = InfectedTargets{Telescope: true}
-				}
-				return t, true
-			case !misconfigured && u < ConfiguredInfectedShare:
-				t := InfectedTargets{Honeypots: true, Telescope: true, Configured: true}
-				switch {
-				case roll2 < ConfiguredHoneypotOnly:
-					t = InfectedTargets{Honeypots: true, Configured: true}
-				case roll2 < ConfiguredHoneypotOnly+ConfiguredTelescopeOnly:
-					t = InfectedTargets{Telescope: true, Configured: true}
-				}
-				return t, true
-			}
+	// Every per-address decision is a pure function of (seed, ip), so the
+	// walk parallelizes with bit-identical output: chunks are joined in
+	// address order, exactly the sequence a serial loop produces.
+	type pick struct {
+		ip netsim.IPv4
+		t  InfectedTargets
+	}
+	decide := func(ip netsim.IPv4) (InfectedTargets, bool) {
+		h := src.Hash64(label, uint64(ip))
+		u := float64(h>>11) / (1 << 53)
+		if u >= maxShare {
 			return InfectedTargets{}, false
 		}
-
-		size := prefix.Size()
-		workers := uint64(runtime.GOMAXPROCS(0))
-		if workers > size {
-			workers = 1
+		exposed, misconfigured := universe.ExposureAny(ip)
+		if !exposed {
+			return InfectedTargets{}, false
 		}
-		chunk := (size + workers - 1) / workers
-		results := make([][]pick, workers)
-		var wg sync.WaitGroup
-		for w := uint64(0); w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > size {
-				hi = size
+		roll2 := prng.New(src.Hash64(label, uint64(ip), 2)).Float64()
+		switch {
+		case misconfigured && u < InfectedShare:
+			t := InfectedTargets{Honeypots: true, Telescope: true}
+			switch {
+			case roll2 < InfectedHoneypotOnly:
+				t = InfectedTargets{Honeypots: true}
+			case roll2 < InfectedHoneypotOnly+InfectedTelescopeOnly:
+				t = InfectedTargets{Telescope: true}
 			}
-			if lo >= hi {
-				continue
+			return t, true
+		case !misconfigured && u < ConfiguredInfectedShare:
+			t := InfectedTargets{Honeypots: true, Telescope: true, Configured: true}
+			switch {
+			case roll2 < ConfiguredHoneypotOnly:
+				t = InfectedTargets{Honeypots: true, Configured: true}
+			case roll2 < ConfiguredHoneypotOnly+ConfiguredTelescopeOnly:
+				t = InfectedTargets{Telescope: true, Configured: true}
 			}
-			wg.Add(1)
-			go func(w, lo, hi uint64) {
-				defer wg.Done()
-				var picks []pick
-				for i := lo; i < hi; i++ {
-					ip := prefix.Nth(i)
-					if t, ok := decide(ip); ok {
-						picks = append(picks, pick{ip: ip, t: t})
-					}
-				}
-				results[w] = picks
-			}(w, lo, hi)
+			return t, true
 		}
-		wg.Wait()
-		for _, picks := range results {
-			for _, p := range picks {
-				s.infected = append(s.infected, p.ip)
-				s.infectedAt[p.ip] = p.t
-			}
-		}
-		sort.Slice(s.infected, func(i, j int) bool { return s.infected[i] < s.infected[j] })
+		return InfectedTargets{}, false
 	}
+
+	size := prefix.Size()
+	workers := uint64(runtime.GOMAXPROCS(0))
+	if workers > size {
+		workers = 1
+	}
+	chunk := (size + workers - 1) / workers
+	results := make([][]pick, workers)
+	var wg sync.WaitGroup
+	for w := uint64(0); w < workers; w++ {
+		lo, hi := w*chunk, (w+1)*chunk
+		if hi > size {
+			hi = size
+		}
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w, lo, hi uint64) {
+			defer wg.Done()
+			var picks []pick
+			for i := lo; i < hi; i++ {
+				ip := prefix.Nth(i)
+				if t, ok := decide(ip); ok {
+					picks = append(picks, pick{ip: ip, t: t})
+				}
+			}
+			results[w] = picks
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, picks := range results {
+		for _, p := range picks {
+			in.ips = append(in.ips, p.ip)
+			in.targets = append(in.targets, p.t)
+		}
+	}
+	return in
+}
+
+// IPs returns the infected devices in ascending address order. Callers must
+// not modify the slice.
+func (in *Infected) IPs() []netsim.IPv4 { return in.ips }
+
+// TargetsFor returns where an infected device attacks.
+func (in *Infected) TargetsFor(ip netsim.IPv4) (InfectedTargets, bool) {
+	i := sort.Search(len(in.ips), func(i int) bool { return in.ips[i] >= ip })
+	if i == len(in.ips) || in.ips[i] != ip {
+		return InfectedTargets{}, false
+	}
+	return in.targets[i], true
+}
+
+// infectedSet returns the infected-device set of the Sources' seed and
+// universe, derived on first use — or the set UseInfected handed in — and
+// the same value on every later call. Safe for concurrent use: a World's
+// campaign and darknet generator share one Sources.
+func (s *Sources) infectedSet() *Infected {
+	s.infectedOnce.Do(func() { s.infected = DeriveInfected(s.seed, s.universe) })
 	return s.infected
 }
 
-// exposureOf reports whether ip exposes any scanned protocol and whether it
-// is misconfigured on at least one.
-func (s *Sources) exposureOf(ip netsim.IPv4) (misconfigured, exposed bool) {
-	exposed, misconfigured = s.universe.ExposureAny(ip)
-	return misconfigured, exposed
+// UseInfected hands the Sources an infected set already derived for its seed
+// and universe, so a fresh Sources per cycle does not walk the universe
+// again. It must come before the first DeriveInfected or InfectedTargetsFor
+// call, and in must match the Sources' seed and universe; it panics
+// otherwise.
+func (s *Sources) UseInfected(in *Infected) {
+	if in.seed != s.seed || in.universe != s.universe {
+		panic("attack: UseInfected with a set derived for another seed or universe")
+	}
+	s.infectedOnce.Do(func() { s.infected = in })
+	if s.infected != in {
+		panic("attack: UseInfected after the infected set was derived")
+	}
 }
+
+// DeriveInfected returns the infected devices in ascending address order:
+// the IPs of the Sources' infected set.
+func (s *Sources) DeriveInfected() []netsim.IPv4 { return s.infectedSet().IPs() }
 
 // InfectedTargetsFor returns where an infected source attacks.
 func (s *Sources) InfectedTargetsFor(ip netsim.IPv4) (InfectedTargets, bool) {
-	t, ok := s.infectedAt[ip]
-	return t, ok
+	return s.infectedSet().TargetsFor(ip)
 }
 
 // Class returns the ground-truth class of a source.

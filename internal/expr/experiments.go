@@ -720,15 +720,14 @@ func infectedSplitShare(w *World) float64 {
 		Prefix:       netsim.MustParsePrefix("100.0.0.0/12"),
 		DensityBoost: 64,
 	})
-	src := attack.NewSources(w.Cfg.Seed, u, nil, nil)
-	infected := src.DeriveInfected()
-	if len(infected) == 0 {
+	infected := attack.DeriveInfected(w.Cfg.Seed, u)
+	if len(infected.IPs()) == 0 {
 		return 0
 	}
 	both := 0
 	misconfigured := 0
-	for _, ip := range infected {
-		t, _ := src.InfectedTargetsFor(ip)
+	for _, ip := range infected.IPs() {
+		t, _ := infected.TargetsFor(ip)
 		if t.Configured {
 			continue
 		}

@@ -472,8 +472,11 @@ func (o ProbeOptions) timedOut(plan FaultPlan, drop bool) bool {
 // transmit puts a flow's first packet on the wire — a SYN, or a datagram of
 // size bytes — where the observers covering dst see it, and returns the TTL
 // it carried. Sweep, Dial and QueryX all send through here, so a telescope
-// cannot tell a liveness probe from the opening packet of a grab.
-func (n *Network) transmit(now time.Time, src, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
+// cannot tell a liveness probe from the opening packet of a grab. With
+// ephemeral set, src.Port is ignored and the flow's ephemeralPort goes on the
+// wire: an observer is the only reader of a sweep's source port, so the
+// port is derived only for a packet one sees.
+func (n *Network) transmit(now time.Time, src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
 	ttl := opts.TTL
 	if ttl == 0 {
 		ttl = n.DefaultTTL
@@ -481,6 +484,9 @@ func (n *Network) transmit(now time.Time, src, dst Endpoint, transport Transport
 	st := n.state.Load()
 	if st == nil || !st.observed(dst.IP) {
 		return ttl
+	}
+	if ephemeral {
+		src.Port = ephemeralPort(src.IP, dst)
 	}
 	kind := ProbeSYN
 	if transport == UDP {
@@ -517,12 +523,12 @@ const (
 // follows an Open verdict meets the same pathologies — and provider
 // precedence are those of Dial (TCP) and QueryX (UDP).
 func (n *Network) Sweep(src IPv4, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
-	return n.sweep(Endpoint{IP: src, Port: ephemeralPort(src, dst)}, dst, transport, size, opts)
+	return n.sweep(Endpoint{IP: src}, true, dst, transport, size, opts)
 }
 
-func (n *Network) sweep(src, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
+func (n *Network) sweep(src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
 	now := n.clock.Now()
-	n.transmit(now, src, dst, transport, size, opts)
+	n.transmit(now, src, ephemeral, dst, transport, size, opts)
 	if fm := n.Faults(); fm != nil {
 		plan := fm.PlanProbe(src.IP, dst, transport, opts.Attempt, now)
 		if plan.HostDown {
@@ -545,7 +551,7 @@ func (n *Network) sweep(src, dst Endpoint, transport Transport, size int, opts P
 // SynProbe is the TCP sweep from a source port of the caller's choosing: it
 // reports whether a host at dst accepts connections on the port.
 func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
-	return n.sweep(src, dst, TCP, 0, opts) == Open
+	return n.sweep(src, false, dst, TCP, 0, opts) == Open
 }
 
 // ErrConnRefused is returned by Dial when the destination host exists but
@@ -577,7 +583,7 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	n.stats.Dials.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	ttl := n.transmit(now, srcEP, dst, TCP, 0, opts)
+	ttl := n.transmit(now, srcEP, false, dst, TCP, 0, opts)
 	var plan FaultPlan
 	if fm := n.Faults(); fm != nil {
 		plan = fm.PlanProbe(src, dst, TCP, opts.Attempt, now)
@@ -716,7 +722,7 @@ func (n *Network) QueryX(src IPv4, dst Endpoint, payload []byte, opts ProbeOptio
 	n.stats.Datagrams.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	n.transmit(now, srcEP, dst, UDP, len(payload), opts)
+	n.transmit(now, srcEP, false, dst, UDP, len(payload), opts)
 	if fm := n.Faults(); fm != nil {
 		plan := fm.PlanProbe(src, dst, UDP, opts.Attempt, now)
 		if plan.HostDown {

@@ -96,16 +96,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// monthState is the attack month's live world: honeypot fabric, telescope
-// and darknet generator, all seeded for the current month and discarded at
-// the month boundary. Rebuilt after a restore by replaying construction.
+// monthState is the attack month's live world: honeypot fabric, telescope,
+// darknet generator and the month's infected-device set, all seeded for the
+// current month and discarded at the month boundary. Rebuilt after a restore
+// by replaying construction.
 type monthState struct {
-	clock   *netsim.SimClock
-	network *netsim.Network
-	pots    []*honeypot.Honeypot
-	log     *honeypot.Log
-	tel     *telescope.Telescope
-	gen     *attack.DarknetGenerator
+	clock    *netsim.SimClock
+	network  *netsim.Network
+	pots     []*honeypot.Honeypot
+	log      *honeypot.Log
+	tel      *telescope.Telescope
+	gen      *attack.DarknetGenerator
+	infected *attack.Infected
 }
 
 // serveCheckpoint is the daemon's durable state, committed at every cycle
@@ -213,10 +215,11 @@ func (l *Loop) sweepSeed(s int) uint64 {
 }
 
 // buildMonth replays month m's world construction: a fresh clock and fabric,
-// the six honeypots, the telescope, and a darknet generator whose Sources
-// instance shares the month seed (DeriveInfected is position-independent, so
-// the generator's infected Telnet scanners are the same devices the campaign
-// infects — the Section 5.3 cross-dataset joins stay faithful).
+// the six honeypots, the telescope, the month's infected-device set — the one
+// universe walk of the month — and a darknet generator whose Sources uses
+// that set. Every cycle's campaign Sources is handed the same set, so the
+// generator's infected Telnet scanners are the same devices the campaign
+// infects and the Section 5.3 cross-dataset joins stay faithful.
 func (l *Loop) buildMonth(m int) *monthState {
 	ms := l.monthSeed(m)
 	clock := netsim.NewSimClock(netsim.ExperimentStart)
@@ -224,16 +227,20 @@ func (l *Loop) buildMonth(m int) *monthState {
 	network.AddProvider(l.cfg.Prefix, l.universe)
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
 	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), l.geodb)
+	infected := attack.DeriveInfected(ms, l.universe)
+	genSources := attack.NewSources(ms, l.universe, nil, nil)
+	genSources.UseInfected(infected)
 	gen := attack.NewDarknetGenerator(attack.DarknetConfig{
 		Seed:      ms,
 		Telescope: tel,
-		Sources:   attack.NewSources(ms, l.universe, nil, nil),
+		Sources:   genSources,
 		GeoDB:     l.geodb,
 		Scale:     l.cfg.Scale,
 		Days:      monthDays,
 		Workers:   l.cfg.Workers,
 	})
-	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen}
+	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen,
+		infected: infected}
 }
 
 // Restore loads the checkpoint from cfg.CheckpointDir, if one exists: leg
@@ -313,15 +320,18 @@ func (l *Loop) runCycle() error {
 		span = obs.StartCycleSpan()
 	}
 
-	// Attack leg: one campaign day. The seeded world (pools, plans, intel
-	// services) is rebuilt each cycle by replaying construction — Sources is
-	// stateful, so only a fresh instance replays the same pool builds — and
-	// the scheduler position chains through Resume.
+	// Attack leg: one campaign day. What consumes a PRNG stream or registers
+	// intel (pools, plans, rdns/gn/vt) and the corpus are rebuilt each cycle
+	// by replaying construction — Sources' pool builds are stateful, so only
+	// a fresh instance replays the same pools — and the scheduler position
+	// chains through Resume. The infected set is a value: the fresh Sources
+	// uses the month's, and no campaign walks the universe.
 	ms := l.monthSeed(m)
 	rdns := geo.NewRDNS(ms)
 	gn := intel.NewGreyNoise(ms, 0.81)
 	vt := intel.NewVirusTotal()
 	sources := attack.NewSources(ms, l.universe, rdns, gn)
+	sources.UseInfected(l.month.infected)
 	var captured attack.CampaignResume
 	var campaign *attack.Campaign
 	campaign = attack.NewCampaign(attack.CampaignConfig{
