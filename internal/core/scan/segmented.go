@@ -3,6 +3,7 @@ package scan
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -78,7 +79,8 @@ type ModuleSnapshot struct {
 // canceled mid-segment Run returns ctx.Err() without calling OnSegment or
 // onCommit for that segment; the returned maps include the partial segment's
 // results so an interrupted caller can still flush them, but the last state a
-// hook saw stays resumable.
+// hook saw stays resumable. A resume state whose walk cursor no walk of this
+// scanner can hold is refused with ErrBadCursor before anything is probed.
 func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *SegmentedState,
 	segmentTargets int, onCommit func(*SegmentedState) error) (map[iot.Protocol][]*Result, map[iot.Protocol]Stats, error) {
 	if ctx == nil {
@@ -117,7 +119,9 @@ func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *Segmen
 	for st.Module < len(modules) {
 		m := modules[st.Module]
 		it := s.newIterator()
-		it.Seek(st.Iterator)
+		if err := it.Seek(st.Iterator); err != nil {
+			return nil, nil, fmt.Errorf("scan: resume module %d: %w", st.Module, err)
+		}
 		for {
 			segStart := time.Now()
 			// The breaker works on a copy of the committed hits, so a
@@ -230,8 +234,9 @@ type segment struct {
 // probeSegment is the one feed → probe → fold core: it draws the next ~max
 // targets from the walk on the calling goroutine, streams them in batches to
 // a pool of workers, waits for the barrier and returns the segment's sorted
-// results and summed stats. Nothing is sized by max, so any cadence costs
-// only the batches in flight.
+// results and summed stats. Nothing is sized by max: workers hand drained
+// batches back through a bounded free list the feed refills from, so a
+// segment of any length allocates only the batches in flight.
 //
 // The hot path is contention-free: each worker counts and collects into its
 // own padded shard, and the rate limiter (when enabled) grants tokens a
@@ -251,6 +256,9 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 	transport, size := m.Protocol().Transport(), m.SweepSize()
 	// Two batches of headroom per worker keep the feed ahead of the probes.
 	batches := make(chan []target, 2*workers)
+	// The free list holds every batch that can be in flight at once: the
+	// queued ones, one per worker and the one being filled.
+	free := make(chan []target, 3*workers+1)
 	shards := make([]workerShard, workers)
 	done := ctx.Done()
 	var wg sync.WaitGroup
@@ -276,6 +284,10 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 					}
 					i += n
 				}
+				select {
+				case free <- batch[:0]:
+				default: // unreachable: the list has room for every batch in flight
+				}
 			}
 		}(&shards[w])
 	}
@@ -293,7 +305,11 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 		if s.cfg.Progress != nil {
 			s.cfg.Progress(uint64(len(batch)))
 		}
-		batch = make([]target, 0, batchSize)
+		select {
+		case batch = <-free:
+		default:
+			batch = make([]target, 0, batchSize)
+		}
 		return true
 	}
 feed:

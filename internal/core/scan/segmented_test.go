@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -211,6 +212,88 @@ func TestHugeCadenceSizesNothing(t *testing.T) {
 	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
 		t.Fatalf("a 512-target sweep allocated %d MiB", grown>>20)
+	}
+}
+
+// TestFeedAllocatesPerBatchInFlight asserts the feed recycles its target
+// batches: a plain run over a dark /16 feeds four times the batches of a
+// dark /18, yet allocates within the batches that can be in flight at once
+// (queued, held by a worker, being filled) of what the /18 does.
+func TestFeedAllocatesPerBatchInFlight(t *testing.T) {
+	const workers = 64
+	mallocs := func(cidr string) uint64 {
+		s := NewScanner(Config{
+			Network: netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart)),
+			Source:  netsim.MustParseIPv4("130.226.0.1"),
+			Prefix:  netsim.MustParsePrefix(cidr), Seed: 5, Workers: workers,
+			Blocklist: netsim.NewPrefixSet(),
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, stats, err := s.Run(context.Background(), []ProbeModule{TelnetModule{}}, nil, 0, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * netsim.MustParsePrefix(cidr).Size(); stats[iot.ProtoTelnet].Negatives != want {
+			t.Fatalf("%s: %d negatives, want %d", cidr, stats[iot.ProtoTelnet].Negatives, want)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs("100.0.0.0/18"), mallocs("100.0.0.0/16")
+	if inFlight := uint64(3*workers + 1); large > small+inFlight {
+		t.Fatalf("a dark /16 allocated %d objects against a /18's %d: %d more than the %d batches that can be in flight",
+			large, small, large-small, inFlight)
+	}
+}
+
+// TestRunRefusesForeignCursor asserts Run refuses, before probing anything,
+// a resume cursor no walk of its permutation can hold: 0, which is not a
+// group element and would never come round to the first one, and the
+// modulus p and beyond, which would skip addresses. Each run has a deadline:
+// a walk that never ends must fail the test, not hang it.
+func TestRunRefusesForeignCursor(t *testing.T) {
+	prefix := netsim.MustParsePrefix("50.0.0.0/22") // 1,024 addresses
+	p := nextPrime(prefix.Size() + 1)
+	// run resumes a dark Telnet sweep at c and returns how many probe events
+	// it emitted and Run's error.
+	run := func(c PermutationCursor) (int64, error) {
+		var probes atomic.Int64
+		s := NewScanner(Config{
+			Network: netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart)),
+			Source:  netsim.MustParseIPv4("130.226.0.1"),
+			Prefix:  prefix, Seed: 5, Workers: 4,
+			Blocklist: netsim.NewPrefixSet(),
+			OnProbe:   func(ProbeEvent) { probes.Add(1) },
+		})
+		resume := &SegmentedState{Iterator: IteratorCursor{Perm: c}}
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := s.Run(context.Background(), []ProbeModule{TelnetModule{}}, resume, 0, nil)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			return probes.Load(), err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cursor %+v: Run still walking after 10s", c)
+			return 0, nil
+		}
+	}
+	for _, cur := range []uint64{0, p, p + 1, 1 << 40} {
+		probes, err := run(PermutationCursor{Cur: cur})
+		if !errors.Is(err, ErrBadCursor) {
+			t.Fatalf("cursor %d: Run returned %v, want ErrBadCursor", cur, err)
+		}
+		if probes != 0 {
+			t.Fatalf("cursor %d: %d probe events before the cursor was refused", cur, probes)
+		}
+	}
+	// The last group element and a finished walk are still accepted.
+	for _, c := range []PermutationCursor{{Cur: p - 1}, {Cur: 0, Done: true}} {
+		if _, err := run(c); err != nil {
+			t.Fatalf("cursor %+v refused: %v", c, err)
+		}
 	}
 }
 

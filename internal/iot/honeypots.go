@@ -50,8 +50,7 @@ var honeypotWeights = func() []float64 {
 // wildHoneypotAt is the planting roll: whether ip (inside the prefix) hosts
 // a wild honeypot.
 func (u *Universe) wildHoneypotAt(ip netsim.IPv4) bool {
-	h := u.src.Hash64(labelHoneypot, uint64(ip))
-	return float64(h>>11)/(1<<53) < u.honeypotDensity
+	return below(prng.Hash64From(u.honeypotPre, uint64(ip)), u.honeypotDensity)
 }
 
 // WildHoneypot reports whether ip hosts a wild (Internet-deployed) honeypot
@@ -61,7 +60,7 @@ func (u *Universe) WildHoneypot(ip netsim.IPv4) (HoneypotFamily, bool) {
 	if !u.cfg.Prefix.Contains(ip) || !u.wildHoneypotAt(ip) {
 		return HoneypotFamily{}, false
 	}
-	pick := prng.New(u.src.Hash64(labelHoneypot, uint64(ip), 7))
+	pick := prng.New(prng.Hash64From(u.honeypotPre, uint64(ip), 7))
 	return HoneypotFamilies[pick.WeightedChoice(honeypotWeights)], true
 }
 

@@ -94,10 +94,10 @@ func (u *Universe) indexRange(lo, hi uint64) []Exposed {
 	for i := lo; i < hi; i++ {
 		ip := u.cfg.Prefix.Nth(i)
 		x := Exposed{IP: ip, Honeypot: u.wildHoneypotAt(ip)}
-		pre := u.src.HashPrefix(labelExposed, uint64(ip))
+		pre := u.exposurePrefix(ip)
 		for b := range scanned {
 			e := &scanned[b]
-			if h := prng.Hash64From(pre, e.ph); float64(h>>11)/(1<<53) < e.density {
+			if below(prng.Hash64From(pre, e.ph), e.density) {
 				x.Protocols |= 1 << b
 			}
 		}

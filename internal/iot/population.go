@@ -80,6 +80,12 @@ type Universe struct {
 	// honeypotDensity is the boost-applied wild-honeypot planting density.
 	honeypotDensity float64
 
+	// exposedPre, honeypotPre and altPortPre are the seed with the roll's
+	// label folded in (prng.HashPrefix): every roll about one address
+	// finishes from them with prng.Hash64From, the same hash as
+	// src.Hash64(label, ...) without refolding the constant label each time.
+	exposedPre, honeypotPre, altPortPre uint64
+
 	// exposure holds, per probe-able protocol, everything a derivation about
 	// it needs, precomputed: the sweep resolves a port, the crawls an
 	// exposure and the grab a spec for millions of (address, protocol) pairs,
@@ -100,6 +106,7 @@ type exposureEntry struct {
 	ext       bool    // extension (future-work) protocol
 	transport netsim.Transport
 	port      uint16 // DefaultPort; Telnet devices listen here or on telnetAltPort
+	telnet    bool   // proto is ProtoTelnet
 	shares    []classShare
 	// models and weights drive the model choice (scanned protocols only).
 	models  []DeviceModel
@@ -115,6 +122,9 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 		cfg.WeakCredentialShare = 0.15
 	}
 	u := &Universe{cfg: cfg, src: prng.New(cfg.Seed)}
+	u.exposedPre = u.src.HashPrefix(labelExposed)
+	u.honeypotPre = u.src.HashPrefix(labelHoneypot)
+	u.altPortPre = u.src.HashPrefix(labelAltPort)
 	u.honeypotDensity = honeypotDensity * cfg.DensityBoost
 	if cfg.HoneypotBoost > 0 {
 		u.honeypotDensity = honeypotDensity * cfg.HoneypotBoost
@@ -128,7 +138,7 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 		u.exposure = append(u.exposure, exposureEntry{
 			proto: p, ph: prng.HashString(string(p)),
 			density:   clampDensity(exposureDensity[p] * cfg.DensityBoost),
-			transport: p.Transport(), port: p.DefaultPort(),
+			transport: p.Transport(), port: p.DefaultPort(), telnet: p == ProtoTelnet,
 			shares: misconfigShares[p], models: models, weights: weights,
 		})
 	}
@@ -180,11 +190,22 @@ func (u *Universe) entry(p Protocol, ext bool) *exposureEntry {
 	return nil
 }
 
+// below reports whether hash h, read as a uniform draw from [0, 1), falls
+// below p: how every planting and exposure roll turns its hash into a verdict.
+func below(h uint64, p float64) bool {
+	return float64(h>>11)/(1<<53) < p
+}
+
+// exposurePrefix is the chaining value every exposure roll at ip starts
+// from: src.HashPrefix(labelExposed, ip).
+func (u *Universe) exposurePrefix(ip netsim.IPv4) uint64 {
+	return prng.HashPrefixFrom(u.exposedPre, uint64(ip))
+}
+
 // exposed is the exposure roll: whether the device at ip speaks e's protocol.
 // Every other derivation about (ip, protocol) is conditional on it.
 func (u *Universe) exposed(ip netsim.IPv4, e *exposureEntry) bool {
-	h := u.src.Hash64(labelExposed, uint64(ip), e.ph)
-	return float64(h>>11)/(1<<53) < e.density
+	return below(prng.Hash64From(u.exposurePrefix(ip), e.ph), e.density)
 }
 
 // Exposes reports whether ip exposes scanned protocol p: Spec's ok, without
@@ -225,14 +246,10 @@ func (u *Universe) ExposureAny(ip netsim.IPv4) (exposed, misconfigured bool) {
 	if !u.cfg.Prefix.Contains(ip) {
 		return false, false
 	}
-	pre := u.src.HashPrefix(labelExposed, uint64(ip))
+	pre := u.exposurePrefix(ip)
 	for i := range u.exposure {
 		e := &u.exposure[i]
-		if e.ext {
-			continue
-		}
-		h := prng.Hash64From(pre, e.ph)
-		if float64(h>>11)/(1<<53) >= e.density {
+		if e.ext || !below(prng.Hash64From(pre, e.ph), e.density) {
 			continue
 		}
 		exposed = true
@@ -306,7 +323,7 @@ const telnetAltPort = 2323
 // TelnetPort returns which Telnet port the device listens on: most use 23,
 // a minority 2323 (which is why the paper scans both, Section 4.1.1).
 func (u *Universe) TelnetPort(ip netsim.IPv4) uint16 {
-	if u.src.Hash64(labelAltPort, uint64(ip))%100 < 7 {
+	if prng.Hash64From(u.altPortPre, uint64(ip))%100 < 7 {
 		return telnetAltPort
 	}
 	return 23
@@ -321,11 +338,10 @@ func (u *Universe) TelnetPort(ip netsim.IPv4) uint16 {
 func (u *Universe) listener(ip netsim.IPv4, transport netsim.Transport, port uint16) *exposureEntry {
 	for i := range u.exposure {
 		e := &u.exposure[i]
-		telnet := e.proto == ProtoTelnet
-		if e.transport != transport || (e.port != port && !(telnet && port == telnetAltPort)) {
+		if e.transport != transport || (e.port != port && !(e.telnet && port == telnetAltPort)) {
 			continue
 		}
-		if !u.exposed(ip, e) || (telnet && u.TelnetPort(ip) != port) {
+		if !u.exposed(ip, e) || (e.telnet && u.TelnetPort(ip) != port) {
 			return nil
 		}
 		return e
@@ -334,16 +350,20 @@ func (u *Universe) listener(ip netsim.IPv4, transport netsim.Transport, port uin
 }
 
 // PortOpen implements netsim.PortProber: the answer Host(ip) and its
-// StreamService/DatagramService(port) would give, from the wild-honeypot
-// roll and listener's one or two, with no allocation.
+// StreamService/DatagramService(port) would give, with no allocation. A wild
+// honeypot shadows the device at its address and listens on TCP/23 alone, so
+// on that port either one opens it, and on every other port the device's
+// listener does unless a honeypot shadows it. Rolling the port's owner first
+// makes a dark address cost listener's one exposure roll on every port but
+// 23: the planting roll is only made where it can change the answer.
 func (u *Universe) PortOpen(ip netsim.IPv4, transport netsim.Transport, port uint16) bool {
 	if !u.cfg.Prefix.Contains(ip) {
 		return false
 	}
-	if u.wildHoneypotAt(ip) {
-		return wildHoneypotListens(transport, port)
+	if wildHoneypotListens(transport, port) {
+		return u.wildHoneypotAt(ip) || u.listener(ip, transport, port) != nil
 	}
-	return u.listener(ip, transport, port) != nil
+	return u.listener(ip, transport, port) != nil && !u.wildHoneypotAt(ip)
 }
 
 // Host implements netsim.HostProvider. Returns nil for dark addresses. Wild

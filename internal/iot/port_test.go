@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"openhire/internal/netsim"
+	"openhire/internal/prng"
 )
 
 // TestPortOpenIsTheHost checks the port oracle against the host it stands in
@@ -99,5 +100,53 @@ func TestExposesIsSpecOK(t *testing.T) {
 	}
 	if u.Exposes(netsim.MustParseIPv4("200.0.0.1"), ProtoTelnet) {
 		t.Fatal("exposure outside the prefix")
+	}
+}
+
+// TestFoldedRollsAreTheUnfoldedHashes pins every roll that finishes from a
+// label folded once per universe to the hash it stands for,
+// u.src.Hash64(label, ...), over generated seeds and addresses. Every density
+// is set to one half, so a roll reading a different hash disagrees with the
+// reference on about half the draws and the failure names the roll.
+func TestFoldedRollsAreTheUnfoldedHashes(t *testing.T) {
+	gen := prng.New(2021)
+	for trial := 0; trial < 64; trial++ {
+		u := NewUniverse(UniverseConfig{Seed: gen.Uint64(), Prefix: netsim.MustParsePrefix("0.0.0.0/0")})
+		u.honeypotDensity = 0.5
+		for i := range u.exposure {
+			u.exposure[i].density = 0.5
+		}
+		for n := 0; n < 64; n++ {
+			ip := netsim.IPv4(gen.Uint32())
+			anyExposed := false
+			for i := range u.exposure {
+				e := &u.exposure[i]
+				want := below(u.src.Hash64(labelExposed, uint64(ip), e.ph), e.density)
+				if got := u.exposed(ip, e); got != want {
+					t.Fatalf("seed %d: exposure roll (%s) at %v = %v, unfolded hash says %v", u.cfg.Seed, e.proto, ip, got, want)
+				}
+				anyExposed = anyExposed || (want && !e.ext)
+			}
+			if got, _ := u.ExposureAny(ip); got != anyExposed {
+				t.Fatalf("seed %d: ExposureAny's exposure rolls at %v = %v, unfolded hashes say %v", u.cfg.Seed, ip, got, anyExposed)
+			}
+			wantHoneypot := below(u.src.Hash64(labelHoneypot, uint64(ip)), u.honeypotDensity)
+			if got := u.wildHoneypotAt(ip); got != wantHoneypot {
+				t.Fatalf("seed %d: wild-honeypot roll at %v = %v, unfolded hash says %v", u.cfg.Seed, ip, got, wantHoneypot)
+			}
+			if family, ok := u.WildHoneypot(ip); ok {
+				want := HoneypotFamilies[prng.New(u.src.Hash64(labelHoneypot, uint64(ip), 7)).WeightedChoice(honeypotWeights)]
+				if family.Name != want.Name {
+					t.Fatalf("seed %d: wild-honeypot family roll at %v = %s, unfolded hash says %s", u.cfg.Seed, ip, family.Name, want.Name)
+				}
+			}
+			wantPort := uint16(23)
+			if u.src.Hash64(labelAltPort, uint64(ip))%100 < 7 {
+				wantPort = telnetAltPort
+			}
+			if got := u.TelnetPort(ip); got != wantPort {
+				t.Fatalf("seed %d: alt-port roll at %v = %d, unfolded hash says %d", u.cfg.Seed, ip, got, wantPort)
+			}
+		}
 	}
 }

@@ -208,10 +208,10 @@ type FaultModel interface {
 // providers (checked most-specific first); traffic generates events for
 // observers whose prefix covers the destination.
 //
-// The probe hot path (lookupHost, emit) is lock-free: registrations live in
-// an immutable snapshot behind an atomic pointer, rebuilt copy-on-write by
-// AddProvider/AddObserver. Readers pay one atomic load per probe and never
-// contend with each other or with writers.
+// The probe hot path (lookupHost, sweep, emit) is lock-free: registrations
+// live in an immutable snapshot behind an atomic pointer, rebuilt
+// copy-on-write by AddProvider/AddObserver. Readers pay one atomic load per
+// probe and never contend with each other or with writers.
 type Network struct {
 	writeMu sync.Mutex // serializes copy-on-write snapshot rebuilds
 	state   atomic.Pointer[netState]
@@ -279,6 +279,11 @@ type netState struct {
 	// precedence (most-specific wins, ties to the later registration,
 	// nil hosts fall through to less-specific providers).
 	providers []providerEntry
+	// byOctet holds, per destination top octet, the providers whose prefix
+	// can cover an address with that octet, in providers' order: a lookup
+	// walks only those, so a probe of the universe never tests the deployed
+	// honeypots' /32s in other octets. Nil until a provider is registered.
+	byOctet   *[256][]providerEntry
 	observers []observerEntry
 	// obsOctets marks, per destination top octet, whether any observer
 	// prefix can cover an address with that octet (see observed).
@@ -336,6 +341,7 @@ func (n *Network) AddProvider(prefix Prefix, p HostProvider) {
 		}
 		return a.seq > b.seq // later registration first
 	})
+	next.byOctet = octetTable(next.providers)
 	n.state.Store(next)
 }
 
@@ -346,6 +352,7 @@ func (n *Network) AddObserver(prefix Prefix, o Observer) {
 	cur := n.state.Load()
 	next := &netState{
 		providers: cur.providers,
+		byOctet:   cur.byOctet,
 		observers: make([]observerEntry, len(cur.observers), len(cur.observers)+1),
 		obsOctets: cur.obsOctets,
 	}
@@ -355,22 +362,43 @@ func (n *Network) AddObserver(prefix Prefix, o Observer) {
 	n.state.Store(next)
 }
 
+// octetRange returns the first and last top octet of p's addresses.
+func octetRange(p Prefix) (lo, hi uint32) {
+	return uint32(p.First()) >> 24, uint32(p.Last()) >> 24
+}
+
 // markOctets sets the top-octet bits reachable through prefix.
 func markOctets(bm *[4]uint64, p Prefix) {
-	lo := uint32(p.First()) >> 24
-	hi := uint32(p.Last()) >> 24
+	lo, hi := octetRange(p)
 	for o := lo; o <= hi; o++ {
 		bm[o>>6] |= 1 << (o & 63)
 	}
 }
 
-// lookupHost resolves ip through the registered providers.
-func (n *Network) lookupHost(ip IPv4) Host {
-	st := n.state.Load()
-	if st == nil {
+// octetTable files each provider under every top octet its prefix reaches,
+// keeping the providers' precedence order within each octet.
+func octetTable(providers []providerEntry) *[256][]providerEntry {
+	var t [256][]providerEntry
+	for _, e := range providers {
+		lo, hi := octetRange(e.prefix)
+		for o := lo; o <= hi; o++ {
+			t[o] = append(t[o], e)
+		}
+	}
+	return &t
+}
+
+// candidates returns, in precedence order, the providers that can cover ip.
+func (st *netState) candidates(ip IPv4) []providerEntry {
+	if st.byOctet == nil {
 		return nil
 	}
-	for _, e := range st.providers {
+	return st.byOctet[uint32(ip)>>24]
+}
+
+// lookupHost resolves ip through the registered providers.
+func (n *Network) lookupHost(ip IPv4) Host {
+	for _, e := range n.state.Load().candidates(ip) {
 		if e.prefix.Contains(ip) {
 			if h := e.provider.Host(ip); h != nil {
 				return h
@@ -383,12 +411,9 @@ func (n *Network) lookupHost(ip IPv4) Host {
 // portOpen resolves one port of ip through the registered providers, with
 // lookupHost's precedence: the first provider that has a host at ip decides,
 // whether or not the port is open on it.
-func (n *Network) portOpen(ip IPv4, transport Transport, port uint16) bool {
-	st := n.state.Load()
-	if st == nil {
-		return false
-	}
-	for i, e := range st.providers {
+func (st *netState) portOpen(ip IPv4, transport Transport, port uint16) bool {
+	providers := st.candidates(ip)
+	for i, e := range providers {
 		if !e.prefix.Contains(ip) {
 			continue
 		}
@@ -399,7 +424,7 @@ func (n *Network) portOpen(ip IPv4, transport Transport, port uint16) bool {
 			// Not open here. A less specific provider only gets a say when
 			// this one has no host at ip at all, so unless one covers ip
 			// the answer is final and the host is never built.
-			if !covered(st.providers[i+1:], ip) {
+			if !covered(providers[i+1:], ip) {
 				return false
 			}
 		}
@@ -442,7 +467,7 @@ func (st *netState) deliver(ev ProbeEvent) {
 
 // emit delivers an event to every observer covering the destination.
 func (n *Network) emit(ev ProbeEvent) {
-	if st := n.state.Load(); st != nil && st.observed(ev.Dst.IP) {
+	if st := n.state.Load(); st.observed(ev.Dst.IP) {
 		st.deliver(ev)
 	}
 }
@@ -470,19 +495,19 @@ func (o ProbeOptions) timedOut(plan FaultPlan, drop bool) bool {
 }
 
 // transmit puts a flow's first packet on the wire — a SYN, or a datagram of
-// size bytes — where the observers covering dst see it, and returns the TTL
-// it carried. Sweep, Dial and QueryX all send through here, so a telescope
-// cannot tell a liveness probe from the opening packet of a grab. With
-// ephemeral set, src.Port is ignored and the flow's ephemeralPort goes on the
-// wire: an observer is the only reader of a sweep's source port, so the
-// port is derived only for a packet one sees.
-func (n *Network) transmit(now time.Time, src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
+// size bytes — where the observers of snapshot st covering dst see it, and
+// returns the TTL it carried. Sweep, Dial and QueryX all send through here,
+// so a telescope cannot tell a liveness probe from the opening packet of a
+// grab. With ephemeral set, src.Port is ignored and the flow's ephemeralPort
+// goes on the wire: an observer is the only reader of a sweep's source port,
+// so the port is derived only for a packet one sees. now, too, is read only
+// for such a packet, so a caller without one may leave it zero.
+func (n *Network) transmit(st *netState, now time.Time, src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
 	ttl := opts.TTL
 	if ttl == 0 {
 		ttl = n.DefaultTTL
 	}
-	st := n.state.Load()
-	if st == nil || !st.observed(dst.IP) {
+	if !st.observed(dst.IP) {
 		return ttl
 	}
 	if ephemeral {
@@ -527,9 +552,20 @@ func (n *Network) Sweep(src IPv4, dst Endpoint, transport Transport, size int, o
 }
 
 func (n *Network) sweep(src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
-	now := n.clock.Now()
-	n.transmit(now, src, ephemeral, dst, transport, size, opts)
-	if fm := n.Faults(); fm != nil {
+	st := n.state.Load()
+	fm := n.Faults()
+	// An observer's event and the fault plan are the only readers of the
+	// simulated time, so a sweep that feeds neither never reads the clock
+	// and, unseen, puts nothing on the wire.
+	observed := st.observed(dst.IP)
+	var now time.Time
+	if fm != nil || observed {
+		now = n.clock.Now()
+	}
+	if observed {
+		n.transmit(st, now, src, ephemeral, dst, transport, size, opts)
+	}
+	if fm != nil {
 		plan := fm.PlanProbe(src.IP, dst, transport, opts.Attempt, now)
 		if plan.HostDown {
 			return Silent
@@ -542,7 +578,7 @@ func (n *Network) sweep(src Endpoint, ephemeral bool, dst Endpoint, transport Tr
 			return Lost
 		}
 	}
-	if n.portOpen(dst.IP, transport, dst.Port) {
+	if st.portOpen(dst.IP, transport, dst.Port) {
 		return Open
 	}
 	return Silent
@@ -583,7 +619,7 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	n.stats.Dials.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	ttl := n.transmit(now, srcEP, false, dst, TCP, 0, opts)
+	ttl := n.transmit(n.state.Load(), now, srcEP, false, dst, TCP, 0, opts)
 	var plan FaultPlan
 	if fm := n.Faults(); fm != nil {
 		plan = fm.PlanProbe(src, dst, TCP, opts.Attempt, now)
@@ -722,7 +758,7 @@ func (n *Network) QueryX(src IPv4, dst Endpoint, payload []byte, opts ProbeOptio
 	n.stats.Datagrams.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	n.transmit(now, srcEP, false, dst, UDP, len(payload), opts)
+	n.transmit(n.state.Load(), now, srcEP, false, dst, UDP, len(payload), opts)
 	if fm := n.Faults(); fm != nil {
 		plan := fm.PlanProbe(src, dst, UDP, opts.Attempt, now)
 		if plan.HostDown {

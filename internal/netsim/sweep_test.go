@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,109 @@ func TestSweepProviderPrecedence(t *testing.T) {
 	}
 	if built := wide.hostBuilt.Load() - before; built != 0 {
 		t.Fatalf("sweeping a dark address built %d hosts, want 0", built)
+	}
+}
+
+// TestOctetTableEqualsLinearScan checks the per-top-octet provider table
+// against the precedence rule it indexes, over generated fabrics: prefixes
+// from a /0 and a /7 that span several top octets down to /32s, equal-length
+// ties (the same prefix registered twice among them), providers with and
+// without the port-level fast path whose nil hosts fall through, and an
+// observer registered before, between or after the providers. For every
+// address and port, Sweep, Dial and QueryX must reach a service exactly when
+// a linear scan of the registrations — longest covering prefix with a host,
+// ties to the later registration — finds one listening there.
+func TestOctetTableEqualsLinearScan(t *testing.T) {
+	r := rand.New(rand.NewPCG(33, 0))
+	// Addresses come from four top octets and a few /24s in each, so
+	// generated prefixes overlap.
+	addr := func() IPv4 {
+		return IPv4((10+r.Uint32N(4))<<24 | r.Uint32N(3)<<16 | r.Uint32N(2)<<8 | r.Uint32N(8))
+	}
+	bitsChoice := []int{0, 7, 8, 8, 15, 16, 16, 24, 24, 32}
+	type registration struct {
+		prefix Prefix
+		host   func(IPv4) Host
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := NewNetwork(NewSimClock(ExperimentStart))
+		var regs []registration
+		const providers = 6
+		observerAt := r.IntN(providers + 1)
+		for k := 0; k <= providers; k++ {
+			if k == observerAt {
+				n.AddObserver(NewPrefix(addr(), 8), ObserverFunc(func(ProbeEvent) {}))
+			}
+			if k == providers {
+				break
+			}
+			prefix := NewPrefix(addr(), bitsChoice[r.IntN(len(bitsChoice))])
+			if k > 0 && r.IntN(4) == 0 {
+				prefix = regs[r.IntN(k)].prefix // an exact tie
+			}
+			hosts := map[IPv4]portHost{}
+			for i := 0; i < 24; i++ {
+				hosts[addr()] = portHost{Transport(r.IntN(2)), uint16(7 + r.IntN(3))}
+			}
+			host := func(ip IPv4) Host {
+				if h, ok := hosts[ip]; ok {
+					return h
+				}
+				return nil
+			}
+			regs = append(regs, registration{prefix, host})
+			if r.IntN(2) == 0 {
+				n.AddProvider(prefix, &derivedProvider{hosts: hosts})
+			} else {
+				n.AddProvider(prefix, HostProviderFunc(host))
+			}
+		}
+		reference := func(ip IPv4) Host {
+			best := -1
+			for i, reg := range regs {
+				if !reg.prefix.Contains(ip) || reg.host(ip) == nil {
+					continue
+				}
+				if best < 0 || reg.prefix.Bits >= regs[best].prefix.Bits {
+					best = i
+				}
+			}
+			if best < 0 {
+				return nil
+			}
+			return regs[best].host(ip)
+		}
+		for i := 0; i < 96; i++ {
+			ip := addr()
+			if i%16 == 0 {
+				ip = IPv4(r.Uint32()) // mostly outside every prefix
+			}
+			want := reference(ip)
+			for port := uint16(7); port <= 9; port++ {
+				dst := Endpoint{IP: ip, Port: port}
+				wantTCP := want != nil && want.StreamService(port) != nil
+				wantUDP := want != nil && want.DatagramService(port) != nil
+				conn, err := n.Dial(context.Background(), 1, dst, ProbeOptions{})
+				if err == nil {
+					conn.Close()
+				}
+				_, qo := n.QueryX(1, dst, []byte("x"), ProbeOptions{})
+				for _, c := range []struct {
+					what      string
+					got, want bool
+				}{
+					{"Dial", err == nil, wantTCP},
+					{"QueryX", qo == QueryAnswered, wantUDP},
+					{"TCP Sweep", n.Sweep(1, dst, TCP, 0, ProbeOptions{}) == Open, wantTCP},
+					{"UDP Sweep", n.Sweep(1, dst, UDP, 1, ProbeOptions{}) == Open, wantUDP},
+				} {
+					if c.got != c.want {
+						t.Fatalf("trial %d, %v: %s reached a service = %v, the linear scan says %v",
+							trial, dst, c.what, c.got, c.want)
+					}
+				}
+			}
+		}
 	}
 }
 

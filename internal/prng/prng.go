@@ -92,7 +92,14 @@ func (s *Source) Hash64(labels ...uint64) uint64 {
 // common label prefix (the exposure walk hashes every address against every
 // protocol) fold the prefix once and finish each hash with Hash64From.
 func (s *Source) HashPrefix(labels ...uint64) uint64 {
-	h := s.seed
+	return HashPrefixFrom(s.seed, labels...)
+}
+
+// HashPrefixFrom extends a HashPrefix chaining value by more labels; for any
+// split of the label list, HashPrefixFrom(HashPrefix(a...), b...) ==
+// HashPrefix(a..., b...). A constant label folded once and extended per
+// value costs one mix less per hash than refolding it every time.
+func HashPrefixFrom(h uint64, labels ...uint64) uint64 {
 	for _, l := range labels {
 		h = mix(h ^ (l + golden))
 	}
@@ -103,10 +110,7 @@ func (s *Source) HashPrefix(labels ...uint64) uint64 {
 // split of the label list, Hash64From(HashPrefix(a...), b...) ==
 // Hash64(a..., b...).
 func Hash64From(h uint64, labels ...uint64) uint64 {
-	for _, l := range labels {
-		h = mix(h ^ (l + golden))
-	}
-	return mix(h + golden)
+	return mix(HashPrefixFrom(h, labels...) + golden)
 }
 
 // HashString folds a string label into a uint64 suitable for Derive/Hash64.

@@ -65,6 +65,21 @@ func TestHash64Stable(t *testing.T) {
 	}
 }
 
+// TestHashSplitIdentity pins the documented identities of the chaining
+// helpers: wherever the label list is split, folding the head once and
+// finishing with the tail gives Hash64 and HashPrefix of the whole list.
+func TestHashSplitIdentity(t *testing.T) {
+	f := func(seed, a, b, c uint64) bool {
+		s := New(seed)
+		return Hash64From(s.HashPrefix(a), b, c) == s.Hash64(a, b, c) &&
+			Hash64From(HashPrefixFrom(s.HashPrefix(a), b), c) == s.Hash64(a, b, c) &&
+			HashPrefixFrom(s.HashPrefix(), a, b) == s.HashPrefix(a, b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHashString(t *testing.T) {
 	if HashString("telnet") == HashString("mqtt") {
 		t.Fatal("distinct strings hashed equal")
