@@ -24,33 +24,13 @@ race:
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
-# detector, then a 10-iteration fuzz smoke over the Telnet/MQTT parsers, the
-# CoAP server and the SSDP M-SEARCH parser, the stream servers' chunking
-# invariance, the scanner's eight grab modules, the FlowTuple codec, the
-# two analyses that read attacker-controlled banners (the classifier and the
-# honeypot fingerprint filter), and the -faults spec and /api/timeseries
-# query parsers.
+# detector, then scripts/fuzz_smoke.sh: every Fuzz target in the module, found
+# with `go test -list`, for 10 fresh inputs each.
 chaos:
 	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 		./internal/core/scan/ ./internal/core/classify/
 	go test -race ./internal/netsim/faults/
-	for target in FuzzSplitStream FuzzEscapeRoundTrip; do \
-		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/protocols/telnet/ || exit 1; \
-	done
-	for target in FuzzReadPacket FuzzTopicMatches; do \
-		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/protocols/mqtt/ || exit 1; \
-	done
-	go test -run '^FuzzHandleDatagram$$' -fuzz '^FuzzHandleDatagram$$' -fuzztime 10x ./internal/protocols/coap/
-	go test -run '^FuzzParseMSearch$$' -fuzz '^FuzzParseMSearch$$' -fuzztime 10x ./internal/protocols/upnp/
-	go test -run '^FuzzStepperChunking$$' -fuzz '^FuzzStepperChunking$$' -fuzztime 10x ./internal/honeypot/
-	go test -run '^FuzzGrab$$' -fuzz '^FuzzGrab$$' -fuzztime 10x ./internal/core/scan/
-	for target in FuzzReadBinary FuzzFlowCSV; do \
-		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime 10x ./internal/telescope/ || exit 1; \
-	done
-	go test -run '^FuzzClassify$$' -fuzz '^FuzzClassify$$' -fuzztime 10x ./internal/core/classify/
-	go test -run '^FuzzMatchResult$$' -fuzz '^FuzzMatchResult$$' -fuzztime 10x ./internal/core/fingerprint/
-	go test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime 10x ./internal/netsim/faults/
-	go test -run '^FuzzParseQuery$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10x ./internal/obs/tsdb/
+	./scripts/fuzz_smoke.sh
 
 # crash runs the kill-and-resume gate: checkpoint container round-trip and
 # corruption rejection, per-leg resume property tests, and the crashpoint

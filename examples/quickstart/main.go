@@ -7,7 +7,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"openhire/internal/core/classify"
 	"openhire/internal/core/fingerprint"
@@ -17,6 +19,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the world, scans it and writes one count line per protocol,
+// then a few sample findings, to w.
+func run(w io.Writer) error {
 	// 1. A /20 universe (4,096 addresses) with a boosted device density so
 	//    the small range still contains a realistic population.
 	prefix := netsim.MustParsePrefix("100.0.0.0/20")
@@ -38,40 +48,37 @@ func main() {
 	})
 	results, _, err := scanner.Run(context.Background(), scan.AllModules(), nil, 0, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// 3. Filter honeypots and classify misconfigurations.
+	// 3. Filter honeypots and classify misconfigurations, once per protocol;
+	//    keep each protocol's first two misconfigured findings for step 4.
+	var samples []classify.Finding
 	for _, proto := range iot.ScannedProtocols {
 		genuine, honeypots := fingerprint.Filter(results[proto])
-		findings := classify.ClassifyAll(genuine)
-		misconfigured := 0
-		for _, f := range findings {
-			if f.Misconfigured() {
-				misconfigured++
-			}
-		}
-		fmt.Printf("%-7s exposed=%-4d misconfigured=%-4d honeypots=%d\n",
-			proto, len(genuine), misconfigured, len(honeypots))
-	}
-
-	// 4. Show a few concrete findings with their evidence.
-	fmt.Println("\nsample findings:")
-	shown := 0
-	for _, proto := range iot.ScannedProtocols {
-		genuine, _ := fingerprint.Filter(results[proto])
+		n := 0
 		for _, f := range classify.ClassifyAll(genuine) {
-			if !f.Misconfigured() || shown >= 8 {
+			if !f.Misconfigured() {
 				continue
 			}
-			shown++
-			device := f.DeviceModel
-			if device == "" {
-				device = "(untyped)"
+			if n < 2 {
+				samples = append(samples, f)
 			}
-			fmt.Printf("  %-15s %-7s %-28s evidence: %q\n",
-				f.Result.IP, proto, f.Misconfig, f.Indicator)
-			_ = device
+			n++
 		}
+		fmt.Fprintf(w, "%-7s exposed=%-4d misconfigured=%-4d honeypots=%d\n",
+			proto, len(genuine), n, len(honeypots))
 	}
+
+	// 4. Show a few concrete findings with their device and evidence.
+	fmt.Fprintln(w, "\nsample findings:")
+	for _, f := range samples {
+		device := f.DeviceModel
+		if device == "" {
+			device = "(untyped)"
+		}
+		fmt.Fprintf(w, "  %-15s %-7s %-28s %-24s evidence: %q\n",
+			f.Result.IP, f.Result.Protocol, f.Misconfig, device, f.Indicator)
+	}
+	return nil
 }

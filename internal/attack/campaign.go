@@ -44,9 +44,6 @@ type CampaignConfig struct {
 	VirusTotal *intel.VirusTotal
 	// RDNS, when set, is used for scanning-service reverse registration.
 	RDNS *geo.RDNS
-	// MultistageActors is the number of deliberate multi-protocol
-	// adversaries to schedule (0 = scaled PaperMultistageCount).
-	MultistageActors int
 	// OnDay, when set, is called at each day boundary after the day's jobs
 	// have drained and the fabric has quiesced, with the day index and the
 	// cumulative planned/run event counts. It runs on the single-threaded
@@ -444,15 +441,9 @@ type multistageStep struct {
 // planMultistage builds the Figure 9 adversaries: sequences starting with
 // Telnet/SSH, hitting SMB heavily at stage two and S7 at stage three.
 func (c *Campaign) planMultistage() []multistagePlan {
-	count := c.cfg.MultistageActors
-	if count == 0 {
-		count = scaleCount(PaperMultistageCount, c.cfg.Intensity)
-		// Keep enough actors for the Figure 9 stage distribution to be
-		// visible even in heavily scaled-down replays.
-		if count < 10 {
-			count = 10
-		}
-	}
+	// Keep enough actors for the Figure 9 stage distribution to be visible
+	// even in heavily scaled-down replays.
+	count := max(scaleCount(PaperMultistageCount, c.cfg.Intensity), 10)
 	gen := c.src.Derive(prng.HashString("multistage"))
 	var plans []multistagePlan
 	for i := 0; i < count; i++ {

@@ -263,11 +263,11 @@ func TestScanCancelAbortsThrottledSweep(t *testing.T) {
 }
 
 // TestBackoffSchedule pins the retransmit schedule: exponential growth from
-// RetransmitBase, jitter in [0, delay/2] drawn from the derived stream, and
+// retransmitBase, jitter in [0, delay/2] drawn from the derived stream, and
 // a hard cap for large attempt ordinals (including the shift-overflow case).
 func TestBackoffSchedule(t *testing.T) {
 	s := NewScanner(Config{Network: netsim.NewNetwork(nil), Prefix: netsim.MustParsePrefix("10.0.0.0/24")})
-	base, cap := s.cfg.RetransmitBase, s.cfg.RetransmitCap
+	base, cap := retransmitBase, retransmitCap
 	cases := []struct {
 		attempt  uint32
 		min, max time.Duration

@@ -1,11 +1,16 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"regexp"
+	"slices"
 	"sort"
 	"testing"
 
@@ -26,11 +31,6 @@ const (
 	// third profile raises the fraction to 25% to put the circuit breaker
 	// (and its per-/24 memory carried across segments) under the pin.
 	goldenBlackholed = "0ee4e9efeff73a4ce7d69c13e7b640447bf218702ec818b4e39a338915e1e69c"
-	// Each vantage keeps its own breaker memory and sees a quarter of every
-	// /24, so the 4-shard union skips fewer targets than a single scanner
-	// and has a digest of its own; without breaker skips the union equals
-	// the single-scanner digest.
-	goldenBlackholedShards = "0464ffb7000b0b4e4c46e048b540ff05f59621e7a48723ad1042e70cd7619e52"
 )
 
 // goldenModules is the module set the digest covers: the paper's six plus
@@ -76,18 +76,18 @@ func goldenConfig(t testing.TB, profile faults.Profile, workers int) Config {
 // TestScanGoldenDigest pins the scan leg to the digests recorded from the
 // deleted parallel driver: the one driver must reproduce them for every worker
 // count, with and without a commit hook, at cadences far smaller than a
-// module and larger than the whole walk, and as a 4-vantage shard union.
+// module and larger than the whole walk.
 func TestScanGoldenDigest(t *testing.T) {
 	blackholed := faults.Calibrated()
 	blackholed.BlackholeFrac = 0.25
 	for _, g := range []struct {
-		name               string
-		profile            faults.Profile
-		want, wantSharded4 string
+		name    string
+		profile faults.Profile
+		want    string
 	}{
-		{"zero", faults.Zero(), goldenZeroFault, goldenZeroFault},
-		{"calibrated", faults.Calibrated(), goldenCalibrated, goldenCalibrated},
-		{"blackholed", blackholed, goldenBlackholed, goldenBlackholedShards},
+		{"zero", faults.Zero(), goldenZeroFault},
+		{"calibrated", faults.Calibrated(), goldenCalibrated},
+		{"blackholed", blackholed, goldenBlackholed},
 	} {
 		for _, workers := range []int{1, 7, 32} {
 			// Cadence 0 is the plain run: no hook, one segment per module.
@@ -107,30 +107,55 @@ func TestScanGoldenDigest(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
-		const vantages = 4
-		results := make(map[iot.Protocol][]*Result)
-		stats := make(map[iot.Protocol]Stats)
-		for shard := 0; shard < vantages; shard++ {
-			cfg := goldenConfig(t, g.profile, 7)
-			cfg.Shard, cfg.Shards = shard, vantages
-			rs, sts, err := NewScanner(cfg).Run(context.Background(), goldenModules(), nil, 0, nil)
-			if err != nil {
-				t.Fatalf("%s shard %d: %v", g.name, shard, err)
+// TestResumeIgnoresShardPosition resumes from a checkpoint in the shape
+// builds with scan sharding wrote it: their iterator cursor carried a "pos"
+// member (the shard position) that the cursor no longer has. Decoding must
+// ignore it and the resumed scan must reproduce the uninterrupted golden
+// digest; a strict cursor decoder would refuse every such checkpoint.
+func TestResumeIgnoresShardPosition(t *testing.T) {
+	const kill = 10
+	stop := errors.New("stop")
+	var saved []byte
+	commits := 0
+	_, _, err := NewScanner(goldenConfig(t, faults.Calibrated(), 7)).Run(
+		context.Background(), goldenModules(), nil, 64, func(st *SegmentedState) error {
+			if commits++; commits < kill {
+				return nil
 			}
-			for proto, st := range sts {
-				results[proto] = append(results[proto], rs[proto]...)
-				sum := stats[proto]
-				sum.add(st)
-				stats[proto] = sum
+			var merr error
+			saved, merr = json.Marshal(st)
+			if merr != nil {
+				t.Fatal(merr)
 			}
-		}
-		for _, rs := range results {
-			sortResults(rs)
-		}
-		if got := goldenDigest(results, stats); got != g.wantSharded4 {
-			t.Fatalf("%s: %d-vantage shard union diverged from golden:\n got %s\nwant %s",
-				g.name, vantages, got, g.wantSharded4)
-		}
+			return stop
+		})
+	if !errors.Is(err, stop) {
+		t.Fatalf("kill at commit %d: err = %v", kill, err)
+	}
+	if bytes.Contains(saved, []byte(`"pos"`)) {
+		t.Fatalf("checkpoint still writes a shard position: %s", saved)
+	}
+
+	perm := regexp.MustCompile(`"iterator":\{"perm":\{[^}]*\}`)
+	loc := perm.FindIndex(saved)
+	if loc == nil {
+		t.Fatalf("no iterator cursor in %s", saved)
+	}
+	old := slices.Concat(saved[:loc[1]], []byte(`,"pos":917`), saved[loc[1]:])
+	resume := &SegmentedState{}
+	if err := json.Unmarshal(old, resume); err != nil {
+		t.Fatal(err)
+	}
+	results, stats, err := NewScanner(goldenConfig(t, faults.Calibrated(), 7)).Run(
+		context.Background(), goldenModules(), resume, 64, func(*SegmentedState) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenDigest(results, stats); got != goldenCalibrated {
+		t.Fatalf("resume from a checkpoint with a shard position diverged from golden:\n got %s\nwant %s",
+			got, goldenCalibrated)
 	}
 }

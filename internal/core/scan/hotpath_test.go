@@ -9,57 +9,6 @@ import (
 	"openhire/internal/netsim"
 )
 
-// addrKey identifies one probed endpoint.
-type addrKey struct {
-	ip   netsim.IPv4
-	port uint16
-}
-
-// TestShardUnionEqualsUnsharded asserts the ZMap sharding invariant on the
-// batched feed: the union of Shard=0..N-1 scans over a prefix equals the
-// unsharded scan's result set, with no duplicates.
-func TestShardUnionEqualsUnsharded(t *testing.T) {
-	n, _, _ := buildTestWorld(t, 300)
-	prefix := netsim.MustParsePrefix("50.0.0.0/20")
-	const shards = 3
-
-	collect := func(shard, shardCount int) map[addrKey]bool {
-		s := NewScanner(Config{
-			Network: n, Source: 1, Prefix: prefix, Seed: 11, Workers: 16,
-			Shard: shard, Shards: shardCount,
-		})
-		rs, _ := runModule(context.Background(), s, TelnetModule{})
-		set := make(map[addrKey]bool, len(rs))
-		for _, r := range rs {
-			set[addrKey{ip: r.IP, port: r.Port}] = true
-		}
-		if len(set) != len(rs) {
-			t.Fatalf("shard %d/%d: %d results but %d distinct (ip, port)",
-				shard, shardCount, len(rs), len(set))
-		}
-		return set
-	}
-
-	full := collect(0, 1)
-	union := make(map[addrKey]bool)
-	for s := 0; s < shards; s++ {
-		for key := range collect(s, shards) {
-			if union[key] {
-				t.Fatalf("(ip %v, port %d) found by two shards", key.ip, key.port)
-			}
-			union[key] = true
-		}
-	}
-	if len(union) != len(full) {
-		t.Fatalf("shard union has %d hosts, unsharded scan %d", len(union), len(full))
-	}
-	for key := range full {
-		if !union[key] {
-			t.Fatalf("(ip %v, port %d) missing from shard union", key.ip, key.port)
-		}
-	}
-}
-
 // TestRateLimiterValidation covers the period-zero pitfall: perSec beyond
 // 1e9 used to truncate the period to zero, silently disabling throttling.
 func TestRateLimiterValidation(t *testing.T) {
@@ -147,7 +96,7 @@ func TestScanThrottled(t *testing.T) {
 func TestBlocklistDisjointFastPath(t *testing.T) {
 	prefix := netsim.MustParsePrefix("50.0.0.0/24")
 	bl := netsim.NewPrefixSet(netsim.MustParsePrefix("192.168.0.0/16"))
-	it := NewAddressIterator(prefix, 3, bl, 0, 1)
+	it := NewAddressIterator(prefix, 3, bl)
 	count := 0
 	for {
 		if _, ok := it.Next(); !ok {
@@ -160,7 +109,7 @@ func TestBlocklistDisjointFastPath(t *testing.T) {
 	}
 
 	bl.Add(netsim.MustParsePrefix("50.0.0.128/25"))
-	it = NewAddressIterator(prefix, 3, bl, 0, 1)
+	it = NewAddressIterator(prefix, 3, bl)
 	count = 0
 	for {
 		ip, ok := it.Next()

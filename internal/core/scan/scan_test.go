@@ -114,33 +114,9 @@ func TestNextPrime(t *testing.T) {
 	}
 }
 
-func TestShardsPartitionAddresses(t *testing.T) {
-	prefix := netsim.MustParsePrefix("50.0.0.0/24")
-	const shards = 4
-	seen := make(map[netsim.IPv4]int)
-	for s := 0; s < shards; s++ {
-		it := NewAddressIterator(prefix, 99, nil, s, shards)
-		for {
-			ip, ok := it.Next()
-			if !ok {
-				break
-			}
-			seen[ip]++
-		}
-	}
-	if len(seen) != 256 {
-		t.Fatalf("shards covered %d addresses, want 256", len(seen))
-	}
-	for ip, n := range seen {
-		if n != 1 {
-			t.Fatalf("%v visited %d times", ip, n)
-		}
-	}
-}
-
 func TestBlocklistExcluded(t *testing.T) {
 	prefix := netsim.MustParsePrefix("192.168.0.0/24")
-	it := NewAddressIterator(prefix, 1, DefaultBlocklist(), 0, 1)
+	it := NewAddressIterator(prefix, 1, DefaultBlocklist())
 	if _, ok := it.Next(); ok {
 		t.Fatal("blocklisted prefix yielded addresses")
 	}
@@ -325,7 +301,7 @@ func BenchmarkTelnetProbe(b *testing.B) {
 	m := TelnetModule{}
 	// Find one live telnet host first.
 	var target netsim.Endpoint
-	it := NewAddressIterator(netsim.MustParsePrefix("50.0.0.0/16"), 1, nil, 0, 1)
+	it := NewAddressIterator(netsim.MustParsePrefix("50.0.0.0/16"), 1, nil)
 	for {
 		ip, ok := it.Next()
 		if !ok {

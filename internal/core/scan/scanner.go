@@ -124,10 +124,8 @@ type Config struct {
 	// Workers is the probe concurrency (0 = 64).
 	Workers int
 	// RatePerSec throttles probes when > 0. The simulation usually runs
-	// unthrottled; the examples demonstrate throttled scans.
+	// unthrottled; openhire-scan -rate sets it.
 	RatePerSec int
-	// Shard / Shards split the permutation across cooperating scanners.
-	Shard, Shards int
 
 	// The robustness knobs below only engage when the network has a fault
 	// model installed (Network.Faults() != nil). On a perfect fabric every
@@ -139,9 +137,6 @@ type Config struct {
 	// ProbeTimeout is the per-attempt patience in simulated time (0 = 500ms):
 	// a path slower than this counts as a timeout and is retransmitted.
 	ProbeTimeout time.Duration
-	// RetransmitBase seeds the exponential backoff between attempts
-	// (0 = 100ms, simulated); RetransmitCap bounds it (0 = 1.6s).
-	RetransmitBase, RetransmitCap time.Duration
 	// TargetBudget caps one target's total simulated spend across attempts,
 	// waits and backoffs (0 = 4s); the retry loop stops when exceeded.
 	TargetBudget time.Duration
@@ -306,20 +301,11 @@ func NewScanner(cfg Config) *Scanner {
 	if cfg.Blocklist == nil {
 		cfg.Blocklist = CombinedBlocklist(DefaultBlocklist(), EuropeBlocklist())
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 3
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 500 * time.Millisecond
-	}
-	if cfg.RetransmitBase <= 0 {
-		cfg.RetransmitBase = 100 * time.Millisecond
-	}
-	if cfg.RetransmitCap <= 0 {
-		cfg.RetransmitCap = 1600 * time.Millisecond
 	}
 	if cfg.TargetBudget <= 0 {
 		cfg.TargetBudget = 4 * time.Second
@@ -440,8 +426,15 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport
 // other derived-stream label in the repo.
 const backoffLabel = 0xb0ff
 
+// retransmitBase seeds the exponential backoff between attempts (simulated
+// time); retransmitCap bounds it.
+const (
+	retransmitBase = 100 * time.Millisecond
+	retransmitCap  = 1600 * time.Millisecond
+)
+
 // backoffShiftMax caps the exponent in the backoff schedule. Even a 1ns base
-// doubles past any sane RetransmitCap within 32 attempts, so saturating the
+// doubles past any sane cap within 32 attempts, so saturating the
 // shift there loses nothing — and without a clamp, `base << attempt` wraps
 // int64 once attempt reaches the high 30s: a wrapped-but-positive value below
 // cap slipped through the old `d <= 0 || d > cap` guard and produced a
@@ -464,14 +457,10 @@ func backoffBase(base, cap time.Duration, attempt uint32) time.Duration {
 // [0, delay/2] drawn from the stream derived from (seed, ip, port, attempt).
 // It is a pure function, so the schedule for any target is identical across
 // runs and worker counts.
-func backoffDelay(root *prng.Source, base, cap time.Duration, ip netsim.IPv4, port uint16, attempt uint32) time.Duration {
-	d := backoffBase(base, cap, attempt)
-	jitter := time.Duration(root.Hash64(backoffLabel, uint64(ip), uint64(port), uint64(attempt)) % uint64(d/2+1))
-	return d + jitter
-}
-
 func (s *Scanner) backoffDelay(ip netsim.IPv4, port uint16, attempt uint32) time.Duration {
-	return backoffDelay(s.root, s.cfg.RetransmitBase, s.cfg.RetransmitCap, ip, port, attempt)
+	d := backoffBase(retransmitBase, retransmitCap, attempt)
+	jitter := time.Duration(s.root.Hash64(backoffLabel, uint64(ip), uint64(port), uint64(attempt)) % uint64(d/2+1))
+	return d + jitter
 }
 
 // prefixBreaker is the scanner's circuit breaker for persistently dead

@@ -207,9 +207,9 @@ func (st *SegmentedState) collect(elapsed map[int]time.Duration) (map[iot.Protoc
 }
 
 // newIterator builds the (module-independent) address iterator for this
-// scanner's prefix, seed and sharding.
+// scanner's prefix, seed and blocklist.
 func (s *Scanner) newIterator() *AddressIterator {
-	return NewAddressIterator(s.cfg.Prefix, s.cfg.Seed, s.cfg.Blocklist, s.cfg.Shard, s.cfg.Shards)
+	return NewAddressIterator(s.cfg.Prefix, s.cfg.Seed, s.cfg.Blocklist)
 }
 
 // targetBatchSize is the most (ip, port) pairs that ride one channel send.

@@ -333,13 +333,13 @@ func TestSegmentedStateDeterministicBytes(t *testing.T) {
 func TestIteratorCursorRoundTrip(t *testing.T) {
 	prefix := netsim.MustParsePrefix("50.0.0.0/22")
 	for _, stopAt := range []int{0, 1, 100, 701} {
-		a := NewAddressIterator(prefix, 9, nil, 0, 1)
+		a := NewAddressIterator(prefix, 9, nil)
 		for i := 0; i < stopAt; i++ {
 			if _, ok := a.Next(); !ok {
 				t.Fatalf("walk exhausted before %d addresses", stopAt)
 			}
 		}
-		b := NewAddressIterator(prefix, 9, nil, 0, 1)
+		b := NewAddressIterator(prefix, 9, nil)
 		b.Seek(a.Cursor())
 		for {
 			ipA, okA := a.Next()

@@ -213,13 +213,13 @@ func Table8(w *World) Result {
 	var comps []report.Comparison
 	for _, s := range stats {
 		t.AddRow(string(s.Protocol), s.Packets, s.UniqueIPs,
-			uint64(float64(s.Packets)*scale/float64(w.Cfg.TelescopeDays)),
+			uint64(float64(s.Packets)*scale),
 			paperDaily[s.Protocol])
 		comps = append(comps, report.Comparison{
 			Metric:   "telescope." + string(s.Protocol) + ".packets",
 			Paper:    float64(paperDaily[s.Protocol]),
 			Measured: float64(s.Packets),
-			Scaled:   float64(s.Packets) * scale / float64(w.Cfg.TelescopeDays),
+			Scaled:   float64(s.Packets) * scale,
 		})
 		comps = append(comps, report.Comparison{
 			Metric:   "telescope." + string(s.Protocol) + ".uniqueIPs",

@@ -102,20 +102,17 @@ func (g *GreyNoise) Count() map[GreyNoiseLabel]int {
 	return out
 }
 
-// VirusTotal is the vendor-verdict store for IPs and sample hashes.
+// VirusTotal is the vendor-verdict store for IPs.
 type VirusTotal struct {
 	mu sync.RWMutex
 	// ipScores maps an address to the number of vendors flagging it.
 	ipScores map[netsim.IPv4]int
-	// samples maps a SHA-256 hex digest to the detected variant name.
-	samples map[string]string
 }
 
 // NewVirusTotal builds an empty store.
 func NewVirusTotal() *VirusTotal {
 	return &VirusTotal{
 		ipScores: make(map[netsim.IPv4]int),
-		samples:  make(map[string]string),
 	}
 }
 
@@ -142,28 +139,6 @@ func (v *VirusTotal) IPScore(ip netsim.IPv4) int {
 // (Section 4.3.3).
 func (v *VirusTotal) IsMalicious(ip netsim.IPv4) bool {
 	return v.IPScore(ip) >= 1
-}
-
-// SubmitSample records a sample digest with its variant classification.
-func (v *VirusTotal) SubmitSample(sha256hex, variant string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.samples[sha256hex] = variant
-}
-
-// LookupSample returns the variant name for a digest.
-func (v *VirusTotal) LookupSample(sha256hex string) (string, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	variant, ok := v.samples[sha256hex]
-	return variant, ok
-}
-
-// SampleCount returns how many distinct samples the store knows.
-func (v *VirusTotal) SampleCount() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.samples)
 }
 
 // Censys is the IoT-tag dataset: addresses its periodic scans labelled as

@@ -84,21 +84,6 @@ func TestVirusTotalIPScore(t *testing.T) {
 	}
 }
 
-func TestVirusTotalSamples(t *testing.T) {
-	v := NewVirusTotal()
-	v.SubmitSample("abc123", "Mirai")
-	variant, ok := v.LookupSample("abc123")
-	if !ok || variant != "Mirai" {
-		t.Fatalf("sample %q, %v", variant, ok)
-	}
-	if _, ok := v.LookupSample("nope"); ok {
-		t.Fatal("phantom sample")
-	}
-	if v.SampleCount() != 1 {
-		t.Fatal("count wrong")
-	}
-}
-
 func TestCensysTags(t *testing.T) {
 	c := NewCensys()
 	ip := netsim.MustParseIPv4("5.6.7.8")

@@ -61,9 +61,6 @@ type UniverseConfig struct {
 	// population; the Table 6 experiment oversamples honeypots only and
 	// scales the counts back.
 	HoneypotBoost float64
-	// WeakCredentialShare is the fraction of auth-gated Telnet/SSH devices
-	// using a dictionary credential (default 0.15).
-	WeakCredentialShare float64
 }
 
 // Universe is the lazily derived IoT population. It implements
@@ -118,9 +115,6 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 	if cfg.DensityBoost == 0 {
 		cfg.DensityBoost = 1
 	}
-	if cfg.WeakCredentialShare == 0 {
-		cfg.WeakCredentialShare = 0.15
-	}
 	u := &Universe{cfg: cfg, src: prng.New(cfg.Seed)}
 	u.exposedPre = u.src.HashPrefix(labelExposed)
 	u.honeypotPre = u.src.HashPrefix(labelHoneypot)
@@ -169,6 +163,10 @@ func (u *Universe) Config() UniverseConfig { return u.cfg }
 func (u *Universe) ScaleFactor() float64 {
 	return float64(uint64(1)<<32) / (float64(u.cfg.Prefix.Size()) * u.cfg.DensityBoost)
 }
+
+// weakCredentialShare is the fraction of auth-gated Telnet/SSH devices using
+// a dictionary credential.
+const weakCredentialShare = 0.15
 
 // label space for derivations, kept distinct per decision.
 var (
@@ -297,7 +295,7 @@ func (u *Universe) deriveSpec(ip netsim.IPv4, e *exposureEntry) DeviceSpec {
 
 	// Credentials for auth-gated endpoints.
 	cred := prng.New(u.src.Hash64(labelCred, uint64(ip), e.ph))
-	if cred.Float64() < u.cfg.WeakCredentialShare {
+	if cred.Float64() < weakCredentialShare {
 		spec.WeakCredentials = true
 		pair := DefaultCredentials[cred.Zipf(len(DefaultCredentials), 1.2)]
 		spec.Username, spec.Password = pair.User, pair.Pass

@@ -87,9 +87,6 @@ func NewConvEngine(shards int) *ConvEngine {
 	return e
 }
 
-// Shards reports the engine's shard count.
-func (e *ConvEngine) Shards() int { return len(e.shards) }
-
 // Submit enqueues fn on the shard owning the (src, dst) pair. It blocks only
 // when that shard's queue is full. Returns false — and does not run fn — if
 // ctx is cancelled before the job is accepted.

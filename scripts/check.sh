@@ -34,17 +34,12 @@
 #      the inner loop either
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
 #      cross-worker determinism, ±2% calibrated classification drift) under
-#      the race detector, plus a short fuzz smoke over the Telnet and MQTT
-#      parsers (MQTT's through ReadPacket and through the broker's stepper
-#      on the conversation engine), over the
-#      CoAP server and the SSDP M-SEARCH parser fed hostile datagrams,
-#      over the chunking invariance of all ten stream servers,
-#      over the scanner's eight grab modules fed hostile conversations,
-#      over the FlowTuple codec (binary decoder on both reader paths, CSV
-#      round trip), over the classifier and the honeypot fingerprint
-#      filter fed hostile banners, and over the two parsers of operator
-#      input: the -faults spec (FuzzParse) and the /api/timeseries query
-#      string (FuzzParseQuery) (seed corpus + 10 fresh inputs each) —
+#      the race detector, plus scripts/fuzz_smoke.sh: every Fuzz target in
+#      the module, discovered with `go test -list '^Fuzz'` (the protocol
+#      parsers, the stream servers' chunking invariance, the scanner's grab
+#      modules, the FlowTuple codec, the classifier and fingerprint filter,
+#      the -faults spec and /api/timeseries query parsers, and the
+#      checkpoint container loader), seed corpus + 10 fresh inputs each —
 #      skipped with --fast
 #   6. the crash gate: checkpoint container round-trip/corruption tests, the
 #      run harness's own tests (signal ladder, chain, manifest epilogue), and
@@ -115,24 +110,8 @@ go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
 go test -race ./internal/netsim/faults/
 
 if [ "$FAST" = "0" ]; then
-	echo "==> chaos gate: parser fuzz smoke (10 iterations per target)"
-	for target in FuzzSplitStream FuzzEscapeRoundTrip; do
-		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/protocols/telnet/
-	done
-	for target in FuzzReadPacket FuzzTopicMatches; do
-		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/protocols/mqtt/
-	done
-	go test -run '^FuzzHandleDatagram$' -fuzz '^FuzzHandleDatagram$' -fuzztime 10x ./internal/protocols/coap/
-	go test -run '^FuzzParseMSearch$' -fuzz '^FuzzParseMSearch$' -fuzztime 10x ./internal/protocols/upnp/
-	go test -run '^FuzzStepperChunking$' -fuzz '^FuzzStepperChunking$' -fuzztime 10x ./internal/honeypot/
-	go test -run '^FuzzGrab$' -fuzz '^FuzzGrab$' -fuzztime 10x ./internal/core/scan/
-	for target in FuzzReadBinary FuzzFlowCSV; do
-		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10x ./internal/telescope/
-	done
-	go test -run '^FuzzClassify$' -fuzz '^FuzzClassify$' -fuzztime 10x ./internal/core/classify/
-	go test -run '^FuzzMatchResult$' -fuzz '^FuzzMatchResult$' -fuzztime 10x ./internal/core/fingerprint/
-	go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10x ./internal/netsim/faults/
-	go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime 10x ./internal/obs/tsdb/
+	echo "==> chaos gate: fuzz smoke (every Fuzz target, 10 fresh inputs each)"
+	./scripts/fuzz_smoke.sh
 else
 	echo "==> chaos gate: parser fuzz smoke skipped (--fast)"
 fi
