@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -147,7 +148,7 @@ func prom(w *os.File, path string) error {
 }
 
 // summarize dispatches on artifact kind.
-func summarize(w *os.File, path string) error {
+func summarize(w io.Writer, path string) error {
 	kind, err := artifactKind(path)
 	if err != nil {
 		return err
@@ -166,7 +167,7 @@ func summarize(w *os.File, path string) error {
 }
 
 // summarizeManifest prints a short digest of one run manifest.
-func summarizeManifest(w *os.File, path string) error {
+func summarizeManifest(w io.Writer, path string) error {
 	m, err := readManifest(path)
 	if err != nil {
 		return err
