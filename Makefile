@@ -27,7 +27,7 @@ race:
 # detector, then scripts/fuzz_smoke.sh: every Fuzz target in the module, found
 # with `go test -list`, for 10 fresh inputs each.
 chaos:
-	go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
+	go test -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
 		./internal/core/scan/ ./internal/core/classify/
 	go test -race ./internal/netsim/faults/
 	./scripts/fuzz_smoke.sh

@@ -27,7 +27,6 @@ func TestFlagsPinned(t *testing.T) {
 		"prefix":            "100.0.0.0/14",
 		"probe-timeout":     "0s",
 		"protocol":          "",
-		"rate":              "0",
 		"resume":            "false",
 		"seed":              "2021",
 		"show-honeypots":    "false",

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	openhire-scan [-prefix CIDR] [-boost F] [-workers N] [-protocol P]
-//	              [-rate N] [-extended] [-show-honeypots] [-verify-honeypots]
+//	              [-extended] [-show-honeypots] [-verify-honeypots]
 //	              [-out FILE] [-in FILE] [-checkpoint-every N]
 //	              [-faults PROFILE] [-max-attempts N] [-probe-timeout D]
 //	              [-target-budget D] [-breaker-threshold N]
@@ -17,8 +17,7 @@
 // -checkpoint only adds a commit hook to that call, which saves the resumable
 // scan state (permutation cursor, breaker hits, per-module stats and results)
 // at every segment of -checkpoint-every targets; without it each module is
-// one segment, and the final artifacts are byte-identical either way. -rate
-// throttles every transmission on either path.
+// one segment, and the final artifacts are byte-identical either way.
 //
 // The robustness knobs (-max-attempts, -probe-timeout, -target-budget,
 // -breaker-threshold) only engage on a faulted fabric: without -faults the
@@ -57,7 +56,6 @@ var (
 	boost         = flag.Float64("boost", 16, "population density boost")
 	workers       = flag.Int("workers", 128, "probe concurrency")
 	protocol      = flag.String("protocol", "", "scan a single protocol (telnet|mqtt|coap|amqp|xmpp|upnp)")
-	rate          = flag.Int("rate", 0, "probes per second (0 = unthrottled)")
 	showHoneypots = flag.Bool("show-honeypots", false, "list detected honeypot instances")
 	extended      = flag.Bool("extended", false, "also scan the future-work protocols (tr069, smb)")
 	verifyPots    = flag.Bool("verify-honeypots", false, "confirm banner detections with the active deviation probe")
@@ -121,7 +119,6 @@ func main() {
 		Prefix:           prefix,
 		Seed:             run.Seed,
 		Workers:          *workers,
-		RatePerSec:       *rate,
 		MaxAttempts:      *maxAttempts,
 		ProbeTimeout:     *probeTimeout,
 		TargetBudget:     *targetBudget,
@@ -268,7 +265,7 @@ func main() {
 		}
 		if *verifyPots {
 			confirmed, disputed := fingerprint.VerifyDetections(run.Context(),
-				network, scanCfg.Source, detections, 0)
+				network, scanCfg.Source, detections)
 			fmt.Printf("active verification: %d confirmed, %d disputed\n",
 				len(confirmed), len(disputed))
 		}

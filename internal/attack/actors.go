@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"openhire/internal/attack/malware"
 	"openhire/internal/honeypot"
@@ -25,9 +24,6 @@ import (
 	"openhire/internal/protocols/upnp"
 	"openhire/internal/protocols/xmpp"
 )
-
-// actionTimeout bounds one attack conversation.
-const actionTimeout = 2 * time.Second
 
 // Executor runs one attack event against a target endpoint. Implementations
 // are the protocol-level attack primitives the paper's honeypots observed.
@@ -118,19 +114,19 @@ func (e *Executor) telnetAttack(ctx context.Context, typ honeypot.AttackType,
 	switch typ {
 	case honeypot.AttackMalware:
 		user, pass := credentialFor(gen)
-		ok, _ := telnet.Login(ctx, conn, user, pass, actionTimeout)
+		ok, _ := telnet.Login(ctx, conn, user, pass)
 		if ok {
 			sample := e.corpus.Pick(gen, "telnet")
 			if sample != nil {
-				_, _ = telnet.Exec(conn, sample.DropperCommand, actionTimeout)
+				_, _ = telnet.Exec(conn, sample.DropperCommand)
 			}
-			_, _ = telnet.Exec(conn, "exit", actionTimeout)
+			_, _ = telnet.Exec(conn, "exit")
 		}
 	case honeypot.AttackBruteForce, honeypot.AttackDictionary:
 		user, pass := credentialFor(gen)
-		_, _ = telnet.Login(ctx, conn, user, pass, actionTimeout)
+		_, _ = telnet.Login(ctx, conn, user, pass)
 	default: // scan: banner grab only
-		_, _ = telnet.Grab(ctx, conn, 50*time.Millisecond)
+		_, _ = telnet.Grab(ctx, conn)
 	}
 	return nil
 }
@@ -142,13 +138,13 @@ func (e *Executor) sshAttack(ctx context.Context, typ honeypot.AttackType,
 		return nil
 	}
 	defer conn.Close()
-	if _, err := ssh.GrabBanner(conn, actionTimeout); err != nil {
+	if _, err := ssh.GrabBanner(conn); err != nil {
 		return nil
 	}
 	switch typ {
 	case honeypot.AttackMalware:
 		user, pass := credentialFor(gen)
-		ok, _ := ssh.Login(conn, "SSH-2.0-Go-bot", user, pass, actionTimeout)
+		ok, _ := ssh.Login(conn, "SSH-2.0-Go-bot", user, pass)
 		if ok {
 			sample := e.corpus.Pick(gen, "ssh")
 			if sample != nil {
@@ -158,17 +154,17 @@ func (e *Executor) sshAttack(ctx context.Context, typ honeypot.AttackType,
 		}
 	case honeypot.AttackDictionary:
 		user, pass := credentialFor(gen)
-		if ok, _ := ssh.Login(conn, "SSH-2.0-libssh", user, pass, actionTimeout); !ok {
+		if ok, _ := ssh.Login(conn, "SSH-2.0-libssh", user, pass); !ok {
 			for i := 0; i < 4; i++ {
 				u, p := credentialFor(gen)
-				if ok, _ := ssh.Attempt(conn, u, p, actionTimeout); ok {
+				if ok, _ := ssh.Attempt(conn, u, p); ok {
 					break
 				}
 			}
 		}
 	case honeypot.AttackBruteForce:
 		user, pass := credentialFor(gen)
-		_, _ = ssh.Login(conn, "SSH-2.0-paramiko", user, pass, actionTimeout)
+		_, _ = ssh.Login(conn, "SSH-2.0-paramiko", user, pass)
 	default:
 		// banner grab already done
 	}
@@ -181,7 +177,7 @@ func (e *Executor) mqttAttack(ctx context.Context, typ honeypot.AttackType,
 	if err != nil {
 		return nil
 	}
-	c := mqtt.NewClient(conn, actionTimeout)
+	c := mqtt.NewClient(conn)
 	defer c.Disconnect()
 	if _, err := c.Connect(fmt.Sprintf("c-%08x", uint32(src)), "", ""); err != nil {
 		return nil
@@ -207,7 +203,7 @@ func (e *Executor) amqpAttack(ctx context.Context, typ honeypot.AttackType,
 		return nil
 	}
 	defer conn.Close()
-	sess, ok, err := amqp.Connect(conn, "PLAIN", "", "", actionTimeout)
+	sess, ok, err := amqp.Connect(conn, "PLAIN", "", "")
 	if err != nil || !ok {
 		return nil
 	}
@@ -231,19 +227,19 @@ func (e *Executor) xmppAttack(ctx context.Context, typ honeypot.AttackType,
 		return nil
 	}
 	defer conn.Close()
-	if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local", actionTimeout); err != nil {
+	if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local"); err != nil {
 		return nil
 	}
 	switch typ {
 	case honeypot.AttackBruteForce, honeypot.AttackDictionary:
 		user, pass := credentialFor(gen)
-		_, _ = xmpp.Authenticate(conn, "PLAIN", user, pass, actionTimeout)
+		_, _ = xmpp.Authenticate(conn, "PLAIN", user, pass)
 	case honeypot.AttackPoisoning:
-		if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", "", actionTimeout); ok {
-			_, _ = xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`, actionTimeout)
+		if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", ""); ok {
+			_, _ = xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`)
 		}
 	default:
-		_, _ = xmpp.Authenticate(conn, "ANONYMOUS", "", "", actionTimeout)
+		_, _ = xmpp.Authenticate(conn, "ANONYMOUS", "", "")
 	}
 	return nil
 }
@@ -297,20 +293,20 @@ func (e *Executor) httpAttack(ctx context.Context, typ honeypot.AttackType,
 	case honeypot.AttackBruteForce, honeypot.AttackDictionary:
 		user, pass := credentialFor(gen)
 		_, _ = httpx.Post(conn, "/doLogin", map[string]string{
-			"username": user, "password": pass}, actionTimeout)
+			"username": user, "password": pass})
 	case honeypot.AttackDoS:
 		for i := 0; i < 6; i++ {
-			if _, err := httpx.Get(conn, "/", actionTimeout); err != nil {
+			if _, err := httpx.Get(conn, "/"); err != nil {
 				break
 			}
 		}
 	case honeypot.AttackMalware:
 		body := make([]byte, 8192) // crypto-miner injection attempt
 		copy(body, "<?php eval(base64_decode(")
-		_, _ = httpx.Do(conn, "POST", "/upload.php", body, actionTimeout)
+		_, _ = httpx.Do(conn, "POST", "/upload.php", body)
 	default: // web scraping
 		for _, path := range []string{"/", "/robots.txt", "/login"} {
-			if _, err := httpx.Get(conn, path, actionTimeout); err != nil {
+			if _, err := httpx.Get(conn, path); err != nil {
 				break
 			}
 		}
@@ -325,22 +321,22 @@ func (e *Executor) ftpAttack(ctx context.Context, typ honeypot.AttackType,
 		return nil
 	}
 	c := ftp.NewClient(conn)
-	defer c.Quit(actionTimeout)
-	if _, err := c.ReadReply(actionTimeout); err != nil {
+	defer c.Quit()
+	if _, err := c.ReadReply(); err != nil {
 		return nil
 	}
 	switch typ {
 	case honeypot.AttackMalware:
-		if ok, _ := c.Login("anonymous", "bot@", actionTimeout); ok {
+		if ok, _ := c.Login("anonymous", "bot@"); ok {
 			if sample := e.corpus.Pick(gen, "ftp"); sample != nil {
-				_, _ = c.Store(sample.Variant+".bin", sample.Bytes, actionTimeout)
+				_, _ = c.Store(sample.Variant+".bin", sample.Bytes)
 			}
 		}
 	case honeypot.AttackBruteForce, honeypot.AttackDictionary:
 		user, pass := credentialFor(gen)
-		_, _ = c.Login(user, pass, actionTimeout)
+		_, _ = c.Login(user, pass)
 	default:
-		_, _ = c.Login("anonymous", "probe@", actionTimeout)
+		_, _ = c.Login("anonymous", "probe@")
 	}
 	return nil
 }
@@ -359,7 +355,7 @@ func (e *Executor) smbAttack(ctx context.Context, typ honeypot.AttackType,
 			kind = smb.KindEternalRomance
 		}
 		_, _ = conn.Write(smb.BuildExploit(kind, nil)[:40])
-		_, _ = smb.Probe(conn, actionTimeout) // drain
+		_, _ = smb.Probe(conn) // drain
 	case honeypot.AttackMalware:
 		sample := e.corpus.Pick(gen, "smb")
 		payload := []byte("MZ fallback")
@@ -368,10 +364,9 @@ func (e *Executor) smbAttack(ctx context.Context, typ honeypot.AttackType,
 		}
 		_, _ = conn.Write(smb.BuildExploit(smb.KindEternalBlue, payload))
 		buf := make([]byte, 256)
-		_ = conn.SetReadDeadline(time.Now().Add(actionTimeout))
 		_, _ = conn.Read(buf)
 	default:
-		_, _ = smb.Probe(conn, actionTimeout)
+		_, _ = smb.Probe(conn)
 	}
 	return nil
 }
@@ -383,7 +378,7 @@ func (e *Executor) s7Attack(ctx context.Context, typ honeypot.AttackType,
 		return nil
 	}
 	defer conn.Close()
-	if err := s7.Connect(conn, actionTimeout); err != nil {
+	if err := s7.Connect(conn); err != nil {
 		return nil
 	}
 	switch typ {
@@ -394,15 +389,12 @@ func (e *Executor) s7Attack(ctx context.Context, typ honeypot.AttackType,
 				break
 			}
 		}
-		// Drain acks until the wedged device drops the session; closing
-		// immediately would tear the connection down before the PLC
-		// processes (and the honeypot logs) the queued jobs.
-		_ = conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		// Drain the acks before closing, as a flooder reads its socket.
 		_, _ = io.Copy(io.Discard, conn)
 	case honeypot.AttackPoisoning:
 		_, _ = conn.Write(s7.BuildJob(s7.FuncWrite))
 	default:
-		_, _ = s7.ReadModule(conn, actionTimeout)
+		_, _ = s7.ReadModule(conn)
 	}
 	return nil
 }
@@ -416,17 +408,16 @@ func (e *Executor) modbusAttack(ctx context.Context, typ honeypot.AttackType,
 	defer conn.Close()
 	switch typ {
 	case honeypot.AttackPoisoning:
-		_ = modbus.WriteSingle(conn, uint16(gen.Intn(16)), uint16(gen.Uint32()), actionTimeout)
+		_ = modbus.WriteSingle(conn, uint16(gen.Intn(16)), uint16(gen.Uint32()))
 	default:
 		// 90% of observed Modbus traffic used invalid function codes
 		// (Section 5.1.4); scans mostly poke nonsense functions.
 		if gen.Bool(0.9) {
 			_, _ = conn.Write(modbus.BuildRequest(1, 1, byte(0x60+gen.Intn(16)), []byte{0, 0}))
 			buf := make([]byte, 64)
-			_ = conn.SetReadDeadline(time.Now().Add(actionTimeout))
 			_, _ = conn.Read(buf)
 		} else {
-			_, _ = modbus.ReadHolding(conn, 0, 4, actionTimeout)
+			_, _ = modbus.ReadHolding(conn, 0, 4)
 		}
 	}
 	return nil

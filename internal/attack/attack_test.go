@@ -83,7 +83,7 @@ func TestSourcesPoolsDisjointAndClassed(t *testing.T) {
 	if c, _ := s.Class(mal[0]); c != ClassMalicious {
 		t.Fatal("malicious class wrong")
 	}
-	if svc, ok := s.ServiceOf(scan[0]); !ok || svc == "" {
+	if svc := s.ScanningServiceIPs()[scan[0]]; svc == "" {
 		t.Fatal("service attribution missing")
 	}
 }
@@ -299,7 +299,7 @@ func TestDarknetSharesInfectedSources(t *testing.T) {
 }
 
 func TestExecutorUnknownProtocol(t *testing.T) {
-	n := netsim.NewNetwork(nil)
+	n := netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart))
 	e := NewExecutor(n, malware.NewCorpus(1, nil))
 	if err := e.Execute(context.Background(), honeypot.AttackScan, iot.Protocol("bogus"),
 		1, 2, nil); err == nil {

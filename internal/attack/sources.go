@@ -358,12 +358,6 @@ func (s *Sources) Class(ip netsim.IPv4) (SourceClass, bool) {
 	return c, ok
 }
 
-// ServiceOf returns which scanning service owns ip, if any.
-func (s *Sources) ServiceOf(ip netsim.IPv4) (string, bool) {
-	svc, ok := s.services[ip]
-	return svc, ok
-}
-
 // ScanningServiceIPs returns all provisioned scanning-service addresses.
 // Map iteration order is randomized by the runtime; deterministic consumers
 // (the darknet source pool) must use ScanningServiceAddrs instead.

@@ -3,7 +3,6 @@ package fingerprint
 import (
 	"bytes"
 	"context"
-	"time"
 
 	"openhire/internal/netsim"
 	"openhire/internal/protocols/telnet"
@@ -51,12 +50,9 @@ var deviationProbe = []byte{
 }
 
 // ProbeDeviation dials the target's Telnet port and applies the
-// response-deviation check. window bounds the read.
+// response-deviation check to whatever the server answers the probe with.
 func ProbeDeviation(ctx context.Context, n *netsim.Network, src netsim.IPv4,
-	target netsim.IPv4, port uint16, window time.Duration) DeviationVerdict {
-	if window <= 0 {
-		window = 200 * time.Millisecond
-	}
+	target netsim.IPv4, port uint16) DeviationVerdict {
 	conn, err := n.Dial(ctx, src, netsim.Endpoint{IP: target, Port: port}, netsim.ProbeOptions{})
 	if err != nil {
 		return VerdictInconclusive
@@ -64,14 +60,12 @@ func ProbeDeviation(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	defer conn.Close()
 
 	// Consume the banner first so the deviation reply is isolated.
-	if _, err := telnet.Grab(ctx, conn, window); err != nil {
+	if _, err := telnet.Grab(ctx, conn); err != nil {
 		return VerdictInconclusive
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(window))
 	if _, err := conn.Write(deviationProbe); err != nil {
 		return VerdictInconclusive
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(window))
 	buf := make([]byte, 512)
 	total := 0
 	for total < len(buf) {
@@ -120,9 +114,9 @@ func classifyDeviation(reply []byte) DeviationVerdict {
 // match alone can false-positive on a real device shipping a honeypot-like
 // banner.
 func VerifyDetections(ctx context.Context, n *netsim.Network, src netsim.IPv4,
-	dets []Detection, window time.Duration) (confirmed, disputed []Detection) {
+	dets []Detection) (confirmed, disputed []Detection) {
 	for _, d := range dets {
-		switch ProbeDeviation(ctx, n, src, d.IP, 23, window) {
+		switch ProbeDeviation(ctx, n, src, d.IP, 23) {
 		case VerdictHoneypot, VerdictInconclusive:
 			// Banner evidence stands unless actively contradicted.
 			confirmed = append(confirmed, d)

@@ -3,7 +3,6 @@ package fingerprint
 import (
 	"context"
 	"testing"
-	"time"
 
 	"openhire/internal/core/scan"
 	"openhire/internal/iot"
@@ -32,7 +31,7 @@ func TestProbeDeviationOnWildHoneypots(t *testing.T) {
 			continue
 		}
 		checked++
-		v := ProbeDeviation(context.Background(), n, 1, ip, 23, 200*time.Millisecond)
+		v := ProbeDeviation(context.Background(), n, 1, ip, 23)
 		if v == VerdictRealStack {
 			t.Fatalf("wild honeypot %v judged a real stack", ip)
 		}
@@ -55,7 +54,7 @@ func TestProbeDeviationOnRealDevices(t *testing.T) {
 			continue
 		}
 		checked++
-		v := ProbeDeviation(context.Background(), n, 1, ip, 23, 200*time.Millisecond)
+		v := ProbeDeviation(context.Background(), n, 1, ip, 23)
 		if v == VerdictHoneypot {
 			t.Fatalf("real device %v (%s) judged a honeypot", ip, spec.Model.Name)
 		}
@@ -67,7 +66,7 @@ func TestProbeDeviationOnRealDevices(t *testing.T) {
 
 func TestProbeDeviationDarkAddress(t *testing.T) {
 	n, _, _ := activeWorld(t)
-	v := ProbeDeviation(context.Background(), n, 1, netsim.MustParseIPv4("70.127.255.254"), 23, 100*time.Millisecond)
+	v := ProbeDeviation(context.Background(), n, 1, netsim.MustParseIPv4("70.127.255.254"), 23)
 	// Either dark or a live host; never a panic. If dark: inconclusive.
 	_ = v
 }
@@ -85,7 +84,7 @@ func TestVerifyDetectionsEndToEnd(t *testing.T) {
 	if len(dets) == 0 {
 		t.Skip("no detections in slice")
 	}
-	confirmed, disputed := VerifyDetections(context.Background(), n, 1, dets, 50*time.Millisecond)
+	confirmed, disputed := VerifyDetections(context.Background(), n, 1, dets)
 	if len(confirmed) != len(dets) || len(disputed) != 0 {
 		t.Fatalf("active stage disputed %d of %d banner detections; wild honeypots should all confirm",
 			len(disputed), len(dets))

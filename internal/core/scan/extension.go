@@ -36,7 +36,7 @@ func (TR069Module) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	pr, err := tr069.Probe(conn, grabWindow)
+	pr, err := tr069.Probe(conn)
 	if err != nil {
 		if out, faulted := ConnOutcome(conn); faulted {
 			return nil, out
@@ -74,7 +74,7 @@ func (SMBModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, 
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	dialect, err := smb.Probe(conn, grabWindow)
+	dialect, err := smb.Probe(conn)
 	if err != nil {
 		if out, faulted := ConnOutcome(conn); faulted {
 			return nil, out

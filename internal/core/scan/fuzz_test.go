@@ -100,7 +100,7 @@ type proxyStepper struct {
 func (p *proxyStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		src, _ := c.RemoteIP()
+		src := c.RemoteIP()
 		conn, err := p.n.Dial(context.Background(), src, p.upstream, netsim.ProbeOptions{})
 		if err != nil {
 			return netsim.StepDone
@@ -114,9 +114,7 @@ func (p *proxyStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.St
 		return netsim.StepDone
 	}
 	// Relay whatever upstream said in reply. The engine has already run it
-	// to quiescence, so a read past the buffered bytes reports the deadline
-	// at once.
-	_ = p.conn.SetReadDeadline(time.Now().Add(time.Hour))
+	// to quiescence, so a read past the buffered bytes returns at once.
 	buf := make([]byte, 4096)
 	for {
 		n, err := p.conn.Read(buf)

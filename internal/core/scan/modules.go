@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -16,16 +15,6 @@ import (
 	"openhire/internal/protocols/upnp"
 	"openhire/internal/protocols/xmpp"
 )
-
-// grabWindow bounds how long a banner grab listens. The in-memory fabric
-// answers in microseconds; the window only matters for stalled handlers.
-// Every probe returns as soon as its conversation completes (the Telnet
-// grab additionally exits on a prompt or on idle), so the window is pure
-// headroom: it must be generous enough that handler goroutines starved by
-// CPU contention still answer inside it, and its size does not affect scan
-// throughput. 2s covers the worst observed case — six modules' workers
-// contending on one core under the race detector's ~10x slowdown.
-const grabWindow = 2 * time.Second
 
 // AllModules returns probe modules for the paper's six protocols in Table 4
 // order.
@@ -65,7 +54,7 @@ func (TelnetModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	banner, err := telnet.Grab(ctx, conn, grabWindow)
+	banner, err := telnet.Grab(ctx, conn)
 	// An injected pathology outranks whatever the grab made of the bytes: a
 	// tarpitted banner prefix can look like a complete (just terse) banner.
 	if out, faulted := ConnOutcome(conn); faulted {
@@ -102,7 +91,7 @@ func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	client := mqtt.NewClient(conn, grabWindow)
+	client := mqtt.NewClient(conn)
 	code, err := client.Connect(fmt.Sprintf("probe-%08x", uint32(src)), "", "")
 	if err != nil && err != mqtt.ErrRejected {
 		if out, faulted := ConnOutcome(conn); faulted {
@@ -119,7 +108,7 @@ func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	if code == mqtt.ConnAccepted {
 		// On open brokers the probe lists topics, as the paper does
 		// ("all the topics and channels on the target host are listed").
-		topics, _ := client.RetainedSnapshot("#", grabWindow, 32)
+		topics, _ := client.RetainedSnapshot("#", 32)
 		names := make([]string, 0, len(topics))
 		for t := range topics {
 			names = append(names, t)
@@ -154,7 +143,7 @@ func (AMQPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	props, err := amqp.Probe(conn, grabWindow)
+	props, err := amqp.Probe(conn)
 	if err != nil {
 		if out, faulted := ConnOutcome(conn); faulted {
 			return nil, out
@@ -194,7 +183,7 @@ func (XMPPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 		return nil, DialOutcome(err)
 	}
 	defer conn.Close()
-	banner, feats, err := xmpp.ProbeBanner(conn, "probe.invalid", grabWindow)
+	banner, feats, err := xmpp.ProbeBanner(conn, "probe.invalid")
 	if out, faulted := ConnOutcome(conn); faulted {
 		return nil, out
 	}

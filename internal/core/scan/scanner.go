@@ -3,7 +3,6 @@ package scan
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"openhire/internal/iot"
@@ -123,9 +122,6 @@ type Config struct {
 	Blocklist *netsim.PrefixSet
 	// Workers is the probe concurrency (0 = 64).
 	Workers int
-	// RatePerSec throttles probes when > 0. The simulation usually runs
-	// unthrottled; openhire-scan -rate sets it.
-	RatePerSec int
 
 	// The robustness knobs below only engage when the network has a fault
 	// model installed (Network.Faults() != nil). On a perfect fabric every
@@ -345,7 +341,7 @@ type workerShard struct {
 // attempt), so the grab's dial re-draws the plan its sweep saw and resets and
 // tarpits land in the grab.
 func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport netsim.Transport, size int,
-	t target, shard *workerShard, maxAttempts int, limiter *rateLimiter) {
+	t target, shard *workerShard, maxAttempts int) {
 	dst := netsim.Endpoint{IP: t.ip, Port: t.port}
 	spec := ProbeSpec{Timeout: s.cfg.ProbeTimeout}
 	var spent time.Duration
@@ -407,9 +403,6 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport
 			shard.stats.Retransmits++
 			if trace != nil {
 				event(ProbeRetransmit, backoff)
-			}
-			if limiter != nil && limiter.reserve(ctx, 1) == 0 {
-				return // canceled while throttled
 			}
 			spec.Attempt++
 		default:
@@ -492,78 +485,4 @@ func (b *prefixBreaker) skip(ip netsim.IPv4) bool {
 	}
 	b.hits[p24]++
 	return false
-}
-
-// rateLimiter is a token bucket over wall time. Tokens are granted in
-// batches (reserve) so throttled workers pay one mutex round-trip per
-// grant, not per probe.
-type rateLimiter struct {
-	mu     sync.Mutex
-	next   time.Time // scheduled time of the next ungranted token
-	period time.Duration
-}
-
-// maxGrantHorizon bounds how far ahead of wall time one reserve call may
-// schedule tokens. It caps the burst after a grant to horizon/period
-// probes and keeps per-grant sleeps short even at low rates.
-const maxGrantHorizon = 100 * time.Millisecond
-
-// newRateLimiter builds a limiter emitting perSec tokens per second.
-// perSec < 1 is clamped to 1; perSec > 1e9 is clamped to the fastest
-// enforceable rate (one token per nanosecond) instead of silently
-// disabling throttling via a zero period.
-func newRateLimiter(perSec int) *rateLimiter {
-	if perSec < 1 {
-		perSec = 1
-	}
-	period := time.Second / time.Duration(perSec)
-	if period <= 0 {
-		period = 1
-	}
-	return &rateLimiter{period: period, next: time.Now()}
-}
-
-// reserve grants between 1 and max tokens in a single lock round-trip,
-// sleeping until the first granted token's scheduled slot. It returns the
-// number granted; the caller may perform that many probes without touching
-// the limiter again. If ctx is canceled while waiting for the slot, reserve
-// returns 0 immediately — a throttled sweep aborts within one token period
-// instead of draining its whole schedule.
-//
-// After an idle gap the schedule restarts at the current time (steady
-// state) rather than granting the backlog as a burst.
-func (r *rateLimiter) reserve(ctx context.Context, max int) int {
-	if max < 1 {
-		max = 1
-	}
-	r.mu.Lock()
-	now := time.Now()
-	if r.next.Before(now) {
-		r.next = now // idle gap: resume at steady state, no accumulated burst
-	}
-	sleep := r.next.Sub(now)
-	n := 1
-	if budget := maxGrantHorizon - sleep; budget > r.period {
-		if k := int(budget / r.period); k < max {
-			n = k
-		} else {
-			n = max
-		}
-	}
-	r.next = r.next.Add(time.Duration(n) * r.period)
-	r.mu.Unlock()
-	if sleep > 0 {
-		if ctx == nil {
-			time.Sleep(sleep)
-		} else {
-			t := time.NewTimer(sleep)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return 0
-			}
-		}
-	}
-	return n
 }

@@ -93,10 +93,6 @@ func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *Segmen
 		segmentTargets = DefaultSegmentTargets
 	}
 
-	var limiter *rateLimiter
-	if s.cfg.RatePerSec > 0 {
-		limiter = newRateLimiter(s.cfg.RatePerSec)
-	}
 	// Retransmission only engages on a faulted fabric. On a perfect one,
 	// maxAttempts is pinned to 1 so every target is probed exactly once and
 	// zero-fault runs stay byte-identical to the pre-fault scanner.
@@ -131,7 +127,7 @@ func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *Segmen
 				breaker = &prefixBreaker{model: faultModel, src: s.cfg.Source,
 					threshold: s.cfg.BreakerThreshold, hits: maps.Clone(st.BreakerHits)}
 			}
-			seg := s.probeSegment(ctx, m, it, breaker, segmentTargets, maxAttempts, limiter)
+			seg := s.probeSegment(ctx, m, it, breaker, segmentTargets, maxAttempts)
 			if err := ctx.Err(); err != nil {
 				elapsed[st.Module] += time.Since(segStart)
 				results, stats := st.collect(elapsed)
@@ -239,12 +235,10 @@ type segment struct {
 // segment of any length allocates only the batches in flight.
 //
 // The hot path is contention-free: each worker counts and collects into its
-// own padded shard, and the rate limiter (when enabled) grants tokens a
-// batch at a time, so every first transmission is throttled just as every
-// retransmit is. The only cross-worker synchronization left per batch is one
-// channel receive.
+// own padded shard, and the only cross-worker synchronization per batch is
+// one channel receive.
 func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIterator,
-	breaker *prefixBreaker, max, maxAttempts int, limiter *rateLimiter) segment {
+	breaker *prefixBreaker, max, maxAttempts int) segment {
 	workers, batchSize := s.cfg.Workers, targetBatchSize
 	if max < workers*batchSize {
 		// A short segment: shrink the batches so it still spreads over the
@@ -272,17 +266,8 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 					continue // canceled: drain the feed without probing
 				default:
 				}
-				for i := 0; i < len(batch); {
-					n := len(batch) - i
-					if limiter != nil {
-						if n = limiter.reserve(ctx, n); n == 0 {
-							break // canceled while throttled
-						}
-					}
-					for _, t := range batch[i : i+n] {
-						s.probeTarget(ctx, m, transport, size, t, shard, maxAttempts, limiter)
-					}
-					i += n
+				for _, t := range batch {
+					s.probeTarget(ctx, m, transport, size, t, shard, maxAttempts)
 				}
 				select {
 				case free <- batch[:0]:

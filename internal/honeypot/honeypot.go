@@ -248,12 +248,9 @@ func (h *Honeypot) floodUpgrade(ev *Event) {
 	}
 }
 
-// New builds an empty honeypot bound to the shared log. clock stamps
-// datagram-service events; nil falls back to wall time.
+// New builds an empty honeypot bound to the shared log. clock, the
+// simulation's, stamps datagram-service events.
 func New(name, profile string, ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
-	if clock == nil {
-		clock = netsim.WallClock{}
-	}
 	return &Honeypot{
 		Name: name, Profile: profile, IP: ip, Clock: clock, log: log,
 		services: make(map[uint16]Service),

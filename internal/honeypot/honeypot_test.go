@@ -74,7 +74,7 @@ func TestCowrieTelnetBruteForceLogged(t *testing.T) {
 	cowrie := pots[4]
 	conn := dialOK(t, n, netsim.MustParseIPv4("203.0.113.66"), netsim.Endpoint{IP: cowrie.IP, Port: 23})
 	defer conn.Close()
-	ok, err := telnet.Login(context.Background(), conn, "root", "xc3511", time.Second)
+	ok, err := telnet.Login(context.Background(), conn, "root", "xc3511")
 	if err != nil || !ok {
 		t.Fatalf("Login = %v, %v (Cowrie must accept everything)", ok, err)
 	}
@@ -96,10 +96,10 @@ func TestCowrieMalwareDropClassified(t *testing.T) {
 	cowrie := pots[4]
 	conn := dialOK(t, n, netsim.MustParseIPv4("203.0.113.67"), netsim.Endpoint{IP: cowrie.IP, Port: 22})
 	defer conn.Close()
-	if _, err := ssh.GrabBanner(conn, time.Second); err != nil {
+	if _, err := ssh.GrabBanner(conn); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := ssh.Login(conn, "SSH-2.0-mirai", "admin", "admin", time.Second)
+	ok, err := ssh.Login(conn, "SSH-2.0-mirai", "admin", "admin")
 	if err != nil || !ok {
 		t.Fatalf("login: %v %v", ok, err)
 	}
@@ -123,7 +123,7 @@ func TestHosTaGeMQTTPoisoning(t *testing.T) {
 	n, pots, log := deploy(t)
 	hostage := pots[0]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.5"), netsim.Endpoint{IP: hostage.IP, Port: 1883})
-	c := mqtt.NewClient(conn, time.Second)
+	c := mqtt.NewClient(conn)
 	if _, err := c.Connect("attacker", "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +187,17 @@ func TestDionaeaFTPMalwareCapture(t *testing.T) {
 	dionaea := pots[5]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.8"), netsim.Endpoint{IP: dionaea.IP, Port: 21})
 	c := ftp.NewClient(conn)
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+	if ok, _ := c.Login("anonymous", ""); !ok {
 		t.Fatal("anonymous login failed")
 	}
 	payload := []byte("\x7fELF lokibot")
-	if ok, err := c.Store("lokibot.bin", payload, time.Second); err != nil || !ok {
+	if ok, err := c.Store("lokibot.bin", payload); err != nil || !ok {
 		t.Fatalf("store: %v %v", ok, err)
 	}
-	c.Quit(time.Second)
+	c.Quit()
 	waitEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Dionaea" && ev.Type == AttackMalware &&

@@ -180,7 +180,7 @@ func TestSortEventsCanonical(t *testing.T) {
 // day) key pass through, every later one is upgraded to DoS, and other
 // sources and days are unaffected.
 func TestFloodUpgradeThreshold(t *testing.T) {
-	h := New("U-Pot", "hue", netsim.MustParseIPv4("130.226.56.10"), nil, &Log{})
+	h := New("U-Pot", "hue", netsim.MustParseIPv4("130.226.56.10"), netsim.NewSimClock(netsim.ExperimentStart), &Log{})
 	day0 := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
 
 	upgraded := func(tm time.Time, src netsim.IPv4) bool {

@@ -151,10 +151,9 @@ func amqpService(h *Honeypot) Service {
 func coapService(h *Honeypot, device string) Service {
 	srv := coap.NewServer(coap.ServerConfig{
 		Policy:    coap.AccessOpen,
-		Clock:     h.Clock,
 		Resources: coap.DefaultSensorResources(device),
 		OnEvent: func(ev coap.RequestEvent) {
-			e := Event{Time: ev.Time, Protocol: iot.ProtoCoAP, Src: ev.From,
+			e := Event{Time: h.Clock.Now(), Protocol: iot.ProtoCoAP, Src: ev.From,
 				Detail: ev.Path}
 			switch {
 			case ev.Code == coap.CodePUT || ev.Code == coap.CodePOST || ev.Code == coap.CodeDELETE:
@@ -176,9 +175,8 @@ func upnpService(h *Honeypot, device upnp.Device) Service {
 	srv := upnp.NewResponder(upnp.ResponderConfig{
 		Device:         device,
 		AnswerInternet: true,
-		Clock:          h.Clock,
 		OnEvent: func(ev upnp.RequestEvent) {
-			e := Event{Time: ev.Time, Protocol: iot.ProtoUPnP, Src: ev.From,
+			e := Event{Time: h.Clock.Now(), Protocol: iot.ProtoUPnP, Src: ev.From,
 				Type: AttackScan, Detail: ev.ST}
 			h.floodUpgrade(&e)
 			h.Record(e)

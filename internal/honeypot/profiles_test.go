@@ -21,13 +21,13 @@ func TestThingPotXMPPPoisoning(t *testing.T) {
 	thingpot := pots[3]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.20"), netsim.Endpoint{IP: thingpot.IP, Port: 5222})
 	defer conn.Close()
-	if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local", time.Second); err != nil {
+	if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", "", time.Second); !ok {
+	if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", ""); !ok {
 		t.Fatal("anonymous bind rejected")
 	}
-	if _, err := xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`, time.Second); err != nil {
+	if _, err := xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`); err != nil {
 		t.Fatal(err)
 	}
 	waitEvents(t, log, func(evs []Event) bool {
@@ -46,7 +46,7 @@ func TestConpotModbusPoisoning(t *testing.T) {
 	conpot := pots[2]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.21"), netsim.Endpoint{IP: conpot.IP, Port: 502})
 	defer conn.Close()
-	if err := modbus.WriteSingle(conn, 3, 999, time.Second); err != nil {
+	if err := modbus.WriteSingle(conn, 3, 999); err != nil {
 		t.Fatal(err)
 	}
 	waitEvents(t, log, func(evs []Event) bool {
@@ -64,7 +64,7 @@ func TestConpotS7JobFloodDoS(t *testing.T) {
 	conpot := pots[2]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.22"), netsim.Endpoint{IP: conpot.IP, Port: 102})
 	defer conn.Close()
-	if err := s7.Connect(conn, time.Second); err != nil {
+	if err := s7.Connect(conn); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 80; i++ {
@@ -87,7 +87,7 @@ func TestHosTaGeAMQPPoisoning(t *testing.T) {
 	hostage := pots[0]
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.23"), netsim.Endpoint{IP: hostage.IP, Port: 5672})
 	defer conn.Close()
-	sess, ok, err := amqp.Connect(conn, "PLAIN", "", "", time.Second)
+	sess, ok, err := amqp.Connect(conn, "PLAIN", "", "")
 	if err != nil || !ok {
 		t.Fatalf("connect: %v %v", ok, err)
 	}
@@ -110,7 +110,7 @@ func TestHTTPMalwareUploadClassified(t *testing.T) {
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.24"), netsim.Endpoint{IP: dionaea.IP, Port: 80})
 	defer conn.Close()
 	body := make([]byte, 8192)
-	if _, err := httpx.Do(conn, "POST", "/upload.php", body, time.Second); err != nil {
+	if _, err := httpx.Do(conn, "POST", "/upload.php", body); err != nil {
 		t.Fatal(err)
 	}
 	waitEvents(t, log, func(evs []Event) bool {
@@ -135,7 +135,6 @@ func TestSMBExploitClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 256)
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
 	_, _ = conn.Read(buf)
 	conn.Close()
 	waitEvents(t, log, func(evs []Event) bool {
@@ -183,7 +182,6 @@ func TestCowrieSSHAcceptsAndConpotTelnetBanner(t *testing.T) {
 	conn := dialOK(t, n, netsim.MustParseIPv4("198.51.100.26"), netsim.Endpoint{IP: conpot.IP, Port: 23})
 	defer conn.Close()
 	buf := make([]byte, 256)
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
 	total := 0
 	for total < 32 {
 		n, err := conn.Read(buf[total:])

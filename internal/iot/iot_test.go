@@ -178,7 +178,7 @@ func TestDeviceHostServesTelnetBanner(t *testing.T) {
 	}
 	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: spec.IP, Port: 23}, time.Now())
 	defer client.Close()
-	b, err := telnet.Grab(context.Background(), client, 200*time.Millisecond)
+	b, err := telnet.Grab(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDeviceHostMQTTAnonymous(t *testing.T) {
 		t.Fatal("mqtt port closed")
 	}
 	client := netsim.Converse(handler.NewStepper(), 1, netsim.Endpoint{IP: spec.IP, Port: 1883}, time.Now())
-	c := mqtt.NewClient(client, time.Second)
+	c := mqtt.NewClient(client)
 	code, err := c.Connect("probe", "", "")
 	if err != nil || code != mqtt.ConnAccepted {
 		t.Fatalf("Connect = %v, %v", code, err)

@@ -73,13 +73,6 @@ func (c *SimClock) Set(t time.Time) error {
 	}
 }
 
-// WallClock is a Clock backed by the real time.Now, used by the runnable
-// examples when interacting with real sockets.
-type WallClock struct{}
-
-// Now returns time.Now().
-func (WallClock) Now() time.Time { return time.Now() }
-
 // ExperimentStart is the canonical start of the simulated measurement month.
 // The paper recorded attacks during April 2021 (Section 3.3.2); all simulated
 // timestamps are anchored here so daily series line up with Figure 8.

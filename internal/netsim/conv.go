@@ -13,24 +13,22 @@ package netsim
 //
 // The payoff is twofold. First, time: when the client reads with an empty
 // buffer the server has already seen every byte sent, so no data can ever
-// arrive within that read, and a read deadline is reported exceeded
-// immediately instead of being slept out on the wall clock. Second, churn:
+// arrive within that read, and the read returns ErrWouldBlock at once; no
+// conversation reads or waits on the wall clock. Second, churn:
 // conversation state (buffers, mutex) lives in slab-pooled conv objects that
 // reset and recycle, so a dial costs no goroutine spawn and no channel
 // allocation.
 //
 // Byte-stream semantics are those of a TCP socket pair: reads drain buffered
-// data before reporting EOF or deadlines, broken pipes beat buffered data, a
+// data before reporting EOF or ErrWouldBlock, broken pipes beat buffered data, a
 // close half-closes both directions, and injected stream faults (tarpit
 // truncation, mid-stream reset) trip on a server-write byte budget with a
 // partial-write return. lifecycle_test.go pins each of these cases.
 
 import (
+	"errors"
 	"io"
-	"net"
-	"os"
 	"sync"
-	"time"
 )
 
 // convBufRetain caps the buffer capacity a pooled conversation keeps across
@@ -85,8 +83,8 @@ func (b *convBuf) reset() {
 }
 
 // conv is one pooled conversation: the two payload queues, the injected
-// stream fault, and the server party. The mutex guards the queues and
-// endpoint deadlines; it is held only inside individual I/O operations, so
+// stream fault, and the server party. The mutex guards the queues and the
+// endpoints' closed flags; it is held only inside individual I/O operations, so
 // cross-conversation writers (an MQTT broker fanning a publish out to another
 // session) never deadlock against a running party.
 type conv struct {
@@ -156,35 +154,26 @@ func (cv *conv) maybeRelease() {
 // scan leg's worker goroutines, tests).
 var globalConvPool = sync.Pool{New: func() any { return &conv{} }}
 
-// convPair bundles the four per-dial objects — both endpoint handles and
-// both ServiceConn wrappers — into one allocation. They share a lifetime
-// (per dial, never pooled), so one slab beats four mallocs on the hot path.
+// convPair holds both endpoints of one dial in a single allocation. They
+// share a lifetime (per dial, never pooled), so one slab beats two mallocs on
+// the hot path.
 type convPair struct {
-	clientCC convConn
-	serverCC convConn
-	clientSC ServiceConn
-	serverSC ServiceConn
+	client ServiceConn
+	server ServiceConn
 }
 
 // convConn is one endpoint handle of an engine conversation. Handles are
-// allocated per dial — never pooled — so the fault flags and deadlines they
-// carry stay valid after the conversation object itself is recycled.
+// allocated per dial — never pooled — so a handle stays valid after the
+// conversation object itself is recycled.
 type convConn struct {
 	cv     *conv
 	gen    uint64
 	client bool
-	local  Endpoint
-	remote Endpoint
+	remote Endpoint // the peer's endpoint; ServerConv.RemoteIP reads it
 
-	// Deadlines and the closed flag are guarded by cv.mu: MQTT fanout writes
-	// arrive from other conversations' goroutines.
-	readDL  time.Time
-	writeDL time.Time
-	closed  bool
-
-	// sc is the ServiceConn wrapping this endpoint (set at dial). The server
-	// endpoint's writes raise fault flags on the peer client's sc.
-	sc *ServiceConn
+	// closed is guarded by cv.mu: MQTT fanout writes arrive from other
+	// conversations' goroutines.
+	closed bool
 }
 
 // readBuf is the queue this endpoint reads from.
@@ -203,13 +192,15 @@ func (c *convConn) writeBuf() *convBuf {
 	return &c.cv.s2c
 }
 
+// ErrWouldBlock is a client read's verdict on an open stream with nothing
+// buffered. The server has already run to quiescence on every byte sent, so
+// nothing can arrive until the client writes or closes: the read returns at
+// once, where a socket read would sit out its timeout.
+var ErrWouldBlock = errors.New("netsim: read would block: the peer awaits input")
+
 // Read reports, in order: a broken pipe, then buffered data, then EOF, then
-// the deadline. Where a socket would block, the engine knows the peer has
-// already run to quiescence, so no data can arrive within this read — a set
-// deadline is reported exceeded immediately (the give-up the deadline
-// models), without consulting the wall clock, and a read with no deadline
-// is a guaranteed deadlock, reported loudly. The server endpoint is written,
-// never read: its input reaches the Stepper through ServerConv.Input.
+// ErrWouldBlock. The server endpoint is written, never read: its input
+// reaches the Stepper through ServerConv.Input.
 func (c *convConn) Read(p []byte) (int, error) {
 	cv := c.cv
 	cv.mu.Lock()
@@ -227,11 +218,7 @@ func (c *convConn) Read(p []byte) (int, error) {
 	if buf.closed {
 		return 0, io.EOF
 	}
-	if !c.readDL.IsZero() {
-		return 0, os.ErrDeadlineExceeded
-	}
-	panic("netsim: conversation read would block forever " +
-		"(no buffered data, peer quiescent awaiting input, no read deadline set)")
+	return 0, ErrWouldBlock
 }
 
 func (c *convConn) Write(p []byte) (int, error) {
@@ -252,15 +239,12 @@ func (c *convConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeLocked appends to the outgoing queue. A torn-down or half-closed
-// pipe fails first, then the write deadline.
+// writeLocked appends to the outgoing queue; a torn-down or half-closed
+// pipe fails.
 func (c *convConn) writeLocked(p []byte) (int, error) {
 	buf := c.writeBuf()
 	if buf.broken || buf.closed {
 		return 0, io.ErrClosedPipe
-	}
-	if !c.writeDL.IsZero() && !time.Now().Before(c.writeDL) {
-		return 0, os.ErrDeadlineExceeded
 	}
 	buf.write(p)
 	return len(p), nil
@@ -333,60 +317,4 @@ func (c *convConn) Close() error {
 		cv.maybeRelease()
 	}
 	return nil
-}
-
-// abort tears the conversation down in both directions, discarding buffers
-// (RST semantics), then closes.
-func (c *convConn) abort() {
-	cv := c.cv
-	cv.mu.Lock()
-	if c.gen == cv.gen {
-		cv.s2c.broken, cv.s2c.data, cv.s2c.off = true, nil, 0
-		cv.c2s.broken, cv.c2s.data, cv.c2s.off = true, nil, 0
-	}
-	cv.mu.Unlock()
-	_ = c.Close()
-}
-
-func (c *convConn) LocalAddr() net.Addr  { return simAddr{transport: TCP, ep: c.local} }
-func (c *convConn) RemoteAddr() net.Addr { return simAddr{transport: TCP, ep: c.remote} }
-
-func (c *convConn) SetDeadline(t time.Time) error {
-	c.cv.mu.Lock()
-	c.readDL, c.writeDL = t, t
-	c.cv.mu.Unlock()
-	return nil
-}
-
-func (c *convConn) SetReadDeadline(t time.Time) error {
-	c.cv.mu.Lock()
-	c.readDL = t
-	c.cv.mu.Unlock()
-	return nil
-}
-
-func (c *convConn) SetWriteDeadline(t time.Time) error {
-	c.cv.mu.Lock()
-	c.writeDL = t
-	c.cv.mu.Unlock()
-	return nil
-}
-
-// simAddr is the net.Addr implementation for simulated endpoints.
-type simAddr struct {
-	transport Transport
-	ep        Endpoint
-}
-
-func (a simAddr) Network() string { return a.transport.String() }
-func (a simAddr) String() string  { return a.ep.String() }
-
-// RemoteIPv4 extracts the simulated source address from a connection handed
-// to a service handler. It returns false for non-simulated connections
-// (e.g. a real TCP conn in integration tests).
-func RemoteIPv4(c net.Conn) (IPv4, bool) {
-	if a, ok := c.RemoteAddr().(simAddr); ok {
-		return a.ep.IP, true
-	}
-	return 0, false
 }

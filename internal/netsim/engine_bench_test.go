@@ -7,7 +7,6 @@ package netsim
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // echoStepper answers the opening banner and echoes every client batch. It
@@ -45,7 +44,6 @@ func benchConversationEngine(b *testing.B, handler StreamHandler, shards int) {
 			if err != nil {
 				return
 			}
-			_ = conn.SetDeadline(time.Now().Add(time.Second))
 			scratch := GetScratch()
 			buf := *scratch
 			_, _ = conn.Read(buf) // banner

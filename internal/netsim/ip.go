@@ -4,8 +4,11 @@
 // The live-Internet substrate of the paper (an IPv4-wide ZMap scan, a
 // university honeypot deployment and the CAIDA /8 telescope) is replaced by a
 // deterministic virtual network: hosts are derived lazily from (seed, IP), so
-// a population of millions costs no memory until probed, and connections are
-// in-memory net.Conn pairs so real protocol code runs unmodified over them.
+// a population of millions costs no memory until probed, and a connection is
+// an in-memory conversation whose server runs inline on the dialer's
+// goroutine. Nothing in the fabric reads the wall clock: time is the Clock the
+// driver advances, and a client read that finds nothing buffered returns
+// ErrWouldBlock at once instead of waiting.
 package netsim
 
 import (

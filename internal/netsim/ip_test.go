@@ -204,14 +204,6 @@ func TestPrefixSetProperty(t *testing.T) {
 	}
 }
 
-func TestPrefixSetCountCovered(t *testing.T) {
-	s := NewPrefixSet(MustParsePrefix("10.0.0.0/30"))
-	got := s.CountCovered(MustParsePrefix("10.0.0.0/28"))
-	if got != 4 {
-		t.Fatalf("CountCovered = %d, want 4", got)
-	}
-}
-
 func TestPrefixesSorted(t *testing.T) {
 	s := NewPrefixSet(
 		MustParsePrefix("192.168.0.0/16"),

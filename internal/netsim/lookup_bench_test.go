@@ -1,6 +1,8 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+)
 
 // benchProviders registers a realistic provider mix: one wide universe
 // prefix plus a spread of more-specific carve-outs, the shape the scanner
@@ -18,7 +20,7 @@ func benchProviders(n *Network) {
 // BenchmarkLookupHost measures host resolution for a covered address —
 // the per-probe cost the scanner pays even on a dark Internet.
 func BenchmarkLookupHost(b *testing.B) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	benchProviders(n)
 	ip := MustParseIPv4("10.200.0.1")
 	b.ReportAllocs()
@@ -32,7 +34,7 @@ func BenchmarkLookupHost(b *testing.B) {
 // BenchmarkLookupHostMiss measures resolution for an uncovered (dark)
 // address, the overwhelmingly common case in an Internet-wide sweep.
 func BenchmarkLookupHostMiss(b *testing.B) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	benchProviders(n)
 	ip := MustParseIPv4("203.0.113.7")
 	b.ReportAllocs()
@@ -46,7 +48,7 @@ func BenchmarkLookupHostMiss(b *testing.B) {
 // BenchmarkEmitNoObserver measures the emit fast path when no observer
 // covers the destination (dark Internet, telescope elsewhere).
 func BenchmarkEmitNoObserver(b *testing.B) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	benchProviders(n)
 	n.AddObserver(MustParsePrefix("44.0.0.0/8"), ObserverFunc(func(ProbeEvent) {}))
 	ev := ProbeEvent{Dst: Endpoint{IP: MustParseIPv4("10.200.0.1"), Port: 23}}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,14 +32,14 @@ func (f DatagramHandlerFunc) HandleDatagram(from Endpoint, payload []byte) []byt
 	return f(from, payload)
 }
 
-// ServiceConn is the connection type handed to stream handlers and returned
-// by Dial. It wraps one endpoint of an engine conversation and carries the
-// simulated timestamp of the dial, letting services log events in simulation
-// time. ServiceConns are allocated per dial and never pooled, so the fault
-// flags below remain readable after Close even though the conversation
-// object underneath has been recycled.
+// ServiceConn is one endpoint of an engine conversation, as returned by Dial:
+// a byte stream (Read, Write, Close) that carries the simulated timestamp of
+// the dial, letting services log events in simulation time. ServiceConns are
+// allocated per dial and never pooled, so the fault flags below remain
+// readable after Close even though the conversation object underneath has
+// been recycled.
 type ServiceConn struct {
-	net.Conn
+	convConn
 	DialTime time.Time
 	// RTT is the simulated round-trip latency the fault model assigned to
 	// the dial (zero when no fault model is installed).
@@ -52,22 +51,12 @@ type ServiceConn struct {
 
 // FaultTruncated reports whether the peer's stream was cut by a tarpit
 // pathology: the bytes read so far are a genuine prefix of the banner, but
-// the rest never arrived inside any read window.
+// the rest never arrived.
 func (c *ServiceConn) FaultTruncated() bool { return c.faultTruncated.Load() }
 
 // FaultReset reports whether the conversation was torn down mid-stream by an
 // injected TCP RST.
 func (c *ServiceConn) FaultReset() bool { return c.faultReset.Load() }
-
-// Abort tears the connection down in both directions, discarding buffers.
-// It models a RST.
-func (c *ServiceConn) Abort() {
-	if t, ok := c.Conn.(*convConn); ok {
-		t.abort()
-		return
-	}
-	_ = c.Conn.Close()
-}
 
 // Host describes a simulated machine: which ports answer, and how.
 // Implementations must be safe for concurrent use; the lazily derived IoT
@@ -302,11 +291,8 @@ type observerEntry struct {
 	observer Observer
 }
 
-// NewNetwork returns an empty network fabric using the given clock.
+// NewNetwork returns an empty network fabric on the given simulated clock.
 func NewNetwork(clock Clock) *Network {
-	if clock == nil {
-		clock = WallClock{}
-	}
 	n := &Network{clock: clock, DefaultTTL: 64}
 	n.state.Store(&netState{})
 	return n
@@ -609,7 +595,8 @@ var ErrProbeTimeout = errors.New("netsim: probe timed out")
 // runs on the discrete-event engine: the destination service's Stepper
 // executes inline, resumed on this goroutine after the dial and after every
 // client write or close, so a dial starts no goroutine and allocates no
-// channel. The client side keeps the ordinary blocking net.Conn API.
+// channel. The client reads and writes the returned stream; a read that
+// finds nothing buffered returns ErrWouldBlock at once.
 func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn, error) {
 	if n.quiescing.Load() {
 		panic(fmt.Sprintf("netsim: Dial(%v -> %v) raced Network.Quiesce: the caller must fence "+
@@ -662,15 +649,12 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 		cv.fault.active, cv.fault.remaining = true, plan.TruncateAfter
 	}
 
-	pair := &convPair{
-		clientCC: convConn{cv: cv, gen: cv.gen, client: true, local: srcEP, remote: dst},
-		serverCC: convConn{cv: cv, gen: cv.gen, client: false, local: dst, remote: srcEP},
-	}
-	client, server := &pair.clientSC, &pair.serverSC
-	client.Conn, client.DialTime, client.RTT = &pair.clientCC, now, plan.Latency
-	server.Conn, server.DialTime, server.RTT = &pair.serverCC, now, plan.Latency
-	pair.clientCC.sc = client
-	pair.serverCC.sc = server
+	pair := &convPair{}
+	client, server := &pair.client, &pair.server
+	client.convConn = convConn{cv: cv, gen: cv.gen, client: true, remote: dst}
+	server.convConn = convConn{cv: cv, gen: cv.gen, remote: srcEP}
+	client.DialTime, client.RTT = now, plan.Latency
+	server.DialTime, server.RTT = now, plan.Latency
 	cv.clientSC = client
 
 	n.handlers.Add(1)

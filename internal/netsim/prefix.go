@@ -171,15 +171,3 @@ func (s *PrefixSet) Prefixes() []Prefix {
 	})
 	return out
 }
-
-// CountCovered returns how many addresses of p are covered by the set.
-// It is used to size scan exclusions exactly.
-func (s *PrefixSet) CountCovered(p Prefix) uint64 {
-	var n uint64
-	for i := uint64(0); i < p.Size(); i++ {
-		if s.Contains(p.Nth(i)) {
-			n++
-		}
-	}
-	return n
-}

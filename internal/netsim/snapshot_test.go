@@ -17,7 +17,7 @@ func TestProviderEqualPrefixTieBreak(t *testing.T) {
 	prefix := MustParsePrefix("10.0.0.0/16")
 	ip := MustParseIPv4("10.0.1.2")
 
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	n.AddProvider(prefix, HostProviderFunc(func(IPv4) Host { return namedHost{name: "first"} }))
 	n.AddProvider(prefix, HostProviderFunc(func(IPv4) Host { return namedHost{name: "second"} }))
 	if got := n.lookupHost(ip).(namedHost).name; got != "second" {
@@ -25,7 +25,7 @@ func TestProviderEqualPrefixTieBreak(t *testing.T) {
 	}
 
 	// A later registration that answers nil does not shadow the earlier one.
-	n2 := NewNetwork(nil)
+	n2 := NewNetwork(NewSimClock(ExperimentStart))
 	n2.AddProvider(prefix, HostProviderFunc(func(IPv4) Host { return namedHost{name: "first"} }))
 	n2.AddProvider(prefix, HostProviderFunc(func(IPv4) Host { return nil }))
 	if h := n2.lookupHost(ip); h == nil || h.(namedHost).name != "first" {
@@ -44,7 +44,7 @@ func TestProviderPrecedenceOverlapping(t *testing.T) {
 	named := func(name string) HostProvider {
 		return HostProviderFunc(func(IPv4) Host { return namedHost{name: name} })
 	}
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	n.AddProvider(MustParsePrefix("10.0.0.0/8"), named("wide"))
 	n.AddProvider(MustParsePrefix("10.1.0.0/16"), named("mid-a"))
 	n.AddProvider(MustParsePrefix("10.1.2.0/24"), named("narrow"))
@@ -69,7 +69,7 @@ func TestProviderPrecedenceOverlapping(t *testing.T) {
 // TestSnapshotVisibleAfterRegistration checks copy-on-write registrations
 // become visible to traffic issued afterwards.
 func TestSnapshotVisibleAfterRegistration(t *testing.T) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	dst := Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 23}
 	var (
 		mu   sync.Mutex
@@ -95,7 +95,7 @@ func TestSnapshotVisibleAfterRegistration(t *testing.T) {
 // TestObserverShortPrefix exercises the top-octet pre-check with an
 // observer prefix shorter than /8, which spans multiple top octets.
 func TestObserverShortPrefix(t *testing.T) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	var (
 		mu   sync.Mutex
 		seen []IPv4
@@ -119,7 +119,7 @@ func TestObserverShortPrefix(t *testing.T) {
 // TestConcurrentRegistrationAndLookup races copy-on-write registrations
 // against the lock-free read path (meaningful under -race).
 func TestConcurrentRegistrationAndLookup(t *testing.T) {
-	n := NewNetwork(nil)
+	n := NewNetwork(NewSimClock(ExperimentStart))
 	n.AddProvider(MustParsePrefix("10.0.0.0/8"), HostProviderFunc(func(IPv4) Host { return testHost{} }))
 	n.AddObserver(MustParsePrefix("44.0.0.0/8"), ObserverFunc(func(ProbeEvent) {}))
 

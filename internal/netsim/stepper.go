@@ -108,15 +108,14 @@ func (c *ServerConv) avail() int { return len(c.in) - c.off }
 // stream fault — a tripped tarpit or reset surfaces here as io.ErrClosedPipe.
 func (c *ServerConv) Write(p []byte) (int, error) { return c.sc.Write(p) }
 
-// Conn exposes the underlying connection for metadata (DialTime, RTT,
-// remote address).
+// Conn exposes the underlying connection for metadata (DialTime, RTT).
 func (c *ServerConv) Conn() *ServiceConn { return c.sc }
 
 // DialTime is the simulated time the conversation was dialed.
 func (c *ServerConv) DialTime() time.Time { return c.sc.DialTime }
 
 // RemoteIP reports the client's simulated address.
-func (c *ServerConv) RemoteIP() (IPv4, bool) { return RemoteIPv4(c.sc) }
+func (c *ServerConv) RemoteIP() IPv4 { return c.sc.remote.IP }
 
 // stepperParty drives a Stepper as the server side of an engine
 // conversation. All fields are touched only by the conversation's driving

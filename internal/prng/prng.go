@@ -173,31 +173,6 @@ func (s *Source) Norm(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's algorithm for small means and a normal approximation above 30.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		n := int(s.Norm(mean, math.Sqrt(mean)) + 0.5)
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -192,30 +192,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		s := New(uint64(mean * 100))
-		var sum int
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean)/mean > 0.05 {
-			t.Fatalf("Poisson(%f) mean %f", mean, got)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if New(1).Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
-	}
-	if New(1).Poisson(-3) != 0 {
-		t.Fatal("Poisson(-3) != 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		s := New(seed)

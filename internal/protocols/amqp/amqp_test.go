@@ -105,7 +105,7 @@ func TestProbeReadsServerProperties(t *testing.T) {
 			Mechanisms: []string{"PLAIN", "ANONYMOUS"},
 		},
 	})
-	props, err := Probe(client, time.Second)
+	props, err := Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,6 @@ func TestProbeBadGreetingAnswered(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
 	n, _ := client.Read(buf)
 	if !IsAMQP(buf[:n]) {
 		t.Fatalf("bad greeting answer %q", buf[:n])
@@ -137,7 +136,7 @@ func TestConnectAnonymousAccepted(t *testing.T) {
 			Mechanisms: []string{"PLAIN", "ANONYMOUS"}},
 		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
-	sess, ok, err := Connect(client, "ANONYMOUS", "", "", time.Second)
+	sess, ok, err := Connect(client, "ANONYMOUS", "", "")
 	if err != nil || !ok {
 		t.Fatalf("Connect = %v, %v", ok, err)
 	}
@@ -158,7 +157,7 @@ func TestConnectAuthRejected(t *testing.T) {
 		RequireAuth: true,
 		Credentials: map[string]string{"svc": "hunter2"},
 	})
-	_, ok, err := Connect(client, "PLAIN", "svc", "wrong", time.Second)
+	_, ok, err := Connect(client, "PLAIN", "svc", "wrong")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestConnectAuthAccepted(t *testing.T) {
 		RequireAuth: true,
 		Credentials: map[string]string{"svc": "hunter2"},
 	})
-	_, ok, err := Connect(client, "PLAIN", "svc", "hunter2", time.Second)
+	_, ok, err := Connect(client, "PLAIN", "svc", "hunter2")
 	if err != nil || !ok {
 		t.Fatalf("Connect = %v, %v", ok, err)
 	}
@@ -180,7 +179,7 @@ func TestConnectAuthAccepted(t *testing.T) {
 
 func TestFloodGuardClosesSession(t *testing.T) {
 	client := startBroker(t, ServerConfig{MaxPublishes: 3})
-	sess, ok, err := Connect(client, "PLAIN", "", "", time.Second)
+	sess, ok, err := Connect(client, "PLAIN", "", "")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}

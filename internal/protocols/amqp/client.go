@@ -4,18 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
-	"time"
 )
 
 // Probe performs the paper's AMQP banner grab over an established
 // connection: send the protocol header, read connection.start, and return
 // the server properties without completing authentication.
-func Probe(conn net.Conn, timeout time.Duration) (*ServerProperties, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Probe(conn io.ReadWriter) (*ServerProperties, error) {
 	if _, err := conn.Write(ProtocolHeader); err != nil {
 		return nil, err
 	}
@@ -28,18 +22,14 @@ func Probe(conn net.Conn, timeout time.Duration) (*ServerProperties, error) {
 
 // Session is an authenticated client session for attack actors.
 type Session struct {
-	conn  net.Conn
+	conn  io.ReadWriteCloser
 	props *ServerProperties
 }
 
 // Connect performs the full preamble: header, start/start-ok with the given
 // mechanism and credentials, tune-ok and open. It reports whether the broker
 // admitted the session.
-func Connect(conn net.Conn, mechanism, user, pass string, timeout time.Duration) (*Session, bool, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Connect(conn io.ReadWriteCloser, mechanism, user, pass string) (*Session, bool, error) {
 	if _, err := conn.Write(ProtocolHeader); err != nil {
 		return nil, false, err
 	}
@@ -90,7 +80,6 @@ func (s *Session) Properties() *ServerProperties { return s.props }
 
 // Publish sends a basic.publish — the queue-poisoning primitive.
 func (s *Session) Publish(exchange, routingKey string, body []byte) error {
-	_ = s.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	_, err := s.conn.Write(PublishFrame(exchange, routingKey, body).Marshal())
 	return err
 }

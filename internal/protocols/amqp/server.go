@@ -95,7 +95,7 @@ type serverStepper struct {
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		t.remote, _ = c.RemoteIP()
+		t.remote = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
 		v, err := netsim.Frames(c, t.decode, t.handleFrame)

@@ -278,17 +278,6 @@ func TestBannerPrefixed(t *testing.T) {
 	}
 }
 
-func TestAmplificationFactor(t *testing.T) {
-	s := testServer(AccessOpen, nil)
-	f := s.AmplificationFactor(21) // the discovery probe is ~21 bytes
-	if f <= 1 {
-		t.Fatalf("amplification %f, want > 1 (reflector behaviour)", f)
-	}
-	if s.AmplificationFactor(0) != 0 {
-		t.Fatal("zero request bytes must not divide")
-	}
-}
-
 func TestNonConfirmableEchoed(t *testing.T) {
 	s := testServer(AccessOpen, nil)
 	m := &Message{Type: NonConfirmable, Code: CodeGET, MessageID: 5}

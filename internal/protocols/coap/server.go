@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"openhire/internal/netsim"
 )
@@ -40,7 +39,6 @@ type Resource struct {
 
 // RequestEvent is surfaced to the owner for every datagram handled.
 type RequestEvent struct {
-	Time    time.Time
 	From    netsim.IPv4
 	Code    Code
 	Path    string
@@ -59,8 +57,6 @@ type ServerConfig struct {
 	Banner string
 	// OnEvent, when non-nil, receives request observations.
 	OnEvent func(RequestEvent)
-	// Clock stamps events; nil falls back to wall time.
-	Clock netsim.Clock
 }
 
 // Server is a CoAP resource server implementing netsim.DatagramHandler.
@@ -74,9 +70,6 @@ type Server struct {
 
 // NewServer builds a server from cfg.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Clock == nil {
-		cfg.Clock = netsim.WallClock{}
-	}
 	s := &Server{cfg: cfg, values: make(map[string][]byte)}
 	for _, r := range cfg.Resources {
 		s.values[r.Path] = append([]byte(nil), r.Value...)
@@ -135,7 +128,7 @@ func (s *Server) HandleDatagram(from netsim.Endpoint, payload []byte) []byte {
 	}
 	if s.cfg.OnEvent != nil {
 		s.cfg.OnEvent(RequestEvent{
-			Time: s.cfg.Clock.Now(), From: from.IP, Code: req.Code,
+			From: from.IP, Code: req.Code,
 			Path: req.Path(), Payload: req.Payload, ResponseBytes: len(out),
 		})
 	}
@@ -212,16 +205,6 @@ func (s *Server) respond(req *Message) *Message {
 		resp.Code = CodeNotAllowed
 		return resp
 	}
-}
-
-// AmplificationFactor estimates the reflection amplification a probe of
-// reqBytes achieves against this server's discovery resource.
-func (s *Server) AmplificationFactor(reqBytes int) float64 {
-	if reqBytes <= 0 {
-		return 0
-	}
-	resp := len(s.CoreLinkFormat()) + len(s.cfg.Banner) + 8 // header overhead
-	return float64(resp) / float64(reqBytes)
 }
 
 // DefaultSensorResources builds the resource list of a typical exposed IoT

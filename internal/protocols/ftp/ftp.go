@@ -14,7 +14,6 @@ package ftp
 import (
 	"bufio"
 	"io"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,7 +105,7 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 	switch ev {
 	case netsim.EvOpen:
 		t.ev.Time = c.DialTime()
-		t.ev.Remote, _ = c.RemoteIP()
+		t.ev.Remote = c.RemoteIP()
 		if reply(c, t.s.cfg.Banner) {
 			return netsim.StepMore
 		}
@@ -260,18 +259,17 @@ func splitCommand(line string) (verb, arg string) {
 
 // Client drives an FTP session for scan probes and attack actors.
 type Client struct {
-	conn net.Conn
+	conn io.ReadWriteCloser
 	r    *bufio.Reader
 }
 
 // NewClient wraps an established control connection.
-func NewClient(conn net.Conn) *Client {
+func NewClient(conn io.ReadWriteCloser) *Client {
 	return &Client{conn: conn, r: bufio.NewReader(conn)}
 }
 
 // ReadReply reads one server reply line.
-func (c *Client) ReadReply(timeout time.Duration) (string, error) {
-	_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
+func (c *Client) ReadReply() (string, error) {
 	line, err := c.r.ReadString('\n')
 	if err != nil && line == "" {
 		return "", err
@@ -279,25 +277,24 @@ func (c *Client) ReadReply(timeout time.Duration) (string, error) {
 	return strings.TrimSpace(line), nil
 }
 
-func (c *Client) send(line string, timeout time.Duration) error {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
+func (c *Client) send(line string) error {
 	_, err := io.WriteString(c.conn, line+"\r\n")
 	return err
 }
 
 // Login performs USER/PASS and reports acceptance. Call after consuming the
 // 220 banner with ReadReply.
-func (c *Client) Login(user, pass string, timeout time.Duration) (bool, error) {
-	if err := c.send("USER "+user, timeout); err != nil {
+func (c *Client) Login(user, pass string) (bool, error) {
+	if err := c.send("USER " + user); err != nil {
 		return false, err
 	}
-	if _, err := c.ReadReply(timeout); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		return false, err
 	}
-	if err := c.send("PASS "+pass, timeout); err != nil {
+	if err := c.send("PASS " + pass); err != nil {
 		return false, err
 	}
-	reply, err := c.ReadReply(timeout)
+	reply, err := c.ReadReply()
 	if err != nil {
 		return false, err
 	}
@@ -305,25 +302,24 @@ func (c *Client) Login(user, pass string, timeout time.Duration) (bool, error) {
 }
 
 // Store uploads data under name using the inline transfer mode.
-func (c *Client) Store(name string, data []byte, timeout time.Duration) (bool, error) {
-	if err := c.send("STOR "+name, timeout); err != nil {
+func (c *Client) Store(name string, data []byte) (bool, error) {
+	if err := c.send("STOR " + name); err != nil {
 		return false, err
 	}
-	reply, err := c.ReadReply(timeout)
+	reply, err := c.ReadReply()
 	if err != nil {
 		return false, err
 	}
 	if !strings.HasPrefix(reply, "150") {
 		return false, nil
 	}
-	if err := c.send(strconv.Itoa(len(data)), timeout); err != nil {
+	if err := c.send(strconv.Itoa(len(data))); err != nil {
 		return false, err
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if _, err := c.conn.Write(data); err != nil {
 		return false, err
 	}
-	reply, err = c.ReadReply(timeout)
+	reply, err = c.ReadReply()
 	if err != nil {
 		return false, err
 	}
@@ -331,8 +327,8 @@ func (c *Client) Store(name string, data []byte, timeout time.Duration) (bool, e
 }
 
 // Quit ends the session.
-func (c *Client) Quit(timeout time.Duration) {
-	_ = c.send("QUIT", timeout)
-	_, _ = c.ReadReply(timeout)
+func (c *Client) Quit() {
+	_ = c.send("QUIT")
+	_, _ = c.ReadReply()
 	_ = c.conn.Close()
 }

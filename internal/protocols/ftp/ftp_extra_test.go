@@ -14,30 +14,30 @@ func TestSystPwdList(t *testing.T) {
 		AllowAnonymous: true,
 		Files:          map[string][]byte{"firmware.bin": []byte("x"), "config.txt": []byte("y")},
 	})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+	if ok, _ := c.Login("anonymous", ""); !ok {
 		t.Fatal("login failed")
 	}
-	if err := c.send("SYST", time.Second); err != nil {
+	if err := c.send("SYST"); err != nil {
 		t.Fatal(err)
 	}
-	if reply, _ := c.ReadReply(time.Second); !strings.HasPrefix(reply, "215") {
+	if reply, _ := c.ReadReply(); !strings.HasPrefix(reply, "215") {
 		t.Fatalf("SYST reply %q", reply)
 	}
-	if err := c.send("PWD", time.Second); err != nil {
+	if err := c.send("PWD"); err != nil {
 		t.Fatal(err)
 	}
-	if reply, _ := c.ReadReply(time.Second); !strings.HasPrefix(reply, "257") {
+	if reply, _ := c.ReadReply(); !strings.HasPrefix(reply, "257") {
 		t.Fatalf("PWD reply %q", reply)
 	}
-	if err := c.send("LIST", time.Second); err != nil {
+	if err := c.send("LIST"); err != nil {
 		t.Fatal(err)
 	}
 	var sawFile, sawEnd bool
 	for i := 0; i < 6; i++ {
-		reply, err := c.ReadReply(time.Second)
+		reply, err := c.ReadReply()
 		if err != nil {
 			break
 		}
@@ -56,13 +56,13 @@ func TestSystPwdList(t *testing.T) {
 
 func TestListRequiresLogin(t *testing.T) {
 	c, _ := startServer(t, Config{AllowAnonymous: true})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send("LIST", time.Second); err != nil {
+	if err := c.send("LIST"); err != nil {
 		t.Fatal(err)
 	}
-	if reply, _ := c.ReadReply(time.Second); !strings.HasPrefix(reply, "530") {
+	if reply, _ := c.ReadReply(); !strings.HasPrefix(reply, "530") {
 		t.Fatalf("unauthenticated LIST reply %q", reply)
 	}
 }
@@ -71,13 +71,13 @@ func TestUploadSizeLimit(t *testing.T) {
 	c, events := startServer(t, Config{
 		AllowAnonymous: true, AllowWrite: true, MaxUploadBytes: 64,
 	})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+	if ok, _ := c.Login("anonymous", ""); !ok {
 		t.Fatal("login failed")
 	}
-	ok, err := c.Store("big.bin", make([]byte, 1024), time.Second)
+	ok, err := c.Store("big.bin", make([]byte, 1024))
 	if err == nil && ok {
 		t.Fatal("oversized upload accepted")
 	}
@@ -92,10 +92,10 @@ func TestUploadSizeLimit(t *testing.T) {
 
 func TestQuitEvent(t *testing.T) {
 	c, events := startServer(t, Config{})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	c.Quit(time.Second)
+	c.Quit()
 	evs := events()
 	if len(evs) == 0 {
 		t.Fatal("no event")
@@ -115,18 +115,18 @@ func TestListOrderIsSorted(t *testing.T) {
 	want := []string{"boot.img", "config.txt", "firmware.bin", "passwd", "update.sh"}
 	for session := 0; session < 64; session++ {
 		c, _ := startServer(t, Config{AllowAnonymous: true, Files: files})
-		if _, err := c.ReadReply(time.Second); err != nil {
+		if _, err := c.ReadReply(); err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+		if ok, _ := c.Login("anonymous", ""); !ok {
 			t.Fatal("login failed")
 		}
-		if err := c.send("LIST", time.Second); err != nil {
+		if err := c.send("LIST"); err != nil {
 			t.Fatal(err)
 		}
 		var got []string
 		for {
-			reply, err := c.ReadReply(time.Second)
+			reply, err := c.ReadReply()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestLineCapEndsSession(t *testing.T) {
 	defer client.Close()
 
 	c := NewClient(client)
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
 	// 1 MiB in 4 KiB writes, so the server sees the line grow event by event
@@ -182,7 +182,7 @@ func TestLineCapEndsSession(t *testing.T) {
 			break
 		}
 	}
-	reply, err := c.ReadReply(5 * time.Second)
+	reply, err := c.ReadReply()
 	if err != nil || !strings.HasPrefix(reply, "500") {
 		t.Fatalf("reply to an endless line = %q, %v; want 500", reply, err)
 	}

@@ -28,14 +28,14 @@ func startServer(t *testing.T, cfg Config) (*Client, func() []Event) {
 
 func TestBannerAndAnonymousLogin(t *testing.T) {
 	c, _ := startServer(t, Config{Banner: "220 (vsFTPd 2.3.4)", AllowAnonymous: true})
-	banner, err := c.ReadReply(time.Second)
+	banner, err := c.ReadReply()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if banner != "220 (vsFTPd 2.3.4)" {
 		t.Fatalf("banner %q", banner)
 	}
-	ok, err := c.Login("anonymous", "probe@example.com", time.Second)
+	ok, err := c.Login("anonymous", "probe@example.com")
 	if err != nil || !ok {
 		t.Fatalf("anonymous login = %v, %v", ok, err)
 	}
@@ -43,10 +43,10 @@ func TestBannerAndAnonymousLogin(t *testing.T) {
 
 func TestAnonymousRejectedWhenDisabled(t *testing.T) {
 	c, _ := startServer(t, Config{})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.Login("anonymous", "x", time.Second)
+	ok, err := c.Login("anonymous", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,31 +57,31 @@ func TestAnonymousRejectedWhenDisabled(t *testing.T) {
 
 func TestCredentialLogin(t *testing.T) {
 	c, _ := startServer(t, Config{Credentials: map[string]string{"iot": "cam123"}})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("iot", "bad", time.Second); ok {
+	if ok, _ := c.Login("iot", "bad"); ok {
 		t.Fatal("bad password accepted")
 	}
-	if ok, _ := c.Login("iot", "cam123", time.Second); !ok {
+	if ok, _ := c.Login("iot", "cam123"); !ok {
 		t.Fatal("good password rejected")
 	}
 }
 
 func TestMalwareUploadCaptured(t *testing.T) {
 	c, events := startServer(t, Config{AllowAnonymous: true, AllowWrite: true})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+	if ok, _ := c.Login("anonymous", ""); !ok {
 		t.Fatal("login failed")
 	}
 	payload := []byte("\x7fELF mozi-sample-bytes")
-	ok, err := c.Store("mozi.arm7", payload, time.Second)
+	ok, err := c.Store("mozi.arm7", payload)
 	if err != nil || !ok {
 		t.Fatalf("Store = %v, %v", ok, err)
 	}
-	c.Quit(time.Second)
+	c.Quit()
 	evs := events()
 	if len(evs) == 0 {
 		t.Fatal("no event")
@@ -98,13 +98,13 @@ func TestMalwareUploadCaptured(t *testing.T) {
 
 func TestStoreDeniedWithoutWrite(t *testing.T) {
 	c, _ := startServer(t, Config{AllowAnonymous: true})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Login("anonymous", "", time.Second); !ok {
+	if ok, _ := c.Login("anonymous", ""); !ok {
 		t.Fatal("login failed")
 	}
-	ok, err := c.Store("x.bin", []byte("data"), time.Second)
+	ok, err := c.Store("x.bin", []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +115,20 @@ func TestStoreDeniedWithoutWrite(t *testing.T) {
 
 func TestCommandsLoggedAndUnknownCommand(t *testing.T) {
 	c, events := startServer(t, Config{AllowAnonymous: true})
-	if _, err := c.ReadReply(time.Second); err != nil {
+	if _, err := c.ReadReply(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send("HACK the planet", time.Second); err != nil {
+	if err := c.send("HACK the planet"); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.ReadReply(time.Second)
+	reply, err := c.ReadReply()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(reply, "502") {
 		t.Fatalf("reply %q", reply)
 	}
-	c.Quit(time.Second)
+	c.Quit()
 	evs := events()
 	if len(evs) == 0 {
 		t.Fatal("no event")

@@ -3,7 +3,7 @@
 // (brute-force target), and flood observation.
 //
 // The stdlib net/http is built around real listeners; the simulation hands
-// us raw net.Conn streams, so a compact request/response codec is simpler
+// us in-memory byte streams, so a compact request/response codec is simpler
 // and keeps the honeypot event hooks at wire level. HTTP is simulated by
 // HosTaGe, Conpot and Dionaea in the paper (Section 5.1.6) and received
 // web-scraping, brute-force, DoS floods and crypto-mining injection.
@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -236,7 +235,7 @@ type serverStepper struct {
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		t.remote, _ = c.RemoteIP()
+		t.remote = c.RemoteIP()
 		if t.s.cfg.MaxRequestsPerConn <= 0 {
 			return netsim.StepDone
 		}
@@ -332,12 +331,12 @@ func unhex(c byte) (byte, bool) {
 }
 
 // Get performs a GET over an established connection and returns the response.
-func Get(conn net.Conn, path string, timeout time.Duration) (*Response, error) {
-	return Do(conn, "GET", path, nil, timeout)
+func Get(conn io.ReadWriter, path string) (*Response, error) {
+	return Do(conn, "GET", path, nil)
 }
 
 // Post performs a POST with a form body.
-func Post(conn net.Conn, path string, form map[string]string, timeout time.Duration) (*Response, error) {
+func Post(conn io.ReadWriter, path string, form map[string]string) (*Response, error) {
 	pairs := make([]string, 0, len(form))
 	keys := make([]string, 0, len(form))
 	for k := range form {
@@ -347,15 +346,11 @@ func Post(conn net.Conn, path string, form map[string]string, timeout time.Durat
 	for _, k := range keys {
 		pairs = append(pairs, k+"="+form[k])
 	}
-	return Do(conn, "POST", path, []byte(strings.Join(pairs, "&")), timeout)
+	return Do(conn, "POST", path, []byte(strings.Join(pairs, "&")))
 }
 
 // Do performs one HTTP exchange.
-func Do(conn net.Conn, method, path string, body []byte, timeout time.Duration) (*Response, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Do(conn io.ReadWriter, method, path string, body []byte) (*Response, error) {
 	scratch := netsim.GetScratch()
 	b := (*scratch)[:0]
 	b = append(b, method...)

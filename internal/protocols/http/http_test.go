@@ -160,14 +160,14 @@ func TestServeStaticAndLogin(t *testing.T) {
 		LoginPath:    "/doLogin",
 		OnEvent:      func(ev Event) { events = append(events, ev) },
 	})
-	resp, err := Get(client, "/", time.Second)
+	resp, err := Get(client, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "NETGEAR") {
 		t.Fatalf("resp %d %q", resp.Status, resp.Body)
 	}
-	resp, err = Post(client, "/doLogin", map[string]string{"username": "admin", "password": "admin"}, time.Second)
+	resp, err = Post(client, "/doLogin", map[string]string{"username": "admin", "password": "admin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestServeStaticAndLogin(t *testing.T) {
 
 func TestServe404(t *testing.T) {
 	client := startServer(t, ServerConfig{Routes: deviceRoutes()})
-	resp, err := Get(client, "/cgi-bin/../../etc/passwd", time.Second)
+	resp, err := Get(client, "/cgi-bin/../../etc/passwd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestServe404(t *testing.T) {
 func TestServeKeepAliveMultipleRequests(t *testing.T) {
 	client := startServer(t, ServerConfig{Routes: deviceRoutes()})
 	for i := 0; i < 5; i++ {
-		resp, err := Get(client, "/", time.Second)
+		resp, err := Get(client, "/")
 		if err != nil || resp.Status != 200 {
 			t.Fatalf("request %d: %v %v", i, resp, err)
 		}
@@ -210,7 +210,7 @@ func TestServeFloodGuard(t *testing.T) {
 	client := startServer(t, ServerConfig{Routes: deviceRoutes(), MaxRequestsPerConn: 3})
 	var failed bool
 	for i := 0; i < 10; i++ {
-		if _, err := Get(client, "/", 300*time.Millisecond); err != nil {
+		if _, err := Get(client, "/"); err != nil {
 			failed = true
 			break
 		}

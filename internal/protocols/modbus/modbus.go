@@ -8,7 +8,7 @@ package modbus
 import (
 	"encoding/binary"
 	"errors"
-	"net"
+	"io"
 	"sync"
 	"time"
 
@@ -121,7 +121,7 @@ type serverStepper struct {
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		t.remote, _ = c.RemoteIP()
+		t.remote = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
 		v, _ := netsim.Frames(c, decodeADU, t.handle)
@@ -253,11 +253,11 @@ func BuildRequest(tid uint16, unit, function byte, data []byte) []byte {
 }
 
 // ReadHolding issues a read of count registers at addr over conn.
-func ReadHolding(conn net.Conn, addr, count uint16, timeout time.Duration) ([]uint16, error) {
+func ReadHolding(conn io.ReadWriter, addr, count uint16) ([]uint16, error) {
 	data := make([]byte, 4)
 	binary.BigEndian.PutUint16(data[0:2], addr)
 	binary.BigEndian.PutUint16(data[2:4], count)
-	resp, err := roundTrip(conn, FuncReadHolding, data, timeout)
+	resp, err := roundTrip(conn, FuncReadHolding, data)
 	if err != nil {
 		return nil, err
 	}
@@ -272,22 +272,18 @@ func ReadHolding(conn net.Conn, addr, count uint16, timeout time.Duration) ([]ui
 }
 
 // WriteSingle writes one register — the poisoning primitive.
-func WriteSingle(conn net.Conn, addr, value uint16, timeout time.Duration) error {
+func WriteSingle(conn io.ReadWriter, addr, value uint16) error {
 	data := make([]byte, 4)
 	binary.BigEndian.PutUint16(data[0:2], addr)
 	binary.BigEndian.PutUint16(data[2:4], value)
-	_, err := roundTrip(conn, FuncWriteSingle, data, timeout)
+	_, err := roundTrip(conn, FuncWriteSingle, data)
 	return err
 }
 
 // ErrException is returned when the server answers with an exception.
 var ErrException = errors.New("modbus: exception response")
 
-func roundTrip(conn net.Conn, function byte, data []byte, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func roundTrip(conn io.ReadWriter, function byte, data []byte) ([]byte, error) {
 	if _, err := conn.Write(BuildRequest(1, 1, function, data)); err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *netsim.ServiceConn, func()
 func TestReadHoldingRegisters(t *testing.T) {
 	srv, client, _ := startServer(t, Config{})
 	srv.SetRegister(5, 1234)
-	vals, err := ReadHolding(client, 5, 2, time.Second)
+	vals, err := ReadHolding(client, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReadHoldingRegisters(t *testing.T) {
 func TestWriteSinglePoisonsRegister(t *testing.T) {
 	srv, client, events := startServer(t, Config{})
 	srv.SetRegister(10, 100)
-	if err := WriteSingle(client, 10, 666, time.Second); err != nil {
+	if err := WriteSingle(client, 10, 666); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := srv.Register(10); !ok || v != 666 {
@@ -61,10 +61,10 @@ func TestWriteSinglePoisonsRegister(t *testing.T) {
 
 func TestIllegalAddressException(t *testing.T) {
 	_, client, _ := startServer(t, Config{Registers: 16})
-	if _, err := ReadHolding(client, 100, 4, time.Second); err != ErrException {
+	if _, err := ReadHolding(client, 100, 4); err != ErrException {
 		t.Fatalf("err = %v, want ErrException", err)
 	}
-	if err := WriteSingle(client, 200, 1, time.Second); err != ErrException {
+	if err := WriteSingle(client, 200, 1); err != ErrException {
 		t.Fatalf("write err = %v", err)
 	}
 }
@@ -90,7 +90,6 @@ func TestReportServerID(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 256)
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
 	n, err := client.Read(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,6 @@ func TestMalformedADURejected(t *testing.T) {
 	if _, err := client.Write([]byte{0, 1, 0, 9, 0, 2, 1, 3}); err != nil {
 		t.Fatal(err)
 	}
-	_ = client.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
 	buf := make([]byte, 16)
 	if n, _ := client.Read(buf); n != 0 {
 		t.Fatalf("got %d response bytes for malformed ADU", n)

@@ -137,8 +137,7 @@ type brokerStepper struct {
 func (t *brokerStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		remote, _ := c.RemoteIP()
-		t.s = &session{conn: c.Conn(), remote: remote}
+		t.s = &session{conn: c.Conn(), remote: c.RemoteIP()}
 		return netsim.StepMore
 	case netsim.EvData:
 		if v, _ := netsim.Frames(c, decodePacket, t.handlePacket); v == netsim.StepMore {

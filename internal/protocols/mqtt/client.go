@@ -2,25 +2,20 @@ package mqtt
 
 import (
 	"errors"
-	"net"
-	"time"
+	"io"
 )
 
 // Client is a minimal MQTT 3.1.1 client used by the scanner's probe (a bare
 // CONNECT to elicit the CONNACK return code), by attack actors (publishes,
 // subscriptions) and by tests.
 type Client struct {
-	conn    net.Conn
-	timeout time.Duration
-	nextID  uint16
+	conn   io.ReadWriteCloser
+	nextID uint16
 }
 
-// NewClient wraps an established connection. timeout bounds each exchange.
-func NewClient(conn net.Conn, timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return &Client{conn: conn, timeout: timeout, nextID: 1}
+// NewClient wraps an established connection.
+func NewClient(conn io.ReadWriteCloser) *Client {
+	return &Client{conn: conn, nextID: 1}
 }
 
 // ErrRejected is returned by Connect when the broker refuses the session.
@@ -36,7 +31,6 @@ func (c *Client) Connect(clientID, username, password string) (ConnackCode, erro
 		pkt.Username = username
 		pkt.Password = password
 	}
-	_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	if _, err := c.conn.Write(pkt.Encode()); err != nil {
 		return 0, err
 	}
@@ -59,7 +53,6 @@ func (c *Client) Subscribe(filters ...string) error {
 	c.nextID++
 	pkt := &Packet{Type: SUBSCRIBE, PacketID: id, TopicFilter: filters,
 		GrantedQoS: make([]byte, len(filters))}
-	_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	if _, err := c.conn.Write(pkt.Encode()); err != nil {
 		return err
 	}
@@ -78,36 +71,33 @@ func (c *Client) Subscribe(filters ...string) error {
 // Publish sends a PUBLISH packet (QoS 0, optionally retained).
 func (c *Client) Publish(topic string, payload []byte, retain bool) error {
 	pkt := &Packet{Type: PUBLISH, Topic: topic, Payload: payload, Retain: retain}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	_, err := c.conn.Write(pkt.Encode())
 	return err
 }
 
 // CollectRetained subscribes to filter and gathers retained messages until
-// the window elapses or max messages arrive. Live publishes fanned out
-// during the window are captured too.
-func (c *Client) CollectRetained(filter string, window time.Duration, max int) (map[string][]byte, error) {
-	return c.collect(filter, window, max, false)
+// the broker falls silent or max messages arrive. Live publishes fanned out
+// to the subscription meanwhile are captured too.
+func (c *Client) CollectRetained(filter string, max int) (map[string][]byte, error) {
+	return c.collect(filter, max, false)
 }
 
 // RetainedSnapshot subscribes to filter and returns only the broker's
 // retained messages. It pipelines a PINGREQ behind the SUBSCRIBE: brokers
 // answer a connection's packets in order, so the PINGRESP arrives after the
-// last retained message and delimits the set — the call returns as soon as
-// delivery completes instead of sitting out the window on a quiet broker.
-// The scanner uses this to list topics on open brokers ("all the topics and
-// channels on the target host are listed", Section 3.1.3); excluding
-// publishes that race the snapshot keeps scan results deterministic.
-func (c *Client) RetainedSnapshot(filter string, window time.Duration, max int) (map[string][]byte, error) {
-	return c.collect(filter, window, max, true)
+// last retained message and delimits the set. The scanner uses this to list
+// topics on open brokers ("all the topics and channels on the target host
+// are listed", Section 3.1.3); excluding publishes that race the snapshot
+// keeps scan results deterministic.
+func (c *Client) RetainedSnapshot(filter string, max int) (map[string][]byte, error) {
+	return c.collect(filter, max, true)
 }
 
-func (c *Client) collect(filter string, window time.Duration, max int, sentinel bool) (map[string][]byte, error) {
+func (c *Client) collect(filter string, max int, sentinel bool) (map[string][]byte, error) {
 	id := c.nextID
 	c.nextID++
 	pkt := &Packet{Type: SUBSCRIBE, PacketID: id, TopicFilter: []string{filter},
 		GrantedQoS: []byte{0}}
-	_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	if _, err := c.conn.Write(pkt.Encode()); err != nil {
 		return nil, err
 	}
@@ -117,12 +107,10 @@ func (c *Client) collect(filter string, window time.Duration, max int, sentinel 
 		}
 	}
 	got := make(map[string][]byte)
-	deadline := time.Now().Add(window)
-	_ = c.conn.SetReadDeadline(deadline)
 	for len(got) < max {
 		resp, err := ReadPacket(c.conn)
 		if err != nil {
-			break // window elapsed or broker closed: return what we have
+			break // broker silent or closed: return what we have
 		}
 		if sentinel && resp.Type == PINGRESP {
 			break // retained delivery complete
@@ -136,7 +124,6 @@ func (c *Client) collect(filter string, window time.Duration, max int, sentinel 
 
 // Ping round-trips a PINGREQ.
 func (c *Client) Ping() error {
-	_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	if _, err := c.conn.Write((&Packet{Type: PINGREQ}).Encode()); err != nil {
 		return err
 	}

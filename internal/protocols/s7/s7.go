@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
 	"time"
 
 	"openhire/internal/netsim"
@@ -139,7 +138,7 @@ type serverStepper struct {
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		t.remote, _ = c.RemoteIP()
+		t.remote = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
 		v, _ := netsim.Frames(c, decodeTPKT, t.handleFrame)
@@ -229,11 +228,7 @@ func BuildJob(function byte) []byte {
 }
 
 // Connect performs COTP setup plus the S7 communication-setup job.
-func Connect(conn net.Conn, timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Connect(conn io.ReadWriter) error {
 	if _, err := conn.Write(BuildConnect()); err != nil {
 		return err
 	}
@@ -252,11 +247,7 @@ func Connect(conn net.Conn, timeout time.Duration) error {
 }
 
 // ReadModule issues a read job and returns the module identity string.
-func ReadModule(conn net.Conn, timeout time.Duration) (string, error) {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func ReadModule(conn io.ReadWriter) (string, error) {
 	if _, err := conn.Write(BuildJob(FuncRead)); err != nil {
 		return "", err
 	}

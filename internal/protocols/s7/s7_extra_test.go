@@ -2,12 +2,11 @@ package s7
 
 import (
 	"testing"
-	"time"
 )
 
 func TestWriteJobClassified(t *testing.T) {
 	client, events := startServer(t, Config{})
-	if err := Connect(client, time.Second); err != nil {
+	if err := Connect(client); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Write(BuildJob(FuncWrite)); err != nil {
@@ -15,7 +14,6 @@ func TestWriteJobClassified(t *testing.T) {
 	}
 	// Drain the ack so the server has processed the job.
 	buf := make([]byte, 256)
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := client.Read(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +34,6 @@ func TestMalformedTPKTDropsSession(t *testing.T) {
 	if _, err := client.Write([]byte{9, 0, 0, 8, 1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	_ = client.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
 	buf := make([]byte, 16)
 	if n, _ := client.Read(buf); n != 0 {
 		t.Fatalf("malformed TPKT answered with %d bytes", n)

@@ -28,10 +28,10 @@ func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event)
 
 func TestConnectAndReadModule(t *testing.T) {
 	client, events := startServer(t, Config{Module: "6ES7 315-2EH14-0AB0"})
-	if err := Connect(client, time.Second); err != nil {
+	if err := Connect(client); err != nil {
 		t.Fatal(err)
 	}
-	module, err := ReadModule(client, time.Second)
+	module, err := ReadModule(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestConnectAndReadModule(t *testing.T) {
 
 func TestJobFloodWedgesDevice(t *testing.T) {
 	client, events := startServer(t, Config{MaxJobs: 5})
-	if err := Connect(client, time.Second); err != nil {
+	if err := Connect(client); err != nil {
 		t.Fatal(err)
 	}
 	// Flood PDU-type-1 jobs: the ICSA-16-299-01 DoS.
@@ -73,7 +73,6 @@ func TestNonS7TrafficIgnored(t *testing.T) {
 	if _, err := client.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	_ = client.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
 	buf := make([]byte, 64)
 	if n, _ := client.Read(buf); n != 0 {
 		t.Fatalf("non-S7 traffic got %d response bytes", n)
@@ -86,7 +85,6 @@ func TestCOTPRequiredBeforeJobs(t *testing.T) {
 	if _, err := client.Write(BuildJob(FuncRead)); err != nil {
 		t.Fatal(err)
 	}
-	_ = client.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
 	buf := make([]byte, 64)
 	if n, _ := client.Read(buf); n != 0 {
 		t.Fatalf("job before COTP got %d bytes", n)

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"time"
 
 	"openhire/internal/netsim"
@@ -157,7 +156,7 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 	switch ev {
 	case netsim.EvOpen:
 		t.ev = Event{Time: c.DialTime(), Kind: KindProbe}
-		t.ev.Remote, _ = c.RemoteIP()
+		t.ev.Remote = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
 		if v, _ := netsim.Frames(c, netbiosDecoder(t.s.cfg.MaxPayload), t.handleMessage); v == netsim.StepMore {
@@ -262,11 +261,7 @@ func BuildExploit(kind AttackKind, payload []byte) []byte {
 }
 
 // Probe sends a negotiate and returns the dialect named in the response.
-func Probe(conn net.Conn, timeout time.Duration) (string, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Probe(conn io.ReadWriter) (string, error) {
 	if _, err := conn.Write(BuildNegotiate("NT LM 0.12", "SMB 2.002")); err != nil {
 		return "", err
 	}

@@ -28,7 +28,7 @@ func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event)
 
 func TestProbeNegotiate(t *testing.T) {
 	client, events := startServer(t, Config{Dialect: "NT LM 0.12"})
-	dialect, err := Probe(client, time.Second)
+	dialect, err := Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,6 @@ func TestEternalBlueDetected(t *testing.T) {
 	// Consume the server's STATUS_NOT_IMPLEMENTED answer before closing so
 	// the session ends via EOF after the payload frame is processed.
 	buf := make([]byte, 256)
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := client.Read(buf); err != nil {
 		t.Fatal(err)
 	}

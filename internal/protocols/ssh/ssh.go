@@ -14,7 +14,7 @@
 package ssh
 
 import (
-	"net"
+	"io"
 	"strings"
 	"time"
 
@@ -103,9 +103,7 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 	switch ev {
 	case netsim.EvOpen:
 		t.ev.Time = c.DialTime()
-		if ip, ok := c.RemoteIP(); ok {
-			t.ev.Remote = ip
-		}
+		t.ev.Remote = c.RemoteIP()
 		if _, err := c.Write([]byte(t.s.cfg.Version + "\r\n")); err == nil {
 			return netsim.StepMore
 		}
@@ -182,11 +180,7 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, raw []byte) netsim.Step
 }
 
 // GrabBanner reads the server identification string — the scan probe.
-func GrabBanner(conn net.Conn, timeout time.Duration) (string, error) {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+func GrabBanner(conn io.Reader) (string, error) {
 	br := netsim.GetReader(conn)
 	line, err := br.ReadString('\n')
 	netsim.PutReader(br)
@@ -198,20 +192,15 @@ func GrabBanner(conn net.Conn, timeout time.Duration) (string, error) {
 
 // Login performs the simplified credential exchange after GrabBanner on the
 // same connection: send our version, then the attempt.
-func Login(conn net.Conn, clientVersion, user, pass string, timeout time.Duration) (bool, error) {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Login(conn io.ReadWriter, clientVersion, user, pass string) (bool, error) {
 	if _, err := conn.Write([]byte(clientVersion + "\r\n")); err != nil {
 		return false, err
 	}
-	return Attempt(conn, user, pass, timeout)
+	return Attempt(conn, user, pass)
 }
 
 // Attempt submits one more credential pair on an open session.
-func Attempt(conn net.Conn, user, pass string, timeout time.Duration) (bool, error) {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Attempt(conn io.ReadWriter, user, pass string) (bool, error) {
 	if _, err := conn.Write([]byte(user + " " + pass + "\n")); err != nil {
 		return false, err
 	}

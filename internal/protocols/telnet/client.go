@@ -3,8 +3,6 @@ package telnet
 import (
 	"context"
 	"io"
-	"net"
-	"time"
 
 	"openhire/internal/netsim"
 )
@@ -25,21 +23,10 @@ type Banner struct {
 // read whatever the server volunteers, passively refuse every negotiation,
 // and return the banner. It never authenticates (Section 2.1: "unlike
 // Markowsky et al. we do not try to connect to the devices after the
-// scanning process").
-func Grab(ctx context.Context, conn net.Conn, readWindow time.Duration) (Banner, error) {
-	if readWindow <= 0 {
-		readWindow = 2 * time.Second
-	}
-	deadline := time.Now().Add(readWindow)
-	_ = conn.SetReadDeadline(deadline)
-
-	// After the first bytes arrive, a short idle gap means the banner is
-	// complete — waiting out the full window would only slow the scan.
-	idle := readWindow / 6
-	if idle < 5*time.Millisecond {
-		idle = 5 * time.Millisecond
-	}
-
+// scanning process"). The banner is complete when it ends in a prompt or
+// when the server has nothing more to say (a read error: ErrWouldBlock,
+// EOF or a reset).
+func Grab(ctx context.Context, conn io.ReadWriter) (Banner, error) {
 	var raw []byte
 	scratch := netsim.GetScratch()
 	defer netsim.PutScratch(scratch)
@@ -54,23 +41,20 @@ func Grab(ctx context.Context, conn net.Conn, readWindow time.Duration) (Banner,
 			// Answer negotiation so chatty servers progress to their banner.
 			_, cmds := SplitStream(buf[:n])
 			if reply := RefuseAll(cmds); len(reply) > 0 {
-				_ = conn.SetWriteDeadline(deadline)
 				if _, werr := conn.Write(reply); werr != nil {
 					break
 				}
 			}
 			// A banner ending in a login or shell prompt means the server is
-			// waiting for input: the grab is complete, no need to sit out the
-			// idle window. This is the dominant case across the device
-			// population and is what keeps a sweep's per-host cost flat.
+			// waiting for input: the grab is complete. This is the dominant
+			// case across the device population.
 			if data, _ := SplitStream(raw); bannerComplete(data) {
 				break
 			}
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
 			continue
 		}
 		if err != nil {
-			break // deadline, EOF, or reset: the banner is whatever we got
+			break // nothing more now, EOF, or reset: the banner is whatever we got
 		}
 	}
 	data, cmds := SplitStream(raw)
@@ -82,9 +66,9 @@ func Grab(ctx context.Context, conn net.Conn, readWindow time.Duration) (Banner,
 }
 
 // bannerPrompts are the terminal strings after which a Telnet service waits
-// for input. A grab that sees one can return immediately instead of waiting
-// for the idle gap; banners without a recognizable prompt still complete
-// via the idle timeout, so detection is an optimization, never a filter.
+// for input. A grab that sees one returns without another read; banners
+// without a recognizable prompt complete when the server falls silent, so
+// detection is an optimization, never a filter.
 var bannerPrompts = []string{"ogin: ", "ogin:", "assword: ", "assword:", "$ ", "# ", "> "}
 
 // bannerComplete reports whether the decoded banner ends in a prompt.
@@ -101,12 +85,7 @@ func bannerComplete(data []byte) bool {
 // Login drives a full authentication attempt: wait for a login prompt,
 // submit credentials, and report whether a shell prompt came back. Attack
 // actors (Mirai-style bruteforcers) use this; the scanner does not.
-func Login(ctx context.Context, conn net.Conn, username, password string, timeout time.Duration) (bool, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-
+func Login(ctx context.Context, conn io.ReadWriter, username, password string) (bool, error) {
 	if err := awaitSubstring(ctx, conn, "login:", "Login:"); err != nil {
 		return false, err
 	}
@@ -121,7 +100,7 @@ func Login(ctx context.Context, conn net.Conn, username, password string, timeou
 	}
 	// Success is a shell prompt; failure is "Login incorrect" or EOF.
 	// Watching for the rejection text matters: without it a failed attempt
-	// blocks until the deadline instead of returning immediately.
+	// reads on until the server falls silent.
 	matched, err := awaitAny(ctx, conn, "$", "#", ">", "incorrect", "denied")
 	if err != nil {
 		return false, nil //nolint:nilerr // auth failure is a result, not an error
@@ -130,12 +109,8 @@ func Login(ctx context.Context, conn net.Conn, username, password string, timeou
 }
 
 // Exec sends a shell command on an authenticated session and collects output
-// until the next prompt or timeout.
-func Exec(conn net.Conn, cmd string, timeout time.Duration) (string, error) {
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+// until the next prompt or until the server falls silent.
+func Exec(conn io.ReadWriter, cmd string) (string, error) {
 	if _, err := conn.Write(append(EscapeData([]byte(cmd)), '\r', '\n')); err != nil {
 		return "", err
 	}
@@ -160,13 +135,13 @@ func Exec(conn net.Conn, cmd string, timeout time.Duration) (string, error) {
 }
 
 // awaitSubstring reads until any needle appears in the decoded stream.
-func awaitSubstring(ctx context.Context, conn net.Conn, needles ...string) error {
+func awaitSubstring(ctx context.Context, conn io.ReadWriter, needles ...string) error {
 	_, err := awaitAny(ctx, conn, needles...)
 	return err
 }
 
 // awaitAny reads until one of the needles appears, returning which.
-func awaitAny(ctx context.Context, conn net.Conn, needles ...string) (string, error) {
+func awaitAny(ctx context.Context, conn io.ReadWriter, needles ...string) (string, error) {
 	var seen []byte
 	scratch := netsim.GetScratch()
 	defer netsim.PutScratch(scratch)

@@ -152,9 +152,7 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 // open sends negotiation, banner and the first prompt.
 func (t *serverStepper) open(c *netsim.ServerConv) netsim.StepVerdict {
 	t.ev.Time = c.DialTime()
-	if ip, ok := c.RemoteIP(); ok {
-		t.ev.Remote = ip
-	}
+	t.ev.Remote = c.RemoteIP()
 	s := t.s
 	// Option negotiation first: these raw bytes are exactly what ZGrab's
 	// banner capture records, and what honeypot fingerprinting matches on.

@@ -86,7 +86,7 @@ func TestGrabUnauthedBanner(t *testing.T) {
 		ShellPrompt: "root@dvr:~$ ",
 	})
 	defer client.Close()
-	b, err := Grab(context.Background(), client, 200*time.Millisecond)
+	b, err := Grab(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGrabNegotiationBytesPreserved(t *testing.T) {
 		LoginPrompt:      "login: ",
 	})
 	defer client.Close()
-	b, err := Grab(context.Background(), client, 200*time.Millisecond)
+	b, err := Grab(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGrabRawNegotiationProfile(t *testing.T) {
 		LoginPrompt:    "login: ",
 	})
 	defer client.Close()
-	b, err := Grab(context.Background(), client, 200*time.Millisecond)
+	b, err := Grab(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestLoginSuccess(t *testing.T) {
 		ShellPrompt: "$ ",
 		OnEvent:     func(ev Event) { events = append(events, ev) },
 	})
-	ok, err := Login(context.Background(), client, "admin", "admin", time.Second)
+	ok, err := Login(context.Background(), client, "admin", "admin")
 	if err != nil || !ok {
 		t.Fatalf("Login = %v, %v", ok, err)
 	}
-	out, err := Exec(client, "cat /proc/cpuinfo", time.Second)
+	out, err := Exec(client, "cat /proc/cpuinfo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLoginFailure(t *testing.T) {
 		Credentials: map[string]string{"admin": "secret"},
 	})
 	defer client.Close()
-	ok, err := Login(context.Background(), client, "admin", "wrong", 500*time.Millisecond)
+	ok, err := Login(context.Background(), client, "admin", "wrong")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,10 @@ func TestCommandOutput(t *testing.T) {
 		CommandOutput: map[string]string{"uname -a": "Linux dvr 3.10.0 armv7l"},
 	})
 	defer client.Close()
-	if _, err := Grab(context.Background(), client, 100*time.Millisecond); err != nil {
+	if _, err := Grab(context.Background(), client); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Exec(client, "uname -a", time.Second)
+	out, err := Exec(client, "uname -a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +224,12 @@ func TestCommandOutput(t *testing.T) {
 func TestExitClosesSession(t *testing.T) {
 	client := startServer(t, Config{Auth: AuthNone})
 	defer client.Close()
-	_, _ = Grab(context.Background(), client, 100*time.Millisecond)
-	_, _ = Exec(client, "exit", 500*time.Millisecond)
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
+	_, _ = Grab(context.Background(), client)
+	_, _ = Exec(client, "exit")
 	buf := make([]byte, 64)
 	for {
 		if _, err := client.Read(buf); err != nil {
-			return // EOF or deadline: session ended
+			return // EOF, or nothing more to read: session ended
 		}
 	}
 }
@@ -242,7 +241,7 @@ func TestHostnameExpansion(t *testing.T) {
 		Hostname:       "DCS-6620",
 	})
 	defer client.Close()
-	b, _ := Grab(context.Background(), client, 200*time.Millisecond)
+	b, _ := Grab(context.Background(), client)
 	if !strings.Contains(b.Text, "Welcome to DCS-6620") {
 		t.Fatalf("banner %q", b.Text)
 	}
@@ -253,4 +252,47 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// stallingStepper is a server that is slow on the wall clock: it sends one
+// negotiation on open, spends 30 ms before answering each of the client's
+// three refusals (two more negotiations, then the login prompt), as a
+// descheduled server would.
+type stallingStepper struct{ answers int }
+
+func (s *stallingStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
+	switch ev {
+	case netsim.EvOpen:
+		_, _ = c.Write(Negotiate(DO, OptTerminalType))
+	case netsim.EvData:
+		c.Consume(len(c.Input()))
+		time.Sleep(30 * time.Millisecond)
+		if s.answers++; s.answers < 3 {
+			_, _ = c.Write(Negotiate(DO, OptNAWS))
+		} else {
+			_, _ = c.Write([]byte("login: "))
+		}
+	default:
+		return netsim.StepDone
+	}
+	return netsim.StepMore
+}
+
+// TestGrabIgnoresWallClockStalls: a grab is a function of the conversation,
+// not of how long the server took in real time. A server that stalls 90 ms
+// across its negotiation still yields its login prompt.
+func TestGrabIgnoresWallClockStalls(t *testing.T) {
+	conn := netsim.Converse(&stallingStepper{}, netsim.MustParseIPv4("192.0.2.1"),
+		netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.1"), Port: 23}, netsim.ExperimentStart)
+	defer conn.Close()
+	b, err := Grab(context.Background(), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(b.Text, "login: ") {
+		t.Fatalf("banner text %q, want it to end in the login prompt", b.Text)
+	}
+	if len(b.Commands) != 3 {
+		t.Fatalf("%d negotiation commands, want 3", len(b.Commands))
+	}
 }

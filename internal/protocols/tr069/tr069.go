@@ -11,7 +11,7 @@
 package tr069
 
 import (
-	"net"
+	"io"
 	"time"
 
 	"openhire/internal/netsim"
@@ -104,8 +104,8 @@ type ProbeResult struct {
 }
 
 // Probe issues the connection request over an established connection.
-func Probe(conn net.Conn, timeout time.Duration) (ProbeResult, error) {
-	resp, err := httpx.Do(conn, "GET", "/", nil, timeout)
+func Probe(conn io.ReadWriter) (ProbeResult, error) {
+	resp, err := httpx.Do(conn, "GET", "/", nil)
 	if err != nil {
 		return ProbeResult{}, err
 	}

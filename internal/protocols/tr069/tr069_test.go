@@ -17,7 +17,7 @@ func startServer(t *testing.T, cfg Config) *netsim.ServiceConn {
 
 func TestProbeUnauthenticated(t *testing.T) {
 	client := startServer(t, Config{RequireAuth: false, ServerBanner: "RomPager/4.07 UPnP/1.0"})
-	pr, err := Probe(client, time.Second)
+	pr, err := Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestProbeUnauthenticated(t *testing.T) {
 
 func TestProbeAuthenticated(t *testing.T) {
 	client := startServer(t, Config{RequireAuth: true})
-	pr, err := Probe(client, time.Second)
+	pr, err := Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestEventsSurfaced(t *testing.T) {
 	client := startServer(t, Config{
 		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
-	if _, err := Probe(client, time.Second); err != nil {
+	if _, err := Probe(client); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
@@ -58,7 +58,7 @@ func TestEventsSurfaced(t *testing.T) {
 
 func TestDefaultBanner(t *testing.T) {
 	client := startServer(t, Config{})
-	pr, err := Probe(client, time.Second)
+	pr, err := Probe(client)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,9 @@
 package upnp
 
-import (
-	"time"
-
-	"openhire/internal/netsim"
-)
+import "openhire/internal/netsim"
 
 // RequestEvent is surfaced for every SSDP datagram handled by a responder.
 type RequestEvent struct {
-	Time          time.Time
 	From          netsim.IPv4
 	ST            string
 	Valid         bool // was a well-formed ssdp:discover
@@ -24,8 +19,6 @@ type ResponderConfig struct {
 	AnswerInternet bool
 	// OnEvent, when non-nil, receives request observations.
 	OnEvent func(RequestEvent)
-	// Clock stamps events; nil falls back to wall time.
-	Clock netsim.Clock
 }
 
 // Responder answers SSDP M-SEARCH datagrams for one device. It implements
@@ -36,9 +29,6 @@ type Responder struct {
 
 // NewResponder builds a responder.
 func NewResponder(cfg ResponderConfig) *Responder {
-	if cfg.Clock == nil {
-		cfg.Clock = netsim.WallClock{}
-	}
 	return &Responder{cfg: cfg}
 }
 
@@ -47,30 +37,17 @@ func (r *Responder) Device() Device { return r.cfg.Device }
 
 // HandleDatagram implements netsim.DatagramHandler.
 func (r *Responder) HandleDatagram(from netsim.Endpoint, payload []byte) []byte {
-	ev := RequestEvent{Time: r.cfg.Clock.Now(), From: from.IP}
-	defer func() {
-		if r.cfg.OnEvent != nil {
-			r.cfg.OnEvent(ev)
+	ev := RequestEvent{From: from.IP}
+	var resp []byte
+	if search, err := ParseMSearch(payload); err == nil {
+		ev.Valid, ev.ST = true, search.ST
+		if r.cfg.AnswerInternet { // correctly configured: silent to WAN probes
+			resp = r.cfg.Device.SSDPResponse(search.ST)
+			ev.ResponseBytes = len(resp)
 		}
-	}()
-	search, err := ParseMSearch(payload)
-	if err != nil {
-		return nil
 	}
-	ev.Valid = true
-	ev.ST = search.ST
-	if !r.cfg.AnswerInternet {
-		return nil // correctly configured: silent to WAN probes
+	if r.cfg.OnEvent != nil {
+		r.cfg.OnEvent(ev)
 	}
-	resp := r.cfg.Device.SSDPResponse(search.ST)
-	ev.ResponseBytes = len(resp)
 	return resp
-}
-
-// AmplificationFactor is the response/request size ratio for a standard
-// discover probe, the figure of merit for SSDP reflection attacks.
-func (r *Responder) AmplificationFactor() float64 {
-	req := BuildMSearch("ssdp:all")
-	resp := r.cfg.Device.SSDPResponse("ssdp:all")
-	return float64(len(resp)) / float64(len(req))
 }

@@ -111,36 +111,6 @@ func (d *Device) SSDPResponse(st string) []byte {
 		"LOCATION: " + d.Location + "\r\n\r\n")
 }
 
-// DescriptionXML renders the rootDesc.xml document with the identity fields
-// device-type tagging matches on ("Friendly Name:", "Model Name:").
-func (d *Device) DescriptionXML() string {
-	var b strings.Builder
-	b.WriteString(`<?xml version="1.0"?>` + "\n")
-	b.WriteString(`<root xmlns="urn:schemas-upnp-org:device-1-0">` + "\n")
-	b.WriteString(" <specVersion><major>1</major><minor>0</minor></specVersion>\n")
-	b.WriteString(" <device>\n")
-	fields := []struct{ tag, val string }{
-		{"deviceType", d.DeviceType},
-		{"friendlyName", d.FriendlyName},
-		{"manufacturer", d.Manufacturer},
-		{"modelName", d.ModelName},
-		{"UDN", "uuid:" + d.UUID},
-	}
-	for _, f := range fields {
-		if f.val != "" {
-			b.WriteString("  <" + f.tag + ">" + xmlEscape(f.val) + "</" + f.tag + ">\n")
-		}
-	}
-	b.WriteString(" </device>\n</root>\n")
-	return b.String()
-}
-
-var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func xmlEscape(s string) string {
-	return xmlEscaper.Replace(s)
-}
-
 // ResponseHeaders parses an SSDP response into its headers (upper-cased
 // keys). The scanner's response-based classification reads these.
 func ResponseHeaders(raw []byte) (map[string]string, bool) {

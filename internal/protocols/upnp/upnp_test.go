@@ -82,30 +82,6 @@ func TestSSDPResponseShape(t *testing.T) {
 	}
 }
 
-func TestDescriptionXML(t *testing.T) {
-	xml := avtech.DescriptionXML()
-	for _, want := range []string{
-		"<friendlyName>AVTECH AVN801 Network Camera</friendlyName>",
-		"<modelName>AVN801</modelName>",
-		"<UDN>uuid:" + avtech.UUID + "</UDN>",
-	} {
-		if !strings.Contains(xml, want) {
-			t.Errorf("description missing %q", want)
-		}
-	}
-}
-
-func TestDescriptionXMLEscapes(t *testing.T) {
-	d := Device{FriendlyName: `Cam <1> & "2"`}
-	xml := d.DescriptionXML()
-	if strings.Contains(xml, "<1>") {
-		t.Fatal("XML not escaped")
-	}
-	if !strings.Contains(xml, "Cam &lt;1&gt; &amp; &quot;2&quot;") {
-		t.Fatalf("escaped form missing: %s", xml)
-	}
-}
-
 var probeFrom = netsim.Endpoint{IP: netsim.MustParseIPv4("192.0.2.60"), Port: 41000}
 
 func TestResponderAnswersInternet(t *testing.T) {
@@ -145,13 +121,6 @@ func TestResponderDropsGarbage(t *testing.T) {
 	r := NewResponder(ResponderConfig{Device: avtech, AnswerInternet: true})
 	if resp := r.HandleDatagram(probeFrom, []byte("NOT SSDP")); resp != nil {
 		t.Fatal("garbage answered")
-	}
-}
-
-func TestAmplificationAboveOne(t *testing.T) {
-	r := NewResponder(ResponderConfig{Device: avtech, AnswerInternet: true})
-	if f := r.AmplificationFactor(); f <= 1.0 {
-		t.Fatalf("amplification %f", f)
 	}
 }
 

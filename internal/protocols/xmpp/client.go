@@ -1,9 +1,8 @@
 package xmpp
 
 import (
-	"net"
+	"io"
 	"strings"
-	"time"
 
 	"openhire/internal/netsim"
 )
@@ -11,11 +10,7 @@ import (
 // ProbeBanner performs the paper's XMPP banner grab: open a stream, read the
 // server's stream header and features, and return the raw banner plus the
 // parsed features without authenticating.
-func ProbeBanner(conn net.Conn, domain string, timeout time.Duration) (string, Features, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func ProbeBanner(conn io.ReadWriter, domain string) (string, Features, error) {
 	if _, err := conn.Write([]byte(StreamOpen(domain))); err != nil {
 		return "", Features{}, err
 	}
@@ -30,11 +25,7 @@ func ProbeBanner(conn net.Conn, domain string, timeout time.Duration) (string, F
 
 // Authenticate performs the SASL exchange after ProbeBanner on the same
 // connection. It reports whether the server accepted.
-func Authenticate(conn net.Conn, mechanism, user, pass string, timeout time.Duration) (bool, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+func Authenticate(conn io.ReadWriter, mechanism, user, pass string) (bool, error) {
 	if _, err := conn.Write([]byte(AuthRequest(mechanism, user, pass))); err != nil {
 		return false, err
 	}
@@ -47,18 +38,13 @@ func Authenticate(conn net.Conn, mechanism, user, pass string, timeout time.Dura
 	return strings.Contains(resp, "<success"), nil
 }
 
-// SendStanza writes a stanza and collects a response if one arrives within
-// the window. Attack actors use this to poke at device state (the Hue
-// light-toggle attempts in Section 5.1.2).
-func SendStanza(conn net.Conn, stanza string, window time.Duration) (string, error) {
-	if window <= 0 {
-		window = time.Second
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(window))
+// SendStanza writes a stanza and collects the response, if the server sends
+// one. Attack actors use this to poke at device state (the Hue light-toggle
+// attempts in Section 5.1.2).
+func SendStanza(conn io.ReadWriter, stanza string) (string, error) {
 	if _, err := conn.Write([]byte(stanza)); err != nil {
 		return "", err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(window))
 	r := netsim.GetReader(conn)
 	defer netsim.PutReader(r)
 	resp, err := readElement(r, "/>", "</iq>", "</message>")

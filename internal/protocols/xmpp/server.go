@@ -102,7 +102,7 @@ type serverStepper struct {
 func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.StepVerdict {
 	switch ev {
 	case netsim.EvOpen:
-		t.remote, _ = c.RemoteIP()
+		t.remote = c.RemoteIP()
 		return netsim.StepMore
 	case netsim.EvData:
 		v, _ := netsim.Frames(c, t.decode, t.handleElement)

@@ -92,7 +92,7 @@ func TestProbeBannerAgainstServer(t *testing.T) {
 	client := startServer(t, ServerConfig{
 		Features: Features{Mechanisms: []string{"PLAIN", "ANONYMOUS"}, Domain: "philips-hue"},
 	})
-	banner, feats, err := ProbeBanner(client, "philips-hue", time.Second)
+	banner, feats, err := ProbeBanner(client, "philips-hue")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestAnonymousLoginWhenAllowed(t *testing.T) {
 		AllowAnonymous: true,
 		OnEvent:        func(ev Event) { events = append(events, ev) },
 	})
-	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
+	if _, _, err := ProbeBanner(client, "d"); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Authenticate(client, "ANONYMOUS", "", "", time.Second)
+	ok, err := Authenticate(client, "ANONYMOUS", "", "")
 	if err != nil || !ok {
 		t.Fatalf("Authenticate = %v, %v", ok, err)
 	}
@@ -133,10 +133,10 @@ func TestAnonymousRejectedWhenDisallowed(t *testing.T) {
 	client := startServer(t, ServerConfig{
 		Features: Features{Mechanisms: []string{"PLAIN"}, Domain: "d"},
 	})
-	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
+	if _, _, err := ProbeBanner(client, "d"); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Authenticate(client, "ANONYMOUS", "", "", time.Second)
+	ok, err := Authenticate(client, "ANONYMOUS", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,13 @@ func TestPlainCredentials(t *testing.T) {
 		Features:    Features{Mechanisms: []string{"PLAIN"}, Domain: "d"},
 		Credentials: map[string]string{"hue": "bridge"},
 	})
-	if _, _, err := ProbeBanner(client, "d", time.Second); err != nil {
+	if _, _, err := ProbeBanner(client, "d"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := Authenticate(client, "PLAIN", "hue", "wrong", time.Second); ok {
+	if ok, _ := Authenticate(client, "PLAIN", "hue", "wrong"); ok {
 		t.Fatal("wrong password accepted")
 	}
-	if ok, err := Authenticate(client, "PLAIN", "hue", "bridge", time.Second); err != nil || !ok {
+	if ok, err := Authenticate(client, "PLAIN", "hue", "bridge"); err != nil || !ok {
 		t.Fatalf("correct password rejected: %v, %v", ok, err)
 	}
 }
@@ -172,13 +172,13 @@ func TestStanzaHandler(t *testing.T) {
 			return ""
 		},
 	})
-	if _, _, err := ProbeBanner(client, "hue", time.Second); err != nil {
+	if _, _, err := ProbeBanner(client, "hue"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := Authenticate(client, "ANONYMOUS", "", "", time.Second); !ok {
+	if ok, _ := Authenticate(client, "ANONYMOUS", "", ""); !ok {
 		t.Fatal("anonymous rejected")
 	}
-	resp, err := SendStanza(client, `<iq type='get'><lights/></iq>`, time.Second)
+	resp, err := SendStanza(client, `<iq type='get'><lights/></iq>`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 #   1. gofmt (no unformatted files) and go vet over everything
 #   2. full build
 #   3. race detector over the hot-path packages: the scan leg (lock-free
-#      snapshot lookup, sharded stats, batched rate limiter), the attack
+#      snapshot lookup, sharded stats), the attack
 #      month / telescope leg (sharded flow tables, striped event log,
 #      parallel darknet generation), the report pass's two parallel
 #      layers (the universe's exposure index with the crawls that filter it,
@@ -105,7 +105,7 @@ echo "==> service gate: serve aggregation determinism, golden digests + concurre
 go test -race ./internal/serve/
 
 echo "==> chaos gate: fault-model equivalence under -race"
-go test -race -run 'TestChaos|TestBackoff|TestScanCancel' \
+go test -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
 	./internal/core/scan/ ./internal/core/classify/
 go test -race ./internal/netsim/faults/
 
