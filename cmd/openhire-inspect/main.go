@@ -8,6 +8,7 @@
 //	openhire-inspect diff A B
 //	openhire-inspect prom MANIFEST
 //	openhire-inspect timeline [-last N] (URL|FILE)
+//	openhire-inspect checkpoint FILE
 //
 // summarize prints a human-readable digest of one trace: per-protocol
 // simulated-latency percentiles, the observed retransmit/backoff schedule,
@@ -28,6 +29,9 @@
 // timeline renders a serve daemon's time-series observatory — per-cycle
 // leg-duration attribution, trend sparklines and rollup summaries — from a
 // live daemon URL, a serve-tsdb checkpoint file, or a -tsdb-out state file.
+//
+// checkpoint decodes a serve daemon's binary serve.ckpt and prints its state
+// as indented JSON, followed by the payload's encoded bytes per member.
 package main
 
 import (
@@ -85,6 +89,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	case "checkpoint":
+		if len(os.Args) != 3 {
+			usage()
+			os.Exit(2)
+		}
+		if err := inspectCheckpoint(os.Stdout, os.Args[2]); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	default:
 		usage()
 		os.Exit(2)
@@ -98,7 +111,8 @@ func usage() {
   openhire-inspect prom MANIFEST    emit a manifest's metrics in Prometheus text format
   openhire-inspect timeline [-last N] (URL|FILE)
                                     render a serve daemon's time-series timeline from a live
-                                    /api/timeseries URL, a serve-tsdb checkpoint, or a -tsdb-out file`)
+                                    /api/timeseries URL, a serve-tsdb checkpoint, or a -tsdb-out file
+  openhire-inspect checkpoint FILE  print a serve.ckpt's decoded state and its bytes per member`)
 }
 
 // artifactKind sniffs whether a file is a JSONL trace or a JSON manifest by

@@ -20,8 +20,8 @@ import (
 // timelineCmd renders the serve daemon's time-series observatory: per-cycle
 // leg-duration attribution, trend sparklines, and rollup summaries. The
 // source is either a live daemon URL (it answers /api/timeseries) or a
-// time-series file on disk — the ck/serve-tsdb.ckpt checkpoint, or the
-// -tsdb-out state JSON. For a checkpoint, the sibling serve-tsdb-wall.ckpt
+// time-series file on disk — the ck/serve-tsdb.ckpt binary checkpoint, or
+// the -tsdb-out state JSON. For a checkpoint, the sibling serve-tsdb-wall.ckpt
 // (when present) supplies the wall-clock attribution.
 func timelineCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
@@ -72,18 +72,21 @@ func loadView(st *tsdb.State) (*tsdb.View, error) {
 	return db.View(), nil
 }
 
-// readStateFile parses either a checkpoint container holding a tsdb state
-// payload or a bare state JSON (the -tsdb-out artifact).
+// readStateFile parses either a checkpoint container holding a binary tsdb
+// state payload or a bare state JSON (the -tsdb-out artifact).
 func readStateFile(path string) (*tsdb.State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if leg, _, payload, err := checkpoint.Decode(data); err == nil {
-		if leg != "serve-tsdb" && leg != "serve-tsdb-wall" {
-			return nil, fmt.Errorf("%s: checkpoint leg %q is not a time-series state", path, leg)
+	if f, err := checkpoint.Decode(data); err == nil {
+		if f.Leg != "serve-tsdb" && f.Leg != "serve-tsdb-wall" {
+			return nil, fmt.Errorf("%s: checkpoint leg %q is not a time-series state", path, f.Leg)
 		}
-		return tsdb.ParseState(payload)
+		if f.Version != checkpoint.VersionBinary {
+			return nil, fmt.Errorf("%s: %w: version %d, want %d", path, checkpoint.ErrPayloadFormat, f.Version, checkpoint.VersionBinary)
+		}
+		return tsdb.DecodeState(f.Payload)
 	}
 	return tsdb.ParseState(data)
 }

@@ -23,7 +23,8 @@
 // The commit point is the cycle boundary: the Loop commits every cycle to
 // -checkpoint itself, and a signal stops at the next boundary.
 // -telescope-dir persists each cycle's telescope capture as rotated hourly
-// CSV files; -tsdb-out writes the observatory's sim-deterministic time-series
+// binary FlowTuple files (dayNNNN-hourHH.ft, readable by openhire-telescope
+// -parse); -tsdb-out writes the observatory's sim-deterministic time-series
 // state on exit (readable by openhire-inspect timeline); -no-tsdb disables
 // the observatory entirely. For a given (seed, config, watermark), API
 // responses, the -out aggregates, the -tsdb-out state and the hourly capture
@@ -54,7 +55,7 @@ var (
 	segsPer   = flag.Int("segments-per-cycle", serve.DefaultSegmentsPerCycle, "scan segment commits drained per cycle")
 	segTgts   = flag.Int("segment-targets", 0, "scan targets per segment (0 = scanner default)")
 	addr      = flag.String("addr", "", "serve the query API on this address (\"\" = no listener)")
-	telDir    = flag.String("telescope-dir", "", "persist each cycle's telescope capture as hourly CSV files under this directory")
+	telDir    = flag.String("telescope-dir", "", "persist each cycle's telescope capture as hourly binary FlowTuple files under this directory")
 	tsdbKeep  = flag.Int("tsdb-retention", 0, "time-series raw retention window in cycles (0 = default)")
 	noTSDB    = flag.Bool("no-tsdb", false, "disable the time-series observatory")
 	outPath   = flag.String("out", "", "write the final aggregates JSON to this file on exit")

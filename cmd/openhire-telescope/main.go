@@ -51,7 +51,7 @@ var (
 	workers = flag.Int("workers", 0, "generation workers (0 = all CPUs)")
 	out     = flag.String("out", "", "write FlowTuple records to this file")
 	format  = flag.String("format", "csv", "output format: csv or bin")
-	parse   = flag.String("parse", "", "parse a FlowTuple CSV file instead of generating")
+	parse   = flag.String("parse", "", "parse a FlowTuple file (CSV, or binary records detected by their FT04 magic) instead of generating")
 	rotate  = flag.Bool("rotate", false, "cut the capture per day (drain + per-day files)")
 )
 

@@ -82,12 +82,12 @@ func TestLoadWrongLegOrSeed(t *testing.T) {
 // in every byte of a small checkpoint and asserts each yields a clean
 // ErrCorruptCheckpoint — never a panic, never silent acceptance.
 func TestDecodeRejectsDamage(t *testing.T) {
-	data := Encode("scan", 99, []byte(`{"cursor":12345}`))
-	if _, _, _, err := Decode(data); err != nil {
+	data := Encode(VersionJSON, "scan", 99, []byte(`{"cursor":12345}`))
+	if _, err := Decode(data); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
 	}
 	for n := 0; n < len(data); n++ {
-		if _, _, _, err := Decode(data[:n]); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, err := Decode(data[:n]); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorruptCheckpoint", n, err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			flipped := make([]byte, len(data))
 			copy(flipped, data)
 			flipped[i] ^= 1 << bit
-			if _, _, _, err := Decode(flipped); !errors.Is(err, ErrCorruptCheckpoint) {
+			if _, err := Decode(flipped); !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Fatalf("bit flip at byte %d bit %d: err = %v, want ErrCorruptCheckpoint",
 					i, bit, err)
 			}
@@ -138,11 +138,12 @@ func TestSaveCreatesDirectory(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointLoad feeds arbitrary bytes (seeded with valid, truncated and
-// bit-flipped containers) through Decode and asserts it never panics and
-// never accepts a container whose re-encoding disagrees with the input.
+// FuzzCheckpointLoad feeds arbitrary bytes (seeded with valid JSON and
+// binary containers, truncated and bit-flipped ones) through Decode and
+// asserts it never panics and never accepts a container whose re-encoding
+// disagrees with the input.
 func FuzzCheckpointLoad(f *testing.F) {
-	valid := Encode("scan", 7, []byte(`{"cursor":1,"names":["a"]}`))
+	valid := Encode(VersionJSON, "scan", 7, []byte(`{"cursor":1,"names":["a"]}`))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
 	f.Add(valid[:4])
@@ -151,18 +152,44 @@ func FuzzCheckpointLoad(f *testing.F) {
 	copy(flipped, valid)
 	flipped[10] ^= 0x40
 	f.Add(flipped)
+	f.Add(Encode(VersionBinary, "serve", 11, []byte{3, 0, 0, 0x80, 0x01}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		leg, seed, payload, err := Decode(data)
+		got, err := Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Fatalf("non-corrupt error from Decode: %v", err)
 			}
 			return
 		}
-		if got := Encode(leg, seed, payload); string(got) != string(data) {
+		if again := Encode(got.Version, got.Leg, got.Seed, got.Payload); string(again) != string(data) {
 			t.Fatalf("accepted container does not re-encode to itself")
 		}
 	})
+}
+
+// TestLoadRefusesOtherPayloadFormat asserts an intact container whose
+// version names the other payload format is refused with ErrPayloadFormat,
+// not decoded as a corrupt or foreign file: JSON Load on a binary file, and
+// LoadPayload asking for binary on a JSON one.
+func TestLoadRefusesOtherPayloadFormat(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(FileName(dir, "serve"), Encode(VersionBinary, "serve", 7, []byte{1}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st sampleState
+	if _, err := Load(dir, "serve", 7, &st); !errors.Is(err, ErrPayloadFormat) {
+		t.Fatalf("JSON Load of a binary file: err = %v, want ErrPayloadFormat", err)
+	}
+	if _, err := Save(dir, "scan", "s", 7, &sampleState{Cursor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadPayload(dir, "scan", 7, VersionBinary); !errors.Is(err, ErrPayloadFormat) {
+		t.Fatalf("binary LoadPayload of a JSON file: err = %v, want ErrPayloadFormat", err)
+	}
+	payload, rec, err := LoadPayload(dir, "serve", 7, VersionBinary)
+	if err != nil || len(payload) != 1 || rec.Bytes == 0 {
+		t.Fatalf("binary LoadPayload = %v, %+v, %v", payload, rec, err)
+	}
 }
 
 // chainedState is a leg state the way the binaries declare one: the leg's own

@@ -105,7 +105,6 @@ const (
 
 	SiteServeCycleCommit       = "serve.cycle.commit"
 	SiteServeHourFileWritten   = "serve.telescope.hour.written"
-	SiteServeTSDBWritten       = "serve.tsdb.written"
 	SiteServeAggregatesWritten = "serve.aggregates.written"
 	SiteServeTimeseriesWritten = "serve.timeseries.written"
 	SiteServeManifestWritten   = "serve.manifest.written"
@@ -152,7 +151,6 @@ var ReportSites = []string{
 var ServeSites = []string{
 	SiteAtomicStaged,
 	SiteServeHourFileWritten,
-	SiteServeTSDBWritten,
 	SiteServeCycleCommit,
 	SiteServeAggregatesWritten,
 	SiteServeTimeseriesWritten,

@@ -66,8 +66,9 @@ type leg struct {
 	args      []string
 	ckptArgs  []string
 	sites     []string
-	shortSite string // the one mid-leg commit site -short keeps
-	atN       string // the commit site also swept at its third hit
+	shortSite string   // the one mid-leg commit site -short keeps
+	atN       string   // the commit site also swept at its third hit
+	extra     []string // further kill specs the full sweep arms
 }
 
 func scanLeg() leg {
@@ -149,6 +150,11 @@ func serveLeg() leg {
 		sites:     crashpoint.ServeSites,
 		shortSite: crashpoint.SiteServeCycleCommit,
 		atN:       crashpoint.SiteServeCycleCommit,
+		// A cycle renames 24 hour files, then serve-tsdb.ckpt and
+		// serve.ckpt as one group, then the wall file: the 53rd rename is
+		// cycle 2's serve.ckpt, so the kill leaves cycle 2's tsdb file
+		// beside cycle 1's serve.ckpt, and the resume must rewrite it.
+		extra: []string{crashpoint.SiteAtomicStaged + "@53"},
 	}
 }
 
@@ -337,6 +343,7 @@ func sweep(t *testing.T, l leg) {
 			specs = append(specs, s)
 		}
 		specs = append(specs, l.atN+"@3")
+		specs = append(specs, l.extra...)
 	}
 	for _, spec := range specs {
 		spec := spec

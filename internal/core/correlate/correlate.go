@@ -6,11 +6,11 @@
 package correlate
 
 import (
-	"encoding/json"
 	"slices"
 	"sort"
 	"strconv"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
 	"openhire/internal/intel"
@@ -19,9 +19,10 @@ import (
 	"openhire/internal/telescope"
 )
 
-// IPSet is a set of addresses that marshals deterministically: JSON form is
-// the sorted address array, so checkpoint and snapshot bytes are independent
-// of insertion order. The zero value is empty; use Add (through a pointer
+// IPSet is a set of addresses that encodes deterministically: the JSON form
+// is the sorted address array and the checkpoint form the sorted addresses
+// as delta uvarints, so snapshot and checkpoint bytes are independent of
+// insertion order. The zero value is empty; use Add (through a pointer
 // field) to insert.
 type IPSet map[netsim.IPv4]struct{}
 
@@ -75,18 +76,40 @@ func (s IPSet) MarshalJSON() ([]byte, error) {
 	return append(out, ']'), nil
 }
 
-// UnmarshalJSON restores from the address array; an empty array restores
-// the nil set.
-func (s *IPSet) UnmarshalJSON(data []byte) error {
-	var ips []netsim.IPv4
-	if err := json.Unmarshal(data, &ips); err != nil {
-		return err
+// AppendBinary appends the set's checkpoint form: the member count, then
+// the sorted addresses as deltas (the first from zero), each a uvarint.
+func (s IPSet) AppendBinary(b []byte) []byte {
+	b = wire.AppendInt(b, len(s))
+	var prev netsim.IPv4
+	for _, ip := range s.Sorted() {
+		b = wire.AppendUint(b, uint64(ip-prev))
+		prev = ip
 	}
-	*s = nil
-	if len(ips) > 0 {
-		*s = NewIPSet(ips)
+	return b
+}
+
+// ReadIPSet decodes a set AppendBinary wrote; an empty set decodes to nil.
+// Deltas must be ascending and stay inside the address space.
+func ReadIPSet(r *wire.Reader) IPSet {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	s := make(IPSet, n)
+	var ip uint64
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d := r.Uint()
+		if i > 0 && d == 0 || d > 1<<32-1-ip {
+			r.Fail("IP set delta %d after %d", d, ip)
+			break
+		}
+		ip += d
+		s[netsim.IPv4(ip)] = struct{}{}
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return s
 }
 
 // Intersection is the Section 5.3 headline result: misconfigured devices

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
 	"openhire/internal/intel"
@@ -227,9 +229,50 @@ func TestIPSetMarshalMatchesReference(t *testing.T) {
 		if string(held) != want {
 			t.Errorf("%s: as a struct member = %.80s, want %.80s", name, held, want)
 		}
-		var back IPSet
-		if err := json.Unmarshal(got, &back); err != nil || len(back) != len(s) {
-			t.Errorf("%s: round trip holds %d addresses of %d, err %v", name, len(back), len(s), err)
+	}
+}
+
+// TestIPSetBinaryRoundTrip asserts ReadIPSet(AppendBinary(s)) == s over the
+// address-space edges and a generated set, that nil and emptied sets encode
+// alike and decode to nil, and that deltas which would repeat an address or
+// leave the address space are refused.
+func TestIPSetBinaryRoundTrip(t *testing.T) {
+	sets := map[string]IPSet{
+		"nil":     nil,
+		"emptied": {},
+		"zero":    {0: {}},
+		"max":     {4294967295: {}},
+		"edges":   {0: {}, 1: {}, 127: {}, 128: {}, 4294967294: {}, 4294967295: {}},
+		"many":    {},
+	}
+	for i := uint32(0); i < 5000; i++ {
+		sets["many"][netsim.IPv4(i*2654435761)] = struct{}{}
+	}
+	for name, s := range sets {
+		data := s.AppendBinary([]byte{0xaa})
+		r := wire.NewReader(data[1:])
+		got := ReadIPSet(r)
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(s) == 0 {
+			if got != nil || len(data) != 2 {
+				t.Errorf("%s: encoded to %d bytes, decoded to %v; want one count byte and nil", name, len(data)-1, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Errorf("%s: decoded %d addresses, want %d", name, len(got), len(s))
+		}
+	}
+	for name, payload := range map[string][]byte{
+		"repeat":   {2, 5, 0},
+		"overflow": {2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1},
+		"count":    {3, 1, 1},
+	} {
+		r := wire.NewReader(payload)
+		if s := ReadIPSet(r); r.Err() == nil || s != nil {
+			t.Errorf("%s: accepted %v", name, s)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"openhire/internal/checkpoint/wire"
 )
 
 // State is the store's durable form: every series' retained raw points and
@@ -128,4 +130,110 @@ func ParseState(data []byte) (*State, error) {
 		return nil, fmt.Errorf("tsdb: state: %w", err)
 	}
 	return &st, nil
+}
+
+// AppendBinary appends the state's checkpoint form (package wire): the
+// option echo and LastCycle, then each series in order — name, labels,
+// Dropped, points as (cycle, value) pairs, rollups and the active bucket.
+// Floats keep their exact bits, NaN and infinities included.
+func (st *State) AppendBinary(b []byte) []byte {
+	b = wire.AppendInt(b, st.RawCapacity)
+	b = wire.AppendInt(b, st.RollupEvery)
+	b = wire.AppendInt(b, st.RollupCapacity)
+	b = wire.AppendInt64(b, st.LastCycle)
+	b = wire.AppendInt(b, len(st.Series))
+	for i := range st.Series {
+		ss := &st.Series[i]
+		b = wire.AppendString(b, ss.Name)
+		b = wire.AppendInt(b, len(ss.Labels))
+		for _, l := range ss.Labels {
+			b = wire.AppendString(b, l.Key)
+			b = wire.AppendString(b, l.Value)
+		}
+		b = wire.AppendUint(b, ss.Dropped)
+		b = wire.AppendInt(b, len(ss.Points))
+		for _, p := range ss.Points {
+			b = wire.AppendInt64(b, p.Cycle)
+			b = wire.AppendFloat(b, p.Value)
+		}
+		b = wire.AppendInt(b, len(ss.Rollups))
+		for j := range ss.Rollups {
+			b = ss.Rollups[j].appendBinary(b)
+		}
+		b = ss.Active.appendBinary(b)
+	}
+	return b
+}
+
+// bucketMinBytes is the smallest encoded Bucket: two one-byte uvarints and
+// four floats.
+const bucketMinBytes = 2 + 4*8
+
+func (bk *Bucket) appendBinary(b []byte) []byte {
+	b = wire.AppendInt64(b, bk.Start)
+	b = wire.AppendUint(b, bk.Count)
+	b = wire.AppendFloat(b, bk.Sum)
+	b = wire.AppendFloat(b, bk.Min)
+	b = wire.AppendFloat(b, bk.Max)
+	return wire.AppendFloat(b, bk.Last)
+}
+
+func readBucket(r *wire.Reader) Bucket {
+	return Bucket{Start: r.Int64(), Count: r.Uint(), Sum: r.Float(), Min: r.Float(), Max: r.Float(), Last: r.Float()}
+}
+
+// ReadState decodes a state AppendBinary wrote. Empty collections decode to
+// nil, as the JSON form's omitempty does.
+func ReadState(r *wire.Reader) *State {
+	st := &State{
+		RawCapacity:    r.Int(),
+		RollupEvery:    r.Int(),
+		RollupCapacity: r.Int(),
+		LastCycle:      r.Int64(),
+	}
+	// A series is at least a name length, four counts and a bucket.
+	if n := r.Count(5 + bucketMinBytes); n > 0 {
+		st.Series = make([]SeriesState, n)
+	}
+	for i := range st.Series {
+		ss := &st.Series[i]
+		ss.Name = r.Str()
+		if n := r.Count(2); n > 0 {
+			ss.Labels = make(Labels, n)
+			for j := range ss.Labels {
+				ss.Labels[j] = Label{Key: r.Str(), Value: r.Str()}
+			}
+		}
+		ss.Dropped = r.Uint()
+		if n := r.Count(1 + 8); n > 0 {
+			ss.Points = make([]Point, n)
+			for j := range ss.Points {
+				ss.Points[j] = Point{Cycle: r.Int64(), Value: r.Float()}
+			}
+		}
+		if n := r.Count(bucketMinBytes); n > 0 {
+			ss.Rollups = make([]Bucket, n)
+			for j := range ss.Rollups {
+				ss.Rollups[j] = readBucket(r)
+			}
+		}
+		ss.Active = readBucket(r)
+		if r.Err() != nil {
+			return nil
+		}
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return st
+}
+
+// DecodeState decodes a whole checkpoint payload holding one state.
+func DecodeState(payload []byte) (*State, error) {
+	r := wire.NewReader(payload)
+	st := ReadState(r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("tsdb: state: %w", err)
+	}
+	return st, nil
 }

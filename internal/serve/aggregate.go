@@ -155,9 +155,9 @@ type Watermark struct {
 
 // Aggregates is the daemon's complete derived state. It is mutated only by
 // the single-threaded cycle driver and read only through deep-copied
-// published snapshots, so it needs no locking; it marshals deterministically
-// (sorted maps, sorted IP sets, no wall-clock fields), which is what lets
-// the checkpoint carry it verbatim.
+// published snapshots, so it needs no locking; it encodes deterministically
+// (sorted maps, sorted IP sets, no wall-clock fields), as JSON for the -out
+// artifact and in the checkpoint's binary payload (codec.go).
 type Aggregates struct {
 	Exposure  ExposureState  `json:"exposure"`
 	Trends    TrendState     `json:"trends"`

@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"openhire/internal/obs"
+	"openhire/internal/telescope"
 )
 
 // The golden digests were recorded from the month re-fold (the whole month's
@@ -55,15 +59,22 @@ func TestServeGoldenDigest(t *testing.T) {
 }
 
 // goldenHourFiles is the sha256 over the sorted "name digest\n" lines of the
-// telescope_files map after three cycles of testConfig, recorded from the
-// fmt.Fprintf encoder and the sequential per-file atomic writes at the last
-// commit that still had them. It moves when any hour file's bytes, name or
-// flow order moves.
-const goldenHourFiles = "cf5e402a0fff9e371798db0a5b8f6b10063fb6fe0c9d895fce30869c9a66b49b"
+// telescope_files map after three cycles of testConfig, recorded when the
+// hour files became binary FlowTuple records (dayNNNN-hourHH.ft). It moves
+// when any hour file's bytes, name or flow order moves.
+const goldenHourFiles = "1f17f047e8596962ab9e46fbae03711769d3f207f656b0fb4a743d0fb12e440d"
+
+// goldenHourFilesCSV is the same digest over the files as CSV
+// (dayNNNN-hourHH.csv), recorded from the fmt.Fprintf encoder and the
+// sequential per-file atomic writes at the last commit that still had them.
+// Decoding each binary file and rendering it as CSV must reproduce it: the
+// binary files hold exactly the flows the CSV ones did, in the same order.
+const goldenHourFilesCSV = "cf5e402a0fff9e371798db0a5b8f6b10063fb6fe0c9d895fce30869c9a66b49b"
 
 // TestHourFilesGoldenDigest pins the hourly capture files — the bytes on disk
 // as well as the digests handed to the checkpoint and the manifest — to the
-// recorded digest for every worker count.
+// recorded digest for every worker count, and their decoded flows to the
+// digest the CSV files had.
 func TestHourFilesGoldenDigest(t *testing.T) {
 	for _, workers := range []int{1, 7} {
 		cfg := testConfig(workers)
@@ -81,7 +92,7 @@ func TestHourFilesGoldenDigest(t *testing.T) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		h := sha256.New()
+		h, hCSV := sha256.New(), sha256.New()
 		for _, name := range names {
 			data, err := os.ReadFile(filepath.Join(cfg.TelescopeDir, name))
 			if err != nil {
@@ -91,9 +102,17 @@ func TestHourFilesGoldenDigest(t *testing.T) {
 				t.Errorf("workers=%d %s: recorded digest %s, file on disk hashes to %s", workers, name, files[name], got)
 			}
 			fmt.Fprintf(h, "%s %s\n", name, files[name])
+			var csv bytes.Buffer
+			if err := telescope.WriteFlowsCSV(&csv, readFlows(t, data)); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(hCSV, "%s %s\n", strings.TrimSuffix(name, ".ft")+".csv", obs.Digest(csv.Bytes()))
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != goldenHourFiles {
 			t.Errorf("workers=%d: hour files diverged from golden:\n got %s\nwant %s", workers, got, goldenHourFiles)
+		}
+		if got := hex.EncodeToString(hCSV.Sum(nil)); got != goldenHourFilesCSV {
+			t.Errorf("workers=%d: hour files rendered as CSV diverged from golden:\n got %s\nwant %s", workers, got, goldenHourFilesCSV)
 		}
 		entries, err := os.ReadDir(cfg.TelescopeDir)
 		if err != nil {
@@ -102,5 +121,22 @@ func TestHourFilesGoldenDigest(t *testing.T) {
 		if len(entries) != len(files) {
 			t.Errorf("workers=%d: %d directory entries for %d recorded files (staging file left behind?)", workers, len(entries), len(files))
 		}
+	}
+}
+
+// readFlows decodes a whole binary FlowTuple file.
+func readFlows(t *testing.T, data []byte) []*telescope.FlowTuple {
+	t.Helper()
+	var flows []*telescope.FlowTuple
+	r := bytes.NewReader(data)
+	for {
+		ft, err := telescope.ReadBinary(r)
+		if err == io.EOF {
+			return flows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, ft)
 	}
 }

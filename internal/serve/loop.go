@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"openhire/internal/attack"
 	"openhire/internal/attack/malware"
 	"openhire/internal/checkpoint"
+	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
 	"openhire/internal/core/scan"
 	"openhire/internal/geo"
@@ -60,7 +63,7 @@ type Config struct {
 	CheckpointDir string
 	Resume        bool
 	// TelescopeDir, when set, persists each cycle's drained telescope
-	// capture as rotated hourly CSV files under this directory.
+	// capture as rotated hourly binary FlowTuple files under this directory.
 	TelescopeDir string
 	// TSDBDisabled turns the time-series observatory off entirely. The
 	// zero-perturbation gate compares runs with it on and off.
@@ -108,31 +111,6 @@ type monthState struct {
 	tel      *telescope.Telescope
 	gen      *attack.DarknetGenerator
 	infected *attack.Infected
-}
-
-// serveCheckpoint is the daemon's durable state, committed at every cycle
-// boundary where all three legs are quiescent. The worlds are rebuilt by
-// replaying construction (pure functions of seed and month/sweep index), so
-// the state is just the resumable leg positions plus the aggregates.
-type serveCheckpoint struct {
-	// Cycle is the number of completed cycles.
-	Cycle int `json:"cycle"`
-	// Campaign is the attack scheduler's position (nil at month boundary).
-	Campaign *attack.CampaignResume `json:"campaign,omitempty"`
-	// Scan is the segmented scanner's position (nil between sweeps).
-	Scan *scan.SegmentedState `json:"scan,omitempty"`
-	// Agg is the complete derived state.
-	Agg *Aggregates `json:"agg"`
-	// TSDB is the sim-deterministic time-series state at this cycle, the
-	// source of truth on restore. TSDBDigest is the standalone
-	// serve-tsdb.ckpt file's content digest; Restore rewrites that file
-	// when it disagrees (a kill landed between the two writes).
-	TSDB       *tsdb.State `json:"tsdb,omitempty"`
-	TSDBDigest string      `json:"tsdb_digest,omitempty"`
-	// TelescopeFiles maps persisted hourly capture file names to content
-	// digests, for the run manifest.
-	TelescopeFiles map[string]string `json:"telescope_files,omitempty"`
-	checkpoint.Chain
 }
 
 // cycleName formats the serve chain's record names by chain index.
@@ -246,31 +224,46 @@ func (l *Loop) buildMonth(m int) *monthState {
 // Restore loads the checkpoint from cfg.CheckpointDir, if one exists: leg
 // positions and aggregates only. The next cycle rebuilds the month world, whose
 // log starts empty — every committed day was drained and folded into Agg
-// before its commit. Returns whether a checkpoint was found.
+// before its commit — and a restored sweep's scanner starts with no results,
+// which were folded into Agg as their segments drained. Returns whether a
+// checkpoint was found. A serve.ckpt in another payload format (a JSON one
+// from an older build) is refused with checkpoint.ErrPayloadFormat; the state
+// is derivable, so a fresh run replaces it.
 func (l *Loop) Restore() (bool, error) {
-	st := &serveCheckpoint{Agg: l.agg}
-	found, err := checkpoint.Resume(l.cfg.CheckpointDir, "serve", cycleName, l.cfg.Seed, st)
-	if err != nil || !found {
+	dir := l.cfg.CheckpointDir
+	payload, rec, err := checkpoint.LoadPayload(dir, "serve", l.cfg.Seed, checkpoint.VersionBinary)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
 		return false, err
 	}
+	st, _, err := DecodeCheckpoint(payload)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w: %w", checkpoint.FileName(dir, "serve"), checkpoint.ErrCorruptCheckpoint, err)
+	}
+	// The loaded file's own record joins the chain under the name its index
+	// gives it, so the chain is independent of kill history.
+	rec.Name = fmt.Sprintf(cycleName, len(st.Checkpoints))
 	l.cycle = st.Cycle
 	l.agg = st.Agg
 	l.campaignResume = st.Campaign
 	l.scanState = st.Scan
-	l.ckpts = st.Checkpoints
+	l.ckpts = append(st.Checkpoints, rec)
 	l.telFiles = st.TelescopeFiles
 	l.lastCkptCycle = st.Cycle
 	if l.obsv != nil && st.TSDB != nil {
 		// The embedded state is the source of truth; the standalone file is
 		// rewritten when its digest disagrees (the kill landed between the
-		// tsdb file write and the serve record), so the file converges on the
+		// two renames of the commit group), so the file converges on the
 		// uninterrupted run's bytes regardless of kill history.
 		if err := l.obsv.Sim.LoadState(st.TSDB); err != nil {
 			return false, fmt.Errorf("checkpoint tsdb: %w", err)
 		}
-		data, err := os.ReadFile(checkpoint.FileName(l.cfg.CheckpointDir, "serve-tsdb"))
+		path := checkpoint.FileName(dir, "serve-tsdb")
+		data, err := os.ReadFile(path)
 		if err != nil || obs.Digest(data) != st.TSDBDigest {
-			if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", "", l.cfg.Seed, st.TSDB); err != nil {
+			if err := atomicio.WriteFileBytes(path, l.tsdbFile("serve-tsdb", st.TSDB)); err != nil {
 				return false, err
 			}
 		}
@@ -278,16 +271,22 @@ func (l *Loop) Restore() (bool, error) {
 	if l.obsv != nil {
 		// Wall stream: best effort. Profiling history survives restarts when
 		// the file is readable; otherwise the stream just starts fresh.
-		wallSt := &tsdb.State{}
-		if _, err := checkpoint.Load(l.cfg.CheckpointDir, "serve-tsdb-wall", l.cfg.Seed, wallSt); err == nil {
-			if err := l.obsv.Wall.LoadState(wallSt); err != nil {
-				l.obsv.Wall = tsdb.New(l.obsv.Sim.Options())
+		if payload, _, err := checkpoint.LoadPayload(dir, "serve-tsdb-wall", l.cfg.Seed, checkpoint.VersionBinary); err == nil {
+			if wallSt, err := tsdb.DecodeState(payload); err == nil {
+				if err := l.obsv.Wall.LoadState(wallSt); err != nil {
+					l.obsv.Wall = tsdb.New(l.obsv.Sim.Options())
+				}
 			}
 		}
 	}
 	// Publish the restored position immediately: the API answers from the
 	// committed watermark while the next cycle runs.
 	return true, l.publish()
+}
+
+// tsdbFile encodes a time-series state as the leg's standalone checkpoint.
+func (l *Loop) tsdbFile(leg string, st *tsdb.State) []byte {
+	return checkpoint.Encode(checkpoint.VersionBinary, leg, l.cfg.Seed, st.AppendBinary(nil))
 }
 
 // Run drives cycles until ctx is cancelled or, when cycles > 0, the total
@@ -444,29 +443,9 @@ func (l *Loop) commit(span *obs.CycleSpan) error {
 	cyc := int64(l.cycle - 1)
 	l.obsv.appendSim(cyc, l.agg, inflightScanStats(l.scanState))
 	if l.cfg.CheckpointDir != "" {
-		st := serveCheckpoint{
-			Cycle:          l.cycle,
-			Campaign:       l.campaignResume,
-			Scan:           l.scanState,
-			Agg:            l.agg,
-			TelescopeFiles: l.telFiles,
-			Chain:          checkpoint.Chain{Checkpoints: l.ckpts},
-		}
-		if l.obsv != nil {
-			simState := l.obsv.Sim.State()
-			tsRec, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb", "", l.cfg.Seed, simState)
-			if err != nil {
-				return err
-			}
-			crashpoint.Here(crashpoint.SiteServeTSDBWritten)
-			st.TSDB = simState
-			st.TSDBDigest = tsRec.Digest
-		}
-		if err := checkpoint.Commit(l.cfg.CheckpointDir, "serve", cycleName, l.cfg.Seed, &st); err != nil {
+		if err := l.writeCheckpoint(); err != nil {
 			return err
 		}
-		l.ckpts = st.Checkpoints
-		l.lastCkptCycle = l.cycle
 		crashpoint.Here(crashpoint.SiteServeCycleCommit)
 	}
 	span.Mark("commit")
@@ -476,11 +455,58 @@ func (l *Loop) commit(span *obs.CycleSpan) error {
 	if l.cfg.CheckpointDir != "" && l.obsv != nil {
 		// The wall file is profiling history only: no crashpoint, no digest,
 		// no determinism claim — Restore loads it leniently.
-		if _, err := checkpoint.Save(l.cfg.CheckpointDir, "serve-tsdb-wall", "", l.cfg.Seed, l.obsv.Wall.State()); err != nil {
+		path := checkpoint.FileName(l.cfg.CheckpointDir, "serve-tsdb-wall")
+		if err := atomicio.WriteFileBytes(path, l.tsdbFile("serve-tsdb-wall", l.obsv.Wall.State())); err != nil {
 			return err
 		}
 	}
 	return l.publish()
+}
+
+// writeCheckpoint commits serve.ckpt — and, with the observatory on, the
+// standalone serve-tsdb.ckpt whose digest it records — as one durable group:
+// both files staged and fsynced together, renamed tsdb first, then one
+// directory sync. A kill between the renames leaves a new tsdb file beside
+// the previous serve.ckpt, which Restore rewrites from the embedded state.
+func (l *Loop) writeCheckpoint() error {
+	dir := l.cfg.CheckpointDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	st := Checkpoint{
+		Cycle:          l.cycle,
+		Campaign:       l.campaignResume,
+		Scan:           l.scanState,
+		Agg:            l.agg,
+		TelescopeFiles: l.telFiles,
+		Checkpoints:    l.ckpts,
+	}
+	var legs []string
+	var files [][]byte
+	if l.obsv != nil {
+		st.TSDB = l.obsv.Sim.State()
+		tsFile := l.tsdbFile("serve-tsdb", st.TSDB)
+		st.TSDBDigest = obs.Digest(tsFile)
+		legs, files = append(legs, "serve-tsdb"), append(files, tsFile)
+	}
+	data := checkpoint.Encode(checkpoint.VersionBinary, "serve", l.cfg.Seed, st.AppendBinary(nil))
+	legs, files = append(legs, "serve"), append(files, data)
+	names := make([]string, len(legs))
+	for i, leg := range legs {
+		names[i] = filepath.Base(checkpoint.FileName(dir, leg))
+	}
+	err := atomicio.WriteGroup(dir, names, func(i int, w io.Writer) error {
+		_, err := w.Write(files[i])
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	l.ckpts = append(l.ckpts, obs.CheckpointRecord{
+		Name: fmt.Sprintf(cycleName, len(l.ckpts)), Bytes: int64(len(data)), Digest: obs.Digest(data),
+	})
+	l.lastCkptCycle = l.cycle
+	return nil
 }
 
 // publish renders and swaps in the snapshot for the current position.

@@ -225,14 +225,15 @@ func sortedKeys[V any](ms ...map[string]V) []string {
 }
 
 // writeHourFiles persists the just-drained day's telescope capture, rotated
-// hourly, under dir: dayNNNN-hourHH.csv, one file per rotation bucket,
-// content-digested for the manifest. The day's files are one durable group
-// (atomicio.WriteGroup): encoded, digested, staged and fsynced concurrently,
-// then renamed, with one directory sync before this returns — so a digest
-// reaches digests, and through it the checkpoint, only once every file and
-// every rename of the day is durable. Flow order inside a file is the
-// telescope's canonical drain order restricted to the hour, so the bytes are
-// worker-count and kill-history independent.
+// hourly, under dir: dayNNNN-hourHH.ft, one file of binary FlowTuple records
+// (telescope.WriteFlowsBinary; openhire-telescope -parse reads it) per
+// rotation bucket, content-digested for the manifest. The day's files are one
+// durable group (atomicio.WriteGroup): encoded, digested, staged and fsynced
+// concurrently, then renamed, with one directory sync before this returns —
+// so a digest reaches digests, and through it the checkpoint, only once every
+// file and every rename of the day is durable. Flow order inside a file is
+// the telescope's canonical drain order restricted to the hour, so the bytes
+// are worker-count and kill-history independent.
 func writeHourFiles(dir string, cyc int, dayStart time.Time, flows []*telescope.FlowTuple, digests map[string]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -240,12 +241,12 @@ func writeHourFiles(dir string, cyc int, dayStart time.Time, flows []*telescope.
 	parts := telescope.PartitionByHour(flows, dayStart, 24)
 	names := make([]string, len(parts))
 	for h := range parts {
-		names[h] = fmt.Sprintf("day%04d-hour%02d.csv", cyc, h)
+		names[h] = fmt.Sprintf("day%04d-hour%02d.ft", cyc, h)
 	}
 	sums := make([]string, len(parts))
 	err := atomicio.WriteGroup(dir, names, func(h int, w io.Writer) error {
 		dw := obs.NewDigestWriter()
-		if err := telescope.WriteFlowsCSV(io.MultiWriter(w, dw), parts[h]); err != nil {
+		if err := telescope.WriteFlowsBinary(io.MultiWriter(w, dw), parts[h]); err != nil {
 			return err
 		}
 		sums[h] = dw.Sum()

@@ -99,11 +99,11 @@ func TestTSDBCheckpointFileMatchesEmbedded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, payload, err := checkpoint.Decode(data)
+	f, err := checkpoint.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := tsdb.ParseState(payload)
+	st, err := tsdb.DecodeState(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTimeseriesAPI(t *testing.T) {
 	}
 
 	// The hourly telescope capture directory fills as cycles drain.
-	names, err := filepath.Glob(filepath.Join(cfg.TelescopeDir, "day*-hour*.csv"))
+	names, err := filepath.Glob(filepath.Join(cfg.TelescopeDir, "day*-hour*.ft"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"openhire/internal/checkpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/core/correlate"
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
@@ -170,19 +171,22 @@ func testKillResume(t *testing.T, kill, total int) {
 	// What the checkpoint holds: the members that grow with the run are
 	// named; the rest is scheduler position and bookkeeping, so a log riding
 	// along under any name trips the bound.
-	var members map[string]json.RawMessage
-	if _, err := checkpoint.Load(dir, "serve", cfg.Seed, &members); err != nil {
+	payload, _, err := checkpoint.LoadPayload(dir, "serve", cfg.Seed, checkpoint.VersionBinary)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := members["events"]; ok {
-		t.Error("serve.ckpt carries an events member: the honeypot log is back in the checkpoint")
+	_, members, err := DecodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rest := 0
-	for name, raw := range members {
-		switch name {
+	for _, m := range members {
+		switch m.Name {
 		case "scan", "agg", "tsdb", "checkpoints":
+		case "events":
+			t.Error("serve.ckpt carries an events member: the honeypot log is back in the checkpoint")
 		default:
-			rest += len(name) + len(raw)
+			rest += m.Bytes
 		}
 	}
 	if rest >= 1024 {
@@ -358,7 +362,7 @@ func TestConcurrentScrapeZeroPerturbation(t *testing.T) {
 }
 
 // TestIPSetRoundTrip asserts the correlation sets' deterministic marshal form
-// and that an empty set survives a JSON round trip as nil (checkpoint
+// and that an emptied set survives a checkpoint round trip as nil (checkpoint
 // byte-identity for fresh vs restored-empty state).
 func TestIPSetRoundTrip(t *testing.T) {
 	var s correlate.IPSet
@@ -372,10 +376,7 @@ func TestIPSetRoundTrip(t *testing.T) {
 	if string(data) != want {
 		t.Fatalf("marshal = %s, want %s", data, want)
 	}
-	var back correlate.IPSet
-	if err := back.UnmarshalJSON([]byte("[]")); err != nil {
-		t.Fatal(err)
-	}
+	back := correlate.ReadIPSet(wire.NewReader(correlate.IPSet{}.AppendBinary(nil)))
 	if back != nil {
 		t.Fatal("empty set did not round-trip to nil")
 	}

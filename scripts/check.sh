@@ -51,8 +51,11 @@
 #   7. the serve smoke (scripts/serve_smoke.sh): openhire-serve end to end —
 #      kill/resume byte-identity of the aggregates and time-series
 #      artifacts and of the hourly capture files across a kill inside the
-#      hour-file group, no staging file left in telescope/, no "events"
-#      member in the serve.ckpt the resumed run leaves, the live query API (including /api/timeseries) answering
+#      hour-file group, no staging file left in telescope/, the serve.ckpt
+#      the resumed run leaves listing only its expected members (no honeypot
+#      events, no scan results) under openhire-inspect checkpoint, a binary
+#      hour file parsed by openhire-telescope -parse, the live query API
+#      (including /api/timeseries) answering
 #      mid-run, openhire-inspect timeline in both file and live-URL modes,
 #      and a graceful SIGINT shutdown; then the
 #      inspect smoke: build openhire-scan + openhire-inspect, run the

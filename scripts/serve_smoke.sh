@@ -12,11 +12,13 @@
 #      aggregates, the sim time-series history AND every hourly capture file
 #      must be byte-identical to golden, telescope/ must hold no hidden
 #      staging file (the last run stages over the killed run's orphans), and
-#      the mid-month serve.ckpt it leaves must hold no "events" member (leg
-#      positions and aggregates only: the honeypot log is drained and folded
-#      each cycle, never checkpointed)
-#   3. timeline (file mode): openhire-inspect timeline must render the
-#      resumed run's serve-tsdb.ckpt with per-cycle leg attribution
+#      openhire-inspect checkpoint must list exactly the serve.ckpt members
+#      it leaves — leg positions, aggregates, tsdb and bookkeeping: no
+#      honeypot log (drained and folded each cycle, never checkpointed) and
+#      no scan results (folded as their segments drained)
+#   3. files readable: openhire-telescope -parse must read the largest binary
+#      hour file, and openhire-inspect timeline must render the resumed run's
+#      serve-tsdb.ckpt with per-cycle leg attribution
 #   4. live API: a -cycles 0 daemon with a listener; once a cycle commits,
 #      /api/status and /api/exposure must answer 200 with a coherent
 #      watermark, /api/timeseries must serve the catalog and a trend range
@@ -34,7 +36,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$SMOKE/" ./cmd/openhire-serve ./cmd/openhire-inspect
+go build -o "$SMOKE/" ./cmd/openhire-serve ./cmd/openhire-inspect ./cmd/openhire-telescope
 FLAGS="-seed 11 -prefix 100.0.0.0/24 -boost 16 -cycles 3 -segments-per-cycle 2 -segment-targets 64 -intensity 0.002 -scale 0.0002"
 mkdir "$SMOKE/golden" "$SMOKE/resume" "$SMOKE/live"
 
@@ -67,12 +69,21 @@ if ls -A "$SMOKE/resume/telescope" | grep '^\.' >&2; then
 	echo "serve smoke: telescope/ holds staging files after kill + resume — orphans are accumulating" >&2
 	exit 1
 fi
-if grep -aq '"events":' "$SMOKE/resume/ck/serve.ckpt"; then
-	echo "serve smoke: ck/serve.ckpt carries an events member — the honeypot log is back in the checkpoint" >&2
+"$SMOKE/openhire-inspect" checkpoint "$SMOKE/resume/ck/serve.ckpt" >"$SMOKE/checkpoint.txt"
+MEMBERS=$(sed -n '/^Payload bytes by member/,$p' "$SMOKE/checkpoint.txt" | awk 'NR > 3 { printf "%s ", $1 }')
+if [ "$MEMBERS" != "cycle campaign scan agg tsdb telescope_files checkpoints " ]; then
+	echo "serve smoke: ck/serve.ckpt members are '$MEMBERS' — want leg positions, aggregates, tsdb and bookkeeping only" >&2
+	exit 1
+fi
+if grep -q '"events":\|"results":' "$SMOKE/checkpoint.txt"; then
+	echo "serve smoke: ck/serve.ckpt carries honeypot events or scan results — they are folded, never checkpointed" >&2
 	exit 1
 fi
 
-echo "  inspect timeline from the resumed run's tsdb checkpoint"
+echo "  parse a binary hour file; inspect timeline from the resumed run's tsdb checkpoint"
+HOUR=$(ls -S "$SMOKE"/resume/telescope/*.ft | head -1)
+"$SMOKE/openhire-telescope" -parse "$HOUR" >"$SMOKE/parse.txt"
+grep -q "^parsed [1-9][0-9,]* records from $HOUR" "$SMOKE/parse.txt"
 "$SMOKE/openhire-inspect" timeline "$SMOKE/resume/ck/serve-tsdb.ckpt" >"$SMOKE/timeline-file.txt"
 grep -q "per-cycle wall attribution" "$SMOKE/timeline-file.txt"
 grep -q "serve.trend.attack_events" "$SMOKE/timeline-file.txt"
