@@ -14,8 +14,10 @@ import (
 func TestFlagsPinned(t *testing.T) {
 	want := map[string]string{
 		"checkpoint":   "",
+		"cpuprofile":   "",
 		"debug-addr":   "",
 		"manifest":     "",
+		"memprofile":   "",
 		"only":         "",
 		"quick":        "false",
 		"resume":       "false",

@@ -39,7 +39,7 @@ import (
 )
 
 var (
-	run   = cli.New("openhire-report", cli.Common|cli.Instruments)
+	run   = cli.New("openhire-report", cli.Common|cli.Instruments|cli.Profiles)
 	quick = flag.Bool("quick", false, "use the small fast world")
 	only  = flag.String("only", "", "comma-separated experiment ids (default: all)")
 )
@@ -168,6 +168,10 @@ func main() {
 			crashpoint.Here(crashpoint.SiteReportExperimentCommit)
 		}
 	}
+
+	// Profiles cover exactly the pass: the CPU capture stops (and the live
+	// heap is written) before the counter and trace tail.
+	run.StopProfiles()
 
 	// The world caches each phase and names the ones that actually ran in
 	// this process — on an instrumented resume that includes the re-forced

@@ -17,12 +17,14 @@ func TestFlagsPinned(t *testing.T) {
 		"breaker-threshold": "0",
 		"checkpoint":        "",
 		"checkpoint-every":  "4096",
+		"cpuprofile":        "",
 		"debug-addr":        "",
 		"extended":          "false",
 		"faults":            "",
 		"in":                "",
 		"manifest":          "",
 		"max-attempts":      "0",
+		"memprofile":        "",
 		"out":               "",
 		"prefix":            "100.0.0.0/14",
 		"probe-timeout":     "0s",

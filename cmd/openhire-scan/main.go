@@ -51,7 +51,7 @@ import (
 )
 
 var (
-	run           = cli.New("openhire-scan", cli.Common|cli.Instruments)
+	run           = cli.New("openhire-scan", cli.Common|cli.Instruments|cli.Profiles)
 	prefixStr     = flag.String("prefix", "100.0.0.0/14", "universe prefix to scan")
 	boost         = flag.Float64("boost", 16, "population density boost")
 	workers       = flag.Int("workers", 128, "probe concurrency")
@@ -319,6 +319,9 @@ func main() {
 		_ = ct.Render(os.Stdout)
 	}
 	span.End()
+	// Profiles cover exactly the scan and its analysis: the CPU capture stops
+	// (and the live heap is written) before the trace and counter tail.
+	run.StopProfiles()
 
 	// Classification closes the scan leg's lifecycle in the trace.
 	trace.ClassifiedEvents(run.Rec, allFindings)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"openhire/internal/iot"
@@ -92,7 +93,7 @@ func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	}
 	defer conn.Close()
 	client := mqtt.NewClient(conn)
-	code, err := client.Connect(fmt.Sprintf("probe-%08x", uint32(src)), "", "")
+	code, err := client.Connect(probeClientID(src), "", "")
 	if err != nil && err != mqtt.ErrRejected {
 		if out, faulted := ConnOutcome(conn); faulted {
 			return nil, out
@@ -102,8 +103,8 @@ func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	res := &Result{
 		Time: conn.DialTime, IP: dst.IP, Port: dst.Port,
 		Protocol: iot.ProtoMQTT, Transport: netsim.TCP,
-		Banner: []byte(fmt.Sprintf("MQTT Connection Code:%d", code)),
-		Meta:   map[string]string{"mqtt.code": fmt.Sprintf("%d", code)},
+		Banner: mqttBanner(code),
+		Meta:   map[string]string{"mqtt.code": strconv.FormatUint(uint64(code), 10)},
 	}
 	if code == mqtt.ConnAccepted {
 		// On open brokers the probe lists topics, as the paper does
@@ -122,6 +123,25 @@ func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	// pathology later cut the topic listing short: the truncation budget is
 	// deterministic, so the recorded topic set still is too.
 	return res, OutcomeOK
+}
+
+// mqttBanner is the recorded banner, "MQTT Connection Code:" and the code,
+// in one allocation of its final size.
+func mqttBanner(code mqtt.ConnackCode) []byte {
+	const prefix = "MQTT Connection Code:"
+	b := make([]byte, 0, len(prefix)+3)
+	return strconv.AppendUint(append(b, prefix...), uint64(code), 10)
+}
+
+// probeClientID is the MQTT probe's client identifier, "probe-" and the
+// source address as eight hex digits.
+func probeClientID(src netsim.IPv4) string {
+	const digits = "0123456789abcdef"
+	id := [14]byte{'p', 'r', 'o', 'b', 'e', '-'}
+	for i := 0; i < 8; i++ {
+		id[len(id)-1-i] = digits[uint32(src)>>(4*i)&0xf]
+	}
+	return string(id[:])
 }
 
 // AMQPModule probes port 5672, reading connection.start server properties.

@@ -214,6 +214,17 @@ func (s *Scanner) newIterator() *AddressIterator {
 // cost.
 const targetBatchSize = 256
 
+// batchPool recycles target batches across segments and scans: a segment
+// hands every batch it used back when it ends, and the next one's feed
+// takes them up instead of allocating its own.
+var batchPool = sync.Pool{New: func() any { return new([targetBatchSize]target) }}
+
+// getBatch returns an empty batch with room for targetBatchSize targets.
+func getBatch() []target { return batchPool.Get().(*[targetBatchSize]target)[:0] }
+
+// putBatch returns a batch from getBatch to the pool.
+func putBatch(b []target) { batchPool.Put((*[targetBatchSize]target)(b[:targetBatchSize])) }
+
 // segment is what one drained segment produced, before Run folds it into
 // the state.
 type segment struct {
@@ -232,7 +243,8 @@ type segment struct {
 // a pool of workers, waits for the barrier and returns the segment's sorted
 // results and summed stats. Nothing is sized by max: workers hand drained
 // batches back through a bounded free list the feed refills from, so a
-// segment of any length allocates only the batches in flight.
+// segment of any length uses only the batches in flight, and those come
+// from batchPool and go back to it when the segment ends.
 //
 // The hot path is contention-free: each worker counts and collects into its
 // own padded shard, and the only cross-worker synchronization per batch is
@@ -280,7 +292,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 	var seg segment
 	ports := m.Ports()
 	trace, proto := s.cfg.OnProbe, m.Protocol()
-	batch := make([]target, 0, batchSize)
+	batch := getBatch()
 	send := func() bool {
 		select {
 		case batches <- batch:
@@ -293,7 +305,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 		select {
 		case batch = <-free:
 		default:
-			batch = make([]target, 0, batchSize)
+			batch = getBatch()
 		}
 		return true
 	}
@@ -324,6 +336,11 @@ feed:
 	}
 	close(batches)
 	wg.Wait()
+	putBatch(batch)
+	close(free)
+	for b := range free {
+		putBatch(b)
+	}
 
 	// Workers collect in scheduling order, which varies with the worker
 	// count; sorting makes the segment a pure function of (seed, config,

@@ -8,6 +8,8 @@ package honeypot
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,10 +52,11 @@ type Event struct {
 }
 
 // Log is the shared, thread-safe event store. Appends land on one of
-// logShards lock-striped slices chosen round-robin by a global sequence
+// logShards lock-striped shards chosen round-robin by a global sequence
 // counter, so concurrent attack workers never serialize on a single mutex;
-// Events merges the shards back into (Time, sequence) order. The zero value
-// is ready to use.
+// Events merges the shards back into (Time, sequence) order. A shard stores
+// its events in fixed-size chunks, so an append never copies what earlier
+// appends stored. The zero value is ready to use.
 type Log struct {
 	seq    atomic.Uint64
 	shards [logShards]logShard
@@ -63,11 +66,17 @@ type Log struct {
 // worker parallelism on any host this runs on.
 const logShards = 32
 
+// logChunk is the events one chunk holds: a shard's storage grows a chunk
+// at a time, and at most one chunk per shard is partly empty.
+const logChunk = 16
+
 // logShard is one append stripe, padded so adjacent shard headers do not
-// share a cache line under concurrent append.
+// share a cache line under concurrent append. Every chunk but the last is
+// full; a chunk is never written again once full.
 type logShard struct {
 	mu     sync.Mutex
-	events []seqEvent
+	chunks []*[logChunk]seqEvent
+	n      int // events held
 	_      [64]byte
 }
 
@@ -82,7 +91,11 @@ func (l *Log) Append(ev Event) {
 	s := l.seq.Add(1)
 	sh := &l.shards[s&(logShards-1)]
 	sh.mu.Lock()
-	sh.events = append(sh.events, seqEvent{seq: s, ev: ev})
+	if sh.n%logChunk == 0 {
+		sh.chunks = append(sh.chunks, new([logChunk]seqEvent))
+	}
+	sh.chunks[sh.n/logChunk][sh.n%logChunk] = seqEvent{seq: s, ev: ev}
+	sh.n++
 	sh.mu.Unlock()
 }
 
@@ -103,27 +116,32 @@ func (l *Log) Drain() []Event {
 }
 
 // snapshot gathers the shards in (Time, arrival sequence) order, emptying
-// each under its own lock when drain is set.
+// each under its own lock when drain is set. It sorts pointers into the
+// chunks and copies each event once, into the result. The slots it points
+// at stay as they are after the lock is released: a later append writes
+// only slots past the count it read, and a drain hands the chunks over.
 func (l *Log) snapshot(drain bool) []Event {
-	all := make([]seqEvent, 0, l.Len())
+	refs := make([]*seqEvent, 0, l.Len())
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		all = append(all, sh.events...)
+		for j := 0; j < sh.n; j++ {
+			refs = append(refs, &sh.chunks[j/logChunk][j%logChunk])
+		}
 		if drain {
-			sh.events = nil
+			sh.chunks, sh.n = nil, 0
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if !all[i].ev.Time.Equal(all[j].ev.Time) {
-			return all[i].ev.Time.Before(all[j].ev.Time)
+	slices.SortFunc(refs, func(a, b *seqEvent) int {
+		if c := a.ev.Time.Compare(b.ev.Time); c != 0 {
+			return c
 		}
-		return all[i].seq < all[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	out := make([]Event, len(all))
-	for i := range all {
-		out[i] = all[i].ev
+	out := make([]Event, len(refs))
+	for i, r := range refs {
+		out[i] = r.ev
 	}
 	return out
 }
@@ -135,7 +153,7 @@ func (l *Log) Len() int {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		n += len(sh.events)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n

@@ -18,6 +18,11 @@ import (
 // address: a conversation asks for one port, so the spec of the protocol
 // listening there is derived then, and the other protocols the device may
 // speak are never touched. It implements netsim.Host.
+//
+// Every dial gets a fresh server, as a rebooted device would present: a
+// Telnet device is one telnet.Session (config and session state in one
+// allocation), an MQTT device a Clone of its model's broker, which shares
+// the model's retained set until the dial publishes to it.
 type deviceHost struct {
 	u  *Universe
 	ip netsim.IPv4
@@ -32,9 +37,9 @@ func (h deviceHost) StreamService(port uint16) netsim.StreamHandler {
 	spec := h.u.deriveSpec(h.ip, e)
 	switch e.proto {
 	case ProtoTelnet:
-		return telnet.NewServer(TelnetConfig(spec))
+		return telnet.NewSession(TelnetConfig(spec))
 	case ProtoMQTT:
-		return MQTTBroker(spec)
+		return h.u.mqttBase(spec.Model.MQTTTopic).Clone(mqttConfig(spec))
 	case ProtoAMQP:
 		return amqp.NewServer(AMQPConfig(spec))
 	case ProtoXMPP:
@@ -82,7 +87,7 @@ func TelnetConfig(spec DeviceSpec) telnet.Config {
 		cfg.ShellPrompt = "$ "
 	default:
 		cfg.Auth = telnet.AuthLogin
-		cfg.Credentials = map[string]string{spec.Username: spec.Password}
+		cfg.Username, cfg.Password = spec.Username, spec.Password
 		cfg.ShellPrompt = spec.Model.TelnetPrompt
 		if cfg.ShellPrompt == "" {
 			cfg.ShellPrompt = "$ "
@@ -98,17 +103,41 @@ func rootPrompt(spec DeviceSpec) string {
 	return fmt.Sprintf("root@device-%08x:~$ ", uint32(spec.IP))
 }
 
-// MQTTBroker derives the broker for a spec, pre-seeding the identifying
-// retained topic from the catalog.
-func MQTTBroker(spec DeviceSpec) *mqtt.Broker {
-	b := mqtt.NewBroker(mqtt.BrokerConfig{
+// mqttConfig is a device broker's authentication posture.
+func mqttConfig(spec DeviceSpec) mqtt.BrokerConfig {
+	return mqtt.BrokerConfig{
 		RequireAuth: spec.Misconfig != MQTTNoAuth,
-		Credentials: map[string]string{spec.Username: spec.Password},
-	})
-	if spec.Model.MQTTTopic != "" {
-		b.Retain(spec.Model.MQTTTopic, []byte("on"))
+		Username:    spec.Username,
+		Password:    spec.Password,
+	}
+}
+
+// modelBroker builds the broker a device model's clones start from: the
+// default $SYS tree plus the identifying retained topic from the catalog,
+// if the model has one.
+func modelBroker(topic string) *mqtt.Broker {
+	b := mqtt.NewBroker(mqtt.BrokerConfig{})
+	if topic != "" {
+		b.Retain(topic, []byte("on"))
 	}
 	return b
+}
+
+// mqttBase returns the model broker for an identifying topic. The universe
+// builds one per MQTT model up front, so a grab only clones it.
+func (u *Universe) mqttBase(topic string) *mqtt.Broker {
+	for _, m := range u.mqttBases {
+		if m.topic == topic {
+			return m.b
+		}
+	}
+	panic("iot: no model broker for MQTT topic " + topic) // every model has one
+}
+
+// mqttBrokerBase is one model's broker, by identifying topic.
+type mqttBrokerBase struct {
+	topic string
+	b     *mqtt.Broker
 }
 
 // AMQPConfig derives the AMQP server configuration. Misconfigured brokers

@@ -31,7 +31,7 @@ func TestTelnetConfigVariants(t *testing.T) {
 		t.Fatalf("open config %+v", open)
 	}
 	gated := TelnetConfig(specFor(MisconfigNone, ProtoTelnet, "ZyXEL PK5001Z"))
-	if gated.Auth != telnet.AuthLogin || gated.Credentials["admin"] != "s3cret" {
+	if gated.Auth != telnet.AuthLogin || gated.Username != "admin" || gated.Password != "s3cret" {
 		t.Fatalf("gated config %+v", gated)
 	}
 	// Root prompt falls back to a synthesized one when the model has none.
@@ -44,12 +44,12 @@ func TestTelnetConfigVariants(t *testing.T) {
 }
 
 func TestMQTTBrokerVariants(t *testing.T) {
-	open := MQTTBroker(specFor(MQTTNoAuth, ProtoMQTT, "Octoprint"))
+	spec := specFor(MQTTNoAuth, ProtoMQTT, "Octoprint")
+	open := modelBroker(spec.Model.MQTTTopic).Clone(mqttConfig(spec))
 	if _, ok := open.RetainedValue("octoPrint/temperature/bed"); !ok {
 		t.Fatal("identifying topic not retained")
 	}
-	gated := MQTTBroker(specFor(MisconfigNone, ProtoMQTT, "Octoprint"))
-	_ = gated // RequireAuth is internal; behaviour checked via scan tests
+	// RequireAuth is internal; behaviour checked via scan tests.
 }
 
 func TestAMQPConfigVariants(t *testing.T) {

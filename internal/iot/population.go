@@ -93,6 +93,10 @@ type Universe struct {
 	// index is ExposedIndex's result, built on its first call.
 	indexOnce sync.Once
 	index     []Exposed
+
+	// mqttBases holds one model broker per MQTT model (host.go), never
+	// dialed: a device grab clones it.
+	mqttBases []mqttBrokerBase
 }
 
 // exposureEntry is one protocol's precomputed derivation inputs.
@@ -135,6 +139,11 @@ func NewUniverse(cfg UniverseConfig) *Universe {
 			transport: p.Transport(), port: p.DefaultPort(), telnet: p == ProtoTelnet,
 			shares: misconfigShares[p], models: models, weights: weights,
 		})
+		if p == ProtoMQTT {
+			for _, m := range models {
+				u.mqttBases = append(u.mqttBases, mqttBrokerBase{m.MQTTTopic, modelBroker(m.MQTTTopic)})
+			}
+		}
 	}
 	for _, p := range ExtensionProtocols {
 		u.exposure = append(u.exposure, exposureEntry{

@@ -14,10 +14,19 @@ package netsim
 // The payoff is twofold. First, time: when the client reads with an empty
 // buffer the server has already seen every byte sent, so no data can ever
 // arrive within that read, and the read returns ErrWouldBlock at once; no
-// conversation reads or waits on the wall clock. Second, churn:
-// conversation state (buffers, mutex) lives in slab-pooled conv objects that
-// reset and recycle, so a dial costs no goroutine spawn and no channel
-// allocation.
+// conversation reads or waits on the wall clock. Second, churn: every piece
+// of per-conversation state the engine owns — the two byte queues, the
+// server's input buffer, the server party and its ServerConv — lives in a
+// pooled conv that resets and recycles, so a dial costs no goroutine spawn,
+// no channel and no buffer growth once the pool is warm.
+//
+// What a dial does allocate is the pair of ServiceConn handles (one object)
+// and whatever the destination's StreamHandler builds for its Stepper. The
+// handles stay per dial on purpose: client code and servers may hold one
+// after the conversation ended — the MQTT broker's fanout writes to another
+// session's Conn() after releasing its lock — and such a late call must
+// find its own generation stamp, see the mismatch and go inert, rather than
+// land in whatever conversation the recycled conv carries next.
 //
 // Byte-stream semantics are those of a TCP socket pair: reads drain buffered
 // data before reporting EOF or ErrWouldBlock, broken pipes beat buffered data, a
@@ -59,8 +68,14 @@ func (b *convBuf) readInto(p []byte) int {
 	return n
 }
 
-// take appends all buffered bytes to dst and empties the queue.
+// take appends all buffered bytes to dst and empties the queue. When dst is
+// empty the two buffers trade places instead: the queue's bytes become dst
+// without a copy, and the queue keeps dst's storage for the next writes.
 func (b *convBuf) take(dst []byte) []byte {
+	if len(dst) == 0 && b.off == 0 {
+		dst, b.data = b.data, dst[:0]
+		return dst
+	}
 	dst = append(dst, b.data[b.off:]...)
 	b.data = b.data[:0]
 	b.off = 0
@@ -72,14 +87,19 @@ func (b *convBuf) write(p []byte) {
 }
 
 func (b *convBuf) reset() {
-	if cap(b.data) > convBufRetain {
-		b.data = nil
-	} else {
-		b.data = b.data[:0]
-	}
+	b.data = retain(b.data)
 	b.off = 0
 	b.closed = false
 	b.broken = false
+}
+
+// retain empties a buffer for reuse, dropping it when it outgrew
+// convBufRetain.
+func retain(b []byte) []byte {
+	if cap(b) > convBufRetain {
+		return nil
+	}
+	return b[:0]
 }
 
 // conv is one pooled conversation: the two payload queues, the injected
@@ -99,7 +119,6 @@ type conv struct {
 	gen uint64
 
 	n     *Network
-	party *stepperParty
 	owner *convShard // arena that owns this object; nil = global pool
 
 	// clientSC receives the fault flags when the stream fault trips.
@@ -113,14 +132,18 @@ type conv struct {
 		tripped   bool
 		remaining int
 	}
+
+	// party is the server side (stepper.go). It recycles with the conv:
+	// its ServerConv and input buffer are reset, never reallocated.
+	party stepperParty
 }
 
 // runServer resumes the server party after a client action. One resume
 // suffices: the party runs until it has consumed what it can of the input
 // queue (which only the next client action can refill) or finishes.
 func (cv *conv) runServer() {
-	if p := cv.party; p != nil && !p.done {
-		p.resume()
+	if p := &cv.party; p.s != nil && !p.done {
+		p.resume(cv)
 	}
 }
 
@@ -128,14 +151,14 @@ func (cv *conv) runServer() {
 // the client has closed and the server party has finished (a client close
 // always ends in EvEOF or EvBroken, which are final).
 func (cv *conv) maybeRelease() {
-	if cv.party == nil || !cv.party.done {
+	if cv.party.s == nil || !cv.party.done {
 		return
 	}
 	cv.mu.Lock()
 	cv.gen++
 	cv.c2s.reset()
 	cv.s2c.reset()
-	cv.party = nil
+	cv.party.reset()
 	cv.clientSC = nil
 	cv.fault.active = false
 	cv.fault.reset = false

@@ -658,7 +658,7 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	cv.clientSC = client
 
 	n.handlers.Add(1)
-	cv.party = newStepperParty(n, handler.NewStepper(), cv, server)
+	cv.party.start(handler.NewStepper(), server)
 	// Run the server's opening burst (negotiation, banner, first prompt) so
 	// the client's first read finds it buffered.
 	cv.runServer()

@@ -84,6 +84,8 @@ type Stepper interface {
 
 // ServerConv is the server's view of one engine conversation: the pending
 // input bytes and the write/metadata surface of the underlying connection.
+// It recycles with the conversation, so a Stepper must not keep it past
+// Step; Conn is the handle that stays valid (and goes inert) afterwards.
 type ServerConv struct {
 	sc  *ServiceConn
 	in  []byte
@@ -118,65 +120,74 @@ func (c *ServerConv) DialTime() time.Time { return c.sc.DialTime }
 func (c *ServerConv) RemoteIP() IPv4 { return c.sc.remote.IP }
 
 // stepperParty drives a Stepper as the server side of an engine
-// conversation. All fields are touched only by the conversation's driving
-// goroutine.
+// conversation. It is a field of the pooled conv, so it and its ServerConv
+// recycle with the conversation. All fields are touched only by the
+// conversation's driving goroutine.
 type stepperParty struct {
-	n      *Network
-	s      Stepper
-	sc     *ServerConv
-	cv     *conv
+	s      Stepper // nil while the conv is pooled
+	sc     ServerConv
 	opened bool
 	done   bool
 }
 
-func newStepperParty(n *Network, s Stepper, cv *conv, sconn *ServiceConn) *stepperParty {
-	return &stepperParty{n: n, s: s, sc: &ServerConv{sc: sconn}, cv: cv}
+// start arms the party for one dial: s serves the server endpoint sconn.
+func (p *stepperParty) start(s Stepper, sconn *ServiceConn) {
+	p.s = s
+	p.sc.sc = sconn
+}
+
+// reset returns the party to its pooled state, keeping the input buffer's
+// storage up to convBufRetain.
+func (p *stepperParty) reset() {
+	p.s = nil
+	p.sc = ServerConv{in: retain(p.sc.in)}
+	p.opened, p.done = false, false
 }
 
 // resume delivers every event implied by the conversation's current state:
 // the one-time open, pending client bytes, then EOF or a torn pipe. Exactly
 // one client action precedes each resume, so a single EvData pass sees all
 // pending input.
-func (p *stepperParty) resume() {
+func (p *stepperParty) resume(cv *conv) {
 	if p.done {
 		return
 	}
+	sc := &p.sc
 	if !p.opened {
 		p.opened = true
-		if p.s.Step(p.sc, EvOpen) == StepDone {
-			p.finish()
+		if p.s.Step(sc, EvOpen) == StepDone {
+			p.finish(cv)
 			return
 		}
 	}
-	cv := p.cv
 	cv.mu.Lock()
-	p.sc.in = cv.c2s.take(p.sc.in)
+	sc.in = cv.c2s.take(sc.in)
 	broken := cv.c2s.broken
 	closed := cv.c2s.closed
 	cv.mu.Unlock()
 	if broken {
-		p.s.Step(p.sc, EvBroken)
-		p.finish()
+		p.s.Step(sc, EvBroken)
+		p.finish(cv)
 		return
 	}
-	if p.sc.avail() > 0 {
-		if p.s.Step(p.sc, EvData) == StepDone {
-			p.finish()
+	if sc.avail() > 0 {
+		if p.s.Step(sc, EvData) == StepDone {
+			p.finish(cv)
 			return
 		}
 	}
 	if closed {
-		p.s.Step(p.sc, EvEOF)
-		p.finish()
+		p.s.Step(sc, EvEOF)
+		p.finish(cv)
 	}
 }
 
 // finish is the framework close: the server side shuts and Quiesce stops
 // waiting on this conversation.
-func (p *stepperParty) finish() {
+func (p *stepperParty) finish(cv *conv) {
 	p.done = true
 	_ = p.sc.sc.Close()
-	p.n.handlers.Done()
+	cv.n.handlers.Done()
 }
 
 // ReadFramed is the blocking reader over a slice decoder: it reads exactly
@@ -186,16 +197,25 @@ func (p *stepperParty) finish() {
 // say more (n > len(raw)). Steppers run the same decode through Frames, so
 // the framing rules live in one place.
 func ReadFramed[T any](r io.Reader, decode func(raw []byte) (T, int, error)) (T, error) {
-	var raw []byte
+	v, _, err := ReadFramedBuf(r, nil, decode)
+	return v, err
+}
+
+// ReadFramedBuf is ReadFramed reading into buf's storage, which it returns
+// (grown if the frame needed it) for the caller's next read: a client that
+// reads many frames allocates its buffer once. A frame that aliases its
+// bytes is valid only until that next read.
+func ReadFramedBuf[T any](r io.Reader, buf []byte, decode func(raw []byte) (T, int, error)) (T, []byte, error) {
+	raw := buf[:0]
 	for {
 		v, n, err := decode(raw)
 		if err != nil || n <= len(raw) {
-			return v, err
+			return v, raw, err
 		}
 		have := len(raw)
 		raw = slices.Grow(raw, n-have)[:n]
 		if _, err := io.ReadFull(r, raw[have:]); err != nil {
-			return v, err
+			return v, raw, err
 		}
 	}
 }

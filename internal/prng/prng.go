@@ -161,18 +161,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed float64 (Box–Muller) with the given
-// mean and standard deviation.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	u1 := s.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

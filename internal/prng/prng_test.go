@@ -173,25 +173,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	s := New(7)
-	var sum, sumSq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.Norm(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Norm mean %f", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("Norm stddev %f", math.Sqrt(variance))
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		s := New(seed)

@@ -1,8 +1,11 @@
 package mqtt
 
 import (
+	"bytes"
 	"errors"
 	"io"
+
+	"openhire/internal/netsim"
 )
 
 // Client is a minimal MQTT 3.1.1 client used by the scanner's probe (a bare
@@ -11,11 +14,33 @@ import (
 type Client struct {
 	conn   io.ReadWriteCloser
 	nextID uint16
+	wbuf   []byte // encode buffer, reused by every send
+	rbuf   []byte // read buffer: a read packet's Payload aliases it
+	bufs   [128]byte
+}
+
+// read reads one packet into the client's buffer. Its Payload and
+// GrantedQoS are valid until the next read.
+func (c *Client) read() (Packet, error) {
+	p, buf, err := netsim.ReadFramedBuf(c.conn, c.rbuf, framePacket)
+	c.rbuf = buf
+	return p, err
+}
+
+// send encodes p into the client's buffer and writes it.
+func (c *Client) send(p *Packet) error {
+	c.wbuf = p.appendTo(c.wbuf[:0])
+	_, err := c.conn.Write(c.wbuf)
+	return err
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn io.ReadWriteCloser) *Client {
-	return &Client{conn: conn, nextID: 1}
+	c := &Client{conn: conn, nextID: 1}
+	// A probe's packets fit the inline storage, so its buffers cost
+	// nothing beyond the Client; a larger packet grows past it.
+	c.wbuf, c.rbuf = c.bufs[:0:64], c.bufs[64:64]
+	return c
 }
 
 // ErrRejected is returned by Connect when the broker refuses the session.
@@ -31,10 +56,10 @@ func (c *Client) Connect(clientID, username, password string) (ConnackCode, erro
 		pkt.Username = username
 		pkt.Password = password
 	}
-	if _, err := c.conn.Write(pkt.Encode()); err != nil {
+	if err := c.send(pkt); err != nil {
 		return 0, err
 	}
-	resp, err := ReadPacket(c.conn)
+	resp, err := c.read()
 	if err != nil {
 		return 0, err
 	}
@@ -52,12 +77,12 @@ func (c *Client) Subscribe(filters ...string) error {
 	id := c.nextID
 	c.nextID++
 	pkt := &Packet{Type: SUBSCRIBE, PacketID: id, TopicFilter: filters,
-		GrantedQoS: make([]byte, len(filters))}
-	if _, err := c.conn.Write(pkt.Encode()); err != nil {
+		GrantedQoS: qos0Codes(len(filters))}
+	if err := c.send(pkt); err != nil {
 		return err
 	}
 	for {
-		resp, err := ReadPacket(c.conn)
+		resp, err := c.read()
 		if err != nil {
 			return err
 		}
@@ -70,16 +95,7 @@ func (c *Client) Subscribe(filters ...string) error {
 
 // Publish sends a PUBLISH packet (QoS 0, optionally retained).
 func (c *Client) Publish(topic string, payload []byte, retain bool) error {
-	pkt := &Packet{Type: PUBLISH, Topic: topic, Payload: payload, Retain: retain}
-	_, err := c.conn.Write(pkt.Encode())
-	return err
-}
-
-// CollectRetained subscribes to filter and gathers retained messages until
-// the broker falls silent or max messages arrive. Live publishes fanned out
-// to the subscription meanwhile are captured too.
-func (c *Client) CollectRetained(filter string, max int) (map[string][]byte, error) {
-	return c.collect(filter, max, false)
+	return c.send(&Packet{Type: PUBLISH, Topic: topic, Payload: payload, Retain: retain})
 }
 
 // RetainedSnapshot subscribes to filter and returns only the broker's
@@ -90,33 +106,27 @@ func (c *Client) CollectRetained(filter string, max int) (map[string][]byte, err
 // are listed", Section 3.1.3); excluding publishes that race the snapshot
 // keeps scan results deterministic.
 func (c *Client) RetainedSnapshot(filter string, max int) (map[string][]byte, error) {
-	return c.collect(filter, max, true)
-}
-
-func (c *Client) collect(filter string, max int, sentinel bool) (map[string][]byte, error) {
 	id := c.nextID
 	c.nextID++
 	pkt := &Packet{Type: SUBSCRIBE, PacketID: id, TopicFilter: []string{filter},
 		GrantedQoS: []byte{0}}
-	if _, err := c.conn.Write(pkt.Encode()); err != nil {
+	if err := c.send(pkt); err != nil {
 		return nil, err
 	}
-	if sentinel {
-		if _, err := c.conn.Write((&Packet{Type: PINGREQ}).Encode()); err != nil {
-			return nil, err
-		}
+	if err := c.send(&Packet{Type: PINGREQ}); err != nil {
+		return nil, err
 	}
 	got := make(map[string][]byte)
 	for len(got) < max {
-		resp, err := ReadPacket(c.conn)
+		resp, err := c.read()
 		if err != nil {
 			break // broker silent or closed: return what we have
 		}
-		if sentinel && resp.Type == PINGRESP {
+		if resp.Type == PINGRESP {
 			break // retained delivery complete
 		}
 		if resp.Type == PUBLISH {
-			got[resp.Topic] = resp.Payload
+			got[resp.Topic] = bytes.Clone(resp.Payload)
 		}
 	}
 	return got, nil
@@ -124,11 +134,11 @@ func (c *Client) collect(filter string, max int, sentinel bool) (map[string][]by
 
 // Ping round-trips a PINGREQ.
 func (c *Client) Ping() error {
-	if _, err := c.conn.Write((&Packet{Type: PINGREQ}).Encode()); err != nil {
+	if err := c.send(&Packet{Type: PINGREQ}); err != nil {
 		return err
 	}
 	for {
-		resp, err := ReadPacket(c.conn)
+		resp, err := c.read()
 		if err != nil {
 			return err
 		}
@@ -140,6 +150,6 @@ func (c *Client) Ping() error {
 
 // Disconnect sends DISCONNECT and closes the connection.
 func (c *Client) Disconnect() error {
-	_, _ = c.conn.Write((&Packet{Type: DISCONNECT}).Encode())
+	_ = c.send(&Packet{Type: DISCONNECT})
 	return c.conn.Close()
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"openhire/internal/netsim"
 )
@@ -149,8 +150,43 @@ func readString(p []byte) (string, []byte, error) {
 }
 
 // Encode serializes the packet to wire format.
-func (p *Packet) Encode() []byte {
-	var body []byte
+func (p *Packet) Encode() []byte { return p.appendTo(nil) }
+
+// appendTo appends the packet's wire format to dst. The body is written
+// after room for the longest remaining-length field and moved up against
+// the actual one, so the packet is built in dst with no second buffer.
+func (p *Packet) appendTo(dst []byte) []byte {
+	start := len(dst)
+	// Room for a probe's whole dialogue, so a reused buffer stops growing
+	// after its first packet.
+	dst = slices.Grow(dst, 64)
+	dst = append(dst, byte(p.Type)<<4|p.fixedFlags(), 0, 0, 0, 0)
+	bodyStart := len(dst)
+	dst = p.appendBody(dst)
+	n := len(dst) - bodyStart
+	var rl [4]byte
+	hdrEnd := start + 1 + copy(dst[start+1:], encodeRemainingLength(rl[:0], n))
+	copy(dst[hdrEnd:], dst[bodyStart:])
+	return dst[:hdrEnd+n]
+}
+
+// fixedFlags is the low nibble of the fixed header.
+func (p *Packet) fixedFlags() byte {
+	switch p.Type {
+	case SUBSCRIBE, UNSUBSCRIBE:
+		return 0x02 // required reserved flags
+	case PUBLISH:
+		flags := p.QoS << 1
+		if p.Retain {
+			flags |= 1
+		}
+		return flags
+	}
+	return p.Flags
+}
+
+// appendBody appends the packet's variable header and payload.
+func (p *Packet) appendBody(body []byte) []byte {
 	switch p.Type {
 	case CONNECT:
 		body = appendString(body, "MQTT")
@@ -171,7 +207,7 @@ func (p *Packet) Encode() []byte {
 		if p.SessionPresent {
 			sp = 1
 		}
-		body = []byte{sp, byte(p.ReturnCode)}
+		body = append(body, sp, byte(p.ReturnCode))
 	case PUBLISH:
 		body = appendString(body, p.Topic)
 		if p.QoS > 0 {
@@ -179,7 +215,7 @@ func (p *Packet) Encode() []byte {
 		}
 		body = append(body, p.Payload...)
 	case PUBACK, UNSUBACK:
-		body = []byte{byte(p.PacketID >> 8), byte(p.PacketID)}
+		body = append(body, byte(p.PacketID>>8), byte(p.PacketID))
 	case SUBSCRIBE:
 		body = append(body, byte(p.PacketID>>8), byte(p.PacketID))
 		for i, f := range p.TopicFilter {
@@ -201,20 +237,7 @@ func (p *Packet) Encode() []byte {
 	case PINGREQ, PINGRESP, DISCONNECT:
 		// empty body
 	}
-
-	flags := p.Flags
-	switch p.Type {
-	case SUBSCRIBE, UNSUBSCRIBE:
-		flags = 0x02 // required reserved flags
-	case PUBLISH:
-		flags = p.QoS << 1
-		if p.Retain {
-			flags |= 1
-		}
-	}
-	out := []byte{byte(p.Type)<<4 | flags}
-	out = encodeRemainingLength(out, len(body))
-	return append(out, body...)
+	return body
 }
 
 // ReadPacket reads and decodes one packet from r.
@@ -222,16 +245,30 @@ func ReadPacket(r io.Reader) (*Packet, error) {
 	return netsim.ReadFramed(r, decodePacket)
 }
 
-// decodePacket is the one MQTT framer, in the shape netsim.ReadFramed and the
+// decodePacket is framePacket handing out the packet by pointer, nil while
+// raw is short or when it fails.
+func decodePacket(raw []byte) (*Packet, int, error) {
+	p, n, err := framePacket(raw)
+	if err != nil || n > len(raw) {
+		return nil, n, err
+	}
+	pp := new(Packet) // only a whole packet escapes
+	*pp = p
+	return pp, n, nil
+}
+
+// framePacket is the one MQTT framer, in the shape netsim.ReadFramed and the
 // broker's stepper share: it decodes the packet at the head of raw (fixed
 // header byte, remaining-length varint of at most four bytes, body) and
 // returns its length n, or — while raw is still short (n > len(raw)) — how
-// many bytes it needs to get further. Payload and GrantedQoS alias raw.
-func decodePacket(raw []byte) (*Packet, int, error) {
+// many bytes it needs to get further. Payload and GrantedQoS alias raw. The
+// packet is a value, so the broker and the client decode without
+// allocating one.
+func framePacket(raw []byte) (Packet, int, error) {
 	length, shift := 0, uint(0)
 	for i := 1; i <= 4; i++ {
 		if len(raw) <= i {
-			return nil, i + 1, nil
+			return Packet{}, i + 1, nil
 		}
 		length |= int(raw[i]&0x7f) << shift
 		if raw[i]&0x80 != 0 {
@@ -239,61 +276,61 @@ func decodePacket(raw []byte) (*Packet, int, error) {
 			continue
 		}
 		if length > maxRemainingLength {
-			return nil, 0, ErrPacketTooLong
+			return Packet{}, 0, ErrPacketTooLong
 		}
 		n := i + 1 + length
 		if len(raw) < n {
-			return nil, n, nil
+			return Packet{}, n, nil
 		}
 		p, err := decode(raw[0], raw[i+1:n])
 		return p, n, err
 	}
-	return nil, 0, ErrMalformed // continuation bit set on the fourth length byte
+	return Packet{}, 0, ErrMalformed // continuation bit set on the fourth length byte
 }
 
-func decode(hdr byte, body []byte) (*Packet, error) {
-	p := &Packet{Type: PacketType(hdr >> 4), Flags: hdr & 0x0f}
+func decode(hdr byte, body []byte) (Packet, error) {
+	p := Packet{Type: PacketType(hdr >> 4), Flags: hdr & 0x0f}
 	switch p.Type {
 	case CONNECT:
 		proto, rest, err := readString(body)
 		if err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		if proto != "MQTT" && proto != "MQIsdp" {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		if len(rest) < 4 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		flags := rest[1]
 		p.KeepAlive = uint16(rest[2])<<8 | uint16(rest[3])
 		rest = rest[4:]
 		if p.ClientID, rest, err = readString(rest); err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		if flags&0x04 != 0 { // will flag: skip will topic + message
 			if _, rest, err = readString(rest); err != nil {
-				return nil, err
+				return Packet{}, err
 			}
 			if _, rest, err = readString(rest); err != nil {
-				return nil, err
+				return Packet{}, err
 			}
 		}
 		if flags&0x80 != 0 {
 			p.HasAuth = true
 			if p.Username, rest, err = readString(rest); err != nil {
-				return nil, err
+				return Packet{}, err
 			}
 		}
 		if flags&0x40 != 0 {
 			p.HasAuth = true
 			if p.Password, _, err = readString(rest); err != nil {
-				return nil, err
+				return Packet{}, err
 			}
 		}
 	case CONNACK:
 		if len(body) != 2 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		p.SessionPresent = body[0]&1 != 0
 		p.ReturnCode = ConnackCode(body[1])
@@ -301,13 +338,13 @@ func decode(hdr byte, body []byte) (*Packet, error) {
 		var err error
 		var rest []byte
 		if p.Topic, rest, err = readString(body); err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		p.QoS = p.Flags >> 1 & 0x03
 		p.Retain = p.Flags&1 != 0
 		if p.QoS > 0 {
 			if len(rest) < 2 {
-				return nil, ErrMalformed
+				return Packet{}, ErrMalformed
 			}
 			p.PacketID = uint16(rest[0])<<8 | uint16(rest[1])
 			rest = rest[2:]
@@ -315,12 +352,12 @@ func decode(hdr byte, body []byte) (*Packet, error) {
 		p.Payload = rest
 	case PUBACK, UNSUBACK:
 		if len(body) < 2 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		p.PacketID = uint16(body[0])<<8 | uint16(body[1])
 	case SUBSCRIBE, UNSUBSCRIBE:
 		if len(body) < 2 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		p.PacketID = uint16(body[0])<<8 | uint16(body[1])
 		rest := body[2:]
@@ -328,30 +365,30 @@ func decode(hdr byte, body []byte) (*Packet, error) {
 			var f string
 			var err error
 			if f, rest, err = readString(rest); err != nil {
-				return nil, err
+				return Packet{}, err
 			}
 			p.TopicFilter = append(p.TopicFilter, f)
 			if p.Type == SUBSCRIBE {
 				if len(rest) < 1 {
-					return nil, ErrMalformed
+					return Packet{}, ErrMalformed
 				}
 				p.GrantedQoS = append(p.GrantedQoS, rest[0])
 				rest = rest[1:]
 			}
 		}
 		if len(p.TopicFilter) == 0 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 	case SUBACK:
 		if len(body) < 2 {
-			return nil, ErrMalformed
+			return Packet{}, ErrMalformed
 		}
 		p.PacketID = uint16(body[0])<<8 | uint16(body[1])
 		p.GrantedQoS = body[2:]
 	case PINGREQ, PINGRESP, DISCONNECT:
 		// empty
 	default:
-		return nil, ErrMalformed
+		return Packet{}, ErrMalformed
 	}
 	return p, nil
 }

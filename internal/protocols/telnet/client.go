@@ -1,8 +1,11 @@
 package telnet
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"slices"
+	"sync"
 
 	"openhire/internal/netsim"
 )
@@ -26,29 +29,38 @@ type Banner struct {
 // scanning process"). The banner is complete when it ends in a prompt or
 // when the server has nothing more to say (a read error: ErrWouldBlock,
 // EOF or a reset).
+//
+// The bytes on the wire are SplitStream's: each chunk read is answered
+// with RefuseAll of that chunk's commands, and the banner is SplitStream
+// of everything read. Both are computed in one pass over pooled buffers
+// (streamFilter, appendRefusals), so a grab allocates only the Banner it
+// returns.
 func Grab(ctx context.Context, conn io.ReadWriter) (Banner, error) {
-	var raw []byte
-	scratch := netsim.GetScratch()
-	defer netsim.PutScratch(scratch)
-	buf := *scratch
+	g := grabPool.Get().(*grabBufs)
+	defer grabPool.Put(g)
+	raw := g.raw[:0]
+	f := streamFilter{data: g.data[:0]}
 	for len(raw) < 64<<10 {
 		if ctx.Err() != nil {
 			break
 		}
-		n, err := conn.Read(buf)
+		// Read straight into the accumulated stream, at most grabChunk bytes
+		// at a time: the chunk boundaries decide the refusals.
+		raw = slices.Grow(raw, grabChunk)
+		n, err := conn.Read(raw[len(raw) : len(raw)+grabChunk])
 		if n > 0 {
-			raw = append(raw, buf[:n]...)
+			chunk := raw[len(raw) : len(raw)+n]
+			raw = raw[:len(raw)+n]
 			// Answer negotiation so chatty servers progress to their banner.
-			_, cmds := SplitStream(buf[:n])
-			if reply := RefuseAll(cmds); len(reply) > 0 {
-				if _, werr := conn.Write(reply); werr != nil {
+			if g.reply = appendRefusals(g.reply[:0], chunk); len(g.reply) > 0 {
+				if _, werr := conn.Write(g.reply); werr != nil {
 					break
 				}
 			}
 			// A banner ending in a login or shell prompt means the server is
 			// waiting for input: the grab is complete. This is the dominant
 			// case across the device population.
-			if data, _ := SplitStream(raw); bannerComplete(data) {
+			if f.feed(raw); bannerComplete(f.data) {
 				break
 			}
 			continue
@@ -57,12 +69,111 @@ func Grab(ctx context.Context, conn io.ReadWriter) (Banner, error) {
 			break // nothing more now, EOF, or reset: the banner is whatever we got
 		}
 	}
-	data, cmds := SplitStream(raw)
-	b := Banner{Raw: raw, Text: string(data), Commands: cmds}
+	g.raw, g.data = raw, f.data
 	if len(raw) == 0 {
-		return b, io.ErrUnexpectedEOF
+		return Banner{}, io.ErrUnexpectedEOF
 	}
-	return b, nil
+	return Banner{Raw: bytes.Clone(raw), Text: string(f.data), Commands: f.cmds}, nil
+}
+
+// grabChunk is the most bytes one Grab read takes.
+const grabChunk = 4096
+
+// grabBufs are a Grab's working buffers: the stream read so far, its
+// filtered text and one chunk's refusals.
+type grabBufs struct {
+	raw, data, reply []byte
+}
+
+var grabPool = sync.Pool{New: func() any { return new(grabBufs) }}
+
+// streamFilter is SplitStream run incrementally over a stream that only
+// grows: after feed(raw), data and cmds are exactly SplitStream(raw). pos
+// marks where parsing stopped — the end of raw, or the start of an
+// incomplete sequence, which SplitStream drops and the next feed re-reads.
+type streamFilter struct {
+	pos  int
+	data []byte
+	cmds []Command
+}
+
+func (f *streamFilter) feed(raw []byte) {
+	for f.pos < len(raw) {
+		rest := raw[f.pos:]
+		if rest[0] != IAC {
+			j := bytes.IndexByte(rest, IAC)
+			if j < 0 {
+				j = len(rest)
+			}
+			f.data = append(f.data, rest[:j]...)
+			f.pos += j
+			continue
+		}
+		n, cmd, kind := iacSequence(rest)
+		switch kind {
+		case seqIncomplete:
+			return
+		case seqData:
+			f.data = append(f.data, IAC)
+		case seqCommand:
+			f.cmds = append(f.cmds, cmd)
+		}
+		f.pos += n
+	}
+}
+
+// appendRefusals appends RefuseAll(cmds) for the cmds SplitStream(chunk)
+// returns, building neither.
+func appendRefusals(dst, chunk []byte) []byte {
+	for {
+		i := bytes.IndexByte(chunk, IAC)
+		if i < 0 {
+			return dst
+		}
+		n, cmd, kind := iacSequence(chunk[i:])
+		switch {
+		case kind == seqIncomplete:
+			return dst
+		case kind == seqCommand && cmd.Verb == DO:
+			dst = append(dst, IAC, WONT, cmd.Option)
+		case kind == seqCommand && cmd.Verb == WILL:
+			dst = append(dst, IAC, DONT, cmd.Option)
+		}
+		chunk = chunk[i+n:]
+	}
+}
+
+// Kinds of IAC sequence, as SplitStream reads them.
+const (
+	seqIncomplete = iota // the input ends inside the sequence
+	seqData              // IAC IAC: one literal 0xFF data byte
+	seqCommand           // IAC DO/DONT/WILL/WONT option
+	seqOther             // a subnegotiation or a lone command: no effect
+)
+
+// iacSequence reads the sequence at the head of p (p[0] == IAC) by
+// SplitStream's rules and returns its length.
+func iacSequence(p []byte) (n int, cmd Command, kind int) {
+	if len(p) < 2 {
+		return 0, cmd, seqIncomplete
+	}
+	switch p[1] {
+	case IAC:
+		return 2, cmd, seqData
+	case DO, DONT, WILL, WONT:
+		if len(p) < 3 {
+			return 0, cmd, seqIncomplete
+		}
+		return 3, Command{Verb: p[1], Option: p[2]}, seqCommand
+	case SB:
+		end := bytes.Index(p[2:], []byte{IAC, SE})
+		if end < 0 {
+			return 0, cmd, seqIncomplete
+		}
+		return 2 + end + 2, cmd, seqOther
+	default:
+		return 2, cmd, seqOther
+	}
 }
 
 // bannerPrompts are the terminal strings after which a Telnet service waits
@@ -73,9 +184,8 @@ var bannerPrompts = []string{"ogin: ", "ogin:", "assword: ", "assword:", "$ ", "
 
 // bannerComplete reports whether the decoded banner ends in a prompt.
 func bannerComplete(data []byte) bool {
-	s := string(data)
 	for _, p := range bannerPrompts {
-		if len(s) >= len(p) && s[len(s)-len(p):] == p {
+		if len(data) >= len(p) && string(data[len(data)-len(p):]) == p {
 			return true
 		}
 	}

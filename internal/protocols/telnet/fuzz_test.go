@@ -2,6 +2,7 @@ package telnet
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,42 @@ func FuzzEscapeRoundTrip(f *testing.F) {
 		}
 		if len(cmds) != 0 {
 			t.Fatalf("escaped payload parsed as %d negotiation commands", len(cmds))
+		}
+	})
+}
+
+// FuzzGrabFilter pins Grab's one-pass filter to the reference functions it
+// replaces. The stream arrives in fuzz-chosen chunks (plan's bytes are the
+// chunk sizes, in turn); after every chunk the incremental filter's data and
+// commands must be SplitStream of everything received so far, and the
+// chunk's refusals RefuseAll of SplitStream of the chunk alone.
+func FuzzGrabFilter(f *testing.F) {
+	f.Add([]byte("login: "), []byte{})
+	f.Add([]byte{IAC, DO, OptEcho, IAC, WILL, OptSuppressGoAhead, 'h', 'i'}, []byte{1})
+	f.Add([]byte{IAC, SB, OptNAWS, 0, 80, 0, 24, IAC, SE, '$', ' '}, []byte{2, 3})
+	f.Add([]byte{IAC, IAC, IAC, 241, IAC, DO}, []byte{0, 1})
+	f.Add(append(bytes.Repeat([]byte{IAC, WILL, OptEcho}, 5), "root@device:~$ "...), []byte{4, 1, 7})
+
+	f.Fuzz(func(t *testing.T, stream, plan []byte) {
+		var filter streamFilter
+		for got, i := 0, 0; got < len(stream); i++ {
+			n := len(stream) - got
+			if len(plan) > 0 {
+				n = min(n, 1+int(plan[i%len(plan)]))
+			}
+			chunk := stream[got : got+n]
+			got += n
+
+			_, chunkCmds := SplitStream(chunk)
+			if want, have := RefuseAll(chunkCmds), appendRefusals(nil, chunk); !bytes.Equal(have, want) {
+				t.Fatalf("chunk %x: refusals %x, want %x", chunk, have, want)
+			}
+			filter.feed(stream[:got])
+			data, cmds := SplitStream(stream[:got])
+			if !bytes.Equal(filter.data, data) || !slices.Equal(filter.cmds, cmds) {
+				t.Fatalf("after %d of %d bytes: filter %q %v, SplitStream %q %v",
+					got, len(stream), filter.data, filter.cmds, data, cmds)
+			}
 		}
 	})
 }

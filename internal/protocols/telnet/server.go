@@ -49,9 +49,11 @@ type Config struct {
 	ShellPrompt string
 	// Auth selects the authentication mode.
 	Auth AuthMode
-	// Credentials maps username → password for AuthLogin endpoints.
-	// An empty map rejects every attempt.
-	Credentials map[string]string
+	// Username and Password are the one account an AuthLogin endpoint
+	// admits: a device has exactly one. An empty Username admits no one
+	// (the honeypots that log every attempt and let none in).
+	Username string
+	Password string
 	// AcceptAll admits any credential pair under AuthLogin — the Cowrie
 	// honeypot behaviour (log the attempt, fake success).
 	AcceptAll bool
@@ -80,6 +82,11 @@ type Server struct {
 
 // NewServer returns a Server for cfg.
 func NewServer(cfg Config) *Server {
+	return &Server{cfg: withDefaults(cfg)}
+}
+
+// withDefaults fills in the prompts and the attempt cap cfg leaves unset.
+func withDefaults(cfg Config) Config {
 	if cfg.MaxLoginAttempts == 0 {
 		cfg.MaxLoginAttempts = 3
 	}
@@ -92,7 +99,35 @@ func NewServer(cfg Config) *Server {
 	if cfg.ShellPrompt == "" {
 		cfg.ShellPrompt = "$ "
 	}
-	return &Server{cfg: cfg}
+	return cfg
+}
+
+// Session is a Server sized for one conversation: the config and the
+// session state share a single allocation. A service rebuilt for every dial
+// — a derived device, whose config is a pure function of its address —
+// serves through one, where a Server taking many sessions would cost a
+// server, a stepper and their buffers per dial.
+type Session struct {
+	srv  Server
+	st   serverStepper
+	used bool
+}
+
+// NewSession returns a Session for cfg.
+func NewSession(cfg Config) *Session {
+	return &Session{srv: Server{cfg: withDefaults(cfg)}}
+}
+
+// NewStepper implements netsim.StreamHandler. The first call hands out the
+// embedded session state; any later one gets a fresh stepper of its own, so
+// a Session is still a correct handler when dialed twice.
+func (s *Session) NewStepper() netsim.Stepper {
+	if s.used {
+		return s.srv.NewStepper()
+	}
+	s.used = true
+	s.st.s = &s.srv
+	return &s.st
 }
 
 // expand substitutes prompt placeholders.
@@ -126,6 +161,7 @@ type serverStepper struct {
 	s        *Server
 	ev       Event
 	out      []byte // pending response bytes, flushed at prompt boundaries
+	outBuf   [128]byte
 	line     []byte // partial input line
 	state    uint8
 	iacState uint8
@@ -153,6 +189,9 @@ func (t *serverStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.S
 func (t *serverStepper) open(c *netsim.ServerConv) netsim.StepVerdict {
 	t.ev.Time = c.DialTime()
 	t.ev.Remote = c.RemoteIP()
+	// A device's negotiation, banner and prompt fit the inline buffer, so
+	// the opening burst allocates nothing; longer output grows out past it.
+	t.out = t.outBuf[:0]
 	s := t.s
 	// Option negotiation first: these raw bytes are exactly what ZGrab's
 	// banner capture records, and what honeypot fingerprinting matches on.
@@ -199,9 +238,8 @@ func (t *serverStepper) handleLine(c *netsim.ServerConv, in inputLine) netsim.St
 
 	case stPass:
 		t.ev.Username, t.ev.Password = t.user, line
-		want, ok := s.cfg.Credentials[t.user]
 		t.attempt++
-		if s.cfg.AcceptAll || (ok && want == line) {
+		if s.cfg.AcceptAll || (s.cfg.Username != "" && t.user == s.cfg.Username && line == s.cfg.Password) {
 			t.ev.LoginOK = true
 			t.state = stShell
 			t.out = append(t.out, s.expand(s.cfg.ShellPrompt)...)

@@ -138,7 +138,8 @@ func TestLoginSuccess(t *testing.T) {
 	var events []Event
 	client := startServer(t, Config{
 		Auth:        AuthLogin,
-		Credentials: map[string]string{"admin": "admin"},
+		Username:    "admin",
+		Password:    "admin",
 		ShellPrompt: "$ ",
 		OnEvent:     func(ev Event) { events = append(events, ev) },
 	})
@@ -168,8 +169,9 @@ func TestLoginSuccess(t *testing.T) {
 
 func TestLoginFailure(t *testing.T) {
 	client := startServer(t, Config{
-		Auth:        AuthLogin,
-		Credentials: map[string]string{"admin": "secret"},
+		Auth:     AuthLogin,
+		Username: "admin",
+		Password: "secret",
 	})
 	defer client.Close()
 	ok, err := Login(context.Background(), client, "admin", "wrong")
@@ -185,7 +187,6 @@ func TestLoginAttemptsBounded(t *testing.T) {
 	var events []Event
 	client := startServer(t, Config{
 		Auth:             AuthLogin,
-		Credentials:      map[string]string{},
 		MaxLoginAttempts: 2,
 		OnEvent:          func(ev Event) { events = append(events, ev) },
 	})
