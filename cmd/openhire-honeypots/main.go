@@ -9,8 +9,9 @@
 //
 // The commit point -checkpoint saves at and a signal drains to is the
 // campaign's OnDay barrier, once the day's jobs have drained and the fabric
-// quiesced: the state is the scheduler's position plus the canonical event
-// log.
+// quiesced: the day's events, in canonical order and the -export wire
+// format, are appended to the leg's log, and the checkpoint saves the
+// scheduler's position.
 //
 // -trace records campaign day boundaries plus session open/command/close
 // lifecycles derived per (source, honeypot, protocol, day) from the canonical
@@ -24,13 +25,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"openhire/internal/attack"
 	"openhire/internal/attack/malware"
 	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/geo"
@@ -49,23 +50,6 @@ var (
 	csvOut    = flag.Bool("csv", false, "emit the daily series as CSV")
 	export    = flag.String("export", "", "directory for daily JSONL event exports")
 )
-
-// honeypotCheckpoint is the attack leg's durable state, committed inside the
-// campaign's OnDay barrier where the scheduler is single-threaded and every
-// worker has drained. The seeded world (pools, multistage plans, intel
-// services) is rebuilt by replaying construction, so the state is just the
-// scheduler position plus the event log accumulated so far.
-type honeypotCheckpoint struct {
-	// Campaign is the scheduler's resumable position.
-	Campaign attack.CampaignResume `json:"campaign"`
-	// Events is the honeypot log in canonical order, as a JSONL document —
-	// the export wire format. Canonical order makes the checkpoint bytes a
-	// pure function of the plan (arrival order is scheduling noise), and log
-	// restoration is insensitive to append order for the same reason every
-	// log consumer is.
-	Events string `json:"events,omitempty"`
-	checkpoint.Chain
-}
 
 func main() {
 	run.Parse()
@@ -91,21 +75,21 @@ func main() {
 	vt := intel.NewVirusTotal()
 	sources := attack.NewSources(run.Seed, nil, rdns, gn)
 
-	// Resume: reload the scheduler position, replay the committed days'
-	// events into the log (append order is free — every consumer works on
-	// time-major or canonical order), and restore the day gauges.
-	st := &honeypotCheckpoint{}
+	// Resume: reload the scheduler position, the committed days' events and
+	// the day gauges. A checkpointed run drains each day from the log as it
+	// commits it; committed goes back into the log when the month ends
+	// (append order is free: consumers work on time-major or canonical order).
 	var resumeState *attack.CampaignResume
-	if run.Resume(st) {
-		resumeState = &st.Campaign
-		evs, err := honeypot.ImportJSONL(strings.NewReader(st.Events))
-		if err != nil {
-			cli.Check(fmt.Errorf("checkpoint events: %w", err))
+	var committed []honeypot.Event
+	readDay := func(frame []byte) error {
+		evs, err := honeypot.ImportJSONL(bytes.NewReader(frame))
+		committed = append(committed, evs...)
+		return err
+	}
+	if run.Resume(func(r *wire.Reader) { resumeState = attack.ReadResume(r) }, readDay) {
+		if resumeState == nil {
+			cli.Check(fmt.Errorf("%s: %w: no campaign position", checkpoint.FileName(run.CheckpointDir, "honeypots"), checkpoint.ErrCorruptCheckpoint))
 		}
-		for _, ev := range evs {
-			log.Append(ev)
-		}
-		st.Events = ""
 		if d := resumeState.NextDay; d > 0 {
 			reg.SetGauge("campaign.day", float64(d-1))
 			reg.SetGauge("campaign.events_planned", float64(resumeState.EventsPlanned))
@@ -113,7 +97,7 @@ func main() {
 			progress.Add(uint64(d))
 		}
 		fmt.Fprintf(os.Stderr, "resumed at day %02d with %s events\n",
-			resumeState.NextDay, report.Comma(log.Len()))
+			resumeState.NextDay, report.Comma(len(committed)))
 	}
 
 	// The day-boundary hook: live gauges, a progress tick and a trace record
@@ -133,15 +117,14 @@ func main() {
 			}
 			// The scheduler is single-threaded here, the day's jobs have
 			// drained, and the fabric has quiesced, so the scheduler position
-			// plus the canonical log is the complete state.
-			st.Campaign = campaign.SchedulerState(day, planned, done)
-			canonical := log.Events()
-			honeypot.SortEventsCanonical(canonical)
+			// plus the day's events is what the day committed.
+			pos := campaign.SchedulerState(day, planned, done)
+			evs := log.Drain()
+			honeypot.SortEventsCanonical(evs)
 			var buf bytes.Buffer
-			cli.Check(honeypot.ExportJSONL(&buf, canonical))
-			st.Events = buf.String()
-			run.Stopped(run.Commit(st)) // an interrupted commit cancels the run context
-			st.Events = ""
+			cli.Check(honeypot.ExportJSONL(&buf, evs))
+			committed = append(committed, evs...)
+			run.Stopped(run.Commit(attack.AppendResume(nil, &pos), buf.Bytes())) // an interrupted commit cancels the run context
 			crashpoint.Here(crashpoint.SiteCampaignDayCommit)
 		}
 	}
@@ -164,6 +147,9 @@ func main() {
 	fmt.Printf("\nreplaying attack month at intensity %.4f ...\n", *intensity)
 	span := run.Tracer.Start("attack_month")
 	stats := campaign.Run(run.Context())
+	for _, ev := range committed {
+		log.Append(ev)
+	}
 	span.End()
 	progress.Done()
 	events := log.Events()

@@ -25,9 +25,6 @@ func inspectCheckpoint(w io.Writer, path string) error {
 	if f.Leg != "serve" {
 		return fmt.Errorf("%s: checkpoint leg %q; checkpoint reads the serve leg's serve.ckpt", path, f.Leg)
 	}
-	if f.Version != checkpoint.VersionBinary {
-		return fmt.Errorf("%s: %w: version %d, want %d", path, checkpoint.ErrPayloadFormat, f.Version, checkpoint.VersionBinary)
-	}
 	st, members, err := serve.DecodeCheckpoint(f.Payload)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
@@ -38,7 +35,7 @@ func inspectCheckpoint(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "%s\n\n", out)
 	fmt.Fprintf(w, "checkpoint %s: leg %s, seed %d, version %d, %s (payload %s)\n",
-		path, f.Leg, f.Seed, f.Version, fmtBytes(int64(len(data))), fmtBytes(int64(len(f.Payload))))
+		path, f.Leg, f.Seed, checkpoint.VersionBinary, fmtBytes(int64(len(data))), fmtBytes(int64(len(f.Payload))))
 	t := report.NewTable("\nPayload bytes by member", "Member", "Bytes", "Share")
 	for _, m := range members {
 		t.AddRow(m.Name, report.Comma(m.Bytes), fmt.Sprintf("%.1f%%", 100*float64(m.Bytes)/float64(max(len(f.Payload), 1))))

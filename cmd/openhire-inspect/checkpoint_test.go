@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,25 +64,27 @@ func goldenCheckpointState() *serve.Checkpoint {
 const goldenCheckpoint = `{
   "cycle": 1,
   "campaign": {
-    "next_day": 1,
-    "src_state": 77,
-    "events_planned": 12,
-    "events_run": 12
+    "NextDay": 1,
+    "SrcState": 77,
+    "EventsPlanned": 12,
+    "EventsRun": 12
   },
   "scan": {
-    "module": 1,
-    "iterator": {
-      "perm": {
-        "cur": 5,
-        "done": false
+    "Module": 1,
+    "Iterator": {
+      "Perm": {
+        "Cur": 5,
+        "Done": false
       },
-      "blocked": 0
+      "Blocked": 0
     },
-    "targets_fed": 320,
-    "modules": [
+    "BreakerHits": null,
+    "TargetsFed": 320,
+    "Modules": [
       {
-        "protocol": "amqp",
-        "stats": {
+        "Protocol": "amqp",
+        "Results": null,
+        "Stats": {
           "Probed": 256,
           "Blocked": 0,
           "Responded": 3,
@@ -94,8 +98,9 @@ const goldenCheckpoint = `{
         }
       },
       {
-        "protocol": "xmpp",
-        "stats": {
+        "Protocol": "xmpp",
+        "Results": null,
+        "Stats": {
           "Probed": 64,
           "Blocked": 0,
           "Responded": 0,
@@ -210,7 +215,7 @@ checkpoints      45     14.4%
 func TestInspectCheckpointGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "serve.ckpt")
 	payload := goldenCheckpointState().AppendBinary(nil)
-	if err := os.WriteFile(path, checkpoint.Encode(checkpoint.VersionBinary, "serve", 11, payload), 0o644); err != nil {
+	if err := os.WriteFile(path, checkpoint.Encode("serve", 11, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -223,13 +228,23 @@ func TestInspectCheckpointGolden(t *testing.T) {
 		t.Fatalf("checkpoint output diverged from golden:\n--- got\n%s--- want\n%s", got, goldenCheckpoint)
 	}
 
-	// A batch leg's JSON checkpoint is refused by name.
-	if _, err := checkpoint.Save(filepath.Dir(path), "serve", "", 11, map[string]int{"cycle": 1}); err != nil {
+	// A JSON checkpoint from an older build is refused by name.
+	if err := os.WriteFile(path, jsonCheckpoint("serve", 11, `{"cycle":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := inspectCheckpoint(&out, path); !errors.Is(err, checkpoint.ErrPayloadFormat) {
 		t.Errorf("JSON serve.ckpt: err = %v, want checkpoint.ErrPayloadFormat", err)
 	}
+}
+
+// jsonCheckpoint builds by hand the version-1 container older builds wrote
+// around a JSON payload.
+func jsonCheckpoint(leg string, seed uint64, payload string) []byte {
+	b := binary.LittleEndian.AppendUint16([]byte("OHCK"), 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(leg)))
+	b = binary.LittleEndian.AppendUint64(append(b, leg...), seed)
+	b = append(binary.LittleEndian.AppendUint64(b, uint64(len(payload))), payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // TestReadStateFileFormats asserts timeline's file reader takes a binary
@@ -239,7 +254,7 @@ func TestReadStateFileFormats(t *testing.T) {
 	dir := t.TempDir()
 	st := goldenCheckpointState().TSDB
 	ckpt := filepath.Join(dir, "serve-tsdb.ckpt")
-	if err := os.WriteFile(ckpt, checkpoint.Encode(checkpoint.VersionBinary, "serve-tsdb", 11, st.AppendBinary(nil)), 0o644); err != nil {
+	if err := os.WriteFile(ckpt, checkpoint.Encode("serve-tsdb", 11, st.AppendBinary(nil)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db := tsdb.New(tsdb.Options{RawCapacity: st.RawCapacity, RollupEvery: st.RollupEvery, RollupCapacity: st.RollupCapacity})
@@ -263,7 +278,7 @@ func TestReadStateFileFormats(t *testing.T) {
 			t.Errorf("%s: read %+v, want %+v", filepath.Base(path), got, st)
 		}
 	}
-	if _, err := checkpoint.Save(dir, "serve-tsdb", "", 11, st); err != nil {
+	if err := os.WriteFile(ckpt, jsonCheckpoint("serve-tsdb", 11, `{"raw_capacity":4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readStateFile(ckpt); !errors.Is(err, checkpoint.ErrPayloadFormat) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,20 +74,22 @@ func loadView(st *tsdb.State) (*tsdb.View, error) {
 }
 
 // readStateFile parses either a checkpoint container holding a binary tsdb
-// state payload or a bare state JSON (the -tsdb-out artifact).
+// state payload or a bare state JSON (the -tsdb-out artifact); a JSON
+// checkpoint from an older build is refused with checkpoint.ErrPayloadFormat.
 func readStateFile(path string) (*tsdb.State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if f, err := checkpoint.Decode(data); err == nil {
+	f, err := checkpoint.Decode(data)
+	switch {
+	case err == nil:
 		if f.Leg != "serve-tsdb" && f.Leg != "serve-tsdb-wall" {
 			return nil, fmt.Errorf("%s: checkpoint leg %q is not a time-series state", path, f.Leg)
 		}
-		if f.Version != checkpoint.VersionBinary {
-			return nil, fmt.Errorf("%s: %w: version %d, want %d", path, checkpoint.ErrPayloadFormat, f.Version, checkpoint.VersionBinary)
-		}
 		return tsdb.DecodeState(f.Payload)
+	case errors.Is(err, checkpoint.ErrPayloadFormat):
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tsdb.ParseState(data)
 }

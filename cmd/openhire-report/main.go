@@ -7,9 +7,10 @@
 //	openhire-report [-quick] [-only ID[,ID...]]
 //	                [common and instrument flags: see internal/cli]
 //
-// The commit point is the end of an experiment: -checkpoint saves the
-// finished artifacts, -resume reprints them verbatim and runs only the
-// remaining experiments, and a signal stops before the next one. An
+// The commit point is the end of an experiment: -checkpoint appends the
+// finished experiment's result to the leg's log and saves the phase list,
+// -resume reprints the logged results verbatim and runs only the remaining
+// experiments, and a signal stops before the next one. An
 // instrumented resume also re-forces the world phases the cached experiments
 // had forced, in their original order, so the trace and manifest match an
 // uninterrupted run's — whether or not the killed run was instrumented: the
@@ -28,8 +29,8 @@ import (
 	"slices"
 	"strings"
 
-	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/expr"
@@ -44,17 +45,17 @@ var (
 	only  = flag.String("only", "", "comma-separated experiment ids (default: all)")
 )
 
-// reportCheckpoint caches the experiments completed so far. The world's
-// phases are derivable, so the durable state is just the rendered results
-// plus the names of the phases that ran.
-type reportCheckpoint struct {
-	// Done holds completed experiments' results in run order.
-	Done []expr.Result `json:"done,omitempty"`
-	// Phases are the world phases that ran before the checkpoint (in this
-	// process or the ones it resumed from), in completion order — the order
-	// a resumed run re-forces them in.
-	Phases []string `json:"phases,omitempty"`
-	checkpoint.Chain
+// appendResult writes a finished experiment: one log frame.
+func appendResult(b []byte, res *expr.Result) []byte {
+	for _, f := range [...]string{res.ID, res.Title, res.Artifact} {
+		b = wire.AppendString(b, f)
+	}
+	return wire.AppendSlice(b, res.Comparisons, func(b []byte, c report.Comparison) []byte {
+		for _, v := range [...]float64{c.Paper, c.Measured, c.Scaled} {
+			b = wire.AppendFloat(b, v)
+		}
+		return wire.AppendString(wire.AppendString(b, c.Metric), c.Note)
+	})
 }
 
 // phases maps a world phase name to the method that forces it.
@@ -118,9 +119,23 @@ func main() {
 		cfg.UniversePrefix, cfg.DensityBoost, world.ScaleFactor(),
 		cfg.AttackIntensity, cfg.TelescopeScale)
 
-	st := &reportCheckpoint{}
-	if run.Resume(st) {
-		fmt.Fprintf(os.Stderr, "resumed with %d experiment(s) cached\n", len(st.Done))
+	var done []expr.Result
+	var restored []string
+	readFrame := func(frame []byte) error { // what appendResult wrote
+		r := wire.NewReader(frame)
+		res := expr.Result{ID: r.Str(), Title: r.Str(), Artifact: r.Str()}
+		res.Comparisons = wire.ReadSlice(r, 3*8+2, func(r *wire.Reader) report.Comparison {
+			return report.Comparison{Paper: r.Float(), Measured: r.Float(), Scaled: r.Float(), Metric: r.Str(), Note: r.Str()}
+		})
+		done = append(done, res)
+		return r.Close()
+	}
+	// The position is the world phases that ran before the commit (in this
+	// process or the ones it resumed from), in completion order — the order
+	// a resumed run re-forces them in.
+	readPos := func(r *wire.Reader) { restored = strings.Fields(r.Str()) }
+	if run.Resume(readPos, readFrame) {
+		fmt.Fprintf(os.Stderr, "resumed with %d experiment(s) cached\n", len(done))
 		if run.Reg != nil {
 			// A killed run that traced left its probe events in the restored
 			// recorder (a scan completes inside one experiment), so a
@@ -128,7 +143,7 @@ func main() {
 			// trace left none, and the re-forced scan records them now.
 			hook := world.OnProbe
 			restoredProbes := run.Rec.Len() > 0
-			for _, name := range st.Phases {
+			for _, name := range restored {
 				if name == "scan" && restoredProbes {
 					world.OnProbe = nil
 				}
@@ -139,10 +154,9 @@ func main() {
 			world.OnProbe = hook
 		}
 	}
-	restored := st.Phases
-	cached := make(map[string]*expr.Result, len(st.Done))
-	for i := range st.Done {
-		cached[st.Done[i].ID] = &st.Done[i]
+	cached := make(map[string]*expr.Result, len(done))
+	for i := range done {
+		cached[done[i].ID] = &done[i]
 	}
 
 	for _, e := range selected {
@@ -162,9 +176,8 @@ func main() {
 		}
 		run.AddOutput("artifact:"+e.ID, obs.Digest([]byte(res.Artifact)))
 		if run.Checkpointing() && cached[e.ID] == nil {
-			st.Done = append(st.Done, res)
-			st.Phases = mergePhases(restored, world.Phases())
-			run.Stopped(run.Commit(st)) // the loop head honours the interrupt
+			pos := wire.AppendString(nil, strings.Join(mergePhases(restored, world.Phases()), " "))
+			run.Stopped(run.Commit(pos, appendResult(nil, &res))) // the loop head honours the interrupt
 			crashpoint.Here(crashpoint.SiteReportExperimentCommit)
 		}
 	}

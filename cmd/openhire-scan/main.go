@@ -14,10 +14,11 @@
 //
 // Every run goes through the scanner's one driver, scan.Scanner.Run: the
 // modules are swept in sequence, each with the whole -workers budget.
-// -checkpoint only adds a commit hook to that call, which saves the resumable
-// scan state (permutation cursor, breaker hits, per-module stats and results)
-// at every segment of -checkpoint-every targets; without it each module is
-// one segment, and the final artifacts are byte-identical either way.
+// -checkpoint only adds a commit hook to that call: at every segment of
+// -checkpoint-every targets it appends the segment's results to the leg's
+// log and saves the scan position (permutation cursor, breaker hits,
+// per-module stats); without it each module is one segment, and the final
+// artifacts are byte-identical either way.
 //
 // The robustness knobs (-max-attempts, -probe-timeout, -target-budget,
 // -breaker-threshold) only engage on a faulted fabric: without -faults the
@@ -29,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +39,7 @@ import (
 
 	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/cli"
 	"openhire/internal/core/classify"
 	"openhire/internal/core/fingerprint"
@@ -68,13 +71,6 @@ var (
 	breakerThresh = flag.Int("breaker-threshold", 0, "admin-prohibited hits per /24 before the breaker skips it (requires -faults; 0 = default 8)")
 	ckptEvery     = flag.Int("checkpoint-every", scan.DefaultSegmentTargets, "targets per segment between checkpoint commits (with -checkpoint)")
 )
-
-// scanCheckpoint is the scan leg's durable state: the segmented scanner's
-// position and outputs, then the chain.
-type scanCheckpoint struct {
-	Scan *scan.SegmentedState `json:"scan"`
-	checkpoint.Chain
-}
 
 func main() {
 	run.Parse()
@@ -143,8 +139,6 @@ func main() {
 	// the recorder's shards; nil recorder means nil hook and the scanner's
 	// documented no-hook path.
 	scanCfg.OnProbe = trace.ScanProbeHook(run.Rec, network, scanCfg.Source)
-	scanner := scan.NewScanner(scanCfg)
-
 	var results map[iot.Protocol][]*scan.Result
 	if *in != "" {
 		f, err := os.Open(*in)
@@ -158,10 +152,22 @@ func main() {
 		fmt.Printf("scanning %s (%s addresses, boost %.0fx, scale 1/%.0f)\n",
 			prefix, report.Comma(int(prefix.Size())), *boost, universe.ScaleFactor())
 		span := run.Tracer.Start("scan")
-		ckptState := &scanCheckpoint{}
+		// A resume reads the position, then puts the results each committed
+		// segment logged back into it.
 		var resumeState *scan.SegmentedState
-		if run.Resume(ckptState) {
-			resumeState = ckptState.Scan
+		logged := make(map[iot.Protocol][]*scan.Result)
+		readFrame := func(frame []byte) error {
+			rs, _, err := readResults(bytes.NewReader(frame))
+			for p, r := range rs {
+				logged[p] = append(logged[p], r...)
+			}
+			return err
+		}
+		if run.Resume(func(r *wire.Reader) { resumeState = scan.ReadState(r) }, readFrame) {
+			if resumeState == nil {
+				cli.Check(fmt.Errorf("%s: %w: no scan position", checkpoint.FileName(run.CheckpointDir, "scan"), checkpoint.ErrCorruptCheckpoint))
+			}
+			resumeState.AddResults(logged)
 			// Seed only when the killed run actually fed targets: Progress
 			// never fires for empty segments, so an unconditional Add would
 			// mint a counter key the uninterrupted run does not have.
@@ -174,18 +180,24 @@ func main() {
 		}
 		// One driver either way: without -checkpoint there is no commit hook
 		// and each module is swept as a single segment; with it the hook
-		// saves the state every -checkpoint-every targets. Results are
-		// byte-identical (probes are pure per-target, breaker decisions ride
-		// the single-threaded feed, results sort by (IP, Port)).
+		// logs each segment's results and saves the position every
+		// -checkpoint-every targets. Results are byte-identical (probes are
+		// pure per-target, breaker decisions ride the single-threaded feed,
+		// results sort by (IP, Port)).
 		var onCommit func(*scan.SegmentedState) error
 		if run.Checkpointing() {
 			lastModule := 0
 			if resumeState != nil {
 				lastModule = resumeState.Module
 			}
+			var segment bytes.Buffer // what the next commit logs
+			scanCfg.OnSegment = func(p iot.Protocol, _ int, results []*scan.Result) {
+				_, err := writeResults(&segment, map[iot.Protocol][]*scan.Result{p: results})
+				cli.Check(err)
+			}
 			onCommit = func(st *scan.SegmentedState) error {
-				ckptState.Scan = st
-				stop := run.Stopped(run.Commit(ckptState))
+				stop := run.Stopped(run.Commit(scan.AppendState(nil, st), segment.Bytes()))
+				segment.Reset()
 				crashpoint.Here(crashpoint.SiteScanSegmentCommit)
 				if st.Module > lastModule {
 					lastModule = st.Module
@@ -198,7 +210,7 @@ func main() {
 			}
 		}
 		var stats map[iot.Protocol]scan.Stats
-		results, stats, err = scanner.Run(run.Context(), modules, resumeState, *ckptEvery, onCommit)
+		results, stats, err = scan.NewScanner(scanCfg).Run(run.Context(), modules, resumeState, *ckptEvery, onCommit)
 		// A graceful interrupt is not a failure: the hook stops a
 		// checkpointed run at a commit, the cancelled context stops a plain
 		// one, and both hand back what was gathered for the partial flush.

@@ -40,3 +40,14 @@ func TestFlagsPinned(t *testing.T) {
 		t.Errorf("flag defaults changed:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestFormatCheckedAtParse pins that -format is validated with the flags —
+// main passes checkFormat to cli.Usage (exit 2) before any work — rather than
+// when the first file is written, after the capture was generated.
+func TestFormatCheckedAtParse(t *testing.T) {
+	for format, ok := range map[string]bool{"csv": true, "bin": true, "xyz": false, "": false, "CSV": false} {
+		if err := checkFormat(format); (err == nil) != ok {
+			t.Errorf("checkFormat(%q) = %v, want ok %v", format, err, ok)
+		}
+	}
+}

@@ -16,7 +16,11 @@
 // Generation proceeds day by day (each day's unit streams and ordinals are
 // identical to the all-at-once fan-out, so the capture is byte-identical);
 // the day boundary is the commit point -checkpoint saves at and a signal
-// drains to.
+// drains to. The checkpoint is the next day plus the digests of the -rotate
+// day files written so far: every generation unit derives its own stream
+// per (protocol, day), so a resume re-runs the committed days — about 10 ms
+// a day at the default 1/8192 scale — and their registry, progress and
+// trace effects come from that re-run. It does not rewrite the day files.
 //
 // -trace records one darknet.unit event per finished (protocol, day)
 // generation unit, one flow.rotate per -rotate day cut, and flow.ingest for
@@ -32,8 +36,8 @@ import (
 	"time"
 
 	"openhire/internal/attack"
-	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/cli"
 	"openhire/internal/core/report"
 	"openhire/internal/geo"
@@ -55,35 +59,20 @@ var (
 	rotate  = flag.Bool("rotate", false, "cut the capture per day (drain + per-day files)")
 )
 
-// telescopeCheckpoint is the telescope leg's durable state, committed at
-// each day boundary once the generator's workers have joined. The generator
-// itself is stateless between days (every unit derives its own stream), so
-// the state is the day cursor plus the capture accumulated so far.
-type telescopeCheckpoint struct {
-	// NextDay is the first day the resumed run generates.
-	NextDay int `json:"next_day"`
-	// Table is the full flow-table dump (accumulating mode; nil in -rotate,
-	// where the table is drained empty at every boundary).
-	Table *telescope.TableState `json:"table,omitempty"`
-	// Drained accumulates the per-day drains in order (-rotate mode).
-	Drained []telescope.FlowTuple `json:"drained,omitempty"`
-	// Units replays the registry/progress effects of completed generation
-	// units, in OnUnit order.
-	Units []unitRecord `json:"units,omitempty"`
-	// DayDigests carries the already-written -rotate day files' digests.
-	DayDigests map[string]string `json:"day_digests,omitempty"`
-	checkpoint.Chain
-}
+// dayFile names a -rotate day file.
+func dayFile(day int) string { return fmt.Sprintf("%s.day%02d", *out, day) }
 
-// unitRecord is one completed (protocol, day) generation unit.
-type unitRecord struct {
-	Proto string `json:"proto"`
-	Day   int    `json:"day"`
-	Flows int    `json:"flows"`
+// checkFormat rejects a -format value no writer exists for.
+func checkFormat(format string) error {
+	if format != "csv" && format != "bin" {
+		return fmt.Errorf("unknown format %q (want csv or bin)", format)
+	}
+	return nil
 }
 
 func main() {
 	run.Parse()
+	cli.Usage(checkFormat(*format))
 	if *parse != "" {
 		parseFile(*parse)
 		return
@@ -98,7 +87,6 @@ func main() {
 	prefix := netsim.MustParsePrefix("44.0.0.0/8")
 	geodb := geo.NewDB(run.Seed, nil)
 	tel := telescope.New(prefix, geodb)
-	st := &telescopeCheckpoint{}
 	cfg := attack.DarknetConfig{
 		Seed:      run.Seed,
 		Telescope: tel,
@@ -107,7 +95,7 @@ func main() {
 		Days:      *days,
 		Workers:   *workers,
 	}
-	if reg != nil || run.Checkpointing() {
+	if reg != nil {
 		// Reported once per finished (protocol, day) unit after the worker
 		// pool joins — never from inside the generation hot path. Registry,
 		// reporter and recorder are all nil-safe.
@@ -116,65 +104,66 @@ func main() {
 			reg.Add("darknet.units", 1)
 			trace.DarknetUnitEvent(rec, proto, day, flows)
 			progress.Add(1)
-			if run.Checkpointing() {
-				st.Units = append(st.Units, unitRecord{Proto: string(proto), Day: day, Flows: flows})
-			}
 		}
 	}
 	gen := attack.NewDarknetGenerator(cfg)
 	fmt.Printf("generating %d day(s) of telescope traffic at scale %.2g ...\n", *days, *scale)
 
-	// Resume: reload the capture and replay the completed units' registry
-	// and progress effects. The generator needs nothing — unit streams are
-	// derived per (protocol, day).
-	if run.Resume(st) {
-		if st.Table != nil {
-			tel.Restore(*st.Table)
-			st.Table = nil
+	// Resume: reload the position — the first day to generate afresh and
+	// the digests of the -rotate day files written so far. The committed
+	// days are generated again below, so nothing else is logged.
+	run.Rederive()
+	var committed int
+	var digests []string
+	readPos := func(r *wire.Reader) {
+		committed, digests = r.Int(), wire.ReadSlice(r, wire.DigestLen, (*wire.Reader).Digest)
+	}
+	if run.Resume(readPos, func([]byte) error { return nil }) {
+		for day, digest := range digests {
+			run.AddOutput(dayFile(day), digest)
 		}
-		for _, u := range st.Units {
-			reg.Add("darknet."+u.Proto+".flows", uint64(u.Flows))
-			reg.Add("darknet.units", 1)
-			progress.Add(1)
-		}
-		for path, digest := range st.DayDigests {
-			run.AddOutput(path, digest)
-		}
-		fmt.Fprintf(os.Stderr, "resumed at day %02d\n", st.NextDay)
+		fmt.Fprintf(os.Stderr, "resumed at day %02d\n", committed)
 	}
 
-	// commitDay is the day boundary: the state is saved (with -checkpoint)
-	// and a pending interrupt honoured once it is durable.
-	commitDay := func(nextDay int) (stop bool) {
-		st.NextDay = nextDay
-		if run.Checkpointing() && !*rotate {
-			dump := tel.Dump()
-			st.Table = &dump
+	// commitDay is the day boundary: a day the checkpoint already holds is
+	// not committed again; a new one is saved (with -checkpoint), and a
+	// pending interrupt honoured once it is durable.
+	commitDay := func(day int) (stop bool) {
+		if day < committed {
+			return false
 		}
-		stop = run.Stopped(run.Commit(st))
-		st.Table = nil
+		pos := wire.AppendSlice(wire.AppendInt(nil, day+1), digests, wire.AppendDigest)
+		stop = run.Stopped(run.Commit(pos, nil))
 		if run.Checkpointing() {
 			crashpoint.Here(crashpoint.SiteTelescopeDayCommit)
 		}
 		return stop
 	}
 
+	// Day-by-day generation: RunDay(0..Days-1) emits exactly Run's flow set
+	// (same unit streams and ordinals), and unit completion order per
+	// protocol is ascending days either way, so the capture, registry and
+	// trace are byte-identical to the all-at-once fan-out — with a drain
+	// point per day for checkpoints and signals. With -rotate every day is
+	// its own span and is drained into its own file.
 	var all []*telescope.FlowTuple
-	if *rotate {
-		all = runRotated(gen, tel, st, commitDay)
-	} else {
-		// Day-by-day generation inside one span: RunDay(0..Days-1) emits
-		// exactly Run's flow set (same unit streams and ordinals), and unit
-		// completion order per protocol is ascending days either way, so the
-		// capture, registry and trace are byte-identical to the all-at-once
-		// fan-out — with a drain point per day for checkpoints and signals.
-		span := run.Tracer.Start("generate")
-		for day := st.NextDay; day < *days; day++ {
-			gen.RunDay(day)
-			if commitDay(day + 1) {
-				break
-			}
+	span, endDay := run.Tracer.Start("generate"), 0 // a span is recorded when it ends
+	for day := 0; day < *days; day++ {
+		if *rotate {
+			span = run.Tracer.Start(fmt.Sprintf("generate.day%02d", day))
 		}
+		gen.RunDay(day)
+		if *rotate {
+			span.End()
+			all = append(all, rotateDay(day, tel, &digests)...)
+		}
+		if endDay = day + 1; commitDay(day) {
+			break
+		}
+	}
+	if *rotate {
+		fmt.Printf("captured %s aggregated flows across %d day(s)\n", report.Comma(len(all)), endDay)
+	} else {
 		span.End()
 		fmt.Printf("captured %s aggregated flows\n", report.Comma(tel.Len()))
 		all = tel.Flows()
@@ -219,64 +208,32 @@ func observeFlows(reg *obs.Registry, flows []*telescope.FlowTuple) {
 	reg.AddAll("telescope", st.Counters())
 }
 
-// runRotated generates one day at a time, draining the telescope between
-// days so each capture file holds exactly one day and the flow table never
-// grows past a single day's footprint. Drain hands over the live records —
-// the rotation contract — so nothing is copied on the way to disk. Resumed
-// runs replay the completed days' spans (zero simulated duration, like every
-// span under the nil clock) and re-aggregate from the checkpointed drains.
-// Returns every day's flows in order.
-func runRotated(gen *attack.DarknetGenerator, tel *telescope.Telescope,
-	st *telescopeCheckpoint, commitDay func(int) bool) []*telescope.FlowTuple {
-	for day := 0; day < st.NextDay; day++ {
-		run.Tracer.Start(fmt.Sprintf("generate.day%02d", day)).End()
+// rotateDay cuts the capture at a day boundary: Drain hands the live
+// records over and clears the table — the rotation contract — so nothing is
+// copied on the way to disk and the table never grows past one day. A day
+// file whose digest the position holds is not written again.
+func rotateDay(day int, tel *telescope.Telescope, digests *[]string) []*telescope.FlowTuple {
+	flows := tel.Drain()
+	trace.RotateEvent(run.Rec, day, len(flows))
+	fmt.Printf("day %02d: %s aggregated flows\n", day, report.Comma(len(flows)))
+	if *out != "" && day == len(*digests) {
+		digest, err := writeFlowFile(dayFile(day), flows)
+		cli.Check(err)
+		*digests = append(*digests, digest)
+		crashpoint.Here(crashpoint.SiteTelescopeFileWritten)
+		fmt.Printf("  wrote %s records to %s (%s)\n", report.Comma(len(flows)), dayFile(day), *format)
 	}
-	endDay := st.NextDay
-	for day := st.NextDay; day < *days; day++ {
-		span := run.Tracer.Start(fmt.Sprintf("generate.day%02d", day))
-		gen.RunDay(day)
-		span.End()
-		flows := tel.Drain()
-		trace.RotateEvent(run.Rec, day, len(flows))
-		fmt.Printf("day %02d: %s aggregated flows\n", day, report.Comma(len(flows)))
-		if *out != "" {
-			path := fmt.Sprintf("%s.day%02d", *out, day)
-			digest, err := writeFlowFile(path, flows)
-			cli.Check(err)
-			if st.DayDigests == nil {
-				st.DayDigests = make(map[string]string)
-			}
-			st.DayDigests[path] = digest
-			crashpoint.Here(crashpoint.SiteTelescopeFileWritten)
-			fmt.Printf("  wrote %s records to %s (%s)\n", report.Comma(len(flows)), path, *format)
-		}
-		for _, ft := range flows {
-			st.Drained = append(st.Drained, *ft)
-		}
-		endDay = day + 1
-		if commitDay(day + 1) {
-			break
-		}
-	}
-	all := make([]*telescope.FlowTuple, len(st.Drained))
-	for i := range st.Drained {
-		all[i] = &st.Drained[i]
-	}
-	fmt.Printf("captured %s aggregated flows across %d day(s)\n", report.Comma(len(all)), endDay)
-	return all
+	return flows
 }
 
 // writeFlowFile writes one FlowTuple artifact in -format and returns its
 // content digest.
 func writeFlowFile(path string, flows []*telescope.FlowTuple) (string, error) {
 	return run.WriteArtifact(path, func(w io.Writer) error {
-		switch *format {
-		case "csv":
-			return telescope.WriteFlowsCSV(w, flows)
-		case "bin":
+		if *format == "bin" {
 			return telescope.WriteFlowsBinary(w, flows)
 		}
-		return fmt.Errorf("unknown format %q", *format)
+		return telescope.WriteFlowsCSV(w, flows)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"openhire/internal/attack/malware"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
 	"openhire/internal/intel"
@@ -74,12 +75,32 @@ type CampaignConfig struct {
 // consumer of the scheduler stream is at rest.
 type CampaignResume struct {
 	// NextDay is the first day the resumed Run executes.
-	NextDay int `json:"next_day"`
+	NextDay int
 	// SrcState is the scheduler PRNG stream position (prng.Source.State).
-	SrcState uint64 `json:"src_state"`
+	SrcState uint64
 	// EventsPlanned and EventsRun seed the cumulative counters.
-	EventsPlanned int `json:"events_planned"`
-	EventsRun     int `json:"events_run"`
+	EventsPlanned int
+	EventsRun     int
+}
+
+// AppendResume writes a scheduler position; nil writes one byte.
+func AppendResume(b []byte, cr *CampaignResume) []byte {
+	b = wire.AppendBool(b, cr != nil)
+	if cr == nil {
+		return b
+	}
+	b = wire.AppendInt(b, cr.NextDay)
+	b = wire.AppendUint(b, cr.SrcState)
+	b = wire.AppendInt(b, cr.EventsPlanned)
+	return wire.AppendInt(b, cr.EventsRun)
+}
+
+// ReadResume decodes what AppendResume wrote.
+func ReadResume(r *wire.Reader) *CampaignResume {
+	if !r.Bool() {
+		return nil
+	}
+	return &CampaignResume{NextDay: r.Int(), SrcState: r.Uint(), EventsPlanned: r.Int(), EventsRun: r.Int()}
 }
 
 // Campaign replays the paper's attack month.

@@ -42,6 +42,10 @@ import (
 // cycle's hour files, few enough to stay far below any descriptor limit.
 const groupInFlight = 8
 
+// writers recycles the staging buffers: a commit of a few hundred bytes
+// would otherwise allocate one of these whole.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+
 // WriteFile atomically replaces path with the bytes produced by write.
 // The writer passed to write is buffered; write need not flush it.
 func WriteFile(path string, write func(w io.Writer) error) error {
@@ -84,10 +88,12 @@ func WriteGroup(dir string, names []string, write func(i int, w io.Writer) error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bw := bufio.NewWriterSize(nil, 1<<16)
+			bw := writers.Get().(*bufio.Writer)
 			for i := k; i < len(names); i += workers {
 				errs[i] = stage(staged[i], bw, func(w io.Writer) error { return write(i, w) })
 			}
+			bw.Reset(nil)
+			writers.Put(bw)
 		}()
 	}
 	wg.Wait()

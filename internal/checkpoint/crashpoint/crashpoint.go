@@ -83,6 +83,11 @@ const (
 	// window every durable artifact passes through.
 	SiteAtomicStaged = "atomic.staged"
 
+	// SiteLogAppended fires in a batch leg's commit after the frame is
+	// appended to the leg's log and fsynced, before the checkpoint that
+	// records it is written: the resume must drop the frame.
+	SiteLogAppended = "checkpoint.log.appended"
+
 	SiteScanSegmentCommit   = "scan.segment.commit"
 	SiteScanModuleDone      = "scan.module.done"
 	SiteScanResultsWritten  = "scan.results.written"
@@ -114,6 +119,7 @@ const (
 // run reaches them.
 var ScanSites = []string{
 	SiteAtomicStaged,
+	SiteLogAppended,
 	SiteScanSegmentCommit,
 	SiteScanModuleDone,
 	SiteScanResultsWritten,
@@ -133,6 +139,7 @@ var TelescopeSites = []string{
 // HoneypotSites are the honeypot/attack leg's kill sites.
 var HoneypotSites = []string{
 	SiteAtomicStaged,
+	SiteLogAppended,
 	SiteCampaignDayCommit,
 	SiteHoneypotExportWritten,
 	SiteHoneypotTraceWritten,
@@ -142,6 +149,7 @@ var HoneypotSites = []string{
 // ReportSites are the experiment-suite binary's kill sites.
 var ReportSites = []string{
 	SiteAtomicStaged,
+	SiteLogAppended,
 	SiteReportExperimentCommit,
 	SiteReportTraceWritten,
 	SiteReportManifestWritten,

@@ -19,9 +19,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 )
 
 // binDir holds the leg binaries TestMain builds once for the whole sweep.
@@ -39,19 +42,21 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// One invocation builds the five binaries in parallel.
+	args := []string{"build"}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	args = append(args, "-o", dir+string(filepath.Separator))
 	for _, name := range []string{"openhire-scan", "openhire-telescope", "openhire-honeypots", "openhire-report", "openhire-serve"} {
-		args := []string{"build"}
-		if raceEnabled {
-			args = append(args, "-race")
-		}
-		args = append(args, "-o", filepath.Join(dir, name), "openhire/cmd/"+name)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "building %s: %v\n%s", name, err, out)
-			os.RemoveAll(dir)
-			os.Exit(1)
-		}
+		args = append(args, "openhire/cmd/"+name)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	if out, err := cmd.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building the leg binaries: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
@@ -348,6 +353,7 @@ func sweep(t *testing.T, l leg) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
+			t.Parallel() // each kill runs in its own directory
 			dir := t.TempDir()
 			code := run(t, dir, l, spec, l.ckptArgs...)
 			if code == 0 {
@@ -497,5 +503,109 @@ func TestTelescopeDayFilesGolden(t *testing.T) {
 	}
 	if tables["csv"] != tables["bin"] || tables["csv"] == "" {
 		t.Errorf("-parse tables differ between formats:\ncsv:\n%s\nbin:\n%s", tables["csv"], tables["bin"])
+	}
+}
+
+// TestCheckpointWritesWhatChanged is the write-amplification gate: a batch
+// commit appends what changed to the leg's log and rewrites only the small
+// position, so everything an uninterrupted run writes — every checkpoint the
+// manifest records plus the log — stays within 2× what it leaves on disk.
+// Whole-history commits, which rewrote every result at every commit, wrote
+// 58× (scan) and 14× (honeypots) their final checkpoint.
+func TestCheckpointWritesWhatChanged(t *testing.T) {
+	t.Parallel()
+	for _, l := range []leg{scanLeg(), honeypotLeg()} {
+		dir := t.TempDir()
+		if code := run(t, dir, l, "", l.ckptArgs...); code != 0 {
+			t.Fatalf("%s exited %d", l.binary, code)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Checkpoints []struct{ Bytes int64 }
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		var committed int64
+		for _, c := range m.Checkpoints {
+			committed += c.Bytes
+		}
+		name := strings.TrimPrefix(l.binary, "openhire-")
+		ckpt, err := os.Stat(filepath.Join(dir, "ck", name+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.Stat(filepath.Join(dir, "ck", name+".log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, kept := committed+log.Size(), ckpt.Size()+log.Size()
+		t.Logf("%s: %d commits wrote %d bytes for %d on disk (%.2f×)", name, len(m.Checkpoints), written, kept, float64(written)/float64(kept))
+		if len(m.Checkpoints) < 2 || written > 2*kept {
+			t.Errorf("%s: %d commits wrote %d bytes for %d on disk, want at most 2×", name, len(m.Checkpoints), written, kept)
+		}
+	}
+}
+
+// TestResumeDropsTornLogTail kills the scan leg after a frame is appended
+// to its log but before the checkpoint that records it lands, then tears
+// that frame in the middle, or replaces it with garbage, before resuming:
+// either way the resume truncates the log to its recorded length, and the
+// artifacts, manifest and log are the uninterrupted run's.
+func TestResumeDropsTornLogTail(t *testing.T) {
+	t.Parallel()
+	l := scanLeg()
+	golden := t.TempDir()
+	if code := run(t, golden, l, "", l.ckptArgs...); code != 0 {
+		t.Fatalf("golden run exited %d", code)
+	}
+	killed := t.TempDir()
+	if code := run(t, killed, l, crashpoint.SiteLogAppended+"@5", l.ckptArgs...); code != crashpoint.ExitCode {
+		t.Fatalf("killed run exited %d, want %d", code, crashpoint.ExitCode)
+	}
+	log, err := os.ReadFile(filepath.Join(killed, "ck", "scan.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fourth commit's checkpoint records the log's length before the
+	// fifth frame.
+	ckpt, err := os.ReadFile(filepath.Join(killed, "ck", "scan.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.Decode(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := int(wire.NewReader(f.Payload).Uint())
+	if committed >= len(log) {
+		t.Fatalf("log holds %d bytes, the checkpoint records %d: no uncommitted frame", len(log), committed)
+	}
+	for label, tail := range map[string]func(committed int) []byte{
+		"torn":    func(n int) []byte { return log[:n+(len(log)-n)/2] },
+		"garbage": func(n int) []byte { return append(log[:n:n], bytes.Repeat([]byte{0xff}, 100)...) },
+	} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "ck"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "ck", "scan.ckpt"), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "ck", "scan.log"), tail(committed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := run(t, dir, l, "", append(append([]string{}, l.ckptArgs...), "-resume")...); code != 0 {
+			t.Fatalf("%s: resume exited %d", label, code)
+		}
+		compareArtifacts(t, label+" tail", golden, dir)
+		compareManifests(t, label+" tail", filepath.Join(golden, "manifest.json"), filepath.Join(dir, "manifest.json"), false)
+		want, _ := os.ReadFile(filepath.Join(golden, "ck", "scan.log"))
+		if got, _ := os.ReadFile(filepath.Join(dir, "ck", "scan.log")); !bytes.Equal(got, want) {
+			t.Errorf("%s tail: the resumed log (%d bytes) is not the uninterrupted run's (%d)", label, len(got), len(want))
+		}
 	}
 }

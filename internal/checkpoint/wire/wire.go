@@ -74,6 +74,30 @@ func AppendDigest(b []byte, d string) []byte {
 	return b
 }
 
+// AppendSlice appends s as a count followed by each element, written by
+// appendE.
+func AppendSlice[E any](b []byte, s []E, appendE func([]byte, E) []byte) []byte {
+	b = AppendInt(b, len(s))
+	for _, e := range s {
+		b = appendE(b, e)
+	}
+	return b
+}
+
+// ReadSlice reads a collection AppendSlice wrote, each element by readE and
+// at least minBytes long; an empty one decodes to nil.
+func ReadSlice[E any](r *Reader, minBytes int, readE func(*Reader) E) []E {
+	n := r.Count(minBytes)
+	if n == 0 {
+		return nil
+	}
+	s := make([]E, n)
+	for i := range s {
+		s[i] = readE(r)
+	}
+	return s
+}
+
 // Reader decodes a payload. The zero value is an empty payload.
 type Reader struct {
 	buf []byte
@@ -168,6 +192,9 @@ func (r *Reader) Float() float64 {
 func (r *Reader) Str() string {
 	return string(r.take(r.Count(1), "string"))
 }
+
+// Rest consumes and returns the unread bytes, aliasing the payload.
+func (r *Reader) Rest() []byte { return r.take(r.remaining(), "rest") }
 
 // Digest reads 32 raw bytes as a "sha256:<hex>" digest.
 func (r *Reader) Digest() string {

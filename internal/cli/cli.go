@@ -24,6 +24,7 @@ import (
 	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/obs"
 	"openhire/internal/obs/trace"
 )
@@ -71,6 +72,8 @@ type Run struct {
 	cpuProfile, memProfile string
 
 	leg, nameFmt string
+	batch        *checkpoint.Batch
+	rederive     bool
 	ctx          context.Context
 	cancel       context.CancelFunc
 	signaled     chan struct{} // closed by the first SIGINT/SIGTERM
@@ -220,38 +223,60 @@ func (r *Run) Interrupted() bool {
 // Checkpointing reports whether -checkpoint is set.
 func (r *Run) Checkpointing() bool { return r.CheckpointDir != "" }
 
-// Resume loads the leg's checkpoint into state under -resume, restores the
-// flight recorder from it, and reports whether there was one; a missing file
-// is a fresh start, a damaged or foreign one exits 1.
-func (r *Run) Resume(state checkpoint.State) bool {
-	if !r.Resuming {
+// Rederive declares that the leg's resume re-runs its committed work, which
+// records its trace events again, so its commits log none.
+func (r *Run) Rederive() { r.rederive = true }
+
+// Resume opens the leg's commit chain under -checkpoint, once, before the
+// first Commit. Under -resume it loads the newest checkpoint, restores the
+// flight recorder and the records from the log, hands each logged frame,
+// oldest first, to readFrame and the position to readPos, and reports true;
+// otherwise it starts an empty chain. A damaged, foreign or older-format
+// checkpoint or log, or a frame or position its reader refuses, exits 1.
+func (r *Run) Resume(readPos func(*wire.Reader), readFrame func([]byte) error) bool {
+	if !r.Checkpointing() {
 		return false
 	}
-	found, err := checkpoint.Resume(r.CheckpointDir, r.leg, r.nameFmt, r.Seed, state)
+	b, pos, frames, err := checkpoint.OpenBatch(r.CheckpointDir, r.leg, r.nameFmt, r.Seed, r.Resuming)
 	Check(err)
-	if found {
-		h := state.History()
-		r.Rec.RestoreEvents(h.TraceEvents)
-		h.TraceEvents = nil
-		r.Checkpoints = h.Checkpoints
+	r.batch = b
+	if pos == nil {
+		return false
 	}
-	return found
+	for i, frame := range frames {
+		rd := wire.NewReader(frame)
+		r.Rec.ReadEvents(rd)
+		err := rd.Err()
+		if err == nil {
+			err = readFrame(rd.Rest())
+		}
+		if err != nil {
+			Check(fmt.Errorf("%s: frame %d: %w: %w", checkpoint.LogName(r.CheckpointDir, r.leg), i, checkpoint.ErrCorruptCheckpoint, err))
+		}
+	}
+	rd := wire.NewReader(pos)
+	if readPos(rd); rd.Close() != nil {
+		Check(fmt.Errorf("%s: %w: %w", checkpoint.FileName(r.CheckpointDir, r.leg), checkpoint.ErrCorruptCheckpoint, rd.Close()))
+	}
+	r.Checkpoints = b.Records
+	return true
 }
 
-// Commit is the leg's commit point. With -checkpoint it saves state (plus the
-// flight recorder's events so far) as the chain's next record; either way it
-// then honours a pending interrupt — only once the state is durable — by
-// cancelling Context and returning checkpoint.ErrInterrupted.
-func (r *Run) Commit(state checkpoint.State) error {
+// Commit is the leg's commit point. With -checkpoint it logs frame — what
+// the leg produced since its last commit and a resume cannot re-derive —
+// with the flight recorder's events since then, and writes pos as the next
+// checkpoint; either way it then honours a pending interrupt — only once the
+// state is durable — by cancelling Context and returning ErrInterrupted.
+func (r *Run) Commit(pos, frame []byte) error {
 	if r.Checkpointing() {
-		h := state.History()
-		h.TraceEvents = r.Rec.DumpEvents()
-		err := checkpoint.Commit(r.CheckpointDir, r.leg, r.nameFmt, r.Seed, state)
-		h.TraceEvents = nil
-		if err != nil {
+		rec := r.Rec
+		if r.rederive {
+			rec = nil // a nil recorder logs no events
+		}
+		if err := r.batch.Commit(pos, append(rec.AppendNew(nil), frame...)); err != nil {
 			return err
 		}
-		r.Checkpoints = h.Checkpoints
+		r.Checkpoints = r.batch.Records
 	}
 	if r.Interrupted() {
 		r.cancel()
@@ -304,7 +329,7 @@ func (r *Run) StopProfiles() {
 // Finish is the epilogue: it writes the -trace artifact and then the
 // -manifest (resolved flags, phases, registry, checkpoints, interrupted,
 // outputs), passing the leg's two crashpoint sites after the respective
-// file is durable, and takes the signal ladder down.
+// file is durable, closes the leg's log and takes the signal ladder down.
 func (r *Run) Finish(traceSite, manifestSite string) {
 	r.StopProfiles()
 	if r.Rec != nil {
@@ -324,6 +349,9 @@ func (r *Run) Finish(traceSite, manifestSite string) {
 		Check(m.WriteFile(r.manifestPath))
 		crashpoint.Here(manifestSite)
 		fmt.Fprintf(os.Stderr, "manifest written to %s\n", r.manifestPath)
+	}
+	if r.batch != nil {
+		Check(r.batch.Close())
 	}
 	r.stopSignals()
 }

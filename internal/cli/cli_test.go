@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,20 +9,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 	"time"
 
 	"openhire/internal/checkpoint"
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/obs"
 	"openhire/internal/obs/trace"
 )
 
-// legState is a minimal leg checkpoint: one field of its own, then the chain.
-type legState struct {
-	Cursor int `json:"cursor"`
-	checkpoint.Chain
-}
+// cursor encodes a minimal leg position.
+func cursor(c int) []byte { return wire.AppendInt(nil, c) }
 
 // started builds a harness over a private flag set, parses args, starts it as
 // leg, and takes the signal ladder down when the test ends.
@@ -68,7 +68,7 @@ func TestLadderCancelsPlainRun(t *testing.T) {
 	}
 	// The commit point of a run without -checkpoint saves nothing and still
 	// honours the interrupt.
-	if err := r.Commit(&legState{}); !errors.Is(err, checkpoint.ErrInterrupted) {
+	if err := r.Commit(cursor(0), nil); !errors.Is(err, checkpoint.ErrInterrupted) {
 		t.Fatalf("Commit = %v, want ErrInterrupted", err)
 	}
 	if !r.Stopped(context.Canceled) || !r.Stopped(checkpoint.ErrInterrupted) {
@@ -90,25 +90,26 @@ func TestLadderCancelsRunWithoutHarnessChain(t *testing.T) {
 func TestLadderDrainsCheckpointedRunToCommit(t *testing.T) {
 	dir := t.TempDir()
 	r := started(t, "scan", "seg%04d", "-seed", "3", "-checkpoint", dir)
-	st := &legState{Cursor: 1}
-	if err := r.Commit(st); err != nil {
+	if r.Resume(nil, nil) {
+		t.Fatal("Resume without -resume loaded a checkpoint")
+	}
+	if err := r.Commit(cursor(1), nil); err != nil {
 		t.Fatalf("Commit before any signal: %v", err)
 	}
 	interrupt(t, r)
 	if r.Context().Err() != nil {
 		t.Fatal("checkpointed run: context cancelled before the commit that follows the signal")
 	}
-	st.Cursor = 2
-	if err := r.Commit(st); !errors.Is(err, checkpoint.ErrInterrupted) {
+	if err := r.Commit(cursor(2), nil); !errors.Is(err, checkpoint.ErrInterrupted) {
 		t.Fatalf("Commit after the signal = %v, want ErrInterrupted", err)
 	}
 	// ErrInterrupted means "state is durable": the file holds this commit.
-	var saved legState
-	if _, err := checkpoint.Load(dir, "scan", 3, &saved); err != nil {
+	payload, _, err := checkpoint.LoadPayload(dir, "scan", 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if saved.Cursor != 2 || len(saved.Checkpoints) != 1 {
-		t.Errorf("checkpoint on disk has cursor %d after %d records, want 2 after 1", saved.Cursor, len(saved.Checkpoints))
+	if !bytes.HasSuffix(payload, cursor(2)) {
+		t.Errorf("checkpoint on disk ends %v, want the second commit's position %v", payload, cursor(2))
 	}
 	if r.Context().Err() == nil {
 		t.Error("context still live after the interrupted commit")
@@ -121,34 +122,56 @@ func TestLadderDrainsCheckpointedRunToCommit(t *testing.T) {
 func TestResumeRestoresRecorderAndChain(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-seed", "3", "-checkpoint", dir, "-trace", filepath.Join(dir, "t.jsonl"), "-trace-sample", "1"}
-	r := started(t, "telescope", "day%02d", args...)
-	if r.Resume(&legState{}) {
+	r := started(t, "scan", "seg%04d", args...)
+	if r.Resume(nil, nil) {
 		t.Fatal("Resume without -resume loaded a checkpoint")
 	}
-	r.Rec.Record(7, trace.Event{Kind: "flow.rotate", Day: 1})
-	st := &legState{Cursor: 5}
-	if err := r.Commit(st); err != nil {
+	r.Rec.Record(7, trace.Event{Kind: "probe.sent", Protocol: "telnet", IP: "0.0.0.7"})
+	if err := r.Commit(cursor(4), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if st.TraceEvents != nil {
-		t.Error("Commit left the recorder dump in the live state")
+	r.Rec.Record(9, trace.Event{Kind: "probe.sent", Protocol: "mqtt", IP: "0.0.0.9", Port: 1883})
+	if err := r.Commit(cursor(5), []byte("two")); err != nil {
+		t.Fatal(err)
 	}
+	// Recorded after the last commit: lost with the kill, not logged.
+	r.Rec.Record(11, trace.Event{Kind: "probe.sent", Protocol: "amqp"})
 
-	fresh := started(t, "telescope", "day%02d", append(args, "-resume")...)
-	got := &legState{}
-	if !fresh.Resume(got) {
-		t.Fatal("Resume found no checkpoint")
+	fresh := started(t, "scan", "seg%04d", append(args, "-resume")...)
+	var pos int
+	var frames []string
+	found := fresh.Resume(func(rd *wire.Reader) { pos = rd.Int() }, func(f []byte) error {
+		frames = append(frames, string(f))
+		return nil
+	})
+	if !found || pos != 5 || !reflect.DeepEqual(frames, []string{"one", "two"}) {
+		t.Fatalf("Resume = %v, position %d, frames %q; want true, 5, [one two]", found, pos, frames)
 	}
-	if got.Cursor != 5 || fresh.Rec.Len() != 1 || got.TraceEvents != nil {
-		t.Errorf("resumed cursor %d, %d recorder events, %d events left in state; want 5, 1, 0",
-			got.Cursor, fresh.Rec.Len(), len(got.TraceEvents))
+	if got, want := fresh.Rec.Events(), r.Rec.Events()[1:]; !reflect.DeepEqual(got, want) { // amqp sorts first
+		t.Errorf("restored recorder %+v, want the committed %+v", got, want)
 	}
-	if len(fresh.Checkpoints) != 1 || fresh.Checkpoints[0] != r.Checkpoints[0] {
+	if !reflect.DeepEqual(fresh.Checkpoints, r.Checkpoints) {
 		t.Errorf("resumed records %+v, want the killed run's %+v", fresh.Checkpoints, r.Checkpoints)
 	}
+	// The restored events are logged already: the next frame holds only
+	// what the resumed run records.
+	if err := fresh.Commit(cursor(6), nil); err != nil {
+		t.Fatal(err)
+	}
+	again := started(t, "scan", "seg%04d", append(args, "-resume")...)
+	again.Resume(func(rd *wire.Reader) { rd.Int() }, func([]byte) error { return nil })
+	if again.Rec.Len() != 2 {
+		t.Errorf("second resume restored %d events, want 2", again.Rec.Len())
+	}
 
-	empty := started(t, "telescope", "day%02d", "-checkpoint", t.TempDir(), "-resume")
-	if empty.Resume(&legState{}) {
+	// A resume without -trace reads past the logged events.
+	untraced := started(t, "scan", "seg%04d", "-seed", "3", "-checkpoint", dir, "-resume")
+	if !untraced.Resume(func(rd *wire.Reader) { rd.Int() }, func([]byte) error { return nil }) || untraced.Rec != nil {
+		t.Error("a resume without -trace did not load the traced run's checkpoint")
+	}
+
+	empty := started(t, "scan", "seg%04d", "-checkpoint", t.TempDir(), "-resume")
+	if empty.Resume(nil, nil) {
 		t.Error("Resume on an empty directory is not a fresh start")
 	}
 }

@@ -1,19 +1,16 @@
 package scan
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
-	"slices"
 	"sort"
 	"testing"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
 	"openhire/internal/netsim/faults"
@@ -110,52 +107,48 @@ func TestScanGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestResumeIgnoresShardPosition resumes from a checkpoint in the shape
-// builds with scan sharding wrote it: their iterator cursor carried a "pos"
-// member (the shard position) that the cursor no longer has. Decoding must
-// ignore it and the resumed scan must reproduce the uninterrupted golden
-// digest; a strict cursor decoder would refuse every such checkpoint.
-func TestResumeIgnoresShardPosition(t *testing.T) {
+// TestResumeFromPositionAndLog resumes the way a batch checkpoint does: from
+// a position that went through AppendState and ReadState — the walk cursor,
+// breaker memory and stats, no results — plus the results each committed
+// segment handed OnSegment, put back with AddResults. The resumed scan must
+// reproduce the uninterrupted golden digest.
+func TestResumeFromPositionAndLog(t *testing.T) {
 	const kill = 10
 	stop := errors.New("stop")
 	var saved []byte
+	logged := make(map[iot.Protocol][]*Result)
+	cfg := goldenConfig(t, faults.Calibrated(), 7)
+	cfg.OnSegment = func(p iot.Protocol, _ int, rs []*Result) { logged[p] = append(logged[p], rs...) }
 	commits := 0
-	_, _, err := NewScanner(goldenConfig(t, faults.Calibrated(), 7)).Run(
+	_, _, err := NewScanner(cfg).Run(
 		context.Background(), goldenModules(), nil, 64, func(st *SegmentedState) error {
 			if commits++; commits < kill {
 				return nil
 			}
-			var merr error
-			saved, merr = json.Marshal(st)
-			if merr != nil {
-				t.Fatal(merr)
-			}
+			saved = AppendState(nil, st)
 			return stop
 		})
 	if !errors.Is(err, stop) {
 		t.Fatalf("kill at commit %d: err = %v", kill, err)
 	}
-	if bytes.Contains(saved, []byte(`"pos"`)) {
-		t.Fatalf("checkpoint still writes a shard position: %s", saved)
-	}
-
-	perm := regexp.MustCompile(`"iterator":\{"perm":\{[^}]*\}`)
-	loc := perm.FindIndex(saved)
-	if loc == nil {
-		t.Fatalf("no iterator cursor in %s", saved)
-	}
-	old := slices.Concat(saved[:loc[1]], []byte(`,"pos":917`), saved[loc[1]:])
-	resume := &SegmentedState{}
-	if err := json.Unmarshal(old, resume); err != nil {
+	r := wire.NewReader(saved)
+	resume := ReadState(r)
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for _, ms := range resume.Modules {
+		if ms.Results != nil {
+			t.Fatalf("position carries %d %s results", len(ms.Results), ms.Protocol)
+		}
+	}
+	resume.AddResults(logged)
 	results, stats, err := NewScanner(goldenConfig(t, faults.Calibrated(), 7)).Run(
 		context.Background(), goldenModules(), resume, 64, func(*SegmentedState) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := goldenDigest(results, stats); got != goldenCalibrated {
-		t.Fatalf("resume from a checkpoint with a shard position diverged from golden:\n got %s\nwant %s",
+		t.Fatalf("resume from a position and its logged results diverged from golden:\n got %s\nwant %s",
 			got, goldenCalibrated)
 	}
 }

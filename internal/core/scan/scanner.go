@@ -255,32 +255,31 @@ type Stats struct {
 // Counters flattens the deterministic stat fields into a named map for the
 // metrics registry and run manifest (Elapsed is wall-clock and excluded).
 func (st Stats) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"probed":          st.Probed,
-		"blocked":         st.Blocked,
-		"responded":       st.Responded,
-		"timeouts":        st.Timeouts,
-		"resets":          st.Resets,
-		"partials":        st.Partials,
-		"negatives":       st.Negatives,
-		"retransmits":     st.Retransmits,
-		"breaker_skipped": st.BreakerSkipped,
+	m := make(map[string]uint64, len(counterNames))
+	for i, v := range st.counters() {
+		m[counterNames[i]] = *v
 	}
+	return m
+}
+
+// counterNames name the deterministic stat fields, in counters order.
+var counterNames = [...]string{"probed", "blocked", "responded", "timeouts", "resets",
+	"partials", "negatives", "retransmits", "breaker_skipped"}
+
+// counters lists the deterministic stat fields: everything but Elapsed.
+func (st *Stats) counters() [len(counterNames)]*uint64 {
+	return [...]*uint64{&st.Probed, &st.Blocked, &st.Responded, &st.Timeouts, &st.Resets,
+		&st.Partials, &st.Negatives, &st.Retransmits, &st.BreakerSkipped}
 }
 
 // add accumulates o's counters into st. Blocked is included, so callers
 // that track it from an iterator cursor assign it after adding; Elapsed is
 // wall-clock and left alone.
 func (st *Stats) add(o Stats) {
-	st.Probed += o.Probed
-	st.Blocked += o.Blocked
-	st.Responded += o.Responded
-	st.Timeouts += o.Timeouts
-	st.Resets += o.Resets
-	st.Partials += o.Partials
-	st.Negatives += o.Negatives
-	st.Retransmits += o.Retransmits
-	st.BreakerSkipped += o.BreakerSkipped
+	theirs := o.counters()
+	for i, v := range st.counters() {
+		*v += *theirs[i]
+	}
 }
 
 // Scanner runs probe modules over a prefix.

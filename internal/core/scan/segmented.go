@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/iot"
 )
 
@@ -22,39 +23,40 @@ const DefaultSegmentTargets = 4096
 // backoff schedule, the fault model — is derivable from (seed, config), so
 // this is just the walk position plus the outputs accumulated so far.
 //
-// The state marshals deterministically: results are kept sorted by
-// (IP, Port), map keys serialize sorted, and wall-clock fields are excluded,
-// so the checkpoint bytes at a given segment are a pure function of
-// (seed, config) no matter how many kill/resume cycles preceded it.
+// The state encodes deterministically (AppendState): results are kept sorted
+// by (IP, Port) and are not part of the position, breaker keys are written
+// sorted, and wall-clock fields are excluded, so the checkpoint bytes at a
+// given segment are a pure function of (seed, config) no matter how many
+// kill/resume cycles preceded it.
 type SegmentedState struct {
 	// Module indexes the module currently being walked; entries below it in
 	// Modules are complete.
-	Module int `json:"module"`
+	Module int
 	// Iterator is the current module's address-walk cursor. At a module
 	// boundary it holds the fresh cursor the next module starts from (the
 	// permutation is module-independent).
-	Iterator IteratorCursor `json:"iterator"`
+	Iterator IteratorCursor
 	// BreakerHits is the current module's circuit-breaker memory: blackholed
 	// addresses fed so far per /24. Reset at each module boundary.
-	BreakerHits map[uint32]int `json:"breaker_hits,omitempty"`
+	BreakerHits map[uint32]int
 	// TargetsFed is the cumulative (address, port) pairs handed to workers,
 	// mirroring what Config.Progress reported — resumed runs seed their
 	// progress counter from it.
-	TargetsFed uint64 `json:"targets_fed"`
+	TargetsFed uint64
 	// Modules holds per-module results and stats, one entry per module
 	// reached so far.
-	Modules []ModuleSnapshot `json:"modules"`
+	Modules []ModuleSnapshot
 }
 
 // ModuleSnapshot is one module's accumulated output.
 type ModuleSnapshot struct {
-	Protocol iot.Protocol `json:"protocol"`
+	Protocol iot.Protocol
 	// Results are sorted by (IP, Port); each target yields at most one
 	// result, so the order is total.
-	Results []*Result `json:"results,omitempty"`
+	Results []*Result
 	// Stats accumulates across segments. Elapsed stays zero inside the
 	// state (it is wall-clock); Run fills it only in the stats it returns.
-	Stats Stats `json:"stats"`
+	Stats Stats
 }
 
 // Run is the scanner's one driver: it walks every module's address
@@ -200,6 +202,83 @@ func (st *SegmentedState) collect(elapsed map[int]time.Duration) (map[iot.Protoc
 		stats[ms.Protocol] = stt
 	}
 	return results, stats
+}
+
+// AppendState writes the sweep's position: module index, walk cursor,
+// breaker memory, TargetsFed and each module's deterministic stats. Results
+// and the wall-clock Elapsed are not written: a daemon folds each segment's
+// results as it drains, and a batch run logs them beside the checkpoint
+// (AddResults puts them back). A nil state writes one byte.
+func AppendState(b []byte, st *SegmentedState) []byte {
+	b = wire.AppendBool(b, st != nil)
+	if st == nil {
+		return b
+	}
+	b = wire.AppendInt(b, st.Module)
+	b = wire.AppendUint(b, st.Iterator.Perm.Cur)
+	b = wire.AppendBool(b, st.Iterator.Perm.Done)
+	b = wire.AppendUint(b, st.Iterator.Blocked)
+	keys := make([]uint32, 0, len(st.BreakerHits))
+	for k := range st.BreakerHits {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = wire.AppendInt(b, len(keys))
+	for _, k := range keys {
+		b = wire.AppendUint(b, uint64(k))
+		b = wire.AppendInt(b, st.BreakerHits[k])
+	}
+	return wire.AppendSlice(wire.AppendUint(b, st.TargetsFed), st.Modules, func(b []byte, ms ModuleSnapshot) []byte {
+		b = wire.AppendString(b, string(ms.Protocol))
+		for _, v := range ms.Stats.counters() {
+			b = wire.AppendUint(b, *v)
+		}
+		return b
+	})
+}
+
+// ReadState decodes what AppendState wrote; a damaged payload fails r, never
+// panics, and never allocates more than its own size in elements.
+func ReadState(r *wire.Reader) *SegmentedState {
+	if !r.Bool() {
+		return nil
+	}
+	st := &SegmentedState{Module: r.Int()}
+	st.Iterator.Perm.Cur = r.Uint()
+	st.Iterator.Perm.Done = r.Bool()
+	st.Iterator.Blocked = r.Uint()
+	if n := r.Count(2); n > 0 {
+		st.BreakerHits = make(map[uint32]int, n)
+		var prev uint64
+		for i := 0; i < n && r.Err() == nil; i++ {
+			k := r.Uint()
+			if k > 1<<32-1 || i > 0 && k <= prev {
+				r.Fail("breaker key %d after %d", k, prev)
+			}
+			prev = k
+			st.BreakerHits[uint32(k)] = r.Int()
+		}
+	}
+	st.TargetsFed = r.Uint()
+	st.Modules = wire.ReadSlice(r, 1+len(counterNames), func(r *wire.Reader) (ms ModuleSnapshot) {
+		ms.Protocol = iot.Protocol(r.Str())
+		for _, v := range ms.Stats.counters() {
+			*v = r.Uint()
+		}
+		return ms
+	})
+	return st
+}
+
+// AddResults puts logged results back into a state ReadState decoded: each
+// protocol's results join its module's snapshot, which stays sorted by
+// (IP, Port).
+func (st *SegmentedState) AddResults(results map[iot.Protocol][]*Result) {
+	for i := range st.Modules {
+		ms := &st.Modules[i]
+		ms.Results = append(ms.Results, results[ms.Protocol]...)
+		sortResults(ms.Results)
+	}
 }
 
 // newIterator builds the (module-independent) address iterator for this

@@ -209,7 +209,7 @@ type Honeypot struct {
 	Name    string
 	Profile string // simulated device profile (Table 7 column 2)
 	IP      netsim.IPv4
-	Clock   netsim.Clock
+	Clock   *netsim.SimClock
 	log     *Log
 
 	mu       sync.RWMutex
@@ -268,7 +268,7 @@ func (h *Honeypot) floodUpgrade(ev *Event) {
 
 // New builds an empty honeypot bound to the shared log. clock, the
 // simulation's, stamps datagram-service events.
-func New(name, profile string, ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func New(name, profile string, ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	return &Honeypot{
 		Name: name, Profile: profile, IP: ip, Clock: clock, log: log,
 		services: make(map[uint16]Service),

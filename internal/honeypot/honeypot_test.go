@@ -211,7 +211,7 @@ func TestDionaeaFTPMalwareCapture(t *testing.T) {
 
 func TestEventTimesUseSimClock(t *testing.T) {
 	n, pots, log := deploy(t)
-	clk := n.Clock().(*netsim.SimClock)
+	clk := n.Clock()
 	clk.Advance(5 * 24 * time.Hour)
 	upot := pots[1]
 	n.Query(1, netsim.Endpoint{IP: upot.IP, Port: 1900}, upnp.BuildMSearch(""), netsim.ProbeOptions{})

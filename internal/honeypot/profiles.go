@@ -357,7 +357,7 @@ func truncate(s string, n int) string {
 
 // NewCowrie builds the Cowrie profile: SSH + Telnet with an IoT banner
 // (Table 7: "SSH Server with IoT banner").
-func NewCowrie(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewCowrie(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("Cowrie", "SSH Server with IoT banner", ip, clock, log)
 	h.AddService(sshService(h, ssh.Config{Version: "SSH-2.0-OpenSSH_6.0p1 Debian-4+deb7u2", AcceptAll: true}))
 	h.AddService(telnetService(h, telnet.Config{
@@ -371,7 +371,7 @@ func NewCowrie(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
 
 // NewHosTaGe builds the HosTaGe profile: an Arduino board exposing IoT
 // protocols plus SSH/HTTP/SMB (Table 7).
-func NewHosTaGe(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewHosTaGe(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("HosTaGe", "Arduino Board with IoT Protocols", ip, clock, log)
 	h.AddService(telnetService(h, telnet.Config{
 		Auth: telnet.AuthLogin, NegotiateOptions: true, LoginPrompt: "login: ",
@@ -390,7 +390,7 @@ func NewHosTaGe(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
 
 // NewConpot builds the Conpot profile: a Siemens S7 PLC with SSH, Telnet,
 // S7 and HTTP (Table 7).
-func NewConpot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewConpot(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("Conpot", "Siemens S7 PLC", ip, clock, log)
 	h.AddService(sshService(h, ssh.Config{Version: "SSH-2.0-OpenSSH_7.4"}))
 	h.AddService(telnetService(h, telnet.Config{
@@ -406,7 +406,7 @@ func NewConpot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
 
 // NewThingPot builds the ThingPot profile: a Philips Hue bridge over XMPP
 // and HTTP (Table 7).
-func NewThingPot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewThingPot(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("ThingPot", "Philips Hue Bridge", ip, clock, log)
 	h.AddService(xmppService(h))
 	h.AddService(httpService(h, "Philips hue personal wireless lighting", "nginx"))
@@ -415,7 +415,7 @@ func NewThingPot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
 
 // NewUPot builds the U-Pot profile: a Belkin Wemo smart switch over UPnP
 // (Table 7).
-func NewUPot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewUPot(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("U-Pot", "Belkin Wemo smart switch", ip, clock, log)
 	h.AddService(upnpService(h, upnp.Device{
 		Server:       "Unspecified, UPnP/1.0, Unspecified",
@@ -431,7 +431,7 @@ func NewUPot(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
 
 // NewDionaea builds the Dionaea profile: an Arduino IoT device with an HTTP
 // front-end plus MQTT, FTP and SMB (Table 7).
-func NewDionaea(ip netsim.IPv4, clock netsim.Clock, log *Log) *Honeypot {
+func NewDionaea(ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	h := New("Dionaea", "Arduino IoT device with frontend", ip, clock, log)
 	h.AddService(httpService(h, "Arduino IoT Dashboard", "nginx/1.14.0"))
 	h.AddService(mqttService(h, map[string]string{"dionaea/device/state": "idle"}))

@@ -6,15 +6,10 @@ import (
 	"time"
 )
 
-// Clock is the time source for the simulation. Experiments replay a full
+// SimClock is the time source for the simulation. Experiments replay a full
 // month of attack traffic in seconds, so simulated components must never read
-// the wall clock directly; they take a Clock and the driver advances it.
-type Clock interface {
-	// Now returns the current simulated time.
-	Now() time.Time
-}
-
-// SimClock is a manually advanced Clock. It is safe for concurrent use.
+// the wall clock directly; they take a SimClock and the driver advances it.
+// It is safe for concurrent use.
 //
 // Every probe reads it and only the experiment driver moves it, so the
 // current instant sits behind an atomic pointer to an immutable time.Time:

@@ -204,7 +204,7 @@ type FaultModel interface {
 type Network struct {
 	writeMu sync.Mutex // serializes copy-on-write snapshot rebuilds
 	state   atomic.Pointer[netState]
-	clock   Clock
+	clock   *SimClock
 
 	// DefaultTTL is the IP TTL attached to generated probe events when the
 	// sender does not specify one.
@@ -292,14 +292,14 @@ type observerEntry struct {
 }
 
 // NewNetwork returns an empty network fabric on the given simulated clock.
-func NewNetwork(clock Clock) *Network {
+func NewNetwork(clock *SimClock) *Network {
 	n := &Network{clock: clock, DefaultTTL: 64}
 	n.state.Store(&netState{})
 	return n
 }
 
 // Clock returns the network's time source.
-func (n *Network) Clock() Clock { return n.clock }
+func (n *Network) Clock() *SimClock { return n.clock }
 
 // Stats returns the network's traffic counters.
 func (n *Network) Stats() *Stats { return &n.stats }

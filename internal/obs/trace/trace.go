@@ -22,13 +22,17 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/prng"
 )
 
@@ -133,7 +137,9 @@ type Recorder struct {
 type recorderShard struct {
 	mu  sync.Mutex
 	evs []Event
-	_   [64]byte
+	// logged counts the leading events already in a checkpoint log frame.
+	logged int
+	_      [64]byte
 }
 
 // NewRecorder builds a recorder for the named binary. sampleOneIn selects
@@ -190,31 +196,67 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns all recorded events in canonical order: ascending
-// (protocol, numeric address, port), ties left in append order by the
-// stable sort. Because one goroutine owns each key's emission and one shard
-// holds it, the result is deterministic across worker counts.
+// (protocol, numeric address, port), ties left in append order. Because one
+// goroutine owns each key's emission and one shard holds it, the result is
+// deterministic across worker counts.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var all []Event
+	refs := r.take(false)
+	out := make([]Event, len(refs))
+	for i, ev := range refs {
+		out[i] = *ev
+	}
+	return out
+}
+
+// take returns the shards' events in canonical order: ascending
+// (protocol, numeric address, port), ties in shard append order. With
+// unlogged set it takes only the events not yet in a log frame, and marks
+// them logged. The pointers stay valid: appends never move or rewrite an
+// event already recorded, and a slice that grows leaves the old array to
+// its readers.
+func (r *Recorder) take(unlogged bool) []*Event {
+	// The sort key sits beside each pointer, so comparisons never chase it.
+	type ref struct {
+		proto string
+		ip    uint64
+		port  uint16
+		n     int
+		ev    *Event
+	}
+	refs := make([]ref, 0, r.Len())
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		all = append(all, sh.evs...)
+		from := 0
+		if unlogged {
+			from, sh.logged = sh.logged, len(sh.evs)
+		}
+		for j := from; j < len(sh.evs); j++ {
+			ev := &sh.evs[j]
+			refs = append(refs, ref{ev.Protocol, ev.ipKey, ev.Port, len(refs), ev})
+		}
 		sh.mu.Unlock()
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.Protocol != b.Protocol {
-			return a.Protocol < b.Protocol
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := strings.Compare(a.proto, b.proto); c != 0 {
+			return c
 		}
-		if a.ipKey != b.ipKey {
-			return a.ipKey < b.ipKey
+		if c := cmp.Compare(a.ip, b.ip); c != 0 {
+			return c
 		}
-		return a.Port < b.Port
+		if c := cmp.Compare(a.port, b.port); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.n, b.n)
 	})
-	return all
+	out := make([]*Event, len(refs))
+	for i := range refs {
+		out[i] = refs[i].ev
+	}
+	return out
 }
 
 // WriteJSONL flushes the trace: one Meta line, then every event in
@@ -238,98 +280,57 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SavedEvent is one recorded event plus the shard key Record was called
-// with, which Event itself never serializes. Checkpoints carry these so a
-// resumed recorder re-records each event under its original key and the
-// final canonical order is unchanged.
-type SavedEvent struct {
-	IPKey uint64 `json:"ip_key,omitempty"`
-	Ev    Event  `json:"ev"`
+// AppendNew appends the events recorded since the last AppendNew or
+// ReadEvents to b for a checkpoint log frame, in canonical order: within a
+// shard, events of different keys interleave by worker completion, noise
+// that must not reach the log, while each key's events keep their
+// single-writer order, so re-recording the frames in log order reproduces
+// every key's sequence. A nil recorder appends an empty list.
+func (r *Recorder) AppendNew(b []byte) []byte {
+	if r == nil {
+		return wire.AppendUint(b, 0)
+	}
+	evs := r.take(true)
+	b = slices.Grow(b, len(evs)*(eventMinBytes+24)) // an address and a detail run ~24 bytes
+	b = wire.AppendInt(b, len(evs))
+	for _, ev := range evs {
+		for _, s := range [...]string{string(ev.Kind), ev.Protocol, ev.IP, ev.Peer, ev.Detail} {
+			b = wire.AppendString(b, s)
+		}
+		for _, v := range [...]uint64{uint64(ev.Port), uint64(ev.Attempt), uint64(ev.Day), uint64(ev.SimNS), ev.Count, ev.ipKey} {
+			b = wire.AppendUint(b, v)
+		}
+	}
+	return b
 }
 
-// DumpEvents snapshots the recorder's contents for checkpointing, in the
-// same canonical order Events uses. Within one shard, events of different
-// keys interleave by worker completion — scheduling noise that must not
-// reach checkpoint bytes, which are a pure function of (seed, config,
-// cadence point). The stable sort erases the interleaving while keeping
-// every key's events in their single-writer append order, so restoring the
-// dump reproduces each key's sequence exactly.
-func (r *Recorder) DumpEvents() []SavedEvent {
-	if r == nil {
-		return nil
+// eventMinBytes is the smallest encoded event: eleven one-byte fields.
+const eventMinBytes = 11
+
+// ReadEvents decodes a list AppendNew wrote and re-records each event under
+// its original key, as logged. A nil recorder decodes and discards them.
+func (r *Recorder) ReadEvents(rd *wire.Reader) {
+	n := rd.Count(eventMinBytes)
+	for i := 0; i < n && rd.Err() == nil; i++ {
+		ev := Event{Kind: Kind(rd.Str()), Protocol: rd.Str(), IP: rd.Str(), Peer: rd.Str(), Detail: rd.Str()}
+		port, attempt := rd.Uint(), rd.Uint()
+		if port > math.MaxUint16 || attempt > math.MaxUint32 {
+			rd.Fail("event port %d attempt %d", port, attempt)
+		}
+		ev.Port, ev.Attempt, ev.Day, ev.SimNS, ev.Count = uint16(port), uint32(attempt), rd.Int(), rd.Int64(), rd.Uint()
+		if key := rd.Uint(); rd.Err() == nil {
+			r.Record(key, ev)
+		}
 	}
-	var out []SavedEvent
+	if r == nil {
+		return
+	}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for _, ev := range sh.evs {
-			out = append(out, SavedEvent{IPKey: ev.ipKey, Ev: ev})
-		}
+		sh.logged = len(sh.evs)
 		sh.mu.Unlock()
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i].Ev, &out[j].Ev
-		if a.Protocol != b.Protocol {
-			return a.Protocol < b.Protocol
-		}
-		if out[i].IPKey != out[j].IPKey {
-			return out[i].IPKey < out[j].IPKey
-		}
-		return a.Port < b.Port
-	})
-	for i := range out {
-		out[i].Ev.ipKey = 0
-	}
-	return out
-}
-
-// RestoreEvents re-records a DumpEvents snapshot.
-func (r *Recorder) RestoreEvents(evs []SavedEvent) {
-	for i := range evs {
-		r.Record(evs[i].IPKey, evs[i].Ev)
-	}
-}
-
-// Read parses a trace stream back into its meta line and events (in file —
-// canonical — order).
-func Read(rd io.Reader) (Meta, []Event, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var meta Meta
-	var evs []Event
-	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if first {
-			first = false
-			if err := json.Unmarshal(line, &meta); err != nil {
-				return meta, nil, fmt.Errorf("trace meta: %w", err)
-			}
-			if meta.Kind != KindMeta {
-				return meta, nil, fmt.Errorf("not a trace file: first record kind %q", meta.Kind)
-			}
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return meta, nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return meta, evs, sc.Err()
-}
-
-// ReadFile parses a trace artifact from disk.
-func ReadFile(path string) (Meta, []Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // ReadLenient parses a trace stream, tolerating exactly one unparseable

@@ -157,9 +157,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	meta, evs, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	meta, evs, truncated, err := trace.ReadLenient(&buf)
+	if err != nil || truncated {
+		t.Fatalf("ReadLenient = truncated %v, %v", truncated, err)
 	}
 	if meta.Binary != "openhire-test" || meta.Seed != 2021 || meta.SampleOneIn != 16 || meta.Events != 3 {
 		t.Fatalf("meta round-trip = %+v", meta)
@@ -171,7 +171,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("canonical order lost in artifact: last event %+v", evs[len(evs)-1])
 	}
 	// A non-trace file must be rejected on its first record.
-	if _, _, err := trace.Read(bytes.NewReader([]byte("{\"kind\":\"probe.sent\"}\n"))); err == nil {
-		t.Fatal("Read accepted a stream without a meta line")
+	if _, _, _, err := trace.ReadLenient(bytes.NewReader([]byte("{\"kind\":\"probe.sent\"}\n"))); err == nil {
+		t.Fatal("ReadLenient accepted a stream without a meta line")
 	}
 }

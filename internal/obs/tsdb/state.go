@@ -141,35 +141,25 @@ func (st *State) AppendBinary(b []byte) []byte {
 	b = wire.AppendInt(b, st.RollupEvery)
 	b = wire.AppendInt(b, st.RollupCapacity)
 	b = wire.AppendInt64(b, st.LastCycle)
-	b = wire.AppendInt(b, len(st.Series))
-	for i := range st.Series {
-		ss := &st.Series[i]
+	return wire.AppendSlice(b, st.Series, func(b []byte, ss SeriesState) []byte {
 		b = wire.AppendString(b, ss.Name)
-		b = wire.AppendInt(b, len(ss.Labels))
-		for _, l := range ss.Labels {
-			b = wire.AppendString(b, l.Key)
-			b = wire.AppendString(b, l.Value)
-		}
+		b = wire.AppendSlice(b, ss.Labels, func(b []byte, l Label) []byte {
+			return wire.AppendString(wire.AppendString(b, l.Key), l.Value)
+		})
 		b = wire.AppendUint(b, ss.Dropped)
-		b = wire.AppendInt(b, len(ss.Points))
-		for _, p := range ss.Points {
-			b = wire.AppendInt64(b, p.Cycle)
-			b = wire.AppendFloat(b, p.Value)
-		}
-		b = wire.AppendInt(b, len(ss.Rollups))
-		for j := range ss.Rollups {
-			b = ss.Rollups[j].appendBinary(b)
-		}
-		b = ss.Active.appendBinary(b)
-	}
-	return b
+		b = wire.AppendSlice(b, ss.Points, func(b []byte, p Point) []byte {
+			return wire.AppendFloat(wire.AppendInt64(b, p.Cycle), p.Value)
+		})
+		b = wire.AppendSlice(b, ss.Rollups, appendBucket)
+		return appendBucket(b, ss.Active)
+	})
 }
 
 // bucketMinBytes is the smallest encoded Bucket: two one-byte uvarints and
 // four floats.
 const bucketMinBytes = 2 + 4*8
 
-func (bk *Bucket) appendBinary(b []byte) []byte {
+func appendBucket(b []byte, bk Bucket) []byte {
 	b = wire.AppendInt64(b, bk.Start)
 	b = wire.AppendUint(b, bk.Count)
 	b = wire.AppendFloat(b, bk.Sum)
@@ -192,36 +182,15 @@ func ReadState(r *wire.Reader) *State {
 		LastCycle:      r.Int64(),
 	}
 	// A series is at least a name length, four counts and a bucket.
-	if n := r.Count(5 + bucketMinBytes); n > 0 {
-		st.Series = make([]SeriesState, n)
-	}
-	for i := range st.Series {
-		ss := &st.Series[i]
+	st.Series = wire.ReadSlice(r, 5+bucketMinBytes, func(r *wire.Reader) (ss SeriesState) {
 		ss.Name = r.Str()
-		if n := r.Count(2); n > 0 {
-			ss.Labels = make(Labels, n)
-			for j := range ss.Labels {
-				ss.Labels[j] = Label{Key: r.Str(), Value: r.Str()}
-			}
-		}
+		ss.Labels = wire.ReadSlice(r, 2, func(r *wire.Reader) Label { return Label{Key: r.Str(), Value: r.Str()} })
 		ss.Dropped = r.Uint()
-		if n := r.Count(1 + 8); n > 0 {
-			ss.Points = make([]Point, n)
-			for j := range ss.Points {
-				ss.Points[j] = Point{Cycle: r.Int64(), Value: r.Float()}
-			}
-		}
-		if n := r.Count(bucketMinBytes); n > 0 {
-			ss.Rollups = make([]Bucket, n)
-			for j := range ss.Rollups {
-				ss.Rollups[j] = readBucket(r)
-			}
-		}
+		ss.Points = wire.ReadSlice(r, 1+8, func(r *wire.Reader) Point { return Point{Cycle: r.Int64(), Value: r.Float()} })
+		ss.Rollups = wire.ReadSlice(r, bucketMinBytes, readBucket)
 		ss.Active = readBucket(r)
-		if r.Err() != nil {
-			return nil
-		}
-	}
+		return ss
+	})
 	if r.Err() != nil {
 		return nil
 	}

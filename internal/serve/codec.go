@@ -8,7 +8,6 @@ import (
 	"openhire/internal/checkpoint/wire"
 	"openhire/internal/core/correlate"
 	"openhire/internal/core/scan"
-	"openhire/internal/iot"
 	"openhire/internal/obs"
 	"openhire/internal/obs/tsdb"
 )
@@ -62,11 +61,11 @@ var checkpointMembers = []struct {
 		func(b []byte, c *Checkpoint) []byte { return wire.AppendInt(b, c.Cycle) },
 		func(r *wire.Reader, c *Checkpoint) { c.Cycle = r.Int() }},
 	{"campaign",
-		func(b []byte, c *Checkpoint) []byte { return appendCampaign(b, c.Campaign) },
-		func(r *wire.Reader, c *Checkpoint) { c.Campaign = readCampaign(r) }},
+		func(b []byte, c *Checkpoint) []byte { return attack.AppendResume(b, c.Campaign) },
+		func(r *wire.Reader, c *Checkpoint) { c.Campaign = attack.ReadResume(r) }},
 	{"scan",
-		func(b []byte, c *Checkpoint) []byte { return appendScan(b, c.Scan) },
-		func(r *wire.Reader, c *Checkpoint) { c.Scan = readScan(r) }},
+		func(b []byte, c *Checkpoint) []byte { return scan.AppendState(b, c.Scan) },
+		func(r *wire.Reader, c *Checkpoint) { c.Scan = scan.ReadState(r) }},
 	{"agg",
 		func(b []byte, c *Checkpoint) []byte { return c.Agg.appendBinary(b) },
 		func(r *wire.Reader, c *Checkpoint) { c.Agg = readAggregates(r) }},
@@ -91,23 +90,14 @@ var checkpointMembers = []struct {
 		}},
 	{"checkpoints",
 		func(b []byte, c *Checkpoint) []byte {
-			b = wire.AppendInt(b, len(c.Checkpoints))
-			for _, rec := range c.Checkpoints {
-				b = wire.AppendString(b, rec.Name)
-				b = wire.AppendInt64(b, rec.Bytes)
-				b = wire.AppendDigest(b, rec.Digest)
-			}
-			return b
+			return wire.AppendSlice(b, c.Checkpoints, func(b []byte, rec obs.CheckpointRecord) []byte {
+				return wire.AppendDigest(wire.AppendInt64(wire.AppendString(b, rec.Name), rec.Bytes), rec.Digest)
+			})
 		},
 		func(r *wire.Reader, c *Checkpoint) {
-			n := r.Count(2 + wire.DigestLen)
-			if n == 0 {
-				return
-			}
-			c.Checkpoints = make([]obs.CheckpointRecord, n)
-			for i := range c.Checkpoints {
-				c.Checkpoints[i] = obs.CheckpointRecord{Name: r.Str(), Bytes: r.Int64(), Digest: r.Digest()}
-			}
+			c.Checkpoints = wire.ReadSlice(r, 2+wire.DigestLen, func(r *wire.Reader) obs.CheckpointRecord {
+				return obs.CheckpointRecord{Name: r.Str(), Bytes: r.Int64(), Digest: r.Digest()}
+			})
 		}},
 }
 
@@ -137,101 +127,6 @@ func DecodeCheckpoint(payload []byte) (*Checkpoint, []Member, error) {
 	return c, members, nil
 }
 
-func appendCampaign(b []byte, cr *attack.CampaignResume) []byte {
-	b = wire.AppendBool(b, cr != nil)
-	if cr == nil {
-		return b
-	}
-	b = wire.AppendInt(b, cr.NextDay)
-	b = wire.AppendUint(b, cr.SrcState)
-	b = wire.AppendInt(b, cr.EventsPlanned)
-	return wire.AppendInt(b, cr.EventsRun)
-}
-
-func readCampaign(r *wire.Reader) *attack.CampaignResume {
-	if !r.Bool() {
-		return nil
-	}
-	return &attack.CampaignResume{NextDay: r.Int(), SrcState: r.Uint(), EventsPlanned: r.Int(), EventsRun: r.Int()}
-}
-
-// appendScan writes the sweep's position: module index, walk cursor,
-// breaker memory, TargetsFed and each module's deterministic stats. Results
-// and the wall-clock Elapsed are not written.
-func appendScan(b []byte, st *scan.SegmentedState) []byte {
-	b = wire.AppendBool(b, st != nil)
-	if st == nil {
-		return b
-	}
-	b = wire.AppendInt(b, st.Module)
-	b = wire.AppendUint(b, st.Iterator.Perm.Cur)
-	b = wire.AppendBool(b, st.Iterator.Perm.Done)
-	b = wire.AppendUint(b, st.Iterator.Blocked)
-	keys := make([]uint32, 0, len(st.BreakerHits))
-	for k := range st.BreakerHits {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = wire.AppendInt(b, len(keys))
-	for _, k := range keys {
-		b = wire.AppendUint(b, uint64(k))
-		b = wire.AppendInt(b, st.BreakerHits[k])
-	}
-	b = wire.AppendUint(b, st.TargetsFed)
-	b = wire.AppendInt(b, len(st.Modules))
-	for i := range st.Modules {
-		ms := &st.Modules[i]
-		b = wire.AppendString(b, string(ms.Protocol))
-		for _, v := range scanCounters(&ms.Stats) {
-			b = wire.AppendUint(b, *v)
-		}
-	}
-	return b
-}
-
-// scanCounterCount is how many stat fields a module snapshot writes.
-const scanCounterCount = 9
-
-// scanCounters lists a module's deterministic stat fields in payload order.
-func scanCounters(s *scan.Stats) [scanCounterCount]*uint64 {
-	return [scanCounterCount]*uint64{&s.Probed, &s.Blocked, &s.Responded, &s.Timeouts, &s.Resets,
-		&s.Partials, &s.Negatives, &s.Retransmits, &s.BreakerSkipped}
-}
-
-func readScan(r *wire.Reader) *scan.SegmentedState {
-	if !r.Bool() {
-		return nil
-	}
-	st := &scan.SegmentedState{Module: r.Int()}
-	st.Iterator.Perm.Cur = r.Uint()
-	st.Iterator.Perm.Done = r.Bool()
-	st.Iterator.Blocked = r.Uint()
-	if n := r.Count(2); n > 0 {
-		st.BreakerHits = make(map[uint32]int, n)
-		var prev uint64
-		for i := 0; i < n && r.Err() == nil; i++ {
-			k := r.Uint()
-			if k > 1<<32-1 || i > 0 && k <= prev {
-				r.Fail("breaker key %d after %d", k, prev)
-			}
-			prev = k
-			st.BreakerHits[uint32(k)] = r.Int()
-		}
-	}
-	st.TargetsFed = r.Uint()
-	if n := r.Count(1 + scanCounterCount); n > 0 {
-		st.Modules = make([]scan.ModuleSnapshot, n)
-		for i := range st.Modules {
-			ms := &st.Modules[i]
-			ms.Protocol = iot.Protocol(r.Str())
-			for _, v := range scanCounters(&ms.Stats) {
-				*v = r.Uint()
-			}
-		}
-	}
-	return st
-}
-
 // appendBinary writes the aggregates; a nil receiver writes the empty state.
 func (a *Aggregates) appendBinary(b []byte) []byte {
 	if a == nil {
@@ -243,10 +138,7 @@ func (a *Aggregates) appendBinary(b []byte) []byte {
 	for _, t := range [...]map[string]*ProtocolExposure{ex.Current, ex.Complete, ex.Total} {
 		b = appendMap(b, t, func(b []byte, e *ProtocolExposure) []byte { return e.appendBinary(b) })
 	}
-	b = wire.AppendInt(b, len(a.Trends.Days))
-	for i := range a.Trends.Days {
-		b = a.Trends.Days[i].appendBinary(b)
-	}
+	b = wire.AppendSlice(b, a.Trends.Days, appendDayTrend)
 	b = a.Correlate.Misconfigured.AppendBinary(b)
 	b = a.Correlate.HoneypotSources.AppendBinary(b)
 	b = a.Correlate.TelescopeSources.AppendBinary(b)
@@ -262,13 +154,7 @@ func readAggregates(r *wire.Reader) *Aggregates {
 	for _, t := range [...]*map[string]*ProtocolExposure{&ex.Current, &ex.Complete, &ex.Total} {
 		*t = readMap(r, 5, readProtocolExposure)
 	}
-	// A day is at least seven one-byte uvarints.
-	if n := r.Count(7); n > 0 {
-		a.Trends.Days = make([]DayTrend, n)
-		for i := range a.Trends.Days {
-			a.Trends.Days[i] = readDayTrend(r)
-		}
-	}
+	a.Trends.Days = wire.ReadSlice(r, 7, readDayTrend) // seven one-byte uvarints at least
 	a.Correlate.Misconfigured = correlate.ReadIPSet(r)
 	a.Correlate.HoneypotSources = correlate.ReadIPSet(r)
 	a.Correlate.TelescopeSources = correlate.ReadIPSet(r)
@@ -299,18 +185,14 @@ func readProtocolExposure(r *wire.Reader) *ProtocolExposure {
 	}
 }
 
-func (d *DayTrend) appendBinary(b []byte) []byte {
+func appendDayTrend(b []byte, d DayTrend) []byte {
 	b = wire.AppendInt(b, d.Day)
 	b = wire.AppendInt(b, d.AttackEvents)
 	b = appendMap(b, d.AttacksByType, wire.AppendInt)
 	b = wire.AppendInt(b, d.AttackSources)
 	b = wire.AppendInt(b, d.TelescopeFlows)
 	b = wire.AppendUint(b, d.TelescopePackets)
-	b = wire.AppendInt(b, len(d.HourlyPackets))
-	for _, p := range d.HourlyPackets {
-		b = wire.AppendUint(b, p)
-	}
-	return b
+	return wire.AppendSlice(b, d.HourlyPackets, wire.AppendUint)
 }
 
 func readDayTrend(r *wire.Reader) DayTrend {
@@ -322,12 +204,7 @@ func readDayTrend(r *wire.Reader) DayTrend {
 	d.AttackSources = r.Int()
 	d.TelescopeFlows = r.Int()
 	d.TelescopePackets = r.Uint()
-	if n := r.Count(1); n > 0 {
-		d.HourlyPackets = make([]uint64, n)
-		for i := range d.HourlyPackets {
-			d.HourlyPackets[i] = r.Uint()
-		}
-	}
+	d.HourlyPackets = wire.ReadSlice(r, 1, (*wire.Reader).Uint)
 	return d
 }
 

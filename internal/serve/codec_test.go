@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -76,11 +78,10 @@ func (g gen) scan() *scan.SegmentedState {
 		}
 	}
 	for range g.Intn(7) {
-		ms := scan.ModuleSnapshot{Protocol: iot.Protocol(g.name())}
-		for _, v := range scanCounters(&ms.Stats) {
-			*v = g.u64()
-		}
-		st.Modules = append(st.Modules, ms)
+		st.Modules = append(st.Modules, scan.ModuleSnapshot{Protocol: iot.Protocol(g.name()), Stats: scan.Stats{
+			Probed: g.u64(), Blocked: g.u64(), Responded: g.u64(), Timeouts: g.u64(), Resets: g.u64(),
+			Partials: g.u64(), Negatives: g.u64(), Retransmits: g.u64(), BreakerSkipped: g.u64(),
+		}})
 	}
 	return st
 }
@@ -304,16 +305,26 @@ func FuzzServeCheckpoint(f *testing.F) {
 	})
 }
 
+// jsonCheckpoint builds by hand the version-1 container older builds wrote
+// around a JSON payload.
+func jsonCheckpoint(leg string, seed uint64, payload string) []byte {
+	b := binary.LittleEndian.AppendUint16([]byte("OHCK"), 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(leg)))
+	b = binary.LittleEndian.AppendUint64(append(b, leg...), seed)
+	b = append(binary.LittleEndian.AppendUint64(b, uint64(len(payload))), payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
 // TestRestoreRefusesJSONCheckpoint asserts a serve.ckpt with a JSON payload
-// — what the batch legs' Save writes, and what serve wrote before its
-// payload became binary — makes Restore fail with ErrPayloadFormat, naming
-// the file and its format, and leaves the file untouched.
+// — what serve and the batch legs wrote before their payloads became
+// binary — makes Restore fail with ErrPayloadFormat, naming the file and its
+// format, and leaves the file untouched.
 func TestRestoreRefusesJSONCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := checkpoint.Save(dir, "serve", "", 11, map[string]any{"cycle": 2, "agg": &Aggregates{}}); err != nil {
+	path := checkpoint.FileName(dir, "serve")
+	if err := os.WriteFile(path, jsonCheckpoint("serve", 11, `{"cycle":2,"agg":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path := checkpoint.FileName(dir, "serve")
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +360,7 @@ func TestScanMemberHoldsPositionsOnly(t *testing.T) {
 		if l.scanState == nil || l.agg.Exposure.Sweep > 0 {
 			return
 		}
-		payload, _, err := checkpoint.LoadPayload(cfg.CheckpointDir, "serve", cfg.Seed, checkpoint.VersionBinary)
+		payload, _, err := checkpoint.LoadPayload(cfg.CheckpointDir, "serve", cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,6 +396,7 @@ func TestScanMemberHoldsPositionsOnly(t *testing.T) {
 	// A module snapshot is a protocol name and nine counters; a counter
 	// below 2^21 takes at most three bytes, and the sweep-wide counters may
 	// widen by a byte each.
+	const scanCounterCount = 9
 	const perModule = 1 + len("telnet") + scanCounterCount*3
 	if bound := first.bytes + (last.modules-first.modules)*perModule + scanCounterCount; last.bytes > bound {
 		t.Errorf("scan member grew from %d bytes (%d modules) to %d (%d modules, %d live results), want at most %d: results are in the checkpoint",

@@ -231,7 +231,7 @@ func (l *Loop) buildMonth(m int) *monthState {
 // is derivable, so a fresh run replaces it.
 func (l *Loop) Restore() (bool, error) {
 	dir := l.cfg.CheckpointDir
-	payload, rec, err := checkpoint.LoadPayload(dir, "serve", l.cfg.Seed, checkpoint.VersionBinary)
+	payload, rec, err := checkpoint.LoadPayload(dir, "serve", l.cfg.Seed)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
@@ -271,7 +271,7 @@ func (l *Loop) Restore() (bool, error) {
 	if l.obsv != nil {
 		// Wall stream: best effort. Profiling history survives restarts when
 		// the file is readable; otherwise the stream just starts fresh.
-		if payload, _, err := checkpoint.LoadPayload(dir, "serve-tsdb-wall", l.cfg.Seed, checkpoint.VersionBinary); err == nil {
+		if payload, _, err := checkpoint.LoadPayload(dir, "serve-tsdb-wall", l.cfg.Seed); err == nil {
 			if wallSt, err := tsdb.DecodeState(payload); err == nil {
 				if err := l.obsv.Wall.LoadState(wallSt); err != nil {
 					l.obsv.Wall = tsdb.New(l.obsv.Sim.Options())
@@ -286,7 +286,7 @@ func (l *Loop) Restore() (bool, error) {
 
 // tsdbFile encodes a time-series state as the leg's standalone checkpoint.
 func (l *Loop) tsdbFile(leg string, st *tsdb.State) []byte {
-	return checkpoint.Encode(checkpoint.VersionBinary, leg, l.cfg.Seed, st.AppendBinary(nil))
+	return checkpoint.Encode(leg, l.cfg.Seed, st.AppendBinary(nil))
 }
 
 // Run drives cycles until ctx is cancelled or, when cycles > 0, the total
@@ -489,7 +489,7 @@ func (l *Loop) writeCheckpoint() error {
 		st.TSDBDigest = obs.Digest(tsFile)
 		legs, files = append(legs, "serve-tsdb"), append(files, tsFile)
 	}
-	data := checkpoint.Encode(checkpoint.VersionBinary, "serve", l.cfg.Seed, st.AppendBinary(nil))
+	data := checkpoint.Encode("serve", l.cfg.Seed, st.AppendBinary(nil))
 	legs, files = append(legs, "serve"), append(files, data)
 	names := make([]string, len(legs))
 	for i, leg := range legs {

@@ -171,7 +171,7 @@ func testKillResume(t *testing.T, kill, total int) {
 	// What the checkpoint holds: the members that grow with the run are
 	// named; the rest is scheduler position and bookkeeping, so a log riding
 	// along under any name trips the bound.
-	payload, _, err := checkpoint.LoadPayload(dir, "serve", cfg.Seed, checkpoint.VersionBinary)
+	payload, _, err := checkpoint.LoadPayload(dir, "serve", cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

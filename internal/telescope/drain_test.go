@@ -25,25 +25,22 @@ func referenceOrder(tel *Telescope) []seqFlow {
 	return all
 }
 
-// checkDrainOrder compares Flows, Dump and Drain — in that order, Drain
-// empties the table — against the reference order of the same table.
+// checkDrainOrder compares Flows and Drain — in that order, Drain empties
+// the table — against the reference order of the same table.
 func checkDrainOrder(t *testing.T, tel *Telescope, wantFlows int) {
 	t.Helper()
 	want := referenceOrder(tel)
 	if len(want) != wantFlows {
 		t.Fatalf("table holds %d flows, want %d", len(want), wantFlows)
 	}
-	flows, dump := tel.Flows(), tel.Dump()
+	flows := tel.Flows()
 	drained := tel.Drain()
-	if len(flows) != len(want) || len(dump.Flows) != len(want) || len(drained) != len(want) {
-		t.Fatalf("Flows %d, Dump %d, Drain %d records, reference %d", len(flows), len(dump.Flows), len(drained), len(want))
+	if len(flows) != len(want) || len(drained) != len(want) {
+		t.Fatalf("Flows %d, Drain %d records, reference %d", len(flows), len(drained), len(want))
 	}
 	for i := range want {
 		if *flows[i] != *want[i].ft {
 			t.Fatalf("Flows()[%d] = %+v, reference order has %+v", i, flows[i], want[i].ft)
-		}
-		if dump.Flows[i].Seq != want[i].seq || dump.Flows[i].Flow != *want[i].ft {
-			t.Fatalf("Dump().Flows[%d] has ordinal %d, reference order has %d", i, dump.Flows[i].Seq, want[i].seq)
 		}
 		if drained[i] != want[i].ft {
 			t.Fatalf("Drain()[%d] is not the reference order's record (ordinal %d)", i, want[i].seq)
@@ -57,7 +54,7 @@ func checkDrainOrder(t *testing.T, tel *Telescope, wantFlows int) {
 // TestOrderedDrainMatchesReferenceSort ingests the way the daemon's legs do
 // at once — producers RecordBatch-ing disjoint ordinal ranges shaped like the
 // generator's, with keys that collide across producers, while fabric traffic
-// arrives through Observe — and requires Flows, Dump and Drain to come back
+// arrives through Observe — and requires Flows and Drain to come back
 // in exactly the order sort.Slice gave, at sizes either side of the radix
 // threshold.
 func TestOrderedDrainMatchesReferenceSort(t *testing.T) {

@@ -336,8 +336,8 @@ type seqFlow struct {
 }
 
 // gather collects every entry across the shards in ascending ordinal order,
-// emptying each shard as it is read when clear is set. Flows, Drain and Dump
-// all order their output here.
+// emptying each shard as it is read when clear is set. Flows and Drain
+// order their output here.
 func (t *Telescope) gather(clear bool) []seqFlow {
 	all := make([]seqFlow, 0, t.Len())
 	for i := range t.shards {
@@ -431,47 +431,6 @@ func (t *Telescope) Flows() []*FlowTuple {
 // -rotate path); use Flows when the capture must keep accumulating.
 func (t *Telescope) Drain() []*FlowTuple {
 	return t.snapshot(true)
-}
-
-// TableState is the telescope's resumable state: every aggregated flow with
-// its merge ordinal, plus the Observe/Record ordinal allocator. Flow copies
-// are deep, so a dumped state is immune to later mutation of the live table.
-type TableState struct {
-	// Seq is the ordinal allocator position (starts at 1<<62; RecordBatch
-	// ordinals below the base never advance it).
-	Seq uint64 `json:"seq"`
-	// Flows holds the aggregated records in ascending ordinal order.
-	Flows []SavedFlow `json:"flows"`
-}
-
-// SavedFlow pairs one aggregated flow with its merge ordinal.
-type SavedFlow struct {
-	Seq  uint64    `json:"seq"`
-	Flow FlowTuple `json:"flow"`
-}
-
-// Dump captures the full table state for checkpointing. Call it only once
-// writers have quiesced.
-func (t *Telescope) Dump() TableState {
-	all := t.gather(false)
-	st := TableState{Seq: t.seq.Load(), Flows: make([]SavedFlow, len(all))}
-	for i := range all {
-		st.Flows[i] = SavedFlow{Seq: all[i].seq, Flow: *all[i].ft}
-	}
-	return st
-}
-
-// Restore loads a dumped state into an empty telescope: each flow re-enters
-// under its original ordinal and the ordinal allocator resumes where it
-// stopped, so subsequent ingest — and every later Flows/Drain merge — is
-// indistinguishable from a table that was never serialized.
-func (t *Telescope) Restore(st TableState) {
-	t.seq.Store(st.Seq)
-	t.Reserve(len(st.Flows))
-	for i := range st.Flows {
-		cp := st.Flows[i].Flow
-		t.ingest(&cp, st.Flows[i].Seq)
-	}
 }
 
 // Len returns the number of aggregated flows currently held.

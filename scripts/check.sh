@@ -38,14 +38,18 @@
 #      the module, discovered with `go test -list '^Fuzz'` (the protocol
 #      parsers, the stream servers' chunking invariance, the scanner's grab
 #      modules, the FlowTuple codec, the classifier and fingerprint filter,
-#      the -faults spec and /api/timeseries query parsers, and the
-#      checkpoint container loader), seed corpus + 10 fresh inputs each —
+#      the -faults spec and /api/timeseries query parsers, the
+#      checkpoint container loader and the checkpoint log's frame
+#      decoder), seed corpus + 10 fresh inputs each —
 #      skipped with --fast
-#   6. the crash gate: checkpoint container round-trip/corruption tests, the
-#      run harness's own tests (signal ladder, chain, manifest epilogue), and
+#   6. the crash gate: checkpoint container and log tests (round trip,
+#      corruption, a log torn at every byte of an uncommitted frame, a short
+#      or flipped log refused), the run harness's own tests (signal ladder,
+#      commit chain, manifest epilogue), the write-amplification gate, and
 #      the kill-and-resume sweep under the race detector — each of the five
 #      binaries (scan, telescope, honeypots, report, serve) killed at every
-#      registered crashpoint, resumed, and byte-compared against an
+#      registered crashpoint, including between a batch leg's log append
+#      and its checkpoint, resumed, and byte-compared against an
 #      uninterrupted golden run; --fast sweeps only each binary's mid-run
 #      commit site (go test -short)
 #   7. the serve smoke (scripts/serve_smoke.sh): openhire-serve end to end —

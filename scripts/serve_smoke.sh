@@ -75,7 +75,7 @@ if [ "$MEMBERS" != "cycle campaign scan agg tsdb telescope_files checkpoints " ]
 	echo "serve smoke: ck/serve.ckpt members are '$MEMBERS' — want leg positions, aggregates, tsdb and bookkeeping only" >&2
 	exit 1
 fi
-if grep -q '"events":\|"results":' "$SMOKE/checkpoint.txt"; then
+if grep -q '"events":\|"Results": [^n]' "$SMOKE/checkpoint.txt"; then
 	echo "serve smoke: ck/serve.ckpt carries honeypot events or scan results — they are folded, never checkpointed" >&2
 	exit 1
 fi
