@@ -142,11 +142,10 @@ func main() {
 		VirusTotal: vt,
 		RDNS:       rdns,
 		OnDay:      onDay,
-		Resume:     resumeState,
 	})
 	fmt.Printf("\nreplaying attack month at intensity %.4f ...\n", *intensity)
 	span := run.Tracer.Start("attack_month")
-	stats := campaign.Run(run.Context())
+	stats := campaign.Run(run.Context(), resumeState)
 	for _, ev := range committed {
 		log.Append(ev)
 	}

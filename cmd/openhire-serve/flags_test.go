@@ -16,9 +16,11 @@ func TestFlagsPinned(t *testing.T) {
 		"addr":               "",
 		"boost":              "16",
 		"checkpoint":         "",
+		"cpuprofile":         "",
 		"cycles":             "0",
 		"intensity":          "0.0625",
 		"manifest":           "",
+		"memprofile":         "",
 		"no-tsdb":            "false",
 		"out":                "",
 		"prefix":             "100.0.0.0/14",

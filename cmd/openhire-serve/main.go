@@ -11,6 +11,7 @@
 //	               [-addr HOST:PORT]
 //	               [-telescope-dir DIR] [-tsdb-retention N] [-no-tsdb]
 //	               [-out FILE] [-tsdb-out FILE]
+//	               [-cpuprofile FILE] [-memprofile FILE]
 //	               [common flags: see internal/cli]
 //
 // One cycle is one simulated day; every 30 cycles close an attack month and
@@ -26,9 +27,11 @@
 // binary FlowTuple files (dayNNNN-hourHH.ft, readable by openhire-telescope
 // -parse); -tsdb-out writes the observatory's sim-deterministic time-series
 // state on exit (readable by openhire-inspect timeline); -no-tsdb disables
-// the observatory entirely. For a given (seed, config, watermark), API
-// responses, the -out aggregates, the -tsdb-out state and the hourly capture
-// files are byte-identical across runs, worker counts and kill/resume.
+// the observatory entirely. -cpuprofile and -memprofile capture the cycles
+// and stop before the artifacts are written. For a given (seed, config,
+// watermark), API responses, the -out aggregates, the -tsdb-out state and the
+// hourly capture files are byte-identical across runs, worker counts and
+// kill/resume.
 package main
 
 import (
@@ -45,7 +48,7 @@ import (
 )
 
 var (
-	run       = cli.New("openhire-serve", cli.Common)
+	run       = cli.New("openhire-serve", cli.Common|cli.Profiles)
 	prefixStr = flag.String("prefix", "100.0.0.0/14", "prefix to scan and source attacks from")
 	boost     = flag.Float64("boost", 16, "universe density boost")
 	workers   = flag.Int("workers", 64, "per-leg concurrency")
@@ -112,6 +115,9 @@ func main() {
 	}
 
 	cli.Check(loop.Run(run.Context(), *cycles))
+	// Profiles cover exactly the cycles: the CPU capture stops (and the live
+	// heap is written) before the artifacts below.
+	run.StopProfiles()
 
 	if *outPath != "" {
 		data, err := loop.AggregatesJSON()

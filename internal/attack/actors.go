@@ -329,7 +329,7 @@ func (e *Executor) ftpAttack(ctx context.Context, typ honeypot.AttackType,
 	case honeypot.AttackMalware:
 		if ok, _ := c.Login("anonymous", "bot@"); ok {
 			if sample := e.corpus.Pick(gen, "ftp"); sample != nil {
-				_, _ = c.Store(sample.Variant+".bin", sample.Bytes)
+				_, _ = c.Store(sample.Variant+".bin", sample.Bytes())
 			}
 		}
 	case honeypot.AttackBruteForce, honeypot.AttackDictionary:
@@ -360,7 +360,7 @@ func (e *Executor) smbAttack(ctx context.Context, typ honeypot.AttackType,
 		sample := e.corpus.Pick(gen, "smb")
 		payload := []byte("MZ fallback")
 		if sample != nil {
-			payload = sample.Bytes
+			payload = sample.Bytes()
 		}
 		_, _ = conn.Write(smb.BuildExploit(smb.KindEternalBlue, payload))
 		buf := make([]byte, 256)

@@ -158,7 +158,7 @@ func TestCampaignReplaySmall(t *testing.T) {
 		Intensity: 0.01, Workers: 64, Clock: clk,
 		GreyNoise: gn, VirusTotal: vt, RDNS: rdns,
 	})
-	stats := c.Run(context.Background())
+	stats := c.Run(context.Background(), nil)
 	// Planned conversations are amplification-normalized; the honeypot log
 	// is what must approach target volume (checked below via counts).
 	if stats.EventsRun < 500 {
@@ -319,7 +319,7 @@ func TestCampaignDeterministicPlanning(t *testing.T) {
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		return c.Run(ctx).EventsPlanned
+		return c.Run(ctx, nil).EventsPlanned
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("planned %d vs %d", a, b)

@@ -27,7 +27,8 @@ type CampaignConfig struct {
 	Honeypots []*honeypot.Honeypot
 	// Universe provides infected misconfigured devices (may be nil).
 	Universe *iot.Universe
-	// Sources manages address pools. Required.
+	// Sources manages address pools. Required. NewCampaign builds its pools
+	// and multistage actors from it and keeps no reference to it.
 	Sources *Sources
 	// Corpus is the malware sample set. Required for malware attacks.
 	Corpus *malware.Corpus
@@ -52,20 +53,13 @@ type CampaignConfig struct {
 	// a progress reporter or span tracer here cannot perturb the replay;
 	// leaving it nil (the default) is byte-identical to not having the hook.
 	OnDay func(day, planned, run int)
-	// Resume, when set, restarts the month mid-way: Run begins at
-	// Resume.NextDay with the scheduler stream repositioned and the
-	// cumulative counters seeded, so the remaining days replay exactly the
-	// schedule an uninterrupted run would have produced. The caller restores
-	// the honeypot logs separately (honeypot.Log appends are arrival-order
-	// insensitive once SortEventsCanonical is applied).
-	Resume *CampaignResume
-	// Days, when > 0, bounds how many days this Run call executes before
+	// Days, when > 0, bounds how many days each Run call executes before
 	// returning (counted from the start day; 0 = the rest of the month).
-	// Capturing SchedulerState in the final OnDay and passing it back as the
-	// next call's Resume steps the month day-by-day — the serve daemon's
-	// cadence — with the concatenated runs byte-identical to one uninterrupted
-	// Run. When the bound stops short of day 30 the end-of-month clock jump is
-	// skipped, leaving the shared SimClock where the next day's Set expects it.
+	// Capturing SchedulerState in the final OnDay and passing it to the next
+	// Run steps the month day-by-day — the serve daemon's cadence — with the
+	// concatenated runs byte-identical to one uninterrupted Run. When the
+	// bound stops short of day 30 the end-of-month clock jump is skipped,
+	// leaving the shared SimClock where the next day's Set expects it.
 	Days int
 }
 
@@ -103,14 +97,20 @@ func ReadResume(r *wire.Reader) *CampaignResume {
 	return &CampaignResume{NextDay: r.Int(), SrcState: r.Uint(), EventsPlanned: r.Int(), EventsRun: r.Int()}
 }
 
-// Campaign replays the paper's attack month.
+// Campaign replays the paper's attack month. It is a value of the month:
+// NewCampaign builds the source pools and multistage actors once, and every
+// Run replays days of the month from a given scheduler position, so one
+// campaign serves the whole month however many calls step it.
 type Campaign struct {
-	cfg     CampaignConfig
-	exec    *Executor
-	src     *prng.Source
-	pools   map[string]*honeypotPools
-	byName  map[string]*honeypot.Honeypot
-	weights []float64
+	cfg        CampaignConfig
+	exec       *Executor
+	src        *prng.Source
+	pools      map[string]*honeypotPools
+	multistage []multistagePlan
+	// infected is the Sources' infected set, which RegisterIntel flags.
+	infected *Infected
+	byName   map[string]*honeypot.Honeypot
+	weights  []float64
 }
 
 // honeypotPools holds the per-honeypot source pools sized per Table 7.
@@ -120,8 +120,15 @@ type honeypotPools struct {
 	unknown   []netsim.IPv4
 }
 
-// NewCampaign validates config and provisions source pools.
+// campaignBuilds counts NewCampaign calls, for the tests that pin how often
+// the serve daemon builds a campaign.
+var campaignBuilds atomic.Int64
+
+// NewCampaign validates config, provisions the source pools and plans the
+// multistage actors. Both draw from cfg.Sources' stateful pool builder, in
+// that order; the campaign keeps what they produced, not the Sources.
 func NewCampaign(cfg CampaignConfig) *Campaign {
+	campaignBuilds.Add(1)
 	if cfg.Intensity <= 0 {
 		cfg.Intensity = 1.0
 	}
@@ -141,10 +148,11 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 	}
 
 	// Infected devices that target honeypots join the malicious pools.
+	c.infected = cfg.Sources.infectedSet()
 	var infectedForPots []netsim.IPv4
 	if cfg.Universe != nil {
-		for _, ip := range cfg.Sources.DeriveInfected() {
-			if t, _ := cfg.Sources.InfectedTargetsFor(ip); t.Honeypots {
+		for i, ip := range c.infected.ips {
+			if c.infected.targets[i].Honeypots {
 				infectedForPots = append(infectedForPots, ip)
 			}
 		}
@@ -182,6 +190,8 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 			scaleCount(targets.Malicious, cfg.Intensity), infectedSlice)
 		c.pools[name] = p
 	}
+	c.multistage = c.planMultistage()
+	c.cfg.Sources = nil
 	return c
 }
 
@@ -209,15 +219,24 @@ func (st Stats) Counters() map[string]uint64 {
 	}
 }
 
-// Run replays the month: for each day, each (honeypot, protocol) target
-// receives its scaled share of events with the calibrated type mix and
-// source classes. Events within a day run concurrently; days advance the
-// simulation clock sequentially so Figure 8's series is faithful.
 // genPool recycles per-job PRNG sources; every job reseeds its source from
 // the plan, so recycling cannot leak state between jobs.
 var genPool = sync.Pool{New: func() any { return prng.New(0) }}
 
-func (c *Campaign) Run(ctx context.Context) Stats {
+// Run replays the month: for each day, each (honeypot, protocol) target
+// receives its scaled share of events with the calibrated type mix and
+// source classes. Events within a day run concurrently; days advance the
+// simulation clock sequentially so Figure 8's series is faithful.
+//
+// With a nil resume Run starts at day 0 from the seed's scheduler stream,
+// whatever earlier calls consumed. A resume — what SchedulerState captured
+// at a day boundary, in this process or a checkpointed one — restarts at
+// resume.NextDay with the stream repositioned and the cumulative counters
+// seeded, so the remaining days replay exactly the schedule an uninterrupted
+// run would have produced. The caller restores the honeypot logs separately
+// (honeypot.Log appends are arrival-order insensitive once
+// SortEventsCanonical is applied). CampaignConfig.Days bounds each call.
+func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 	start := time.Now()
 	var stats Stats
 
@@ -259,14 +278,11 @@ func (c *Campaign) Run(ctx context.Context) Stats {
 		}
 	}
 
-	multistage := c.planMultistage()
-
-	// Resuming repositions only the scheduler stream and counters: the pools
-	// and multistage plans above were rebuilt by replaying NewCampaign and
-	// planMultistage's exact consumption sequence, so they already match the
-	// interrupted run.
+	// A position is only the scheduler stream and counters: the pools and
+	// multistage plans are the month's, built once by NewCampaign.
 	startDay := 0
-	if r := c.cfg.Resume; r != nil {
+	c.src.Reseed(c.cfg.Seed)
+	if r := resume; r != nil {
 		startDay = r.NextDay
 		c.src.SetState(r.SrcState)
 		stats.EventsPlanned = r.EventsPlanned
@@ -321,7 +337,7 @@ func (c *Campaign) Run(ctx context.Context) Stats {
 		// Multistage actors run one stage per day: the paper notes follow-up
 		// attacks from the same adversary arrive days apart (Section 5.4),
 		// and consecutive days give the stages unambiguous time order.
-		for _, m := range multistage {
+		for _, m := range c.multistage {
 			stageIdx := day - m.day
 			if stageIdx < 0 || stageIdx >= len(m.steps) {
 				continue
@@ -460,7 +476,9 @@ type multistageStep struct {
 }
 
 // planMultistage builds the Figure 9 adversaries: sequences starting with
-// Telnet/SSH, hitting SMB heavily at stage two and S7 at stage three.
+// Telnet/SSH, hitting SMB heavily at stage two and S7 at stage three. Each
+// actor's address comes from cfg.Sources' pool builder, so it runs once,
+// right after the pools, in NewCampaign.
 func (c *Campaign) planMultistage() []multistagePlan {
 	// Keep enough actors for the Figure 9 stage distribution to be visible
 	// even in heavily scaled-down replays.
@@ -513,10 +531,18 @@ func (c *Campaign) RegisterIntel(events []honeypot.Event) {
 		honeypot.AttackWebScrape:  0.30,
 		honeypot.AttackScan:       0.22,
 	}
+	// The campaign's sources are its pools and multistage actors, so its
+	// scanning-service sources are exactly its scanning pools.
+	scanning := make(map[netsim.IPv4]bool)
+	for _, p := range c.pools {
+		for _, ip := range p.scanning {
+			scanning[ip] = true
+		}
+	}
 	// Worst observed behaviour per source.
 	worst := make(map[netsim.IPv4]float64)
 	for _, ev := range events {
-		if cls, ok := c.cfg.Sources.Class(ev.Src); ok && cls == ClassScanningService {
+		if scanning[ev.Src] {
 			continue // benign infrastructure is not VT-flagged
 		}
 		if p := flagProb[ev.Type]; p > worst[ev.Src] {
@@ -542,7 +568,7 @@ func (c *Campaign) RegisterIntel(events []honeypot.Event) {
 	}
 	// Every infected misconfigured device is VT-flagged: the paper reports
 	// all 11,118 were flagged by at least one vendor (Section 5.3).
-	for _, ip := range c.cfg.Sources.DeriveInfected() {
+	for _, ip := range c.infected.IPs() {
 		c.cfg.VirusTotal.FlagIP(ip, 1+gen.Zipf(10, 1.5))
 	}
 }

@@ -10,71 +10,76 @@ import (
 	"openhire/internal/intel"
 )
 
-// TestCampaignDayStepping replays the month one day at a time — a fresh
-// campaign per day with Days: 1, the scheduler state chained through Resume,
-// one persistent world — and asserts the concatenated replay is
-// indistinguishable from a single uninterrupted Run: identical canonical logs
-// and cumulative counters. This is the serve daemon's cadence, so the bound
-// must also leave the shared clock where the next day's Set expects it
-// (stopping mid-month must not jump to the end of the month).
+// TestCampaignDayStepping replays the month one day at a time — Days: 1, the
+// scheduler state captured in OnDay and passed to the next Run, one
+// persistent world — in two ways, and asserts each is indistinguishable from
+// a single uninterrupted Run: identical canonical logs, event for event, and
+// cumulative counters. "month" steps one campaign 30 times, the serve
+// daemon's cadence; "fresh" builds a new campaign from a new Sources every
+// day and resumes it, the batch checkpoint's resume path. Stepping must also
+// leave the shared clock where the next day's Set expects it (stopping
+// mid-month must not jump to the end of the month).
 func TestCampaignDayStepping(t *testing.T) {
-	goldenC, goldenLog, ctx := campaignWorld(t, nil, nil)
-	goldenStats := goldenC.Run(ctx)
+	goldenC, goldenLog, ctx := campaignWorld(t, nil)
+	goldenStats := goldenC.Run(ctx, nil)
 	golden := canonical(goldenLog)
 	if len(golden) == 0 {
 		t.Fatal("golden run logged nothing")
 	}
 
-	// The world persists across steps; the campaign (and the Sources whose
-	// stream NewCampaign consumes) is rebuilt each day, replaying the same
-	// construction sequence every time.
-	n, pots, log, u, clk := buildWorld(t)
-	var resume *CampaignResume
-	var last Stats
-	for day := 0; day < ExperimentDays; day++ {
-		gn := intel.NewGreyNoise(7, 0.81)
-		vt := intel.NewVirusTotal()
-		rdns := geo.NewRDNS(7)
-		sources := NewSources(7, u, rdns, gn)
-		corpus := malware.NewCorpus(7, nil)
-		var captured CampaignResume
-		var c *Campaign
-		c = NewCampaign(CampaignConfig{
-			Seed: 7, Network: n, Honeypots: pots, Universe: u,
-			Sources: sources, Corpus: corpus,
-			Intensity: 0.01, Workers: 64, Clock: clk,
-			GreyNoise: gn, VirusTotal: vt, RDNS: rdns,
-			Resume: resume, Days: 1,
-			OnDay: func(d, planned, run int) {
-				captured = c.SchedulerState(d, planned, run)
-			},
-		})
-		last = c.Run(context.Background())
-		if captured.NextDay != day+1 {
-			t.Fatalf("step %d captured NextDay %d", day, captured.NextDay)
-		}
-		resume = &captured
-	}
+	for _, mode := range []string{"month", "fresh"} {
+		t.Run(mode, func(t *testing.T) {
+			n, pots, log, u, clk := buildWorld(t)
+			var resume *CampaignResume
+			var captured CampaignResume
+			var c *Campaign
+			build := func() *Campaign {
+				gn := intel.NewGreyNoise(7, 0.81)
+				rdns := geo.NewRDNS(7)
+				return NewCampaign(CampaignConfig{
+					Seed: 7, Network: n, Honeypots: pots, Universe: u,
+					Sources: NewSources(7, u, rdns, gn), Corpus: malware.NewCorpus(7, nil),
+					Intensity: 0.01, Workers: 64, Clock: clk,
+					GreyNoise: gn, VirusTotal: intel.NewVirusTotal(), RDNS: rdns,
+					Days: 1,
+					OnDay: func(d, planned, run int) {
+						captured = c.SchedulerState(d, planned, run)
+					},
+				})
+			}
+			var last Stats
+			for day := 0; day < ExperimentDays; day++ {
+				if c == nil || mode == "fresh" {
+					c = build()
+				}
+				last = c.Run(context.Background(), resume)
+				if captured.NextDay != day+1 {
+					t.Fatalf("step %d captured NextDay %d", day, captured.NextDay)
+				}
+				resume = &captured
+			}
 
-	if last.EventsPlanned != goldenStats.EventsPlanned || last.EventsRun != goldenStats.EventsRun {
-		t.Fatalf("cumulative stats diverge: stepped planned=%d run=%d, golden planned=%d run=%d",
-			last.EventsPlanned, last.EventsRun, goldenStats.EventsPlanned, goldenStats.EventsRun)
-	}
-	got := canonical(log)
-	if len(got) != len(golden) {
-		t.Fatalf("event counts diverge: stepped %d, golden %d", len(got), len(golden))
-	}
-	for i := range got {
-		gotJSON, _ := json.Marshal(got[i])
-		wantJSON, _ := json.Marshal(golden[i])
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatalf("event %d diverges in day-stepped replay:\n  stepped: %s\n  golden:  %s",
-				i, gotJSON, wantJSON)
-		}
-	}
-	// The final step closed the month, so the clock sits at day 30.
-	if !clk.Now().Equal(DayStart(ExperimentDays)) {
-		t.Fatalf("clock after final step: %v, want %v", clk.Now(), DayStart(ExperimentDays))
+			if last.EventsPlanned != goldenStats.EventsPlanned || last.EventsRun != goldenStats.EventsRun {
+				t.Fatalf("cumulative stats diverge: stepped planned=%d run=%d, golden planned=%d run=%d",
+					last.EventsPlanned, last.EventsRun, goldenStats.EventsPlanned, goldenStats.EventsRun)
+			}
+			got := canonical(log)
+			if len(got) != len(golden) {
+				t.Fatalf("event counts diverge: stepped %d, golden %d", len(got), len(golden))
+			}
+			for i := range got {
+				gotJSON, _ := json.Marshal(got[i])
+				wantJSON, _ := json.Marshal(golden[i])
+				if string(gotJSON) != string(wantJSON) {
+					t.Fatalf("event %d diverges in day-stepped replay:\n  stepped: %s\n  golden:  %s",
+						i, gotJSON, wantJSON)
+				}
+			}
+			// The final step closed the month, so the clock sits at day 30.
+			if !clk.Now().Equal(DayStart(ExperimentDays)) {
+				t.Fatalf("clock after final step: %v, want %v", clk.Now(), DayStart(ExperimentDays))
+			}
+		})
 	}
 }
 
@@ -100,7 +105,7 @@ func TestCampaignDaysBoundPartial(t *testing.T) {
 			captured = c.SchedulerState(d, planned, run)
 		},
 	})
-	c.Run(context.Background())
+	c.Run(context.Background(), nil)
 	if captured.NextDay != 3 {
 		t.Fatalf("bounded run executed through NextDay %d, want 3", captured.NextDay)
 	}

@@ -128,7 +128,7 @@ func runCampaign(t *testing.T, workers int) []honeypot.Event {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	c.Run(ctx)
+	c.Run(ctx, nil)
 	events := log.Events()
 	honeypot.SortEventsCanonical(events)
 	return events
@@ -221,7 +221,7 @@ func TestCampaignOnDayZeroPerturbation(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		defer cancel()
-		stats := NewCampaign(cfg).Run(ctx)
+		stats := NewCampaign(cfg).Run(ctx, nil)
 		events := log.Events()
 		honeypot.SortEventsCanonical(events)
 		return events, stats

@@ -43,7 +43,7 @@ func BenchmarkCampaignReplay(b *testing.B) {
 			Intensity: 0.01, Workers: 32, Clock: clk,
 		})
 		b.StartTimer()
-		c.Run(context.Background())
+		c.Run(context.Background(), nil)
 		b.StopTimer()
 		if log.Len() == 0 {
 			b.Fatal("no events logged")

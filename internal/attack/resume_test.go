@@ -12,8 +12,8 @@ import (
 )
 
 // campaignWorld bundles one fresh world plus a campaign configured like
-// TestCampaignReplaySmall, with the caller's OnDay/Resume wiring applied.
-func campaignWorld(t testing.TB, resume *CampaignResume,
+// TestCampaignReplaySmall, with the caller's OnDay wiring applied.
+func campaignWorld(t testing.TB,
 	onDay func(c *Campaign, log *honeypot.Log, day, planned, run int) bool) (*Campaign, *honeypot.Log, context.Context) {
 	t.Helper()
 	n, pots, log, u, clk := buildWorld(t)
@@ -29,7 +29,6 @@ func campaignWorld(t testing.TB, resume *CampaignResume,
 		Sources: sources, Corpus: corpus,
 		Intensity: 0.01, Workers: 64, Clock: clk,
 		GreyNoise: gn, VirusTotal: vt, RDNS: rdns,
-		Resume: resume,
 	}
 	if onDay != nil {
 		cfg.OnDay = func(day, planned, run int) {
@@ -56,8 +55,8 @@ func canonical(log *honeypot.Log) []honeypot.Event {
 // path does, replays both into a fresh world, and asserts the final canonical
 // log and cumulative counters are identical to an uninterrupted run.
 func TestCampaignResumeMidMonth(t *testing.T) {
-	goldenC, goldenLog, ctx := campaignWorld(t, nil, nil)
-	goldenStats := goldenC.Run(ctx)
+	goldenC, goldenLog, ctx := campaignWorld(t, nil)
+	goldenStats := goldenC.Run(ctx, nil)
 	golden := canonical(goldenLog)
 	if len(golden) == 0 {
 		t.Fatal("golden run logged nothing")
@@ -68,7 +67,7 @@ func TestCampaignResumeMidMonth(t *testing.T) {
 		saved     CampaignResume
 		savedEvts []honeypot.Event
 	)
-	killedC, _, killCtx := campaignWorld(t, nil,
+	killedC, _, killCtx := campaignWorld(t,
 		func(c *Campaign, log *honeypot.Log, day, planned, run int) bool {
 			if day != killDay {
 				return false
@@ -77,7 +76,7 @@ func TestCampaignResumeMidMonth(t *testing.T) {
 			savedEvts = canonical(log)
 			return true
 		})
-	killedC.Run(killCtx)
+	killedC.Run(killCtx, nil)
 	if saved.NextDay != killDay+1 {
 		t.Fatalf("capture missed: saved %+v", saved)
 	}
@@ -85,11 +84,11 @@ func TestCampaignResumeMidMonth(t *testing.T) {
 		t.Fatalf("captured %d events, golden %d: kill day not mid-month", len(savedEvts), len(golden))
 	}
 
-	resumedC, resumedLog, resCtx := campaignWorld(t, &saved, nil)
+	resumedC, resumedLog, resCtx := campaignWorld(t, nil)
 	for _, ev := range savedEvts {
 		resumedLog.Append(ev)
 	}
-	resumedStats := resumedC.Run(resCtx)
+	resumedStats := resumedC.Run(resCtx, &saved)
 
 	if resumedStats.EventsPlanned != goldenStats.EventsPlanned ||
 		resumedStats.EventsRun != goldenStats.EventsRun {
@@ -119,7 +118,7 @@ func TestCampaignResumeStateDeterministic(t *testing.T) {
 	capture := func() (string, int) {
 		var stateJSON string
 		var events int
-		c, _, ctx := campaignWorld(t, nil,
+		c, _, ctx := campaignWorld(t,
 			func(c *Campaign, log *honeypot.Log, day, planned, run int) bool {
 				if day != 5 {
 					return false
@@ -133,7 +132,7 @@ func TestCampaignResumeStateDeterministic(t *testing.T) {
 				events = len(canonical(log))
 				return true
 			})
-		c.Run(ctx)
+		c.Run(ctx, nil)
 		return stateJSON, events
 	}
 	s1, n1 := capture()

@@ -193,8 +193,8 @@ func (s *Sources) BuildUnknownPool(n int) []netsim.IPv4 {
 // the Section 5.3 calibration turns into attack sources, in address order,
 // with each one's target mix. It is a value — read-only once DeriveInfected
 // returns — so one derivation serves every Sources of the same seed and
-// universe: the daemon derives it once per month and hands it to each
-// cycle's campaign and to the month's darknet generator.
+// universe: the daemon derives it once per month and hands it to the
+// month's campaign and darknet generator.
 type Infected struct {
 	seed     uint64
 	universe *iot.Universe
@@ -329,8 +329,8 @@ func (s *Sources) infectedSet() *Infected {
 }
 
 // UseInfected hands the Sources an infected set already derived for its seed
-// and universe, so a fresh Sources per cycle does not walk the universe
-// again. It must come before the first DeriveInfected or InfectedTargetsFor
+// and universe, so a second Sources of the same month (the daemon's darknet
+// generator and campaign each have one) does not walk the universe again. It must come before the first DeriveInfected or InfectedTargetsFor
 // call, and in must match the Sources' seed and universe; it panics
 // otherwise.
 func (s *Sources) UseInfected(in *Infected) {

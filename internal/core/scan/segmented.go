@@ -135,9 +135,7 @@ func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *Segmen
 				results, stats := st.collect(elapsed)
 				proto := m.Protocol()
 				// collect's slices alias the state: merge into a fresh one.
-				partial := append(append([]*Result(nil), results[proto]...), seg.results...)
-				sortResults(partial)
-				results[proto] = partial
+				results[proto] = mergeResults(slices.Clone(results[proto]), seg.results)
 				sum := stats[proto]
 				sum.add(seg.stats)
 				sum.Elapsed = elapsed[st.Module]
@@ -153,8 +151,7 @@ func (s *Scanner) Run(ctx context.Context, modules []ProbeModule, resume *Segmen
 				if s.cfg.OnSegment != nil {
 					s.cfg.OnSegment(m.Protocol(), seg.fed, seg.results)
 				}
-				ms.Results = append(ms.Results, seg.results...)
-				sortResults(ms.Results)
+				ms.Results = mergeResults(ms.Results, seg.results)
 				st.TargetsFed += uint64(seg.fed)
 			}
 			ms.Stats.add(seg.stats)
@@ -272,12 +269,14 @@ func ReadState(r *wire.Reader) *SegmentedState {
 
 // AddResults puts logged results back into a state ReadState decoded: each
 // protocol's results join its module's snapshot, which stays sorted by
-// (IP, Port).
+// (IP, Port). The added results need not be sorted (a log holds one sorted
+// run per segment); the caller's slices are left as they are.
 func (st *SegmentedState) AddResults(results map[iot.Protocol][]*Result) {
 	for i := range st.Modules {
 		ms := &st.Modules[i]
-		ms.Results = append(ms.Results, results[ms.Protocol]...)
-		sortResults(ms.Results)
+		add := slices.Clone(results[ms.Protocol])
+		sortResults(add)
+		ms.Results = mergeResults(ms.Results, add)
 	}
 }
 
@@ -434,11 +433,30 @@ feed:
 
 // sortResults orders one module's results by (IP, Port). A target yields at
 // most one result, so the order is total.
-func sortResults(rs []*Result) {
-	slices.SortFunc(rs, func(a, b *Result) int {
-		if c := cmp.Compare(a.IP, b.IP); c != 0 {
-			return c
+func sortResults(rs []*Result) { slices.SortFunc(rs, compareResults) }
+
+// compareResults orders two results by (IP, Port).
+func compareResults(a, b *Result) int {
+	if c := cmp.Compare(a.IP, b.IP); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Port, b.Port)
+}
+
+// mergeResults merges b into a, both sorted by (IP, Port), and returns the
+// sorted union in a's backing array (grown if need be): one backward pass
+// that moves each element at most once. b must not share a's backing array.
+func mergeResults(a, b []*Result) []*Result {
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && compareResults(a[i], b[j]) > 0 {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
 		}
-		return cmp.Compare(a.Port, b.Port)
-	})
+	}
+	return a
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
 	"openhire/internal/netsim/faults"
+	"openhire/internal/prng"
 )
 
 // segmentedScan runs all modules through Run with a commit hook on a fresh
@@ -423,6 +425,38 @@ func TestOnSegmentDeterministicAcrossWorkers(t *testing.T) {
 		for i := range views {
 			if views[i] != base[i] {
 				t.Fatalf("workers=%d: segment %d view differs from workers=16", workers, i)
+			}
+		}
+	}
+}
+
+// TestMergeResultsEqualsSort checks the segment merge against sorting the
+// concatenation, over generated runs that interleave, nest and touch, with
+// and without spare capacity in the accumulated run.
+func TestMergeResultsEqualsSort(t *testing.T) {
+	gen := prng.New(43)
+	run := func(n int) []*Result {
+		rs := make([]*Result, n)
+		for i := range rs {
+			rs[i] = &Result{IP: netsim.IPv4(gen.Intn(64)), Port: uint16(gen.Intn(4))}
+		}
+		sortResults(rs)
+		return rs
+	}
+	for i := 0; i < 500; i++ {
+		a, b := run(gen.Intn(20)), run(gen.Intn(20))
+		if gen.Bool(0.5) {
+			a = append(make([]*Result, 0, len(a)+len(b)+gen.Intn(4)), a...)
+		}
+		want := append(slices.Clone(a), b...)
+		slices.SortStableFunc(want, compareResults)
+		got := mergeResults(a, b)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: merged %d results, want %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if compareResults(got[k], want[k]) != 0 {
+				t.Fatalf("case %d: result %d is %v:%d, want %v:%d", i, k, got[k].IP, got[k].Port, want[k].IP, want[k].Port)
 			}
 		}
 	}

@@ -295,7 +295,7 @@ func (w *World) RunAttackMonth() attack.Stats {
 			VirusTotal: w.VirusTotal,
 			RDNS:       w.RDNS,
 		})
-		w.attackStats = campaign.Run(context.Background())
+		w.attackStats = campaign.Run(context.Background(), nil)
 		w.events = w.Log.Drain()
 		campaign.RegisterIntel(w.events)
 	})

@@ -247,14 +247,35 @@ func (c Catalog) Merge(other Catalog) Catalog {
 		out.RollupCapacity = other.RollupCapacity
 	}
 	out.Series = append(append([]CatalogSeries(nil), c.Series...), other.Series...)
-	sort.Slice(out.Series, func(i, j int) bool {
-		a, b := out.Series[i], out.Series[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return fmt.Sprint(a.Labels) < fmt.Sprint(b.Labels)
-	})
+	o := catalogOrder{rows: out.Series, labels: make([]string, len(out.Series))}
+	for i := range o.rows {
+		o.labels[i] = fmt.Sprint(o.rows[i].Labels)
+	}
+	sort.Sort(o)
 	return out
+}
+
+// catalogOrder sorts catalog rows by (name, fmt.Sprint of the labels) with
+// each row's labels rendered once, not once per comparison; sort.Sort runs
+// the same algorithm as sort.Slice, so rows that tie keep the order they
+// always had.
+type catalogOrder struct {
+	rows   []CatalogSeries
+	labels []string // labels[i] renders rows[i].Labels
+}
+
+func (o catalogOrder) Len() int { return len(o.rows) }
+
+func (o catalogOrder) Less(i, j int) bool {
+	if a, b := o.rows[i].Name, o.rows[j].Name; a != b {
+		return a < b
+	}
+	return o.labels[i] < o.labels[j]
+}
+
+func (o catalogOrder) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	o.labels[i], o.labels[j] = o.labels[j], o.labels[i]
 }
 
 // WritePrometheus renders the result in a Prometheus range-style text form:
@@ -266,13 +287,20 @@ func (r Result) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	name := promName(r.Metric)
 	fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
+	var line []byte
+	sample := func(lbl string, v float64, cycle int64) {
+		line = append(append(append(line[:0], name...), lbl...), ' ')
+		line = append(strconv.AppendFloat(line, v, 'g', -1, 64), ' ')
+		line = append(strconv.AppendInt(line, cycle, 10), '\n')
+		_, _ = bw.Write(line)
+	}
 	for _, s := range r.Series {
 		lbl := promLabels(s.Labels)
 		for _, p := range s.Points {
-			fmt.Fprintf(bw, "%s%s %s %d\n", name, lbl, promFloat(p.Value), p.Cycle)
+			sample(lbl, p.Value, p.Cycle)
 		}
 		for _, b := range s.Buckets {
-			fmt.Fprintf(bw, "%s%s %s %d\n", name, lbl, promFloat(b.Sum), b.Start)
+			sample(lbl, b.Sum, b.Start)
 		}
 	}
 	return bw.Flush()
@@ -313,9 +341,4 @@ func promName(name string) string {
 		}
 	}
 	return string(b)
-}
-
-// promFloat formats a sample value (shortest round-trip form).
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"reflect"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -204,6 +207,29 @@ func TestCatalogMerge(t *testing.T) {
 		c.Series[1].Name != "b.metric" || c.Series[1].Stream != "sim" {
 		t.Errorf("merged series = %+v", c.Series)
 	}
+
+	// Many series, some in both streams under the same name and labels: the
+	// merge must order them exactly as sorting with the labels rendered per
+	// comparison did.
+	for i := 0; i < 60; i++ {
+		name := fmt.Sprintf("m%d", (i*7)%11)
+		labels := Labels{{Key: "p", Value: fmt.Sprint(i % 5)}, {Key: "q", Value: fmt.Sprint(i % 3)}}
+		sim.Append(int64(i), name, labels, 1)
+		wall.Append(int64(i), name, labels[:i%2+1], 2)
+	}
+	sim.Publish()
+	wall.Publish()
+	a, b := sim.View().Catalog("sim"), wall.View().Catalog("wall")
+	want := append(append([]CatalogSeries(nil), a.Series...), b.Series...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Name != want[j].Name {
+			return want[i].Name < want[j].Name
+		}
+		return fmt.Sprint(want[i].Labels) < fmt.Sprint(want[j].Labels)
+	})
+	if got := a.Merge(b).Series; !reflect.DeepEqual(got, want) {
+		t.Errorf("merged order differs from the per-comparison rendering:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // TestWritePrometheus pins the range-export text form.
@@ -222,6 +248,50 @@ func TestWritePrometheus(t *testing.T) {
 		"serve_trend_x{proto=\"telnet\"} 2 1\n"
 	if buf.String() != want {
 		t.Errorf("prom export:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// TestWritePrometheusEqualsFprintf requires the appending sample writer to
+// render what one fmt.Fprintf per sample line rendered, over raw points and
+// buckets with values that take every float form ('g' switches to an
+// exponent at both ends).
+func TestWritePrometheusEqualsFprintf(t *testing.T) {
+	db := New(Options{RollupEvery: 4})
+	values := []float64{0, -0.5, 1e-7, 123456789, 1e21, 3.25e-300, -7}
+	for c := int64(0); c < 40; c++ {
+		for i, proto := range []string{"telnet", "mqtt"} {
+			db.Append(c, "serve.trend.x", Labels{{Key: "proto", Value: proto}}, values[(int(c)+i)%len(values)]*float64(c+1))
+		}
+	}
+	db.Publish()
+	for _, q := range []Query{
+		{Metric: "serve.trend.x", To: -1, Tier: TierRaw},
+		{Metric: "serve.trend.x", To: -1, Tier: TierRollup},
+		{Metric: "serve.trend.x", To: -1, Tier: TierRaw, Step: 3},
+	} {
+		res := db.View().Query(q)
+		var want bytes.Buffer
+		name := promName(res.Metric)
+		fmt.Fprintf(&want, "# TYPE %s gauge\n", name)
+		for _, s := range res.Series {
+			lbl := promLabels(s.Labels)
+			for _, p := range s.Points {
+				fmt.Fprintf(&want, "%s%s %s %d\n", name, lbl, strconv.FormatFloat(p.Value, 'g', -1, 64), p.Cycle)
+			}
+			for _, b := range s.Buckets {
+				fmt.Fprintf(&want, "%s%s %s %d\n", name, lbl, strconv.FormatFloat(b.Sum, 'g', -1, 64), b.Start)
+			}
+		}
+		var got bytes.Buffer
+		if err := res.WritePrometheus(&got); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Series) != 2 {
+			t.Fatalf("%+v: matched %d series, want 2", q, len(res.Series))
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%+v: prom export differs from the Fprintf rendering:\n got %q\nwant %q", q, got.String(), want.String())
+		}
 	}
 }
 

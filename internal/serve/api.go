@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -115,11 +114,11 @@ func timeseriesHandler(p *Publisher, obsv *Observatory) http.HandlerFunc {
 // writeJSON renders v like the pre-rendered bodies: indented, newline-
 // terminated.
 func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := marshalBody(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(data, '\n'))
+	_, _ = w.Write(data)
 }

@@ -16,7 +16,6 @@ import (
 	"openhire/internal/core/scan"
 	"openhire/internal/geo"
 	"openhire/internal/honeypot"
-	"openhire/internal/intel"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
 	"openhire/internal/obs"
@@ -99,18 +98,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// monthState is the attack month's live world: honeypot fabric, telescope,
-// darknet generator and the month's infected-device set, all seeded for the
-// current month and discarded at the month boundary. Rebuilt after a restore
-// by replaying construction.
+// monthState is the attack month's live world: the honeypots' log, the
+// telescope, the darknet generator and the month's campaign (which holds the
+// fabric and its clock), all seeded for the current month and discarded at
+// the month boundary. Rebuilt after a restore by replaying construction.
 type monthState struct {
-	clock    *netsim.SimClock
-	network  *netsim.Network
-	pots     []*honeypot.Honeypot
 	log      *honeypot.Log
 	tel      *telescope.Telescope
 	gen      *attack.DarknetGenerator
-	infected *attack.Infected
+	campaign *attack.Campaign
 }
 
 // cycleName formats the serve chain's record names by chain index.
@@ -194,10 +190,12 @@ func (l *Loop) sweepSeed(s int) uint64 {
 
 // buildMonth replays month m's world construction: a fresh clock and fabric,
 // the six honeypots, the telescope, the month's infected-device set — the one
-// universe walk of the month — and a darknet generator whose Sources uses
-// that set. Every cycle's campaign Sources is handed the same set, so the
-// generator's infected Telnet scanners are the same devices the campaign
-// infects and the Section 5.3 cross-dataset joins stay faithful.
+// universe walk of the month —, a darknet generator and the month's campaign,
+// each over a Sources of its own that uses that set, so the generator's
+// infected Telnet scanners are the same devices the campaign infects and the
+// Section 5.3 cross-dataset joins stay faithful. The campaign — source pools,
+// multistage actors, malware corpus — is built here once; every cycle steps
+// it one day, and its OnDay hands the scheduler position to the next cycle.
 func (l *Loop) buildMonth(m int) *monthState {
 	ms := l.monthSeed(m)
 	clock := netsim.NewSimClock(netsim.ExperimentStart)
@@ -206,19 +204,38 @@ func (l *Loop) buildMonth(m int) *monthState {
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
 	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), l.geodb)
 	infected := attack.DeriveInfected(ms, l.universe)
-	genSources := attack.NewSources(ms, l.universe, nil, nil)
-	genSources.UseInfected(infected)
+	sources := func() *attack.Sources {
+		s := attack.NewSources(ms, l.universe, nil, nil)
+		s.UseInfected(infected)
+		return s
+	}
 	gen := attack.NewDarknetGenerator(attack.DarknetConfig{
 		Seed:      ms,
 		Telescope: tel,
-		Sources:   genSources,
+		Sources:   sources(),
 		GeoDB:     l.geodb,
 		Scale:     l.cfg.Scale,
 		Days:      monthDays,
 		Workers:   l.cfg.Workers,
 	})
-	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen,
-		infected: infected}
+	var campaign *attack.Campaign
+	campaign = attack.NewCampaign(attack.CampaignConfig{
+		Seed:      ms,
+		Network:   network,
+		Honeypots: pots,
+		Universe:  l.universe,
+		Sources:   sources(),
+		Corpus:    malware.NewCorpus(ms, nil),
+		Intensity: l.cfg.Intensity,
+		Workers:   l.cfg.Workers,
+		Clock:     clock,
+		Days:      1,
+		OnDay: func(day, planned, run int) {
+			pos := campaign.SchedulerState(day, planned, run)
+			l.campaignResume = &pos
+		},
+	})
+	return &monthState{log: log, tel: tel, gen: gen, campaign: campaign}
 }
 
 // Restore loads the checkpoint from cfg.CheckpointDir, if one exists: leg
@@ -319,44 +336,13 @@ func (l *Loop) runCycle() error {
 		span = obs.StartCycleSpan()
 	}
 
-	// Attack leg: one campaign day. What consumes a PRNG stream or registers
-	// intel (pools, plans, rdns/gn/vt) and the corpus are rebuilt each cycle
-	// by replaying construction — Sources' pool builds are stateful, so only
-	// a fresh instance replays the same pools — and the scheduler position
-	// chains through Resume. The infected set is a value: the fresh Sources
-	// uses the month's, and no campaign walks the universe.
-	ms := l.monthSeed(m)
-	rdns := geo.NewRDNS(ms)
-	gn := intel.NewGreyNoise(ms, 0.81)
-	vt := intel.NewVirusTotal()
-	sources := attack.NewSources(ms, l.universe, rdns, gn)
-	sources.UseInfected(l.month.infected)
-	var captured attack.CampaignResume
-	var campaign *attack.Campaign
-	campaign = attack.NewCampaign(attack.CampaignConfig{
-		Seed:       ms,
-		Network:    l.month.network,
-		Honeypots:  l.month.pots,
-		Universe:   l.universe,
-		Sources:    sources,
-		Corpus:     malware.NewCorpus(ms, nil),
-		Intensity:  l.cfg.Intensity,
-		Workers:    l.cfg.Workers,
-		Clock:      l.month.clock,
-		GreyNoise:  gn,
-		VirusTotal: vt,
-		RDNS:       rdns,
-		Resume:     l.campaignResume,
-		Days:       1,
-		OnDay: func(day, planned, run int) {
-			captured = campaign.SchedulerState(day, planned, run)
-		},
-	})
+	// Attack leg: the month's campaign runs one day from the position the
+	// last cycle — or the checkpoint — left (nil on the month's first day);
+	// its OnDay moves l.campaignResume to the next day.
 	// context.Background() deliberately: a mid-day cancel would tear the
 	// fabric mid-flight and break byte-identity. Run's boundary check is the
 	// only cancellation point.
-	campaign.Run(context.Background())
-	l.campaignResume = &captured
+	l.month.campaign.Run(context.Background(), l.campaignResume)
 	span.Mark("campaign")
 
 	// Telescope leg: generate and drain the darknet day, folding volume and

@@ -110,11 +110,90 @@ func render(a *Aggregates, cycle int, st statusBody) (*Published, error) {
 }
 
 // marshalBody renders one endpoint body: indented for humans, newline-
-// terminated for curl.
+// terminated for curl — json.MarshalIndent(v, "", "  ") plus a newline,
+// byte for byte. encoding/json's indent pass runs its full validating
+// scanner over every byte and costs several times the marshal itself;
+// json.Marshal's output is valid and compact, so indentBody only has to
+// track strings.
 func marshalBody(v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	return append(indentBody(make([]byte, 0, 2*len(data)), data), '\n'), nil
+}
+
+// indentBody appends compact, valid JSON src to dst indented as json.Indent
+// does with no prefix and a two-space indent: a newline after every opening
+// bracket and comma and before every closing bracket, ": " after a key, and
+// empty objects and arrays kept as {} and []. Strings and other literals are
+// copied whole; src is valid, so every string has its closing quote.
+func indentBody(dst, src []byte) []byte {
+	const margin = "\n                                " // a newline and 16 levels
+	depth := 0
+	open := false
+	newline := func() {
+		if n := 1 + 2*depth; n <= len(margin) {
+			dst = append(dst, margin[:n]...)
+			return
+		}
+		dst = append(dst, '\n')
+		for i := 0; i < depth; i++ {
+			dst = append(dst, ' ', ' ')
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if open && c != '}' && c != ']' {
+			// The first member of a non-empty object or array.
+			open = false
+			depth++
+			newline()
+		}
+		switch c {
+		case '{', '[':
+			open = true
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, c)
+			newline()
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if open {
+				open = false
+			} else {
+				depth--
+				newline()
+			}
+			dst = append(dst, c)
+		case '"':
+			j := i + 1
+			for ; src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		default:
+			// A number or true/false/null runs to the next punctuation.
+			j := i + 1
+			for j < len(src) && !isPunct(src[j]) {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		}
+	}
+	return dst
+}
+
+// isPunct reports whether c ends a JSON literal in compact input.
+func isPunct(c byte) bool {
+	switch c {
+	case ',', ':', '{', '}', '[', ']':
+		return true
+	}
+	return false
 }
