@@ -8,10 +8,9 @@
 //	                   [common, instrument and profile flags: see internal/cli]
 //
 // The commit point -checkpoint saves at and a signal drains to is the
-// campaign's OnDay barrier, once the day's jobs have drained and the fabric
-// quiesced: the day's events, in canonical order and the -export wire
-// format, are appended to the leg's log, and the checkpoint saves the
-// scheduler's position.
+// campaign's OnDay barrier, once the day's lanes have joined: the day's
+// events, in canonical order and the -export wire format, are appended to
+// the leg's log, and the checkpoint saves the scheduler's position.
 //
 // -trace records campaign day boundaries plus session open/command/close
 // lifecycles derived per (source, honeypot, protocol, day) from the canonical
@@ -115,8 +114,8 @@ func main() {
 			if !run.Checkpointing() {
 				return
 			}
-			// The scheduler is single-threaded here, the day's jobs have
-			// drained, and the fabric has quiesced, so the scheduler position
+			// The scheduler is single-threaded here and the day's lanes have
+			// joined with every conversation ended, so the scheduler position
 			// plus the day's events is what the day committed.
 			pos := campaign.SchedulerState(day, planned, done)
 			evs := log.Drain()

@@ -52,13 +52,13 @@ const attackDialAttempts = 3
 // definitively (refused / unreachable), so campaign replays without faults
 // behave exactly as before. Each retry passes a higher Attempt so the fault
 // model draws fresh loss for it.
-func (e *Executor) dial(ctx context.Context, src netsim.IPv4, ep netsim.Endpoint) (*netsim.ServiceConn, error) {
+func (e *Executor) dial(src netsim.IPv4, ep netsim.Endpoint) (*netsim.ServiceConn, error) {
 	var (
 		conn *netsim.ServiceConn
 		err  error
 	)
 	for a := uint32(0); a < attackDialAttempts; a++ {
-		conn, err = e.net.Dial(ctx, src, ep, netsim.ProbeOptions{Attempt: a})
+		conn, err = e.net.Dial(src, ep, netsim.ProbeOptions{Attempt: a})
 		if err != netsim.ErrProbeTimeout {
 			break
 		}
@@ -69,47 +69,50 @@ func (e *Executor) dial(ctx context.Context, src netsim.IPv4, ep netsim.Endpoint
 // Execute performs one attack of the given type from src against the
 // honeypot's service for proto. It returns an error only for simulation
 // faults; refused conversations are normal.
-func (e *Executor) Execute(ctx context.Context, typ honeypot.AttackType, proto iot.Protocol,
+func (e *Executor) Execute(typ honeypot.AttackType, proto iot.Protocol,
 	src netsim.IPv4, dst netsim.IPv4, gen *prng.Source) error {
 	port := proto.DefaultPort()
 	ep := netsim.Endpoint{IP: dst, Port: port}
 	switch proto {
 	case iot.ProtoTelnet:
-		return e.telnetAttack(ctx, typ, src, ep, gen)
+		return e.telnetAttack(typ, src, ep, gen)
 	case iot.ProtoSSH:
-		return e.sshAttack(ctx, typ, src, ep, gen)
+		return e.sshAttack(typ, src, ep, gen)
 	case iot.ProtoMQTT:
-		return e.mqttAttack(ctx, typ, src, ep, gen)
+		return e.mqttAttack(typ, src, ep, gen)
 	case iot.ProtoAMQP:
-		return e.amqpAttack(ctx, typ, src, ep, gen)
+		return e.amqpAttack(typ, src, ep, gen)
 	case iot.ProtoXMPP:
-		return e.xmppAttack(ctx, typ, src, ep, gen)
+		return e.xmppAttack(typ, src, ep, gen)
 	case iot.ProtoCoAP:
 		return e.coapAttack(typ, src, ep, gen)
 	case iot.ProtoUPnP:
 		return e.upnpAttack(typ, src, ep, gen)
 	case iot.ProtoHTTP:
-		return e.httpAttack(ctx, typ, src, ep, gen)
+		return e.httpAttack(typ, src, ep, gen)
 	case iot.ProtoFTP:
-		return e.ftpAttack(ctx, typ, src, ep, gen)
+		return e.ftpAttack(typ, src, ep, gen)
 	case iot.ProtoSMB:
-		return e.smbAttack(ctx, typ, src, ep, gen)
+		return e.smbAttack(typ, src, ep, gen)
 	case iot.ProtoS7:
-		return e.s7Attack(ctx, typ, src, ep, gen)
+		return e.s7Attack(typ, src, ep, gen)
 	case iot.ProtoModbus:
-		return e.modbusAttack(ctx, typ, src, ep, gen)
+		return e.modbusAttack(typ, src, ep, gen)
 	default:
 		return fmt.Errorf("attack: no executor for %s", proto)
 	}
 }
 
-func (e *Executor) telnetAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) telnetAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil // target gone; nothing to observe
 	}
 	defer conn.Close()
+	// An attack runs whole once started and a conversation read never
+	// waits, so the telnet client's context has nothing to cut short.
+	ctx := context.Background()
 	switch typ {
 	case honeypot.AttackMalware:
 		user, pass := credentialFor(gen)
@@ -130,9 +133,9 @@ func (e *Executor) telnetAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) sshAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) sshAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -170,9 +173,9 @@ func (e *Executor) sshAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) mqttAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) mqttAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -195,9 +198,9 @@ func (e *Executor) mqttAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) amqpAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) amqpAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -219,9 +222,9 @@ func (e *Executor) amqpAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) xmppAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) xmppAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -281,9 +284,9 @@ func (e *Executor) upnpAttack(typ honeypot.AttackType, src netsim.IPv4,
 	return nil
 }
 
-func (e *Executor) httpAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) httpAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -313,9 +316,9 @@ func (e *Executor) httpAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) ftpAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) ftpAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -340,9 +343,9 @@ func (e *Executor) ftpAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) smbAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) smbAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -369,9 +372,9 @@ func (e *Executor) smbAttack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) s7Attack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) s7Attack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}
@@ -401,9 +404,9 @@ func (e *Executor) s7Attack(ctx context.Context, typ honeypot.AttackType,
 	return nil
 }
 
-func (e *Executor) modbusAttack(ctx context.Context, typ honeypot.AttackType,
+func (e *Executor) modbusAttack(typ honeypot.AttackType,
 	src netsim.IPv4, ep netsim.Endpoint, gen *prng.Source) error {
-	conn, err := e.dial(ctx, src, ep)
+	conn, err := e.dial(src, ep)
 	if err != nil {
 		return nil
 	}

@@ -2,7 +2,9 @@ package attack
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,10 +303,39 @@ func TestDarknetSharesInfectedSources(t *testing.T) {
 func TestExecutorUnknownProtocol(t *testing.T) {
 	n := netsim.NewNetwork(netsim.NewSimClock(netsim.ExperimentStart))
 	e := NewExecutor(n, malware.NewCorpus(1, nil))
-	if err := e.Execute(context.Background(), honeypot.AttackScan, iot.Protocol("bogus"),
-		1, 2, nil); err == nil {
+	if err := e.Execute(honeypot.AttackScan, iot.Protocol("bogus"), 1, 2, nil); err == nil {
 		t.Fatal("bogus protocol accepted")
 	}
+}
+
+// TestCampaignPanicsOnOpenConversation: a conversation left open on the
+// fabric fails the day's join loudly, naming the count, where a wait for it
+// would hang.
+func TestCampaignPanicsOnOpenConversation(t *testing.T) {
+	n, pots, _, u, clk := buildWorld(t)
+	c := NewCampaign(CampaignConfig{
+		Seed: 11, Network: n, Honeypots: pots, Universe: u,
+		Sources: NewSources(11, u, nil, nil), Corpus: malware.NewCorpus(1, nil),
+		Intensity: 0.002, Workers: 8, Clock: clk, Days: 1,
+	})
+	var cowrie netsim.IPv4
+	for _, hp := range pots {
+		if hp.Name == "Cowrie" {
+			cowrie = hp.IP
+		}
+	}
+	// Cowrie's Telnet server waits for a login, so the dial stays open.
+	conn, err := n.Dial(1, netsim.Endpoint{IP: cowrie, Port: 23}, netsim.ProbeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 conversations still open") {
+			t.Fatalf("recovered %v, want the open-conversation panic", r)
+		}
+	}()
+	c.Run(context.Background(), nil)
 }
 
 func TestCampaignDeterministicPlanning(t *testing.T) {

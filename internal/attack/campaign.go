@@ -2,6 +2,7 @@ package attack
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,8 @@ type CampaignConfig struct {
 	// Intensity scales the Table 7 event volumes (1.0 replays all 200,209
 	// events; tests use small fractions). Must be > 0.
 	Intensity float64
-	// Workers is attack concurrency (0 = 64).
+	// Workers is attack concurrency: the number of lanes a day's jobs are
+	// spread over (0 = 64).
 	Workers int
 	// Clock must be the network's SimClock so honeypot logs carry April
 	// 2021 timestamps.
@@ -46,12 +48,12 @@ type CampaignConfig struct {
 	VirusTotal *intel.VirusTotal
 	// RDNS, when set, is used for scanning-service reverse registration.
 	RDNS *geo.RDNS
-	// OnDay, when set, is called at each day boundary after the day's jobs
-	// have drained and the fabric has quiesced, with the day index and the
-	// cumulative planned/run event counts. It runs on the single-threaded
-	// scheduler between days — never inside the worker hot path — so wiring
-	// a progress reporter or span tracer here cannot perturb the replay;
-	// leaving it nil (the default) is byte-identical to not having the hook.
+	// OnDay, when set, is called at each day boundary after the day's lanes
+	// have joined, with the day index and the cumulative planned/run event
+	// counts. It runs on the single-threaded scheduler between days — never
+	// inside a lane — so wiring a progress reporter or span tracer here
+	// cannot perturb the replay; leaving it nil (the default) is
+	// byte-identical to not having the hook.
 	OnDay func(day, planned, run int)
 	// Days, when > 0, bounds how many days each Run call executes before
 	// returning (counted from the start day; 0 = the rest of the month).
@@ -64,9 +66,9 @@ type CampaignConfig struct {
 }
 
 // CampaignResume is the campaign scheduler's resumable position, captured at
-// a day boundary — inside OnDay, after the day's jobs drained and the fabric
-// quiesced, where the scheduler is single-threaded and every stochastic
-// consumer of the scheduler stream is at rest.
+// a day boundary — inside OnDay, after the day's lanes joined, where the
+// scheduler is single-threaded and every stochastic consumer of the
+// scheduler stream is at rest.
 type CampaignResume struct {
 	// NextDay is the first day the resumed Run executes.
 	NextDay int
@@ -219,14 +221,20 @@ func (st Stats) Counters() map[string]uint64 {
 	}
 }
 
-// genPool recycles per-job PRNG sources; every job reseeds its source from
-// the plan, so recycling cannot leak state between jobs.
-var genPool = sync.Pool{New: func() any { return prng.New(0) }}
+// job is one planned attack conversation.
+type job struct {
+	typ   honeypot.AttackType
+	proto iot.Protocol
+	src   netsim.IPv4
+	dst   netsim.IPv4
+	seed  uint64
+}
 
 // Run replays the month: for each day, each (honeypot, protocol) target
 // receives its scaled share of events with the calibrated type mix and
-// source classes. Events within a day run concurrently; days advance the
-// simulation clock sequentially so Figure 8's series is faithful.
+// source classes. A day is planned, then forked across the lanes and
+// joined; days advance the simulation clock sequentially so Figure 8's
+// series is faithful.
 //
 // With a nil resume Run starts at day 0 from the seed's scheduler stream,
 // whatever earlier calls consumed. A resume — what SchedulerState captured
@@ -240,42 +248,20 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 	start := time.Now()
 	var stats Stats
 
-	type job struct {
-		typ   honeypot.AttackType
-		proto iot.Protocol
-		src   netsim.IPv4
-		dst   netsim.IPv4
-		seed  uint64
-	}
-	// Jobs run on the netsim conversation engine: hash-of-(src,dst) shards,
-	// each a single-threaded FIFO lane. The honeypot flood heuristic's
-	// counter key (honeypot instance = dst, protocol, source, day) is strictly
-	// finer than the (src, dst) routing key, so all events of one counter key
-	// execute on one shard, in schedule order. The logs' *content* (including
-	// which events the heuristic upgrades to DoS) is therefore a pure
-	// function of the plan, independent of shard count; only arrival order
-	// varies, which honeypot.SortEventsCanonical factors out. Dials made
-	// inside a job also land on the shard's conversation arena, so the whole
-	// dialogue recycles shard-local state instead of allocating.
-	engine := netsim.NewConvEngine(c.cfg.Workers)
-	// dayWG drains in-flight jobs at day boundaries so every event is
-	// stamped with the day it was scheduled for — Figure 8's daily series
-	// and the multistage stage ordering depend on it.
-	var dayWG sync.WaitGroup
-	var runCount atomic.Int64
-	dispatch := func(j job) {
-		dayWG.Add(1)
-		accepted := engine.Submit(ctx, j.src, j.dst, func(jctx context.Context) {
-			gen := genPool.Get().(*prng.Source)
-			gen.Reseed(j.seed)
-			_ = c.exec.Execute(jctx, j.typ, j.proto, j.src, j.dst, gen)
-			genPool.Put(gen)
-			runCount.Add(1)
-			dayWG.Done()
-		})
-		if !accepted { // context cancelled before the shard took the job
-			dayWG.Done()
-		}
+	// Each job goes to the lane of its (src, dst) pair, where jobs run one
+	// at a time in plan order. The honeypot flood heuristic's counter key
+	// (honeypot instance = dst, protocol, source, day) is strictly finer
+	// than that key, so all events of one counter key run on one lane, in
+	// schedule order. The logs' *content* (including which events the
+	// heuristic upgrades to DoS) is therefore a pure function of the plan,
+	// independent of the lane count; only arrival order varies, which
+	// honeypot.SortEventsCanonical factors out.
+	lanes := make([][]job, max(c.cfg.Workers, 1))
+	plan := func(j job) {
+		stats.EventsPlanned++
+		h := (uint64(j.src)<<32 | uint64(j.dst)) * 0x9e3779b97f4a7c15
+		l := (h ^ (h >> 32)) % uint64(len(lanes))
+		lanes[l] = append(lanes[l], j)
 	}
 
 	// A position is only the scheduler stream and counters: the pools and
@@ -286,7 +272,7 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 		startDay = r.NextDay
 		c.src.SetState(r.SrcState)
 		stats.EventsPlanned = r.EventsPlanned
-		runCount.Store(int64(r.EventsRun))
+		stats.EventsRun = r.EventsRun
 	}
 	endDay := ExperimentDays
 	if c.cfg.Days > 0 && startDay+c.cfg.Days < endDay {
@@ -329,8 +315,7 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 					}
 				}
 				src := c.pickSource(pools, target.Protocol, typ)
-				stats.EventsPlanned++
-				dispatch(job{typ: typ, proto: target.Protocol, src: src, dst: hp.IP,
+				plan(job{typ: typ, proto: target.Protocol, src: src, dst: hp.IP,
 					seed: c.src.Uint64()})
 			}
 		}
@@ -347,23 +332,20 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 			if !ok {
 				continue
 			}
-			stats.EventsPlanned++
-			dispatch(job{typ: step.typ, proto: step.proto, src: m.src, dst: hp.IP,
+			plan(job{typ: step.typ, proto: step.proto, src: m.src, dst: hp.IP,
 				seed: c.src.Uint64()})
 		}
-		// Drain before the clock moves to the next day: first the job queues
-		// (clients returned), then the fabric's server handlers — a returned
-		// client does not mean the honeypot finished logging the
-		// conversation, and a handler outliving the day boundary would stamp
-		// its tail events into the wrong Figure 8 bucket.
-		dayWG.Wait()
-		c.cfg.Network.Quiesce()
+		// Every conversation ends before its job returns (closing the client
+		// runs the server to its end), so at the join the day is logged
+		// whole and no event can land past the clock's next move.
+		stats.EventsRun += c.runDay(ctx, lanes)
+		if open := c.cfg.Network.Stats().Open(); open != 0 {
+			panic(fmt.Sprintf("attack: %d conversations still open at the end of day %d", open, day))
+		}
 		if c.cfg.OnDay != nil {
-			c.cfg.OnDay(day, stats.EventsPlanned, int(runCount.Load()))
+			c.cfg.OnDay(day, stats.EventsPlanned, stats.EventsRun)
 		}
 	}
-	engine.Close()
-	c.cfg.Network.Quiesce() // the log is complete once Run returns
 	// Leave the clock at the end of the month — but only when the month
 	// actually ended. A Days-bounded call stopping mid-month must leave the
 	// clock inside the month, or the next call's first day Set would move
@@ -373,14 +355,49 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 			panic("attack: end-of-month clock set not monotonic: " + err.Error())
 		}
 	}
-	stats.EventsRun = int(runCount.Load())
 	stats.Elapsed = time.Since(start)
 	return stats
 }
 
+// runDay runs every non-empty lane on a goroutine of its own, each with a
+// source of its own that every job reseeds, joins them, empties them for the
+// next day and returns how many jobs ran. A lane checks ctx between jobs,
+// never inside one.
+func (c *Campaign) runDay(ctx context.Context, lanes [][]job) int {
+	ran := make([]int, len(lanes))
+	var wg sync.WaitGroup
+	for i, jobs := range lanes {
+		if len(jobs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var gen prng.Source
+			n := 0
+			for _, j := range jobs {
+				if ctx.Err() != nil {
+					break
+				}
+				gen.Reseed(j.seed)
+				_ = c.exec.Execute(j.typ, j.proto, j.src, j.dst, &gen)
+				n++
+			}
+			ran[i] = n
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for i := range lanes {
+		total += ran[i]
+		lanes[i] = lanes[i][:0]
+	}
+	return total
+}
+
 // SchedulerState captures the scheduler's position for checkpointing. Call
 // it from inside OnDay(day, planned, run): the returned state resumes the
-// month at day+1. Calling it anywhere else races the worker pool.
+// month at day+1; anywhere else the stream is not at a day boundary.
 func (c *Campaign) SchedulerState(day, planned, run int) CampaignResume {
 	return CampaignResume{
 		NextDay:       day + 1,

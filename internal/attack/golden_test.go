@@ -61,24 +61,24 @@ func TestCampaignGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestCampaignShardCountByteIdentity replays the golden campaign at 1, 7 and
-// 32 engine shards and requires every run to hash to the pre-refactor golden
-// digest. Shard routing is by (src, dst) while every honeypot-side keyed
-// observable (flood counters) is bucketed at least as finely, so the shard
-// count must be invisible in the canonical log — this is the equivalence
-// harness pinning the conversation engine to the goroutine-per-dial
-// semantics it replaced.
+// TestCampaignShardCountByteIdentity replays the golden campaign at 1, 7,
+// 32, 64 (the daemon's default) and 128 (the report's) lanes and requires
+// every run to hash to the pre-refactor golden digest. Lane routing is by
+// (src, dst) while every honeypot-side keyed observable (flood counters) is
+// bucketed at least as finely, so the lane count must be invisible in the
+// canonical log — this is the equivalence harness pinning the day's
+// fork-join to the goroutine-per-dial semantics it replaced.
 func TestCampaignShardCountByteIdentity(t *testing.T) {
 	path := filepath.Join("testdata", "campaign_golden.digest")
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Skipf("golden digest not captured yet: %v", err)
 	}
-	for _, shards := range []int{1, 7, 32} {
-		events := runCampaign(t, shards)
+	for _, lanes := range []int{1, 7, 32, 64, 128} {
+		events := runCampaign(t, lanes)
 		if got := digestEvents(events); got != strings.TrimSpace(string(want)) {
-			t.Fatalf("canonical log at %d shards diverged from golden:\n got %s\nwant %s",
-				shards, got, strings.TrimSpace(string(want)))
+			t.Fatalf("canonical log at %d lanes diverged from golden:\n got %s\nwant %s",
+				lanes, got, strings.TrimSpace(string(want)))
 		}
 	}
 }

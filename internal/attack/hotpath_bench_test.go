@@ -1,10 +1,8 @@
 package attack
 
 import (
-	"context"
 	"testing"
 
-	"openhire/internal/attack/malware"
 	"openhire/internal/geo"
 	"openhire/internal/netsim"
 	"openhire/internal/telescope"
@@ -27,27 +25,5 @@ func BenchmarkDarknetDay(b *testing.B) {
 	}
 	if flows > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/flow")
-	}
-}
-
-// BenchmarkCampaignReplay measures a scaled-down attack-month replay through
-// the packet fabric into the honeypot log (amplified events included).
-func BenchmarkCampaignReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		n, pots, log, u, clk := buildWorld(b)
-		sources := NewSources(11, u, nil, nil)
-		c := NewCampaign(CampaignConfig{
-			Seed: 11, Network: n, Honeypots: pots, Universe: u,
-			Sources: sources, Corpus: malware.NewCorpus(1, nil),
-			Intensity: 0.01, Workers: 32, Clock: clk,
-		})
-		b.StartTimer()
-		c.Run(context.Background(), nil)
-		b.StopTimer()
-		if log.Len() == 0 {
-			b.Fatal("no events logged")
-		}
-		b.StartTimer()
 	}
 }

@@ -65,8 +65,17 @@ func WriteFileBytes(path string, data []byte) error {
 // produces, for every i, and returns once the whole group is durable (see
 // the package comment for what holds before that). write is called from
 // several goroutines at once, each call with a different i; the writer it
-// receives is buffered and need not be flushed.
+// receives is buffered and need not be flushed. A target that exists and
+// is not a regular file (a directory, a device such as /dev/null, a FIFO)
+// fails the whole group before anything is staged: renaming over it would
+// replace it.
 func WriteGroup(dir string, names []string, write func(i int, w io.Writer) error) (err error) {
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+			return fmt.Errorf("atomicio: %s: not a regular file (%v)", path, fi.Mode().Type())
+		}
+	}
 	staged := make([]string, len(names))
 	for i, name := range names {
 		staged[i] = filepath.Join(dir, "."+name+".tmp")

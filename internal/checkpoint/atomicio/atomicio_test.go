@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"openhire/internal/checkpoint/crashpoint"
@@ -242,4 +243,43 @@ func TestWriteGroupKilledBetweenRenames(t *testing.T) {
 			checkNoStaging(t, dir)
 		})
 	}
+}
+
+// TestRefusesNonRegularTarget: a target that exists and is not a regular
+// file — a directory, a FIFO — is refused with an error naming it before
+// anything is staged, alone or as one member of a group, and is left as it
+// was.
+func TestRefusesNonRegularTarget(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "subdir"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Mkfifo(filepath.Join(dir, "fifo"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"subdir", "fifo"} {
+		path := filepath.Join(dir, name)
+		before, err := os.Lstat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileBytes(path, []byte("x")); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("WriteFile(%s) = %v, want an error naming it", name, err)
+		}
+		// A group refuses before staging its regular member either.
+		if err := writeGen(dir, []string{"member.csv", name}, "new"); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("WriteGroup with %s = %v, want an error naming it", name, err)
+		}
+		after, err := os.Lstat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Mode() != before.Mode() {
+			t.Errorf("%s: mode %v became %v", name, before.Mode(), after.Mode())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "member.csv")); !os.IsNotExist(err) {
+		t.Errorf("a refused group published its regular member: %v", err)
+	}
+	checkNoStaging(t, dir)
 }

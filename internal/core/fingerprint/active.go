@@ -53,7 +53,7 @@ var deviationProbe = []byte{
 // response-deviation check to whatever the server answers the probe with.
 func ProbeDeviation(ctx context.Context, n *netsim.Network, src netsim.IPv4,
 	target netsim.IPv4, port uint16) DeviationVerdict {
-	conn, err := n.Dial(ctx, src, netsim.Endpoint{IP: target, Port: port}, netsim.ProbeOptions{})
+	conn, err := n.Dial(src, netsim.Endpoint{IP: target, Port: port}, netsim.ProbeOptions{})
 	if err != nil {
 		return VerdictInconclusive
 	}

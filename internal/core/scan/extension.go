@@ -31,7 +31,7 @@ func (TR069Module) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (TR069Module) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}
@@ -69,7 +69,7 @@ func (SMBModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (SMBModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}

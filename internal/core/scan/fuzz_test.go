@@ -101,7 +101,7 @@ func (p *proxyStepper) Step(c *netsim.ServerConv, ev netsim.ConvEvent) netsim.St
 	switch ev {
 	case netsim.EvOpen:
 		src := c.RemoteIP()
-		conn, err := p.n.Dial(context.Background(), src, p.upstream, netsim.ProbeOptions{})
+		conn, err := p.n.Dial(src, p.upstream, netsim.ProbeOptions{})
 		if err != nil {
 			return netsim.StepDone
 		}
@@ -194,7 +194,9 @@ func checkGrab(t *testing.T, m ProbeModule, script, plan []byte) {
 		t.Fatalf("%s: result names %v:%d/%s", m.Protocol(), res.IP, res.Port, res.Protocol)
 	}
 	// The server side of the conversation must have ended too.
-	n.Quiesce()
+	if open := n.Stats().Open(); open != 0 {
+		t.Fatalf("%s: %d conversations still open", m.Protocol(), open)
+	}
 }
 
 // FuzzGrab replays arbitrary bytes, arbitrarily fragmented and hung up on,

@@ -50,7 +50,7 @@ func (TelnetModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (TelnetModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}
@@ -87,7 +87,7 @@ func (MQTTModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}
@@ -158,7 +158,7 @@ func (AMQPModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (AMQPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}
@@ -198,7 +198,7 @@ func (XMPPModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (XMPPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
-	conn, err := n.Dial(ctx, src, dst, spec.Options())
+	conn, err := n.Dial(src, dst, spec.Options())
 	if err != nil {
 		return nil, DialOutcome(err)
 	}

@@ -26,7 +26,7 @@ func deploy(t *testing.T) (*netsim.Network, []*Honeypot, *Log) {
 
 func dialOK(t *testing.T, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint) *netsim.ServiceConn {
 	t.Helper()
-	conn, err := n.Dial(context.Background(), src, dst, netsim.ProbeOptions{})
+	conn, err := n.Dial(src, dst, netsim.ProbeOptions{})
 	if err != nil {
 		t.Fatalf("dial %v: %v", dst, err)
 	}

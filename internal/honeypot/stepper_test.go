@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -188,7 +187,7 @@ func openSession(tb testing.TB, c streamCase) *session {
 	}
 	s := &session{log: log, probe: &tailProbe{handler: handler}}
 	s.n = oneHostNetwork(s.probe)
-	conn, err := s.n.Dial(context.Background(), clientIP, netsim.Endpoint{IP: hostIP, Port: c.port}, netsim.ProbeOptions{})
+	conn, err := s.n.Dial(clientIP, netsim.Endpoint{IP: hostIP, Port: c.port}, netsim.ProbeOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -250,7 +249,9 @@ func replay(tb testing.TB, c streamCase, chunks [][]byte) replayResult {
 		tb.Fatalf("%s: reading server output: %v", c.proto, err)
 	}
 	_ = s.conn.Close()
-	s.n.Quiesce()
+	if open := s.n.Stats().Open(); open != 0 {
+		tb.Fatalf("%s: %d conversations still open after Close", c.proto, open)
+	}
 	return replayResult{output: output, events: s.log.Events(), maxTail: s.probe.maxTail}
 }
 
@@ -358,7 +359,9 @@ func TestEndlessLineEndsSession(t *testing.T) {
 			}
 		}
 		_ = s.conn.Close()
-		s.n.Quiesce()
+		if open := s.n.Stats().Open(); open != 0 {
+			t.Errorf("%s: %d conversations still open after Close", c.proto, open)
+		}
 		if sent >= 2<<20 {
 			t.Errorf("%s: session still open after 2 MiB without a newline", c.proto)
 		}
@@ -370,7 +373,7 @@ func TestEndlessLineEndsSession(t *testing.T) {
 
 // TestNoGoroutinePerConversation: a hundred conversations held open at once
 // against each stream server — the ten profile services, a TR-069 CPE and a
-// wild Telnet honeypot — add no goroutine, and Quiesce returns once they
+// wild Telnet honeypot — add no goroutine, and every one has ended once they
 // close.
 func TestNoGoroutinePerConversation(t *testing.T) {
 	type target struct {
@@ -419,7 +422,7 @@ func TestNoGoroutinePerConversation(t *testing.T) {
 		before := runtime.NumGoroutine()
 		var open []*netsim.ServiceConn
 		for i := 0; i < 100; i++ {
-			conn, err := n.Dial(context.Background(), clientIP+netsim.IPv4(i), dst, netsim.ProbeOptions{})
+			conn, err := n.Dial(clientIP+netsim.IPv4(i), dst, netsim.ProbeOptions{})
 			if err != nil {
 				t.Fatalf("%s: dial %d: %v", tg.name, i, err)
 			}
@@ -433,15 +436,8 @@ func TestNoGoroutinePerConversation(t *testing.T) {
 		for _, conn := range open {
 			_ = conn.Close()
 		}
-		quiesced := make(chan struct{})
-		go func() {
-			n.Quiesce()
-			close(quiesced)
-		}()
-		select {
-		case <-quiesced:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: Quiesce did not return after every client closed", tg.name)
+		if left := n.Stats().Open(); left != 0 {
+			t.Fatalf("%s: %d conversations still open after every client closed", tg.name, left)
 		}
 	}
 }

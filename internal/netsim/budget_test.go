@@ -57,7 +57,7 @@ func TestEngineDialAllocs(t *testing.T) {
 	dst := netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.1"), Port: 7}
 	msg, buf := []byte("ping\n"), make([]byte, 64)
 	got := allocsPerRun(t, func() {
-		conn, err := n.Dial(context.Background(), 1, dst, netsim.ProbeOptions{})
+		conn, err := n.Dial(1, dst, netsim.ProbeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestSSHAttemptAllocs(t *testing.T) {
 	}))
 	dst := netsim.Endpoint{IP: netsim.MustParseIPv4("10.0.0.2"), Port: ssh.Port}
 	got := allocsPerRun(t, func() {
-		conn, err := n.Dial(context.Background(), 1, dst, netsim.ProbeOptions{})
+		conn, err := n.Dial(1, dst, netsim.ProbeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,8 +108,7 @@ type conv struct {
 	// recycled conversation.
 	gen uint64
 
-	n     *Network
-	owner *convShard // arena that owns this object; nil = global pool
+	n *Network
 
 	// clientSC receives the fault flags when the stream fault trips.
 	clientSC *ServiceConn
@@ -154,18 +153,13 @@ func (cv *conv) maybeRelease() {
 	cv.fault.reset = false
 	cv.fault.tripped = false
 	cv.fault.remaining = 0
-	owner := cv.owner
 	cv.mu.Unlock()
-	if owner != nil {
-		owner.putConv(cv)
-	} else {
-		globalConvPool.Put(cv)
-	}
+	convPool.Put(cv)
 }
 
-// globalConvPool recycles conversations dialed outside an engine shard (the
-// scan leg's worker goroutines, tests).
-var globalConvPool = sync.Pool{New: func() any { return &conv{} }}
+// convPool recycles the conversations of every dial: the scan leg's grabs,
+// the campaign's attacks and the tests alike.
+var convPool = sync.Pool{New: func() any { return &conv{} }}
 
 // convPair holds both endpoints of one dial in a single allocation. They
 // share a lifetime (per dial, never pooled), so one slab beats two mallocs on

@@ -8,9 +8,7 @@ package netsim
 // match. The engine must keep reproducing them.
 
 import (
-	"context"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,7 +118,7 @@ func checkLifecycle(t *testing.T, c lifecycleCase, want lifecycleObs) {
 	t.Helper()
 	h := &bannerLineHandler{banner: []byte(c.banner), hangUp: c.hangUp}
 	n := singleHostNetwork(h, fixedPlanFaults{plan: c.plan}) // a zero plan is a perfect path
-	conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
+	conn, err := n.Dial(MustParseIPv4("192.0.2.1"),
 		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +134,9 @@ func checkLifecycle(t *testing.T, c lifecycleCase, want lifecycleObs) {
 	read, readErr := io.ReadAll(conn)
 	_, writeErr := conn.Write([]byte("x"))
 	_ = conn.Close()
-	n.Quiesce()
+	if open := n.Stats().Open(); open != 0 {
+		t.Fatalf("%d conversations still open after Close", open)
+	}
 	got := lifecycleObs{
 		read: string(read), readErr: readErr, writeErr: writeErr,
 		truncated: conn.FaultTruncated(), reset: conn.FaultReset(),
@@ -193,38 +193,21 @@ func TestLifecycleHalfCloseEquivalence(t *testing.T) {
 		})
 }
 
-// TestQuiesceRacingDialPanics pins the Quiesce misuse diagnostic: a Dial
-// issued while Quiesce is waiting out in-flight handlers must panic loudly
-// instead of landing its conversation tail past the boundary.
-func TestQuiesceRacingDialPanics(t *testing.T) {
+// TestCloseFinishesTheConversation: an open dial counts as one unfinished
+// conversation in the network's stats, and closing the client ends it.
+func TestCloseFinishesTheConversation(t *testing.T) {
 	h := &bannerLineHandler{banner: []byte("hello\n")}
 	n := singleHostNetwork(h, nil)
-	dst := Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}
-
-	// Park a handler in flight (it reads until the client closes), so
-	// Quiesce blocks with the quiescing flag raised.
-	conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"), dst, ProbeOptions{})
+	// The handler reads until the client closes, so the dial stays open.
+	conn, err := n.Dial(MustParseIPv4("192.0.2.1"), Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiesced := make(chan struct{})
-	go func() {
-		n.Quiesce()
-		close(quiesced)
-	}()
-	for !n.quiescing.Load() {
-		runtime.Gosched()
+	if open := n.Stats().Open(); open != 1 {
+		t.Fatalf("%d conversations open with one dial open, want 1", open)
 	}
-
-	recovered := func() (r any) {
-		defer func() { r = recover() }()
-		_, _ = n.Dial(context.Background(), MustParseIPv4("192.0.2.2"), dst, ProbeOptions{})
-		return nil
-	}()
-	if recovered == nil {
-		t.Fatal("Dial racing Quiesce did not panic")
-	}
-
 	_ = conn.Close()
-	<-quiesced
+	if open := n.Stats().Open(); open != 0 {
+		t.Fatalf("%d conversations open after Close, want 0", open)
+	}
 }

@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,12 +148,16 @@ func (f ObserverFunc) Observe(ev ProbeEvent) { f(ev) }
 type Stats struct {
 	Dials       atomic.Uint64 // TCP dial attempts
 	DialsOK     atomic.Uint64 // successful dials
+	Finished    atomic.Uint64 // conversations whose server side has ended
 	Refused     atomic.Uint64 // host present, port closed
 	Unreachable atomic.Uint64 // no host at address
 	Datagrams   atomic.Uint64 // UDP queries sent
 	Responses   atomic.Uint64 // UDP responses returned
 	Dropped     atomic.Uint64 // probes lost to the fault model (SYN or datagram)
 }
+
+// Open is how many successful dials' conversations have not ended yet.
+func (s *Stats) Open() uint64 { return s.DialsOK.Load() - s.Finished.Load() }
 
 // FaultPlan is the set of pathologies the fault model injects into one probe
 // or flow. The zero value is a perfectly healthy network path.
@@ -209,14 +211,6 @@ type Network struct {
 	// DefaultTTL is the IP TTL attached to generated probe events when the
 	// sender does not specify one.
 	DefaultTTL uint8
-
-	// handlers tracks in-flight conversation server parties so Quiesce can
-	// wait for the server side of every conversation to finish.
-	handlers sync.WaitGroup
-
-	// quiescing flags an in-progress Quiesce so a racing Dial — always a
-	// caller bug — fails loudly instead of landing its tail late.
-	quiescing atomic.Bool
 
 	// faults, when non-nil, injects deterministic network pathologies into
 	// every probe. Behind an atomic pointer so installing a model does not
@@ -596,13 +590,10 @@ var ErrProbeTimeout = errors.New("netsim: probe timed out")
 // executes inline, resumed on this goroutine after the dial and after every
 // client write or close, so a dial starts no goroutine and allocates no
 // channel. The client reads and writes the returned stream; a read that
-// finds nothing buffered returns ErrWouldBlock at once.
-func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn, error) {
-	if n.quiescing.Load() {
-		panic(fmt.Sprintf("netsim: Dial(%v -> %v) raced Network.Quiesce: the caller must fence "+
-			"all dialers (wait out its worker pool / engine Drain) before quiescing, or the tail "+
-			"of in-flight conversations lands after the boundary the logs are bucketed by", src, dst))
-	}
+// finds nothing buffered returns ErrWouldBlock at once. Closing it runs the
+// server to its end, which Stats.Finished counts: once every dialed
+// connection is closed, Finished equals DialsOK.
+func (n *Network) Dial(src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn, error) {
 	n.stats.Dials.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
@@ -632,17 +623,8 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	n.stats.DialsOK.Add(1)
 	n.emit(ProbeEvent{Time: now, Src: srcEP, Dst: dst, Transport: TCP, Kind: ProbeACK, TTL: ttl})
 
-	// Acquire a recycled conversation: from the owning engine shard's arena
-	// when dialing inside a shard job, else from the global pool.
-	sh, _ := ctx.Value(shardCtxKey{}).(*convShard)
-	var cv *conv
-	if sh != nil {
-		cv = sh.getConv()
-	} else {
-		cv = globalConvPool.Get().(*conv)
-	}
+	cv := convPool.Get().(*conv)
 	cv.n = n
-	cv.owner = sh
 	if plan.ResetAfter > 0 {
 		cv.fault.active, cv.fault.reset, cv.fault.remaining = true, true, plan.ResetAfter
 	} else if plan.TruncateAfter > 0 {
@@ -657,7 +639,6 @@ func (n *Network) Dial(ctx context.Context, src IPv4, dst Endpoint, opts ProbeOp
 	server.DialTime, server.RTT = now, plan.Latency
 	cv.clientSC = client
 
-	n.handlers.Add(1)
 	cv.party.start(handler.NewStepper(), server)
 	// Run the server's opening burst (negotiation, banner, first prompt) so
 	// the client's first read finds it buffered.
@@ -675,7 +656,7 @@ func Converse(s Stepper, client IPv4, server Endpoint, dialTime time.Time) *Serv
 	n.AddProvider(NewPrefix(server.IP, 32), HostProviderFunc(func(IPv4) Host {
 		return stepperHost{port: server.Port, s: s}
 	}))
-	conn, err := n.Dial(context.Background(), client, server, ProbeOptions{})
+	conn, err := n.Dial(client, server, ProbeOptions{})
 	if err != nil {
 		panic(err) // unreachable: the one host is there and listens
 	}
@@ -697,20 +678,6 @@ func (h stepperHost) StreamService(port uint16) StreamHandler {
 
 func (h stepperHost) NewStepper() Stepper                  { return h.s }
 func (stepperHost) DatagramService(uint16) DatagramHandler { return nil }
-
-// Quiesce blocks until every in-flight connection handler has returned.
-// Closing the client side of a conversation does not mean the server has
-// finished processing (and logging) it; callers that read observation logs —
-// or advance the simulation clock past a time boundary the logs are bucketed
-// by — must quiesce first or the tail of the conversation lands late. The
-// caller must ensure no new Dials race with the wait: a racing Dial panics
-// with a diagnostic rather than silently landing its conversation tail on
-// the wrong side of the boundary.
-func (n *Network) Quiesce() {
-	n.quiescing.Store(true)
-	n.handlers.Wait()
-	n.quiescing.Store(false)
-}
 
 // QueryOutcome explains a silent Query. A real scanner can distinguish a
 // closed port (ICMP port unreachable) from plain silence; the simulation

@@ -3,7 +3,6 @@ package netsim
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"slices"
@@ -65,7 +64,7 @@ func testNetwork() *Network {
 
 func TestDialAndEcho(t *testing.T) {
 	n := testNetwork()
-	conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
+	conn, err := n.Dial(MustParseIPv4("192.0.2.1"),
 		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +84,11 @@ func TestDialAndEcho(t *testing.T) {
 
 func TestDialRefusedAndUnreachable(t *testing.T) {
 	n := testNetwork()
-	_, err := n.Dial(context.Background(), 1, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 23}, ProbeOptions{})
+	_, err := n.Dial(1, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 23}, ProbeOptions{})
 	if !errors.Is(err, ErrConnRefused) {
 		t.Fatalf("closed port: err = %v, want ErrConnRefused", err)
 	}
-	_, err = n.Dial(context.Background(), 1, Endpoint{IP: MustParseIPv4("10.9.9.9"), Port: 23}, ProbeOptions{})
+	_, err = n.Dial(1, Endpoint{IP: MustParseIPv4("10.9.9.9"), Port: 23}, ProbeOptions{})
 	if !errors.Is(err, ErrHostUnreachable) {
 		t.Fatalf("dark address: err = %v, want ErrHostUnreachable", err)
 	}
@@ -197,7 +196,7 @@ func TestDialTimeUsesSimClock(t *testing.T) {
 	n := NewNetwork(clk)
 	n.AddProvider(MustParsePrefix("10.0.0.0/8"), HostProviderFunc(func(IPv4) Host { return testHost{} }))
 	clk.Advance(48 * time.Hour)
-	conn, err := n.Dial(context.Background(), 1, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
+	conn, err := n.Dial(1, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestConcurrentDials(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := n.Dial(context.Background(), IPv4(i+1),
+			conn, err := n.Dial(IPv4(i+1),
 				Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 			if err != nil {
 				t.Errorf("dial %d: %v", i, err)
@@ -421,7 +420,7 @@ func BenchmarkDialEcho(b *testing.B) {
 	dst := Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		conn, err := n.Dial(context.Background(), 1, dst, ProbeOptions{})
+		conn, err := n.Dial(1, dst, ProbeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,6 @@ package netsim
 // requires B to leave exactly what B leaves on a conv no one used before.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -127,33 +126,51 @@ func drain(conn *ServiceConn, out *strings.Builder) {
 	}
 }
 
-// run dials dst from src inside job on the engine, plays s, closes, and
-// reports the conv it ran on with the transcript.
-func (s script) run(n *Network, e *ConvEngine, logs *[]*[]string, src IPv4) (*conv, transcript) {
-	var cv *conv
-	var tr transcript
+// run dials dst from src, plays s, closes, and reports the conv it ran on
+// with the transcript.
+func (s script) run(n *Network, logs *[]*[]string, src IPv4) (*conv, transcript) {
 	var client strings.Builder
-	dst := Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}
-	e.Submit(context.Background(), src, dst.IP, func(ctx context.Context) {
-		first := len(*logs)
-		conn, err := n.Dial(ctx, src, dst, ProbeOptions{})
-		if err != nil {
-			panic(err)
+	first := len(*logs)
+	conn, err := n.Dial(src, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
+	if err != nil {
+		panic(err)
+	}
+	cv := conn.cv
+	drain(conn, &client)
+	for _, w := range s.writes {
+		if _, err := conn.Write([]byte(w)); err != nil {
+			fmt.Fprintf(&client, "<write: %v>", err)
 		}
-		cv = conn.cv
 		drain(conn, &client)
-		for _, w := range s.writes {
-			if _, err := conn.Write([]byte(w)); err != nil {
-				fmt.Fprintf(&client, "<write: %v>", err)
-			}
-			drain(conn, &client)
+	}
+	_ = conn.Close()
+	return cv, transcript{client: client.String(), truncated: conn.FaultTruncated(), reset: conn.FaultReset(),
+		server: strings.Join(*(*logs)[first], "\n")}
+}
+
+// runFresh runs s on a fresh network and a conv no one used before. It
+// empties the pool of recycled convs first; one parked in another P's
+// private slot is beyond the emptying's reach, so a dial that still met a
+// recycled conv is retried.
+func (s script) runFresh(t *testing.T, src IPv4) transcript {
+	for range 100 {
+		for convPool.Get().(*conv).gen != 0 {
 		}
-		_ = conn.Close()
-		tr = transcript{client: client.String(), truncated: conn.FaultTruncated(), reset: conn.FaultReset(),
-			server: strings.Join(*(*logs)[first], "\n")}
-	})
-	e.Drain()
-	return cv, tr
+		var logs []*[]string
+		cv, tr := s.run(lineNetwork(&logs), &logs, src)
+		if cv.gen == 1 { // released once, by this run
+			return tr
+		}
+	}
+	t.Fatal("no dial in 100 tries ran on a fresh conv")
+	return transcript{}
+}
+
+// lineNetwork serves lineHost at 10.0.0.1, logging into logs.
+func lineNetwork(logs *[]*[]string) *Network {
+	n := NewNetwork(NewSimClock(ExperimentStart))
+	n.AddProvider(MustParsePrefix("10.0.0.1/32"), HostProviderFunc(func(IPv4) Host { return lineHost{logs} }))
+	return n
 }
 
 // genScript draws B: a few lines cut at random points, with a partial last
@@ -175,9 +192,12 @@ func genScript(r *rand.Rand) script {
 	return s
 }
 
-// TestRecycledConvIsFresh runs generated conversations B after three kinds
-// of dirty A on one engine shard, whose arena hands A's conv to B, and
-// compares each B with the same B on a fresh network and engine.
+// TestRecycledConvIsFresh runs generated conversations B after four kinds
+// of dirty A, each B on A's recycled conv, and compares each B with the same
+// B on a fresh network and a conv no one used before. The pool hands A's
+// conv to the next dial on the same goroutine only most of the time (the
+// race detector drops a quarter of its Puts), so a pair is retried until B
+// lands on it.
 func TestRecycledConvIsFresh(t *testing.T) {
 	srcA, srcB := MustParseIPv4("192.0.2.1"), MustParseIPv4("192.0.2.2")
 	kinds := []struct {
@@ -198,24 +218,24 @@ func TestRecycledConvIsFresh(t *testing.T) {
 		for i := range 50 {
 			b := genScript(r)
 
-			var logs []*[]string
-			n := NewNetwork(NewSimClock(ExperimentStart))
-			n.AddProvider(MustParsePrefix("10.0.0.1/32"), HostProviderFunc(func(IPv4) Host { return lineHost{&logs} }))
-			n.SetFaults(planBySource{src: srcA, plan: k.plan})
-			e := NewConvEngine(1)
-			cvA, _ := k.a.run(n, e, &logs, srcA)
-			cvB, got := b.run(n, e, &logs, srcB)
-			e.Close()
-			if cvA != cvB {
-				t.Fatalf("%s: B did not run on A's recycled conv", k.name)
+			var got transcript
+			recycled := false
+			for range 100 {
+				var logs []*[]string
+				n := lineNetwork(&logs)
+				n.SetFaults(planBySource{src: srcA, plan: k.plan})
+				cvA, _ := k.a.run(n, &logs, srcA)
+				var cvB *conv
+				cvB, got = b.run(n, &logs, srcB)
+				if recycled = cvA == cvB; recycled {
+					break
+				}
+			}
+			if !recycled {
+				t.Fatalf("%s: B never ran on A's recycled conv in 100 tries", k.name)
 			}
 
-			var freshLogs []*[]string
-			fresh := NewNetwork(NewSimClock(ExperimentStart))
-			fresh.AddProvider(MustParsePrefix("10.0.0.1/32"), HostProviderFunc(func(IPv4) Host { return lineHost{&freshLogs} }))
-			fe := NewConvEngine(1)
-			_, want := b.run(fresh, fe, &freshLogs, srcB)
-			fe.Close()
+			want := b.runFresh(t, srcB)
 			if got != want {
 				t.Fatalf("%s, B #%d %q:\nrecycled %+v\n   fresh %+v", k.name, i, b.writes, got, want)
 			}

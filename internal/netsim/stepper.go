@@ -185,12 +185,12 @@ func (p *stepperParty) resume(cv *conv) {
 	}
 }
 
-// finish is the framework close: the server side shuts and Quiesce stops
-// waiting on this conversation.
+// finish is the framework close: the server side shuts and the network
+// counts the conversation finished.
 func (p *stepperParty) finish(cv *conv) {
 	p.done = true
 	_ = p.sc.sc.Close()
-	cv.n.handlers.Done()
+	cv.n.stats.Finished.Add(1)
 }
 
 // ReadFramed is the blocking reader over a slice decoder: it reads exactly

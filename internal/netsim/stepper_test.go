@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"strings"
 	"testing"
@@ -101,7 +100,7 @@ func TestReadFramedStates(t *testing.T) {
 		{"decoder error", scripted{out: long}, FaultPlan{}, "", ErrLineTooLong, len(long)},
 	} {
 		n := singleHostNetwork(c.srv, fixedPlanFaults{plan: c.plan})
-		conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
+		conn, err := n.Dial(MustParseIPv4("192.0.2.1"),
 			Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +127,7 @@ func TestReadFramedStates(t *testing.T) {
 // and written again, the server's answer may take its bytes.
 func TestReadFramedFrameValidity(t *testing.T) {
 	n := singleHostNetwork(scripted{out: "one\n", reply: "TWO\n"}, nil)
-	conn, err := n.Dial(context.Background(), MustParseIPv4("192.0.2.1"),
+	conn, err := n.Dial(MustParseIPv4("192.0.2.1"),
 		Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 7}, ProbeOptions{})
 	if err != nil {
 		t.Fatal(err)

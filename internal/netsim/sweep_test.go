@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"context"
 	"errors"
 	"math/rand/v2"
 	"sync"
@@ -88,7 +87,7 @@ func TestSweepProviderPrecedence(t *testing.T) {
 		for _, tr := range []Transport{TCP, UDP} {
 			reached := false
 			if tr == TCP {
-				conn, err := n.Dial(context.Background(), 1, dst, ProbeOptions{})
+				conn, err := n.Dial(1, dst, ProbeOptions{})
 				if reached = err == nil; reached {
 					conn.Close()
 				}
@@ -195,7 +194,7 @@ func TestOctetTableEqualsLinearScan(t *testing.T) {
 				dst := Endpoint{IP: ip, Port: port}
 				wantTCP := want != nil && want.StreamService(port) != nil
 				wantUDP := want != nil && want.DatagramService(port) != nil
-				conn, err := n.Dial(context.Background(), 1, dst, ProbeOptions{})
+				conn, err := n.Dial(1, dst, ProbeOptions{})
 				if err == nil {
 					conn.Close()
 				}
@@ -257,7 +256,7 @@ func TestSweepFaultVerdicts(t *testing.T) {
 		if got := n.Sweep(1, udp, UDP, 3, opts); got != c.udp {
 			t.Errorf("%s: UDP sweep = %v, want %v", c.name, got, c.udp)
 		}
-		conn, err := n.Dial(context.Background(), 1, tcp, opts)
+		conn, err := n.Dial(1, tcp, opts)
 		if err == nil {
 			conn.Close()
 		}
@@ -283,7 +282,7 @@ func TestSweepEmitsTheGrabsFirstPacket(t *testing.T) {
 
 	tcp := Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 23}
 	n.Sweep(src, tcp, TCP, 0, opts)
-	_, _ = n.Dial(context.Background(), src, tcp, opts)
+	_, _ = n.Dial(src, tcp, opts)
 	udp := Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 5683}
 	payload := []byte("0123456789")
 	n.Sweep(src, udp, UDP, len(payload), opts)

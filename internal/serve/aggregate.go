@@ -241,8 +241,8 @@ func (a *Aggregates) FinishSweep() {
 // FoldAttackDay folds one drained campaign day into the trend row for the
 // absolute day cycle: event volume by attack type, the day's distinct
 // sources, and the honeypot-source correlation set. The campaign stamps a
-// day's events inside that day and quiesces the fabric before the clock
-// moves, so the drained slice is exactly the row; counts and sets do not
+// day's events inside that day and joins every conversation before the
+// clock moves, so the drained slice is exactly the row; counts and sets do not
 // depend on its order.
 func (a *Aggregates) FoldAttackDay(cycle int, events []honeypot.Event) {
 	row := a.Trends.day(cycle)

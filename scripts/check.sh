@@ -104,6 +104,9 @@ go test -race ./internal/netsim/... ./internal/core/scan/... \
 	./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
 	./internal/iot/ ./internal/datasets/ ./internal/core/classify/ \
 	./internal/protocols/...
+# The campaign's lanes are scheduled differently at each GOMAXPROCS; the
+# golden digest must not notice.
+go test -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)' ./internal/attack/
 
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
