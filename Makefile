@@ -24,10 +24,11 @@ race:
 
 # chaos runs just the fault-model gate: the equivalence tests (zero-fault
 # noop, cross-worker determinism, ±2% calibrated drift) under the race
-# detector, then scripts/fuzz_smoke.sh: every Fuzz target in the module, found
-# with `go test -list`, for 10 fresh inputs each.
+# detector (scripts/gate.sh fails it when a package lists no matching test),
+# then scripts/fuzz_smoke.sh: every Fuzz target in the module, found with
+# `go test -list`, for 10 fresh inputs each.
 chaos:
-	go test -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
+	./scripts/gate.sh -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
 		./internal/core/scan/ ./internal/core/classify/
 	go test -race ./internal/netsim/faults/
 	./scripts/fuzz_smoke.sh

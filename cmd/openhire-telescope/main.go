@@ -86,7 +86,7 @@ func main() {
 
 	prefix := netsim.MustParsePrefix("44.0.0.0/8")
 	geodb := geo.NewDB(run.Seed, nil)
-	tel := telescope.New(prefix, geodb)
+	tel := telescope.New(prefix, nil)
 	cfg := attack.DarknetConfig{
 		Seed:      run.Seed,
 		Telescope: tel,

@@ -257,9 +257,6 @@ func (e *Executor) coapAttack(typ honeypot.AttackType, src netsim.IPv4,
 		for i := 0; i < 8; i++ {
 			e.net.Query(src, ep, c.DiscoveryProbe(), opts)
 		}
-	case honeypot.AttackReflection:
-		// Spoofed-source discovery: the reflection primitive.
-		e.net.Query(src, ep, c.DiscoveryProbe(), netsim.ProbeOptions{Spoofed: true})
 	default:
 		e.net.Query(src, ep, c.DiscoveryProbe(), opts)
 	}
@@ -276,8 +273,6 @@ func (e *Executor) upnpAttack(typ honeypot.AttackType, src netsim.IPv4,
 		for i := 0; i < 16; i++ {
 			e.net.Query(src, ep, probe, netsim.ProbeOptions{})
 		}
-	case honeypot.AttackReflection:
-		e.net.Query(src, ep, probe, netsim.ProbeOptions{Spoofed: true})
 	default:
 		e.net.Query(src, ep, probe, netsim.ProbeOptions{})
 	}

@@ -28,11 +28,13 @@ package atomicio
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"openhire/internal/checkpoint/crashpoint"
 )
@@ -147,14 +149,17 @@ func stage(tmp string, bw *bufio.Writer, write func(w io.Writer) error) error {
 	return nil
 }
 
-// syncDir makes the preceding renames in dir durable. Some filesystems do not
-// support fsync on directories; those errors are ignored.
+// syncDir makes the preceding renames in dir durable. A filesystem that
+// cannot fsync a directory answers EINVAL or ENOTSUP, which is not a
+// failure; any other error, opening the directory included, is.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("atomicio: sync directory: %w", err)
 	}
 	defer d.Close()
-	d.Sync()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("atomicio: sync directory %s: %w", dir, err)
+	}
 	return nil
 }

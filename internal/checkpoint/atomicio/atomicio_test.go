@@ -283,3 +283,15 @@ func TestRefusesNonRegularTarget(t *testing.T) {
 	}
 	checkNoStaging(t, dir)
 }
+
+// TestSyncDirReportsMissingDirectory pins that a directory sync which cannot
+// even open its directory fails: a nil return promises durable renames.
+func TestSyncDirReportsMissingDirectory(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "gone")
+	if err := syncDir(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("syncDir(%s) = %v, want an ErrNotExist error", missing, err)
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir of an existing directory: %v", err)
+	}
+}

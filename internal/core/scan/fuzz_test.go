@@ -146,7 +146,7 @@ func genuineTranscripts(t testing.TB) map[iot.Protocol][]byte {
 		tr := m.Protocol().Transport()
 		for i := uint64(0); i < prefix.Size() && out[m.Protocol()] == nil; i++ {
 			upstream := netsim.Endpoint{IP: prefix.Nth(i), Port: m.Ports()[0]}
-			if n.Sweep(src, upstream, tr, m.SweepSize(), netsim.ProbeOptions{}) != netsim.Open {
+			if n.Sweep(src, upstream, tr, netsim.ProbeOptions{}) != netsim.Open {
 				continue
 			}
 			var recorded bytes.Buffer

@@ -45,9 +45,6 @@ func (TelnetModule) Protocol() iot.Protocol { return iot.ProtoTelnet }
 // Ports implements ProbeModule.
 func (TelnetModule) Ports() []uint16 { return []uint16{23, 2323} }
 
-// SweepSize implements ProbeModule.
-func (TelnetModule) SweepSize() int { return 0 }
-
 // Probe implements ProbeModule.
 func (TelnetModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
 	conn, err := n.Dial(src, dst, spec.Options())
@@ -81,9 +78,6 @@ func (MQTTModule) Protocol() iot.Protocol { return iot.ProtoMQTT }
 
 // Ports implements ProbeModule.
 func (MQTTModule) Ports() []uint16 { return []uint16{1883} }
-
-// SweepSize implements ProbeModule.
-func (MQTTModule) SweepSize() int { return 0 }
 
 // Probe implements ProbeModule.
 func (MQTTModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
@@ -153,9 +147,6 @@ func (AMQPModule) Protocol() iot.Protocol { return iot.ProtoAMQP }
 // Ports implements ProbeModule.
 func (AMQPModule) Ports() []uint16 { return []uint16{5672} }
 
-// SweepSize implements ProbeModule.
-func (AMQPModule) SweepSize() int { return 0 }
-
 // Probe implements ProbeModule.
 func (AMQPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
 	conn, err := n.Dial(src, dst, spec.Options())
@@ -193,9 +184,6 @@ func (XMPPModule) Protocol() iot.Protocol { return iot.ProtoXMPP }
 // Ports implements ProbeModule.
 func (XMPPModule) Ports() []uint16 { return []uint16{5222} }
 
-// SweepSize implements ProbeModule.
-func (XMPPModule) SweepSize() int { return 0 }
-
 // Probe implements ProbeModule.
 func (XMPPModule) Probe(ctx context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
 	conn, err := n.Dial(src, dst, spec.Options())
@@ -230,13 +218,6 @@ func (CoAPModule) Protocol() iot.Protocol { return iot.ProtoCoAP }
 
 // Ports implements ProbeModule.
 func (CoAPModule) Ports() []uint16 { return []uint16{5683} }
-
-// coapProbeLen is the length of every discovery probe: the message id and
-// token vary per target, the layout does not.
-var coapProbeLen = len(coap.NewClient(0).DiscoveryProbe())
-
-// SweepSize implements ProbeModule.
-func (CoAPModule) SweepSize() int { return coapProbeLen }
 
 // Probe implements ProbeModule.
 func (CoAPModule) Probe(_ context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {
@@ -276,11 +257,6 @@ func (UPnPModule) Ports() []uint16 { return []uint16{1900} }
 
 // upnpSearchTarget is the ST the scan's M-SEARCH asks for.
 const upnpSearchTarget = "ssdp:all"
-
-var upnpProbeLen = len(upnp.BuildMSearch(upnpSearchTarget))
-
-// SweepSize implements ProbeModule.
-func (UPnPModule) SweepSize() int { return upnpProbeLen }
 
 // Probe implements ProbeModule.
 func (UPnPModule) Probe(_ context.Context, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoint, spec ProbeSpec) (*Result, Outcome) {

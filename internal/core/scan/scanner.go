@@ -96,11 +96,6 @@ type ProbeModule interface {
 	Protocol() iot.Protocol
 	// Ports lists the ports to probe, in order.
 	Ports() []uint16
-	// SweepSize is the payload length of the sweep's probe as a telescope
-	// records it: 0 for a TCP SYN; for a UDP module the length of the
-	// datagram Probe sends (a UDP sweep carries the real request, as ZMap's
-	// does).
-	SweepSize() int
 	// Probe grabs one responsive endpoint once and classifies the attempt. A
 	// non-nil Result is returned only with OutcomeOK. Retransmission is the
 	// scanner's job: modules must not loop internally.
@@ -339,7 +334,7 @@ type workerShard struct {
 // is not a second transmission. The fault plan is a pure function of (target,
 // attempt), so the grab's dial re-draws the plan its sweep saw and resets and
 // tarpits land in the grab.
-func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport netsim.Transport, size int,
+func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport netsim.Transport,
 	t target, shard *workerShard, maxAttempts int) {
 	dst := netsim.Endpoint{IP: t.ip, Port: t.port}
 	spec := ProbeSpec{Timeout: s.cfg.ProbeTimeout}
@@ -359,7 +354,7 @@ func (s *Scanner) probeTarget(ctx context.Context, module ProbeModule, transport
 		}
 		var res *Result
 		out := OutcomeNone
-		switch s.cfg.Network.Sweep(s.cfg.Source, dst, transport, size, spec.Options()) {
+		switch s.cfg.Network.Sweep(s.cfg.Source, dst, transport, spec.Options()) {
 		case netsim.Open:
 			res, out = module.Probe(ctx, s.cfg.Network, s.cfg.Source, dst, spec)
 		case netsim.Lost:

@@ -337,7 +337,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 		workers = (max + batchSize - 1) / batchSize
 	}
 
-	transport, size := m.Protocol().Transport(), m.SweepSize()
+	transport := m.Protocol().Transport()
 	// Two batches of headroom per worker keep the feed ahead of the probes.
 	batches := make(chan []target, 2*workers)
 	// The free list holds every batch that can be in flight at once: the
@@ -357,7 +357,7 @@ func (s *Scanner) probeSegment(ctx context.Context, m ProbeModule, it *AddressIt
 				default:
 				}
 				for _, t := range batch {
-					s.probeTarget(ctx, m, transport, size, t, shard, maxAttempts)
+					s.probeTarget(ctx, m, transport, t, shard, maxAttempts)
 				}
 				select {
 				case free <- batch[:0]:

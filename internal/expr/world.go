@@ -151,8 +151,7 @@ func BuildWorld(cfg WorldConfig) *World {
 	vt := intel.NewVirusTotal()
 	cs := intel.NewCensys()
 
-	tel := telescope.New(telescopePrefix, geodb)
-	network.AddObserver(telescopePrefix, tel)
+	tel := telescope.New(telescopePrefix, nil)
 
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
 

@@ -44,16 +44,3 @@ func BenchmarkLookupHostMiss(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEmitNoObserver measures the emit fast path when no observer
-// covers the destination (dark Internet, telescope elsewhere).
-func BenchmarkEmitNoObserver(b *testing.B) {
-	n := NewNetwork(NewSimClock(ExperimentStart))
-	benchProviders(n)
-	n.AddObserver(MustParsePrefix("44.0.0.0/8"), ObserverFunc(func(ProbeEvent) {}))
-	ev := ProbeEvent{Dst: Endpoint{IP: MustParseIPv4("10.200.0.1"), Port: 23}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n.emit(ev)
-	}
-}

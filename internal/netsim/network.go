@@ -91,59 +91,6 @@ type PortProber interface {
 	PortOpen(ip IPv4, transport Transport, port uint16) bool
 }
 
-// ProbeKind classifies a traffic event seen by observers.
-type ProbeKind uint8
-
-// Probe kinds reported to observers.
-const (
-	ProbeSYN     ProbeKind = iota // TCP connection attempt
-	ProbeUDP                      // UDP datagram
-	ProbeACK                      // TCP established (dial succeeded)
-	ProbePayload                  // application payload bytes on a stream
-)
-
-// String names the probe kind.
-func (k ProbeKind) String() string {
-	switch k {
-	case ProbeSYN:
-		return "syn"
-	case ProbeUDP:
-		return "udp"
-	case ProbeACK:
-		return "ack"
-	case ProbePayload:
-		return "payload"
-	default:
-		return "probe"
-	}
-}
-
-// ProbeEvent is the wire-level event surfaced to observers (the network
-// telescope taps these for its covered prefix).
-type ProbeEvent struct {
-	Time      time.Time
-	Src       Endpoint
-	Dst       Endpoint
-	Transport Transport
-	Kind      ProbeKind
-	Size      int // payload length in bytes
-	TTL       uint8
-	Spoofed   bool // source address was forged by the sender
-	Masscan   bool // probe carries the masscan ip.id fingerprint
-}
-
-// Observer receives wire-level events. Observers must be fast and
-// non-blocking; the telescope aggregates in-memory.
-type Observer interface {
-	Observe(ev ProbeEvent)
-}
-
-// ObserverFunc adapts a function to an Observer.
-type ObserverFunc func(ev ProbeEvent)
-
-// Observe calls f.
-func (f ObserverFunc) Observe(ev ProbeEvent) { f(ev) }
-
 // Stats counts traffic carried by the network.
 type Stats struct {
 	Dials       atomic.Uint64 // TCP dial attempts
@@ -196,21 +143,16 @@ type FaultModel interface {
 }
 
 // Network is the simulated Internet fabric. Hosts come from registered
-// providers (checked most-specific first); traffic generates events for
-// observers whose prefix covers the destination.
+// providers (checked most-specific first).
 //
-// The probe hot path (lookupHost, sweep, emit) is lock-free: registrations
-// live in an immutable snapshot behind an atomic pointer, rebuilt
-// copy-on-write by AddProvider/AddObserver. Readers pay one atomic load per
-// probe and never contend with each other or with writers.
+// The probe hot path (lookupHost, Sweep) is lock-free: registrations live in
+// an immutable snapshot behind an atomic pointer, rebuilt copy-on-write by
+// AddProvider. Readers pay one atomic load per probe and never contend with
+// each other or with writers.
 type Network struct {
 	writeMu sync.Mutex // serializes copy-on-write snapshot rebuilds
 	state   atomic.Pointer[netState]
 	clock   *SimClock
-
-	// DefaultTTL is the IP TTL attached to generated probe events when the
-	// sender does not specify one.
-	DefaultTTL uint8
 
 	// faults, when non-nil, injects deterministic network pathologies into
 	// every probe. Behind an atomic pointer so installing a model does not
@@ -266,11 +208,7 @@ type netState struct {
 	// can cover an address with that octet, in providers' order: a lookup
 	// walks only those, so a probe of the universe never tests the deployed
 	// honeypots' /32s in other octets. Nil until a provider is registered.
-	byOctet   *[256][]providerEntry
-	observers []observerEntry
-	// obsOctets marks, per destination top octet, whether any observer
-	// prefix can cover an address with that octet (see observed).
-	obsOctets [4]uint64
+	byOctet *[256][]providerEntry
 }
 
 type providerEntry struct {
@@ -280,14 +218,9 @@ type providerEntry struct {
 	ports    PortProber // provider's port-level fast path, nil if it has none
 }
 
-type observerEntry struct {
-	prefix   Prefix
-	observer Observer
-}
-
 // NewNetwork returns an empty network fabric on the given simulated clock.
 func NewNetwork(clock *SimClock) *Network {
-	n := &Network{clock: clock, DefaultTTL: 64}
+	n := &Network{clock: clock}
 	n.state.Store(&netState{})
 	return n
 }
@@ -308,8 +241,6 @@ func (n *Network) AddProvider(prefix Prefix, p HostProvider) {
 	cur := n.state.Load()
 	next := &netState{
 		providers: make([]providerEntry, len(cur.providers), len(cur.providers)+1),
-		observers: cur.observers,
-		obsOctets: cur.obsOctets,
 	}
 	copy(next.providers, cur.providers)
 	ports, _ := p.(PortProber)
@@ -325,34 +256,9 @@ func (n *Network) AddProvider(prefix Prefix, p HostProvider) {
 	n.state.Store(next)
 }
 
-// AddObserver registers an observer for traffic destined to a prefix.
-func (n *Network) AddObserver(prefix Prefix, o Observer) {
-	n.writeMu.Lock()
-	defer n.writeMu.Unlock()
-	cur := n.state.Load()
-	next := &netState{
-		providers: cur.providers,
-		byOctet:   cur.byOctet,
-		observers: make([]observerEntry, len(cur.observers), len(cur.observers)+1),
-		obsOctets: cur.obsOctets,
-	}
-	copy(next.observers, cur.observers)
-	next.observers = append(next.observers, observerEntry{prefix: prefix, observer: o})
-	markOctets(&next.obsOctets, prefix)
-	n.state.Store(next)
-}
-
 // octetRange returns the first and last top octet of p's addresses.
 func octetRange(p Prefix) (lo, hi uint32) {
 	return uint32(p.First()) >> 24, uint32(p.Last()) >> 24
-}
-
-// markOctets sets the top-octet bits reachable through prefix.
-func markOctets(bm *[4]uint64, p Prefix) {
-	lo, hi := octetRange(p)
-	for o := lo; o <= hi; o++ {
-		bm[o>>6] |= 1 << (o & 63)
-	}
 }
 
 // octetTable files each provider under every top octet its prefix reaches,
@@ -428,36 +334,8 @@ func covered(providers []providerEntry, ip IPv4) bool {
 	return false
 }
 
-// observed reports whether any observer prefix can cover ip. One load and a
-// mask, without touching the observer list: false is the overwhelming case
-// when scanning outside the telescope range, and then no event is built.
-func (st *netState) observed(ip IPv4) bool {
-	o := uint32(ip) >> 24
-	return st.obsOctets[o>>6]&(1<<(o&63)) != 0
-}
-
-// deliver hands an event to every observer covering the destination.
-func (st *netState) deliver(ev ProbeEvent) {
-	for _, e := range st.observers {
-		if e.prefix.Contains(ev.Dst.IP) {
-			e.observer.Observe(ev)
-		}
-	}
-}
-
-// emit delivers an event to every observer covering the destination.
-func (n *Network) emit(ev ProbeEvent) {
-	if st := n.state.Load(); st.observed(ev.Dst.IP) {
-		st.deliver(ev)
-	}
-}
-
-// ProbeOptions let senders control the wire-level fingerprint of their
-// traffic (the telescope records TTLs and the masscan ip.id quirk).
+// ProbeOptions are a sender's retransmission ordinal and patience.
 type ProbeOptions struct {
-	TTL     uint8
-	Spoofed bool
-	Masscan bool
 	// Attempt is the retransmission ordinal (0 = first transmission). Fault
 	// draws derive from (dst, attempt), so each retransmit sees independent
 	// loss and jitter regardless of worker scheduling.
@@ -472,36 +350,6 @@ type ProbeOptions struct {
 // outright drop, or latency beyond the sender's patience.
 func (o ProbeOptions) timedOut(plan FaultPlan, drop bool) bool {
 	return drop || (o.Timeout > 0 && plan.Latency > o.Timeout)
-}
-
-// transmit puts a flow's first packet on the wire — a SYN, or a datagram of
-// size bytes — where the observers of snapshot st covering dst see it, and
-// returns the TTL it carried. Sweep, Dial and QueryX all send through here,
-// so a telescope cannot tell a liveness probe from the opening packet of a
-// grab. With ephemeral set, src.Port is ignored and the flow's ephemeralPort
-// goes on the wire: an observer is the only reader of a sweep's source port,
-// so the port is derived only for a packet one sees. now, too, is read only
-// for such a packet, so a caller without one may leave it zero.
-func (n *Network) transmit(st *netState, now time.Time, src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) uint8 {
-	ttl := opts.TTL
-	if ttl == 0 {
-		ttl = n.DefaultTTL
-	}
-	if !st.observed(dst.IP) {
-		return ttl
-	}
-	if ephemeral {
-		src.Port = ephemeralPort(src.IP, dst)
-	}
-	kind := ProbeSYN
-	if transport == UDP {
-		kind = ProbeUDP
-	}
-	st.deliver(ProbeEvent{
-		Time: now, Src: src, Dst: dst, Transport: transport, Kind: kind,
-		Size: size, TTL: ttl, Spoofed: opts.Spoofed, Masscan: opts.Masscan,
-	})
-	return ttl
 }
 
 // Verdict is what a stateless liveness probe learns about one port.
@@ -521,32 +369,15 @@ const (
 )
 
 // Sweep is the stateless liveness probe, ZMap's half of a scan: one SYN (or
-// one datagram of size bytes) from src to dst, and a verdict. No connection
-// state is created, no host is assembled for the millions of addresses that
-// do not answer, and nothing is sent to the service. The wire event, the
-// fault plan — a pure function of (dst, transport, attempt), so the grab that
-// follows an Open verdict meets the same pathologies — and provider
-// precedence are those of Dial (TCP) and QueryX (UDP).
-func (n *Network) Sweep(src IPv4, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
-	return n.sweep(Endpoint{IP: src}, true, dst, transport, size, opts)
-}
-
-func (n *Network) sweep(src Endpoint, ephemeral bool, dst Endpoint, transport Transport, size int, opts ProbeOptions) Verdict {
-	st := n.state.Load()
-	fm := n.Faults()
-	// An observer's event and the fault plan are the only readers of the
-	// simulated time, so a sweep that feeds neither never reads the clock
-	// and, unseen, puts nothing on the wire.
-	observed := st.observed(dst.IP)
-	var now time.Time
-	if fm != nil || observed {
-		now = n.clock.Now()
-	}
-	if observed {
-		n.transmit(st, now, src, ephemeral, dst, transport, size, opts)
-	}
-	if fm != nil {
-		plan := fm.PlanProbe(src.IP, dst, transport, opts.Attempt, now)
+// one datagram) from src to dst, and a verdict. No connection state is
+// created, no host is assembled for the millions of addresses that do not
+// answer, and nothing is sent to the service. The fault plan — a pure
+// function of (dst, transport, attempt), so the grab that follows an Open
+// verdict meets the same pathologies — and provider precedence are those of
+// Dial (TCP) and QueryX (UDP).
+func (n *Network) Sweep(src IPv4, dst Endpoint, transport Transport, opts ProbeOptions) Verdict {
+	if fm := n.Faults(); fm != nil {
+		plan := fm.PlanProbe(src, dst, transport, opts.Attempt, n.clock.Now())
 		if plan.HostDown {
 			return Silent
 		}
@@ -558,16 +389,17 @@ func (n *Network) sweep(src Endpoint, ephemeral bool, dst Endpoint, transport Tr
 			return Lost
 		}
 	}
-	if st.portOpen(dst.IP, transport, dst.Port) {
+	if n.state.Load().portOpen(dst.IP, transport, dst.Port) {
 		return Open
 	}
 	return Silent
 }
 
 // SynProbe is the TCP sweep from a source port of the caller's choosing: it
-// reports whether a host at dst accepts connections on the port.
+// reports whether a host at dst accepts connections on the port. The fabric
+// reads only the source address.
 func (n *Network) SynProbe(src Endpoint, dst Endpoint, opts ProbeOptions) bool {
-	return n.sweep(src, false, dst, TCP, 0, opts) == Open
+	return n.Sweep(src.IP, dst, TCP, opts) == Open
 }
 
 // ErrConnRefused is returned by Dial when the destination host exists but
@@ -597,7 +429,6 @@ func (n *Network) Dial(src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn,
 	n.stats.Dials.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	ttl := n.transmit(n.state.Load(), now, srcEP, false, dst, TCP, 0, opts)
 	var plan FaultPlan
 	if fm := n.Faults(); fm != nil {
 		plan = fm.PlanProbe(src, dst, TCP, opts.Attempt, now)
@@ -621,7 +452,6 @@ func (n *Network) Dial(src IPv4, dst Endpoint, opts ProbeOptions) (*ServiceConn,
 		return nil, ErrConnRefused
 	}
 	n.stats.DialsOK.Add(1)
-	n.emit(ProbeEvent{Time: now, Src: srcEP, Dst: dst, Transport: TCP, Kind: ProbeACK, TTL: ttl})
 
 	cv := convPool.Get().(*conv)
 	cv.n = n
@@ -709,7 +539,6 @@ func (n *Network) QueryX(src IPv4, dst Endpoint, payload []byte, opts ProbeOptio
 	n.stats.Datagrams.Add(1)
 	now := n.clock.Now()
 	srcEP := Endpoint{IP: src, Port: ephemeralPort(src, dst)}
-	n.transmit(n.state.Load(), now, srcEP, false, dst, UDP, len(payload), opts)
 	if fm := n.Faults(); fm != nil {
 		plan := fm.PlanProbe(src, dst, UDP, opts.Attempt, now)
 		if plan.HostDown {
@@ -736,8 +565,8 @@ func (n *Network) QueryX(src IPv4, dst Endpoint, payload []byte, opts ProbeOptio
 	return resp, QueryAnswered
 }
 
-// ephemeralPort derives a stable pseudo-ephemeral source port for a flow so
-// telescope FlowTuples have realistic, consistent 5-tuples.
+// ephemeralPort derives a stable pseudo-ephemeral source port for a flow, so
+// the remote endpoint a service sees is realistic and consistent per flow.
 func ephemeralPort(src IPv4, dst Endpoint) uint16 {
 	h := uint32(src) * 2654435761
 	h ^= uint32(dst.IP) * 2246822519

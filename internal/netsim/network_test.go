@@ -130,35 +130,6 @@ func TestQuery(t *testing.T) {
 	}
 }
 
-func TestObserverSeesDarkTraffic(t *testing.T) {
-	n := testNetwork()
-	var mu sync.Mutex
-	var events []ProbeEvent
-	n.AddObserver(MustParsePrefix("44.0.0.0/8"), ObserverFunc(func(ev ProbeEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}))
-
-	// Traffic to the observed /8 is recorded even though it is dark.
-	n.Query(5, Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 5683}, []byte("x"), ProbeOptions{TTL: 52, Masscan: true})
-	n.SynProbe(Endpoint{IP: 5, Port: 1}, Endpoint{IP: MustParseIPv4("44.9.9.9"), Port: 23}, ProbeOptions{})
-	// Traffic elsewhere is not.
-	n.Query(5, Endpoint{IP: MustParseIPv4("10.0.0.1"), Port: 9}, []byte("x"), ProbeOptions{})
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 2 {
-		t.Fatalf("observer saw %d events, want 2", len(events))
-	}
-	if events[0].Transport != UDP || events[0].Size != 1 || events[0].TTL != 52 || !events[0].Masscan {
-		t.Fatalf("UDP event wrong: %+v", events[0])
-	}
-	if events[1].Transport != TCP || events[1].Kind != ProbeSYN || events[1].Dst.Port != 23 {
-		t.Fatalf("SYN event wrong: %+v", events[1])
-	}
-}
-
 func TestMostSpecificProviderWins(t *testing.T) {
 	n := NewNetwork(NewSimClock(ExperimentStart))
 	wide := HostProviderFunc(func(IPv4) Host { return testHost{} })

@@ -98,7 +98,7 @@ func TestSweepProviderPrecedence(t *testing.T) {
 			if reached != open[tr] {
 				t.Fatalf("%v/%v: grab reached a service = %v, want %v", dst, tr, reached, open[tr])
 			}
-			if got := n.Sweep(1, dst, tr, 1, ProbeOptions{}) == Open; got != reached {
+			if got := n.Sweep(1, dst, tr, ProbeOptions{}) == Open; got != reached {
 				t.Errorf("%v/%v: Sweep open = %v, but the grab reached a service = %v", dst, tr, got, reached)
 			}
 		}
@@ -107,7 +107,7 @@ func TestSweepProviderPrecedence(t *testing.T) {
 	// Where no less specific provider covers the address, a closed verdict is
 	// final without building the host.
 	before := wide.hostBuilt.Load()
-	if n.Sweep(1, Endpoint{IP: dark, Port: 7}, TCP, 0, ProbeOptions{}) != Silent {
+	if n.Sweep(1, Endpoint{IP: dark, Port: 7}, TCP, ProbeOptions{}) != Silent {
 		t.Fatal("dark address not silent")
 	}
 	if built := wide.hostBuilt.Load() - before; built != 0 {
@@ -119,8 +119,7 @@ func TestSweepProviderPrecedence(t *testing.T) {
 // against the precedence rule it indexes, over generated fabrics: prefixes
 // from a /0 and a /7 that span several top octets down to /32s, equal-length
 // ties (the same prefix registered twice among them), providers with and
-// without the port-level fast path whose nil hosts fall through, and an
-// observer registered before, between or after the providers. For every
+// without the port-level fast path whose nil hosts fall through. For every
 // address and port, Sweep, Dial and QueryX must reach a service exactly when
 // a linear scan of the registrations — longest covering prefix with a host,
 // ties to the later registration — finds one listening there.
@@ -140,14 +139,7 @@ func TestOctetTableEqualsLinearScan(t *testing.T) {
 		n := NewNetwork(NewSimClock(ExperimentStart))
 		var regs []registration
 		const providers = 6
-		observerAt := r.IntN(providers + 1)
-		for k := 0; k <= providers; k++ {
-			if k == observerAt {
-				n.AddObserver(NewPrefix(addr(), 8), ObserverFunc(func(ProbeEvent) {}))
-			}
-			if k == providers {
-				break
-			}
+		for k := 0; k < providers; k++ {
 			prefix := NewPrefix(addr(), bitsChoice[r.IntN(len(bitsChoice))])
 			if k > 0 && r.IntN(4) == 0 {
 				prefix = regs[r.IntN(k)].prefix // an exact tie
@@ -205,8 +197,8 @@ func TestOctetTableEqualsLinearScan(t *testing.T) {
 				}{
 					{"Dial", err == nil, wantTCP},
 					{"QueryX", qo == QueryAnswered, wantUDP},
-					{"TCP Sweep", n.Sweep(1, dst, TCP, 0, ProbeOptions{}) == Open, wantTCP},
-					{"UDP Sweep", n.Sweep(1, dst, UDP, 1, ProbeOptions{}) == Open, wantUDP},
+					{"TCP Sweep", n.Sweep(1, dst, TCP, ProbeOptions{}) == Open, wantTCP},
+					{"UDP Sweep", n.Sweep(1, dst, UDP, ProbeOptions{}) == Open, wantUDP},
 				} {
 					if c.got != c.want {
 						t.Fatalf("trial %d, %v: %s reached a service = %v, the linear scan says %v",
@@ -250,10 +242,10 @@ func TestSweepFaultVerdicts(t *testing.T) {
 	} {
 		n := testNetwork()
 		n.SetFaults(scriptedFaults{c.plan})
-		if got := n.Sweep(1, tcp, TCP, 0, opts); got != c.tcp {
+		if got := n.Sweep(1, tcp, TCP, opts); got != c.tcp {
 			t.Errorf("%s: TCP sweep = %v, want %v", c.name, got, c.tcp)
 		}
-		if got := n.Sweep(1, udp, UDP, 3, opts); got != c.udp {
+		if got := n.Sweep(1, udp, UDP, opts); got != c.udp {
 			t.Errorf("%s: UDP sweep = %v, want %v", c.name, got, c.udp)
 		}
 		conn, err := n.Dial(1, tcp, opts)
@@ -267,39 +259,6 @@ func TestSweepFaultVerdicts(t *testing.T) {
 		if (c.udp == Open) != (qo == QueryAnswered) || (c.udp == Lost) != (qo == QueryDropped) {
 			t.Errorf("%s: UDP sweep = %v but QueryX outcome = %v", c.name, c.udp, qo)
 		}
-	}
-}
-
-// TestSweepEmitsTheGrabsFirstPacket pins the observer contract: the event a
-// sweep delivers is field for field the first event Dial (TCP) or QueryX of
-// a size-byte payload (UDP) delivers for the same flow.
-func TestSweepEmitsTheGrabsFirstPacket(t *testing.T) {
-	n := NewNetwork(NewSimClock(ExperimentStart))
-	var seen []ProbeEvent
-	n.AddObserver(MustParsePrefix("44.0.0.0/8"), ObserverFunc(func(ev ProbeEvent) { seen = append(seen, ev) }))
-	src := MustParseIPv4("130.226.0.1")
-	opts := ProbeOptions{TTL: 52, Masscan: true, Attempt: 2}
-
-	tcp := Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 23}
-	n.Sweep(src, tcp, TCP, 0, opts)
-	_, _ = n.Dial(src, tcp, opts)
-	udp := Endpoint{IP: MustParseIPv4("44.1.2.3"), Port: 5683}
-	payload := []byte("0123456789")
-	n.Sweep(src, udp, UDP, len(payload), opts)
-	n.Query(src, udp, payload, opts)
-
-	if len(seen) != 4 {
-		t.Fatalf("observer saw %d events, want 4", len(seen))
-	}
-	if seen[0] != seen[1] {
-		t.Errorf("TCP sweep event %+v differs from Dial's %+v", seen[0], seen[1])
-	}
-	if seen[2] != seen[3] {
-		t.Errorf("UDP sweep event %+v differs from QueryX's %+v", seen[2], seen[3])
-	}
-	if ev := seen[2]; ev.Kind != ProbeUDP || ev.Size != len(payload) || ev.TTL != 52 || !ev.Masscan ||
-		ev.Src.Port != ephemeralPort(src, udp) {
-		t.Errorf("UDP sweep event %+v", ev)
 	}
 }
 

@@ -202,7 +202,7 @@ func (l *Loop) buildMonth(m int) *monthState {
 	network := netsim.NewNetwork(clock)
 	network.AddProvider(l.cfg.Prefix, l.universe)
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
-	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), l.geodb)
+	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	infected := attack.DeriveInfected(ms, l.universe)
 	sources := func() *attack.Sources {
 		s := attack.NewSources(ms, l.universe, nil, nil)

@@ -51,18 +51,17 @@ func checkDrainOrder(t *testing.T, tel *Telescope, wantFlows int) {
 	}
 }
 
-// TestOrderedDrainMatchesReferenceSort ingests the way the daemon's legs do
-// at once — producers RecordBatch-ing disjoint ordinal ranges shaped like the
-// generator's, with keys that collide across producers, while fabric traffic
-// arrives through Observe — and requires Flows and Drain to come back
-// in exactly the order sort.Slice gave, at sizes either side of the radix
-// threshold.
+// TestOrderedDrainMatchesReferenceSort ingests the way the darknet
+// generator's workers do — producers RecordBatch-ing disjoint ordinal ranges
+// shaped like the generator's at once, with keys that collide across
+// producers — and requires Flows and Drain to come back in exactly the order
+// sort.Slice gave, at sizes either side of the radix threshold.
 func TestOrderedDrainMatchesReferenceSort(t *testing.T) {
 	prefix := netsim.MustParsePrefix("44.0.0.0/8")
 	dark := netsim.MustParseIPv4("44.1.1.1")
 	day := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
-	for _, perProducer := range []int{20, 3000} { // 6×20+60 < radixMin <= 6×3000+…
-		const producers, observers, batch = 6, 3, 256
+	for _, perProducer := range []int{20, 3000} { // 110 and 16,500 flows, either side of radixMin
+		const producers, batch = 6, 256
 		tel := New(prefix, nil)
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
@@ -85,28 +84,15 @@ func TestOrderedDrainMatchesReferenceSort(t *testing.T) {
 				}
 			}(p)
 		}
-		for o := 0; o < observers; o++ {
-			wg.Add(1)
-			go func(o int) {
-				defer wg.Done()
-				for i := 0; i < perProducer; i++ {
-					tel.Observe(netsim.ProbeEvent{
-						Time: day, Src: netsim.Endpoint{IP: netsim.IPv4(0x0a000000 | o<<16 | i), Port: 50000},
-						Dst:       netsim.Endpoint{IP: dark, Port: 2323},
-						Transport: netsim.TCP, Kind: netsim.ProbeSYN, TTL: 52,
-					})
-				}
-			}(o)
-		}
 		wg.Wait()
 
 		shared := (perProducer + 9) / 10
-		wantFlows := producers*(perProducer-shared) + shared + observers*perProducer
+		wantFlows := producers*(perProducer-shared) + shared
 		if small := wantFlows < radixMin; small != (perProducer == 20) {
 			t.Fatalf("%d flows land on the wrong side of radixMin %d", wantFlows, radixMin)
 		}
 		for _, sf := range referenceOrder(tel) {
-			if sf.ft.SrcIP%10 == 0 && sf.ft.SrcIP < 1<<20 && sf.ft.DstPort == 23 && (sf.seq>>40 != 1 || sf.ft.TTL != 0 || sf.ft.PacketCnt != producers) {
+			if sf.ft.SrcIP%10 == 0 && sf.ft.SrcIP < 1<<20 && (sf.seq>>40 != 1 || sf.ft.TTL != 0 || sf.ft.PacketCnt != producers) {
 				t.Fatalf("shared key %d: ordinal %#x TTL %d packets %d, want producer 0's record holding all %d packets",
 					sf.ft.SrcIP, sf.seq, sf.ft.TTL, sf.ft.PacketCnt, producers)
 			}
@@ -131,7 +117,7 @@ func TestOrderedDrainSingleShard(t *testing.T) {
 			}
 			// mix64 scatters the ordinals over the whole 64-bit range;
 			// halving n makes neighbours share one.
-			tel.ingest(ft, mix64(uint64(flows-n/2)))
+			recordAt(tel, mix64(uint64(flows-n/2)), ft)
 			n++
 		}
 		for i := 1; i < numShards; i++ {

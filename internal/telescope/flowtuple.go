@@ -1,5 +1,5 @@
 // Package telescope implements the /8 network-telescope substrate: a
-// darknet observer that captures unsolicited traffic as FlowTuple records
+// darknet capture that holds unsolicited traffic as FlowTuple records
 // (the CAIDA STARDUST format the paper parses, Section 3.4), with binary and
 // CSV codecs, per-minute file rotation and the aggregation queries behind
 // Table 8.

@@ -2,7 +2,6 @@ package telescope
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 // mutate freely without corrupting the capture.
 func TestFlowsMutationIsolation(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Record(sampleFlow())
+	recordAt(tel, 1, sampleFlow())
 
 	first := tel.Flows()
 	if len(first) != 1 {
@@ -34,7 +33,7 @@ func TestFlowsMutationIsolation(t *testing.T) {
 // handed over (no copy) and the capture starts empty.
 func TestDrainHandsOverAndClears(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Record(sampleFlow())
+	recordAt(tel, 1, sampleFlow())
 	drained := tel.Drain()
 	if len(drained) != 1 {
 		t.Fatalf("drained %d, want 1", len(drained))
@@ -43,7 +42,7 @@ func TestDrainHandsOverAndClears(t *testing.T) {
 		t.Fatal("telescope not empty after Drain")
 	}
 	// The next window accumulates independently.
-	tel.Record(sampleFlow())
+	recordAt(tel, 2, sampleFlow())
 	if tel.Len() != 1 {
 		t.Fatalf("post-drain capture has %d flows, want 1", tel.Len())
 	}
@@ -86,63 +85,6 @@ func TestRecordBatchOrdinalOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserveMatchesSequential feeds the same probe stream to two
-// telescopes — one from a single goroutine, one from eight — and requires the
-// aggregated flow sets to be identical.
-func TestConcurrentObserveMatchesSequential(t *testing.T) {
-	prefix := netsim.MustParsePrefix("44.0.0.0/8")
-	events := make([]netsim.ProbeEvent, 4000)
-	for i := range events {
-		events[i] = netsim.ProbeEvent{
-			Time: time.Date(2021, 4, 1, 0, 0, i%60, 0, time.UTC),
-			Src:  netsim.Endpoint{IP: netsim.IPv4(i % 977), Port: uint16(40000 + i%50)},
-			Dst: netsim.Endpoint{IP: netsim.MustParseIPv4("44.1.1.1") + netsim.IPv4(i%13),
-				Port: 23},
-			Transport: netsim.TCP, Kind: netsim.ProbeSYN, TTL: 52,
-		}
-	}
-
-	seq := New(prefix, nil)
-	for _, ev := range events {
-		seq.Observe(ev)
-	}
-
-	par := New(prefix, nil)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(events); i += 8 {
-				par.Observe(events[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	a, b := seq.Flows(), par.Flows()
-	if len(a) != len(b) {
-		t.Fatalf("flow counts differ: %d vs %d", len(a), len(b))
-	}
-	// Arrival ordinals race under concurrency, so compare as key-sorted sets.
-	key := func(ft *FlowTuple) uint64 {
-		return uint64(ft.SrcIP)<<32 | uint64(ft.SrcPort)<<16 | uint64(ft.DstIP&0xffff)
-	}
-	byKey := func(flows []*FlowTuple) map[uint64]uint32 {
-		m := make(map[uint64]uint32, len(flows))
-		for _, ft := range flows {
-			m[key(ft)] += ft.PacketCnt
-		}
-		return m
-	}
-	ma, mb := byKey(a), byKey(b)
-	for k, v := range ma {
-		if mb[k] != v {
-			t.Fatalf("packet count for key %x: sequential %d, concurrent %d", k, v, mb[k])
-		}
-	}
-}
-
 // TestRecordBatchLargeUsesHeapScratch covers the >256-record path, which
 // sorts in heap scratch instead of the stack arrays.
 func TestRecordBatchLargeUsesHeapScratch(t *testing.T) {
@@ -171,12 +113,13 @@ func TestRecordBatchLargeUsesHeapScratch(t *testing.T) {
 // tests rely on: two snapshots of one telescope serialize identically.
 func TestFlowsCSVStableAcrossSnapshots(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	for i := 0; i < 100; i++ {
-		ft := sampleFlow()
-		ft.SrcIP = netsim.IPv4(i * 7)
-		ft.SrcPort = uint16(1000 + i)
-		tel.Record(ft)
+	fts := make([]FlowTuple, 100)
+	for i := range fts {
+		fts[i] = *sampleFlow()
+		fts[i].SrcIP = netsim.IPv4(i * 7)
+		fts[i].SrcPort = uint16(1000 + i)
 	}
+	tel.RecordBatch(1, fts)
 	dump := func() []byte {
 		var buf bytes.Buffer
 		for _, ft := range tel.Flows() {
@@ -200,11 +143,15 @@ func TestReservePreSizesWithoutChangingCapture(t *testing.T) {
 	const flows = 100_000
 
 	feed := func(tel *Telescope) {
-		for i := 0; i < flows; i++ {
-			ft := sampleFlow()
-			ft.SrcIP = netsim.IPv4(uint32(i)*2654435761 + 7)
-			ft.SrcPort = uint16(i)
-			tel.Record(ft)
+		const batch = 256
+		for off := 0; off < flows; off += batch {
+			fts := make([]FlowTuple, min(batch, flows-off))
+			for i := range fts {
+				fts[i] = *sampleFlow()
+				fts[i].SrcIP = netsim.IPv4(uint32(off+i)*2654435761 + 7)
+				fts[i].SrcPort = uint16(off + i)
+			}
+			tel.RecordBatch(uint64(off), fts)
 		}
 	}
 

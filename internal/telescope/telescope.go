@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openhire/internal/geo"
@@ -12,26 +11,18 @@ import (
 	"openhire/internal/netsim"
 )
 
-// Telescope observes a routed-but-dark prefix, aggregating unsolicited
-// traffic into FlowTuple records. It implements netsim.Observer, so wiring
-// it into the fabric with Network.AddObserver captures every probe the
-// simulated adversaries send at its prefix — the same passive capture model
-// as the UCSD /8 darknet.
+// Telescope is the capture of a routed-but-dark prefix: unsolicited traffic
+// aggregated into FlowTuple records, the passive capture model of the UCSD
+// /8 darknet. Its one producer is the darknet generator, which hands it
+// finished flows through RecordBatch.
 //
 // The flow table is hash-sharded: each flow key maps to one of numShards
-// open-addressing tables with its own lock, so concurrent attack workers and
-// the parallel darknet generator never serialize on a single mutex. Every
-// flow carries an ordinal; Flows and Drain merge the shards back into
-// ascending-ordinal order, which for a single sequential writer is exactly
-// insertion order (the behaviour the pre-sharding telescope guaranteed).
+// open-addressing tables with its own lock, so the parallel darknet
+// generator's workers never serialize on a single mutex. Every flow carries
+// its producer's ordinal; Flows and Drain merge the shards back into
+// ascending-ordinal order.
 type Telescope struct {
 	prefix netsim.Prefix
-	geodb  *geo.DB
-
-	// seq allocates ordinals for Observe/Record. It starts at recordSeqBase
-	// so batch ingest (RecordBatch, whose callers assign their own ordinals
-	// below the base) sorts ahead of fabric-observed traffic.
-	seq    atomic.Uint64
 	shards [numShards]flowShard
 }
 
@@ -39,10 +30,6 @@ type Telescope struct {
 // essentially uncontended at the worker counts the replay uses while the
 // array of shard headers still fits in a few cache lines.
 const numShards = 64
-
-// recordSeqBase is the first ordinal handed to Observe/Record traffic.
-// RecordBatch callers own the range below it.
-const recordSeqBase = uint64(1) << 62
 
 // flowShard is one lock-striped slice of the flow table: an open-addressing
 // index over an insertion-ordered entry slab. Padded so adjacent shard
@@ -83,11 +70,10 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// New builds a telescope over prefix using geodb for source annotation.
-func New(prefix netsim.Prefix, geodb *geo.DB) *Telescope {
-	t := &Telescope{prefix: prefix, geodb: geodb}
-	t.seq.Store(recordSeqBase)
-	return t
+// New builds a telescope over prefix. The geo argument is not read: the
+// producer annotates sources before it records a flow.
+func New(prefix netsim.Prefix, _ *geo.DB) *Telescope {
+	return &Telescope{prefix: prefix}
 }
 
 // Prefix returns the observed range.
@@ -124,22 +110,6 @@ func (s *flowShard) insert(k0, k1, h, seq uint64, ft *FlowTuple) {
 				e.ft.PacketCnt += ft.PacketCnt
 			}
 			return
-		}
-	}
-}
-
-// find returns the record for a packed key, or nil. Caller holds the lock.
-func (s *flowShard) find(k0, k1, h uint64) *FlowTuple {
-	if s.slots == nil {
-		return nil
-	}
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		ref := s.slots[i]
-		if ref == 0 {
-			return nil
-		}
-		if e := &s.entries[ref-1]; e.k0 == k0 && e.k1 == k1 {
-			return e.ft
 		}
 	}
 }
@@ -195,86 +165,12 @@ func (t *Telescope) Reserve(flows int) {
 	}
 }
 
-// Observe implements netsim.Observer.
-func (t *Telescope) Observe(ev netsim.ProbeEvent) {
-	if !t.prefix.Contains(ev.Dst.IP) {
-		return
-	}
-	var proto uint8 = ProtoTCP
-	var flags uint8
-	ipLen := uint16(40)
-	var synLen, synWin uint16
-	switch ev.Transport {
-	case netsim.UDP:
-		proto = ProtoUDP
-		ipLen = uint16(28 + ev.Size)
-	default:
-		if ev.Kind == netsim.ProbeSYN {
-			flags = FlagSYN
-			synLen = 44
-			synWin = 65535
-		}
-	}
-	k0, k1 := flowKey{src: ev.Src.IP, dst: ev.Dst.IP, sport: ev.Src.Port,
-		dport: ev.Dst.Port, proto: proto}.pack()
-	h := mix64(k0 ^ mix64(k1))
-	s := &t.shards[h>>(64-6)]
-
-	// Fast path: a repeat packet of a known flow only bumps its counter —
-	// no allocation, no geo lookup, one shard lock.
-	s.mu.Lock()
-	if ft := s.find(k0, k1, h); ft != nil {
-		ft.PacketCnt++
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	ft := &FlowTuple{
-		Time: ev.Time, SrcIP: ev.Src.IP, DstIP: ev.Dst.IP,
-		SrcPort: ev.Src.Port, DstPort: ev.Dst.Port,
-		Protocol: proto, TTL: ev.TTL, TCPFlags: flags,
-		IPLen: ipLen, SynLen: synLen, SynWinLen: synWin, PacketCnt: 1,
-		IsSpoofed: ev.Spoofed, IsMasscan: ev.Masscan,
-	}
-	if t.geodb != nil {
-		ft.CountryCC = string(t.geodb.Country(ev.Src.IP))
-		ft.ASN = t.geodb.ASN(ev.Src.IP)
-	}
-	// A racing Observe of the same new flow may have inserted between the
-	// probe and here; insert merges the counters either way.
-	seq := t.seq.Add(1)
-	s.mu.Lock()
-	s.insert(k0, k1, h, seq, ft)
-	s.mu.Unlock()
-}
-
-// ingest routes one owned record to its shard. Duplicate keys merge by
-// adding ft's packet count to the already-held record.
-func (t *Telescope) ingest(ft *FlowTuple, seq uint64) {
-	k0, k1 := flowKey{src: ft.SrcIP, dst: ft.DstIP, sport: ft.SrcPort,
-		dport: ft.DstPort, proto: ft.Protocol}.pack()
-	h := mix64(k0 ^ mix64(k1))
-	s := &t.shards[h>>(64-6)] // top bits pick the shard, low bits the slot
-	s.mu.Lock()
-	s.insert(k0, k1, h, seq, ft)
-	s.mu.Unlock()
-}
-
-// Record ingests a copy of a pre-built FlowTuple. The statistical traffic
-// generator's scalar path and tests use this; bulk producers should prefer
-// RecordBatch, which skips the per-record copy and lock acquisition.
-func (t *Telescope) Record(ft *FlowTuple) {
-	cp := *ft
-	t.ingest(&cp, t.seq.Add(1))
-}
-
 // RecordBatch ingests a batch of pre-built flows, taking ownership of the
 // backing slab: records are indexed in place, never copied, and the caller
 // must not touch them again. Record i receives ordinal base+i, and Flows and
 // Drain return ascending-ordinal order, so concurrent producers that carve
-// disjoint ordinal ranges below 1<<62 (the parallel darknet generator gives
-// each (protocol, day) unit its own range) get dumps that are byte-identical
+// disjoint ordinal ranges (the parallel darknet generator gives each
+// (protocol, day) unit its own range) get dumps that are byte-identical
 // no matter how their batches interleave. When one key appears under two
 // ordinals, the smaller ordinal's record wins and absorbs the other's packet
 // count — the same outcome sequential ingest in ordinal order would produce.
@@ -365,8 +261,8 @@ const radixMin = 256
 //
 // Large inputs take an LSD radix sort over the ordinal's bytes, skipping
 // every byte position on which all ordinals agree. Ordinals are structured —
-// the darknet generator's are (unit+1)<<40 + i, fabric traffic counts up from
-// 1<<62 — so a day differs in three or four of the eight positions, and each
+// the darknet generator's are (unit+1)<<40 + i — so a day differs in three or
+// four of the eight positions, and each
 // remaining pass is two linear sweeps with no comparisons.
 func sortBySeq(all []seqFlow) []seqFlow {
 	if len(all) < radixMin {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"openhire/internal/geo"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
 )
@@ -21,6 +20,11 @@ func sampleFlow() *FlowTuple {
 		IPLen: 40, SynLen: 44, SynWinLen: 65535, PacketCnt: 3,
 		CountryCC: "China", ASN: 4134, IsSpoofed: false, IsMasscan: true,
 	}
+}
+
+// recordAt ingests a copy of ft at ordinal seq, as a one-record batch.
+func recordAt(tel *Telescope, seq uint64, ft *FlowTuple) {
+	tel.RecordBatch(seq, []FlowTuple{*ft})
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -111,53 +115,9 @@ func TestCSVRejectsBadLines(t *testing.T) {
 	}
 }
 
-func TestObserveAggregatesFlows(t *testing.T) {
-	prefix := netsim.MustParsePrefix("44.0.0.0/8")
-	tel := New(prefix, geo.NewDB(1, nil))
-	ev := netsim.ProbeEvent{
-		Time:      netsim.ExperimentStart,
-		Src:       netsim.Endpoint{IP: netsim.MustParseIPv4("9.8.7.6"), Port: 40000},
-		Dst:       netsim.Endpoint{IP: netsim.MustParseIPv4("44.1.1.1"), Port: 23},
-		Transport: netsim.TCP, Kind: netsim.ProbeSYN, TTL: 52,
-	}
-	for i := 0; i < 3; i++ {
-		tel.Observe(ev)
-	}
-	flows := tel.Flows()
-	if len(flows) != 1 {
-		t.Fatalf("flows %d", len(flows))
-	}
-	if flows[0].PacketCnt != 3 || flows[0].TCPFlags != FlagSYN || flows[0].CountryCC == "" {
-		t.Fatalf("flow %+v", flows[0])
-	}
-}
-
-func TestObserveIgnoresOutsidePrefix(t *testing.T) {
-	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Observe(netsim.ProbeEvent{
-		Dst: netsim.Endpoint{IP: netsim.MustParseIPv4("45.0.0.1"), Port: 23},
-	})
-	if tel.Len() != 0 {
-		t.Fatal("captured traffic outside prefix")
-	}
-}
-
-func TestObserveUDPSizes(t *testing.T) {
-	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Observe(netsim.ProbeEvent{
-		Time: netsim.ExperimentStart,
-		Src:  netsim.Endpoint{IP: 1, Port: 9}, Dst: netsim.Endpoint{IP: netsim.MustParseIPv4("44.2.2.2"), Port: 5683},
-		Transport: netsim.UDP, Kind: netsim.ProbeUDP, Size: 21, TTL: 64, Masscan: true,
-	})
-	flows := tel.Flows()
-	if flows[0].Protocol != ProtoUDP || flows[0].IPLen != 49 || !flows[0].IsMasscan {
-		t.Fatalf("flow %+v", flows[0])
-	}
-}
-
 func TestDrainClears(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Record(sampleFlow())
+	recordAt(tel, 1, sampleFlow())
 	if got := tel.Drain(); len(got) != 1 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -168,8 +128,8 @@ func TestDrainClears(t *testing.T) {
 
 func TestRecordMergesDuplicates(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
-	tel.Record(sampleFlow())
-	tel.Record(sampleFlow())
+	recordAt(tel, 1, sampleFlow())
+	recordAt(tel, 2, sampleFlow())
 	flows := tel.Flows()
 	if len(flows) != 1 || flows[0].PacketCnt != 6 {
 		t.Fatalf("flows %+v", flows)
@@ -234,21 +194,6 @@ func TestHourlyBuckets(t *testing.T) {
 	buckets := HourlyBuckets(flows, start, 3)
 	if buckets[0] != 5 || buckets[1] != 7 || buckets[2] != 0 {
 		t.Fatalf("buckets %v", buckets)
-	}
-}
-
-func BenchmarkObserve(b *testing.B) {
-	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), geo.NewDB(1, nil))
-	ev := netsim.ProbeEvent{
-		Time:      netsim.ExperimentStart,
-		Src:       netsim.Endpoint{IP: 123456, Port: 40000},
-		Dst:       netsim.Endpoint{IP: netsim.MustParseIPv4("44.1.1.1"), Port: 23},
-		Transport: netsim.TCP, Kind: netsim.ProbeSYN, TTL: 52,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.Src.IP = netsim.IPv4(i % 100000)
-		tel.Observe(ev)
 	}
 }
 

@@ -74,6 +74,9 @@
 #      which is what notices a core API change that breaks the harness —
 #      runs in --fast mode too
 #
+# Gates that pick tests with -run go through scripts/gate.sh, which first
+# fails the gate when a named package lists no test matching the pattern.
+#
 # Usage: check.sh [--fast]
 #   --fast skips the fuzz smokes (step 5's second half) and shrinks the crash
 #   sweep to the -short site subset.
@@ -106,7 +109,7 @@ go test -race ./internal/netsim/... ./internal/core/scan/... \
 	./internal/protocols/...
 # The campaign's lanes are scheduled differently at each GOMAXPROCS; the
 # golden digest must not notice.
-go test -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)' ./internal/attack/
+./scripts/gate.sh -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)' ./internal/attack/
 
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
@@ -115,7 +118,7 @@ echo "==> service gate: serve aggregation determinism, golden digests + concurre
 go test -race ./internal/serve/
 
 echo "==> chaos gate: fault-model equivalence under -race"
-go test -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
+./scripts/gate.sh -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
 	./internal/core/scan/ ./internal/core/classify/
 go test -race ./internal/netsim/faults/
 
