@@ -286,8 +286,8 @@ func TestDarknetSharesInfectedSources(t *testing.T) {
 	})
 	g.Run()
 	srcSet := make(map[netsim.IPv4]bool)
-	for _, ip := range telescope.UniqueSources(tel.Flows()) {
-		srcSet[ip] = true
+	for _, ft := range tel.Flows() {
+		srcSet[ft.SrcIP] = true
 	}
 	overlap := 0
 	for _, ip := range infected {

@@ -50,9 +50,9 @@ type DarknetConfig struct {
 	// Start is the first day's timestamp (default ExperimentStart).
 	Start time.Time
 	// Workers bounds generation concurrency (0 = GOMAXPROCS). Each
-	// (protocol, day) unit owns a derived PRNG stream and a disjoint
-	// telescope ordinal range, so the captured flows are byte-identical for
-	// any worker count.
+	// (protocol, day) unit owns a derived PRNG stream and records its flows
+	// as one telescope batch under its unit index, so the captured flows are
+	// byte-identical for any worker count.
 	Workers int
 	// OnUnit, when set, is called once per finished (protocol, day) unit —
 	// after the worker pool has joined, in fixed unit order, never from the
@@ -69,8 +69,8 @@ type DarknetConfig struct {
 // attack campaign, so cross-dataset correlation (Section 5.3) is faithful.
 //
 // Generation fans out over (protocol, day) units: unit (p, d) seeds its flow
-// stream with Derive("darknet", protocol, day) and writes telescope ordinals
-// carved from range (p*Days+d+1)<<40, so scheduling never leaks into the
+// stream with Derive("darknet", protocol, day) and records its day as one
+// telescope batch at ordinal p*Days+d, so scheduling never leaks into the
 // output — 1 worker and GOMAXPROCS workers produce identical dumps.
 type DarknetGenerator struct {
 	cfg DarknetConfig
@@ -79,18 +79,6 @@ type DarknetGenerator struct {
 	setup  sync.Once
 	states []*protoState
 }
-
-// recordBatchSize is how many flows a unit accumulates per RecordBatch call
-// (one lock acquisition per touched telescope shard).
-const recordBatchSize = 256
-
-// flowChunkSize bounds the zeroed slab a unit carves record batches from
-// when its volume estimate overshoots this many flows.
-const flowChunkSize = 65536
-
-// unitSeqShift sizes each unit's ordinal range: 2^40 flows per unit-day is
-// five orders of magnitude above full paper volume.
-const unitSeqShift = 40
 
 // protoState is the per-protocol input shared by that protocol's day units.
 // It is built once, before generation starts, and read-only afterwards.
@@ -237,16 +225,6 @@ func (g *DarknetGenerator) RunDay(day int) int {
 
 // runUnits executes the given (protocol, day) units on the worker pool.
 func (g *DarknetGenerator) runUnits(units []int) int {
-	// Pre-size the flow table from the planned volume so ingest skips the
-	// doubling rehashes of a cold table. The per-unit estimate mirrors
-	// generateUnit's chunk sizing (mean PacketCnt ≈ 32.5, /28 leaves slack);
-	// flows already captured (the accumulating, non-rotating path) stay
-	// counted so Reserve only ever widens.
-	est := 0
-	for _, u := range units {
-		est += int(g.states[u/g.cfg.Days].dailyPackets / 28)
-	}
-	g.cfg.Telescope.Reserve(g.cfg.Telescope.Len() + est)
 	workers := g.cfg.Workers
 	if workers > len(units) {
 		workers = len(units)
@@ -281,38 +259,23 @@ func (g *DarknetGenerator) runUnits(units []int) int {
 	return total
 }
 
-// generateUnit emits one protocol-day of flows. All randomness comes from
-// the unit's derived stream; several fields are packed into each 64-bit draw
-// (disjoint bit ranges; moduli either exact powers of two or large enough
-// that the bias is far below measurement noise), which roughly halves the
-// PRNG cost per flow.
+// generateUnit emits one protocol-day of flows into one slab and records it
+// as a single telescope batch. All randomness comes from the unit's derived
+// stream; several fields are packed into each 64-bit draw (disjoint bit
+// ranges; moduli either exact powers of two or large enough that the bias is
+// far below measurement noise), which roughly halves the PRNG cost per flow.
 func (g *DarknetGenerator) generateUnit(st *protoState, day, unit int) int {
 	gen := g.src.Derive(prng.HashString("darknet"),
 		prng.HashString(string(st.cal.Protocol)), uint64(day))
-	base := (uint64(unit) + 1) << unitSeqShift
 	prefix := g.cfg.Telescope.Prefix()
 	prefixSize := prefix.Size()
 	dayStart := g.cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
 
 	ann := make([]geoAnn, len(st.sources))
-	// Record batches are carved from larger zeroed chunks: RecordBatch indexes
-	// the committed region in place, so as long as committed records are never
-	// rewritten the chunk can keep absorbing flows. The first chunk is sized
-	// from the day's expected flow count (mean PacketCnt 32.5, /28 leaves 16%
-	// slack) so most units allocate exactly once.
-	est := int(st.dailyPackets/28) + 16
-	if est > flowChunkSize {
-		est = flowChunkSize
-	}
-	chunk := make([]telescope.FlowTuple, est)
-	idx, flushed := 0, 0 // write cursor and first uncommitted index in chunk
-	n := 0
-	flush := func() {
-		if idx > flushed {
-			g.cfg.Telescope.RecordBatch(base+uint64(n-(idx-flushed)), chunk[flushed:idx])
-			flushed = idx
-		}
-	}
+	// The slab is sized from the day's expected flow count (mean PacketCnt
+	// 32.5, /28 leaves 16% slack), so a unit almost always allocates once;
+	// append grows it if the estimate falls short.
+	fts := make([]telescope.FlowTuple, 0, int(st.dailyPackets/28)+16)
 
 	remaining := st.dailyPackets
 	isTCP := st.transport == telescope.ProtoTCP
@@ -330,8 +293,8 @@ func (g *DarknetGenerator) generateUnit(st *protoState, day, unit int) int {
 		}
 		remaining -= pkts
 
-		ft := &chunk[idx]
-		idx++
+		fts = append(fts, telescope.FlowTuple{})
+		ft := &fts[len(fts)-1]
 		ft.Time = dayStart.Add(time.Duration((u3&0xffffffff)%86400) * time.Second)
 		ft.SrcIP = srcIP
 		ft.DstIP = prefix.Nth((u2 & 0xffffffff) % prefixSize)
@@ -360,15 +323,7 @@ func (g *DarknetGenerator) generateUnit(st *protoState, day, unit int) int {
 			ft.CountryCC = a.cc
 			ft.ASN = a.asn
 		}
-		n++
-		if idx-flushed == recordBatchSize || idx == len(chunk) {
-			flush()
-			if idx == len(chunk) && remaining > 0 {
-				chunk = make([]telescope.FlowTuple, flowChunkSize)
-				idx, flushed = 0, 0
-			}
-		}
 	}
-	flush()
-	return n
+	g.cfg.Telescope.RecordBatch(uint64(unit), fts)
+	return len(fts)
 }

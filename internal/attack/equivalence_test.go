@@ -15,16 +15,13 @@ import (
 	"openhire/internal/telescope"
 )
 
-// dumpFlows serializes a telescope's capture to CSV bytes.
-func dumpFlows(t *testing.T, flows []*telescope.FlowTuple) []byte {
-	t.Helper()
-	var buf bytes.Buffer
+// dumpFlows serializes a telescope's capture to CSV lines.
+func dumpFlows(flows []*telescope.FlowTuple) []byte {
+	var out []byte
 	for _, ft := range flows {
-		if err := ft.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
+		out = ft.AppendCSV(out)
 	}
-	return buf.Bytes()
+	return out
 }
 
 // runDarknet generates a 3-day capture at the paper's benchmark scale with
@@ -38,7 +35,7 @@ func runDarknet(t *testing.T, workers int) ([]byte, []telescope.ProtocolStats) {
 	})
 	g.Run()
 	flows := tel.Flows()
-	return dumpFlows(t, flows), telescope.AggregateByProtocol(flows)
+	return dumpFlows(flows), telescope.AggregateByProtocol(flows)
 }
 
 // TestDarknetParallelEquivalence is the tentpole guarantee: the same seed at
@@ -71,7 +68,7 @@ func TestDarknetSameSeedSameDump(t *testing.T) {
 			Seed: 13, Telescope: tel, Sources: s, Scale: 1.0 / 200000, Days: 1,
 		})
 		g.Run()
-		return dumpFlows(t, tel.Flows())
+		return dumpFlows(tel.Flows())
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Fatal("same-seed darknet runs produced different dumps")
@@ -86,14 +83,14 @@ func TestDarknetRunDayMatchesRun(t *testing.T) {
 	}
 	telA := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	NewDarknetGenerator(cfg(telA)).Run()
-	oneShot := dumpFlows(t, telA.Flows())
+	oneShot := dumpFlows(telA.Flows())
 
 	telB := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	gb := NewDarknetGenerator(cfg(telB))
 	var rotated []byte
 	for day := 0; day < 3; day++ {
 		gb.RunDay(day)
-		rotated = append(rotated, dumpFlows(t, telB.Drain())...)
+		rotated = append(rotated, dumpFlows(telB.Drain())...)
 	}
 	if telB.Len() != 0 {
 		t.Fatalf("telescope holds %d flows after final drain", telB.Len())
@@ -112,6 +109,27 @@ func TestDarknetRunDayMatchesRun(t *testing.T) {
 	}
 	if len(oneShot) != len(rotated) {
 		t.Fatalf("dump sizes differ: %d vs %d bytes", len(oneShot), len(rotated))
+	}
+}
+
+// TestDrainedDayOutlivesNextRunDay fences the contract between RecordBatch
+// and Drain: a drained day's records belong to the caller, and no later day
+// writes into them. The serve daemon keeps a drained day's pointers while it
+// writes hour files and folds, and generates the next day after that.
+func TestDrainedDayOutlivesNextRunDay(t *testing.T) {
+	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
+	g := NewDarknetGenerator(DarknetConfig{Seed: 21, Telescope: tel, Scale: 1.0 / 100000, Days: 3})
+	g.RunDay(0)
+	day0 := tel.Drain()
+	want := dumpFlows(day0)
+	for day := 1; day < 3; day++ {
+		g.RunDay(day)
+		if got := dumpFlows(day0); !bytes.Equal(got, want) {
+			t.Fatalf("RunDay(%d) rewrote records drained on day 0", day)
+		}
+		if len(tel.Drain()) == 0 {
+			t.Fatalf("RunDay(%d) recorded no flows", day)
+		}
 	}
 }
 
@@ -177,7 +195,7 @@ func TestDarknetOnUnitZeroPerturbation(t *testing.T) {
 			}
 		}
 		total := NewDarknetGenerator(cfg).Run()
-		return dumpFlows(t, tel.Flows()), total
+		return dumpFlows(tel.Flows()), total
 	}
 	bare, bareTotal := run(nil)
 	var unitsA, unitsB []unitReport

@@ -332,9 +332,9 @@ func (w *World) RunTelescope() int {
 }
 
 // Flows forces the telescope phase and returns its flows in capture order:
-// one copy of the table, made when the phase ends and shared by every
+// one copy of the capture, made when the phase ends and shared by every
 // experiment, read-only by the same contract as Events. The telescope keeps
-// its table — Telescope.Stats() feeds the manifest's counters after the
+// its records — Telescope.Stats() feeds the manifest's counters after the
 // experiments ran — which is why this is a copy where Events is a hand-over.
 func (w *World) Flows() []*telescope.FlowTuple {
 	w.RunTelescope()

@@ -2,17 +2,16 @@ package s7
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"openhire/internal/netsim"
 )
 
 // FuzzDecodeTPKT holds the TPKT framer to what the honeypot needs from it on
-// attacker bytes: it never panics, a decoded frame is as long as its header
-// says and its payload is the rest of it, and the server's path — the same bytes arriving one
-// at a time at a stepper that pulls frames with netsim.Frames — yields the
-// same first payload, or the same error, as decoding the whole slice.
+// attacker bytes: it never panics, a decoded frame is exactly what tpkt
+// encodes for its payload, and the server's path — the same bytes arriving
+// one at a time at a stepper that pulls frames with netsim.Frames — yields
+// the same first payload, or the same error, as decoding the whole slice.
 func FuzzDecodeTPKT(f *testing.F) {
 	connect := BuildConnect()
 	for _, raw := range [][]byte{
@@ -32,7 +31,7 @@ func FuzzDecodeTPKT(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 3})       // length below the header
 	f.Add([]byte{3, 0, 0x20, 0x01}) // length 8193: over the cap
 	f.Add([]byte{3, 0, 0, 4})       // empty payload
-	f.Add([]byte{3, 9, 0, 5, 0})    // reserved byte set: ignored
+	f.Add([]byte{3, 9, 0, 5, 0})    // reserved byte set: malformed
 	f.Add([]byte{4, 0, 0, 7, 2, 0xf0, 0x80})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n")) // cross-protocol probe
 
@@ -53,8 +52,8 @@ func FuzzDecodeTPKT(f *testing.F) {
 		if !complete {
 			return
 		}
-		if int(binary.BigEndian.Uint16(raw[2:4])) != n || !bytes.Equal(payload, raw[4:n]) {
-			t.Fatalf("frame %x decoded to %d bytes, payload %x", raw, n, payload)
+		if !bytes.Equal(tpkt(payload), raw[:n]) {
+			t.Fatalf("frame %x decoded to %d bytes, payload %x, which re-encodes as %x", raw, n, payload, tpkt(payload))
 		}
 	})
 }

@@ -100,7 +100,7 @@ func decodeTPKT(raw []byte) ([]byte, int, error) {
 	if len(raw) < 4 {
 		return nil, 4, nil
 	}
-	if raw[0] != 3 {
+	if raw[0] != 3 || raw[1] != 0 { // version 3; RFC 1006 reserves byte 1 as 0
 		return nil, 0, ErrMalformed
 	}
 	n := int(binary.BigEndian.Uint16(raw[2:4]))

@@ -40,6 +40,19 @@ func TestMalformedTPKTDropsSession(t *testing.T) {
 	}
 }
 
+// TestDecodeTPKTRejectsReservedByte pins RFC 1006's reserved header byte:
+// tpkt always writes 0 there, and a frame that sets it is malformed.
+func TestDecodeTPKTRejectsReservedByte(t *testing.T) {
+	raw := []byte{3, 0x30, 0, 6, 0x30, 0x30}
+	if payload, n, err := decodeTPKT(raw); err != ErrMalformed {
+		t.Fatalf("reserved byte 0x30 decoded: payload %x, n %d, err %v", payload, n, err)
+	}
+	raw[1] = 0
+	if payload, n, err := decodeTPKT(raw); err != nil || n != 6 || string(payload) != "00" {
+		t.Fatalf("valid frame: payload %x, n %d, err %v", payload, n, err)
+	}
+}
+
 func TestDefaultConfig(t *testing.T) {
 	s := NewServer(Config{})
 	if s.cfg.Module == "" || s.cfg.MaxJobs == 0 {

@@ -10,8 +10,8 @@ import (
 )
 
 // testFlow derives a deterministic flow from an index. Indices that share
-// i%17 collide on the aggregation key (same 5-tuple), exercising the merge
-// path; the rest of the fields vary so corruption of any one would surface.
+// i%17 share a 5-tuple, which the telescope keeps as separate records; the
+// rest of the fields vary so corruption of any one would surface.
 func testFlow(i int) FlowTuple {
 	k := i % 17
 	return FlowTuple{
@@ -41,9 +41,9 @@ func newTestTelescope() *Telescope {
 }
 
 // TestDumpBatchInterleavingIndependent asserts the property the parallel
-// darknet generator relies on: producers carving disjoint RecordBatch
-// ordinal ranges yield the same table, flow for flow and in the same order,
-// no matter which order their batches land in.
+// darknet generator relies on: producers recording batches under distinct
+// ordinals yield the same capture, flow for flow and in the same order, no
+// matter which order their batches land in.
 func TestDumpBatchInterleavingIndependent(t *testing.T) {
 	makeBatch := func(unit, n int) (uint64, []FlowTuple) {
 		fts := make([]FlowTuple, n)

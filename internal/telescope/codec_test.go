@@ -87,7 +87,7 @@ func codecCases() map[string]*FlowTuple {
 }
 
 // TestCodecMatchesReferenceEncoders pins both append encoders, and the
-// Write wrappers over plain and buffered writers, to the encoders they
+// WriteBinary wrapper over plain and buffered writers, to the encoders they
 // replaced, and the binary decoder — on both of its paths — to the inverse.
 func TestCodecMatchesReferenceEncoders(t *testing.T) {
 	for name, ft := range codecCases() {
@@ -106,9 +106,6 @@ func TestCodecMatchesReferenceEncoders(t *testing.T) {
 			var plain, buffered bytes.Buffer
 			bw := bufio.NewWriterSize(&buffered, 64)
 			for _, w := range []io.Writer{&plain, bw} {
-				if err := ft.WriteCSV(w); err != nil {
-					t.Fatal(err)
-				}
 				if err := ft.WriteBinary(w); err != nil {
 					t.Fatal(err)
 				}
@@ -116,8 +113,8 @@ func TestCodecMatchesReferenceEncoders(t *testing.T) {
 			if err := bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if want := wantCSV + string(wantBin); plain.String() != want || buffered.String() != want {
-				t.Errorf("Write wrappers:\n   plain %q\nbuffered %q\n    want %q", plain.String(), buffered.String(), want)
+			if want := string(wantBin); plain.String() != want || buffered.String() != want {
+				t.Errorf("WriteBinary:\n   plain %q\nbuffered %q\n    want %q", plain.String(), buffered.String(), want)
 			}
 
 			want := *ft
@@ -161,14 +158,12 @@ func TestCodecMatchesReferenceEncoders(t *testing.T) {
 func TestEncodeAllocatesNothingThroughBufio(t *testing.T) {
 	ft := sampleFlow()
 	bw := bufio.NewWriterSize(io.Discard, 1<<16)
-	for name, write := range map[string]func(io.Writer) error{"WriteBinary": ft.WriteBinary, "WriteCSV": ft.WriteCSV} {
-		if allocs := testing.AllocsPerRun(10000, func() {
-			if err := write(bw); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%s through a bufio.Writer: %v allocations per record, want 0", name, allocs)
+	if allocs := testing.AllocsPerRun(10000, func() {
+		if err := ft.WriteBinary(bw); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("WriteBinary through a bufio.Writer: %v allocations per record, want 0", allocs)
 	}
 }
 

@@ -202,12 +202,6 @@ func internCountry(cc []byte) string {
 // csvHeader is the CSV column list.
 const csvHeader = "time,src_ip,dst_ip,src_port,dst_port,protocol,ttl,tcp_flags,ip_len,syn_len,syn_win_len,packet_cnt,country,asn,is_spoofed,is_masscan"
 
-// WriteCSVHeader writes the header line.
-func WriteCSVHeader(w io.Writer) error {
-	_, err := io.WriteString(w, csvHeader+"\n")
-	return err
-}
-
 // AppendCSV appends the record as a CSV line. Commas in the country label
 // become semicolons, the format's only escape.
 func (ft *FlowTuple) AppendCSV(dst []byte) []byte {
@@ -232,12 +226,6 @@ func (ft *FlowTuple) AppendCSV(dst []byte) []byte {
 	dst = strconv.AppendBool(append(dst, ','), ft.IsSpoofed)
 	dst = strconv.AppendBool(append(dst, ','), ft.IsMasscan)
 	return append(dst, '\n')
-}
-
-// WriteCSV appends the record as a CSV line to w.
-func (ft *FlowTuple) WriteCSV(w io.Writer) error {
-	_, err := w.Write(ft.AppendCSV(scratch(w)))
-	return err
 }
 
 // flowChunk is how many encoded bytes WriteFlowsCSV and WriteFlowsBinary

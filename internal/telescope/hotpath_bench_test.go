@@ -12,9 +12,8 @@ import (
 )
 
 // benchDay builds a synthetic capture day shaped like the darknet generator's:
-// units slabs of perUnit distinct flows, slab u owning the ordinal range
-// (u+1)<<40 + i the way a (protocol, day) generation unit does, with the
-// geo database's country labels.
+// units slabs of perUnit distinct flows, one per (protocol, day) unit, with
+// the geo database's country labels.
 func benchDay(units, perUnit int) [][]FlowTuple {
 	day := make([][]FlowTuple, units)
 	for u := range day {
@@ -31,12 +30,11 @@ func benchDay(units, perUnit int) [][]FlowTuple {
 }
 
 // BenchmarkDrain measures Telescope.Drain over a 120K-flow day ingested the
-// way the parallel generator ingests it — 256-record RecordBatch calls, the
-// units interleaved — so the gather meets every shard holding every unit's
-// ordinals out of order. Refilling the table is untimed.
+// way the parallel generator ingests it — one RecordBatch per unit, the units
+// landing out of ordinal order. Refilling the capture is untimed.
 // Spine row it breaks down: telescope_capture telescope.drain_ns_per_flow.
 func BenchmarkDrain(b *testing.B) {
-	const units, perUnit, batch = 6, 20000, 256
+	const units, perUnit = 6, 20000
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	flows := 0
 	b.ReportAllocs()
@@ -44,11 +42,8 @@ func BenchmarkDrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		day := benchDay(units, perUnit) // RecordBatch takes ownership of the slabs
-		tel.Reserve(units * perUnit)
-		for off := 0; off < perUnit; off += batch {
-			for u := range day {
-				tel.RecordBatch(uint64(u+1)<<40+uint64(off), day[u][off:min(off+batch, perUnit)])
-			}
+		for u := len(day) - 1; u >= 0; u-- {
+			tel.RecordBatch(uint64(u), day[u])
 		}
 		b.StartTimer()
 		flows += len(tel.Drain())

@@ -91,11 +91,8 @@ func TestBinaryStream(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCSVHeader(&buf); err != nil {
-		t.Fatal(err)
-	}
 	want := sampleFlow()
-	if err := want.WriteCSV(&buf); err != nil {
+	if err := WriteFlowsCSV(&buf, []*FlowTuple{want}); err != nil {
 		t.Fatal(err)
 	}
 	records, err := ReadCSV(&buf)
@@ -126,13 +123,22 @@ func TestDrainClears(t *testing.T) {
 	}
 }
 
-func TestRecordMergesDuplicates(t *testing.T) {
+// TestSameKeyRecordsStaySeparate pins that the telescope never merges: two
+// records sharing a 5-tuple are two records, each keeping its own time and
+// packet count, in ordinal order.
+func TestSameKeyRecordsStaySeparate(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
+	later := sampleFlow()
+	later.Time = later.Time.Add(5 * time.Hour)
+	later.PacketCnt = 11
+	recordAt(tel, 2, later)
 	recordAt(tel, 1, sampleFlow())
-	recordAt(tel, 2, sampleFlow())
 	flows := tel.Flows()
-	if len(flows) != 1 || flows[0].PacketCnt != 6 {
+	if len(flows) != 2 || *flows[0] != *sampleFlow() || *flows[1] != *later {
 		t.Fatalf("flows %+v", flows)
+	}
+	if st := tel.Stats(); st.Flows != 2 || st.Packets != 14 {
+		t.Fatalf("stats %+v, want 2 flows of 14 packets", st)
 	}
 }
 
@@ -171,15 +177,6 @@ func TestAggregateByProtocolOrdering(t *testing.T) {
 	}
 	if stats[1].Protocol != iot.ProtoMQTT || stats[2].Protocol != iot.ProtoCoAP {
 		t.Fatalf("ordering %+v", stats)
-	}
-}
-
-func TestUniqueSources(t *testing.T) {
-	flows := []*FlowTuple{
-		{SrcIP: 1}, {SrcIP: 2}, {SrcIP: 1},
-	}
-	if got := UniqueSources(flows); len(got) != 2 {
-		t.Fatalf("unique %v", got)
 	}
 }
 

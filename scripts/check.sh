@@ -5,8 +5,8 @@
 #   2. full build
 #   3. race detector over the hot-path packages: the scan leg (lock-free
 #      snapshot lookup, sharded stats), the attack
-#      month / telescope leg (sharded flow tables, striped event log,
-#      parallel darknet generation), the report pass's two parallel
+#      month / telescope leg (concurrent RecordBatch producers, striped
+#      event log, parallel darknet generation), the report pass's two parallel
 #      layers (the universe's exposure index with the crawls that filter it,
 #      the chunked ClassifyAll) and the protocol servers (the MQTT broker
 #      fans publishes out across sessions under one mutex) — the
