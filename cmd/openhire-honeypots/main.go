@@ -76,8 +76,8 @@ func main() {
 
 	// Resume: reload the scheduler position, the committed days' events and
 	// the day gauges. A checkpointed run drains each day from the log as it
-	// commits it; committed goes back into the log when the month ends
-	// (append order is free: consumers work on time-major or canonical order).
+	// commits it; the month's events are committed plus what the log still
+	// holds when the month ends.
 	var resumeState *attack.CampaignResume
 	var committed []honeypot.Event
 	readDay := func(frame []byte) error {
@@ -145,12 +145,13 @@ func main() {
 	fmt.Printf("\nreplaying attack month at intensity %.4f ...\n", *intensity)
 	span := run.Tracer.Start("attack_month")
 	stats := campaign.Run(run.Context(), resumeState)
-	for _, ev := range committed {
-		log.Append(ev)
-	}
 	span.End()
 	progress.Done()
-	events := log.Events()
+	// One canonical (content) order for everything below: the log's arrival
+	// order is scheduling noise, and a digest or day file over it would
+	// differ between two same-seed runs.
+	events := append(committed, log.Drain()...)
+	honeypot.SortEventsCanonical(events)
 	campaign.RegisterIntel(events)
 	reg.AddAll("campaign", stats.Counters())
 	fmt.Printf("replayed %s attack conversations in %s\n",
@@ -172,15 +173,9 @@ func main() {
 		cli.Check(exportDaily(*export, events))
 	} else if reg != nil {
 		// No files requested: digest the canonical JSONL stream anyway so
-		// two manifests can still be compared on event content. The stream
-		// must be digested in canonical (content) order, not the log's
-		// arrival order — arrival order is scheduling noise, and a digest
-		// over it made same-seed manifests diff dirty.
-		canonical := make([]honeypot.Event, len(events))
-		copy(canonical, events)
-		honeypot.SortEventsCanonical(canonical)
+		// two manifests can still be compared on event content.
 		var buf bytes.Buffer
-		cli.Check(honeypot.ExportJSONL(&buf, canonical))
+		cli.Check(honeypot.ExportJSONL(&buf, events))
 		run.AddOutput("events.jsonl", obs.Digest(buf.Bytes()))
 	}
 	counts := honeypot.CountByHoneypotProtocol(events)
@@ -192,7 +187,7 @@ func main() {
 		t7.AddRow(target.Honeypot, string(target.Protocol),
 			counts[target.Honeypot][target.Protocol], len(uniq[target.Honeypot]))
 	}
-	t7.AddRow("Total", "", log.Len(), 0)
+	t7.AddRow("Total", "", len(events), 0)
 	_ = t7.Render(os.Stdout)
 
 	// Figure 4: attack types.
@@ -251,18 +246,13 @@ func main() {
 }
 
 // exportDaily writes one JSONL file per simulated day, the paper's daily
-// export-and-import workflow (Section 3.3.2). Events are exported in
-// canonical (content) order: the log's arrival order is scheduling noise,
-// and exporting it verbatim made the day files — and their manifest digests
-// — differ between two same-seed runs.
+// export-and-import workflow (Section 3.3.2), from events in canonical
+// order.
 func exportDaily(dir string, events []honeypot.Event) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("export: %w", err)
 	}
-	canonical := make([]honeypot.Event, len(events))
-	copy(canonical, events)
-	honeypot.SortEventsCanonical(canonical)
-	byDay, keys := honeypot.PartitionByDay(canonical)
+	byDay, keys := honeypot.PartitionByDay(events)
 	for _, day := range keys {
 		path := filepath.Join(dir, "attacks-"+day+".jsonl")
 		_, err := run.WriteArtifact(path, func(w io.Writer) error {

@@ -170,7 +170,7 @@ func TestCampaignReplaySmall(t *testing.T) {
 		t.Fatalf("planned %d, ran %d", stats.EventsPlanned, stats.EventsRun)
 	}
 
-	events := log.Events()
+	events := log.Drain()
 	if len(events) == 0 {
 		t.Fatal("honeypots logged nothing")
 	}

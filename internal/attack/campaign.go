@@ -241,9 +241,10 @@ type job struct {
 // at a day boundary, in this process or a checkpointed one — restarts at
 // resume.NextDay with the stream repositioned and the cumulative counters
 // seeded, so the remaining days replay exactly the schedule an uninterrupted
-// run would have produced. The caller restores the honeypot logs separately
-// (honeypot.Log appends are arrival-order insensitive once
-// SortEventsCanonical is applied). CampaignConfig.Days bounds each call.
+// run would have produced. The caller restores the committed days' honeypot
+// events separately, into the log or beside what it drains: arrival order is
+// what honeypot.SortEventsCanonical factors out. CampaignConfig.Days bounds
+// each call.
 func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 	start := time.Now()
 	var stats Stats

@@ -112,10 +112,11 @@ func TestCampaignDaysBoundPartial(t *testing.T) {
 	if !clk.Now().Before(DayStart(3).Add(24*60*60*1e9)) || clk.Now().Before(DayStart(2)) {
 		t.Fatalf("clock after Days=3 run: %v, want within day 2's schedule", clk.Now())
 	}
-	if len(canonical(log)) == 0 {
+	evs := canonical(log)
+	if len(evs) == 0 {
 		t.Fatal("bounded run logged nothing")
 	}
-	for _, ev := range canonical(log) {
+	for _, ev := range evs {
 		if ev.Time.After(DayStart(3)) {
 			t.Fatalf("event stamped %v past the Days bound", ev.Time)
 		}

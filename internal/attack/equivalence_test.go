@@ -147,7 +147,7 @@ func runCampaign(t *testing.T, workers int) []honeypot.Event {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	c.Run(ctx, nil)
-	events := log.Events()
+	events := log.Drain()
 	honeypot.SortEventsCanonical(events)
 	return events
 }
@@ -240,7 +240,7 @@ func TestCampaignOnDayZeroPerturbation(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		defer cancel()
 		stats := NewCampaign(cfg).Run(ctx, nil)
-		events := log.Events()
+		events := log.Drain()
 		honeypot.SortEventsCanonical(events)
 		return events, stats
 	}

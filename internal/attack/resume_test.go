@@ -42,10 +42,10 @@ func campaignWorld(t testing.TB,
 	return c, log, ctx
 }
 
-// canonical returns the log's events in canonical order — the arrival-order-
-// insensitive form both checkpointing and comparison rely on.
+// canonical drains the log and returns its events in canonical order — the
+// arrival-order-insensitive form both checkpointing and comparison rely on.
 func canonical(log *honeypot.Log) []honeypot.Event {
-	evs := log.Events()
+	evs := log.Drain()
 	honeypot.SortEventsCanonical(evs)
 	return evs
 }

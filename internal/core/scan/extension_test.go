@@ -105,6 +105,9 @@ func TestExtensionMisconfigStrings(t *testing.T) {
 	if iot.TR069NoAuth.String() != "No auth, connection request" {
 		t.Fatal(iot.TR069NoAuth.String())
 	}
+	if iot.SMBv1Enabled.String() != "SMBv1 enabled" {
+		t.Fatal(iot.SMBv1Enabled.String())
+	}
 	if iot.SMBv1Enabled.Protocol() != iot.ProtoSMB {
 		t.Fatal("SMBv1 protocol mapping")
 	}

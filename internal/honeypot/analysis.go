@@ -23,9 +23,8 @@ func CountByHoneypotProtocol(events []Event) map[string]map[iot.Protocol]int {
 
 // EventCounters flattens an event set into the named counter map the
 // metrics registry and run manifest consume: the event total plus per-type,
-// per-protocol and per-honeypot tallies. It walks the already-collected
-// (striped, seq-merged) log snapshot, so computing it never touches the
-// append hot path.
+// per-protocol and per-honeypot tallies. It walks events already drained
+// from the log, so computing it never touches the append hot path.
 func EventCounters(events []Event) map[string]uint64 {
 	out := map[string]uint64{"events": uint64(len(events))}
 	for _, ev := range events {

@@ -8,11 +8,9 @@ package honeypot
 
 import (
 	"bytes"
-	"cmp"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openhire/internal/iot"
@@ -51,112 +49,47 @@ type Event struct {
 	Detail string
 }
 
-// Log is the shared, thread-safe event store. Appends land on one of
-// logShards lock-striped shards chosen round-robin by a global sequence
-// counter, so concurrent attack workers never serialize on a single mutex;
-// Events merges the shards back into (Time, sequence) order. A shard stores
-// its events in fixed-size chunks, so an append never copies what earlier
-// appends stored. The zero value is ready to use.
+// Log is the shared, thread-safe event store: one mutex over the events in
+// arrival order, held in fixed-size chunks so an append never copies what
+// earlier appends stored. The zero value is ready to use.
 type Log struct {
-	seq    atomic.Uint64
-	shards [logShards]logShard
-}
-
-// logShards is the append stripe count — comfortably above the replay's
-// worker parallelism on any host this runs on.
-const logShards = 32
-
-// logChunk is the events one chunk holds: a shard's storage grows a chunk
-// at a time, and at most one chunk per shard is partly empty.
-const logChunk = 16
-
-// logShard is one append stripe, padded so adjacent shard headers do not
-// share a cache line under concurrent append. Every chunk but the last is
-// full; a chunk is never written again once full.
-type logShard struct {
 	mu     sync.Mutex
-	chunks []*[logChunk]seqEvent
-	n      int // events held
-	_      [64]byte
+	chunks []*[logChunk]Event // every chunk but the last is full
+	n      int                // events held
 }
 
-// seqEvent pairs an event with its global arrival sequence number.
-type seqEvent struct {
-	seq uint64
-	ev  Event
-}
+// logChunk is the events one chunk holds: the log grows a chunk at a time,
+// and only its last chunk is partly empty.
+const logChunk = 256
 
 // Append records an event.
 func (l *Log) Append(ev Event) {
-	s := l.seq.Add(1)
-	sh := &l.shards[s&(logShards-1)]
-	sh.mu.Lock()
-	if sh.n%logChunk == 0 {
-		sh.chunks = append(sh.chunks, new([logChunk]seqEvent))
+	l.mu.Lock()
+	if l.n%logChunk == 0 {
+		l.chunks = append(l.chunks, new([logChunk]Event))
 	}
-	sh.chunks[sh.n/logChunk][sh.n%logChunk] = seqEvent{seq: s, ev: ev}
-	sh.n++
-	sh.mu.Unlock()
+	l.chunks[l.n/logChunk][l.n%logChunk] = ev
+	l.n++
+	l.mu.Unlock()
 }
 
-// Events returns a snapshot of all events ordered by (Time, arrival
-// sequence). For a single sequential appender this is exactly append order —
-// the contract the pre-sharding log kept; concurrent appenders get a stable
-// chronological linearization.
-func (l *Log) Events() []Event {
-	return l.snapshot(false)
-}
-
-// Drain returns the events appended since the last drain, in Events order,
-// and empties the log — the mirror of telescope.Drain. Every event is
-// returned by exactly one drain, however appends interleave with it; an
-// append that lands after its shard was visited waits for the next one.
+// Drain returns the events appended since the last drain, ordered by Time
+// with ties in arrival order, and empties the log — the mirror of
+// telescope.Drain. Every event is returned by exactly one drain, however
+// appends interleave with it. For a single sequential appender the order is
+// exactly append order; concurrent appenders get a stable chronological
+// linearization.
 func (l *Log) Drain() []Event {
-	return l.snapshot(true)
-}
-
-// snapshot gathers the shards in (Time, arrival sequence) order, emptying
-// each under its own lock when drain is set. It sorts pointers into the
-// chunks and copies each event once, into the result. The slots it points
-// at stay as they are after the lock is released: a later append writes
-// only slots past the count it read, and a drain hands the chunks over.
-func (l *Log) snapshot(drain bool) []Event {
-	refs := make([]*seqEvent, 0, l.Len())
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			refs = append(refs, &sh.chunks[j/logChunk][j%logChunk])
-		}
-		if drain {
-			sh.chunks, sh.n = nil, 0
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	chunks, n := l.chunks, l.n
+	l.chunks, l.n = nil, 0
+	l.mu.Unlock()
+	out := make([]Event, 0, n)
+	for _, c := range chunks {
+		out = append(out, c[:min(logChunk, n-len(out))]...)
 	}
-	slices.SortFunc(refs, func(a, b *seqEvent) int {
-		if c := a.ev.Time.Compare(b.ev.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	out := make([]Event, len(refs))
-	for i, r := range refs {
-		out[i] = r.ev
-	}
+	slices.SortStableFunc(out, func(a, b Event) int { return a.Time.Compare(b.Time) })
 	return out
-}
-
-// Len returns the number of events currently held: appended and not yet
-// drained.
-func (l *Log) Len() int {
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // SortEventsCanonical orders events by content alone — every field, ties
@@ -215,7 +148,8 @@ type Honeypot struct {
 	mu       sync.RWMutex
 	services map[uint16]Service
 
-	floods [floodShards]floodShard
+	floodMu sync.Mutex
+	floods  map[floodKey]int
 }
 
 // floodKey tracks per-source daily request counts for DoS detection.
@@ -223,18 +157,6 @@ type floodKey struct {
 	proto iot.Protocol
 	src   netsim.IPv4
 	day   int64
-}
-
-// floodShards stripes the flood counters by source address so concurrent
-// workers hammering one honeypot from different sources do not serialize on
-// one counter lock.
-const floodShards = 16
-
-// floodShard is one stripe of the flood-counter map, cache-line padded.
-type floodShard struct {
-	mu     sync.Mutex
-	counts map[floodKey]int
-	_      [64]byte
 }
 
 // floodThreshold is the per-day per-source event count beyond which further
@@ -245,19 +167,13 @@ type floodShard struct {
 const floodThreshold = 3
 
 // floodUpgrade re-labels ev as DoS when its source exceeded the daily rate
-// threshold on the protocol. It must be called before Record. Counters are
-// striped by source low bits; one (protocol, source, day) key always lands on
-// one stripe, so the upgrade decision sequence per key is unaffected.
+// threshold on the protocol. It must be called before Record.
 func (h *Honeypot) floodUpgrade(ev *Event) {
 	key := floodKey{proto: ev.Protocol, src: ev.Src, day: ev.Time.Unix() / 86400}
-	sh := &h.floods[uint32(ev.Src)&(floodShards-1)]
-	sh.mu.Lock()
-	if sh.counts == nil {
-		sh.counts = make(map[floodKey]int)
-	}
-	sh.counts[key]++
-	count := sh.counts[key]
-	sh.mu.Unlock()
+	h.floodMu.Lock()
+	h.floods[key]++
+	count := h.floods[key]
+	h.floodMu.Unlock()
 	if count > floodThreshold {
 		ev.Type = AttackDoS
 		if ev.Detail == "" {
@@ -271,7 +187,7 @@ func (h *Honeypot) floodUpgrade(ev *Event) {
 func New(name, profile string, ip netsim.IPv4, clock *netsim.SimClock, log *Log) *Honeypot {
 	return &Honeypot{
 		Name: name, Profile: profile, IP: ip, Clock: clock, log: log,
-		services: make(map[uint16]Service),
+		services: make(map[uint16]Service), floods: make(map[floodKey]int),
 	}
 }
 

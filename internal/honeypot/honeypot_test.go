@@ -33,18 +33,16 @@ func dialOK(t *testing.T, n *netsim.Network, src netsim.IPv4, dst netsim.Endpoin
 	return conn
 }
 
-func waitEvents(t *testing.T, log *Log, pred func([]Event) bool) []Event {
+// loggedEvents drains the log and requires pred of what it held:
+// conversations run inline, so every event is logged by the time the
+// client's call returns.
+func loggedEvents(t *testing.T, log *Log, pred func([]Event) bool) []Event {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		evs := log.Events()
-		if pred(evs) {
-			return evs
-		}
-		time.Sleep(5 * time.Millisecond)
+	evs := log.Drain()
+	if !pred(evs) {
+		t.Fatalf("no logged event matched; have %d", len(evs))
 	}
-	t.Fatalf("events never matched; have %d", log.Len())
-	return nil
+	return evs
 }
 
 func TestDeployAllProtocols(t *testing.T) {
@@ -79,7 +77,7 @@ func TestCowrieTelnetBruteForceLogged(t *testing.T) {
 		t.Fatalf("Login = %v, %v (Cowrie must accept everything)", ok, err)
 	}
 	conn.Close()
-	evs := waitEvents(t, log, func(evs []Event) bool {
+	evs := loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Cowrie" && ev.Protocol == iot.ProtoTelnet &&
 				ev.Username == "root" && ev.Password == "xc3511" {
@@ -108,7 +106,7 @@ func TestCowrieMalwareDropClassified(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Cowrie" && ev.Type == AttackMalware &&
 				strings.Contains(ev.Detail, "mirai.arm7") {
@@ -131,7 +129,7 @@ func TestHosTaGeMQTTPoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Disconnect()
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "HosTaGe" && ev.Protocol == iot.ProtoMQTT &&
 				ev.Type == AttackPoisoning && ev.Detail == "arduino/sensors/smoke" {
@@ -153,7 +151,7 @@ func TestUPotDiscoveryLogged(t *testing.T) {
 	if h, ok := upnp.ResponseHeaders(resp); !ok || !strings.Contains(h["USN"], "Socket-1_0") {
 		t.Fatalf("headers %v", h)
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "U-Pot" && ev.Protocol == iot.ProtoUPnP && ev.Type == AttackScan {
 				return true
@@ -172,7 +170,7 @@ func TestHosTaGeCoAPPoisoning(t *testing.T) {
 	if resp == nil {
 		t.Fatal("no CoAP response")
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "HosTaGe" && ev.Protocol == iot.ProtoCoAP && ev.Type == AttackPoisoning {
 				return true
@@ -198,7 +196,7 @@ func TestDionaeaFTPMalwareCapture(t *testing.T) {
 		t.Fatalf("store: %v %v", ok, err)
 	}
 	c.Quit()
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Dionaea" && ev.Type == AttackMalware &&
 				string(ev.Payload) == string(payload) {
@@ -215,7 +213,7 @@ func TestEventTimesUseSimClock(t *testing.T) {
 	clk.Advance(5 * 24 * time.Hour)
 	upot := pots[1]
 	n.Query(1, netsim.Endpoint{IP: upot.IP, Port: 1900}, upnp.BuildMSearch(""), netsim.ProbeOptions{})
-	evs := waitEvents(t, log, func(evs []Event) bool { return len(evs) > 0 })
+	evs := loggedEvents(t, log, func(evs []Event) bool { return len(evs) > 0 })
 	want := netsim.ExperimentStart.Add(5 * 24 * time.Hour)
 	if !evs[0].Time.Equal(want) {
 		t.Fatalf("event time %v, want %v", evs[0].Time, want)

@@ -10,25 +10,22 @@ import (
 	"openhire/internal/netsim"
 )
 
-// TestLogSequentialOrderPreserved pins the pre-sharding contract: a single
-// appender reads its events back in append order.
+// TestLogSequentialOrderPreserved pins the log's contract for a single
+// appender: it reads its events back in append order, across chunks.
 func TestLogSequentialOrderPreserved(t *testing.T) {
 	log := &Log{} // the zero value must be ready to use
 	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
-	const n = 200
+	const n = 2*logChunk + 100
 	for i := 0; i < n; i++ {
 		log.Append(Event{
-			// Repeated timestamps force the sequence tiebreaker to carry
-			// the ordering within each second.
+			// Repeated timestamps force arrival order to carry the
+			// ordering within each second.
 			Time:   base.Add(time.Duration(i/10) * time.Second),
 			Src:    netsim.IPv4(i),
 			Detail: fmt.Sprintf("ev-%d", i),
 		})
 	}
-	if log.Len() != n {
-		t.Fatalf("len %d, want %d", log.Len(), n)
-	}
-	events := log.Events()
+	events := log.Drain()
 	if len(events) != n {
 		t.Fatalf("events %d, want %d", len(events), n)
 	}
@@ -39,8 +36,8 @@ func TestLogSequentialOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestLogConcurrentAppendKeepsAll hammers the striped log from many
-// goroutines and verifies nothing is lost and the merge is time-ordered.
+// TestLogConcurrentAppendKeepsAll hammers the log from many goroutines and
+// verifies nothing is lost and the drain is time-ordered.
 func TestLogConcurrentAppendKeepsAll(t *testing.T) {
 	log := &Log{}
 	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -60,10 +57,7 @@ func TestLogConcurrentAppendKeepsAll(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if log.Len() != workers*per {
-		t.Fatalf("len %d, want %d", log.Len(), workers*per)
-	}
-	events := log.Events()
+	events := log.Drain()
 	if len(events) != workers*per {
 		t.Fatalf("events %d, want %d", len(events), workers*per)
 	}
@@ -79,10 +73,9 @@ func TestLogConcurrentAppendKeepsAll(t *testing.T) {
 	}
 }
 
-// TestLogDrain hammers the striped log from 32 appenders while the test
+// TestLogDrain hammers the log from 32 appenders while the test
 // goroutine drains it in a loop: every event must come back from exactly one
-// drain, each drain in time order, and the log must read empty afterwards —
-// Len counts what is held, not what was ever appended.
+// drain, each drain in time order, and a further drain returns nothing.
 func TestLogDrain(t *testing.T) {
 	log := &Log{}
 	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -126,25 +119,26 @@ func TestLogDrain(t *testing.T) {
 			t.Fatalf("event for src %d returned %d times", src, n)
 		}
 	}
-	if n, evs := log.Len(), log.Events(); n != 0 || len(evs) != 0 {
-		t.Fatalf("after the last drain: len %d, events %d, want both 0", n, len(evs))
+	if evs := log.Drain(); len(evs) != 0 {
+		t.Fatalf("after the last drain: %d events, want 0", len(evs))
 	}
 
-	// Appends after a drain start a fresh window: Len, Events and the next
-	// drain all see exactly those, in append order.
+	// Appends after a drain start a fresh window: the next drain sees
+	// exactly those, in append order.
 	for i := 0; i < 3; i++ {
 		log.Append(Event{Time: base, Src: netsim.IPv4(i)})
 	}
-	if n, evs := log.Len(), log.Events(); n != 3 || len(evs) != 3 {
-		t.Fatalf("after 3 more appends: len %d, events %d, want both 3", n, len(evs))
+	evs := log.Drain()
+	if len(evs) != 3 {
+		t.Fatalf("after 3 more appends: drained %d, want 3", len(evs))
 	}
-	for i, ev := range log.Drain() {
+	for i, ev := range evs {
 		if ev.Src != netsim.IPv4(i) {
 			t.Fatalf("drained event %d out of append order: src %d", i, ev.Src)
 		}
 	}
-	if log.Len() != 0 {
-		t.Fatalf("len %d after draining, want 0", log.Len())
+	if evs := log.Drain(); len(evs) != 0 {
+		t.Fatalf("%d events after draining, want 0", len(evs))
 	}
 }
 
@@ -175,7 +169,7 @@ func TestSortEventsCanonical(t *testing.T) {
 	}
 }
 
-// TestFloodUpgradeThreshold verifies the striped counters keep the rate
+// TestFloodUpgradeThreshold verifies the flood counters keep the rate
 // heuristic exact: the first floodThreshold events of a (protocol, source,
 // day) key pass through, every later one is upgraded to DoS, and other
 // sources and days are unaffected.
@@ -199,7 +193,7 @@ func TestFloodUpgradeThreshold(t *testing.T) {
 			t.Fatalf("event %d past threshold not upgraded", floodThreshold+i)
 		}
 	}
-	// A different source — hashing to any stripe — starts its own count.
+	// A different source starts its own count.
 	if upgraded(day0, netsim.MustParseIPv4("8.8.4.5")) {
 		t.Fatal("fresh source inherited another source's count")
 	}

@@ -89,13 +89,6 @@ func sshService(h *Honeypot, cfg ssh.Config) Service {
 		Stream: ssh.NewServer(cfg)}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // mqttService builds an MQTT broker feeding the log.
 func mqttService(h *Honeypot, topicSeed map[string]string) Service {
 	broker := mqtt.NewBroker(mqtt.BrokerConfig{

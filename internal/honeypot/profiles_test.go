@@ -30,7 +30,7 @@ func TestThingPotXMPPPoisoning(t *testing.T) {
 	if _, err := xmpp.SendStanza(conn, `<iq type='set'><lights state='off'/></iq>`); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "ThingPot" && ev.Type == AttackPoisoning &&
 				strings.Contains(ev.Detail, "lights") {
@@ -49,7 +49,7 @@ func TestConpotModbusPoisoning(t *testing.T) {
 	if err := modbus.WriteSingle(conn, 3, 999); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Conpot" && ev.Protocol == iot.ProtoModbus && ev.Type == AttackPoisoning {
 				return true
@@ -72,7 +72,7 @@ func TestConpotS7JobFloodDoS(t *testing.T) {
 			break
 		}
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Conpot" && ev.Protocol == iot.ProtoS7 && ev.Type == AttackDoS {
 				return true
@@ -94,7 +94,7 @@ func TestHosTaGeAMQPPoisoning(t *testing.T) {
 	if err := sess.Publish("amq.topic", "sensors", []byte("poison")); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "HosTaGe" && ev.Protocol == iot.ProtoAMQP && ev.Type == AttackPoisoning {
 				return true
@@ -113,7 +113,7 @@ func TestHTTPMalwareUploadClassified(t *testing.T) {
 	if _, err := httpx.Do(conn, "POST", "/upload.php", body); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "Dionaea" && ev.Protocol == iot.ProtoHTTP && ev.Type == AttackMalware {
 				return true
@@ -137,7 +137,7 @@ func TestSMBExploitClassified(t *testing.T) {
 	buf := make([]byte, 256)
 	_, _ = conn.Read(buf)
 	conn.Close()
-	waitEvents(t, log, func(evs []Event) bool {
+	loggedEvents(t, log, func(evs []Event) bool {
 		for _, ev := range evs {
 			if ev.Honeypot == "HosTaGe" && ev.Protocol == iot.ProtoSMB && ev.Type == AttackExploit {
 				return true

@@ -252,7 +252,7 @@ func replay(tb testing.TB, c streamCase, chunks [][]byte) replayResult {
 	if open := s.n.Stats().Open(); open != 0 {
 		tb.Fatalf("%s: %d conversations still open after Close", c.proto, open)
 	}
-	return replayResult{output: output, events: s.log.Events(), maxTail: s.probe.maxTail}
+	return replayResult{output: output, events: s.log.Drain(), maxTail: s.probe.maxTail}
 }
 
 // splitBy cuts raw at sizes drawn from splits (1..64 bytes each, cycling);

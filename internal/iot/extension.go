@@ -22,31 +22,6 @@ const (
 	SMBv1Enabled
 )
 
-// extensionString extends Misconfig.String for the new classes; wired in
-// via the switch below.
-func extensionString(m Misconfig) (string, bool) {
-	switch m {
-	case TR069NoAuth:
-		return "No auth, connection request", true
-	case SMBv1Enabled:
-		return "SMBv1 enabled", true
-	default:
-		return "", false
-	}
-}
-
-// extensionProtocol extends Misconfig.Protocol for the new classes.
-func extensionProtocol(m Misconfig) (Protocol, bool) {
-	switch m {
-	case TR069NoAuth:
-		return ProtoTR069, true
-	case SMBv1Enabled:
-		return ProtoSMB, true
-	default:
-		return "", false
-	}
-}
-
 // Extension exposure densities. TR-069 exposure is calibrated to the
 // published estimates of WAN-reachable CWMP endpoints (tens of millions in
 // 2016; a conservative 20M here); SMB to the ~1M open 445 ports long

@@ -51,10 +51,11 @@ func (m Misconfig) String() string {
 		return "Reflection-attack resource"
 	case UPnPReflector:
 		return "Reflection-attack resource"
+	case TR069NoAuth:
+		return "No auth, connection request"
+	case SMBv1Enabled:
+		return "SMBv1 enabled"
 	default:
-		if s, ok := extensionString(m); ok {
-			return s
-		}
 		return "unknown"
 	}
 }
@@ -74,10 +75,11 @@ func (m Misconfig) Protocol() Protocol {
 		return ProtoCoAP
 	case UPnPReflector:
 		return ProtoUPnP
+	case TR069NoAuth:
+		return ProtoTR069
+	case SMBv1Enabled:
+		return ProtoSMB
 	default:
-		if p, ok := extensionProtocol(m); ok {
-			return p
-		}
 		return ""
 	}
 }

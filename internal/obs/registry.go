@@ -5,9 +5,9 @@
 //
 // The layer is built around one invariant: **zero perturbation**. Metrics are
 // collected from state the pipeline already maintains (per-worker stat
-// shards, striped logs, day-boundary callbacks) after the hot path has
-// finished with it; nothing in this package ever adds shared mutable state to
-// a probe, flow or event loop. An instrumented run is byte-identical to an
+// shards, the drained event log, day-boundary callbacks) after the hot path
+// has finished with it; nothing in this package ever adds shared mutable
+// state to a probe, flow or event loop. An instrumented run is byte-identical to an
 // uninstrumented one — the equivalence tests under `make check` enforce it —
 // and every value in the registry is a pure function of (seed, config), so
 // manifests from two runs of the same build diff clean.
@@ -25,7 +25,7 @@ import (
 // Registry holds named counters, gauges and simulated-time histograms. It is
 // safe for concurrent use, but it is designed to be written from phase
 // boundaries and post-run summaries, never from per-probe hot paths: the
-// values come from the per-worker shards and striped logs the pipeline
+// values come from the per-worker shards and event logs the pipeline
 // already keeps, so attaching a Registry cannot change scheduling or output.
 //
 // A nil *Registry is a valid no-op sink: every method short-circuits, which

@@ -1,9 +1,9 @@
 // Package trace is the pipeline's flight recorder: structured per-target
 // lifecycle events — probe transmissions, retransmits, outcomes and breaker
 // skips for the scan leg; session open/command/close for the honeypots; flow
-// ingest and rotation for the telescope — recorded into shard-local buffers
-// off the hot paths and flushed to a JSONL artifact whose digest lands in
-// the run manifest.
+// ingest and rotation for the telescope — recorded into one arrival-order
+// buffer off the hot paths and flushed to a JSONL artifact whose digest
+// lands in the run manifest.
 //
 // The recorder inherits the obs package's zero-perturbation invariant and
 // adds one of its own: **determinism**. Sampling is a pure hash of
@@ -13,8 +13,7 @@
 // and the flush orders events by a canonical key. All events for one key are
 // emitted by exactly one goroutine in program order — the worker that owns a
 // target's retransmit loop, the single-threaded feed, or a post-run
-// derivation — and land in one shard in that order, which a stable sort
-// preserves. Two runs of the same (seed, config, build) therefore produce
+// derivation — so they arrive in that order, which the flush's sort keeps. Two runs of the same (seed, config, build) therefore produce
 // byte-identical trace files, which is what lets `openhire-inspect diff`
 // treat any divergence as a real regression.
 package trace
@@ -91,8 +90,8 @@ type Event struct {
 	// Detail is free-form evidence ("syn-drop", "brute-force: ...").
 	Detail string `json:"detail,omitempty"`
 
-	// ipKey is the numeric address used for sharding and canonical
-	// ordering; never serialized (IP carries the dotted form).
+	// ipKey is the numeric address used for canonical ordering; never
+	// serialized (IP carries the dotted form).
 	ipKey uint64
 }
 
@@ -105,42 +104,33 @@ type Meta struct {
 	Events      int    `json:"events"`
 }
 
-// recorderShards is the buffer stripe count — comfortably above the scan
-// worker parallelism so concurrent emitters rarely collide on a lock.
-const recorderShards = 64
-
-// Hash domains for sampling and shard selection, disjoint from every other
+// sampleLabel is the hash domain for sampling, disjoint from every other
 // derived-stream label in the repo.
-const (
-	sampleLabel = 0x7ace5a
-	shardLabel  = 0x7ace5b
-)
+const sampleLabel = 0x7ace5a
 
-// Recorder accumulates events into lock-striped shards. A nil *Recorder is
-// a valid no-op sink — Sampled reports false and Record discards — so
-// adapters can thread an optional recorder without nil checks.
+// Recorder accumulates events under one mutex, in arrival order. A nil
+// *Recorder is a valid no-op sink — Sampled reports false and Record
+// discards — so adapters can thread an optional recorder without nil checks.
 //
-// Shards are selected by hashing an event's full canonical key
-// (protocol, address, port), so all events for one key land in one shard in
-// append order regardless of which goroutine count produced them; Events
-// concatenates the shards and stable-sorts by the same key, restoring one
-// deterministic global order.
+// Events stable-sorts by the canonical key (protocol, address, port): one
+// goroutine emits all of a key's events in program order, so arrival order
+// within a key is that order regardless of how many goroutines recorded,
+// and the sort yields one deterministic global order.
 type Recorder struct {
 	binary      string
 	seed        uint64
 	sampleOneIn uint64
 	root        *prng.Source
-	shards      [recorderShards]recorderShard
+
+	mu     sync.Mutex
+	chunks []*[recorderChunk]Event // every chunk but the last is full
+	n      int                     // events recorded
+	logged int                     // leading events already in a checkpoint log frame
 }
 
-// recorderShard is one append stripe, padded against false sharing.
-type recorderShard struct {
-	mu  sync.Mutex
-	evs []Event
-	// logged counts the leading events already in a checkpoint log frame.
-	logged int
-	_      [64]byte
-}
+// recorderChunk is the events one chunk holds: storage grows a chunk at a
+// time, so an append never copies or moves an event already recorded.
+const recorderChunk = 1024
 
 // NewRecorder builds a recorder for the named binary. sampleOneIn selects
 // one of every N target addresses by pure hash of (seed, address); values
@@ -174,10 +164,13 @@ func (r *Recorder) Record(ipKey uint64, ev Event) {
 		return
 	}
 	ev.ipKey = ipKey
-	sh := &r.shards[r.root.Hash64(shardLabel, prng.HashString(ev.Protocol), ipKey, uint64(ev.Port))%recorderShards]
-	sh.mu.Lock()
-	sh.evs = append(sh.evs, ev)
-	sh.mu.Unlock()
+	r.mu.Lock()
+	if r.n%recorderChunk == 0 {
+		r.chunks = append(r.chunks, new([recorderChunk]Event))
+	}
+	r.chunks[r.n/recorderChunk][r.n%recorderChunk] = ev
+	r.n++
+	r.mu.Unlock()
 }
 
 // Len returns the number of events recorded so far.
@@ -185,20 +178,15 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.evs)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
 // Events returns all recorded events in canonical order: ascending
-// (protocol, numeric address, port), ties left in append order. Because one
-// goroutine owns each key's emission and one shard holds it, the result is
-// deterministic across worker counts.
+// (protocol, numeric address, port), ties left in arrival order. Because one
+// goroutine owns each key's emission, the result is deterministic across
+// worker counts.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -211,12 +199,11 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// take returns the shards' events in canonical order: ascending
-// (protocol, numeric address, port), ties in shard append order. With
-// unlogged set it takes only the events not yet in a log frame, and marks
-// them logged. The pointers stay valid: appends never move or rewrite an
-// event already recorded, and a slice that grows leaves the old array to
-// its readers.
+// take returns the recorded events in canonical order: ascending
+// (protocol, numeric address, port, arrival index). With unlogged set it
+// takes only the events not yet in a log frame, and marks them logged. The
+// chunks read after the lock is released stay as they are: an append writes
+// only slots past the count read here, and never moves a chunk.
 func (r *Recorder) take(unlogged bool) []*Event {
 	// The sort key sits beside each pointer, so comparisons never chase it.
 	type ref struct {
@@ -226,19 +213,16 @@ func (r *Recorder) take(unlogged bool) []*Event {
 		n     int
 		ev    *Event
 	}
-	refs := make([]ref, 0, r.Len())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		from := 0
-		if unlogged {
-			from, sh.logged = sh.logged, len(sh.evs)
-		}
-		for j := from; j < len(sh.evs); j++ {
-			ev := &sh.evs[j]
-			refs = append(refs, ref{ev.Protocol, ev.ipKey, ev.Port, len(refs), ev})
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	chunks, from, n := r.chunks, 0, r.n
+	if unlogged {
+		from, r.logged = r.logged, n
+	}
+	r.mu.Unlock()
+	refs := make([]ref, 0, n-from)
+	for i := from; i < n; i++ {
+		ev := &chunks[i/recorderChunk][i%recorderChunk]
+		refs = append(refs, ref{ev.Protocol, ev.ipKey, ev.Port, i, ev})
 	}
 	slices.SortFunc(refs, func(a, b ref) int {
 		if c := strings.Compare(a.proto, b.proto); c != 0 {
@@ -281,9 +265,9 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // AppendNew appends the events recorded since the last AppendNew or
-// ReadEvents to b for a checkpoint log frame, in canonical order: within a
-// shard, events of different keys interleave by worker completion, noise
-// that must not reach the log, while each key's events keep their
+// ReadEvents to b for a checkpoint log frame, in canonical order: in
+// arrival order, events of different keys interleave by worker completion,
+// noise that must not reach the log, while each key's events keep their
 // single-writer order, so re-recording the frames in log order reproduces
 // every key's sequence. A nil recorder appends an empty list.
 func (r *Recorder) AppendNew(b []byte) []byte {
@@ -325,12 +309,9 @@ func (r *Recorder) ReadEvents(rd *wire.Reader) {
 	if r == nil {
 		return
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.logged = len(sh.evs)
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.logged = r.n
+	r.mu.Unlock()
 }
 
 // ReadLenient parses a trace stream, tolerating exactly one unparseable

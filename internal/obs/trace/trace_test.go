@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"openhire/internal/checkpoint/wire"
 	"openhire/internal/core/scan"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
@@ -141,6 +142,74 @@ func TestRecorderCanonicalOrder(t *testing.T) {
 				t.Fatalf("append order broken at %d: %+v", i+a, evs[i+a])
 			}
 		}
+	}
+}
+
+// TestRecorderLogFramesRoundTrip pins the checkpoint log path: events
+// recorded concurrently in two phases, each closed by an AppendNew frame,
+// replay with ReadEvents into a fresh recorder that flushes the same bytes,
+// and a frame taken with nothing new recorded is empty — on both recorders.
+func TestRecorderLogFramesRoundTrip(t *testing.T) {
+	const goroutines, keys, perPhase = 8, 4, 40 // 2,560 events: three chunks
+	rec := trace.NewRecorder("test", 3, 1)
+	phase := func(p int) []byte {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Each goroutine owns its keys: one writer per key.
+				for k := 0; k < keys; k++ {
+					ip := uint64(g*keys + k)
+					for i := 0; i < perPhase; i++ {
+						rec.Record(ip, trace.Event{
+							Kind:     trace.KindProbeSent,
+							Protocol: []string{"telnet", "mqtt"}[k%2],
+							IP:       fmt.Sprintf("ip-%d", ip),
+							Port:     uint16(23 + k),
+							Attempt:  uint32(p*perPhase + i),
+							Day:      p,
+							SimNS:    int64(i) * 1500,
+							Count:    uint64(g),
+							Peer:     "peer",
+							Detail:   fmt.Sprintf("phase %d", p),
+						})
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		return rec.AppendNew(nil)
+	}
+	frames := [][]byte{phase(0), phase(1)}
+	empty := wire.AppendUint(nil, 0)
+	if third := rec.AppendNew(nil); !bytes.Equal(third, empty) {
+		t.Fatalf("AppendNew with nothing new recorded wrote %d bytes", len(third))
+	}
+
+	replay := trace.NewRecorder("test", 3, 1)
+	for i, frame := range frames {
+		rd := wire.NewReader(frame)
+		replay.ReadEvents(rd)
+		if err := rd.Close(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if again := replay.AppendNew(nil); !bytes.Equal(again, empty) {
+		t.Fatalf("AppendNew after ReadEvents wrote %d bytes, want the replayed events logged", len(again))
+	}
+	if n, want := replay.Len(), 2*goroutines*keys*perPhase; n != want {
+		t.Fatalf("replayed %d events, want %d", n, want)
+	}
+	var want, got bytes.Buffer
+	if err := rec.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("replayed trace differs from the recorded one (%d vs %d bytes)", got.Len(), want.Len())
 	}
 }
 

@@ -2,7 +2,6 @@ package smb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"openhire/internal/netsim"
@@ -13,8 +12,8 @@ import (
 const fuzzMax = 1 << 16
 
 // FuzzDecodeNetbios holds the NetBIOS session framer to what the honeypot
-// needs from it on attacker bytes: it never panics, a decoded message is as
-// long as its header's 24-bit length says and is the rest of the frame, and
+// needs from it on attacker bytes: it never panics, a decoded message framed
+// again is exactly the bytes it was decoded from, and
 // the server's path — the same bytes arriving one at a time at a stepper that
 // pulls messages with netsim.Frames — yields the same first message, or the
 // same error, as decoding the whole slice.
@@ -35,7 +34,7 @@ func FuzzDecodeNetbios(f *testing.F) {
 	f.Add(negotiate[:len(negotiate)-1])
 	f.Add([]byte{0, 1, 0, 1, 0xff})         // length 65537: over the limit
 	f.Add([]byte{0, 0, 0, 0})               // empty message
-	f.Add([]byte{0x85, 0, 0, 0})            // NetBIOS keepalive
+	f.Add([]byte{0x85, 0, 0, 0})            // NetBIOS keepalive: malformed
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n")) // cross-protocol probe
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -55,7 +54,7 @@ func FuzzDecodeNetbios(f *testing.F) {
 		if !complete {
 			return
 		}
-		if int(binary.BigEndian.Uint32(raw)&0x00FFFFFF) != n-4 || !bytes.Equal(msg, raw[4:n]) {
+		if !bytes.Equal(netbiosFrame(msg), raw[:n]) {
 			t.Fatalf("frame %x decoded to %d bytes, message %x", raw, n, msg)
 		}
 	})

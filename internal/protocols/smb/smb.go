@@ -14,6 +14,7 @@ package smb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"time"
 
@@ -99,6 +100,9 @@ func NewServer(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
+// ErrMalformed reports an invalid NetBIOS session header.
+var ErrMalformed = errors.New("smb: malformed frame")
+
 // netbiosFrame wraps an SMB message in the 4-byte NetBIOS session header.
 func netbiosFrame(msg []byte) []byte {
 	out := make([]byte, 4, 4+len(msg))
@@ -111,11 +115,16 @@ func netbiosFrame(msg []byte) []byte {
 // netsim.ReadFramed and the server stepper share: it returns the message at
 // the head of raw (aliasing it) and its framed length n, or — when raw is
 // still short (n > len(raw)) — how many bytes it needs to get further.
+// The header is a zero byte and a 24-bit length (MS-SMB2 2.1, direct TCP);
+// any other first byte, such as a NetBIOS keepalive's 0x85, is malformed.
 func decodeNetbios(raw []byte, max int) ([]byte, int, error) {
 	if len(raw) < 4 {
 		return nil, 4, nil
 	}
-	size := int(binary.BigEndian.Uint32(raw) & 0x00FFFFFF)
+	if raw[0] != 0 {
+		return nil, 0, ErrMalformed
+	}
+	size := int(binary.BigEndian.Uint32(raw))
 	if size > max {
 		return nil, 0, io.ErrShortBuffer
 	}

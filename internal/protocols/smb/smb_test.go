@@ -107,6 +107,21 @@ func TestGarbageIgnored(t *testing.T) {
 	}
 }
 
+// TestDecodeNetbiosRejectsNonzeroFirstByte pins the direct-TCP header's
+// zero byte: a NetBIOS keepalive (0x85) or any other nonzero first byte is
+// malformed, not the head of a 24-bit length.
+func TestDecodeNetbiosRejectsNonzeroFirstByte(t *testing.T) {
+	for _, raw := range [][]byte{{0x85, 0, 0, 0}, {0x01, 0, 0, 2, 'o', 'k'}} {
+		if msg, n, err := decodeNetbios(raw, 1<<16); err != ErrMalformed {
+			t.Fatalf("%x decoded: message %x, n %d, err %v", raw, msg, n, err)
+		}
+	}
+	raw := []byte{0, 0, 0, 2, 'o', 'k'}
+	if msg, n, err := decodeNetbios(raw, 1<<16); err != nil || n != 6 || string(msg) != "ok" {
+		t.Fatalf("valid frame: message %x, n %d, err %v", msg, n, err)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for kind, want := range map[AttackKind]string{
 		KindProbe: "probe", KindEternalBlue: "eternalblue",

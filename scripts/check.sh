@@ -5,7 +5,7 @@
 #   2. full build
 #   3. race detector over the hot-path packages: the scan leg (lock-free
 #      snapshot lookup, sharded stats), the attack
-#      month / telescope leg (concurrent RecordBatch producers, striped
+#      month / telescope leg (concurrent RecordBatch producers, the one-lock
 #      event log, parallel darknet generation), the report pass's two parallel
 #      layers (the universe's exposure index with the crawls that filter it,
 #      the chunked ClassifyAll) and the protocol servers (the MQTT broker
@@ -110,9 +110,15 @@ go test -race ./internal/netsim/... ./internal/core/scan/... \
 # The campaign's lanes are scheduled differently at each GOMAXPROCS; the
 # golden digest must not notice.
 ./scripts/gate.sh -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)' ./internal/attack/
+# The event log and the flood counters are one lock each; check them at
+# several GOMAXPROCS too.
+./scripts/gate.sh -race -cpu 1,2,4 -run 'TestLog|TestFloodUpgradeThreshold' ./internal/honeypot/
 
 echo "==> observability gate: zero-perturbation + trace determinism under -race"
 go test -race ./internal/obs/... ./internal/expr/
+# The flight recorder is one lock over arrival order; its canonical order
+# and log frames must not depend on GOMAXPROCS.
+./scripts/gate.sh -race -cpu 1,2,4 -run 'TestRecorderCanonicalOrder|TestTraceIdenticalAcrossWorkerCounts|TestRecorderLogFramesRoundTrip' ./internal/obs/trace/
 
 echo "==> service gate: serve aggregation determinism, golden digests + concurrent scrape under -race"
 go test -race ./internal/serve/
