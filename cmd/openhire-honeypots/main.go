@@ -9,12 +9,15 @@
 //
 // The commit point -checkpoint saves at and a signal drains to is the
 // campaign's OnDay barrier, once the day's lanes have joined: the day's
-// events, in canonical order and the -export wire format, are appended to
-// the leg's log, and the checkpoint saves the scheduler's position.
+// events, drained from the honeypot log in its canonical order and written
+// in the -export wire format, are appended to the leg's log, and the
+// checkpoint saves the scheduler's position. Every table, file and trace
+// below reads the month in that one order: the committed days followed by
+// the log's final drain.
 //
 // -trace records campaign day boundaries plus session open/command/close
-// lifecycles derived per (source, honeypot, protocol, day) from the canonical
-// event log after the replay quiesces, for hash-sampled sources.
+// lifecycles derived per (source, honeypot, protocol, day) from the month
+// after the replay quiesces, for hash-sampled sources.
 package main
 
 import (
@@ -119,7 +122,6 @@ func main() {
 			// plus the day's events is what the day committed.
 			pos := campaign.SchedulerState(day, planned, done)
 			evs := log.Drain()
-			honeypot.SortEventsCanonical(evs)
 			var buf bytes.Buffer
 			cli.Check(honeypot.ExportJSONL(&buf, evs))
 			committed = append(committed, evs...)
@@ -147,11 +149,10 @@ func main() {
 	stats := campaign.Run(run.Context(), resumeState)
 	span.End()
 	progress.Done()
-	// One canonical (content) order for everything below: the log's arrival
-	// order is scheduling noise, and a digest or day file over it would
-	// differ between two same-seed runs.
+	// The month in the log's canonical order: the committed days were
+	// drained in day order and every event of a day carries that day's
+	// clock, so appending what the log still holds keeps the order.
 	events := append(committed, log.Drain()...)
-	honeypot.SortEventsCanonical(events)
 	campaign.RegisterIntel(events)
 	reg.AddAll("campaign", stats.Counters())
 	fmt.Printf("replayed %s attack conversations in %s\n",
@@ -160,8 +161,8 @@ func main() {
 	// heap is written) before the reporting tail below.
 	run.StopProfiles()
 
-	// Sessions are derived from the quiesced log's canonical order — the
-	// replay's own hot path never sees the recorder.
+	// Sessions are derived from the quiesced month — the replay's own hot
+	// path never sees the recorder.
 	trace.SessionEvents(rec, events)
 	reg.AddAll("honeypot", honeypot.EventCounters(events))
 	for _, ev := range events {
@@ -237,7 +238,7 @@ func main() {
 	for ip := range sources.ScanningServiceIPs() {
 		exclude[ip] = true
 	}
-	ms := honeypot.DetectMultistage(honeypot.FilterBySources(events, exclude))
+	ms := honeypot.DetectMultistage(events, exclude)
 	fmt.Printf("\nmultistage attacks detected: %d\n", len(ms))
 	printStages(ms)
 	reg.Add("honeypot.multistage", uint64(len(ms)))
@@ -252,11 +253,11 @@ func exportDaily(dir string, events []honeypot.Event) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("export: %w", err)
 	}
-	byDay, keys := honeypot.PartitionByDay(events)
-	for _, day := range keys {
+	keys, days := honeypot.PartitionByDay(events)
+	for i, day := range keys {
 		path := filepath.Join(dir, "attacks-"+day+".jsonl")
 		_, err := run.WriteArtifact(path, func(w io.Writer) error {
-			return honeypot.ExportJSONL(w, byDay[day])
+			return honeypot.ExportJSONL(w, days[i])
 		})
 		if err != nil {
 			return fmt.Errorf("export: %w", err)

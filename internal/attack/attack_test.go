@@ -231,7 +231,7 @@ func TestCampaignReplaySmall(t *testing.T) {
 	for ip := range sources.ScanningServiceIPs() {
 		scanningIPs[ip] = true
 	}
-	ms := honeypot.DetectMultistage(honeypot.FilterBySources(events, scanningIPs))
+	ms := honeypot.DetectMultistage(events, scanningIPs)
 	if len(ms) == 0 {
 		t.Fatal("no multistage attacks detected")
 	}

@@ -243,7 +243,7 @@ type job struct {
 // seeded, so the remaining days replay exactly the schedule an uninterrupted
 // run would have produced. The caller restores the committed days' honeypot
 // events separately, into the log or beside what it drains: arrival order is
-// what honeypot.SortEventsCanonical factors out. CampaignConfig.Days bounds
+// what the log's canonical drain factors out. CampaignConfig.Days bounds
 // each call.
 func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 	start := time.Now()
@@ -256,7 +256,7 @@ func (c *Campaign) Run(ctx context.Context, resume *CampaignResume) Stats {
 	// schedule order. The logs' *content* (including which events the
 	// heuristic upgrades to DoS) is therefore a pure function of the plan,
 	// independent of the lane count; only arrival order varies, which
-	// honeypot.SortEventsCanonical factors out.
+	// honeypot.Log.Drain factors out.
 	lanes := make([][]job, max(c.cfg.Workers, 1))
 	plan := func(j job) {
 		stats.EventsPlanned++

@@ -22,7 +22,7 @@ import (
 func TestCampaignDayStepping(t *testing.T) {
 	goldenC, goldenLog, ctx := campaignWorld(t, nil)
 	goldenStats := goldenC.Run(ctx, nil)
-	golden := canonical(goldenLog)
+	golden := goldenLog.Drain()
 	if len(golden) == 0 {
 		t.Fatal("golden run logged nothing")
 	}
@@ -63,7 +63,7 @@ func TestCampaignDayStepping(t *testing.T) {
 				t.Fatalf("cumulative stats diverge: stepped planned=%d run=%d, golden planned=%d run=%d",
 					last.EventsPlanned, last.EventsRun, goldenStats.EventsPlanned, goldenStats.EventsRun)
 			}
-			got := canonical(log)
+			got := log.Drain()
 			if len(got) != len(golden) {
 				t.Fatalf("event counts diverge: stepped %d, golden %d", len(got), len(golden))
 			}
@@ -112,7 +112,7 @@ func TestCampaignDaysBoundPartial(t *testing.T) {
 	if !clk.Now().Before(DayStart(3).Add(24*60*60*1e9)) || clk.Now().Before(DayStart(2)) {
 		t.Fatalf("clock after Days=3 run: %v, want within day 2's schedule", clk.Now())
 	}
-	evs := canonical(log)
+	evs := log.Drain()
 	if len(evs) == 0 {
 		t.Fatal("bounded run logged nothing")
 	}

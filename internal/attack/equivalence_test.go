@@ -134,7 +134,7 @@ func TestDrainedDayOutlivesNextRunDay(t *testing.T) {
 }
 
 // runCampaign replays a small attack month with the given worker count and
-// returns the honeypot log canonically sorted.
+// returns the honeypot log's drain.
 func runCampaign(t *testing.T, workers int) []honeypot.Event {
 	t.Helper()
 	n, pots, log, u, clk := buildWorld(t)
@@ -147,16 +147,14 @@ func runCampaign(t *testing.T, workers int) []honeypot.Event {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	c.Run(ctx, nil)
-	events := log.Drain()
-	honeypot.SortEventsCanonical(events)
-	return events
+	return log.Drain()
 }
 
 // TestCampaignParallelEquivalence verifies the replay's worker-count
 // independence: jobs are routed to per-worker FIFO queues by flood-counter
 // key, so the log content — including which events the flood heuristic
 // upgraded to DoS — is identical for 1 and 8 workers once scheduling order
-// is factored out by the canonical sort.
+// is factored out by the log's canonical drain.
 func TestCampaignParallelEquivalence(t *testing.T) {
 	seq := runCampaign(t, 1)
 	par := runCampaign(t, 8)
@@ -240,9 +238,7 @@ func TestCampaignOnDayZeroPerturbation(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		defer cancel()
 		stats := NewCampaign(cfg).Run(ctx, nil)
-		events := log.Drain()
-		honeypot.SortEventsCanonical(events)
-		return events, stats
+		return log.Drain(), stats
 	}
 	bare, bareStats := run(nil)
 	var days []dayReport

@@ -42,14 +42,6 @@ func campaignWorld(t testing.TB,
 	return c, log, ctx
 }
 
-// canonical drains the log and returns its events in canonical order — the
-// arrival-order-insensitive form both checkpointing and comparison rely on.
-func canonical(log *honeypot.Log) []honeypot.Event {
-	evs := log.Drain()
-	honeypot.SortEventsCanonical(evs)
-	return evs
-}
-
 // TestCampaignResumeMidMonth kills the campaign at a mid-month day boundary,
 // captures SchedulerState plus the canonical log exactly as the checkpoint
 // path does, replays both into a fresh world, and asserts the final canonical
@@ -57,7 +49,7 @@ func canonical(log *honeypot.Log) []honeypot.Event {
 func TestCampaignResumeMidMonth(t *testing.T) {
 	goldenC, goldenLog, ctx := campaignWorld(t, nil)
 	goldenStats := goldenC.Run(ctx, nil)
-	golden := canonical(goldenLog)
+	golden := goldenLog.Drain()
 	if len(golden) == 0 {
 		t.Fatal("golden run logged nothing")
 	}
@@ -73,7 +65,7 @@ func TestCampaignResumeMidMonth(t *testing.T) {
 				return false
 			}
 			saved = c.SchedulerState(day, planned, run)
-			savedEvts = canonical(log)
+			savedEvts = log.Drain()
 			return true
 		})
 	killedC.Run(killCtx, nil)
@@ -96,7 +88,7 @@ func TestCampaignResumeMidMonth(t *testing.T) {
 			resumedStats.EventsPlanned, resumedStats.EventsRun,
 			goldenStats.EventsPlanned, goldenStats.EventsRun)
 	}
-	got := canonical(resumedLog)
+	got := resumedLog.Drain()
 	if len(got) != len(golden) {
 		t.Fatalf("event counts diverge: resumed %d, golden %d", len(got), len(golden))
 	}
@@ -129,7 +121,7 @@ func TestCampaignResumeStateDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				stateJSON = string(data)
-				events = len(canonical(log))
+				events = len(log.Drain())
 				return true
 			})
 		c.Run(ctx, nil)

@@ -588,12 +588,11 @@ func Figure8(w *World) Result {
 
 // Figure9 reports multistage attack flows.
 func Figure9(w *World) Result {
-	events := w.Events()
 	exclude := make(map[netsim.IPv4]bool)
 	for ip := range w.Sources.ScanningServiceIPs() {
 		exclude[ip] = true
 	}
-	attacks := honeypot.DetectMultistage(honeypot.FilterBySources(events, exclude))
+	attacks := honeypot.DetectMultistage(w.Events(), exclude)
 	stages := honeypot.StageCounts(attacks)
 
 	t := report.NewTable("Multistage attacks: protocols per stage",

@@ -301,11 +301,11 @@ func (w *World) RunAttackMonth() attack.Stats {
 	return w.attackStats
 }
 
-// Events forces the attack month and returns its honeypot events in log
-// order. The month's events are taken over from the log once, when the
-// month ends (Log.Drain: the world holds the only copy and w.Log is left
-// empty), and every experiment reads this one slice, so it is read-only by
-// contract: an analysis that needs another order sorts a copy.
+// Events forces the attack month and returns its honeypot events in the
+// log's canonical order. The month's events are taken over from the log
+// once, when the month ends (Log.Drain: the world holds the only copy and
+// w.Log is left empty), and every experiment reads this one slice, so it is
+// read-only by contract.
 func (w *World) Events() []honeypot.Event {
 	w.RunAttackMonth()
 	return w.events

@@ -153,22 +153,24 @@ type MultistageAttack struct {
 // attacked two or more protocols, following the paper's method ("we group
 // the attacks from distinct source IP addresses and check if multiple
 // protocols are targeted"; time between stages is deliberately ignored).
-// Pure scanning sources can be excluded by the caller before invoking.
-func DetectMultistage(events []Event) []MultistageAttack {
+// Sources in exclude (the scanning services) are skipped. events must be in
+// time order, as Log.Drain returns them, so each source's protocols come out
+// in first-seen order.
+func DetectMultistage(events []Event, exclude map[netsim.IPv4]bool) []MultistageAttack {
 	type state struct {
 		order []iot.Protocol
 		seen  map[iot.Protocol]bool
 		count int
-		first time.Time
 	}
 	bySrc := make(map[netsim.IPv4]*state)
-	// Sort by time so stage order is meaningful.
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
-	for _, ev := range sorted {
+	for i := range events {
+		ev := &events[i]
+		if exclude[ev.Src] {
+			continue
+		}
 		st := bySrc[ev.Src]
 		if st == nil {
-			st = &state{seen: make(map[iot.Protocol]bool), first: ev.Time}
+			st = &state{seen: make(map[iot.Protocol]bool)}
 			bySrc[ev.Src] = st
 		}
 		st.count++
@@ -197,18 +199,6 @@ func StageCounts(attacks []MultistageAttack) []map[iot.Protocol]int {
 				out = append(out, make(map[iot.Protocol]int))
 			}
 			out[stage][p]++
-		}
-	}
-	return out
-}
-
-// FilterBySources drops events whose source is in the exclusion set
-// (scanning services are removed before multistage analysis).
-func FilterBySources(events []Event, exclude map[netsim.IPv4]bool) []Event {
-	out := make([]Event, 0, len(events))
-	for _, ev := range events {
-		if !exclude[ev.Src] {
-			out = append(out, ev)
 		}
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"openhire/internal/iot"
@@ -104,19 +103,24 @@ func ImportJSONL(r io.Reader) ([]Event, error) {
 	}
 }
 
-// PartitionByDay splits events into UTC-day buckets keyed "2021-04-07",
-// the daily export granularity of the paper's deployment. Keys returns
-// sorted for deterministic iteration.
-func PartitionByDay(events []Event) (map[string][]Event, []string) {
-	byDay := make(map[string][]Event)
-	for _, ev := range events {
-		key := ev.Time.UTC().Format("2006-01-02")
-		byDay[key] = append(byDay[key], ev)
+// PartitionByDay cuts time-ordered events, as Log.Drain returns them, into
+// UTC-day runs keyed "2021-04-07", the daily export granularity of the
+// paper's deployment: keys[i] names days[i], in day order. Each run is a
+// subslice of events; nothing is copied.
+func PartitionByDay(events []Event) (keys []string, days [][]Event) {
+	start := 0
+	for i := range events {
+		key := events[i].Time.UTC().Format("2006-01-02")
+		if i > 0 && key == keys[len(keys)-1] {
+			continue
+		}
+		if i > 0 {
+			days = append(days, events[start:i:i])
+		}
+		keys, start = append(keys, key), i
 	}
-	keys := make([]string, 0, len(byDay))
-	for k := range byDay {
-		keys = append(keys, k)
+	if len(events) > 0 {
+		days = append(days, events[start:])
 	}
-	sort.Strings(keys)
-	return byDay, keys
+	return keys, days
 }

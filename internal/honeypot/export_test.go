@@ -87,12 +87,20 @@ func TestImportRejectsGarbage(t *testing.T) {
 }
 
 func TestPartitionByDay(t *testing.T) {
-	byDay, keys := PartitionByDay(sampleEvents())
+	events := sampleEvents()
+	keys, days := PartitionByDay(events)
 	if len(keys) != 2 || keys[0] != "2021-04-01" || keys[1] != "2021-04-02" {
 		t.Fatalf("keys %v", keys)
 	}
-	if len(byDay["2021-04-01"]) != 1 || len(byDay["2021-04-02"]) != 2 {
-		t.Fatalf("partition sizes %d/%d", len(byDay["2021-04-01"]), len(byDay["2021-04-02"]))
+	if len(days) != 2 || len(days[0]) != 1 || len(days[1]) != 2 {
+		t.Fatalf("partition %v", days)
+	}
+	// The runs are the input's own events, not copies.
+	if &days[0][0] != &events[0] || &days[1][0] != &events[1] {
+		t.Fatal("partition copied the events")
+	}
+	if keys, days := PartitionByDay(nil); keys != nil || days != nil {
+		t.Fatalf("empty input partitioned into %v / %v", keys, days)
 	}
 }
 

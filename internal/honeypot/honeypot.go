@@ -8,7 +8,7 @@ package honeypot
 
 import (
 	"bytes"
-	"slices"
+	"cmp"
 	"sort"
 	"sync"
 	"time"
@@ -73,12 +73,16 @@ func (l *Log) Append(ev Event) {
 	l.mu.Unlock()
 }
 
-// Drain returns the events appended since the last drain, ordered by Time
-// with ties in arrival order, and empties the log — the mirror of
-// telescope.Drain. Every event is returned by exactly one drain, however
-// appends interleave with it. For a single sequential appender the order is
-// exactly append order; concurrent appenders get a stable chronological
-// linearization.
+// Drain returns the events appended since the last drain in canonical
+// order and empties the log — the mirror of telescope.Drain. Every event is
+// returned by exactly one drain, however appends interleave with it. The
+// canonical order is a function of content alone (see compareEvents), so
+// the same events drain the same way whatever order concurrent appenders
+// delivered them in, and every consumer reads the drained slice as it is:
+// the -export files, the checkpoint frames and the session trace are all
+// written in it. Events drained after each simulated day concatenate to
+// the month-end drain, because every event of a day carries that day's
+// clock.
 func (l *Log) Drain() []Event {
 	l.mu.Lock()
 	chunks, n := l.chunks, l.n
@@ -88,43 +92,39 @@ func (l *Log) Drain() []Event {
 	for _, c := range chunks {
 		out = append(out, c[:min(logChunk, n-len(out))]...)
 	}
-	slices.SortStableFunc(out, func(a, b Event) int { return a.Time.Compare(b.Time) })
+	sort.Slice(out, func(i, j int) bool { return compareEvents(&out[i], &out[j]) < 0 })
 	return out
 }
 
-// SortEventsCanonical orders events by content alone — every field, ties
-// broken field by field — removing scheduling artifacts. Two replays of the
-// same plan under different worker counts produce logs whose canonical
-// sorts are element-wise identical; the equivalence tests rely on this.
-func SortEventsCanonical(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.Honeypot != b.Honeypot {
-			return a.Honeypot < b.Honeypot
-		}
-		if a.Protocol != b.Protocol {
-			return a.Protocol < b.Protocol
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Username != b.Username {
-			return a.Username < b.Username
-		}
-		if a.Password != b.Password {
-			return a.Password < b.Password
-		}
-		if a.Detail != b.Detail {
-			return a.Detail < b.Detail
-		}
-		return bytes.Compare(a.Payload, b.Payload) < 0
-	})
+// compareEvents is the canonical order: every field, ties broken field by
+// field in the order Time, Honeypot, Protocol, Src, Type, Username,
+// Password, Detail, Payload.
+func compareEvents(a, b *Event) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Honeypot, b.Honeypot); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Protocol, b.Protocol); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Username, b.Username); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Password, b.Password); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Detail, b.Detail); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Payload, b.Payload)
 }
 
 // Service is one listening port on a honeypot.

@@ -2,6 +2,7 @@ package honeypot
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,7 +211,9 @@ func TestDionaeaFTPMalwareCapture(t *testing.T) {
 func TestEventTimesUseSimClock(t *testing.T) {
 	n, pots, log := deploy(t)
 	clk := n.Clock()
-	clk.Advance(5 * 24 * time.Hour)
+	if err := clk.Set(clk.Now().Add(5 * 24 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
 	upot := pots[1]
 	n.Query(1, netsim.Endpoint{IP: upot.IP, Port: 1900}, upnp.BuildMSearch(""), netsim.ProbeOptions{})
 	evs := loggedEvents(t, log, func(evs []Event) bool { return len(evs) > 0 })
@@ -252,33 +255,26 @@ func TestAnalysisAggregations(t *testing.T) {
 
 func TestMultistageDetection(t *testing.T) {
 	base := netsim.ExperimentStart
+	// Time-ordered, as Log.Drain returns a month; source 12 is excluded.
 	events := []Event{
-		{Time: base.Add(2 * time.Hour), Src: 9, Protocol: iot.ProtoSMB},
 		{Time: base, Src: 9, Protocol: iot.ProtoTelnet},
-		{Time: base.Add(3 * time.Hour), Src: 9, Protocol: iot.ProtoS7},
 		{Time: base, Src: 10, Protocol: iot.ProtoTelnet}, // single protocol
 		{Time: base, Src: 11, Protocol: iot.ProtoSSH},
+		{Time: base, Src: 12, Protocol: iot.ProtoTelnet},
 		{Time: base.Add(time.Hour), Src: 11, Protocol: iot.ProtoSMB},
+		{Time: base.Add(time.Hour), Src: 12, Protocol: iot.ProtoSMB},
+		{Time: base.Add(2 * time.Hour), Src: 9, Protocol: iot.ProtoSMB},
+		{Time: base.Add(3 * time.Hour), Src: 9, Protocol: iot.ProtoS7},
 	}
-	attacks := DetectMultistage(events)
-	if len(attacks) != 2 {
+	attacks := DetectMultistage(events, map[netsim.IPv4]bool{12: true})
+	if len(attacks) != 2 || attacks[0].Src != 9 || attacks[1].Src != 11 {
 		t.Fatalf("attacks %+v", attacks)
 	}
 	// Source 9's stages must be time-ordered: telnet → smb → s7.
-	var nine MultistageAttack
-	for _, a := range attacks {
-		if a.Src == 9 {
-			nine = a
-		}
-	}
+	nine := attacks[0]
 	want := []iot.Protocol{iot.ProtoTelnet, iot.ProtoSMB, iot.ProtoS7}
-	if len(nine.Protocols) != 3 {
-		t.Fatalf("stages %v", nine.Protocols)
-	}
-	for i := range want {
-		if nine.Protocols[i] != want[i] {
-			t.Fatalf("stage order %v, want %v", nine.Protocols, want)
-		}
+	if !slices.Equal(nine.Protocols, want) || nine.Events != 3 {
+		t.Fatalf("source 9: stages %v over %d events, want %v over 3", nine.Protocols, nine.Events, want)
 	}
 	stages := StageCounts(attacks)
 	if stages[0][iot.ProtoTelnet] != 1 || stages[0][iot.ProtoSSH] != 1 {
@@ -290,9 +286,24 @@ func TestMultistageDetection(t *testing.T) {
 }
 
 func TestFilterBySources(t *testing.T) {
-	events := []Event{{Src: 1}, {Src: 2}, {Src: 1}}
-	got := FilterBySources(events, map[netsim.IPv4]bool{1: true})
-	if len(got) != 1 || got[0].Src != 2 {
+	base := netsim.ExperimentStart
+	events := []Event{
+		{Time: base, Src: 1, Protocol: iot.ProtoTelnet},
+		{Time: base, Src: 2, Protocol: iot.ProtoTelnet},
+		{Time: base.Add(time.Hour), Src: 1, Protocol: iot.ProtoSMB},
+		{Time: base.Add(time.Hour), Src: 2, Protocol: iot.ProtoSMB},
+		{Time: base.Add(2 * time.Hour), Src: 2, Protocol: iot.ProtoSMB},
+	}
+	all := DetectMultistage(events, nil)
+	if len(all) != 2 {
+		t.Fatalf("unfiltered attacks %+v", all)
+	}
+	// Excluding source 1 drops all of its events and leaves source 2 whole.
+	got := DetectMultistage(events, map[netsim.IPv4]bool{1: true})
+	if len(got) != 1 || got[0].Src != 2 || got[0].Events != 3 {
 		t.Fatalf("filtered %+v", got)
+	}
+	if got := DetectMultistage(events, map[netsim.IPv4]bool{1: true, 2: true}); len(got) != 0 {
+		t.Fatalf("all sources excluded, got %+v", got)
 	}
 }

@@ -2,6 +2,7 @@ package honeypot
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,16 +11,17 @@ import (
 	"openhire/internal/netsim"
 )
 
-// TestLogSequentialOrderPreserved pins the log's contract for a single
-// appender: it reads its events back in append order, across chunks.
+// TestLogSequentialOrderPreserved appends events that are already in
+// canonical order from a single appender, across chunks: the drain returns
+// every one of them, in that order.
 func TestLogSequentialOrderPreserved(t *testing.T) {
 	log := &Log{} // the zero value must be ready to use
 	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
 	const n = 2*logChunk + 100
 	for i := 0; i < n; i++ {
 		log.Append(Event{
-			// Repeated timestamps force arrival order to carry the
-			// ordering within each second.
+			// Repeated timestamps leave the source to order the events
+			// within each second.
 			Time:   base.Add(time.Duration(i/10) * time.Second),
 			Src:    netsim.IPv4(i),
 			Detail: fmt.Sprintf("ev-%d", i),
@@ -124,7 +126,7 @@ func TestLogDrain(t *testing.T) {
 	}
 
 	// Appends after a drain start a fresh window: the next drain sees
-	// exactly those, in append order.
+	// exactly those.
 	for i := 0; i < 3; i++ {
 		log.Append(Event{Time: base, Src: netsim.IPv4(i)})
 	}
@@ -134,7 +136,7 @@ func TestLogDrain(t *testing.T) {
 	}
 	for i, ev := range evs {
 		if ev.Src != netsim.IPv4(i) {
-			t.Fatalf("drained event %d out of append order: src %d", i, ev.Src)
+			t.Fatalf("drained event %d out of canonical order: src %d", i, ev.Src)
 		}
 	}
 	if evs := log.Drain(); len(evs) != 0 {
@@ -142,30 +144,100 @@ func TestLogDrain(t *testing.T) {
 	}
 }
 
-// TestSortEventsCanonical verifies the canonical order is a pure function of
-// content: shuffling the input does not change the sorted result.
-func TestSortEventsCanonical(t *testing.T) {
+// TestLogDrainCanonical pins the drain's contract: its order is a function
+// of content alone. The same events appended forward into one log and in
+// reverse into another, by 1 and by 8 goroutines, drain element-wise equal,
+// and in the canonical order.
+func TestLogDrainCanonical(t *testing.T) {
 	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+	protos := []iot.Protocol{iot.ProtoTelnet, iot.ProtoSSH, iot.ProtoSMB}
+	pots := []string{"Cowrie", "HosTaGe"}
+	const n = 3*logChunk + 17
 	mk := func(i int) Event {
 		return Event{
-			Time: base.Add(time.Duration(i%3) * time.Minute), Honeypot: "Cowrie",
-			Protocol: iot.ProtoTelnet, Src: netsim.IPv4(i % 7), Type: AttackScan,
+			Time: base.Add(time.Duration(i%3) * time.Minute), Honeypot: pots[i%2],
+			Protocol: protos[i%3], Src: netsim.IPv4(i % 7), Type: AttackScan,
+			Username: fmt.Sprintf("u%d", i%2), Password: fmt.Sprintf("p%d", i%11),
 			Detail: fmt.Sprintf("d%d", i%5), Payload: []byte{byte(i % 4)},
 		}
 	}
-	var fwd, rev []Event
-	for i := 0; i < 60; i++ {
-		fwd = append(fwd, mk(i))
-		rev = append(rev, mk(59-i))
-	}
-	SortEventsCanonical(fwd)
-	SortEventsCanonical(rev)
-	for i := range fwd {
-		a, b := fwd[i], rev[i]
-		if !a.Time.Equal(b.Time) || a.Src != b.Src || a.Detail != b.Detail ||
-			string(a.Payload) != string(b.Payload) {
-			t.Fatalf("canonical order depends on input order at %d: %+v vs %+v", i, a, b)
+	drain := func(goroutines int, reverse bool) []Event {
+		log := &Log{}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < n; i += goroutines {
+					if reverse {
+						log.Append(mk(n - 1 - i))
+					} else {
+						log.Append(mk(i))
+					}
+				}
+			}(g)
 		}
+		wg.Wait()
+		return log.Drain()
+	}
+	want := drain(1, false)
+	if len(want) != n {
+		t.Fatalf("drained %d events, want %d", len(want), n)
+	}
+	for i := 1; i < n; i++ {
+		if compareEvents(&want[i-1], &want[i]) > 0 {
+			t.Fatalf("drained event %d out of canonical order: %+v after %+v", i, want[i], want[i-1])
+		}
+	}
+	for _, goroutines := range []int{1, 8} {
+		for _, reverse := range []bool{false, true} {
+			got := drain(goroutines, reverse)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%d goroutines, reverse=%v: event %d is %+v, want %+v",
+						goroutines, reverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLogDrainDaysConcatenate drains after each simulated day, as a
+// checkpointed run does at its day commits, and requires the concatenated
+// drains to equal one month-end drain: a resumed run relies on it to put
+// its committed days and the rest of the month back in canonical order.
+func TestLogDrainDaysConcatenate(t *testing.T) {
+	const days, perDay, workers = 5, 300, 8
+	appendDay := func(log *Log, day int) {
+		// Every event of a day carries that day's clock; the lanes append
+		// concurrently.
+		stamp := netsim.ExperimentStart.Add(time.Duration(day) * 24 * time.Hour)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < perDay; i += workers {
+					log.Append(Event{
+						Time: stamp, Honeypot: "Cowrie", Protocol: iot.ProtoTelnet,
+						Src: netsim.IPv4((day*perDay + i) % 97), Type: AttackBruteForce,
+						Password: fmt.Sprintf("p%d", i),
+					})
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	daily, monthly := &Log{}, &Log{}
+	var concat []Event
+	for day := 0; day < days; day++ {
+		appendDay(daily, day)
+		concat = append(concat, daily.Drain()...)
+		appendDay(monthly, day)
+	}
+	month := monthly.Drain()
+	if !reflect.DeepEqual(concat, month) {
+		t.Fatalf("per-day drains (%d events) differ from the month-end drain (%d events)", len(concat), len(month))
 	}
 }
 

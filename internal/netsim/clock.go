@@ -14,8 +14,7 @@ import (
 // Every probe reads it and only the experiment driver moves it, so the
 // current instant sits behind an atomic pointer to an immutable time.Time:
 // Now is one atomic load and readers on different cores never write a
-// shared cache line; Advance and Set publish a fresh value by
-// compare-and-swap.
+// shared cache line; Set publishes a fresh value by compare-and-swap.
 type SimClock struct {
 	now atomic.Pointer[time.Time]
 }
@@ -30,21 +29,6 @@ func NewSimClock(start time.Time) *SimClock {
 // Now returns the current simulated time.
 func (c *SimClock) Now() time.Time {
 	return *c.now.Load()
-}
-
-// Advance moves the clock forward by d and returns the new time.
-// Negative durations are ignored: simulated time never goes backwards.
-func (c *SimClock) Advance(d time.Duration) time.Time {
-	for {
-		cur := c.now.Load()
-		if d <= 0 {
-			return *cur
-		}
-		next := cur.Add(d)
-		if c.now.CompareAndSwap(cur, &next) {
-			return next
-		}
-	}
 }
 
 // ErrClockBackwards is returned by Set when the requested instant is before

@@ -20,16 +20,16 @@ import (
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, k := range sortedNames(s.Counters) {
-		name := promName(k)
+		name := PromName(k)
 		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[k])
 	}
 	for _, k := range sortedNames(s.Gauges) {
-		name := promName(k)
+		name := PromName(k)
 		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(s.Gauges[k]))
 	}
 	for _, k := range sortedNames(s.Histograms) {
 		h := s.Histograms[k]
-		name := promName(k)
+		name := PromName(k)
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 		var cum uint64
 		for i, b := range h.BoundsNS {
@@ -55,10 +55,10 @@ func sortedNames[V any](m map[string]V) []string {
 	return keys
 }
 
-// promName maps a registry name onto the Prometheus metric-name charset:
+// PromName maps a metric name onto the Prometheus metric-name charset:
 // every byte outside [a-zA-Z0-9_:] becomes '_', and a leading digit is
 // escaped the same way (names may not start with one).
-func promName(name string) string {
+func PromName(name string) string {
 	b := []byte(name)
 	for i, c := range b {
 		switch {

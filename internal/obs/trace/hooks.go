@@ -123,22 +123,19 @@ func ClassifiedEvents(r *Recorder, findings []classify.Finding) {
 }
 
 // SessionEvents derives session open/command/close events from a finished
-// honeypot log. Server handlers append to the log from attack workers, so
-// arrival order is scheduling noise; deriving sessions from the canonical
-// content sort after the campaign has quiesced keeps the trace
-// deterministic and costs the replay hot path nothing. A session is one
-// (source, honeypot, protocol, simulated day) group, its events in
-// chronological order.
+// honeypot month in Log.Drain's canonical order, after the campaign has
+// quiesced, which keeps the trace deterministic and costs the replay hot
+// path nothing. A session is one (source, honeypot, protocol, simulated
+// day) group, its events in chronological order.
 func SessionEvents(r *Recorder, events []honeypot.Event) {
 	if r == nil || len(events) == 0 {
 		return
 	}
+	// A stable key-major sort of a copy: each session's events end up
+	// contiguous and chronologically ordered, with content tie-breaks
+	// inherited from the canonical order.
 	evs := make([]honeypot.Event, len(events))
 	copy(evs, events)
-	// Canonical (time-major) sort first, then a stable key-major sort: each
-	// session's events end up contiguous and chronologically ordered, with
-	// content tie-breaks inherited from the canonical order.
-	honeypot.SortEventsCanonical(evs)
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := &evs[i], &evs[j]
 		if a.Src != b.Src {

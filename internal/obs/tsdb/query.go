@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"openhire/internal/obs"
 )
 
 // Tier names for Query.Tier.
@@ -285,7 +287,7 @@ func (o catalogOrder) Swap(i, j int) {
 // sim-deterministic stream.
 func (r Result) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	name := promName(r.Metric)
+	name := obs.PromName(r.Metric)
 	fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
 	var line []byte
 	sample := func(lbl string, v float64, cycle int64) {
@@ -322,23 +324,8 @@ func promLabels(m map[string]string) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", promName(k), m[k])
+		fmt.Fprintf(&sb, "%s=%q", obs.PromName(k), m[k])
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// promName maps a metric name onto the Prometheus charset (dots become
-// underscores), mirroring the obs package's manifest exporter.
-func promName(name string) string {
-	b := []byte(name)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9' && i > 0:
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
 }

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"openhire/internal/obs"
 )
 
 // TestAppendQueryRaw covers the basic append→publish→query path.
@@ -271,7 +273,7 @@ func TestWritePrometheusEqualsFprintf(t *testing.T) {
 	} {
 		res := db.View().Query(q)
 		var want bytes.Buffer
-		name := promName(res.Metric)
+		name := obs.PromName(res.Metric)
 		fmt.Fprintf(&want, "# TYPE %s gauge\n", name)
 		for _, s := range res.Series {
 			lbl := promLabels(s.Labels)

@@ -67,7 +67,11 @@
 #      require empty manifest/trace self-diffs, byte-identical result
 #      artifacts with tracing on and off, a working summarize/prom, and
 #      a re-analysis of the saved results.jsonl with -in whose honeypot,
-#      misconfiguration and country tables equal the scanning run's
+#      misconfiguration and country tables equal the scanning run's; and
+#      the honeypot leg at two worker counts: openhire-honeypots at
+#      -workers 1 and -workers 32 (each with -trace and -export) must write
+#      byte-identical traces and day files, and the traced day files must
+#      equal a bare run's
 #   8. the tier-1 test suite (ROADMAP.md: `go build ./... && go test ./...`)
 #   9. the measurement spine's own tests (bench/ is a module of its own, so
 #      step 8 does not see it): every BENCHMARK.json workload at toy size,
@@ -149,7 +153,7 @@ echo "==> serve smoke: daemon kill/resume byte-identity, log-free checkpoint + l
 echo "==> inspect smoke: fixed-seed run self-diffs clean, tracing is zero-perturbation"
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
-go build -o "$SMOKE/" ./cmd/openhire-scan ./cmd/openhire-inspect
+go build -o "$SMOKE/" ./cmd/openhire-scan ./cmd/openhire-inspect ./cmd/openhire-honeypots
 # Flag values are recorded verbatim in the manifest config section, so every
 # run uses relative artifact paths from its own directory — identical flags,
 # identical manifests.
@@ -195,6 +199,17 @@ if "$SMOKE/openhire-inspect" diff "$SMOKE/a/m.json" "$SMOKE/b/m2.json" >/dev/nul
 	echo "inspect smoke: diff failed to flag a different-seed manifest" >&2
 	exit 1
 fi
+# The honeypot leg: the campaign's lanes interleave appends differently at
+# each worker count, and neither its trace nor its day files may notice;
+# tracing must not change the day files either.
+HP_FLAGS="-seed 7 -intensity 0.01 -export exp"
+mkdir "$SMOKE/hp1" "$SMOKE/hp32" "$SMOKE/hpbare"
+(cd "$SMOKE/hp1" && "$SMOKE/openhire-honeypots" $HP_FLAGS -workers 1 -trace t.jsonl >/dev/null 2>&1)
+(cd "$SMOKE/hp32" && "$SMOKE/openhire-honeypots" $HP_FLAGS -workers 32 -trace t.jsonl >/dev/null 2>&1)
+(cd "$SMOKE/hpbare" && "$SMOKE/openhire-honeypots" $HP_FLAGS >/dev/null 2>&1)
+cmp "$SMOKE/hp1/t.jsonl" "$SMOKE/hp32/t.jsonl"
+diff -r "$SMOKE/hp1/exp" "$SMOKE/hp32/exp"
+diff -r "$SMOKE/hp1/exp" "$SMOKE/hpbare/exp"
 
 echo "==> go test ./... (tier-1 gate)"
 go test ./...
