@@ -182,7 +182,7 @@ func (h *httpSource) Query(q tsdb.Query) (tsdb.Result, error) {
 }
 
 // legOrder pins the attribution columns to the order the cycle runs its legs.
-var legOrder = []string{"campaign", "telescope", "honeypots", "scan", "commit"}
+var legOrder = []string{"month", "campaign", "telescope", "honeypots", "scan", "commit", "publish"}
 
 // renderTimeline prints the three timeline sections for the trailing window.
 func renderTimeline(w io.Writer, src tsSource, last int) error {

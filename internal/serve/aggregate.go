@@ -22,6 +22,7 @@ import (
 	"openhire/internal/core/scan"
 	"openhire/internal/honeypot"
 	"openhire/internal/iot"
+	"openhire/internal/netsim"
 	"openhire/internal/telescope"
 )
 
@@ -158,6 +159,13 @@ type Watermark struct {
 // published snapshots, so it needs no locking; it encodes deterministically
 // (sorted maps, sorted IP sets, no wall-clock fields), as JSON for the -out
 // artifact and in the checkpoint's binary payload (codec.go).
+//
+// Two unexported caches ride along and are never encoded: the Section 5.3
+// join counts, kept on insert once counted, and the rendered bytes of the
+// sealed trend rows (publish.go). Both are pure functions of the encoded
+// fields, so a decoded Aggregates, which starts without them, counts the
+// join on its first Correlation call and renders the rows on its first
+// publish — kill history cannot reach either.
 type Aggregates struct {
 	Exposure  ExposureState  `json:"exposure"`
 	Trends    TrendState     `json:"trends"`
@@ -169,6 +177,15 @@ type Aggregates struct {
 	// (probed, timeouts, breaker_skipped, ...) across finished sweeps; the
 	// in-flight sweep's counters live in its SegmentedState until it closes.
 	ScanStats map[string]uint64 `json:"scan_stats,omitempty"`
+
+	// join sizes the Section 5.3 join over Correlate; counted says whether
+	// it does yet (the inserts below keep it once Correlation has counted).
+	join    correlate.Counts
+	counted bool
+	// trendRows holds the trends body's sealed rows rendered so far — the
+	// first sealedRows of Trends.Days — indented at their depth in the body.
+	trendRows  []byte
+	sealedRows int
 }
 
 // FoldSegment folds one drained scan segment into the in-flight sweep's
@@ -201,7 +218,7 @@ func (a *Aggregates) FoldSegment(proto iot.Protocol, targets int, results []*sca
 			cur.ByClass = make(map[string]uint64)
 		}
 		cur.ByClass[f.Misconfig.String()]++
-		a.Correlate.Misconfigured.Add(r.IP)
+		a.addMisconfigured(r.IP)
 	}
 }
 
@@ -254,7 +271,7 @@ func (a *Aggregates) FoldAttackDay(cycle int, events []honeypot.Event) {
 		}
 		row.AttacksByType[string(ev.Type)]++
 		sources.Add(ev.Src)
-		a.Correlate.HoneypotSources.Add(ev.Src)
+		a.addHoneypotSource(ev.Src)
 	}
 	row.AttackSources = len(sources)
 }
@@ -270,16 +287,79 @@ func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*te
 	row.TelescopePackets = 0
 	for _, ft := range flows {
 		row.TelescopePackets += uint64(ft.PacketCnt)
-		a.Correlate.TelescopeSources.Add(ft.SrcIP)
+		a.addTelescopeSource(ft.SrcIP)
 	}
 	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
+// addMisconfigured inserts ip into the misconfigured set; a new member
+// joins the subset its attack-source memberships put it in.
+func (a *Aggregates) addMisconfigured(ip netsim.IPv4) {
+	c := &a.Correlate
+	if !insert(&c.Misconfigured, ip) || !a.counted {
+		return
+	}
+	switch hp, tel := c.HoneypotSources.Contains(ip), c.TelescopeSources.Contains(ip); {
+	case hp && tel:
+		a.join.Both++
+	case hp:
+		a.join.HoneypotOnly++
+	case tel:
+		a.join.TelescopeOnly++
+	}
+}
+
+// addHoneypotSource inserts ip into the honeypot-source set.
+func (a *Aggregates) addHoneypotSource(ip netsim.IPv4) {
+	c := &a.Correlate
+	a.addSource(&c.HoneypotSources, c.TelescopeSources, ip, &a.join.HoneypotOnly, &a.join.TelescopeOnly)
+}
+
+// addTelescopeSource inserts ip into the telescope-source set.
+func (a *Aggregates) addTelescopeSource(ip netsim.IPv4) {
+	c := &a.Correlate
+	a.addSource(&c.TelescopeSources, c.HoneypotSources, ip, &a.join.TelescopeOnly, &a.join.HoneypotOnly)
+}
+
+// addSource inserts ip into the attack-source set own, whose dataset's
+// only-subset of the join is ownOnly; other is the other dataset's set,
+// with otherOnly. A new member other holds too is a shared source, and a
+// misconfigured one moves from otherOnly to both, or joins ownOnly.
+func (a *Aggregates) addSource(own *correlate.IPSet, other correlate.IPSet, ip netsim.IPv4, ownOnly, otherOnly *int) {
+	if !insert(own, ip) || !a.counted {
+		return
+	}
+	shared := other.Contains(ip)
+	if shared {
+		a.join.SharedSources++
+	}
+	switch {
+	case !a.Correlate.Misconfigured.Contains(ip):
+	case shared:
+		*otherOnly--
+		a.join.Both++
+	default:
+		*ownOnly++
+	}
+}
+
+// insert adds ip to s and reports whether it is new there, with one map
+// operation.
+func insert(s *correlate.IPSet, ip netsim.IPv4) bool {
+	n := len(*s)
+	s.Add(ip)
+	return len(*s) > n
+}
+
 // Correlation renders the correlation join counts, sized by the same join
-// the batch report's headline lists.
+// the batch report's headline lists: counted with correlate.Count on the
+// first call, then kept on insert by the folds.
 func (a *Aggregates) Correlation() Correlation {
 	c := a.Correlate
-	j := correlate.Count(c.Misconfigured, c.HoneypotSources, c.TelescopeSources)
+	if !a.counted {
+		a.join, a.counted = correlate.Count(c.Misconfigured, c.HoneypotSources, c.TelescopeSources), true
+	}
+	j := a.join
 	return Correlation{
 		Misconfigured:          len(c.Misconfigured),
 		HoneypotSources:        len(c.HoneypotSources),

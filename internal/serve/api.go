@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"openhire/internal/obs"
@@ -25,13 +26,14 @@ import (
 // pointer load, no locks, no live state — and answers 503 until the first
 // cycle commits. Scrape traffic therefore cannot perturb the run: the
 // zero-perturbation equivalence tests hammer these endpoints while a cycle
-// loop runs and assert byte-identical artifacts. When obsv != nil, handler
-// latency is sampled into the wall-clock profiling stream (atomics only —
-// never sim state).
+// loop runs and assert byte-identical artifacts. Every /api answer must be
+// written within apiWriteTimeout (pprof's, which may stream for as long as
+// asked, have no deadline). When obsv != nil, handler latency is sampled
+// into the wall-clock profiling stream (atomics only — never sim state).
 func NewMux(p *Publisher, reg *obs.Registry, obsv *Observatory) *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, timed(obsv, h))
+		mux.HandleFunc(pattern, timed(obsv, bounded(h)))
 	}
 	handle("/api/exposure", snapshotHandler(p, func(s *Published) []byte { return s.Exposure }))
 	handle("/api/trends", snapshotHandler(p, func(s *Published) []byte { return s.Trends }))
@@ -63,6 +65,24 @@ func timed(obsv *Observatory, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// apiWriteTimeout bounds how long an /api answer may take to write. A client
+// that stops reading loses its connection then, instead of holding the
+// handler — and the snapshot it serves, about 1 MB of trends a thousand
+// cycles in — for as long as it stays connected. obs.StartServer sets no
+// server-wide WriteTimeout because of pprof; a variable only so a test can
+// shorten it.
+var apiWriteTimeout = 10 * time.Second
+
+// bounded runs h under a write deadline of apiWriteTimeout. net/http clears
+// it once the answer is written, so the next request on a kept-alive
+// connection (a pprof one, say) does not inherit it.
+func bounded(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(apiWriteTimeout))
+		h(w, r)
+	}
+}
+
 // snapshotHandler serves one pre-rendered body from the current snapshot.
 func snapshotHandler(p *Publisher, body func(*Published) []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -71,8 +91,7 @@ func snapshotHandler(p *Publisher, body func(*Published) []byte) http.HandlerFun
 			http.Error(w, "no cycle committed yet", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body(s))
+		writeBody(w, body(s), nil)
 	}
 }
 
@@ -93,7 +112,8 @@ func timeseriesHandler(p *Publisher, obsv *Observatory) http.HandlerFunc {
 		}
 		sim, wall := obsv.Sim.View(), obsv.Wall.View()
 		if q.Metric == "" {
-			writeJSON(w, sim.Catalog("sim").Merge(wall.Catalog("wall")))
+			data, err := marshalBody(sim.Catalog("sim").Merge(wall.Catalog("wall")))
+			writeBody(w, data, err)
 			return
 		}
 		res := sim.Query(q)
@@ -107,18 +127,18 @@ func timeseriesHandler(p *Publisher, obsv *Observatory) http.HandlerFunc {
 			_ = res.WritePrometheus(w)
 			return
 		}
-		writeJSON(w, res)
+		data, err := resultBody(res)
+		writeBody(w, data, err)
 	}
 }
 
-// writeJSON renders v like the pre-rendered bodies: indented, newline-
-// terminated.
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := marshalBody(v)
+// writeBody serves a rendered JSON body with its length, or err as a 500.
+func writeBody(w http.ResponseWriter, data []byte, err error) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }

@@ -298,7 +298,11 @@ func (l *Loop) Restore() (bool, error) {
 	}
 	// Publish the restored position immediately: the API answers from the
 	// committed watermark while the next cycle runs.
-	return true, l.publish()
+	snap, err := render(l.agg, l.cycle)
+	if err != nil {
+		return false, err
+	}
+	return true, l.publish(snap)
 }
 
 // tsdbFile encodes a time-series state as the leg's standalone checkpoint.
@@ -326,14 +330,16 @@ func (l *Loop) Run(ctx context.Context, cycles int) error {
 // runCycle executes one simulated day across all three legs and commits.
 func (l *Loop) runCycle() error {
 	m, d := l.cycle/monthDays, l.cycle%monthDays
-	if l.month == nil {
-		l.month = l.buildMonth(m)
-	}
-	// The cycle span attributes wall time across the legs for the tsdb wall
-	// stream and /api/status; it never touches sim state.
+	// The cycle span attributes wall time across the legs — from the month
+	// build to the rendered bodies — for the tsdb wall stream and
+	// /api/status; it never touches sim state.
 	var span *obs.CycleSpan
 	if l.obsv != nil {
 		span = obs.StartCycleSpan()
+	}
+	if l.month == nil {
+		l.month = l.buildMonth(m)
+		span.Mark("month")
 	}
 
 	// Attack leg: the month's campaign runs one day from the position the
@@ -422,7 +428,9 @@ func (l *Loop) stepScan() error {
 
 // commit makes the finished cycle durable (when checkpointing) and publishes
 // the snapshot — in that order, so a published watermark is always backed by
-// a checkpoint at least as new. The observatory samples happen at the same
+// a checkpoint at least as new. The aggregate bodies are rendered inside the
+// cycle span, as its publish leg; the status body, which reports the
+// finished span, after it. The observatory samples happen at the same
 // barrier: the sim stream before the checkpoint (its state rides inside it),
 // the wall stream after (it is excluded from every durability guarantee).
 func (l *Loop) commit(span *obs.CycleSpan) error {
@@ -435,6 +443,11 @@ func (l *Loop) commit(span *obs.CycleSpan) error {
 		crashpoint.Here(crashpoint.SiteServeCycleCommit)
 	}
 	span.Mark("commit")
+	snap, err := render(l.agg, l.cycle)
+	if err != nil {
+		return err
+	}
+	span.Mark("publish")
 	legs, total := span.Finish()
 	l.obsv.appendWall(cyc, legs, total)
 	l.obsv.publish()
@@ -446,7 +459,7 @@ func (l *Loop) commit(span *obs.CycleSpan) error {
 			return err
 		}
 	}
-	return l.publish()
+	return l.publish(snap)
 }
 
 // writeCheckpoint commits serve.ckpt — and, with the observatory on, the
@@ -495,9 +508,11 @@ func (l *Loop) writeCheckpoint() error {
 	return nil
 }
 
-// publish renders and swaps in the snapshot for the current position.
-func (l *Loop) publish() error {
+// publish completes snap, the bodies render made for the current position,
+// with the status body, and swaps it in.
+func (l *Loop) publish(snap *Published) error {
 	st := statusBody{
+		Watermark:        snap.Watermark,
 		Seed:             l.cfg.Seed,
 		Prefix:           l.cfg.Prefix.String(),
 		Intensity:        l.cfg.Intensity,
@@ -522,8 +537,8 @@ func (l *Loop) publish() error {
 		}
 		st.Ops = ops
 	}
-	snap, err := render(l.agg, l.cycle, st)
-	if err != nil {
+	var err error
+	if snap.Status, err = marshalBody(st); err != nil {
 		return err
 	}
 	l.pub.Publish(snap)

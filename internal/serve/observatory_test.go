@@ -277,3 +277,41 @@ func BenchmarkServeCycle(b *testing.B) {
 		}
 	}
 }
+
+// TestCycleSpanCoversTheCycle requires the cycle span to attribute the whole
+// cycle: a month leg on the cycles that build the month world, a publish leg
+// for the rendered bodies after the commit, and a status body that reports
+// the span of the cycle it publishes.
+func TestCycleSpanCoversTheCycle(t *testing.T) {
+	cfg := testConfig(3)
+	var l *Loop
+	var got [][]string
+	cfg.OnPublish = func(s *Published) {
+		legs, total := l.Observatory().LastCycleWall()
+		var names []string
+		for _, leg := range legs {
+			names = append(names, leg.Name)
+		}
+		got = append(got, names)
+		var status struct {
+			Ops *OpsStatus `json:"ops"`
+		}
+		if err := json.Unmarshal(s.Status, &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.Ops.LastCycleWallNS != total.Nanoseconds() || status.Ops.LegWallNS["publish"] != legs[len(legs)-1].WallNS {
+			t.Errorf("cycle %d: status reports %+v, the finished span %v over %+v", s.Watermark.Cycle, status.Ops, total, legs)
+		}
+	}
+	l = New(cfg)
+	if err := l.Run(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"month", "campaign", "telescope", "honeypots", "scan", "commit", "publish"},
+		{"campaign", "telescope", "honeypots", "scan", "commit", "publish"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cycle legs %v, want %v", got, want)
+	}
+}

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"openhire/internal/checkpoint"
 	"openhire/internal/checkpoint/wire"
@@ -139,7 +142,10 @@ func TestSweepCompletionFolds(t *testing.T) {
 // TestKillResumeSnapshots asserts a checkpointed daemon killed between cycles
 // and restored by a fresh Loop publishes byte-identical snapshots: the
 // restored position's immediate re-publish matches the killed run's last
-// commit, and the continued cycles match an uninterrupted golden run. Each
+// commit, and the continued cycles match an uninterrupted golden run — and,
+// in both runs, the reference render, so the restored Aggregates' first
+// publish (its join counted from scratch, its trend rows rendered anew) is
+// checked on its own as well as every later one. Each
 // kill also pins what the checkpoint holds — leg positions and aggregates, no
 // honeypot log — and the one twelve days into a month resumes onto the
 // golden digest.
@@ -155,7 +161,7 @@ func testKillResume(t *testing.T, kill, total int) {
 	golden := make(map[int]*Published)
 	ucfg := testConfig(9)
 	ucfg.OnPublish = func(s *Published) { golden[s.Watermark.Cycle] = s }
-	uninterrupted := New(ucfg)
+	uninterrupted := withReference(t, New(ucfg))
 	if err := uninterrupted.Run(context.Background(), total); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +204,7 @@ func testKillResume(t *testing.T, kill, total int) {
 	cfg.CheckpointDir = dir
 	snaps := make(map[int]*Published)
 	cfg.OnPublish = func(s *Published) { snaps[s.Watermark.Cycle] = s }
-	second := New(cfg)
+	second := withReference(t, New(cfg))
 	found, err := second.Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +272,78 @@ func TestAPIBeforeFirstCommit(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("%s before first commit: status %d, want 503", ep, resp.StatusCode)
+		}
+	}
+}
+
+// TestAPIWriteDeadline holds a client that asks for /api/trends and never
+// reads: the handler must give up, and the connection close, within the
+// write deadline instead of pinning the snapshot for as long as the client
+// stays. On a keep-alive connection the deadline must not outlive its
+// answer: a pprof request, which has none, follows an /api one.
+func TestAPIWriteDeadline(t *testing.T) {
+	defer func(d time.Duration) { apiWriteTimeout = d }(apiWriteTimeout)
+	apiWriteTimeout = 200 * time.Millisecond
+	trends := bytes.Repeat([]byte("x"), 16<<20) // far more than the socket buffers hold
+	var p Publisher
+	p.Publish(&Published{Trends: trends, Status: []byte("{}\n")})
+	obsv := newObservatory(Config{})
+	addr, closer, err := obs.StartServer("127.0.0.1:0", NewMux(&p, nil, obsv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = closer() }()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /api/trends HTTP/1.1\r\nHost: openhire\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The observatory counts a request when its handler returns.
+	for obsv.apiReqs.Load() == 0 {
+		if time.Since(start) > apiWriteTimeout+5*time.Second {
+			t.Fatalf("the handler is still writing to a client that does not read, %v after the request", time.Since(start))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The client finds what the kernel had buffered, then the end of the
+	// connection, far short of the body.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the connection is still open after the handler gave up (%d bytes read)", n)
+	}
+	if n >= int64(len(trends)) {
+		t.Fatalf("the client read %d bytes, the whole body: no deadline cut the answer", n)
+	}
+
+	keep, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer keep.Close()
+	br := bufio.NewReader(keep)
+	for i, path := range []string{"/api/status", "/debug/pprof/cmdline"} {
+		if i > 0 {
+			time.Sleep(2 * apiWriteTimeout)
+		}
+		if _, err := fmt.Fprintf(keep, "GET %s HTTP/1.1\r\nHost: openhire\r\n\r\n", path); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s on the kept-alive connection: %v", path, err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on the kept-alive connection: status %d, %v", path, resp.StatusCode, err)
 		}
 	}
 }

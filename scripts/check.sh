@@ -59,9 +59,10 @@
 #      the resumed run leaves listing only its expected members (no honeypot
 #      events, no scan results) under openhire-inspect checkpoint, a binary
 #      hour file parsed by openhire-telescope -parse, the live query API
-#      (including /api/timeseries) answering
-#      mid-run, openhire-inspect timeline in both file and live-URL modes,
-#      and a graceful SIGINT shutdown; then the
+#      (including /api/timeseries, and /api/trends with a Content-Length
+#      equal to its body) answering mid-run, openhire-inspect timeline in
+#      both file and live-URL modes (the live one with a publish leg), and
+#      a graceful SIGINT shutdown; then the
 #      inspect smoke: build openhire-scan + openhire-inspect, run the
 #      scan leg twice with the same seed (traced) plus once bare, and
 #      require empty manifest/trace self-diffs, byte-identical result

@@ -21,10 +21,11 @@
 #      serve-tsdb.ckpt with per-cycle leg attribution
 #   4. live API: a -cycles 0 daemon with a listener; once a cycle commits,
 #      /api/status and /api/exposure must answer 200 with a coherent
-#      watermark, /api/timeseries must serve the catalog and a trend range
-#      (JSON + prom text), and openhire-inspect timeline must render the
-#      live URL; SIGINT must stop it at the cycle boundary, flush the
-#      artifacts, and exit 0
+#      watermark, /api/trends must carry a Content-Length equal to its
+#      body's size and a "days" array, /api/timeseries must serve the
+#      catalog and a trend range (JSON + prom text), and openhire-inspect
+#      timeline must render the live URL with a publish leg column; SIGINT
+#      must stop it at the cycle boundary, flush the artifacts, and exit 0
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,7 +114,13 @@ echo "$STATUS" | grep -q '"cycle": [1-9]' || {
 	exit 1
 }
 curl -fsS "http://$ADDR/api/exposure" | grep -q '"watermark"'
-curl -fsS "http://$ADDR/api/trends" >/dev/null
+curl -fsS -D "$SMOKE/trends.headers" "http://$ADDR/api/trends" -o "$SMOKE/trends.json"
+LENGTH=$(tr -d '\r' <"$SMOKE/trends.headers" | sed -n 's/^[Cc]ontent-[Ll]ength: //p')
+if [ "$LENGTH" != "$(wc -c <"$SMOKE/trends.json" | tr -d ' ')" ]; then
+	echo "serve smoke: /api/trends Content-Length '$LENGTH' for a $(wc -c <"$SMOKE/trends.json") byte body" >&2
+	exit 1
+fi
+grep -q '"days": \[' "$SMOKE/trends.json"
 curl -fsS "http://$ADDR/api/correlate" | grep -q '"misconfigured"'
 # Save bodies before grepping: grep -q closes the pipe at first match, which
 # curl -f reports as a write failure on larger responses.
@@ -125,6 +132,7 @@ curl -fsS "http://$ADDR/api/timeseries?metric=serve.trend.attack_events&format=p
 grep -q '^# TYPE serve_trend_attack_events gauge' "$SMOKE/trend.prom"
 "$SMOKE/openhire-inspect" timeline "http://$ADDR" >"$SMOKE/timeline-live.txt"
 grep -q "per-cycle wall attribution" "$SMOKE/timeline-live.txt"
+grep -q "  cycle .* publish .* total$" "$SMOKE/timeline-live.txt"
 kill -INT "$DAEMON_PID"
 WAIT_RC=0
 wait "$DAEMON_PID" || WAIT_RC=$?
