@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 
+	"openhire/internal/attack"
 	"openhire/internal/checkpoint/crashpoint"
 	"openhire/internal/cli"
 	"openhire/internal/netsim"
@@ -69,6 +70,7 @@ func main() {
 	run.Parse()
 	prefix, err := netsim.ParsePrefix(*prefixStr)
 	cli.Usage(err)
+	cli.Usage(attack.CheckScale(*scale))
 
 	// No leg: the Loop owns the serve checkpoint chain, so the first signal
 	// cancels the context and Run returns at the next cycle boundary (the

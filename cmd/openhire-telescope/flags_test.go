@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,6 +51,31 @@ func TestFormatCheckedAtParse(t *testing.T) {
 	for format, ok := range map[string]bool{"csv": true, "bin": true, "xyz": false, "": false, "CSV": false} {
 		if err := checkFormat(format); (err == nil) != ok {
 			t.Errorf("checkFormat(%q) = %v, want ok %v", format, err, ok)
+		}
+	}
+}
+
+// mainArgsEnv, set in a child process of TestOutOfRangeScaleExits2, holds
+// the arguments that child runs main with.
+const mainArgsEnv = "OPENHIRE_TEST_MAIN_ARGS"
+
+// TestOutOfRangeScaleExits2 runs main in a child process with each -scale
+// outside (0, 1]: it must exit 2 naming the range, before any work. The
+// generator would replace such a scale with 1/8192 while the binary reported
+// the value it was given.
+func TestOutOfRangeScaleExits2(t *testing.T) {
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"openhire-telescope"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, scale := range []string{"2", "0", "-1", "NaN"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestOutOfRangeScaleExits2$")
+		cmd.Env = append(os.Environ(), mainArgsEnv+"=-scale="+scale+" -days=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "outside (0, 1]") {
+			t.Errorf("-scale %s: %v, want exit 2 naming the range\n%s", scale, err, out)
 		}
 	}
 }

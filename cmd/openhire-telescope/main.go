@@ -73,6 +73,7 @@ func checkFormat(format string) error {
 func main() {
 	run.Parse()
 	cli.Usage(checkFormat(*format))
+	cli.Usage(attack.CheckScale(*scale))
 	if *parse != "" {
 		parseFile(*parse)
 		return

@@ -36,7 +36,8 @@ var PaperTelescope = []TelescopeCalibration{
 // DarknetConfig parameterizes telescope traffic generation.
 type DarknetConfig struct {
 	Seed uint64
-	// Telescope receives the generated flows.
+	// Telescope receives the flows Run and RunDay generate; FoldDay reads
+	// only its prefix.
 	Telescope *telescope.Telescope
 	// Sources provides scanning-service addresses and infected devices.
 	Sources *Sources
@@ -71,13 +72,18 @@ type DarknetConfig struct {
 // Generation fans out over (protocol, day) units: unit (p, d) seeds its flow
 // stream with Derive("darknet", protocol, day) and records its day as one
 // telescope batch at ordinal p*Days+d, so scheduling never leaks into the
-// output — 1 worker and GOMAXPROCS workers produce identical dumps.
+// output — 1 worker and GOMAXPROCS workers produce identical dumps. FoldDay
+// draws the same units without recording them, for a consumer that needs
+// only a day's sums, sources and encoded records.
 type DarknetGenerator struct {
 	cfg DarknetConfig
 	src *prng.Source
 
 	setup  sync.Once
 	states []*protoState
+	// seen is FoldDay's per-protocol bitset over the source pool: the
+	// sources an earlier FoldDay already returned as Fresh.
+	seen [][]uint64
 }
 
 // protoState is the per-protocol input shared by that protocol's day units.
@@ -100,9 +106,20 @@ type geoAnn struct {
 	ok  bool
 }
 
-// NewDarknetGenerator validates cfg.
+// CheckScale reports whether scale is a DarknetConfig.Scale the generator
+// uses as given. A binary that reports its scale must refuse any other value:
+// NewDarknetGenerator would replace it with the default.
+func CheckScale(scale float64) error {
+	if scale > 0 && scale <= 1 {
+		return nil
+	}
+	return fmt.Errorf("telescope scale %v outside (0, 1]", scale)
+}
+
+// NewDarknetGenerator validates cfg. A Scale that CheckScale refuses — the
+// zero value among them — becomes 1/8192.
 func NewDarknetGenerator(cfg DarknetConfig) *DarknetGenerator {
-	if cfg.Scale <= 0 || cfg.Scale > 1 {
+	if CheckScale(cfg.Scale) != nil {
 		cfg.Scale = 1.0 / 8192
 	}
 	if cfg.Days == 0 {
@@ -204,27 +221,78 @@ func (g *DarknetGenerator) Run() int {
 			units = append(units, p*g.cfg.Days+d)
 		}
 	}
-	return g.runUnits(units)
+	return g.runUnits(units, g.generateUnit)
 }
 
 // RunDay generates one day's traffic for every protocol — the rotation path:
 // callers interleave RunDay with Telescope.Drain to cut per-day capture
 // files. day must be in [0, cfg.Days); unit streams and ordinals match the
 // ones Run would use, so RunDay(0..Days-1) emits exactly Run's flow set.
+// A drained day is the caller's for good: the next RunDay records into slabs
+// of its own.
 func (g *DarknetGenerator) RunDay(day int) int {
-	if day < 0 || day >= g.cfg.Days {
-		panic(fmt.Sprintf("attack: RunDay(%d) outside configured %d days", day, g.cfg.Days))
-	}
 	g.init()
+	return g.runUnits(g.dayUnits(day), g.generateUnit)
+}
+
+// UnitFold is one (protocol, day) unit of a folded darknet day: what the
+// daemon reads of the flows that unit draws, without the flows.
+type UnitFold struct {
+	// Flows and Packets are the unit's volume; Hourly splits Packets by the
+	// hour of the day each flow starts in.
+	Flows   int
+	Packets uint64
+	Hourly  [24]uint64
+	// Fresh lists, in draw order, the sources that no earlier FoldDay of
+	// this generator returned for the protocol.
+	Fresh []netsim.IPv4
+	// Hours holds, when FoldDay was asked to encode, each hour's flows as
+	// telescope binary records (FlowTuple.AppendBinary) in draw order.
+	Hours [24][]byte
+}
+
+// FoldDay draws one day's traffic for every protocol exactly as RunDay does
+// and folds each unit as its flows are drawn, never building a FlowTuple
+// slab or touching the telescope: it returns the units' partials in unit
+// (protocol) order. Concatenating every unit's Hours[h] in that order gives
+// the hour's records in the order Telescope.Drain hands them out, and the
+// union of every Fresh so far is the set of sources drawn so far. A
+// generator tracks its Fresh sources in one bitset per protocol over the
+// protocol's source pool; Run and RunDay never read it, and a new generator
+// starts with every source unseen. Geo annotation is done only when encode
+// is set, because only the records carry it. Calls must not overlap.
+func (g *DarknetGenerator) FoldDay(day int, encode bool) []UnitFold {
+	g.init()
+	units := g.dayUnits(day)
+	if g.seen == nil {
+		g.seen = make([][]uint64, len(g.states))
+		for p, st := range g.states {
+			g.seen[p] = make([]uint64, (len(st.sources)+63)/64)
+		}
+	}
+	out := make([]UnitFold, len(g.states))
+	g.runUnits(units, func(p, d int) int {
+		out[p] = g.foldUnit(p, d, encode)
+		return out[p].Flows
+	})
+	return out
+}
+
+// dayUnits lists day's (protocol, day) units in protocol order.
+func (g *DarknetGenerator) dayUnits(day int) []int {
+	if day < 0 || day >= g.cfg.Days {
+		panic(fmt.Sprintf("attack: day %d outside configured %d days", day, g.cfg.Days))
+	}
 	units := make([]int, 0, len(g.states))
 	for p := range g.states {
 		units = append(units, p*g.cfg.Days+day)
 	}
-	return g.runUnits(units)
+	return units
 }
 
-// runUnits executes the given (protocol, day) units on the worker pool.
-func (g *DarknetGenerator) runUnits(units []int) int {
+// runUnits executes the given (protocol, day) units on the worker pool,
+// running work(protocol, day) for each; work returns the unit's flow count.
+func (g *DarknetGenerator) runUnits(units []int, work func(p, d int) int) int {
 	workers := g.cfg.Workers
 	if workers > len(units) {
 		workers = len(units)
@@ -241,9 +309,7 @@ func (g *DarknetGenerator) runUnits(units []int) int {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				unit := units[i]
-				p, d := unit/g.cfg.Days, unit%g.cfg.Days
-				counts[i] = g.generateUnit(g.states[p], d, unit)
+				counts[i] = work(units[i]/g.cfg.Days, units[i]%g.cfg.Days)
 			}
 		}()
 	}
@@ -259,71 +325,152 @@ func (g *DarknetGenerator) runUnits(units []int) int {
 	return total
 }
 
-// generateUnit emits one protocol-day of flows into one slab and records it
-// as a single telescope batch. All randomness comes from the unit's derived
-// stream; several fields are packed into each 64-bit draw (disjoint bit
-// ranges; moduli either exact powers of two or large enough that the bias is
-// far below measurement noise), which roughly halves the PRNG cost per flow.
-func (g *DarknetGenerator) generateUnit(st *protoState, day, unit int) int {
-	gen := g.src.Derive(prng.HashString("darknet"),
-		prng.HashString(string(st.cal.Protocol)), uint64(day))
-	prefix := g.cfg.Telescope.Prefix()
-	prefixSize := prefix.Size()
-	dayStart := g.cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
+// unitDraws is one (protocol, day) unit's flow stream. Both consumers — the
+// slab generateUnit records and the partial foldUnit keeps — pull their flows
+// from next, so a folded day draws exactly the flows a recorded one holds.
+// All randomness comes from the unit's derived stream; several fields are
+// packed into each 64-bit draw (disjoint bit ranges; moduli either exact
+// powers of two or large enough that the bias is far below measurement
+// noise), which roughly halves the PRNG cost per flow.
+type unitDraws struct {
+	st         *protoState
+	gen        *prng.Source
+	prefix     netsim.Prefix
+	prefixSize uint64
+	dayStart   time.Time
+	isTCP      bool
+	// remaining is the day's packet volume not yet drawn; the unit is done
+	// when it reaches zero.
+	remaining uint64
+}
 
-	ann := make([]geoAnn, len(st.sources))
+// draws starts protocol p's flow stream for day.
+func (g *DarknetGenerator) draws(p, day int) unitDraws {
+	st := g.states[p]
+	prefix := g.cfg.Telescope.Prefix()
+	return unitDraws{
+		st: st,
+		gen: g.src.Derive(prng.HashString("darknet"),
+			prng.HashString(string(st.cal.Protocol)), uint64(day)),
+		prefix:     prefix,
+		prefixSize: prefix.Size(),
+		dayStart:   g.cfg.Start.Add(time.Duration(day) * 24 * time.Hour),
+		isTCP:      st.transport == telescope.ProtoTCP,
+		remaining:  st.dailyPackets,
+	}
+}
+
+// next draws one flow (source × dark destination), whose PacketCnt share of
+// the day's volume follows the skew, into ft — every field but the geo
+// annotation — and returns the source's index in the protocol's pool and the
+// hour of the day the flow starts in. Call it only while remaining > 0.
+func (d *unitDraws) next(ft *telescope.FlowTuple) (src, hour int) {
+	st := d.st
+	src = st.alias.Sample(d.gen)
+	u2 := d.gen.Uint64() // dst offset | source port | SYN window / datagram len
+	u3 := d.gen.Uint64() // time-of-day | TTL | packets | spoofed | masscan
+
+	pkts := 1 + (u3>>39)&63
+	if pkts > d.remaining {
+		pkts = d.remaining
+	}
+	d.remaining -= pkts
+
+	sec := (u3 & 0xffffffff) % 86400
+	*ft = telescope.FlowTuple{
+		Time:      d.dayStart.Add(time.Duration(sec) * time.Second),
+		SrcIP:     st.sources[src],
+		DstIP:     d.prefix.Nth((u2 & 0xffffffff) % d.prefixSize),
+		SrcPort:   uint16(32768 + (u2>>32&0xffff)%28232),
+		DstPort:   st.port,
+		Protocol:  st.transport,
+		TTL:       uint8(32 + (u3>>32&0x7f)%96),
+		PacketCnt: uint32(pkts),
+		IsSpoofed: (u3>>45)&1023 < 31, // ≈3%
+		IsMasscan: (u3>>55)&511 < 41,  // ≈8%
+	}
+	if d.isTCP {
+		ft.TCPFlags = telescope.FlagSYN
+		ft.SynLen = 44
+		ft.SynWinLen = uint16(8192 + (u2>>48)%57343)
+		ft.IPLen = 40
+	} else {
+		ft.IPLen = uint16(28 + (u2>>48)&63)
+	}
+	return src, int(sec / 3600)
+}
+
+// annotate stamps ft, drawn from source index src, with the source's geo
+// annotation, looked up once per unit through ann.
+func (g *DarknetGenerator) annotate(ft *telescope.FlowTuple, ann []geoAnn, src int) {
+	if g.cfg.GeoDB == nil {
+		return
+	}
+	a := &ann[src]
+	if !a.ok {
+		a.cc = string(g.cfg.GeoDB.Country(ft.SrcIP))
+		a.asn = g.cfg.GeoDB.ASN(ft.SrcIP)
+		a.ok = true
+	}
+	ft.CountryCC = a.cc
+	ft.ASN = a.asn
+}
+
+// generateUnit emits protocol p's day of flows into one slab and records it
+// as a single telescope batch at the unit's ordinal.
+func (g *DarknetGenerator) generateUnit(p, day int) int {
+	d := g.draws(p, day)
+	ann := make([]geoAnn, len(d.st.sources))
 	// The slab is sized from the day's expected flow count (mean PacketCnt
 	// 32.5, /28 leaves 16% slack), so a unit almost always allocates once;
 	// append grows it if the estimate falls short.
-	fts := make([]telescope.FlowTuple, 0, int(st.dailyPackets/28)+16)
-
-	remaining := st.dailyPackets
-	isTCP := st.transport == telescope.ProtoTCP
-	// Each iteration emits one flow (source × dark destination) whose
-	// PacketCnt share of the day's volume follows the skew.
-	for remaining > 0 {
-		srcIdx := st.alias.Sample(gen)
-		srcIP := st.sources[srcIdx]
-		u2 := gen.Uint64() // dst offset | source port | SYN window / datagram len
-		u3 := gen.Uint64() // time-of-day | TTL | packets | spoofed | masscan
-
-		pkts := 1 + (u3>>39)&63
-		if pkts > remaining {
-			pkts = remaining
-		}
-		remaining -= pkts
-
+	fts := make([]telescope.FlowTuple, 0, int(d.st.dailyPackets/28)+16)
+	for d.remaining > 0 {
 		fts = append(fts, telescope.FlowTuple{})
 		ft := &fts[len(fts)-1]
-		ft.Time = dayStart.Add(time.Duration((u3&0xffffffff)%86400) * time.Second)
-		ft.SrcIP = srcIP
-		ft.DstIP = prefix.Nth((u2 & 0xffffffff) % prefixSize)
-		ft.SrcPort = uint16(32768 + (u2>>32&0xffff)%28232)
-		ft.DstPort = st.port
-		ft.Protocol = st.transport
-		ft.TTL = uint8(32 + (u3>>32&0x7f)%96)
-		ft.PacketCnt = uint32(pkts)
-		ft.IsSpoofed = (u3>>45)&1023 < 31 // ≈3%
-		ft.IsMasscan = (u3>>55)&511 < 41  // ≈8%
-		if isTCP {
-			ft.TCPFlags = telescope.FlagSYN
-			ft.SynLen = 44
-			ft.SynWinLen = uint16(8192 + (u2>>48)%57343)
-			ft.IPLen = 40
-		} else {
-			ft.IPLen = uint16(28 + (u2>>48)&63)
-		}
-		if g.cfg.GeoDB != nil {
-			a := &ann[srcIdx]
-			if !a.ok {
-				a.cc = string(g.cfg.GeoDB.Country(srcIP))
-				a.asn = g.cfg.GeoDB.ASN(srcIP)
-				a.ok = true
-			}
-			ft.CountryCC = a.cc
-			ft.ASN = a.asn
+		src, _ := d.next(ft)
+		g.annotate(ft, ann, src)
+	}
+	g.cfg.Telescope.RecordBatch(uint64(p*g.cfg.Days+day), fts)
+	return len(fts)
+}
+
+// recordBytes is the size foldUnit budgets per encoded record: the fixed
+// part and a country label of up to eight bytes.
+const recordBytes = 52
+
+// foldUnit folds protocol p's day of flows into a UnitFold as they are
+// drawn, one reused FlowTuple at a time, marking fresh sources in p's bitset.
+// With encode, each flow's record goes to its hour's buffer; the 24 buffers
+// are cut from one allocation sized like generateUnit's slab, and an hour
+// that outgrows its share grows on its own.
+func (g *DarknetGenerator) foldUnit(p, day int, encode bool) UnitFold {
+	d := g.draws(p, day)
+	seen := g.seen[p]
+	var u UnitFold
+	var ann []geoAnn
+	if encode {
+		ann = make([]geoAnn, len(d.st.sources))
+		per := (int(d.st.dailyPackets/28)/24 + 4) * recordBytes
+		buf := make([]byte, 24*per)
+		for h := range u.Hours {
+			u.Hours[h] = buf[h*per : h*per : (h+1)*per]
 		}
 	}
-	g.cfg.Telescope.RecordBatch(uint64(unit), fts)
-	return len(fts)
+	var ft telescope.FlowTuple
+	for d.remaining > 0 {
+		src, hour := d.next(&ft)
+		u.Flows++
+		u.Packets += uint64(ft.PacketCnt)
+		u.Hourly[hour] += uint64(ft.PacketCnt)
+		if w, bit := src/64, uint64(1)<<(src%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			u.Fresh = append(u.Fresh, ft.SrcIP)
+		}
+		if encode {
+			g.annotate(&ft, ann, src)
+			u.Hours[hour] = ft.AppendBinary(u.Hours[hour])
+		}
+	}
+	return u
 }

@@ -7,6 +7,12 @@ import (
 	"openhire/internal/netsim"
 )
 
+// tr069 needs no fuzz target of its own: a session is the inner HTTP
+// server's stepper (Server.NewStepper), whose request framing honeypot's
+// FuzzStepperChunking splits at fuzz-chosen points, and Probe reads the answer
+// with http's response decoder, which http's FuzzDecodeResponse holds to the
+// reference parser.
+
 func startServer(t *testing.T, cfg Config) *netsim.ServiceConn {
 	t.Helper()
 	client := netsim.Converse(NewServer(cfg).NewStepper(), netsim.MustParseIPv4("192.0.2.99"),

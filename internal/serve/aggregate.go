@@ -14,8 +14,7 @@
 package serve
 
 import (
-	"time"
-
+	"openhire/internal/attack"
 	"openhire/internal/core/classify"
 	"openhire/internal/core/correlate"
 	"openhire/internal/core/fingerprint"
@@ -23,7 +22,6 @@ import (
 	"openhire/internal/honeypot"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
-	"openhire/internal/telescope"
 )
 
 // ProtocolExposure is one protocol's accumulated scan-side exposure: the
@@ -276,20 +274,27 @@ func (a *Aggregates) FoldAttackDay(cycle int, events []honeypot.Event) {
 	row.AttackSources = len(sources)
 }
 
-// FoldTelescopeDay folds one drained darknet day into the trend row for the
-// absolute day cycle: flow/packet volume, the hourly rotation buckets, and
-// the telescope-source correlation set. dayStart is the day's simulated
-// start (month-relative: the generator stamps every month into the same
-// April window).
-func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*telescope.FlowTuple) {
+// FoldDarknetDay folds one darknet day, as the generator's FoldDay returns
+// it, into the trend row for the absolute day cycle: flow/packet volume, the
+// hourly rotation buckets, and the telescope-source correlation set, which
+// takes each unit's fresh sources once. The set only grows and the kept join
+// counts are insert-order free, so a source a restored generator reports
+// fresh again is a no-op.
+func (a *Aggregates) FoldDarknetDay(cycle int, units []attack.UnitFold) {
 	row := a.Trends.day(cycle)
-	row.TelescopeFlows = len(flows)
-	row.TelescopePackets = 0
-	for _, ft := range flows {
-		row.TelescopePackets += uint64(ft.PacketCnt)
-		a.addTelescopeSource(ft.SrcIP)
+	row.TelescopeFlows, row.TelescopePackets = 0, 0
+	row.HourlyPackets = make([]uint64, 24)
+	for i := range units {
+		u := &units[i]
+		row.TelescopeFlows += u.Flows
+		row.TelescopePackets += u.Packets
+		for h, n := range u.Hourly {
+			row.HourlyPackets[h] += n
+		}
+		for _, ip := range u.Fresh {
+			a.addTelescopeSource(ip)
+		}
 	}
-	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
 // addMisconfigured inserts ip into the misconfigured set; a new member

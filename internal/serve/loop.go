@@ -99,12 +99,12 @@ func (c Config) withDefaults() Config {
 }
 
 // monthState is the attack month's live world: the honeypots' log, the
-// telescope, the darknet generator and the month's campaign (which holds the
-// fabric and its clock), all seeded for the current month and discarded at
-// the month boundary. Rebuilt after a restore by replaying construction.
+// darknet generator and the month's campaign (which holds the fabric and its
+// clock), all seeded for the current month and discarded at the month
+// boundary. Rebuilt after a restore by replaying construction, which gives
+// the generator a fresh source bitset.
 type monthState struct {
 	log      *honeypot.Log
-	tel      *telescope.Telescope
 	gen      *attack.DarknetGenerator
 	campaign *attack.Campaign
 }
@@ -189,8 +189,8 @@ func (l *Loop) sweepSeed(s int) uint64 {
 }
 
 // buildMonth replays month m's world construction: a fresh clock and fabric,
-// the six honeypots, the telescope, the month's infected-device set — the one
-// universe walk of the month —, a darknet generator and the month's campaign,
+// the six honeypots, the month's infected-device set — the one universe walk
+// of the month —, a darknet generator and the month's campaign,
 // each over a Sources of its own that uses that set, so the generator's
 // infected Telnet scanners are the same devices the campaign infects and the
 // Section 5.3 cross-dataset joins stay faithful. The campaign — source pools,
@@ -202,29 +202,15 @@ func (l *Loop) buildMonth(m int) *monthState {
 	network := netsim.NewNetwork(clock)
 	network.AddProvider(l.cfg.Prefix, l.universe)
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
-	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	infected := attack.DeriveInfected(ms, l.universe)
-	sources := func() *attack.Sources {
-		s := attack.NewSources(ms, l.universe, nil, nil)
-		s.UseInfected(infected)
-		return s
-	}
-	gen := attack.NewDarknetGenerator(attack.DarknetConfig{
-		Seed:      ms,
-		Telescope: tel,
-		Sources:   sources(),
-		GeoDB:     l.geodb,
-		Scale:     l.cfg.Scale,
-		Days:      monthDays,
-		Workers:   l.cfg.Workers,
-	})
+	gen := attack.NewDarknetGenerator(l.darknetConfig(ms, infected))
 	var campaign *attack.Campaign
 	campaign = attack.NewCampaign(attack.CampaignConfig{
 		Seed:      ms,
 		Network:   network,
 		Honeypots: pots,
 		Universe:  l.universe,
-		Sources:   sources(),
+		Sources:   l.monthSources(ms, infected),
 		Corpus:    malware.NewCorpus(ms, nil),
 		Intensity: l.cfg.Intensity,
 		Workers:   l.cfg.Workers,
@@ -235,7 +221,29 @@ func (l *Loop) buildMonth(m int) *monthState {
 			l.campaignResume = &pos
 		},
 	})
-	return &monthState{log: log, tel: tel, gen: gen, campaign: campaign}
+	return &monthState{log: log, gen: gen, campaign: campaign}
+}
+
+// monthSources is a Sources of its own for one of month seed ms's
+// generators, over the month's infected set.
+func (l *Loop) monthSources(ms uint64, infected *attack.Infected) *attack.Sources {
+	s := attack.NewSources(ms, l.universe, nil, nil)
+	s.UseInfected(infected)
+	return s
+}
+
+// darknetConfig configures month seed ms's darknet generator, with a
+// telescope of its own whose prefix the generator draws destinations from.
+func (l *Loop) darknetConfig(ms uint64, infected *attack.Infected) attack.DarknetConfig {
+	return attack.DarknetConfig{
+		Seed:      ms,
+		Telescope: telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), nil),
+		Sources:   l.monthSources(ms, infected),
+		GeoDB:     l.geodb,
+		Scale:     l.cfg.Scale,
+		Days:      monthDays,
+		Workers:   l.cfg.Workers,
+	}
 }
 
 // Restore loads the checkpoint from cfg.CheckpointDir, if one exists: leg
@@ -351,17 +359,17 @@ func (l *Loop) runCycle() error {
 	l.month.campaign.Run(context.Background(), l.campaignResume)
 	span.Mark("campaign")
 
-	// Telescope leg: generate and drain the darknet day, folding volume and
-	// rotation buckets into the day's trend row; when TelescopeDir is set,
-	// the drained day is also persisted as rotated hourly capture files.
-	l.month.gen.RunDay(d)
-	flows := l.month.tel.Drain()
-	l.agg.FoldTelescopeDay(l.cycle, attack.DayStart(d), flows)
+	// Telescope leg: fold the darknet day as it is generated — volume,
+	// rotation buckets and fresh sources into the day's trend row; when
+	// TelescopeDir is set, the units also encode their records per hour and
+	// the day is persisted as rotated hourly capture files.
+	units := l.month.gen.FoldDay(d, l.cfg.TelescopeDir != "")
+	l.agg.FoldDarknetDay(l.cycle, units)
 	if l.cfg.TelescopeDir != "" {
 		if l.telFiles == nil {
 			l.telFiles = make(map[string]string)
 		}
-		if err := writeHourFiles(l.cfg.TelescopeDir, l.cycle, attack.DayStart(d), flows, l.telFiles); err != nil {
+		if err := writeHourFiles(l.cfg.TelescopeDir, l.cycle, units, l.telFiles); err != nil {
 			return err
 		}
 	}

@@ -9,12 +9,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"openhire/internal/attack"
 	"openhire/internal/checkpoint/atomicio"
 	"openhire/internal/checkpoint/crashpoint"
 	"openhire/internal/core/scan"
 	"openhire/internal/obs"
 	"openhire/internal/obs/tsdb"
-	"openhire/internal/telescope"
 )
 
 // Observatory is the daemon's time-series store pair plus the wall-clock
@@ -224,30 +224,34 @@ func sortedKeys[V any](ms ...map[string]V) []string {
 	return out
 }
 
-// writeHourFiles persists the just-drained day's telescope capture, rotated
-// hourly, under dir: dayNNNN-hourHH.ft, one file of binary FlowTuple records
-// (telescope.WriteFlowsBinary; openhire-telescope -parse reads it) per
-// rotation bucket, content-digested for the manifest. The day's files are one
-// durable group (atomicio.WriteGroup): encoded, digested, staged and fsynced
+// writeHourFiles persists the folded day's telescope capture, rotated hourly,
+// under dir: dayNNNN-hourHH.ft, one file of binary FlowTuple records
+// (openhire-telescope -parse reads it) per rotation bucket, content-digested
+// for the manifest. Hour h's file is the units' encoded hour-h records in
+// unit order, written straight from the units' buffers: the order
+// Telescope.Drain gives a recorded day, restricted to the hour, so the bytes
+// are worker-count and kill-history independent. The day's files are one
+// durable group (atomicio.WriteGroup): digested, staged and fsynced
 // concurrently, then renamed, with one directory sync before this returns —
 // so a digest reaches digests, and through it the checkpoint, only once every
-// file and every rename of the day is durable. Flow order inside a file is
-// the telescope's canonical drain order restricted to the hour, so the bytes
-// are worker-count and kill-history independent.
-func writeHourFiles(dir string, cyc int, dayStart time.Time, flows []*telescope.FlowTuple, digests map[string]string) error {
+// file and every rename of the day is durable.
+func writeHourFiles(dir string, cyc int, units []attack.UnitFold, digests map[string]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	parts := telescope.PartitionByHour(flows, dayStart, 24)
-	names := make([]string, len(parts))
-	for h := range parts {
+	var names [24]string
+	for h := range names {
 		names[h] = fmt.Sprintf("day%04d-hour%02d.ft", cyc, h)
 	}
-	sums := make([]string, len(parts))
-	err := atomicio.WriteGroup(dir, names, func(h int, w io.Writer) error {
+	var sums [24]string
+	err := atomicio.WriteGroup(dir, names[:], func(h int, w io.Writer) error {
 		dw := obs.NewDigestWriter()
-		if err := telescope.WriteFlowsBinary(io.MultiWriter(w, dw), parts[h]); err != nil {
-			return err
+		for i := range units {
+			rec := units[i].Hours[h]
+			if _, err := w.Write(rec); err != nil {
+				return err
+			}
+			_, _ = dw.Write(rec) // a hash never fails
 		}
 		sums[h] = dw.Sum()
 		return nil

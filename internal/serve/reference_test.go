@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"openhire/internal/attack"
 	"openhire/internal/checkpoint/wire"
 	"openhire/internal/core/correlate"
 	"openhire/internal/honeypot"
@@ -47,6 +48,22 @@ func referenceRender(a *Aggregates, cycle int, st statusBody) (*Published, error
 		return nil, err
 	}
 	return out, nil
+}
+
+// FoldTelescopeDay is the telescope fold as it was before the daemon folded
+// the darknet day as it was generated: one drained day of flows into the
+// trend row for the absolute day cycle — flow/packet volume, the hourly
+// rotation buckets from dayStart, and every flow's source inserted into the
+// telescope-source set. FoldDarknetDay must leave the aggregates it leaves.
+func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*telescope.FlowTuple) {
+	row := a.Trends.day(cycle)
+	row.TelescopeFlows = len(flows)
+	row.TelescopePackets = 0
+	for _, ft := range flows {
+		row.TelescopePackets += uint64(ft.PacketCnt)
+		a.addTelescopeSource(ft.SrcIP)
+	}
+	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
 // withReference makes l compare every snapshot it publishes with
@@ -94,7 +111,7 @@ func TestTrendsBodyRows(t *testing.T) {
 	var src Aggregates
 	for d := 0; d < 6; d++ {
 		src.FoldAttackDay(d, []honeypot.Event{{Src: netsim.IPv4(d), Type: honeypot.AttackType(`"<&>\` + fmt.Sprint(d))}})
-		src.FoldTelescopeDay(d, time.Time{}, nil)
+		src.FoldDarknetDay(d, nil)
 	}
 	restored := readAggregates(wire.NewReader(src.appendBinary(nil)))
 	for _, a := range []*Aggregates{restored, {}} {
@@ -142,11 +159,11 @@ func TestJoinKeptOnInsert(t *testing.T) {
 			}
 			a.FoldAttackDay(day, events)
 		case 1:
-			flows := make([]*telescope.FlowTuple, gen.Intn(6))
-			for i := range flows {
-				flows[i] = &telescope.FlowTuple{SrcIP: ip(), PacketCnt: 1}
+			fresh := make([]netsim.IPv4, gen.Intn(6))
+			for i := range fresh {
+				fresh[i] = ip()
 			}
-			a.FoldTelescopeDay(day, time.Time{}, flows)
+			a.FoldDarknetDay(day, []attack.UnitFold{{Flows: len(fresh), Packets: uint64(len(fresh)), Fresh: fresh}})
 		default:
 			for n := gen.Intn(4); n > 0; n-- {
 				a.addMisconfigured(ip())

@@ -98,7 +98,9 @@ func (t *Telescope) Flows() []*FlowTuple {
 // capture window starts empty. Records drained once are never written again:
 // each later batch is a slab of its own. Use it for rotation
 // (cmd/openhire-telescope's -rotate path); use Flows when the capture must
-// keep accumulating.
+// keep accumulating. A consumer that needs only a day's sums, sources and
+// encoded records need not record the day at all: the serve daemon folds
+// its days with the darknet generator's FoldDay instead.
 func (t *Telescope) Drain() []*FlowTuple {
 	return t.snapshot(true)
 }

@@ -26,7 +26,10 @@
 #      between the daemon's folds and the batch report
 #      (TestFoldsMatchReport: a quick world's scan, month and darknet day
 #      folded into Aggregates must reproduce Table 4/5, Figure 8, the
-#      telescope volume and the Section 5.3 join), and the time-series
+#      telescope volume and the Section 5.3 join), the streamed darknet
+#      fold against the drained one it replaced (TestFoldDayMatchesDrain,
+#      also at GOMAXPROCS 1, 2 and 4 with the two golden digests), and the
+#      time-series
 #      observatory gates (sim-stream byte-identity across worker counts,
 #      tsdb-on vs tsdb-off zero perturbation, checkpointed history matching
 #      the embedded state), under the race detector — these run in --fast
@@ -127,6 +130,10 @@ go test -race ./internal/obs/... ./internal/expr/
 
 echo "==> service gate: serve aggregation determinism, golden digests + concurrent scrape under -race"
 go test -race ./internal/serve/
+# The darknet day's units fold their partials and mark the month's source
+# bitsets on the generator's workers; the streamed fold and the hour files
+# must not depend on GOMAXPROCS.
+./scripts/gate.sh -race -cpu 1,2,4 -run 'TestFoldDayMatchesDrain|TestServeGoldenDigest|TestHourFilesGoldenDigest' ./internal/serve/
 
 echo "==> chaos gate: fault-model equivalence under -race"
 ./scripts/gate.sh -race -run 'TestChaos|TestBackoff|TestCancelMidSegmentResumes' \
