@@ -6,7 +6,9 @@
 #   3. race detector over the hot-path packages: the scan leg (lock-free
 #      snapshot lookup, sharded stats), the attack
 #      month / telescope leg (concurrent RecordBatch producers, the one-lock
-#      event log, parallel darknet generation), the report pass's two parallel
+#      event log, parallel darknet generation, with the campaign log's and
+#      the batch telescope dump's golden digests at GOMAXPROCS 1, 2 and 4),
+#      the report pass's two parallel
 #      layers (the universe's exposure index with the crawls that filter it,
 #      the chunked ClassifyAll) and the protocol servers (the MQTT broker
 #      fans publishes out across sessions under one mutex) — the
@@ -115,9 +117,10 @@ go test -race ./internal/netsim/... ./internal/core/scan/... \
 	./internal/telescope/... ./internal/attack/... ./internal/honeypot/... \
 	./internal/iot/ ./internal/datasets/ ./internal/core/classify/ \
 	./internal/protocols/...
-# The campaign's lanes are scheduled differently at each GOMAXPROCS; the
-# golden digest must not notice.
-./scripts/gate.sh -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)' ./internal/attack/
+# The campaign's lanes and the darknet's units are scheduled differently at
+# each GOMAXPROCS; neither golden digest (the honeypot log, the batch
+# telescope's binary and CSV dump) may notice.
+./scripts/gate.sh -race -cpu 1,2,4 -run 'TestCampaign(GoldenDigest|ShardCountByteIdentity)|TestDarknetDumpGoldenDigest' ./internal/attack/
 # The event log and the flood counters are one lock each; check them at
 # several GOMAXPROCS too.
 ./scripts/gate.sh -race -cpu 1,2,4 -run 'TestLog|TestFloodUpgradeThreshold' ./internal/honeypot/
