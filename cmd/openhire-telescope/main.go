@@ -204,7 +204,7 @@ func observeFlows(reg *obs.Registry, flows []*telescope.FlowTuple) {
 	day := 24 * time.Hour
 	for _, ft := range flows {
 		st.Packets += uint64(ft.PacketCnt)
-		reg.Observe("telescope.flow_time_of_day", ft.Time.Sub(netsim.ExperimentStart)%day)
+		reg.Observe("telescope.flow_time_of_day", ft.Time().Sub(netsim.ExperimentStart)%day)
 	}
 	reg.AddAll("telescope", st.Counters())
 }

@@ -97,12 +97,12 @@ type protoState struct {
 	transport    uint8
 }
 
-// geoAnn memoizes one source's geo annotation within a generation unit. The
-// Zipf skew concentrates draws on a few head sources, so the hit rate is
-// ~99% and the geo database drops out of the per-flow cost.
+// geoAnn memoizes one source's geo annotation within a generation unit, in 8
+// bytes. The Zipf skew concentrates draws on a few head sources, so the hit
+// rate is ~99% and the geo database drops out of the per-flow cost.
 type geoAnn struct {
-	cc  string
 	asn uint32
+	cc  geo.CountryID
 	ok  bool
 }
 
@@ -337,7 +337,7 @@ type unitDraws struct {
 	gen        *prng.Source
 	prefix     netsim.Prefix
 	prefixSize uint64
-	dayStart   time.Time
+	dayStart   int64 // Unix nanoseconds
 	isTCP      bool
 	// remaining is the day's packet volume not yet drawn; the unit is done
 	// when it reaches zero.
@@ -354,7 +354,7 @@ func (g *DarknetGenerator) draws(p, day int) unitDraws {
 			prng.HashString(string(st.cal.Protocol)), uint64(day)),
 		prefix:     prefix,
 		prefixSize: prefix.Size(),
-		dayStart:   g.cfg.Start.Add(time.Duration(day) * 24 * time.Hour),
+		dayStart:   g.cfg.Start.Add(time.Duration(day) * 24 * time.Hour).UnixNano(),
 		isTCP:      st.transport == telescope.ProtoTCP,
 		remaining:  st.dailyPackets,
 	}
@@ -378,7 +378,7 @@ func (d *unitDraws) next(ft *telescope.FlowTuple) (src, hour int) {
 
 	sec := (u3 & 0xffffffff) % 86400
 	*ft = telescope.FlowTuple{
-		Time:      d.dayStart.Add(time.Duration(sec) * time.Second),
+		UnixNano:  d.dayStart + int64(sec)*int64(time.Second),
 		SrcIP:     st.sources[src],
 		DstIP:     d.prefix.Nth((u2 & 0xffffffff) % d.prefixSize),
 		SrcPort:   uint16(32768 + (u2>>32&0xffff)%28232),
@@ -408,11 +408,11 @@ func (g *DarknetGenerator) annotate(ft *telescope.FlowTuple, ann []geoAnn, src i
 	}
 	a := &ann[src]
 	if !a.ok {
-		a.cc = string(g.cfg.GeoDB.Country(ft.SrcIP))
+		a.cc = g.cfg.GeoDB.CountryID(ft.SrcIP)
 		a.asn = g.cfg.GeoDB.ASN(ft.SrcIP)
 		a.ok = true
 	}
-	ft.CountryCC = a.cc
+	ft.CountryID = a.cc
 	ft.ASN = a.asn
 }
 

@@ -93,9 +93,9 @@ func gatherDigest(w *World) string {
 			ev.Src, ev.Type, ev.Username, ev.Password, ev.Payload, ev.Detail)
 	}
 	for _, ft := range w.Flows() {
-		fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%q|%d|%v|%v\n", ft.Time.UnixNano(),
+		fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%q|%d|%v|%v\n", ft.UnixNano,
 			ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort, ft.Protocol, ft.TTL, ft.TCPFlags, ft.IPLen,
-			ft.SynLen, ft.SynWinLen, ft.PacketCnt, ft.CountryCC, ft.ASN, ft.IsSpoofed, ft.IsMasscan)
+			ft.SynLen, ft.SynWinLen, ft.PacketCnt, ft.CountryCC(), ft.ASN, ft.IsSpoofed, ft.IsMasscan)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

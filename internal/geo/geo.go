@@ -28,7 +28,7 @@ type CountryWeight struct {
 }
 
 // PaperCountryWeights is the Table 10 distribution of misconfigured devices
-// by country. Weights sum to ~1.0.
+// by country, the database's one country table. Weights are positive.
 var PaperCountryWeights = []CountryWeight{
 	{"USA", 0.27},
 	{"China", 0.13},
@@ -50,13 +50,33 @@ var PaperCountryWeights = []CountryWeight{
 	{"Japan", 0.007},
 }
 
+// CountryID is a country as one byte: 1 + its index in PaperCountryWeights,
+// and 0 for no country. A telescope record stores its source's country so.
+type CountryID uint8
+
+// Label returns the country id stands for, "" for 0.
+func (id CountryID) Label() Country {
+	if id == 0 {
+		return ""
+	}
+	return PaperCountryWeights[id-1].Country
+}
+
+// LookupCountry returns the id whose Label is label, and whether there is one.
+func LookupCountry(label string) (CountryID, bool) {
+	for id := range CountryID(len(PaperCountryWeights) + 1) {
+		if Country(label) == id.Label() {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // DB is the geolocation database. Lookups are pure functions of (seed, ip):
 // no state is stored, so the database covers the whole IPv4 space for free.
 type DB struct {
-	src       *prng.Source
-	countries []Country
-	weights   []float64
-	total     float64 // sum of positive weights, fixed at construction
+	src   *prng.Source
+	total float64 // sum of the weights, fixed at construction
 }
 
 // Label hashes are constants of the lookup scheme; folding them per call put
@@ -66,19 +86,15 @@ var (
 	geoASNLabel     = prng.HashString("geo-asn")
 )
 
-// NewDB builds a database using the given seed and country weights.
-// If weights is nil, PaperCountryWeights is used.
-func NewDB(seed uint64, weights []CountryWeight) *DB {
-	if weights == nil {
-		weights = PaperCountryWeights
+// NewDB builds the database for seed over PaperCountryWeights. The table
+// argument is kept so that existing callers compile, and must be nil.
+func NewDB(seed uint64, table []CountryWeight) *DB {
+	if table != nil {
+		panic("geo: NewDB takes no country table but PaperCountryWeights")
 	}
 	db := &DB{src: prng.New(seed)}
-	for _, w := range weights {
-		db.countries = append(db.countries, w.Country)
-		db.weights = append(db.weights, w.Weight)
-		if w.Weight > 0 {
-			db.total += w.Weight
-		}
+	for _, w := range PaperCountryWeights {
+		db.total += w.Weight
 	}
 	return db
 }
@@ -92,27 +108,22 @@ func (db *DB) block(ip netsim.IPv4) uint64 {
 	return uint64(ip >> (32 - geoGranularityBits))
 }
 
-// Country returns the country assigned to ip's block. The draw and the
-// subtractive scan reproduce Source.WeightedChoice exactly (same arithmetic,
-// same order), with the weight total hoisted to construction time.
+// Country returns the country assigned to ip's block.
 func (db *DB) Country(ip netsim.IPv4) Country {
+	return db.CountryID(ip).Label()
+}
+
+// CountryID returns the id of ip's block's country: Source.WeightedChoice's
+// draw and subtractive scan, with the weight total hoisted to construction.
+func (db *DB) CountryID(ip netsim.IPv4) CountryID {
 	h := db.src.Hash64(geoCountryLabel, db.block(ip))
 	target := prng.New(h).Float64() * db.total
-	for i, w := range db.weights {
-		if w <= 0 {
-			continue
-		}
-		target -= w
-		if target < 0 {
-			return db.countries[i]
+	for i, w := range PaperCountryWeights {
+		if target -= w.Weight; target < 0 {
+			return CountryID(i + 1)
 		}
 	}
-	for i := len(db.weights) - 1; i >= 0; i-- {
-		if db.weights[i] > 0 {
-			return db.countries[i]
-		}
-	}
-	panic("geo: DB with no positive country weight")
+	return CountryID(len(PaperCountryWeights)) // rounding left target >= 0
 }
 
 // ASN returns the autonomous-system number for ip's block. ASNs are stable

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"openhire/internal/netsim"
@@ -161,4 +162,45 @@ func TestRDNSKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
 		}
 	}
+}
+
+// TestCountryIDs pins the one country table's byte form: every id from 0 (no
+// country) to the table's length names a distinct label that LookupCountry
+// maps back, a label outside the table is refused, the labels carry no comma
+// (the telescope's CSV form writes them unescaped), the weights are positive
+// (CountryID's scan skips none) and a database refuses any other table.
+func TestCountryIDs(t *testing.T) {
+	if len(PaperCountryWeights) > 255 {
+		t.Fatalf("%d countries do not fit a CountryID", len(PaperCountryWeights))
+	}
+	for id := CountryID(0); int(id) <= len(PaperCountryWeights); id++ {
+		label := id.Label()
+		if (id == 0) != (label == "") || strings.Contains(string(label), ",") {
+			t.Errorf("id %d has label %q", id, label)
+		}
+		if got, ok := LookupCountry(string(label)); !ok || got != id {
+			t.Errorf("LookupCountry(%q) = %d, %v, want %d", label, got, ok, id)
+		}
+		if id > 0 && PaperCountryWeights[id-1].Weight <= 0 {
+			t.Errorf("%s has weight %v", label, PaperCountryWeights[id-1].Weight)
+		}
+	}
+	for _, label := range []string{"Atlantis", "usa", "USA ", "Korea, Republic of"} {
+		if id, ok := LookupCountry(label); ok {
+			t.Errorf("LookupCountry(%q) = %d, want refused", label, id)
+		}
+	}
+	db := NewDB(6, nil)
+	for i := 0; i < 1000; i++ {
+		ip := netsim.IPv4(uint32(i) << 12)
+		if id := db.CountryID(ip); id == 0 || db.Country(ip) != id.Label() {
+			t.Fatalf("%v: CountryID %d, Country %q", ip, id, db.Country(ip))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewDB accepted a country table")
+		}
+	}()
+	NewDB(6, []CountryWeight{{"Atlantis", 1}})
 }

@@ -234,7 +234,7 @@ func FlowEvents(r *Recorder, flows []*telescope.FlowTuple) {
 			Protocol: proto,
 			IP:       ft.SrcIP.String(),
 			Port:     ft.DstPort,
-			SimNS:    int64(ft.Time.Sub(netsim.ExperimentStart)),
+			SimNS:    int64(ft.Time().Sub(netsim.ExperimentStart)),
 			Count:    uint64(ft.PacketCnt),
 			Detail:   detail,
 		})

@@ -59,11 +59,14 @@ func (a *Aggregates) FoldTelescopeDay(cycle int, dayStart time.Time, flows []*te
 	row := a.Trends.day(cycle)
 	row.TelescopeFlows = len(flows)
 	row.TelescopePackets = 0
+	row.HourlyPackets = make([]uint64, 24)
 	for _, ft := range flows {
 		row.TelescopePackets += uint64(ft.PacketCnt)
 		a.addTelescopeSource(ft.SrcIP)
+		if off := ft.Time().Sub(dayStart); off >= 0 && off < 24*time.Hour {
+			row.HourlyPackets[off/time.Hour] += uint64(ft.PacketCnt)
+		}
 	}
-	row.HourlyPackets = telescope.HourlyBuckets(flows, dayStart, 24)
 }
 
 // withReference makes l compare every snapshot it publishes with

@@ -15,14 +15,14 @@ import (
 func testFlow(i int) FlowTuple {
 	k := i % 17
 	return FlowTuple{
-		Time:    time.Date(2021, 4, 3, 0, 0, i, 0, time.UTC),
-		SrcIP:   netsim.IPv4(0xCB007100 + uint32(k)), // 203.0.113.x
-		DstIP:   netsim.IPv4(0x2C010200 + uint32(k)), // 44.1.2.x
-		SrcPort: uint16(40000 + k), DstPort: 23,
+		UnixNano: time.Date(2021, 4, 3, 0, 0, i, 0, time.UTC).UnixNano(),
+		SrcIP:    netsim.IPv4(0xCB007100 + uint32(k)), // 203.0.113.x
+		DstIP:    netsim.IPv4(0x2C010200 + uint32(k)), // 44.1.2.x
+		SrcPort:  uint16(40000 + k), DstPort: 23,
 		Protocol: ProtoTCP, TTL: uint8(40 + i%60), TCPFlags: FlagSYN,
 		IPLen: 40, SynLen: 44, SynWinLen: uint16(1024 + i),
 		PacketCnt: uint32(1 + i%5),
-		CountryCC: "China", ASN: uint32(4000 + i%7),
+		CountryID: country("China"), ASN: uint32(4000 + i%7),
 		IsSpoofed: i%3 == 0, IsMasscan: i%4 == 0,
 	}
 }

@@ -11,23 +11,23 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"openhire/internal/netsim"
 )
 
 // referenceCSV is the fmt encoder AppendCSV replaced, kept as the byte
-// reference: every CSV file ever written came out of this line.
-func referenceCSV(ft *FlowTuple) string {
+// reference: every CSV file ever written came out of this line. It writes cc
+// as the country, so it can also write the labels the parser refuses.
+func referenceCSV(ft *FlowTuple, cc string) string {
 	return fmt.Sprintf("%d,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%t,%t\n",
-		ft.Time.UnixNano(), ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort,
+		ft.UnixNano, ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort,
 		ft.Protocol, ft.TTL, ft.TCPFlags, ft.IPLen, ft.SynLen, ft.SynWinLen,
-		ft.PacketCnt, strings.ReplaceAll(ft.CountryCC, ",", ";"), ft.ASN, ft.IsSpoofed, ft.IsMasscan)
+		ft.PacketCnt, strings.ReplaceAll(cc, ",", ";"), ft.ASN, ft.IsSpoofed, ft.IsMasscan)
 }
 
-// referenceBinary is the allocate-per-record encoder AppendBinary replaced.
-func referenceBinary(ft *FlowTuple) []byte {
-	cc := ft.CountryCC
+// referenceBinary is the allocate-per-record encoder AppendBinary replaced,
+// writing cc as the country.
+func referenceBinary(ft *FlowTuple, cc string) []byte {
 	if len(cc) > 255 {
 		cc = cc[:255]
 	}
@@ -39,7 +39,7 @@ func referenceBinary(ft *FlowTuple) []byte {
 	}
 	buf := make([]byte, 0, 48+len(cc))
 	buf = append(buf, 'F', 'T', '0', '4')
-	buf = binary.BigEndian.AppendUint64(buf, uint64(ft.Time.UnixNano()))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(ft.UnixNano))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(ft.SrcIP))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(ft.DstIP))
 	buf = binary.BigEndian.AppendUint16(buf, ft.SrcPort)
@@ -55,15 +55,15 @@ func referenceBinary(ft *FlowTuple) []byte {
 }
 
 // codecCases are the records the table tests encode: the ordinary one, every
-// field at its ceiling and its floor, both annotations, and the country
-// labels the formats treat specially.
+// field at its ceiling and its floor, both annotations, and the shortest
+// country label and none.
 func codecCases() map[string]*FlowTuple {
 	maxed := &FlowTuple{
-		Time:  time.Unix(0, math.MaxInt64).UTC(),
-		SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16,
+		UnixNano: math.MaxInt64,
+		SrcIP:    math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16,
 		Protocol: math.MaxUint8, TTL: math.MaxUint8, TCPFlags: math.MaxUint8,
 		IPLen: math.MaxUint16, SynLen: math.MaxUint16, SynWinLen: math.MaxUint16,
-		PacketCnt: math.MaxUint32, CountryCC: "Other countries", ASN: math.MaxUint32,
+		PacketCnt: math.MaxUint32, CountryID: country("Other countries"), ASN: math.MaxUint32,
 		IsSpoofed: true, IsMasscan: true,
 	}
 	with := func(edit func(*FlowTuple)) *FlowTuple {
@@ -72,27 +72,52 @@ func codecCases() map[string]*FlowTuple {
 		return ft
 	}
 	return map[string]*FlowTuple{
-		"sample":        sampleFlow(),
-		"max values":    maxed,
-		"zero values":   {Time: time.Unix(0, 0).UTC()},
-		"before 1970":   with(func(ft *FlowTuple) { ft.Time = time.Unix(0, math.MinInt64).UTC() }),
-		"spoofed":       with(func(ft *FlowTuple) { ft.IsSpoofed, ft.IsMasscan = true, false }),
-		"two letters":   with(func(ft *FlowTuple) { ft.CountryCC = "UK" }),
-		"no country":    with(func(ft *FlowTuple) { ft.CountryCC = "" }),
-		"comma country": with(func(ft *FlowTuple) { ft.CountryCC = "Korea, Republic of,," }),
-		"255 country":   with(func(ft *FlowTuple) { ft.CountryCC = strings.Repeat("x", 255) }),
-		"300 country":   with(func(ft *FlowTuple) { ft.CountryCC = strings.Repeat("y", 300) }),
-		"bytes country": with(func(ft *FlowTuple) { ft.CountryCC = "\x00\xff;\"" }),
+		"sample":      sampleFlow(),
+		"max values":  maxed,
+		"zero values": {},
+		"before 1970": with(func(ft *FlowTuple) { ft.UnixNano = math.MinInt64 }),
+		"spoofed":     with(func(ft *FlowTuple) { ft.IsSpoofed, ft.IsMasscan = true, false }),
+		"two letters": with(func(ft *FlowTuple) { ft.CountryID = country("UK") }),
+		"no country":  with(func(ft *FlowTuple) { ft.CountryID = 0 }),
 	}
+}
+
+// refusedCountries are country labels outside geo's table, which the former
+// codecs wrote and read back as given (cut to 255 bytes, commas escaped) and
+// both decoders now refuse.
+var refusedCountries = map[string]string{
+	"comma country": "Korea, Republic of,,",
+	"255 country":   strings.Repeat("x", 255),
+	"300 country":   strings.Repeat("y", 300),
+	"bytes country": "\x00\xff;\"",
 }
 
 // TestCodecMatchesReferenceEncoders pins both append encoders, and the
 // WriteBinary wrapper over plain and buffered writers, to the encoders they
 // replaced, and the binary decoder — on both of its paths — to the inverse.
+// A record the reference encoders wrote with a label outside geo's table is
+// refused by ReadBinary on every path and by ParseCSV.
 func TestCodecMatchesReferenceEncoders(t *testing.T) {
+	for name, cc := range refusedCountries {
+		t.Run(name, func(t *testing.T) {
+			bin := referenceBinary(sampleFlow(), cc)
+			for path, r := range map[string]io.Reader{
+				"plain":    bytes.NewReader(bin),
+				"buffered": bufio.NewReader(bytes.NewReader(bin)),
+				"tiny":     bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(bin)), 16),
+			} {
+				if ft, err := ReadBinary(r); err != ErrBadRecord {
+					t.Errorf("%s reader: got %+v, %v, want ErrBadRecord", path, ft, err)
+				}
+			}
+			if ft, err := ParseCSV(referenceCSV(sampleFlow(), cc)); err == nil {
+				t.Errorf("ParseCSV: got %+v, want an error", ft)
+			}
+		})
+	}
 	for name, ft := range codecCases() {
 		t.Run(name, func(t *testing.T) {
-			wantCSV, wantBin := referenceCSV(ft), referenceBinary(ft)
+			wantCSV, wantBin := referenceCSV(ft, ft.CountryCC()), referenceBinary(ft, ft.CountryCC())
 			prefix := []byte("already here|")
 			if got := ft.AppendCSV(prefix[:len(prefix):len(prefix)]); string(got) != string(prefix)+wantCSV {
 				t.Errorf("AppendCSV:\n got %q\nwant %q", got, string(prefix)+wantCSV)
@@ -118,9 +143,6 @@ func TestCodecMatchesReferenceEncoders(t *testing.T) {
 			}
 
 			want := *ft
-			if len(want.CountryCC) > 255 {
-				want.CountryCC = want.CountryCC[:255]
-			}
 			for path, r := range map[string]io.Reader{
 				"plain":    bytes.NewReader(wantBin),
 				"buffered": bufio.NewReader(bytes.NewReader(wantBin)),
@@ -138,13 +160,10 @@ func TestCodecMatchesReferenceEncoders(t *testing.T) {
 				}
 			}
 
-			// The comma escape is the CSV form's one lossy step.
 			parsed, err := ParseCSV(wantCSV)
 			if err != nil {
 				t.Fatalf("ParseCSV: %v", err)
 			}
-			want = *ft
-			want.CountryCC = strings.ReplaceAll(ft.CountryCC, ",", ";")
 			if *parsed != want {
 				t.Errorf("ParseCSV: got %+v, want %+v", parsed, &want)
 			}
@@ -179,8 +198,8 @@ func TestWriteFlowsIsHeaderPlusRecords(t *testing.T) {
 		ft.SrcIP = netsim.IPv4(i * 2654435761)
 		ft.PacketCnt = uint32(i)
 		flows = append(flows, ft)
-		wantCSV.WriteString(referenceCSV(ft))
-		wantBin.Write(referenceBinary(ft))
+		wantCSV.WriteString(referenceCSV(ft, ft.CountryCC()))
+		wantBin.Write(referenceBinary(ft, ft.CountryCC()))
 	}
 	if wantCSV.Len() < 3*flowChunk || wantBin.Len() < 3*flowChunk {
 		t.Fatalf("test files (%d, %d bytes) do not span three %d-byte chunks", wantCSV.Len(), wantBin.Len(), flowChunk)
@@ -233,7 +252,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // the magic included — is ErrBadRecord, never a bare unexpected-EOF.
 func TestReadBinaryTruncation(t *testing.T) {
 	first, second := sampleFlow(), sampleFlow()
-	second.CountryCC = "" // a record that is exactly its fixed part
+	second.CountryID = 0 // a record that is exactly its fixed part
 	stream := second.AppendBinary(first.AppendBinary(nil))
 	boundary := map[int]int{0: 0, len(stream) - fixedLen: 1, len(stream): 2}
 	for cut := 0; cut <= len(stream); cut++ {

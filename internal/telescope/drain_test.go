@@ -30,7 +30,7 @@ func TestOrderedDrainMatchesReferenceSort(t *testing.T) {
 				if (off+i)%10 == 0 {
 					src = netsim.IPv4(off + i)
 				}
-				fts[i] = FlowTuple{Time: day, SrcIP: src, DstIP: dark,
+				fts[i] = FlowTuple{UnixNano: day.UnixNano(), SrcIP: src, DstIP: dark,
 					SrcPort: 40000, DstPort: 23, Protocol: ProtoTCP, TTL: uint8(p), PacketCnt: 1}
 			}
 			batches[p] = append(batches[p], fts)
@@ -92,11 +92,11 @@ func TestFlowsMutationIsolation(t *testing.T) {
 		t.Fatalf("flows %d, want 1", len(first))
 	}
 	first[0].PacketCnt = 9999
-	first[0].CountryCC = "XX"
+	first[0].CountryID = country("Japan")
 	first[0].SrcIP = 0
 
 	second := tel.Flows()
-	if second[0].PacketCnt == 9999 || second[0].CountryCC == "XX" || second[0].SrcIP == 0 {
+	if second[0].PacketCnt == 9999 || second[0].CountryID != sampleFlow().CountryID || second[0].SrcIP == 0 {
 		t.Fatalf("mutating a Flows() result leaked into the capture: %+v", second[0])
 	}
 }
@@ -129,7 +129,7 @@ func TestRecordBatchOrdinalOrder(t *testing.T) {
 
 	mk := func(src uint32) FlowTuple {
 		return FlowTuple{
-			Time: time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC), SrcIP: netsim.IPv4(src),
+			UnixNano: time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC).UnixNano(), SrcIP: netsim.IPv4(src),
 			DstIP: netsim.MustParseIPv4("44.1.1.1"), SrcPort: 40000, DstPort: 23,
 			Protocol: ProtoTCP, PacketCnt: 1,
 		}

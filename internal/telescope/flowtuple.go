@@ -22,25 +22,32 @@ import (
 // FlowTuple is one aggregated flow record. Fields mirror the CAIDA
 // FlowTuple v4 schema the paper lists: source/destination, ports, protocol,
 // TTL, TCP flags, packet sizes and counts, geolocation and the is_spoofed /
-// is_masscan annotations.
+// is_masscan annotations. It holds no pointer, so the collector never scans a
+// slab of them, and its fields run wide to narrow, packing it into 40 bytes.
 type FlowTuple struct {
-	Time      time.Time
+	UnixNano  int64 // start time, nanoseconds since the Unix epoch
 	SrcIP     netsim.IPv4
 	DstIP     netsim.IPv4
+	PacketCnt uint32
+	ASN       uint32
 	SrcPort   uint16
 	DstPort   uint16
-	Protocol  uint8 // IP protocol number: 6 TCP, 17 UDP
-	TTL       uint8
-	TCPFlags  uint8
 	IPLen     uint16
 	SynLen    uint16
 	SynWinLen uint16
-	PacketCnt uint32
-	CountryCC string // ISO-ish country label
-	ASN       uint32
+	Protocol  uint8 // IP protocol number: 6 TCP, 17 UDP
+	TTL       uint8
+	TCPFlags  uint8
+	CountryID geo.CountryID // the source's country; 0 when not annotated
 	IsSpoofed bool
 	IsMasscan bool
 }
+
+// Time returns the flow's start time in UTC.
+func (ft *FlowTuple) Time() time.Time { return time.Unix(0, ft.UnixNano).UTC() }
+
+// CountryCC returns the source's country label, "" when not annotated.
+func (ft *FlowTuple) CountryCC() string { return string(ft.CountryID.Label()) }
 
 // IP protocol numbers.
 const (
@@ -69,15 +76,11 @@ const (
 	maxRecordLen = fixedLen + 255
 )
 
-// AppendBinary appends the record's binary encoding to dst. A country longer
-// than 255 bytes is cut to fit its length byte.
+// AppendBinary appends the record's binary encoding to dst.
 func (ft *FlowTuple) AppendBinary(dst []byte) []byte {
-	cc := ft.CountryCC
-	if len(cc) > 255 {
-		cc = cc[:255]
-	}
+	cc := ft.CountryCC()
 	dst = append(dst, magic[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(ft.Time.UnixNano()))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ft.UnixNano))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(ft.SrcIP))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(ft.DstIP))
 	dst = binary.BigEndian.AppendUint16(dst, ft.SrcPort)
@@ -159,15 +162,16 @@ func shortRecord(got int, err error) error {
 
 // decode parses one complete record: the fixed part and exactly the country
 // bytes its length byte announces. It accepts only what AppendBinary writes —
-// the magic, and 0 or 1 in the two annotation bytes — so a record that
-// decodes re-encodes to the bytes it came from.
+// the magic, 0 or 1 in the two annotation bytes, a label geo's table holds —
+// so a record that decodes re-encodes to the bytes it came from.
 func decode(rec []byte) (*FlowTuple, error) {
 	fixed := rec[4:fixedLen]
-	if [4]byte(rec) != magic || fixed[23] > 1 || fixed[24] > 1 {
+	cc, ok := geo.LookupCountry(string(rec[fixedLen:]))
+	if [4]byte(rec) != magic || fixed[23] > 1 || fixed[24] > 1 || !ok {
 		return nil, ErrBadRecord
 	}
 	return &FlowTuple{
-		Time:      time.Unix(0, int64(binary.BigEndian.Uint64(fixed[0:8]))).UTC(),
+		UnixNano:  int64(binary.BigEndian.Uint64(fixed[0:8])),
 		SrcIP:     netsim.IPv4(binary.BigEndian.Uint32(fixed[8:12])),
 		DstIP:     netsim.IPv4(binary.BigEndian.Uint32(fixed[12:16])),
 		SrcPort:   binary.BigEndian.Uint16(fixed[16:18]),
@@ -182,30 +186,17 @@ func decode(rec []byte) (*FlowTuple, error) {
 		SynWinLen: binary.BigEndian.Uint16(fixed[29:31]),
 		PacketCnt: binary.BigEndian.Uint32(fixed[31:35]),
 		ASN:       binary.BigEndian.Uint32(fixed[35:39]),
-		CountryCC: internCountry(rec[fixedLen:]),
+		CountryID: cc,
 	}, nil
-}
-
-// internCountry returns the country label as a string, sharing the geo
-// table's own string for every label the default database emits (the paper's
-// country names, "UK" being the one two-letter code among them), so a decoded
-// day holds eighteen label strings instead of one per record.
-func internCountry(cc []byte) string {
-	for _, w := range geo.PaperCountryWeights {
-		if string(cc) == string(w.Country) {
-			return string(w.Country)
-		}
-	}
-	return string(cc)
 }
 
 // csvHeader is the CSV column list.
 const csvHeader = "time,src_ip,dst_ip,src_port,dst_port,protocol,ttl,tcp_flags,ip_len,syn_len,syn_win_len,packet_cnt,country,asn,is_spoofed,is_masscan"
 
-// AppendCSV appends the record as a CSV line. Commas in the country label
-// become semicolons, the format's only escape.
+// AppendCSV appends the record as a CSV line. No label in geo's country
+// table holds a comma, so the line needs no escape.
 func (ft *FlowTuple) AppendCSV(dst []byte) []byte {
-	dst = strconv.AppendInt(dst, ft.Time.UnixNano(), 10)
+	dst = strconv.AppendInt(dst, ft.UnixNano, 10)
 	dst = ft.SrcIP.AppendTo(append(dst, ','))
 	dst = ft.DstIP.AppendTo(append(dst, ','))
 	for _, v := range [...]uint32{
@@ -214,14 +205,7 @@ func (ft *FlowTuple) AppendCSV(dst []byte) []byte {
 	} {
 		dst = strconv.AppendUint(append(dst, ','), uint64(v), 10)
 	}
-	dst = append(dst, ',')
-	for i := 0; i < len(ft.CountryCC); i++ {
-		c := ft.CountryCC[i]
-		if c == ',' {
-			c = ';'
-		}
-		dst = append(dst, c)
-	}
+	dst = append(append(dst, ','), ft.CountryCC()...)
 	dst = strconv.AppendUint(append(dst, ','), uint64(ft.ASN), 10)
 	dst = strconv.AppendBool(append(dst, ','), ft.IsSpoofed)
 	dst = strconv.AppendBool(append(dst, ','), ft.IsMasscan)
@@ -267,7 +251,8 @@ func writeFlows(w io.Writer, header string, flows []*FlowTuple, enc func(*FlowTu
 	return err
 }
 
-// ParseCSV decodes one CSV line (header lines are rejected).
+// ParseCSV decodes one CSV line. Header lines and country labels that geo's
+// table does not hold are rejected.
 func ParseCSV(line string) (*FlowTuple, error) {
 	fields := strings.Split(strings.TrimSpace(line), ",")
 	if len(fields) != 16 {
@@ -288,6 +273,10 @@ func ParseCSV(line string) (*FlowTuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	cc, ok := geo.LookupCountry(fields[12])
+	if !ok {
+		return nil, fmt.Errorf("telescope: unknown country %q", fields[12])
+	}
 	u := func(i int, bits int) uint64 {
 		v, convErr := strconv.ParseUint(fields[i], 10, bits)
 		if convErr != nil {
@@ -296,11 +285,11 @@ func ParseCSV(line string) (*FlowTuple, error) {
 		return v
 	}
 	ft := &FlowTuple{
-		Time: time.Unix(0, nanos).UTC(), SrcIP: src, DstIP: dst,
+		UnixNano: nanos, SrcIP: src, DstIP: dst,
 		SrcPort: uint16(u(3, 16)), DstPort: uint16(u(4, 16)),
 		Protocol: uint8(u(5, 8)), TTL: uint8(u(6, 8)), TCPFlags: uint8(u(7, 8)),
 		IPLen: uint16(u(8, 16)), SynLen: uint16(u(9, 16)), SynWinLen: uint16(u(10, 16)),
-		PacketCnt: uint32(u(11, 32)), CountryCC: fields[12], ASN: uint32(u(13, 32)),
+		PacketCnt: uint32(u(11, 32)), CountryID: cc, ASN: uint32(u(13, 32)),
 	}
 	if err != nil {
 		return nil, err

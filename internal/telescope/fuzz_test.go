@@ -6,8 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
+	"openhire/internal/geo"
 	"openhire/internal/netsim"
 )
 
@@ -27,18 +27,19 @@ func readAllBinary(r io.Reader) ([]*FlowTuple, error) {
 // FuzzReadBinary feeds arbitrary bytes to the binary decoder — capture files
 // are input from outside the program. Nothing may panic; the buffered and
 // the plain reader path must return the same records and end on the same
-// error, io.EOF or ErrBadRecord and nothing else; and the records must
-// re-encode to exactly the bytes they were decoded from. The committed
-// corpus holds the head of a genuine day file; the seeds below are one record
-// cut at every offset inside it and a record with the longest country.
+// error, io.EOF or ErrBadRecord and nothing else; and every record is either
+// refused or re-encodes to exactly the bytes it was decoded from. The
+// committed corpus holds the head of a genuine day file; the seeds below are
+// one record cut at every offset inside it, then a good record followed by
+// one with the longest country the length byte can announce and by one with
+// a short label outside geo's table.
 func FuzzReadBinary(f *testing.F) {
 	rec := sampleFlow().AppendBinary(nil)
 	for cut := 1; cut <= fixedLen; cut++ {
 		f.Add(rec[:cut])
 	}
-	long := sampleFlow()
-	long.CountryCC = strings.Repeat("c", 255)
-	f.Add(long.AppendBinary(rec))
+	f.Add(append(bytes.Clone(rec), referenceBinary(sampleFlow(), strings.Repeat("c", 255))...))
+	f.Add(append(bytes.Clone(rec), referenceBinary(sampleFlow(), "Atlantis")...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, plainErr := readAllBinary(bytes.NewReader(data))
 		buffered, bufferedErr := readAllBinary(bufio.NewReader(bytes.NewReader(data)))
@@ -65,9 +66,10 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzFlowCSV round-trips arbitrary records through the CSV form: ParseCSV
-// inverts AppendCSV up to the comma escape for any field values at all, and
-// ReadCSV reads header plus line back as the one record whenever the country
-// holds no newline.
+// inverts AppendCSV for any field values and any country in geo's table, and
+// ReadCSV reads header plus line back as the one record. A line the reference
+// encoder writes with a label outside the table is refused; the record is
+// then round-tripped with a table country in its place.
 func FuzzFlowCSV(f *testing.F) {
 	f.Add(int64(1617453000000000000), uint32(0xcb007107), uint32(0x2c010203), uint16(40000), uint16(23),
 		uint8(6), uint8(52), uint8(2), uint16(40), uint16(44), uint16(65535), uint32(3), "China", uint32(4134), false, true)
@@ -77,27 +79,30 @@ func FuzzFlowCSV(f *testing.F) {
 		uint8(5), uint8(6), uint8(7), uint16(8), uint16(9), uint16(10), uint32(11), " \ttrue,\r", uint32(12), true, true)
 	f.Fuzz(func(t *testing.T, nanos int64, src, dst uint32, sport, dport uint16,
 		proto, ttl, flags uint8, ipLen, synLen, synWin uint16, count uint32, cc string, asn uint32, spoofed, masscan bool) {
+		id, known := geo.LookupCountry(cc)
 		ft := FlowTuple{
-			Time: time.Unix(0, nanos).UTC(), SrcIP: netsim.IPv4(src), DstIP: netsim.IPv4(dst),
+			UnixNano: nanos, SrcIP: netsim.IPv4(src), DstIP: netsim.IPv4(dst),
 			SrcPort: sport, DstPort: dport, Protocol: proto, TTL: ttl, TCPFlags: flags,
 			IPLen: ipLen, SynLen: synLen, SynWinLen: synWin, PacketCnt: count,
-			CountryCC: cc, ASN: asn, IsSpoofed: spoofed, IsMasscan: masscan,
+			CountryID: id, ASN: asn, IsSpoofed: spoofed, IsMasscan: masscan,
+		}
+		if !known {
+			if got, err := ParseCSV(referenceCSV(&ft, cc)); err == nil {
+				t.Fatalf("ParseCSV accepted country %q: %+v", cc, got)
+			}
+			// The other fields still round-trip, under a country of the table.
+			ft.CountryID = geo.CountryID(len(cc) % (len(geo.PaperCountryWeights) + 1))
 		}
 		line := ft.AppendCSV(nil)
-		want := ft
-		want.CountryCC = strings.ReplaceAll(cc, ",", ";")
 		got, err := ParseCSV(string(line))
 		if err != nil {
 			t.Fatalf("ParseCSV(%q): %v", line, err)
 		}
-		if *got != want {
-			t.Fatalf("ParseCSV(%q) = %+v, want %+v", line, got, &want)
-		}
-		if strings.Contains(cc, "\n") {
-			return
+		if *got != ft {
+			t.Fatalf("ParseCSV(%q) = %+v, want %+v", line, got, &ft)
 		}
 		records, err := ReadCSV(io.MultiReader(strings.NewReader(csvHeader+"\n"), bytes.NewReader(line)))
-		if err != nil || len(records) != 1 || *records[0] != want {
+		if err != nil || len(records) != 1 || *records[0] != ft {
 			t.Fatalf("ReadCSV(header + %q) = %d records, err %v", line, len(records), err)
 		}
 	})

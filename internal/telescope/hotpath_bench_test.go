@@ -21,8 +21,8 @@ func benchDay(units, perUnit int) [][]FlowTuple {
 		for i := range day[u] {
 			ft := sampleFlow()
 			ft.SrcIP = netsim.IPv4(u<<24 | i)
-			ft.Time = netsim.ExperimentStart.Add(time.Duration(i%86400) * time.Second)
-			ft.CountryCC = string(geo.PaperCountryWeights[i%len(geo.PaperCountryWeights)].Country)
+			ft.UnixNano = netsim.ExperimentStart.Add(time.Duration(i%86400) * time.Second).UnixNano()
+			ft.CountryID = geo.CountryID(1 + i%len(geo.PaperCountryWeights))
 			day[u][i] = *ft
 		}
 	}

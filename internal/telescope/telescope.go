@@ -219,35 +219,34 @@ func AggregateByProtocol(flows []*FlowTuple) []ProtocolStats {
 	return out
 }
 
-// HourlyBuckets splits flows into hour buckets from start, for the daily
-// series behind Figure 8's telescope counterpart.
-func HourlyBuckets(flows []*FlowTuple, start time.Time, hours int) []uint64 {
-	out := make([]uint64, hours)
-	for _, ft := range flows {
-		// Duration division truncates toward zero, so a flow inside
-		// (start-1h, start) would otherwise alias into bucket 0.
-		if ft.Time.Before(start) {
-			continue
-		}
-		h := int(ft.Time.Sub(start) / time.Hour)
-		if h >= 0 && h < hours {
-			out[h] += uint64(ft.PacketCnt)
-		}
-	}
-	return out
-}
-
 // PartitionByHour splits flows into per-hour groups from start: slot i holds
 // the flows with start+i h <= Time < start+(i+1) h, each group preserving the
-// input's relative order. Flows outside [start, start+hours h) are dropped —
-// same windowing as HourlyBuckets, but the flows themselves survive for
-// downstream per-hour aggregation (the serve daemon's rotation cadence needs
-// the tuples, not just the packet totals).
+// input's relative order, and flows outside [start, start+hours h) are
+// dropped. It counts each hour first and cuts the slots from one exact-size
+// array; each slot's capacity ends where the next one begins, so an append to
+// a slot never writes into its neighbour.
 func PartitionByHour(flows []*FlowTuple, start time.Time, hours int) [][]*FlowTuple {
-	out := make([][]*FlowTuple, hours)
+	from := start.UnixNano()
+	hourOf := func(ft *FlowTuple) (int, bool) {
+		// From ft.UnixNano >= from on, the wrapped difference is exact.
+		h := uint64(ft.UnixNano-from) / uint64(time.Hour)
+		return int(h), ft.UnixNano >= from && h < uint64(hours)
+	}
+	counts, n := make([]int, hours), 0
 	for _, ft := range flows {
-		h := int(ft.Time.Sub(start) / time.Hour)
-		if h >= 0 && h < hours && !ft.Time.Before(start) {
+		if h, ok := hourOf(ft); ok {
+			counts[h]++
+			n++
+		}
+	}
+	out, all := make([][]*FlowTuple, hours), make([]*FlowTuple, n)
+	for h, c := range counts {
+		if c > 0 { // an empty hour stays nil
+			out[h], all = all[:0:c], all[c:]
+		}
+	}
+	for _, ft := range flows {
+		if h, ok := hourOf(ft); ok {
 			out[h] = append(out[h], ft)
 		}
 	}

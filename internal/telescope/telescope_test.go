@@ -2,29 +2,67 @@ package telescope
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
+	"openhire/internal/geo"
 	"openhire/internal/iot"
 	"openhire/internal/netsim"
 )
 
 func sampleFlow() *FlowTuple {
 	return &FlowTuple{
-		Time:    time.Date(2021, 4, 3, 12, 30, 0, 0, time.UTC),
-		SrcIP:   netsim.MustParseIPv4("203.0.113.7"),
-		DstIP:   netsim.MustParseIPv4("44.1.2.3"),
-		SrcPort: 40000, DstPort: 23,
+		UnixNano: time.Date(2021, 4, 3, 12, 30, 0, 0, time.UTC).UnixNano(),
+		SrcIP:    netsim.MustParseIPv4("203.0.113.7"),
+		DstIP:    netsim.MustParseIPv4("44.1.2.3"),
+		SrcPort:  40000, DstPort: 23,
 		Protocol: ProtoTCP, TTL: 52, TCPFlags: FlagSYN,
 		IPLen: 40, SynLen: 44, SynWinLen: 65535, PacketCnt: 3,
-		CountryCC: "China", ASN: 4134, IsSpoofed: false, IsMasscan: true,
+		CountryID: country("China"), ASN: 4134, IsSpoofed: false, IsMasscan: true,
 	}
+}
+
+// country returns the id of a label geo's table holds.
+func country(label string) geo.CountryID {
+	id, ok := geo.LookupCountry(label)
+	if !ok {
+		panic("no country " + label)
+	}
+	return id
 }
 
 // recordAt ingests a copy of ft at ordinal seq, as a one-record batch.
 func recordAt(tel *Telescope, seq uint64, ft *FlowTuple) {
 	tel.RecordBatch(seq, []FlowTuple{*ft})
+}
+
+// TestFlowTupleIsPointerFree fences the record's layout: no field, however
+// deeply nested, is of a kind that holds a pointer, so the collector never
+// scans a day's slab, and the record is 40 bytes, so a decoded one falls in
+// the 48-byte size class.
+func TestFlowTupleIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk("FlowTuple", reflect.TypeOf(FlowTuple{}))
+	if size := unsafe.Sizeof(FlowTuple{}); size != 40 {
+		t.Errorf("FlowTuple is %d bytes, want 40", size)
+	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -45,10 +83,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRoundTripProperty(t *testing.T) {
 	if err := quick.Check(func(src, dst uint32, sp, dp uint16, ttl uint8, cnt uint32, spoofed bool) bool {
 		ft := &FlowTuple{
-			Time:  time.Unix(0, 1617000000000000000).UTC(),
-			SrcIP: netsim.IPv4(src), DstIP: netsim.IPv4(dst),
+			UnixNano: 1617000000000000000,
+			SrcIP:    netsim.IPv4(src), DstIP: netsim.IPv4(dst),
 			SrcPort: sp, DstPort: dp, Protocol: ProtoUDP, TTL: ttl,
-			PacketCnt: cnt, CountryCC: "USA", IsSpoofed: spoofed,
+			PacketCnt: cnt, CountryID: country("USA"), IsSpoofed: spoofed,
 		}
 		var buf bytes.Buffer
 		if err := ft.WriteBinary(&buf); err != nil {
@@ -105,7 +143,12 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVRejectsBadLines(t *testing.T) {
-	for _, line := range []string{"a,b,c", "not,enough,fields,at,all"} {
+	good := string(sampleFlow().AppendCSV(nil))
+	if _, err := ParseCSV(good); err != nil {
+		t.Fatalf("ParseCSV(%q): %v", good, err)
+	}
+	unknown := strings.Replace(good, ",China,", ",Atlantis,", 1) // a label outside geo's table
+	for _, line := range []string{"a,b,c", "not,enough,fields,at,all", unknown} {
 		if _, err := ParseCSV(line); err == nil {
 			t.Errorf("parsed %q", line)
 		}
@@ -129,7 +172,7 @@ func TestDrainClears(t *testing.T) {
 func TestSameKeyRecordsStaySeparate(t *testing.T) {
 	tel := New(netsim.MustParsePrefix("44.0.0.0/8"), nil)
 	later := sampleFlow()
-	later.Time = later.Time.Add(5 * time.Hour)
+	later.UnixNano += int64(5 * time.Hour)
 	later.PacketCnt = 11
 	recordAt(tel, 2, later)
 	recordAt(tel, 1, sampleFlow())
@@ -177,20 +220,6 @@ func TestAggregateByProtocolOrdering(t *testing.T) {
 	}
 	if stats[1].Protocol != iot.ProtoMQTT || stats[2].Protocol != iot.ProtoCoAP {
 		t.Fatalf("ordering %+v", stats)
-	}
-}
-
-func TestHourlyBuckets(t *testing.T) {
-	start := netsim.ExperimentStart
-	flows := []*FlowTuple{
-		{Time: start.Add(30 * time.Minute), PacketCnt: 5},
-		{Time: start.Add(90 * time.Minute), PacketCnt: 7},
-		{Time: start.Add(-time.Hour), PacketCnt: 100},      // before window
-		{Time: start.Add(100 * time.Hour), PacketCnt: 100}, // after window
-	}
-	buckets := HourlyBuckets(flows, start, 3)
-	if buckets[0] != 5 || buckets[1] != 7 || buckets[2] != 0 {
-		t.Fatalf("buckets %v", buckets)
 	}
 }
 
