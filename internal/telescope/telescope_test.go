@@ -185,6 +185,33 @@ func TestSameKeyRecordsStaySeparate(t *testing.T) {
 	}
 }
 
+// TestHourlyBuckets pins the hourly packet totals of the window from start:
+// a flow before start — even one whose offset would truncate into hour 0 —
+// or past the last hour counts nowhere, and an hour without flows is 0.
+func TestHourlyBuckets(t *testing.T) {
+	start := netsim.ExperimentStart
+	at := func(offset time.Duration, pkts uint32) *FlowTuple {
+		return &FlowTuple{UnixNano: start.Add(offset).UnixNano(), PacketCnt: pkts}
+	}
+	flows := []*FlowTuple{
+		at(30*time.Minute, 5),
+		at(90*time.Minute, 7),
+		at(-time.Hour, 100),    // before window
+		at(-time.Minute, 100),  // just before window
+		at(100*time.Hour, 100), // after window
+	}
+	parts := PartitionByHour(flows, start, 3)
+	buckets := make([]uint64, len(parts))
+	for h, part := range parts {
+		for _, ft := range part {
+			buckets[h] += uint64(ft.PacketCnt)
+		}
+	}
+	if buckets[0] != 5 || buckets[1] != 7 || buckets[2] != 0 {
+		t.Fatalf("buckets %v", buckets)
+	}
+}
+
 func TestProtocolOfPort(t *testing.T) {
 	cases := map[uint16]iot.Protocol{
 		23: iot.ProtoTelnet, 2323: iot.ProtoTelnet, 1883: iot.ProtoMQTT,
